@@ -39,16 +39,13 @@ fan-out): regions serve one pooled copy-on-write template each, devices are
 only materialised when they drift, and re-syncs ship snapshot *deltas* — so
 a million-device fleet runs in megabytes, not terabytes.
 
-Distributed learning
+Profiling the update
 --------------------
 
-The update itself can go data-parallel: ``PILOTE(config, backend="sharded",
-shards=4)`` fans herding and the prototype refresh out to a persistent
-worker-process pool through fixed-order collectives, bit-exact with the
-serial path (same exemplars, prototypes and predictions — no tolerance).
-``examples/sharded_increment.py`` demonstrates and verifies it; every CLI
-experiment accepts ``--backend sharded --shards N``; and
-``learner.phase_seconds`` reports which phase the pool actually sped up.
+``learner.phase_seconds`` splits the most recent update into training,
+herding and prototype-refresh wall-clock time, and
+:class:`repro.edge.profiler.EdgeProfiler` exports the same split.  On this
+scenario training takes nearly all of it.
 
 Self-tuning control
 -------------------

@@ -14,16 +14,7 @@ on it (autodiff, nn, PILOTE core, serving):
 * :mod:`repro.backend.backend` — the :class:`~repro.backend.backend.Backend`
   abstraction (array creation + shared vectorized kernels) with
   :class:`~repro.backend.backend.NumpyBackend` as the default and the
-  extension point for future accelerator backends;
-* :mod:`repro.backend.collectives` — deterministic collective ops
-  (``allreduce``/``allgather``/``reduce_scatter`` with a fixed fold order for
-  float64 bit-exactness) over serial or persistent-process transports, plus
-  the tape-facing ``allreduce_sum``/``allreduce_mean``/``allgather`` op-
-  registry twins data-parallel gradient accumulation dispatches through;
-* :mod:`repro.backend.sharded` — :class:`~repro.backend.sharded.ShardedBackend`
-  (``BACKENDS["sharded"]``), partitioning per-class learning workloads
-  (herding, prototype refresh, grouped means) across the shard pool while
-  staying bit-exact with the serial backend.
+  extension point for future accelerator backends.
 """
 
 from repro.backend.backend import (
@@ -34,23 +25,7 @@ from repro.backend.backend import (
     install_worker_backend,
     make_backend,
     set_backend,
-    use_backend,
 )
-from repro.backend.collectives import (
-    COLLECTIVES,
-    Collectives,
-    ProcessCollectives,
-    SerialCollectives,
-    allgather,
-    allreduce,
-    argmin_reduce,
-    fixed_order_sum,
-    in_shard_worker,
-    make_collectives,
-    reduce_scatter,
-    register_shard_kernel,
-)
-from repro.backend.sharded import ShardedBackend, sharded_herding_selection
 from repro.backend.policy import (
     PROFILE_DTYPES,
     default_dtype,
@@ -73,25 +48,10 @@ __all__ = [
     "BACKENDS",
     "Backend",
     "NumpyBackend",
-    "ShardedBackend",
     "get_backend",
     "install_worker_backend",
     "make_backend",
     "set_backend",
-    "use_backend",
-    "COLLECTIVES",
-    "Collectives",
-    "ProcessCollectives",
-    "SerialCollectives",
-    "allgather",
-    "allreduce",
-    "argmin_reduce",
-    "fixed_order_sum",
-    "in_shard_worker",
-    "make_collectives",
-    "reduce_scatter",
-    "register_shard_kernel",
-    "sharded_herding_selection",
     "PROFILE_DTYPES",
     "default_dtype",
     "precision",

@@ -18,8 +18,7 @@ ROADMAP "Open items").
 from __future__ import annotations
 
 import abc
-import contextlib
-from typing import Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -162,16 +161,6 @@ def set_backend(backend: Backend) -> Backend:
     previous = _ACTIVE_BACKEND
     _ACTIVE_BACKEND = backend
     return previous
-
-
-@contextlib.contextmanager
-def use_backend(backend: Backend) -> Iterator[Backend]:
-    """Scoped backend override."""
-    previous = set_backend(backend)
-    try:
-        yield backend
-    finally:
-        set_backend(previous)
 
 
 #: Backend name → class, for spawning backends by name in worker processes.

@@ -53,25 +53,15 @@ fleet flags) when ``--port`` is omitted.
 
 The ``--scale`` flag picks an :class:`~repro.experiments.common.ExperimentSettings`
 preset (``quick``, ``default`` or ``paper``).
-
-``--backend sharded --shards N`` runs the chosen experiment's learners on
-the sharded collective backend (:mod:`repro.backend.sharded`): exemplar
-herding, prototype refresh and grouped means are partitioned across a
-persistent ``N``-worker pool and recombined through fixed-order collectives,
-bit-exact with the single-process default.  One pool serves the whole run
-and is shut down on exit.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
 
-from repro.backend import BACKENDS, make_backend, use_backend
-from repro.backend.sharded import ShardedBackend
 from repro.experiments import (
     ablations,
     edge_resources,
@@ -136,21 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment scale preset (default: quick)",
     )
     parser.add_argument("--seed", type=int, default=7, help="base random seed")
-    parser.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default=None,
-        help="compute backend the experiment's learners run on: numpy "
-        "(single-process; the default) or sharded (a data-parallel worker "
-        "pool with bit-exact fixed-order collectives)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="worker count for --backend sharded "
-        "(default: one shard per CPU core)",
-    )
     parser.add_argument(
         "--devices",
         type=int,
@@ -316,50 +291,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "--adaptive attaches the control plane to fleet-sim's serving "
             "client (chaos always runs both adaptive and static modes)"
         )
-    if arguments.shards is not None and arguments.backend != ShardedBackend.name:
-        parser.error(
-            "--shards sizes the sharded worker pool; pass --backend sharded "
-            "with it"
-        )
-    if arguments.shards is not None and arguments.shards < 1:
-        parser.error(f"--shards must be >= 1, got {arguments.shards}")
-    if arguments.backend is not None and arguments.experiment == "lint":
-        parser.error(
-            "--backend picks a compute backend for experiment runs; "
-            "lint is static analysis"
-        )
     if arguments.experiment == "lint":
         return _run_lint(parser, arguments)
-    with _cli_backend(arguments):
-        return _run_experiment(parser, arguments, settings)
-
-
-@contextlib.contextmanager
-def _cli_backend(arguments):
-    """Install the ``--backend`` choice as the ambient compute backend.
-
-    One instance serves the whole run, so every learner the experiment
-    builds shares the same shard pool; the pool is shut down (and the
-    previous backend restored) when the run finishes, pass or fail.
-    """
-    if arguments.backend is None:
-        yield None
-        return
-    if arguments.backend == ShardedBackend.name:
-        backend = ShardedBackend(shards=arguments.shards)
-    else:
-        backend = make_backend(arguments.backend)
-    try:
-        with use_backend(backend):
-            yield backend
-    finally:
-        close = getattr(backend, "close", None)
-        if close is not None:
-            close()
-
-
-def _run_experiment(parser: argparse.ArgumentParser, arguments, settings) -> int:
-    """Dispatch one experiment run (everything except ``lint``)."""
     if arguments.experiment == "chaos":
         from repro.analysis.sanitizer import sanitize_enabled
 

@@ -9,7 +9,6 @@ enough; pairs are formed downstream by indexing the embedded batch.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 import numpy as np
@@ -22,12 +21,6 @@ from repro.exceptions import ShapeError
 from repro.nn.layers import Sequential, build_mlp
 from repro.nn.module import Module
 from repro.utils.rng import RandomState
-
-#: Process-wide monotonic instance ids.  Unlike ``id()``, a consumed value is
-#: never reissued, so ``instance_id`` safely keys per-model caches (the shard
-#: pool's model broadcasts) across the lifetime of the process even after a
-#: network is garbage collected and its address reused.
-_instance_ids = itertools.count()
 
 
 class EmbeddingNetwork(Module):
@@ -52,7 +45,6 @@ class EmbeddingNetwork(Module):
         rng: RandomState = None,
     ) -> None:
         super().__init__()
-        self.instance_id = next(_instance_ids)
         self.config = config or PiloteConfig()
         self.input_dim = int(input_dim)
         self.embedding_dim = self.config.embedding_dim

@@ -187,30 +187,6 @@ class ExemplarStore:
         self._exemplars[int(class_id)] = features[indices].copy()
         return indices
 
-    def set_selected(
-        self, class_id: int, features: np.ndarray, indices: np.ndarray
-    ) -> None:
-        """Store rows chosen by an *externally computed* selection.
-
-        The sharded backend runs herding on a shard worker and ships only the
-        selected indices back; this method applies them with exactly the
-        storage semantics of :meth:`select` (policy-dtype materialisation,
-        fancy-indexed **copy**), so a store filled through the sharded path is
-        bit-identical to one filled serially.
-        """
-        features = get_backend().asarray(features)
-        if features.ndim != 2 or features.shape[0] == 0:
-            raise DataError(f"features for class {class_id} must be a non-empty 2-D array")
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.ndim != 1 or indices.shape[0] == 0:
-            raise DataError(f"indices for class {class_id} must be a non-empty 1-D array")
-        if indices.min() < 0 or indices.max() >= features.shape[0]:
-            raise DataError(
-                f"selection indices for class {class_id} fall outside the "
-                f"{features.shape[0]} candidate rows"
-            )
-        self._exemplars[int(class_id)] = features[indices].copy()
-
     def set_exemplars(
         self, class_id: int, features: np.ndarray, *, copy: bool = True
     ) -> None:
@@ -221,8 +197,8 @@ class ExemplarStore:
         share one support set across many devices.  The aliasing contract:
 
         * the store itself only ever *replaces* whole per-class entries
-          (``select``/``set_selected``/``set_exemplars``) and never mutates
-          rows in place, so sharing is safe from this side;
+          (``select``/``set_exemplars``) and never mutates rows in place, so
+          sharing is safe from this side;
         * the caller must extend the same promise to the array it handed
           over: any later in-place write to it silently changes what
           :meth:`get`/:meth:`as_dataset` return, and the next prototype
@@ -230,10 +206,7 @@ class ExemplarStore:
           by **replacing** entries, never by mutating the arrays behind them.
         * note that ``copy=False`` only aliases when the input already has
           the policy compute dtype — ``asarray`` with a differing dtype
-          materialises a cast, which is a silent defensive copy.  Process
-          shard boundaries also break aliasing naturally (pickled arrays are
-          fresh buffers); the hazard is strictly in-process sharing, e.g. a
-          serial-transport shard world or the pooled fleet templates.
+          materialises a cast, which is a silent defensive copy.
 
         Tests pin this down from both sides (``tests/test_core_exemplars
         .py``): ``copy=True`` isolates the store from post-hoc mutation,

@@ -24,13 +24,11 @@ Typical usage::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.autodiff.tensor import Tensor, no_grad
-from repro.backend import Backend, get_backend, make_backend
-from repro.backend.sharded import ShardedBackend
 from repro.core.config import PiloteConfig
 from repro.core.embedding import EmbeddingNetwork
 from repro.core.exemplars import ExemplarStore
@@ -38,7 +36,7 @@ from repro.core.ncm import NCMClassifier
 from repro.core.pairs import PairSampler
 from repro.core.prototypes import PrototypeStore
 from repro.data.dataset import HARDataset
-from repro.exceptions import ConfigurationError, DataError, NotFittedError
+from repro.exceptions import DataError, NotFittedError
 from repro.utils.clock import perf_seconds
 from repro.nn.losses import ContrastiveLoss, DistillationLoss
 from repro.nn.optim import Adam
@@ -60,28 +58,11 @@ class PILOTE:
         (:meth:`PiloteConfig.paper_defaults`).
     seed:
         Overrides ``config.seed`` when given.
-    backend:
-        Compute backend for the learner's per-class workloads: a registry
-        name (``"sharded"`` partitions herding / prototype refresh /
-        support-set builds across a worker pool, bit-exact with serial), a
-        prebuilt :class:`~repro.backend.Backend` instance, or ``None`` for
-        the ambient process-wide backend.
-    shards:
-        Worker count for ``backend="sharded"`` (defaults to the core count);
-        rejected for any other backend.
     """
 
-    def __init__(
-        self,
-        config: Optional[PiloteConfig] = None,
-        seed: RandomState = None,
-        *,
-        backend: Union[str, Backend, None] = None,
-        shards: Optional[int] = None,
-    ) -> None:
+    def __init__(self, config: Optional[PiloteConfig] = None, seed: RandomState = None) -> None:
         self.config = config or PiloteConfig()
         self._rng = resolve_rng(seed if seed is not None else self.config.seed)
-        self._backend, self._owns_backend = self._resolve_backend(backend, shards)
         self.model: Optional[EmbeddingNetwork] = None
         self.teacher: Optional[EmbeddingNetwork] = None
         self.exemplars = ExemplarStore(
@@ -100,37 +81,7 @@ class PILOTE:
         self._pretrain_dataset: Optional[HARDataset] = None
         self._classifier_ready = False
         self._state_version = 0
-        # Bumped after every optimisation run; with the model's identity it
-        # keys model broadcasts to the shard pool (ship once per revision).
-        self._model_revision = 0
         self._phase_seconds: Dict[str, float] = {}
-
-    @staticmethod
-    def _resolve_backend(
-        backend: Union[str, Backend, None], shards: Optional[int]
-    ) -> Tuple[Optional[Backend], bool]:
-        """``(backend instance or None, whether the learner owns it)``."""
-        if backend is None:
-            if shards is not None:
-                raise ConfigurationError(
-                    'shards= requires backend="sharded" (the default backend '
-                    "is single-process)"
-                )
-            return None, False
-        if isinstance(backend, Backend):
-            if shards is not None:
-                raise ConfigurationError(
-                    "shards= cannot resize an already-built backend instance; "
-                    "pass the backend name instead"
-                )
-            return backend, False
-        if backend == ShardedBackend.name:
-            return ShardedBackend(shards=shards), True
-        if shards is not None:
-            raise ConfigurationError(
-                f'shards= requires backend="sharded", got backend={backend!r}'
-            )
-        return make_backend(backend), True
 
     # ------------------------------------------------------------------ #
     # properties
@@ -162,31 +113,14 @@ class PILOTE:
         return self._state_version
 
     @property
-    def backend(self) -> Optional[Backend]:
-        """The learner-pinned backend (``None`` = ambient process backend)."""
-        return self._backend
-
-    @property
     def phase_seconds(self) -> Dict[str, float]:
         """Wall-clock phase breakdown of the most recent learning call.
 
         Keys: ``"training"``, ``"herding"`` (exemplar selection) and
-        ``"prototype_refresh"`` — the split :class:`repro.edge.profiler
-        .EdgeProfiler` exports so benchmarks can attribute where a sharded
-        speedup lands.
+        ``"prototype_refresh"`` — the profiling split :class:`repro.edge
+        .profiler.EdgeProfiler` exports alongside the epoch timings.
         """
         return dict(self._phase_seconds)
-
-    def close(self) -> None:
-        """Release the learner-owned backend's worker pool, if any.
-
-        Only backends the learner built itself (``backend="sharded"``) are
-        closed; instances handed in are the caller's to manage.  Idempotent.
-        """
-        if self._owns_backend and self._backend is not None:
-            closer = getattr(self._backend, "close", None)
-            if closer is not None:
-                closer()
 
     # ------------------------------------------------------------------ #
     # cloud pre-training
@@ -462,61 +396,10 @@ class PILOTE:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _sharded_backend(self) -> Optional[Backend]:
-        """The backend to fan per-class work out on, or ``None`` to stay serial.
-
-        The learner-pinned backend wins over the ambient one; either counts
-        only when it actually shards (``map_class_units`` with a world size
-        above one) — a one-shard world runs the serial loops unchanged.
-        """
-        backend = self._backend if self._backend is not None else get_backend()
-        if getattr(backend, "world_size", 1) > 1 and hasattr(backend, "map_class_units"):
-            return backend
-        return None
-
-    def _model_token(self) -> Tuple[int, int]:
-        """Staleness key for model broadcasts to the shard pool.
-
-        Identity *and* revision: every network carries a process-unique
-        monotonic ``instance_id`` (never reissued, unlike ``id()`` — a freed
-        learner's address can be reused by a new model with an equal
-        revision, which would make a shared pool silently skip the
-        re-broadcast), and every optimisation run bumps the revision, so the
-        pool re-ships exactly when the parameters could have changed.
-        """
-        return (self.model.instance_id, self._model_revision)
-
     def _select_class_exemplars(
         self, class_rows: Sequence[Tuple[int, np.ndarray]], budget: Optional[int]
     ) -> None:
-        """Select and store exemplars for each ``(class_id, rows)`` unit.
-
-        Under a sharded backend with the herding strategy, whole classes fan
-        out to the shard pool (the ``"herd_class"`` kernel embeds the class
-        and runs the exact serial :func:`~repro.core.exemplars
-        .herding_selection` — identical shapes and data, so the indices are
-        bit-for-bit the serial ones) and only the indices cross back.  The
-        random strategy always stays on the coordinator: selection is one
-        cheap RNG draw per class, and drawing here in class order keeps the
-        store's RNG sequence identical to the serial path.
-        """
-        sharded = self._sharded_backend()
-        if (
-            sharded is not None
-            and self.exemplars.strategy == "herding"
-            and budget is not None
-            and len(class_rows) > 1
-        ):
-            results = sharded.map_class_units(
-                self.model,
-                self._model_token(),
-                "herd_class",
-                [(class_id, rows, budget) for class_id, rows in class_rows],
-            )
-            indices_by_class = {class_id: indices for class_id, indices in results}
-            for class_id, rows in class_rows:
-                self.exemplars.set_selected(class_id, rows, indices_by_class[class_id])
-            return
+        """Select and store exemplars for each ``(class_id, rows)`` unit."""
         for class_id, rows in class_rows:
             embeddings = self.model.embed(rows)
             self.exemplars.select(class_id, rows, embeddings, n_exemplars=budget)
@@ -527,25 +410,10 @@ class PILOTE:
             raise NotFittedError("the model has not been trained")
         start = perf_seconds()
         self.prototypes = PrototypeStore(embedding_dim=self.config.embedding_dim)
-        class_ids = self.exemplars.classes
-        sharded = self._sharded_backend()
-        if sharded is not None and len(class_ids) > 1:
-            # One whole class per unit: the worker computes embed(rows)
-            # .mean(axis=0) with exactly the serial shapes, so each prototype
-            # is bit-exact with the inline loop below.
-            results = sharded.map_class_units(
-                self.model,
-                self._model_token(),
-                "class_prototype",
-                [(class_id, self.exemplars.get(class_id)) for class_id in class_ids],
-            )
-            for class_id, prototype in results:
-                self.prototypes.set(class_id, prototype)
-        else:
-            for class_id in class_ids:
-                rows = self.exemplars.get(class_id)
-                embeddings = self.model.embed(rows)
-                self.prototypes.set(class_id, embeddings.mean(axis=0))
+        for class_id in self.exemplars.classes:
+            rows = self.exemplars.get(class_id)
+            embeddings = self.model.embed(rows)
+            self.prototypes.set(class_id, embeddings.mean(axis=0))
         self._phase_seconds["prototype_refresh"] = perf_seconds() - start
         if len(self.prototypes) > 0:
             self.classifier = NCMClassifier().fit(self.prototypes)
@@ -641,5 +509,4 @@ class PILOTE:
             validation_loss=validation_loss,
         )
         self._phase_seconds["training"] = perf_seconds() - training_start
-        self._model_revision += 1
         return history

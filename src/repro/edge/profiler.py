@@ -33,9 +33,8 @@ class LatencyReport:
     support_set_bytes: int = 0
     model_bytes: int = 0
     #: Wall-clock per update phase (``"training"``, ``"herding"``,
-    #: ``"prototype_refresh"``) as measured by the learner itself — the
-    #: breakdown that says *which* phase the sharded backend actually
-    #: accelerates, not just the total.
+    #: ``"prototype_refresh"``) as measured by the learner itself, so a
+    #: profile shows which phase the update time goes to, not just the total.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property

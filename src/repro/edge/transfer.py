@@ -55,7 +55,6 @@ class TransferPackage:
         seed: RandomState = None,
         *,
         copy_arrays: bool = True,
-        backend=None,
     ) -> PILOTE:
         """Materialise an *independent* PILOTE learner from this package.
 
@@ -77,12 +76,6 @@ class TransferPackage:
         them in place, and ``load_state_dict`` copies regardless).  The
         instantiated state is identical either way — ``seed`` only feeds the
         learner's *future* training streams.
-
-        ``backend`` is forwarded to :class:`~repro.core.pilote.PILOTE`
-        untouched: a name (``"sharded"``) gives the device its own pool, while
-        a prebuilt :class:`~repro.backend.backend.Backend` *instance* lets a
-        coordinator share one shard pool across every device it deploys (the
-        learner then borrows rather than owns it).
         """
         from repro.core.embedding import EmbeddingNetwork  # local import avoids a cycle
         from repro.core.ncm import NCMClassifier
@@ -90,7 +83,7 @@ class TransferPackage:
         if not self.exemplar_features:
             raise SerializationError("the transfer package carries no support set")
         input_dim = next(iter(self.exemplar_features.values())).shape[1]
-        learner = PILOTE(config, seed=seed, backend=backend)
+        learner = PILOTE(config, seed=seed)
         learner.model = EmbeddingNetwork(int(input_dim), config=config)
         learner.model.load_state_dict(self.model_state)
         learner.model.eval()

@@ -97,7 +97,6 @@ class FleetDevice:
         seed: RandomState = None,
         *,
         copy_arrays: bool = True,
-        backend=None,
     ) -> None:
         """Receive the cloud broadcast: build the local learner and engine.
 
@@ -105,14 +104,10 @@ class FleetDevice:
         copy-on-write instead of deep-copying them — the pooled-template path
         of :class:`HierarchicalFleetCoordinator` (safe: every learner
         mutation replaces whole per-class entries, never writes into rows).
-        ``backend`` pins the learner's compute backend (forwarded to
-        :meth:`TransferPackage.instantiate_learner`); coordinators pass a
-        shared :class:`~repro.backend.sharded.ShardedBackend` here so every
-        device's increment refresh runs over one shard pool.
         """
         with self.edge.precision():
             self.learner = package.instantiate_learner(
-                config, seed=seed, copy_arrays=copy_arrays, backend=backend
+                config, seed=seed, copy_arrays=copy_arrays
             )
             self.edge.store("model", package.model_bytes)
             self.edge.store("support_set", package.support_set_bytes)
@@ -256,13 +251,6 @@ class FleetCoordinator:
     seed:
         Root seed; per-device learner streams are spawned from it so the
         fleet is reproducible end to end.
-    backend:
-        Compute backend every deployed learner is pinned to.  Pass a single
-        :class:`~repro.backend.sharded.ShardedBackend` *instance* to shard
-        each device's increment refresh (herding, prototype recompute) over
-        one shared worker pool — learners borrow it, so closing it stays the
-        coordinator owner's job.  ``None`` keeps the ambient backend and is
-        bit-exact with the sharded path.
     """
 
     def __init__(
@@ -271,10 +259,8 @@ class FleetCoordinator:
         *,
         profiles: Optional[Sequence[DeviceProfile]] = None,
         seed: RandomState = None,
-        backend=None,
     ) -> None:
         self.config = config or PiloteConfig()
-        self.backend = backend
         self.profiles = tuple(profiles) if profiles else (DEVICE_PROFILES["smartphone"],)
         self._root_rng = resolve_rng(seed)
         self.devices: List[FleetDevice] = []
@@ -361,7 +347,7 @@ class FleetCoordinator:
     def _deploy_to(self, targets: Sequence[FleetDevice], package: TransferPackage) -> None:
         seeds = spawn_rngs(self._root_rng, len(targets))
         for device, device_rng in zip(targets, seeds):
-            device.deploy(package, self.config, seed=device_rng, backend=self.backend)
+            device.deploy(package, self.config, seed=device_rng)
         self.transfers.record_deploy(package.total_bytes, len(targets))
         logger.info(
             "deployed %.2f KB package to %d devices",
@@ -605,9 +591,8 @@ class HierarchicalFleetCoordinator(FleetCoordinator):
         profiles: Optional[Sequence[DeviceProfile]] = None,
         seed: RandomState = None,
         n_regions: Optional[int] = None,
-        backend=None,
     ) -> None:
-        super().__init__(config, profiles=profiles, seed=seed, backend=backend)
+        super().__init__(config, profiles=profiles, seed=seed)
         self.regions: List[RegionCoordinator] = []
         self.requested_regions = n_regions
         self._n_devices = 0
@@ -699,10 +684,7 @@ class HierarchicalFleetCoordinator(FleetCoordinator):
     ) -> None:
         for region in regions:
             if not region.lane.is_deployed:
-                region.lane.deploy(
-                    package, self.config, seed=0, copy_arrays=False,
-                    backend=self.backend,
-                )
+                region.lane.deploy(package, self.config, seed=0, copy_arrays=False)
             for device in region.materialized.values():
                 if not device.is_deployed:
                     device.deploy(
@@ -712,7 +694,6 @@ class HierarchicalFleetCoordinator(FleetCoordinator):
                             int(self._device_seeds[device.device_id])
                         ),
                         copy_arrays=False,
-                        backend=self.backend,
                     )
         self.transfers.record_deploy(package.total_bytes, len(regions))
         logger.info(
@@ -779,7 +760,6 @@ class HierarchicalFleetCoordinator(FleetCoordinator):
                 self.config,
                 seed=resolve_rng(int(self._device_seeds[device_id])),
                 copy_arrays=False,
-                backend=self.backend,
             )
         region.materialized[device_id] = device
         return device

@@ -101,20 +101,6 @@ class Trainer:
     function mapping a mini-batch ``(X, y)`` to a scalar loss tensor.  This is
     what lets the same loop serve the Siamese contrastive objective, the joint
     PILOTE objective and the cross-entropy baselines.
-
-    ``grad_shards`` turns on the data-parallel gradient path: each mini-batch
-    is split into that many contiguous chunks, ``batch_loss`` runs per chunk,
-    and the chunk losses are combined through the registered
-    ``"allreduce_sum"`` collective op (sample-count weighted, so the combined
-    value is the weighted mean of the chunk losses) *before* the optimizer
-    step — one backward pass then accumulates every chunk's gradients into
-    the shared parameters through the named allreduce tape record.  That
-    record is the seam a multi-process gradient backend plugs into.  The
-    caller's loss must be a valid estimator on a chunk (true for pointwise
-    losses and pair losses sampled within the chunk); losses with whole-batch
-    semantics — batch statistics, cross-chunk pair sampling — change meaning
-    under chunking, which is why PILOTE's joint objective keeps the default
-    single-chunk path and stays bit-exact with its history.
     """
 
     def __init__(
@@ -127,21 +113,17 @@ class Trainer:
         max_epochs: int = 50,
         batch_size: int = 64,
         rng: RandomState = None,
-        grad_shards: Optional[int] = None,
     ) -> None:
         if max_epochs <= 0:
             raise ValueError(f"max_epochs must be positive, got {max_epochs}")
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if grad_shards is not None and grad_shards <= 0:
-            raise ValueError(f"grad_shards must be positive, got {grad_shards}")
         self.model = model
         self.optimizer = optimizer
         self.scheduler = scheduler
         self.early_stopping = early_stopping
         self.max_epochs = int(max_epochs)
         self.batch_size = int(batch_size)
-        self.grad_shards = int(grad_shards) if grad_shards is not None else None
         self._rng = resolve_rng(rng)
 
     def iterate_minibatches(
@@ -195,7 +177,7 @@ class Trainer:
                 if batch_features.shape[0] < 2:
                     continue  # BatchNorm and pair sampling need at least two samples.
                 self.optimizer.zero_grad()
-                loss = self._combined_loss(batch_loss, batch_features, batch_labels)
+                loss = batch_loss(batch_features, batch_labels)
                 loss.backward()
                 self.optimizer.step()
                 epoch_losses.append(float(loss.data))
@@ -217,32 +199,3 @@ class Trainer:
                 self.scheduler.step()
         self.model.eval()
         return history
-
-    def _combined_loss(
-        self, batch_loss: BatchLossFn, features: np.ndarray, labels: np.ndarray
-    ) -> Tensor:
-        """The batch loss, data-parallel over ``grad_shards`` chunks when on.
-
-        Contiguous chunks (each at least two samples — BatchNorm and pair
-        sampling need that many, like whole batches do), one ``batch_loss``
-        per chunk, combined as ``allreduce_sum(loss_c * n_c / n)`` so the
-        scalar equals the sample-weighted mean of the chunk losses and the
-        backward pass fans the gradient to every chunk through the named
-        collective record.  Batches too small to give every chunk two
-        samples fall back to the single-chunk path.
-        """
-        shards = self.grad_shards or 1
-        count = features.shape[0]
-        if shards <= 1 or count < 2 * shards:
-            return batch_loss(features, labels)
-        from repro.backend.registry import apply as apply_op
-
-        base, extra = divmod(count, shards)
-        weighted: List[Tensor] = []
-        offset = 0
-        for shard in range(shards):
-            size = base + (1 if shard < extra else 0)
-            chunk = slice(offset, offset + size)
-            offset += size
-            weighted.append(batch_loss(features[chunk], labels[chunk]) * (size / count))
-        return apply_op("allreduce_sum", *weighted)

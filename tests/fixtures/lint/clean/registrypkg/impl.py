@@ -14,15 +14,3 @@ class OptOutBackend(Backend):  # repro: noqa[repro-registry] fixture opt-out
 
 
 BACKENDS = {CompleteBackend.name: CompleteBackend}
-
-
-class Collectives:
-    name = "abstract"
-
-
-class WiredCollectives(Collectives):
-    name = "wired"
-
-
-COLLECTIVES = {}
-COLLECTIVES[WiredCollectives.name] = WiredCollectives

@@ -10,16 +10,3 @@ class ShadowBackend(Backend):
 
 
 BACKENDS = {ShadowBackend.name: ShadowBackend}
-
-
-class Collectives:
-    name = "abstract"
-
-
-class UnwiredCollectives(Collectives):
-    """Concrete transport that never lands in COLLECTIVES."""
-
-    name = "unwired"
-
-
-COLLECTIVES = {}

@@ -39,7 +39,7 @@ from repro.analysis.sanitizer import (
     auto_sanitize,
     sanitize_enabled,
 )
-from repro.backend import BACKENDS, COLLECTIVES
+from repro.backend import BACKENDS
 from repro.control import CHAOS_SCENARIOS, CONTROLLERS
 from repro.control.chaos import ChaosRunReport, run_chaos
 from repro.exceptions import AnalysisError, SanitizerViolationError
@@ -242,8 +242,8 @@ class TestRealTree:
 class TestRegistryCompleteness:
     @pytest.mark.parametrize(
         "registry",
-        [EXECUTORS, ROUTING_POLICIES, ROLLOUT_POLICIES, CONTROLLERS, BACKENDS, COLLECTIVES],
-        ids=["executors", "routing", "rollout", "controllers", "backends", "collectives"],
+        [EXECUTORS, ROUTING_POLICIES, ROLLOUT_POLICIES, CONTROLLERS, BACKENDS],
+        ids=["executors", "routing", "rollout", "controllers", "backends"],
     )
     def test_registry_keys_match_class_names(self, registry):
         for key, cls in registry.items():
@@ -260,7 +260,6 @@ class TestRegistryCompleteness:
             (ROLLOUT_POLICIES, repro.serving),
             (CONTROLLERS, repro.control),
             (BACKENDS, repro.backend),
-            (COLLECTIVES, repro.backend),
         ):
             for cls in registry.values():
                 assert cls.__name__ in package.__all__, (

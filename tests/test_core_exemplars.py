@@ -205,23 +205,3 @@ class TestAliasingContract:
         assert np.array_equal(rows, snapshot)
         store.set_exemplars(0, self._policy_rows(seed=4))
         assert np.array_equal(rows, snapshot)
-
-    def test_set_selected_matches_select_bitwise(self):
-        features = _clustered_class(seed=5)
-        serial = ExemplarStore(strategy="herding")
-        indices = serial.select(0, features, features, n_exemplars=7)
-        sharded = ExemplarStore(strategy="herding")
-        sharded.set_selected(0, features, indices)
-        assert np.array_equal(serial.get(0), sharded.get(0))
-        # The stored rows are a copy, not a view into the candidates.
-        assert not np.shares_memory(sharded.get(0), features)
-
-    def test_set_selected_validates_indices(self):
-        store = ExemplarStore()
-        features = _clustered_class(seed=6)
-        with pytest.raises(DataError):
-            store.set_selected(0, features, np.array([], dtype=np.int64))
-        with pytest.raises(DataError):
-            store.set_selected(0, features, np.array([features.shape[0]]))
-        with pytest.raises(DataError):
-            store.set_selected(0, features, np.array([-1]))

@@ -159,3 +159,37 @@ class TestProfiler:
     def test_max_epoch_seconds(self):
         report = LatencyReport(epochs_run=2, total_seconds=1.0, epoch_seconds=[0.4, 0.6])
         assert report.max_epoch_seconds == pytest.approx(0.6)
+
+
+class TestProfilerPhases:
+    def test_latency_report_roundtrip_with_phases(self):
+        report = LatencyReport(
+            epochs_run=2,
+            total_seconds=1.5,
+            epoch_seconds=[0.7, 0.8],
+            phase_seconds={"training": 1.2, "herding": 0.2,
+                           "prototype_refresh": 0.1},
+        )
+        clone = LatencyReport.from_dict(report.to_dict())
+        assert clone == report
+        assert clone.summary()["herding_seconds"] == pytest.approx(0.2)
+
+    def test_scaled_to_scales_phases(self):
+        report = LatencyReport(
+            epochs_run=1, total_seconds=1.0, epoch_seconds=[1.0],
+            phase_seconds={"training": 0.5},
+        )
+        slow = DeviceProfile("slow", storage_bytes=2**20, memory_bytes=2**20,
+                             relative_compute=0.5)
+        scaled = report.scaled_to(slow)
+        assert scaled.phase_seconds["training"] == pytest.approx(1.0)
+
+    def test_profile_increment_exports_phase_breakdown(self, pilote_copy,
+                                                       run_scenario):
+        report = EdgeProfiler().profile_increment(
+            pilote_copy, run_scenario.new_train, run_scenario.new_validation
+        )
+        assert set(report.phase_seconds) == {
+            "training", "herding", "prototype_refresh"
+        }
+        assert report.to_dict()["phase_seconds"] == report.phase_seconds
