@@ -1,16 +1,17 @@
 """Free-function tensor operations built on :class:`~repro.autodiff.tensor.Tensor`.
 
-The multi-input primitives (concatenation, stacking) dispatch through the
-backend op registry — their forward/vjp rules live in
-:mod:`repro.autodiff.primitives` as named, individually testable records.
-The composite numerical helpers (softmax, log-softmax, pairwise distances)
-are expressed in terms of registered primitives, so their tapes remain fully
-named without needing dedicated backward rules.
+The multi-input primitives (concatenation, stacking), the network layers
+(``linear``, batch normalisation, ``l2_normalize``) and the row-wise pair
+distance dispatch through the backend op registry — their forward/vjp rules
+live in :mod:`repro.autodiff.primitives` as named, individually testable
+records, one op per layer.  The remaining numerical helpers (softmax,
+log-softmax, MSE) are expressed in terms of registered primitives, so their
+tapes remain fully named without needing dedicated backward rules.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,11 +48,45 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     return shifted - exp.sum(axis=axis, keepdims=True).log()
 
 
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Fully connected layer ``x @ weight + bias`` as one op."""
+    if bias is None:
+        return _apply("linear", x, weight)
+    return _apply("linear", x, weight, bias)
+
+
+def batch_norm_train(
+    x: Tensor, gamma: Tensor, beta: Tensor, epsilon: float
+) -> Tuple[Tensor, np.ndarray, np.ndarray]:
+    """Normalise ``(batch, features)`` rows by their batch statistics.
+
+    Returns the output plus the batch mean and biased variance (flat rows)
+    for the caller's running-statistics update.
+    """
+    batch_stats: list = []
+    out = _apply("batch_norm_train", x, gamma, beta, epsilon=epsilon, batch_stats=batch_stats)
+    mean, variance = batch_stats
+    return out, mean, variance
+
+
+def batch_norm_eval(
+    x: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    epsilon: float,
+) -> Tensor:
+    """Normalise ``(batch, features)`` rows by tracked statistics."""
+    return _apply(
+        "batch_norm_eval", x, gamma, beta,
+        running_mean=running_mean, running_var=running_var, epsilon=epsilon,
+    )
+
+
 def l2_normalize(x: Tensor, axis: int = -1, epsilon: float = 1e-12) -> Tensor:
     """Normalise rows (or the given axis) of ``x`` to unit Euclidean norm."""
-    squared = (x * x).sum(axis=axis, keepdims=True)
-    norm = (squared + epsilon).sqrt()
-    return x / norm
+    return _apply("l2_normalize", x, axis=axis, epsilon=epsilon)
 
 
 def pairwise_squared_distance(a: Tensor, b: Tensor) -> Tensor:
@@ -62,8 +97,7 @@ def pairwise_squared_distance(a: Tensor, b: Tensor) -> Tensor:
     """
     if a.shape != b.shape:
         raise ShapeError(f"pairwise distance requires equal shapes, got {a.shape} and {b.shape}")
-    diff = a - b
-    return (diff * diff).sum(axis=-1)
+    return _apply("pairwise_squared_distance", a, b)
 
 
 def euclidean_distance(a: Tensor, b: Tensor, epsilon: float = 1e-12) -> Tensor:

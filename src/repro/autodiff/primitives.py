@@ -13,14 +13,57 @@ Conventions:
   whatever the backward pass needs via ``ctx.save(...)``;
 * ``vjp(ctx, grad)`` returns one cotangent per input (``None`` to skip);
   broadcast reduction is handled downstream by ``Tensor._accumulate``.
+
+The network layers are single ops (``linear``, ``batch_norm_train``,
+``batch_norm_eval``, ``l2_normalize``) as is the loss's
+``pairwise_squared_distance``, so each layer's arithmetic lives here and
+nowhere else.  Their forwards do the same numpy calls, in the same order, as
+the elementwise graphs they replace — constants materialised in the policy
+dtype, as a ``Tensor`` leaf would be — and their vjps walk that graph's
+backward pass by hand: each interior cotangent is cast and reduced as
+``Tensor._accumulate`` would (:func:`node_grad`) and contributions are summed
+in the order the tape delivered them.  Training results are therefore
+bit-identical to the elementwise graph.  The inference path calls the same
+forwards on plain arrays with :data:`~repro.backend.registry.NO_TAPE`, so
+serving and training share one implementation of every layer.
 """
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
+from repro.backend.policy import default_dtype
 from repro.backend.registry import register_op
 from repro.exceptions import ShapeError
+
+
+def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """Reduce ``grad`` so it matches ``shape`` after a broadcast operation."""
+    if grad.shape == shape:
+        return grad
+    # Sum over leading axes that were added by broadcasting.
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    # Sum over axes that were 1 in the original shape but expanded.
+    axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def node_grad(grad: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """``grad`` as an interior graph node holding ``node`` would receive it:
+    cast to the node's dtype and summed over broadcast axes."""
+    return _unbroadcast(np.asarray(grad, dtype=node.dtype), node.shape)
+
+
+def _constant(value: float) -> np.ndarray:
+    """A scalar as a ``Tensor`` leaf holds it: in the policy dtype."""
+    return np.asarray(value, dtype=default_dtype())
+
 
 # --------------------------------------------------------------------------- #
 # arithmetic
@@ -108,7 +151,10 @@ def _matmul_forward(ctx, a, b):
 
 def _matmul_vjp(ctx, grad):
     a, b = ctx.saved
-    need_a, need_b = ctx.needs_input_grad
+    return _matmul_cotangents(a, b, grad, *ctx.needs_input_grad)
+
+
+def _matmul_cotangents(a, b, grad, need_a, need_b):
     if a.ndim == 2 and b.ndim == 2:
         return (
             grad @ b.T if need_a else None,
@@ -176,7 +222,12 @@ def _sqrt_forward(ctx, a):
 
 def _sqrt_vjp(ctx, grad):
     (out,) = ctx.saved
-    return (grad * 0.5 / np.maximum(out, 1e-300),)
+    return (_sqrt_cotangent(grad, out),)
+
+
+def _sqrt_cotangent(grad, out):
+    # The guard keeps sqrt(0) finite; ``tiny`` is representable in both dtypes.
+    return grad * 0.5 / np.maximum(out, np.finfo(out.dtype).tiny)
 
 
 register_op("sqrt", _sqrt_forward, _sqrt_vjp, doc="elementwise square root")
@@ -388,3 +439,178 @@ def _stack_vjp(ctx, grad):
 
 
 register_op("stack", _stack_forward, _stack_vjp, doc="stacking along a new axis")
+
+# --------------------------------------------------------------------------- #
+# network layers (one op each; see the module docstring)
+# --------------------------------------------------------------------------- #
+
+
+def _linear_forward(ctx, x, weight, bias=None):
+    product = x @ weight
+    ctx.save(x, weight, product)
+    return product if bias is None else product + bias
+
+
+def _linear_vjp(ctx, grad):
+    x, weight, product = ctx.saved
+    need = ctx.needs_input_grad
+    grad_x, grad_weight = _matmul_cotangents(
+        x, weight, node_grad(grad, product), need[0], need[1]
+    )
+    return (grad_x, grad_weight, grad)[:len(need)]
+
+
+register_op(
+    "linear", _linear_forward, _linear_vjp,
+    doc="fully connected layer x @ weight (+ bias)",
+)
+
+
+def _scale_shift_vjp(need, grad, normalised, scaled, gamma):
+    """Cotangents of ``normalised * gamma + beta`` for ``normalised``, ``gamma``
+    and ``beta`` (``None`` where not needed)."""
+    grad_scaled = node_grad(grad, scaled)
+    grad_normalised = node_grad(grad_scaled * gamma, normalised) if need[0] else None
+    grad_gamma = grad_scaled * normalised if need[1] else None
+    return grad_normalised, grad_gamma, (grad if need[2] else None)
+
+
+def _batch_norm_eval_forward(ctx, x, gamma, beta, *, running_mean, running_var, epsilon):
+    mean = np.asarray(running_mean.reshape(1, -1), dtype=default_dtype())
+    variance = np.asarray(running_var.reshape(1, -1), dtype=default_dtype())
+    std = np.sqrt(variance + _constant(epsilon))
+    # No (n, features) temporary outlives its use: this is the serving path.
+    normalised = (x - mean) / std
+    scaled = normalised * gamma
+    ctx.save(gamma, np.result_type(x, mean), std, normalised, scaled)
+    return scaled + beta
+
+
+def _batch_norm_eval_vjp(ctx, grad):
+    gamma, centred_dtype, std, normalised, scaled = ctx.saved
+    grad_normalised, grad_gamma, grad_beta = _scale_shift_vjp(
+        ctx.needs_input_grad, grad, normalised, scaled, gamma
+    )
+    grad_x = None
+    if grad_normalised is not None:
+        # the (x - mean) node has the output's shape: only the cast applies
+        grad_x = np.asarray(grad_normalised / std, dtype=centred_dtype)
+    return grad_x, grad_gamma, grad_beta
+
+
+register_op(
+    "batch_norm_eval", _batch_norm_eval_forward, _batch_norm_eval_vjp,
+    doc="batch normalisation with tracked (running) statistics",
+)
+
+
+def _batch_norm_train_forward(ctx, x, gamma, beta, *, epsilon, batch_stats=None):
+    inverse_count = _constant(1.0 / x.shape[0])
+    total = x.sum(axis=0, keepdims=True)
+    mean = total * inverse_count
+    centred = x - mean
+    squared = centred * centred
+    squared_total = squared.sum(axis=0, keepdims=True)
+    variance = squared_total * inverse_count
+    shifted = variance + _constant(epsilon)
+    std = np.sqrt(shifted)
+    normalised = centred / std
+    scaled = normalised * gamma
+    if batch_stats is not None:
+        batch_stats[:] = (mean.reshape(-1), variance.reshape(-1))
+    ctx.save(
+        x, gamma, inverse_count, total, mean, centred, squared, squared_total,
+        variance, shifted, std, normalised, scaled,
+    )
+    return scaled + beta
+
+
+def _batch_norm_train_vjp(ctx, grad):
+    (x, gamma, inverse_count, total, mean, centred, squared, squared_total,
+     variance, shifted, std, normalised, scaled) = ctx.saved
+    grad_normalised, grad_gamma, grad_beta = _scale_shift_vjp(
+        ctx.needs_input_grad, grad, normalised, scaled, gamma
+    )
+    if grad_normalised is None:
+        return None, grad_gamma, grad_beta
+    # centred / std
+    grad_centred = node_grad(grad_normalised / std, centred)
+    grad_std = node_grad(-grad_normalised * centred / (std**2), std)
+    # std = sqrt(variance * 1/n + epsilon), variance from sum(centred * centred)
+    grad_shifted = node_grad(_sqrt_cotangent(grad_std, std), shifted)
+    grad_variance = node_grad(grad_shifted, variance)
+    grad_squared_total = node_grad(grad_variance * inverse_count, squared_total)
+    grad_squared = node_grad(np.broadcast_to(grad_squared_total, squared.shape), squared)
+    # centred * centred hands the same cotangent back twice
+    grad_square_term = node_grad(grad_squared * centred, centred)
+    grad_centred = grad_centred + grad_square_term
+    grad_centred = grad_centred + grad_square_term
+    # centred = x - mean, mean = sum(x) * 1/n
+    grad_mean = node_grad(-grad_centred, mean)
+    grad_total = node_grad(grad_mean * inverse_count, total)
+    grad_x = node_grad(grad_centred, x) + node_grad(
+        np.broadcast_to(grad_total, x.shape), x
+    )
+    return grad_x, grad_gamma, grad_beta
+
+
+register_op(
+    "batch_norm_train", _batch_norm_train_forward, _batch_norm_train_vjp,
+    doc="batch normalisation with batch statistics (biased variance)",
+)
+
+
+def _l2_normalize_forward(ctx, x, *, axis=-1, epsilon=1e-12):
+    squared = x * x
+    total = squared.sum(axis=axis, keepdims=True)
+    shifted = total + _constant(epsilon)
+    norm = np.sqrt(shifted)
+    ctx.save(x, axis, squared, total, shifted, norm)
+    return x / norm
+
+
+def _l2_normalize_vjp(ctx, grad):
+    x, axis, squared, total, shifted, norm = ctx.saved
+    # x / norm
+    grad_x = node_grad(grad / norm, x)
+    grad_norm = node_grad(-grad * x / (norm**2), norm)
+    # norm = sqrt(sum(x * x) + epsilon)
+    grad_shifted = node_grad(_sqrt_cotangent(grad_norm, norm), shifted)
+    grad_total = node_grad(grad_shifted, total)
+    grad_squared = node_grad(np.broadcast_to(grad_total, squared.shape), squared)
+    # x * x hands the same cotangent back twice
+    grad_square_term = node_grad(grad_squared * x, x)
+    grad_x = grad_x + grad_square_term
+    return (grad_x + grad_square_term,)
+
+
+register_op(
+    "l2_normalize", _l2_normalize_forward, _l2_normalize_vjp,
+    doc="x / sqrt(sum(x * x, axis) + epsilon)",
+)
+
+
+def _pairwise_squared_distance_forward(ctx, a, b):
+    diff = a - b
+    squared = diff * diff
+    ctx.save(diff, squared)
+    return squared.sum(axis=-1)
+
+
+def _pairwise_squared_distance_vjp(ctx, grad):
+    diff, squared = ctx.saved
+    need_a, need_b = ctx.needs_input_grad
+    grad_squared = node_grad(
+        np.broadcast_to(np.expand_dims(np.asarray(grad), axis=-1), squared.shape), squared
+    )
+    # diff * diff hands the same cotangent back twice
+    grad_square_term = node_grad(grad_squared * diff, diff)
+    grad_diff = grad_square_term + grad_square_term
+    return (grad_diff if need_a else None, -grad_diff if need_b else None)
+
+
+register_op(
+    "pairwise_squared_distance",
+    _pairwise_squared_distance_forward, _pairwise_squared_distance_vjp,
+    doc="row-wise ||a_i - b_i||^2 of two (n, d) matrices",
+)

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.autodiff.primitives import node_grad
 from repro.backend import registry as _registry
 from repro.backend.policy import DtypeLike, default_dtype
 from repro.backend.registry import apply as _apply
@@ -52,21 +53,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
-
-
-def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` so it matches ``shape`` after a broadcast operation."""
-    if grad.shape == shape:
-        return grad
-    # Sum over leading axes that were added by broadcasting.
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    # Sum over axes that were 1 in the original shape but expanded.
-    axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 class Tensor:
@@ -186,7 +172,7 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
+        grad = node_grad(grad, self.data)
         if self.grad is None:
             self.grad = grad.copy()
         else:
@@ -384,8 +370,6 @@ class Tensor:
         return self.data < other
 
 
-# Bind the tensor class into the registry (breaks the import cycle) and load
-# the primitive op definitions so every method above can dispatch.
+# Bind the tensor class into the registry (breaks the import cycle); importing
+# the primitives above registered every op the methods dispatch.
 _registry.bind_tensor(Tensor)
-
-from repro.autodiff import primitives as _primitives  # noqa: E402,F401  (registers ops)

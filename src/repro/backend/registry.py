@@ -17,6 +17,13 @@ Jacobian product) implementation working on raw numpy arrays:
 tape record so it carries the op name — making the recorded graph
 inspectable (see ``Tensor.trace()``) and each op unit-testable through
 :func:`get_op` without building a graph at all.
+
+An op's ``forward`` is also the inference program: called with
+:data:`NO_TAPE` instead of an :class:`OpContext` it runs on plain arrays and
+keeps nothing for a backward pass.  The network layers are one op each
+(``linear``, ``batch_norm_train``/``batch_norm_eval``, ``l2_normalize``), so
+a training step dispatches one op per layer and serving runs the very same
+forwards with no ``Tensor`` at all.
 """
 
 from __future__ import annotations
@@ -53,6 +60,20 @@ class OpContext:
     def save(self, *values: Any) -> None:
         """Stash values needed by the backward pass."""
         self.saved = values
+
+
+class _NoTape:
+    """An :class:`OpContext` stand-in that keeps nothing (thread-safe)."""
+
+    __slots__ = ()
+    needs_input_grad: Tuple[bool, ...] = ()
+
+    def save(self, *values: Any) -> None:
+        """Discard: no backward pass will read it."""
+
+
+#: Pass as ``ctx`` to run an op's ``forward`` on plain arrays, off the tape.
+NO_TAPE = _NoTape()
 
 
 class OpSpec:

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor, no_grad
+from repro.autodiff.tensor import Tensor
 from repro.backend import get_backend
 from repro.core.pilote import PILOTE
 from repro.data.dataset import HARDataset
@@ -139,33 +139,26 @@ class SoftmaxClassifier(Module):
 
     def embed(self, features: np.ndarray, batch_size: int = 512) -> np.ndarray:
         """Penultimate (backbone) representation, inference mode."""
-        features = get_backend().asarray(features)
-        if features.ndim == 1:
-            features = features[None, :]
-        was_training = self.training
-        self.eval()
-        chunks = []
-        with no_grad():
-            for start in range(0, features.shape[0], batch_size):
-                chunks.append(self.backbone(Tensor(features[start:start + batch_size])).data.copy())
-        if was_training:
-            self.train()
-        return np.concatenate(chunks, axis=0)
+        return self._infer(features, batch_size, self.backbone.array_forward)
 
     def logits(self, features: np.ndarray, batch_size: int = 512) -> np.ndarray:
         """Class logits, inference mode."""
+        return self._infer(features, batch_size, self.array_forward)
+
+    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
+        return self.head.array_forward(self.backbone.array_forward(inputs))
+
+    @staticmethod
+    def _infer(features: np.ndarray, batch_size: int, program) -> np.ndarray:
+        """Run the eval-mode array ``program`` over row chunks (no tape, no
+        train/eval flip)."""
         features = get_backend().asarray(features)
         if features.ndim == 1:
             features = features[None, :]
-        was_training = self.training
-        self.eval()
-        chunks = []
-        with no_grad():
-            for start in range(0, features.shape[0], batch_size):
-                chunks.append(self.forward(Tensor(features[start:start + batch_size])).data.copy())
-        if was_training:
-            self.train()
-        return np.concatenate(chunks, axis=0)
+        return np.concatenate([
+            program(features[start:start + batch_size])
+            for start in range(0, features.shape[0], batch_size)
+        ], axis=0)
 
     def expand_classes(self, n_new_classes: int) -> None:
         """Grow the head by ``n_new_classes`` outputs, keeping existing weights."""

@@ -5,6 +5,13 @@ The paper uses "a simple Fully Connected (FC) neural network with dimensions
 layers, and a final linear projection into a 128-dimensional embedding space.
 Both Siamese branches share the same weights, so a single network object is
 enough; pairs are formed downstream by indexing the embedded batch.
+
+The network has two entry points over the same layer ops
+(:mod:`repro.autodiff.primitives`): :meth:`EmbeddingNetwork.forward` builds a
+tape for training (one record per layer), and :meth:`EmbeddingNetwork.embed`
+— what every inference caller uses: serving engines, herding, prototype
+refresh and the distillation teacher — runs the eval-mode forwards on plain
+numpy arrays, with no ``Tensor``, no tape and no train/eval flip.
 """
 
 from __future__ import annotations
@@ -14,13 +21,16 @@ from typing import Optional
 import numpy as np
 
 from repro.autodiff import ops
-from repro.autodiff.tensor import Tensor, no_grad
+from repro.autodiff.tensor import Tensor
 from repro.backend import get_backend
+from repro.backend.registry import NO_TAPE, get_op
 from repro.core.config import PiloteConfig
 from repro.exceptions import ShapeError
 from repro.nn.layers import Sequential, build_mlp
 from repro.nn.module import Module
 from repro.utils.rng import RandomState
+
+_L2_NORMALIZE = get_op("l2_normalize").forward
 
 
 class EmbeddingNetwork(Module):
@@ -61,34 +71,44 @@ class EmbeddingNetwork(Module):
     def forward(self, inputs) -> Tensor:
         """Differentiable forward pass; accepts arrays or tensors."""
         tensor = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
-        if tensor.ndim != 2 or tensor.shape[1] != self.input_dim:
-            raise ShapeError(
-                f"expected input of shape (batch, {self.input_dim}), got {tensor.shape}"
-            )
+        self._check_input(tensor.shape)
         embeddings = self.backbone(tensor)
         if self.normalize:
             embeddings = ops.l2_normalize(embeddings, axis=1)
         return embeddings
 
     def embed(self, features: np.ndarray, *, batch_size: int = 512) -> np.ndarray:
-        """Inference-mode embedding of a feature matrix (no gradient graph).
+        """Inference-mode embedding of a feature matrix, as a plain numpy program.
 
-        Large inputs are processed in chunks to bound peak memory on
-        resource-constrained devices.
+        Bit-identical to the eval-mode :meth:`forward` but builds no
+        ``Tensor`` and leaves ``training`` and the BatchNorm buffers alone,
+        so it is safe mid-training (the distillation teacher) and cheap for
+        the 1-8 row calls of small-batch serving.  Large inputs are
+        processed in chunks to bound peak memory on resource-constrained
+        devices.
         """
         features = get_backend().asarray(features)
         if features.ndim == 1:
             features = features[None, :]
-        was_training = self.training
-        self.eval()
-        outputs = []
-        with no_grad():
-            for start in range(0, features.shape[0], batch_size):
-                chunk = features[start:start + batch_size]
-                outputs.append(self.forward(Tensor(chunk)).data.copy())
-        if was_training:
-            self.train()
-        return np.concatenate(outputs, axis=0)
+        self._check_input(features.shape)
+        if features.shape[0] <= batch_size:
+            return self._embed_chunk(features)
+        return np.concatenate([
+            self._embed_chunk(features[start:start + batch_size])
+            for start in range(0, features.shape[0], batch_size)
+        ], axis=0)
+
+    def _embed_chunk(self, chunk: np.ndarray) -> np.ndarray:
+        embeddings = self.backbone.array_forward(chunk)
+        if self.normalize:
+            embeddings = _L2_NORMALIZE(NO_TAPE, embeddings, axis=1)
+        return embeddings
+
+    def _check_input(self, shape) -> None:
+        if len(shape) != 2 or shape[1] != self.input_dim:
+            raise ShapeError(
+                f"expected input of shape (batch, {self.input_dim}), got {shape}"
+            )
 
     # ------------------------------------------------------------------ #
     def clone_frozen(self) -> "EmbeddingNetwork":

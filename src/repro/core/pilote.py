@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor, no_grad
+from repro.autodiff.tensor import Tensor
 from repro.core.config import PiloteConfig
 from repro.core.embedding import EmbeddingNetwork
 from repro.core.exemplars import ExemplarStore
@@ -467,8 +467,7 @@ class PILOTE:
             if not old_mask.any():
                 return contrastive * (1.0 - alpha)
             old_indices = np.flatnonzero(old_mask)
-            with no_grad():
-                teacher_embeddings = teacher(Tensor(batch_features[old_indices])).data
+            teacher_embeddings = teacher.embed(batch_features[old_indices])
             student_embeddings = embeddings[old_indices]
             distillation = self._distillation(student_embeddings, Tensor(teacher_embeddings))
             return distillation * alpha + contrastive * (1.0 - alpha)

@@ -1,4 +1,12 @@
-"""Layers used by the PILOTE backbone: Linear, BatchNorm1d, ReLU, Dropout, Sequential."""
+"""Layers used by the PILOTE backbone: Linear, BatchNorm1d, ReLU, Dropout, Sequential.
+
+Each layer's arithmetic is one registered op (:mod:`repro.autodiff.primitives`):
+``forward`` dispatches it on tensors — one tape record per layer — and
+``array_forward`` calls the same op's forward on a plain array with no tape,
+in eval mode (tracked BatchNorm statistics, Dropout off).  A chain of
+``array_forward`` calls is the network's inference program; it is
+bit-identical to the eval-mode ``forward`` and never touches ``training``.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +14,20 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.autodiff import ops
 from repro.autodiff.tensor import Tensor
+from repro.backend.registry import NO_TAPE, get_op
 from repro.exceptions import ShapeError
 from repro.nn.init import he_uniform, zeros_init
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import RandomState, resolve_rng
+
+
+_LINEAR = get_op("linear").forward
+_BATCH_NORM_EVAL = get_op("batch_norm_eval").forward
+_RELU = get_op("relu").forward
+_SIGMOID = get_op("sigmoid").forward
+_TANH = get_op("tanh").forward
 
 
 class Linear(Module):
@@ -49,10 +66,11 @@ class Linear(Module):
             raise ShapeError(
                 f"Linear expected input with {self.in_features} features, got {inputs.shape}"
             )
-        output = inputs @ self.weight
-        if self.bias is not None:
-            output = output + self.bias
-        return output
+        return ops.linear(inputs, self.weight, self.bias)
+
+    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
+        bias = None if self.bias is None else self.bias.data
+        return _LINEAR(NO_TAPE, inputs, self.weight.data, bias)
 
     def __repr__(self) -> str:
         return f"Linear({self.in_features}, {self.out_features}, bias={self.bias is not None})"
@@ -64,6 +82,9 @@ class ReLU(Module):
     def forward(self, inputs: Tensor) -> Tensor:
         return inputs.relu()
 
+    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
+        return _RELU(NO_TAPE, inputs)
+
     def __repr__(self) -> str:
         return "ReLU()"
 
@@ -73,6 +94,9 @@ class Sigmoid(Module):
 
     def forward(self, inputs: Tensor) -> Tensor:
         return inputs.sigmoid()
+
+    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
+        return _SIGMOID(NO_TAPE, inputs)
 
     def __repr__(self) -> str:
         return "Sigmoid()"
@@ -84,6 +108,9 @@ class Tanh(Module):
     def forward(self, inputs: Tensor) -> Tensor:
         return inputs.tanh()
 
+    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
+        return _TANH(NO_TAPE, inputs)
+
     def __repr__(self) -> str:
         return "Tanh()"
 
@@ -92,6 +119,9 @@ class Identity(Module):
     """Pass-through layer (useful as a configurable no-op)."""
 
     def forward(self, inputs: Tensor) -> Tensor:
+        return inputs
+
+    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
         return inputs
 
     def __repr__(self) -> str:
@@ -114,6 +144,9 @@ class Dropout(Module):
         keep = 1.0 - self.p
         mask = (self._rng.random(inputs.shape) < keep).astype(inputs.data.dtype) / keep
         return inputs * Tensor(mask, dtype=inputs.data.dtype)
+
+    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
+        return inputs
 
     def __repr__(self) -> str:
         return f"Dropout(p={self.p})"
@@ -145,16 +178,21 @@ class BatchNorm1d(Module):
                 f"BatchNorm1d expected (batch, {self.num_features}) input, got {inputs.shape}"
             )
         if self.training and inputs.shape[0] > 1:
-            mean = inputs.mean(axis=0, keepdims=True)
-            centred = inputs - mean
-            variance = (centred * centred).mean(axis=0, keepdims=True)
-            normalised = centred / (variance + self.epsilon).sqrt()
-            self._update_running(mean.data.reshape(-1), variance.data.reshape(-1), inputs.shape[0])
-        else:
-            mean = Tensor(self.running_mean.reshape(1, -1))
-            variance = Tensor(self.running_var.reshape(1, -1))
-            normalised = (inputs - mean) / (variance + self.epsilon).sqrt()
-        return normalised * self.gamma + self.beta
+            output, mean, variance = ops.batch_norm_train(
+                inputs, self.gamma, self.beta, self.epsilon
+            )
+            self._update_running(mean, variance, inputs.shape[0])
+            return output
+        return ops.batch_norm_eval(
+            inputs, self.gamma, self.beta, self.running_mean, self.running_var, self.epsilon
+        )
+
+    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
+        return _BATCH_NORM_EVAL(
+            NO_TAPE, inputs, self.gamma.data, self.beta.data,
+            running_mean=self.running_mean, running_var=self.running_var,
+            epsilon=self.epsilon,
+        )
 
     def _update_running(self, batch_mean: np.ndarray, batch_var: np.ndarray, batch_size: int) -> None:
         momentum = self.momentum
@@ -194,6 +232,12 @@ class Sequential(Module):
         output = inputs
         for layer in self.layers:
             output = layer(output)
+        return output
+
+    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
+        output = inputs
+        for layer in self.layers:
+            output = layer.array_forward(output)
         return output
 
     def __len__(self) -> int:

@@ -117,6 +117,11 @@ class Module:
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
+    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
+        """Eval-mode forward on a plain array: no ``Tensor``, no tape, and
+        ``training`` left as it is (see :mod:`repro.nn.layers`)."""
+        raise NotImplementedError(f"{type(self).__name__} has no array forward")
+
     # ------------------------------------------------------------------ #
     # state dict
     # ------------------------------------------------------------------ #

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -71,8 +71,36 @@ class SGD(Optimizer):
             parameter.data = parameter.data - self.lr * update
 
 
+class _FlatGroup:
+    """Parameters of one dtype laid end to end, with their Adam moments as
+    two flat buffers (zero until a parameter's first gradient)."""
+
+    def __init__(self, parameters: List[Parameter]) -> None:
+        self.parameters = parameters
+        self.bounds = np.cumsum([0] + [p.data.size for p in parameters]).tolist()
+        self.first = np.zeros(self.bounds[-1], dtype=parameters[0].data.dtype)
+        self.second = np.zeros_like(self.first)
+
+    def live_rows(self, live: List[int]):
+        """Buffer positions of the parameters ``live`` (all rows when every
+        parameter is live)."""
+        if len(live) == len(self.parameters):
+            return slice(None)
+        return np.concatenate([
+            np.arange(self.bounds[i], self.bounds[i + 1]) for i in live
+        ])
+
+
 class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba, 2015) — the optimiser used by the paper."""
+    """Adam optimiser (Kingma & Ba, 2015) — the optimiser used by the paper.
+
+    Every parameter of one dtype is updated in one pass over a flat buffer:
+    the gradients and values are concatenated, the moments live flat, and
+    the new values are scattered back as views.  The arithmetic is
+    elementwise, so this is bit-identical to updating parameter by
+    parameter.  A parameter whose ``grad`` is ``None`` is skipped: its value
+    and moments stay untouched.
+    """
 
     def __init__(
         self,
@@ -91,31 +119,42 @@ class Adam(Optimizer):
         self.epsilon = float(epsilon)
         self.weight_decay = float(weight_decay)
         self._step_count = 0
-        self._first_moment: Dict[int, np.ndarray] = {}
-        self._second_moment: Dict[int, np.ndarray] = {}
+        self._groups: Optional[List[_FlatGroup]] = None
+
+    def _flat_groups(self) -> List[_FlatGroup]:
+        if self._groups is None:
+            by_dtype: Dict[np.dtype, List[Parameter]] = {}
+            for parameter in self.parameters:
+                by_dtype.setdefault(parameter.data.dtype, []).append(parameter)
+            self._groups = [_FlatGroup(members) for members in by_dtype.values()]
+        return self._groups
 
     def step(self) -> None:
         self._step_count += 1
         bias_correction1 = 1.0 - self.beta1**self._step_count
         bias_correction2 = 1.0 - self.beta2**self._step_count
-        for parameter in self.parameters:
-            if parameter.grad is None:
+        for group in self._flat_groups():
+            parameters = group.parameters
+            live = [i for i, parameter in enumerate(parameters) if parameter.grad is not None]
+            if not live:
                 continue
-            gradient = parameter.grad
+            rows = group.live_rows(live)
+            gradient = np.concatenate([parameters[i].grad.ravel() for i in live])
+            values = np.concatenate([parameters[i].data.ravel() for i in live])
             if self.weight_decay:
-                gradient = gradient + self.weight_decay * parameter.data
-            key = id(parameter)
-            first = self._first_moment.get(key)
-            second = self._second_moment.get(key)
-            if first is None:
-                first = np.zeros_like(parameter.data)
-                second = np.zeros_like(parameter.data)
-            first = self.beta1 * first + (1.0 - self.beta1) * gradient
-            second = self.beta2 * second + (1.0 - self.beta2) * gradient**2
-            self._first_moment[key] = first
-            self._second_moment[key] = second
+                gradient = gradient + self.weight_decay * values
+            first = self.beta1 * group.first[rows] + (1.0 - self.beta1) * gradient
+            second = self.beta2 * group.second[rows] + (1.0 - self.beta2) * gradient**2
+            group.first[rows] = first
+            group.second[rows] = second
             corrected_first = first / bias_correction1
             corrected_second = second / bias_correction2
-            parameter.data = parameter.data - self.lr * corrected_first / (
+            updated = values - self.lr * corrected_first / (
                 np.sqrt(corrected_second) + self.epsilon
             )
+            offset = 0
+            for i in live:
+                parameter = parameters[i]
+                size = parameter.data.size
+                parameter.data = updated[offset:offset + size].reshape(parameter.data.shape)
+                offset += size

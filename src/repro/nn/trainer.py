@@ -13,7 +13,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor
+from repro.autodiff.tensor import Tensor, no_grad
 from repro.backend import get_backend
 from repro.nn.module import Module
 from repro.nn.optim import Optimizer
@@ -189,7 +189,8 @@ class Trainer:
             if validation is not None:
                 self.model.eval()
                 val_features, val_labels = validation
-                val_loss = float(evaluate(val_features, val_labels).data)
+                with no_grad():  # evaluated only: recording would build a dead tape
+                    val_loss = float(evaluate(val_features, val_labels).data)
                 history.validation_losses.append(val_loss)
                 if self.early_stopping is not None and self.early_stopping.update(val_loss):
                     history.stopped_early = True

@@ -78,6 +78,7 @@ measured elapsed time replaces the modeled device-seconds.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -139,17 +140,18 @@ class _Batch:
         self.error: Optional[BaseException] = None   # batch-wide failure
         self.errors: Optional[Dict[int, BaseException]] = None  # per request
         self.watchers: Optional[list] = None  # (future, callback) pairs
-        self._offsets: Optional[np.ndarray] = None
+        self._offsets: Optional[List[int]] = None
         self.deadline: Optional[float] = None  # shared EDF key, if any
         self.has_deadlines = False  # any request carries a deadline
         self.lane = -1  # queue position, set at enqueue (feeds lane_of)
         self.n_cancelled = 0  # futures flagged by cancel(), pending pop
 
-    def offsets(self) -> np.ndarray:
+    def offsets(self) -> List[int]:
         """Lazy cumulative window offsets for per-request output slices."""
         if self._offsets is None:
-            counts = [r.features.shape[0] for r in self.requests]
-            self._offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+            self._offsets = list(itertools.accumulate(
+                (r.features.shape[0] for r in self.requests), initial=0
+            ))
         return self._offsets
 
     def finish(

@@ -1,9 +1,12 @@
-"""Denoising filters for raw sensor streams (linear-time operations)."""
+"""Denoising filters for raw sensor streams (linear-time operations).
+
+``scipy.signal`` is imported inside the two filters that need it, so
+``import repro`` does not pay for it.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as _signal
 
 from repro.exceptions import DataError
 from repro.utils.validation import check_array
@@ -40,6 +43,8 @@ def median_filter(stream: np.ndarray, window: int = 5) -> np.ndarray:
         raise DataError(f"window must be positive, got {window}")
     if window % 2 == 0:
         window += 1  # scipy requires an odd kernel size
+    from scipy import signal as _signal
+
     original_ndim = stream.ndim
     if original_ndim == 1:
         stream = stream[:, None]
@@ -65,6 +70,8 @@ def low_pass_filter(
         raise DataError(
             f"cutoff {cutoff_hz} Hz must be below the Nyquist frequency {nyquist} Hz"
         )
+    from scipy import signal as _signal
+
     b, a = _signal.butter(order, cutoff_hz / nyquist, btype="low")
     return _signal.filtfilt(b, a, stream, axis=0)
 

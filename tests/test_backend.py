@@ -76,7 +76,8 @@ class TestOpRegistry:
         for expected in (
             "add", "sub", "mul", "div", "matmul", "exp", "log", "sqrt",
             "relu", "sum", "max", "reshape", "transpose", "getitem",
-            "concatenate", "stack",
+            "concatenate", "stack", "linear", "batch_norm_train",
+            "batch_norm_eval", "l2_normalize", "pairwise_squared_distance",
         ):
             assert expected in names
         assert is_registered("mul")

@@ -111,6 +111,22 @@ class TestTrainer:
         assert history.learning_rates[0] == pytest.approx(0.01)
         assert optimizer.lr < 0.01
 
+    def test_validation_loss_records_no_tape(self):
+        model, batch_loss, features, targets = self._regression_setup(4)
+        recorded = []
+
+        def validation_loss(batch_x, batch_y):
+            loss = batch_loss(batch_x, batch_y)
+            recorded.append(loss.requires_grad)
+            return loss
+
+        trainer = Trainer(model, Adam(model.parameters(), lr=0.01), max_epochs=2, rng=0)
+        history = trainer.fit(batch_loss, features, targets.reshape(-1),
+                              validation=(features, targets.reshape(-1)),
+                              validation_loss=validation_loss)
+        assert recorded == [False, False]
+        assert len(history.validation_losses) == 2
+
     def test_model_left_in_eval_mode(self):
         model, batch_loss, features, targets = self._regression_setup(3)
         trainer = Trainer(model, Adam(model.parameters(), lr=0.01), max_epochs=1, rng=0)

@@ -1,7 +1,13 @@
 """Tests for the time-series preprocessing substrate."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.exceptions import DataError, ShapeError
 from repro.timeseries.denoise import denoise, low_pass_filter, median_filter, moving_average
@@ -196,3 +202,10 @@ class TestJerkAndResample:
             linear_resample(np.zeros((5, 1)), 1)
         with pytest.raises(DataError):
             resample_to_rate(np.zeros((5, 1)), 0.0, 10.0)
+
+    def test_import_repro_leaves_scipy_unloaded(self):
+        # scipy.signal is imported inside the two filters that need it.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, repro; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
