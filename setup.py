@@ -1,8 +1,8 @@
 """Setuptools entry point.
 
-The declarative configuration lives in ``pyproject.toml``; this shim exists so
-that editable installs work in offline environments where the ``wheel``
-package (needed for PEP 660 editable wheels) is unavailable.
+The declarative configuration lives in ``pyproject.toml``; this shim lets
+``python setup.py develop`` make an editable install in offline environments
+without the ``wheel`` package, which PEP 660 editable wheels need.
 """
 
 from setuptools import setup

@@ -21,6 +21,10 @@ from repro.exceptions import DataError
 from repro.utils.rng import RandomState, resolve_rng
 
 
+#: Largest label (exclusive) resolved by a membership lookup table.
+_LOOKUP_LIMIT = 1 << 16
+
+
 @dataclass
 class PairBatch:
     """Index representation of a set of sample pairs within a mini-batch.
@@ -99,24 +103,43 @@ class PairSampler:
             raise DataError("at least two samples are required to build pairs")
         if self.strategy == "balanced":
             return self._balanced(labels)
-        left, right = np.triu_indices(count, k=1)
         if self.strategy == "new_centred":
             if not new_classes:
                 raise DataError("new_centred pair sampling requires the set of new classes")
-            new_ids = np.asarray(sorted(int(c) for c in new_classes))
-            # Membership is resolved once per row, then gathered per pair —
-            # O(n log c) instead of O(n² log c) isin calls over pair arrays.
-            row_is_new = np.isin(labels, new_ids)
-            involves_new = row_is_new[left] | row_is_new[right]
-            left, right = left[involves_new], right[involves_new]
-            if left.size == 0:
-                # Fall back to all pairs (e.g. a batch containing only exemplars).
+            # Membership is resolved once per row, then gathered per pair.
+            row_is_new = class_membership(labels, new_classes)
+            if row_is_new.any():
                 left, right = np.triu_indices(count, k=1)
+                involves_new = row_is_new[left] | row_is_new[right]
+                return self._capped(labels, left[involves_new], right[involves_new])
+            # A batch of exemplars only falls back to all pairs.
+        return self._all_pairs(labels)
+
+    def _capped(self, labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> PairBatch:
         if left.size > self.max_pairs:
             chosen = self._rng.choice(left.size, size=self.max_pairs, replace=False)
             left, right = left[chosen], right[chosen]
-        same = labels[left] == labels[right]
-        return PairBatch(left=left, right=right, same_class=same)
+        return PairBatch(left=left, right=right, same_class=labels[left] == labels[right])
+
+    def _all_pairs(self, labels: np.ndarray) -> PairBatch:
+        """Every unordered pair, or ``max_pairs`` of them drawn uniformly.
+
+        The draw is over positions in ``np.triu_indices(count, k=1)`` order;
+        a position maps to its pair in closed form, so the O(count²) index
+        arrays are never built when the cap applies.
+        """
+        count = labels.shape[0]
+        total = count * (count - 1) // 2
+        if total <= self.max_pairs:
+            left, right = np.triu_indices(count, k=1)
+        else:
+            chosen = self._rng.choice(total, size=self.max_pairs, replace=False)
+            # Row i holds the pairs (i, i+1) .. (i, count-1), starting at offset[i].
+            rows = np.arange(count - 1)
+            offsets = rows * (2 * count - rows - 1) // 2
+            left = np.searchsorted(offsets, chosen, side="right") - 1
+            right = chosen - offsets[left] + left + 1
+        return PairBatch(left=left, right=right, same_class=labels[left] == labels[right])
 
     # ------------------------------------------------------------------ #
     def _balanced(self, labels: np.ndarray) -> PairBatch:
@@ -146,6 +169,21 @@ class PairSampler:
             right=right,
             same_class=labels[left] == labels[right],
         )
+
+
+def class_membership(labels: np.ndarray, classes) -> np.ndarray:
+    """``np.isin(labels, classes)`` by table lookup for small non-negative
+    integer labels (the per-batch case), falling back to ``np.isin``."""
+    labels = np.asarray(labels)
+    ids = np.asarray(sorted(int(c) for c in classes), dtype=np.int64)
+    if labels.dtype.kind not in "iu" or labels.size == 0 or ids.size == 0:
+        return np.isin(labels, ids)
+    low, high = int(labels.min()), int(labels.max())
+    if low < 0 or high >= _LOOKUP_LIMIT:
+        return np.isin(labels, ids)
+    table = np.zeros(high + 1, dtype=bool)
+    table[ids[(ids >= 0) & (ids <= high)]] = True
+    return table[labels]
 
 
 def count_contrastive_pairs(class_counts: dict, new_classes: Optional[set] = None) -> int:

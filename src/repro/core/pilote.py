@@ -28,17 +28,17 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.autodiff import ops
 from repro.autodiff.tensor import Tensor
 from repro.core.config import PiloteConfig
 from repro.core.embedding import EmbeddingNetwork
 from repro.core.exemplars import ExemplarStore
 from repro.core.ncm import NCMClassifier
-from repro.core.pairs import PairSampler
+from repro.core.pairs import PairSampler, class_membership
 from repro.core.prototypes import PrototypeStore
 from repro.data.dataset import HARDataset
 from repro.exceptions import DataError, NotFittedError
 from repro.utils.clock import perf_seconds
-from repro.nn.losses import ContrastiveLoss, DistillationLoss
 from repro.nn.optim import Adam
 from repro.nn.schedulers import HalvingLR
 from repro.nn.trainer import EarlyStopping, Trainer, TrainingHistory
@@ -74,10 +74,6 @@ class PILOTE:
         self.classifier = NCMClassifier()
         self._old_classes: List[int] = []
         self._new_classes: List[int] = []
-        self._contrastive = ContrastiveLoss(
-            margin=self.config.margin, variant=self.config.contrastive_variant
-        )
-        self._distillation = DistillationLoss()
         self._pretrain_dataset: Optional[HARDataset] = None
         self._classifier_ready = False
         self._state_version = 0
@@ -458,19 +454,16 @@ class PILOTE:
             embeddings = model(batch_tensor)
             active_sampler = sampler if training else eval_sampler
             pairs = active_sampler.sample(batch_labels, new_classes=new_classes)
-            left = embeddings[pairs.left]
-            right = embeddings[pairs.right]
-            contrastive = self._contrastive(left, right, pairs.same_class)
-            if alpha <= 0.0 or teacher is None:
-                return contrastive
-            old_mask = np.isin(batch_labels, sorted(old_class_ids))
-            if not old_mask.any():
-                return contrastive * (1.0 - alpha)
-            old_indices = np.flatnonzero(old_mask)
-            teacher_embeddings = teacher.embed(batch_features[old_indices])
-            student_embeddings = embeddings[old_indices]
-            distillation = self._distillation(student_embeddings, Tensor(teacher_embeddings))
-            return distillation * alpha + contrastive * (1.0 - alpha)
+            old_rows = teacher_embeddings = None
+            if alpha > 0.0:
+                old_rows = np.flatnonzero(class_membership(batch_labels, old_class_ids))
+                if old_rows.size:
+                    teacher_embeddings = teacher.embed(batch_features[old_rows])
+            return ops.pilote_objective(
+                embeddings, pairs.left, pairs.right, pairs.same_class,
+                margin=config.margin, variant=config.contrastive_variant,
+                alpha=alpha, old_rows=old_rows, teacher=teacher_embeddings,
+            )
 
         def train_loss(batch_features: np.ndarray, batch_labels: np.ndarray) -> Tensor:
             return joint_loss(batch_features, batch_labels, training=True)

@@ -58,13 +58,8 @@ def _evaluate_variant(
     if variant is not None:
         overrides["contrastive_variant"] = variant
     if overrides:
+        # Training reads alpha, margin and the variant from the config.
         learner.config = learner.config.with_overrides(**overrides)
-        # Loss modules capture margin/variant at construction time; rebuild them.
-        from repro.nn.losses import ContrastiveLoss
-
-        learner._contrastive = ContrastiveLoss(
-            margin=learner.config.margin, variant=learner.config.contrastive_variant
-        )
     learner.learn_new_classes(scenario.new_train, scenario.new_validation)
     predictions = learner.predict(scenario.test.features)
     return {

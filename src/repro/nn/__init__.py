@@ -25,7 +25,6 @@ from repro.nn.losses import (
     ContrastiveLoss,
     CrossEntropyLoss,
     DistillationLoss,
-    JointIncrementalLoss,
     LogitDistillationLoss,
     MSELoss,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "ContrastiveLoss",
     "DistillationLoss",
     "LogitDistillationLoss",
-    "JointIncrementalLoss",
     "CrossEntropyLoss",
     "MSELoss",
     "Optimizer",

@@ -9,15 +9,14 @@ The two losses at the heart of PILOTE are implemented here:
   Algorithm 1 (line 11), penalising movement of old-class exemplar embeddings
   away from the embeddings produced by the frozen pre-trained model.
 
-:class:`JointIncrementalLoss` combines them with the balancing weight ``α``
-(``L = α · L_disti + (1 − α) · L_contra``).  Cross-entropy and logit
-distillation are provided for the classifier-head baselines (LwF, iCaRL,
-fine-tuning, GDumb, EWC).
+PILOTE's training combines them with the balancing weight ``α``
+(``L = α · L_disti + (1 − α) · L_contra``) in one op,
+:func:`repro.autodiff.ops.pilote_objective`, bit-identical to these two
+modules.  Cross-entropy and logit distillation are provided for the
+classifier-head baselines (LwF, iCaRL, fine-tuning, GDumb, EWC).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from repro.autodiff import ops
 from repro.autodiff.tensor import Tensor
 from repro.exceptions import ShapeError
 from repro.nn.module import Module
-from repro.utils.validation import check_probability
 
 
 class ContrastiveLoss(Module):
@@ -117,46 +115,6 @@ class DistillationLoss(Module):
             )
         squared = ops.pairwise_squared_distance(new_embeddings, old)
         return squared.mean() if self.reduction == "mean" else squared.sum()
-
-
-class JointIncrementalLoss(Module):
-    """PILOTE's joint objective ``α · L_disti + (1 − α) · L_contra``."""
-
-    def __init__(
-        self,
-        alpha: float = 0.5,
-        margin: float = 1.0,
-        contrastive_variant: str = "squared",
-    ) -> None:
-        super().__init__()
-        self.alpha = check_probability(alpha, name="alpha")
-        self.contrastive = ContrastiveLoss(margin=margin, variant=contrastive_variant)
-        self.distillation = DistillationLoss()
-
-    def forward(
-        self,
-        pair_left: Tensor,
-        pair_right: Tensor,
-        same_class,
-        new_exemplar_embeddings: Optional[Tensor] = None,
-        old_exemplar_embeddings: Optional[Tensor] = None,
-    ) -> Tensor:
-        """Combine the contrastive and distillation terms.
-
-        The distillation term is skipped (treated as zero) when no exemplar
-        embeddings are provided, which reduces the objective to pure
-        contrastive learning — exactly the behaviour used during cloud
-        pre-training and by the *Re-trained* baseline.
-        """
-        contrastive = self.contrastive(pair_left, pair_right, same_class)
-        if (
-            new_exemplar_embeddings is None
-            or old_exemplar_embeddings is None
-            or self.alpha == 0.0
-        ):
-            return contrastive * (1.0 - self.alpha) if self.alpha > 0 else contrastive
-        distillation = self.distillation(new_exemplar_embeddings, old_exemplar_embeddings)
-        return distillation * self.alpha + contrastive * (1.0 - self.alpha)
 
 
 class CrossEntropyLoss(Module):

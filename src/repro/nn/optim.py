@@ -72,20 +72,43 @@ class SGD(Optimizer):
 
 
 class _FlatGroup:
-    """Parameters of one dtype laid end to end, with their Adam moments as
-    two flat buffers (zero until a parameter's first gradient)."""
+    """Parameters of one dtype laid end to end: their Adam moments as two
+    flat buffers (zero until a parameter's first gradient) and the flat
+    buffer of values the last step wrote, which the parameters view."""
 
     def __init__(self, parameters: List[Parameter]) -> None:
         self.parameters = parameters
         self.bounds = np.cumsum([0] + [p.data.size for p in parameters]).tolist()
         self.first = np.zeros(self.bounds[-1], dtype=parameters[0].data.dtype)
         self.second = np.zeros_like(self.first)
+        self.gradient = np.empty_like(self.first)
+        self.temporaries = np.empty((2,) + self.first.shape, dtype=self.first.dtype)
+        self.values: Optional[np.ndarray] = None
+        self.views: List[np.ndarray] = []
+
+    def current_values(self) -> np.ndarray:
+        """Every parameter's values, flat: the last step's buffer unless a
+        parameter has been given new data since (``load_state_dict``)."""
+        if self.values is not None and all(
+            parameter.data is view for parameter, view in zip(self.parameters, self.views)
+        ):
+            return self.values
+        return np.concatenate([parameter.data.ravel() for parameter in self.parameters])
+
+    def hand_out(self, values: np.ndarray, live: Sequence[int]) -> None:
+        """Give the ``live`` parameters their slices of the flat ``values``."""
+        offset = 0
+        for i in live:
+            parameter = self.parameters[i]
+            size = parameter.data.size
+            parameter.data = values[offset:offset + size].reshape(parameter.data.shape)
+            offset += size
+        complete = len(live) == len(self.parameters)
+        self.values = values if complete else None
+        self.views = [parameter.data for parameter in self.parameters] if complete else []
 
     def live_rows(self, live: List[int]):
-        """Buffer positions of the parameters ``live`` (all rows when every
-        parameter is live)."""
-        if len(live) == len(self.parameters):
-            return slice(None)
+        """Buffer positions of the parameters ``live``."""
         return np.concatenate([
             np.arange(self.bounds[i], self.bounds[i + 1]) for i in live
         ])
@@ -94,12 +117,15 @@ class _FlatGroup:
 class Adam(Optimizer):
     """Adam optimiser (Kingma & Ba, 2015) — the optimiser used by the paper.
 
-    Every parameter of one dtype is updated in one pass over a flat buffer:
-    the gradients and values are concatenated, the moments live flat, and
-    the new values are scattered back as views.  The arithmetic is
-    elementwise, so this is bit-identical to updating parameter by
-    parameter.  A parameter whose ``grad`` is ``None`` is skipped: its value
-    and moments stay untouched.
+    Every parameter of one dtype is updated in one pass over flat buffers:
+    the gradients are gathered into one, the moments are updated in place,
+    and the new values are written to one fresh buffer that the parameters
+    then view (so an array read from ``parameter.data`` before a step keeps
+    its values).  The next step reads that buffer back unless a parameter's
+    ``data`` was replaced in between.  The arithmetic is elementwise and in
+    the per-parameter order, so this is bit-identical to updating parameter
+    by parameter.  A parameter whose ``grad`` is ``None`` is skipped: its
+    value and moments stay untouched.
     """
 
     def __init__(
@@ -134,27 +160,45 @@ class Adam(Optimizer):
         bias_correction1 = 1.0 - self.beta1**self._step_count
         bias_correction2 = 1.0 - self.beta2**self._step_count
         for group in self._flat_groups():
-            parameters = group.parameters
-            live = [i for i, parameter in enumerate(parameters) if parameter.grad is not None]
-            if not live:
-                continue
+            live = [i for i, parameter in enumerate(group.parameters) if parameter.grad is not None]
+            if live:
+                self._update(group, live, bias_correction1, bias_correction2)
+
+    def _update(self, group: _FlatGroup, live: List[int], bias_correction1: float,
+                bias_correction2: float) -> None:
+        """Update the ``live`` parameters of ``group``: their moments in
+        place, their values into one fresh buffer."""
+        parameters = group.parameters
+        if len(live) == len(parameters):
+            values = group.current_values()
+            first, second = group.first, group.second
+        else:
             rows = group.live_rows(live)
-            gradient = np.concatenate([parameters[i].grad.ravel() for i in live])
             values = np.concatenate([parameters[i].data.ravel() for i in live])
-            if self.weight_decay:
-                gradient = gradient + self.weight_decay * values
-            first = self.beta1 * group.first[rows] + (1.0 - self.beta1) * gradient
-            second = self.beta2 * group.second[rows] + (1.0 - self.beta2) * gradient**2
+            first, second = group.first[rows], group.second[rows]
+        size = values.size
+        gradient = np.concatenate(
+            [parameters[i].grad.ravel() for i in live], out=group.gradient[:size]
+        )
+        if self.weight_decay:
+            gradient = gradient + self.weight_decay * values
+        term, denominator = group.temporaries[:, :size]
+        # first = beta1 * first + (1 - beta1) * gradient
+        first *= self.beta1
+        first += np.multiply(gradient, 1.0 - self.beta1, out=term)
+        # second = beta2 * second + (1 - beta2) * gradient**2
+        second *= self.beta2
+        np.square(gradient, out=term)
+        term *= 1.0 - self.beta2
+        second += term
+        # values - lr * (first / bc1) / (sqrt(second / bc2) + epsilon)
+        np.divide(first, bias_correction1, out=term)
+        term *= self.lr
+        np.divide(second, bias_correction2, out=denominator)
+        np.sqrt(denominator, out=denominator)
+        denominator += self.epsilon
+        term /= denominator
+        if len(live) < len(parameters):
             group.first[rows] = first
             group.second[rows] = second
-            corrected_first = first / bias_correction1
-            corrected_second = second / bias_correction2
-            updated = values - self.lr * corrected_first / (
-                np.sqrt(corrected_second) + self.epsilon
-            )
-            offset = 0
-            for i in live:
-                parameter = parameters[i]
-                size = parameter.data.size
-                parameter.data = updated[offset:offset + size].reshape(parameter.data.shape)
-                offset += size
+        group.hand_out(values - term, live)

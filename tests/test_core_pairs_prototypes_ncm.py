@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.ncm import NCMClassifier
-from repro.core.pairs import PairSampler, count_contrastive_pairs
+from repro.core.pairs import PairSampler, class_membership, count_contrastive_pairs
 from repro.core.prototypes import PrototypeStore, compute_class_prototypes
 from repro.exceptions import DataError, NotFittedError
 
@@ -74,6 +74,24 @@ class TestPairSampler:
         reduced = count_contrastive_pairs(counts, new_classes={2})
         assert reduced == 25 * 24 // 2 - 20 * 19 // 2
         assert reduced < count_contrastive_pairs(counts)
+
+
+class TestClassMembership:
+    @pytest.mark.parametrize("labels, classes", [
+        (np.array([0, 3, 1, 3, 7]), {3, 7}),
+        (np.array([0, 3, 1, 3, 7]), {9, 12}),
+        (np.array([2, 2]), {-1, 2}),
+        (np.array([5, 0], dtype=np.uint8), {0}),
+        (np.array([-2, 4, 1]), {-2, 1}),
+        (np.array([1 << 20, 4]), {1 << 20}),
+        (np.array([0.5, 2.0]), {2}),
+        (np.array([], dtype=np.int64), {1}),
+        (np.array([1, 2]), set()),
+    ])
+    def test_matches_isin(self, labels, classes):
+        expected = np.isin(labels, np.asarray(sorted(classes), dtype=np.int64))
+        got = class_membership(labels, classes)
+        assert got.dtype == bool and np.array_equal(got, expected)
 
 
 class TestPrototypes:

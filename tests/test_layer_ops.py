@@ -1,13 +1,17 @@
-"""One op per layer: bit-exactness against the elementwise graphs it replaced.
+"""One op per layer and one for the objective: bit-exactness against the
+elementwise graphs and kernels they replaced.
 
 Each network layer (``linear``, ``batch_norm_train``, ``batch_norm_eval``,
-``l2_normalize``) and the loss's ``pairwise_squared_distance`` is a single
-registered op whose forward and vjp redo, by hand, the arithmetic of the
-elementwise ``Tensor`` graph that used to implement it.  The composite forms
-survive below only as references: every op's forward and every input
-cotangent must be ``np.array_equal`` to them, and a whole pretrain +
-increment + predict run must be byte-equal to one with the composite forms
-(and the per-parameter Adam loop) swapped back in.
+``l2_normalize``), the loss's ``pairwise_squared_distance`` and PILOTE's
+whole training objective (``pilote_objective``) is a single registered op
+whose forward and vjp redo, by hand, the arithmetic of the elementwise
+``Tensor`` graph that used to implement it.  The composite forms survive
+below only as references (the composite objective gathers through
+``getitem``, whose vjp scatters with ``np.add.at``), together with the
+per-parameter Adam loop and the ``triu_indices``/``np.isin`` pair sampler:
+every op's forward and every input cotangent must be ``np.array_equal`` to
+them, and a whole pretrain + increment + predict run must be byte-equal to
+one with all of them swapped back in.
 """
 
 from __future__ import annotations
@@ -19,16 +23,20 @@ import numpy as np
 import pytest
 
 from repro.autodiff import ops
+from repro.autodiff import tensor as autodiff_tensor
 from repro.autodiff.gradcheck import check_gradients
 from repro.autodiff.tensor import Tensor, no_grad
 from repro.backend import get_backend, precision
 from repro.core.embedding import EmbeddingNetwork
+from repro.core.pairs import PairBatch, PairSampler
 from repro.core.pilote import PILOTE
 from repro.edge.transfer import package_for_edge
-from repro.exceptions import ShapeError
+from repro.exceptions import DataError, ShapeError
 from repro.nn.layers import BatchNorm1d, Linear
+from repro.nn.losses import ContrastiveLoss, DistillationLoss
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam
+from repro.nn.trainer import Trainer
 
 # --------------------------------------------------------------------------- #
 # the composite references (the code the single ops replaced)
@@ -134,14 +142,55 @@ def reference_adam_step(self):
         )
 
 
+def composite_pilote_objective(embeddings, left, right, same_class, *, margin=1.0,
+                               variant="squared", alpha=0.0, old_rows=None, teacher=None):
+    """The objective as gathers, ``ContrastiveLoss`` and ``DistillationLoss``."""
+    contrastive = ContrastiveLoss(margin=margin, variant=variant)(
+        embeddings[left], embeddings[right], same_class
+    )
+    if alpha <= 0.0 or old_rows is None:
+        return contrastive
+    if len(old_rows) == 0:
+        return contrastive * (1.0 - alpha)
+    distillation = DistillationLoss()(embeddings[old_rows], Tensor(teacher))
+    return distillation * alpha + contrastive * (1.0 - alpha)
+
+
+def reference_pair_sample(self, labels, new_classes=None):
+    """Pair sampling over ``np.triu_indices`` with ``np.isin`` membership."""
+    labels = np.asarray(labels).reshape(-1)
+    count = labels.shape[0]
+    if count < 2:
+        raise DataError("at least two samples are required to build pairs")
+    if self.strategy == "balanced":
+        return self._balanced(labels)
+    left, right = np.triu_indices(count, k=1)
+    if self.strategy == "new_centred":
+        if not new_classes:
+            raise DataError("new_centred pair sampling requires the set of new classes")
+        row_is_new = np.isin(labels, np.asarray(sorted(int(c) for c in new_classes)))
+        involves_new = row_is_new[left] | row_is_new[right]
+        left, right = left[involves_new], right[involves_new]
+        if left.size == 0:
+            left, right = np.triu_indices(count, k=1)
+    if left.size > self.max_pairs:
+        chosen = self._rng.choice(left.size, size=self.max_pairs, replace=False)
+        left, right = left[chosen], right[chosen]
+    return PairBatch(left=left, right=right, same_class=labels[left] == labels[right])
+
+
 def install_composite(monkeypatch):
-    """Swap the composite layers, distances, embed and Adam loop back in."""
+    """Swap the composite layers, distances, objective (which gathers
+    through ``getitem`` and so scatters with ``np.add.at``), embed, the Adam
+    loop and the pair sampler back in."""
     monkeypatch.setattr(Linear, "forward", composite_linear_forward)
     monkeypatch.setattr(BatchNorm1d, "forward", composite_batch_norm_forward)
     monkeypatch.setattr(ops, "l2_normalize", composite_l2_normalize)
     monkeypatch.setattr(ops, "pairwise_squared_distance", composite_pairwise_squared_distance)
+    monkeypatch.setattr(ops, "pilote_objective", composite_pilote_objective)
     monkeypatch.setattr(EmbeddingNetwork, "embed", composite_embed)
     monkeypatch.setattr(Adam, "step", reference_adam_step)
+    monkeypatch.setattr(PairSampler, "sample", reference_pair_sample)
 
 
 # --------------------------------------------------------------------------- #
@@ -195,6 +244,29 @@ def assert_same(fused, composite, arrays, requires, leaf_dtype, seed=0):
 
 
 REQUIRES = [(True, True, True), (False, True, True), (True, False, False)]
+
+#: The objective's forms: cloud pretrain (no teacher), an increment batch
+#: without old-class rows, and mixed batches (rows shared with the pairs).
+OBJECTIVE_FORMS = {
+    "pretrain": {},
+    "no-old-rows": {"alpha": 0.3, "old_rows": np.array([], dtype=np.int64)},
+    "mixed": {"alpha": 0.3, "old_rows": np.array([0, 2, 3, 5])},
+    "alpha-one": {"alpha": 1.0, "old_rows": np.array([6, 1])},
+}
+
+
+def objective_kwargs(form, variant, rows=7, dim=3, pairs=24):
+    """Seeded ``pilote_objective`` arguments over ``rows`` embeddings: pair
+    rows repeat, appear unsorted and on both sides."""
+    rng = np.random.default_rng(17)
+    left = rng.integers(0, rows, size=pairs)
+    right = (left + rng.integers(1, rows, size=pairs)) % rows
+    kwargs = dict(OBJECTIVE_FORMS[form], left=left, right=right,
+                  same_class=rng.integers(0, 2, size=pairs).astype(bool),
+                  margin=2.0, variant=variant)
+    if kwargs.get("old_rows") is not None and len(kwargs["old_rows"]):
+        kwargs["teacher"] = rng.normal(size=(len(kwargs["old_rows"]), dim))
+    return kwargs
 
 
 @pytest.mark.parametrize("precision_name", list(PRECISIONS))
@@ -269,6 +341,19 @@ class TestSingleOpsMatchCompositeGraphs:
                 arrays, list(requires), leaf_dtype,
             )
 
+    @pytest.mark.parametrize("variant", ["squared", "hadsell"])
+    @pytest.mark.parametrize("form", list(OBJECTIVE_FORMS))
+    def test_pilote_objective(self, precision_name, variant, form):
+        profile, leaf_dtype = PRECISIONS[precision_name]
+        arrays = [np.random.default_rng(7).normal(size=(7, 3))]
+        with precision(profile):
+            kwargs = objective_kwargs(form, variant)
+            assert_same(
+                lambda e: ops.pilote_objective(e, **kwargs),
+                lambda e: composite_pilote_objective(e, **kwargs),
+                arrays, [True], leaf_dtype,
+            )
+
     def test_same_tensor_on_both_sides_of_a_distance(self, precision_name):
         profile, leaf_dtype = PRECISIONS[precision_name]
         arrays = [np.random.default_rng(6).normal(size=(4, 3))]
@@ -316,6 +401,13 @@ class TestSingleOpGradients:
         inputs = self._inputs((4, 3))
         w = self._weights((4, 3))
         assert check_gradients(lambda t: (ops.l2_normalize(t[0], axis=1) * w).sum(), inputs)
+
+    @pytest.mark.parametrize("variant", ["squared", "hadsell"])
+    @pytest.mark.parametrize("form", ["pretrain", "mixed"])
+    def test_pilote_objective(self, variant, form):
+        kwargs = objective_kwargs(form, variant)
+        inputs = self._inputs((7, 3))
+        assert check_gradients(lambda t: ops.pilote_objective(t[0], **kwargs), inputs)
 
     def test_pairwise_squared_distance(self):
         inputs = self._inputs((4, 3), (4, 3))
@@ -443,6 +535,124 @@ class TestFlatAdam:
         Adam(parameters, lr=0.1).step()
         assert all(p.data is value for p, value in zip(parameters, before))
 
+    @staticmethod
+    def _set_gradients(parameters, seed):
+        rng = np.random.default_rng(seed)
+        for parameter in parameters:
+            parameter.grad = rng.normal(size=parameter.data.shape).astype(parameter.data.dtype)
+
+    def test_values_read_before_a_step_keep_their_bytes(self):
+        parameters = self._parameters(("float32",) * 4)
+        optimizer = Adam(parameters, lr=0.1)
+        for step in range(3):
+            held = [p.data for p in parameters]
+            snapshot = [value.copy() for value in held]
+            self._set_gradients(parameters, step)
+            optimizer.step()
+            for value, saved, parameter in zip(held, snapshot, parameters):
+                assert value.tobytes() == saved.tobytes()
+                assert not np.array_equal(parameter.data, saved)
+
+    def test_a_load_state_dict_between_steps_is_honoured(self, tiny_config):
+        models = [EmbeddingNetwork(6, config=tiny_config, rng=1) for _ in range(2)]
+        saved = EmbeddingNetwork(6, config=tiny_config, rng=2).state_dict()
+        flat = Adam(models[0].parameters(), lr=0.1)
+        reference = Adam(models[1].parameters(), lr=0.1)
+        for step in range(4):
+            if step == 2:
+                for model in models:
+                    model.load_state_dict(saved)
+            for model in models:
+                self._set_gradients(model.parameters(), step)
+            flat.step()
+            reference_adam_step(reference)
+            for ours, theirs in zip(models[0].parameters(), models[1].parameters()):
+                assert ours.data.tobytes() == theirs.data.tobytes()
+
+
+# --------------------------------------------------------------------------- #
+# pair sampling without the O(n²) index arrays
+# --------------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("strategy", ["all", "new_centred"])
+@pytest.mark.parametrize("count", [2, 5, 16, 33])
+@pytest.mark.parametrize("max_pairs", [1, 7, 64, 1000])
+def test_pair_sampler_matches_the_triu_reference(strategy, count, max_pairs):
+    labels_rng = np.random.default_rng(count)
+    ours = PairSampler(strategy, max_pairs=max_pairs, rng=count + max_pairs)
+    theirs = PairSampler(strategy, max_pairs=max_pairs, rng=count + max_pairs)
+    for draw in range(6):
+        labels = labels_rng.integers(0, 4, size=count)
+        new_classes = {3} if draw % 3 else {9}  # some batches hold no new rows
+        a = ours.sample(labels, new_classes=new_classes)
+        b = reference_pair_sample(theirs, labels, new_classes=new_classes)
+        for field in ("left", "right", "same_class"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.dtype == y.dtype and np.array_equal(x, y), field
+    assert ours._rng.integers(1 << 30) == theirs._rng.integers(1 << 30)
+
+
+# --------------------------------------------------------------------------- #
+# dispatches per training step
+# --------------------------------------------------------------------------- #
+
+
+class TestDispatchCount:
+    """Counted the way the benchmark tracer counts: calls of the ``_apply``
+    that ``repro.autodiff.tensor`` and ``repro.autodiff.ops`` bind."""
+
+    def test_each_loss_evaluation_dispatches_its_layers_and_one_objective(
+        self, pretrained_pilote, run_scenario, tiny_config, monkeypatch
+    ):
+        edge = package_for_edge(pretrained_pilote).instantiate_learner(tiny_config, seed=0)
+        probe = edge.model(Tensor(run_scenario.new_train.features[:4]))
+        layer_ops = sum(1 for name, _ in probe.trace() if name != "leaf")
+        dispatches = [0]
+
+        def counting(apply):
+            def counted(*args, **kwargs):
+                dispatches[0] += 1
+                return apply(*args, **kwargs)
+            return counted
+
+        for module in (autodiff_tensor, ops):
+            monkeypatch.setattr(module, "_apply", counting(module._apply))
+        per_call = []
+        fit = Trainer.fit
+
+        def measured(kind, loss):
+            def wrapper(*args):
+                before = dispatches[0]
+                out = loss(*args)
+                per_call.append((kind, dispatches[0] - before))
+                return out
+            return wrapper
+
+        def counted_fit(self, batch_loss, features, labels, *, validation=None,
+                        validation_loss=None):
+            return fit(self, measured("train", batch_loss), features, labels,
+                       validation=validation,
+                       validation_loss=measured("validation", validation_loss))
+
+        steps = [0]
+        adam_step = Adam.step
+
+        def counted_step(self):
+            steps[0] += 1
+            adam_step(self)
+
+        monkeypatch.setattr(Trainer, "fit", counted_fit)
+        monkeypatch.setattr(Adam, "step", counted_step)
+        history = edge.learn_new_classes(run_scenario.new_train, run_scenario.new_validation)
+
+        kinds = [kind for kind, _ in per_call]
+        assert kinds.count("train") == steps[0] > 0
+        assert kinds.count("validation") == len(history.validation_losses) > 0
+        assert [count for _, count in per_call] == [layer_ops + 1] * len(per_call)
+        # Herding, the teacher and prototype refresh run on plain arrays.
+        assert dispatches[0] == (layer_ops + 1) * len(per_call)
+
 
 # --------------------------------------------------------------------------- #
 # end to end: byte-equal to the composite forms
@@ -466,6 +676,7 @@ def _pipeline(scenario, config):
             arrays[f"{name}.exemplars.{c}"] = learner.exemplars.get(c)
         for c in learner.prototypes.classes:
             arrays[f"{name}.prototype.{c}"] = learner.prototypes.get(c)
+        arrays[f"{name}.embed"] = learner.embed(scenario.test.features)
         arrays[f"{name}.predict"] = learner.predict(scenario.test.features)
     arrays["engine"] = edge.inference_engine().predict(scenario.test.features[:9])
     return arrays
@@ -501,9 +712,12 @@ class TestByteEqualToCompositeForms:
             assert ours[key].dtype == theirs[key].dtype, key
             assert ours[key].tobytes() == theirs[key].tobytes(), key
 
+    @pytest.mark.parametrize("variant", ["squared", "hadsell"])
     def test_pretrain_increment_predict(self, run_scenario, tiny_config, profile,
-                                        normalize, monkeypatch):
-        config = self._config(tiny_config, normalize)
+                                        normalize, variant, monkeypatch):
+        config = dataclasses.replace(
+            self._config(tiny_config, normalize), contrastive_variant=variant
+        )
         with precision(profile):
             ours = _pipeline(run_scenario, config)
             with monkeypatch.context() as patch:

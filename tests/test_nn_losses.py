@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.autodiff import ops
 from repro.autodiff.gradcheck import check_gradients
 from repro.autodiff.tensor import Tensor
-from repro.exceptions import ShapeError
+from repro.exceptions import DataError, ShapeError
 from repro.nn.losses import (
     ContrastiveLoss,
     CrossEntropyLoss,
     DistillationLoss,
-    JointIncrementalLoss,
     LogitDistillationLoss,
     MSELoss,
 )
@@ -109,36 +109,73 @@ class TestDistillationLoss:
             DistillationLoss()(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
 
 
-class TestJointIncrementalLoss:
-    def test_alpha_zero_equals_contrastive(self):
-        left, right, labels = _pair(5)
-        joint = JointIncrementalLoss(alpha=0.0, margin=1.0)
-        contrastive = ContrastiveLoss(margin=1.0)
-        assert float(joint(left, right, labels).data) == pytest.approx(
-            float(contrastive(left, right, labels).data)
-        )
+class TestPiloteObjective:
+    """``ops.pilote_objective``: α · L_disti + (1 − α) · L_contra as one op."""
 
-    def test_missing_teacher_embeddings_skips_distillation(self):
-        left, right, labels = _pair(6)
-        joint = JointIncrementalLoss(alpha=0.5, margin=1.0)
-        contrastive = ContrastiveLoss(margin=1.0)
-        expected = 0.5 * float(contrastive(left, right, labels).data)
-        assert float(joint(left, right, labels).data) == pytest.approx(expected)
+    @staticmethod
+    def _batch(seed):
+        """Pairs (i, 6 + i) over a 12-row batch, rows 0, 3, 7, 9 old-class."""
+        left, right, labels = _pair(seed)
+        embeddings = Tensor(np.concatenate([left.data, right.data]), requires_grad=True)
+        old_rows = np.array([0, 3, 7, 9])
+        teacher = np.random.default_rng(seed + 100).normal(size=(4, 4))
+        return embeddings, np.arange(6), np.arange(6, 12), labels, old_rows, teacher
+
+    def test_alpha_zero_equals_contrastive(self):
+        embeddings, left, right, labels, old_rows, teacher = self._batch(5)
+        joint = ops.pilote_objective(embeddings, left, right, labels, alpha=0.0,
+                                     old_rows=old_rows, teacher=teacher)
+        contrastive = ContrastiveLoss(margin=1.0)(embeddings[left], embeddings[right], labels)
+        assert float(joint.data) == float(contrastive.data)
+
+    def test_without_old_rows_distillation_is_skipped(self):
+        embeddings, left, right, labels, _, _ = self._batch(6)
+        contrastive = float(
+            ContrastiveLoss(margin=1.0)(embeddings[left], embeddings[right], labels).data
+        )
+        pretrain = ops.pilote_objective(embeddings, left, right, labels, alpha=0.5)
+        no_old = ops.pilote_objective(embeddings, left, right, labels, alpha=0.5,
+                                      old_rows=np.array([], dtype=np.int64))
+        assert float(pretrain.data) == contrastive
+        assert float(no_old.data) == pytest.approx(0.5 * contrastive)
 
     def test_combination_weights(self):
-        left, right, labels = _pair(7)
-        rng = np.random.default_rng(8)
-        student = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        teacher = Tensor(rng.normal(size=(4, 4)))
-        joint = JointIncrementalLoss(alpha=0.3, margin=1.0)
-        value = float(joint(left, right, labels, student, teacher).data)
-        contrastive = float(ContrastiveLoss(margin=1.0)(left, right, labels).data)
-        distillation = float(DistillationLoss()(student, teacher).data)
+        embeddings, left, right, labels, old_rows, teacher = self._batch(7)
+        value = float(ops.pilote_objective(embeddings, left, right, labels, alpha=0.3,
+                                           old_rows=old_rows, teacher=teacher).data)
+        contrastive = float(
+            ContrastiveLoss(margin=1.0)(embeddings[left], embeddings[right], labels).data
+        )
+        distillation = float(DistillationLoss()(embeddings[old_rows], Tensor(teacher)).data)
         assert value == pytest.approx(0.3 * distillation + 0.7 * contrastive)
 
+    def test_gradients_reach_only_gathered_rows(self):
+        embeddings, _, _, labels, old_rows, teacher = self._batch(8)
+        left, right = np.array([0, 1, 2, 0, 1, 3]), np.array([4, 5, 4, 6, 3, 9])
+        ops.pilote_objective(embeddings, left, right, labels, alpha=0.4,
+                             old_rows=old_rows, teacher=teacher).backward()
+        untouched = sorted(set(range(12)) - set(left) - set(right) - set(old_rows))
+        assert untouched and not embeddings.grad[untouched].any()
+        assert embeddings.grad[old_rows].any(axis=1).all()
+
     def test_invalid_alpha(self):
-        with pytest.raises(Exception):
-            JointIncrementalLoss(alpha=1.5)
+        embeddings, left, right, labels, _, _ = self._batch(9)
+        with pytest.raises(DataError):
+            ops.pilote_objective(embeddings, left, right, labels, alpha=1.5)
+
+    def test_invalid_construction(self):
+        embeddings, left, right, labels, old_rows, teacher = self._batch(10)
+        with pytest.raises(DataError):
+            ops.pilote_objective(embeddings, left, right, labels, variant="cosine")
+        with pytest.raises(DataError):
+            ops.pilote_objective(embeddings, left, right, labels, margin=0.0)
+        with pytest.raises(ShapeError):
+            ops.pilote_objective(embeddings, left, right[:3], labels)
+        with pytest.raises(ShapeError):
+            ops.pilote_objective(embeddings, left, right, labels[:4])
+        with pytest.raises(ShapeError):
+            ops.pilote_objective(embeddings, left, right, labels, alpha=0.5,
+                                 old_rows=old_rows, teacher=teacher[:2])
 
 
 class TestCrossEntropy:

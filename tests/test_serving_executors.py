@@ -225,7 +225,20 @@ class TestWorkerDeath:
             futures = scheduler.submit_assigned(requests, assignment)
             executor = scheduler.executor
             executor._ensure_workers()
-            executor._workers[0].task_queue.put(("crash",))
+            # Queue the crash right ahead of lane 0's batch, after the
+            # round's liveness check: a crash queued before the round can
+            # kill the worker while it is still idle, and an idle death is
+            # respawned before queueing, so the batch would be served.
+            doomed = executor._workers[0].task_queue
+            put = doomed.put
+
+            def put_behind_crash(message, *args, **kwargs):
+                if message[0] == "run":
+                    doomed.put = put
+                    put(("crash",))
+                return put(message, *args, **kwargs)
+
+            doomed.put = put_behind_crash
             scheduler.drain()
 
             assert all(future.done() for future in futures)
