@@ -15,8 +15,9 @@ measurements isolate the serving layer itself):
    speeds.
 2. **EDF overhead within the serving gate** — with EDF scheduling enabled
    (on deadline-less traffic, where it degenerates to arrival order), the
-   scheduler's per-request bookkeeping must stay at or below the legacy
-   router's — the same bound ``bench_serving.py`` gates for FIFO.
+   scheduler's per-request bookkeeping must stay at or below the per-request
+   wall of a bare ``InferenceEngine.predict`` loop — the same bound
+   ``bench_serving.py`` gates for FIFO.
 
 Run via pytest (``python -m pytest benchmarks/bench_deadlines.py -q -s``) or
 directly (``PYTHONPATH=src python benchmarks/bench_deadlines.py``).
@@ -28,10 +29,16 @@ import time
 
 import numpy as np
 
-from bench_fleet import N_FEATURES, build_fleet, make_serving_learner, make_workload
+from bench_fleet import (
+    N_FEATURES,
+    bookkeeping_vs_bare,
+    build_fleet,
+    make_serving_learner,
+    make_workload,
+)
 from repro.backend import precision
 from repro.edge.transfer import package_for_edge
-from repro.fleet import Router, TrafficGenerator, WorkloadSpec
+from repro.fleet import TrafficGenerator, WorkloadSpec
 from repro.serving import serve
 
 #: Overload factor of the deadline workload: per-tick arrivals carry ~4x the
@@ -123,54 +130,26 @@ def test_edf_reduces_deadline_misses_vs_fifo(report):
 
 
 def test_edf_overhead_within_serving_gate(report):
-    """EDF bookkeeping per request ≤ the legacy router's (bench_serving gate)."""
+    """EDF bookkeeping per request ≤ the bare engine's (bench_serving gate).
+
+    The bound moves with engine speed; see :func:`bench_fleet.bookkeeping_vs_bare`.
+    """
     with precision("edge"):
         package = package_for_edge(make_serving_learner())
         pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES))
         fleet = build_fleet(package, 1)
         fleet.devices[0].infer(pool[:8])  # warm the prototype cache
         ticks = list(TrafficGenerator(pool, make_workload("uniform"), seed=7).ticks())
-        n_requests = sum(len(t) for t in ticks)
-
-        def measure(run):
-            """Best-of-3 per-request bookkeeping (µs) outside engine compute."""
-            best = None
-            for _ in range(3):
-                wall, engine_wall = run()
-                bookkeeping = max(wall - engine_wall, 0.0) / n_requests * 1e6
-                best = bookkeeping if best is None else min(best, bookkeeping)
-            return best
-
-        def run_router():
-            router = Router(fleet.devices, seed=7)
-            start = time.perf_counter()
-            for requests in ticks:
-                router.dispatch_tick(requests)
-            wall = time.perf_counter() - start
-            return wall, router.report().engine_wall_seconds
-
-        def run_edf_scheduler():
-            # Drain per tick so both sides execute the identical shape (one
-            # engine call per tick), as in bench_serving.
-            client = serve(fleet, routing="hash", scheduling="edf", seed=7)
-            start = time.perf_counter()
-            for requests in ticks:
-                client.submit_many(requests)
-                client.drain()
-            wall = time.perf_counter() - start
-            return wall, client.report().engine_wall_seconds
-
-        router_us = measure(run_router)
-        edf_us = measure(run_edf_scheduler)
+        cost = bookkeeping_vs_bare(fleet, ticks, routing="hash", scheduling="edf", seed=7)
 
     report(
         "bench_deadlines_overhead",
-        f"EDF scheduler bookkeeping per request ({n_requests} requests, "
+        f"EDF scheduler bookkeeping per request ({cost.n_requests} requests, "
         "1 device, best of 3)\n"
-        f"  legacy Router tick drain:      {router_us:8.2f} us/request\n"
-        f"  event-loop scheduler (edf):    {edf_us:8.2f} us/request",
+        f"  bare InferenceEngine loop:     {cost.bare_us:8.2f} us/request\n"
+        f"  event-loop scheduler (edf):    {cost.scheduler_us:8.2f} us/request",
     )
-    assert edf_us <= router_us
+    assert cost.scheduler_us <= cost.bare_us
 
 
 if __name__ == "__main__":

@@ -3,13 +3,16 @@
 Three gates, all on a serving-only learner (no gradient training, so the
 benchmark isolates the fleet layer itself):
 
-1. **Throughput scaling** — the same Zipf workload routed through an 8-device
-   fleet and a 1-device fleet; aggregate simulated throughput (devices drain
-   their queues in parallel) must be ≥ 4× the single device.
-2. **Routing overhead** — everything the router adds on top of engine compute
-   (sharding, grouping, stats) must stay bounded per request, measured
-   against a bare :class:`~repro.edge.inference.InferenceEngine` loop over
-   the same per-tick batches.
+1. **Throughput scaling** — the same workload served through an 8-device
+   fleet and a 1-device fleet by ``serve(fleet, routing="hash")``, drained
+   tick by tick; aggregate simulated throughput (devices drain their queues
+   in parallel) must be ≥ 4× the single device.
+2. **Scheduler overhead** — everything the event-loop scheduler adds on top
+   of engine compute (routing, queueing, futures, stats) must stay bounded
+   per request, measured against a bare
+   :class:`~repro.edge.inference.InferenceEngine` loop over the same
+   per-tick batches (:func:`bookkeeping_vs_bare`, shared with
+   ``bench_serving.py`` and ``bench_deadlines.py``).
 3. **Checkpoint round-trip** — a device checkpointed, evicted to disk and
    restored on fresh hardware must reproduce the original device's
    predictions *exactly*.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import tempfile
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,13 +35,8 @@ from repro.core.embedding import EmbeddingNetwork
 from repro.core.pilote import PILOTE
 from repro.edge.device import DeviceProfile
 from repro.edge.transfer import package_for_edge
-from repro.fleet import (
-    CheckpointStore,
-    FleetCoordinator,
-    Router,
-    TrafficGenerator,
-    WorkloadSpec,
-)
+from repro.fleet import CheckpointStore, FleetCoordinator, TrafficGenerator, WorkloadSpec
+from repro.serving import serve
 
 #: Homogeneous simulation node: generous budgets, reference-speed compute.
 SIM_NODE = DeviceProfile(
@@ -79,6 +78,56 @@ def make_workload(pattern: str = "uniform") -> WorkloadSpec:
     )
 
 
+class Overhead(NamedTuple):
+    """Per-request costs (µs), each the best of 3 runs."""
+
+    scheduler_us: float  # scheduler wall outside engine compute
+    served_us: float  # whole scheduler wall
+    bare_us: float  # bare InferenceEngine.predict loop
+    n_requests: int
+
+
+def bookkeeping_vs_bare(fleet, ticks, **serve_kwargs) -> Overhead:
+    """Scheduler bookkeeping against a bare engine loop on a 1-device fleet.
+
+    The scheduler side drains ``serve(fleet, **serve_kwargs)`` tick by tick,
+    so each tick is one engine call (the workload's arrivals are all 0.0, so
+    a single final drain would coalesce everything into one batch and
+    flatter the scheduler).  The bare side calls the device's
+    ``InferenceEngine.predict`` once per tick on the same concatenated batch.
+
+    The ``scheduler_us <= bare_us`` gates built on this scale with engine
+    speed: a faster ``InferenceEngine`` lowers ``bare_us`` while the Python
+    bookkeeping stays put, so an engine speed-up that trips them must
+    re-derive the bound from a fresh measurement, not loosen it.
+    """
+    (device,) = fleet.devices
+    engine = device.edge.engine
+    batches = [np.concatenate([r.features for r in requests]) for requests in ticks]
+    n_requests = sum(len(requests) for requests in ticks)
+    bookkeeping = served = bare = float("inf")
+    for _ in range(3):
+        client = serve(fleet, **serve_kwargs)
+        start = time.perf_counter()
+        for requests in ticks:
+            client.submit_many(requests)
+            client.drain()
+        wall = time.perf_counter() - start
+        served = min(served, wall)
+        bookkeeping = min(
+            bookkeeping, max(wall - client.report().engine_wall_seconds, 0.0)
+        )
+        start = time.perf_counter()
+        for batch in batches:
+            engine.predict(batch)
+        bare = min(bare, time.perf_counter() - start)
+    per_request_us = 1e6 / n_requests
+    return Overhead(
+        bookkeeping * per_request_us, served * per_request_us,
+        bare * per_request_us, n_requests,
+    )
+
+
 def test_fleet_throughput_scales(report):
     """Aggregate 8-device throughput ≥ 4× a single device on the same stream.
 
@@ -95,11 +144,14 @@ def test_fleet_throughput_scales(report):
         def routed_throughput(n_devices: int, pattern: str) -> float:
             fleet = build_fleet(package, n_devices)
             traffic = TrafficGenerator(pool, make_workload(pattern), seed=7)
-            router = Router(fleet.devices, seed=7)
+            client = serve(fleet, routing="hash", seed=7)
             # Warm every engine cache so the measurement is steady-state.
             for device in fleet.devices:
                 device.infer(pool[:8])
-            return router.route(traffic.ticks()).aggregate_throughput
+            for requests in traffic.ticks():
+                client.submit_many(requests)
+                client.drain()
+            return client.report().aggregate_throughput
 
         single = routed_throughput(1, "uniform")
         fleet8 = routed_throughput(8, "uniform")
@@ -118,48 +170,27 @@ def test_fleet_throughput_scales(report):
     assert scaling >= 4.0
 
 
-def test_router_overhead_bounded(report):
-    """Router bookkeeping per request stays small vs a bare engine loop."""
+def test_scheduler_overhead_bounded(report):
+    """Scheduler bookkeeping per request stays small vs a bare engine loop."""
     with precision("edge"):
         package = package_for_edge(make_serving_learner())
         pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES))
         fleet = build_fleet(package, 1)
-        device = fleet.devices[0]
-        traffic = TrafficGenerator(pool, make_workload(), seed=7)
-        ticks = list(traffic.ticks())
-        device.infer(pool[:8])  # warm the prototype cache
+        fleet.devices[0].infer(pool[:8])  # warm the prototype cache
+        ticks = list(TrafficGenerator(pool, make_workload(), seed=7).ticks())
+        cost = bookkeeping_vs_bare(fleet, ticks, routing="hash", seed=7)
 
-        router = Router(fleet.devices, seed=7)
-        start = time.perf_counter()
-        for requests in ticks:
-            router.dispatch_tick(requests)
-        routed_wall = time.perf_counter() - start
-        stats = router.report().per_device[device.device_id]
-
-        # Bare engine loop over the identical per-tick batches.
-        batches = [
-            np.concatenate([r.features for r in requests], axis=0)
-            for requests in ticks
-        ]
-        engine = device.edge.engine
-        start = time.perf_counter()
-        for batch in batches:
-            engine.predict(batch)
-        bare_wall = time.perf_counter() - start
-
-    n_requests = stats.requests
-    bookkeeping = max(routed_wall - stats.wall_seconds, 0.0)
-    overhead_us = bookkeeping / n_requests * 1e6
-    ratio = routed_wall / bare_wall
+    ratio = cost.served_us / cost.bare_us
     report(
-        "bench_fleet_router_overhead",
-        f"router overhead over {n_requests} requests (single device)\n"
-        f"  routed wall:                 {routed_wall * 1e3:10.2f} ms\n"
-        f"  bare InferenceEngine loop:   {bare_wall * 1e3:10.2f} ms\n"
-        f"  routed / bare ratio:         {ratio:10.2f}x\n"
-        f"  bookkeeping per request:     {overhead_us:10.1f} us",
+        "bench_fleet_scheduler_overhead",
+        f"scheduler overhead over {cost.n_requests} requests "
+        "(single device, best of 3)\n"
+        f"  served wall:                 {cost.served_us:10.2f} us/request\n"
+        f"  bare InferenceEngine loop:   {cost.bare_us:10.2f} us/request\n"
+        f"  served / bare ratio:         {ratio:10.2f}x\n"
+        f"  bookkeeping per request:     {cost.scheduler_us:10.2f} us",
     )
-    assert overhead_us < 1000.0  # < 1 ms of routing bookkeeping per request
+    assert cost.scheduler_us < 1000.0  # < 1 ms of bookkeeping per request
     assert ratio < 3.0
 
 
@@ -201,6 +232,6 @@ if __name__ == "__main__":
         return name
 
     test_fleet_throughput_scales(_report)
-    test_router_overhead_bounded(_report)
+    test_scheduler_overhead_bounded(_report)
     test_checkpoint_roundtrip_exact(_report)
     print("\nall fleet benchmarks passed")

@@ -1,18 +1,17 @@
 """Benchmarks of the executor seam (`repro.serving.executor`).
 
-Three gates, all on a serving-only learner (no gradient training, so the
+Two gates, both on a serving-only learner (no gradient training, so the
 measurements isolate batch execution itself):
 
 1. **Serial bit-exactness** — the scheduler's default ``SerialExecutor``
-   must reproduce the pre-refactor serving path exactly: identical class
-   decisions and identical served counters as the legacy ``Router`` tick
-   drain on the same stream.  The executor seam must be a pure mechanism
-   change.
-2. **Scheduler overhead** — the per-request bookkeeping of the serial
-   executor path must stay at or below the legacy router's (the same gate
-   ``benchmarks/bench_serving.py`` enforces, re-checked here so this
-   benchmark is self-contained).
-3. **Real wall-clock speedup** — a compute-bound fleet workload drained
+   must answer exactly as the devices themselves do: each tick's requests,
+   grouped by the device that answered them and concatenated in submission
+   order, served by one ``device.serve`` call per device on an identically
+   deployed fleet, give the same class-id bytes and the same per-device
+   served counts.  The executor seam must be a pure mechanism change.
+   (The serial path's per-request overhead is gated in
+   ``benchmarks/bench_serving.py``.)
+2. **Real wall-clock speedup** — a compute-bound fleet workload drained
    through the ``ProcessExecutor`` must beat the ``SerialExecutor`` on
    *measured* wall-clock throughput, with identical predictions.  The
    required speedup scales with the hardware actually available:
@@ -50,7 +49,7 @@ from repro.core.embedding import EmbeddingNetwork
 from repro.core.pilote import PILOTE
 from repro.edge.device import DeviceProfile
 from repro.edge.transfer import package_for_edge
-from repro.fleet import FleetCoordinator, Router, TrafficGenerator, WorkloadSpec
+from repro.fleet import FleetCoordinator, TrafficGenerator, WorkloadSpec
 
 #: Worker-pool size under test (the acceptance target is 4; CI pins 2).
 N_WORKERS = int(os.environ.get("BENCH_WORKERS", "4"))
@@ -118,8 +117,8 @@ def _drain_stream(client, ticks):
     return predictions, wall
 
 
-def test_serial_executor_bit_exact_with_legacy_router(report):
-    """The default executor reproduces the pre-refactor path exactly."""
+def test_serial_executor_bit_exact_with_device_serving(report):
+    """The default executor answers byte for byte as the devices do."""
     from repro.serving import serve
 
     with precision("edge"):
@@ -127,93 +126,43 @@ def test_serial_executor_bit_exact_with_legacy_router(report):
         pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES)).astype(np.float32)
         ticks = _compute_bound_ticks(pool, n_ticks=3, per_tick=128)
 
-        router_fleet = build_fleet(package, N_WORKERS)
-        router = Router(router_fleet.devices, seed=7)
-        router_predictions = []
-        for requests in ticks:
-            router_predictions.extend(router.dispatch_tick(requests))
-        router_predictions = np.concatenate(router_predictions)
-        router_report = router.report()
-
+        reference_fleet = build_fleet(package, N_WORKERS)
         scheduler_fleet = build_fleet(package, N_WORKERS)
-        # The serving client reuses the router's sharding hash when seeded
-        # alike, so the per-device placement is identical.
+        exact = True
+        served_counts = {}
         with serve(scheduler_fleet, routing="hash", seed=7, executor="serial") as client:
-            client_predictions, _ = _drain_stream(client, ticks)
+            for requests in ticks:
+                futures = client.submit_many(requests)
+                client.drain()
+                by_device = {}
+                for request, future in zip(requests, futures):
+                    response = future.result()
+                    by_device.setdefault(response.device_id, []).append(
+                        (request.features, response.class_ids)
+                    )
+                for device_id, pairs in by_device.items():
+                    expected = reference_fleet.device(device_id).serve(
+                        np.concatenate([features for features, _ in pairs])
+                    )
+                    served = np.concatenate([class_ids for _, class_ids in pairs])
+                    exact = exact and served.tobytes() == expected.tobytes()
+                    served_counts[device_id] = served_counts.get(device_id, 0) + len(pairs)
             client_report = client.report()
 
-    exact = bool(np.array_equal(router_predictions, client_predictions))
-    same_counters = (
-        client_report.total_requests == router_report.total_requests
-        and client_report.total_windows == router_report.total_windows
-        and all(
-            client_report.per_device[i].requests == router_report.per_device[i].requests
-            for i in router_report.per_device
-        )
-    )
+    same_counters = client_report.total_requests == sum(served_counts.values()) and {
+        i: s.requests for i, s in client_report.per_device.items() if s.requests
+    } == served_counts
     report(
         "bench_workers_serial_exact",
-        "serial executor vs legacy Router tick drain (identical stream)\n"
-        f"  requests:                 {router_report.total_requests}\n"
+        "serial executor vs one device.serve call per device per tick "
+        "(identical stream)\n"
+        f"  requests:                 {client_report.total_requests}\n"
         f"  predictions bit-exact:    {exact}\n"
         f"  served counters identical: {same_counters}\n"
         f"  report clock:             {client_report.clock}",
     )
     assert exact and same_counters
     assert client_report.clock == "simulated"
-
-
-def test_scheduler_overhead_at_most_router(report):
-    """Per-request bookkeeping through the executor seam ≤ legacy router."""
-    from repro.serving import serve
-
-    with precision("edge"):
-        package = package_for_edge(make_serving_learner())
-        pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES)).astype(np.float32)
-        fleet = build_fleet(package, 1)
-        spec = WorkloadSpec(
-            pattern="uniform", n_users=1000, requests_per_tick=4096, n_ticks=8
-        )
-        ticks = list(TrafficGenerator(pool, spec, seed=7).ticks())
-        n_requests = sum(len(t) for t in ticks)
-
-        def measure(run):
-            """Best-of-3 per-request bookkeeping (µs) outside engine compute."""
-            best = None
-            for _ in range(3):
-                wall, engine_wall = run()
-                bookkeeping = max(wall - engine_wall, 0.0) / n_requests * 1e6
-                best = bookkeeping if best is None else min(best, bookkeeping)
-            return best
-
-        def run_router():
-            router = Router(fleet.devices, seed=7)
-            start = time.perf_counter()
-            for requests in ticks:
-                router.dispatch_tick(requests)
-            wall = time.perf_counter() - start
-            return wall, router.report().engine_wall_seconds
-
-        def run_scheduler():
-            client = serve(fleet, routing="hash", seed=7, executor="serial")
-            start = time.perf_counter()
-            for requests in ticks:
-                client.submit_many(requests)
-                client.drain()
-            wall = time.perf_counter() - start
-            return wall, client.report().engine_wall_seconds
-
-        router_us = measure(run_router)
-        scheduler_us = measure(run_scheduler)
-
-    report(
-        "bench_workers_overhead",
-        f"scheduler bookkeeping per request through the executor seam "
-        f"({n_requests} requests, best of 3)\n"
-        f"  legacy Router tick drain:        {router_us:8.2f} us/request\n"
-        f"  scheduler w/ SerialExecutor:     {scheduler_us:8.2f} us/request",
-    )
-    assert scheduler_us <= router_us
 
 
 def test_process_executor_wall_clock_speedup(report):
@@ -280,7 +229,6 @@ if __name__ == "__main__":
         print(text)
         return name
 
-    test_serial_executor_bit_exact_with_legacy_router(_report)
-    test_scheduler_overhead_at_most_router(_report)
+    test_serial_executor_bit_exact_with_device_serving(_report)
     test_process_executor_wall_clock_speedup(_report)
     print("\nall worker-executor benchmarks passed")

@@ -36,7 +36,6 @@ from repro.fleet import (
     CheckpointStore,
     FleetCoordinator,
     HierarchicalFleetCoordinator,
-    Router,
     TrafficGenerator,
     WorkloadSpec,
     staggered_schedule,
@@ -80,13 +79,14 @@ def main() -> None:
     # 4. Open-loop Zipf traffic sharded across the fleet by user id.
     workload = WorkloadSpec(pattern="zipf", n_users=300, requests_per_tick=64, n_ticks=10)
     traffic = TrafficGenerator(scenario.test, workload, seed=SEED)
-    router = Router(fleet.devices, seed=SEED)
+    fleet_client = serve(fleet, routing="hash", seed=SEED)
     for tick, requests in enumerate(traffic.ticks()):
         done = fleet.run_due_increments(tick)
         for device_id in done:
             print(f"  tick {tick}: device {device_id} integrated 'Run'")
-        router.dispatch_tick(requests)
-    report = router.report()
+        fleet_client.submit_many(requests)
+        fleet_client.drain()  # per-tick drain keeps increments ordered between ticks
+    report = fleet_client.report()
     print(f"\nrouted {report.total_requests} requests "
           f"({report.total_windows} windows) across {len(report.per_device)} devices")
     print(f"aggregate simulated throughput: {report.aggregate_throughput:.0f} windows/s")

@@ -80,9 +80,7 @@ every layer speaks the same typed protocol::
 Fleet clients take a routing policy (``routing="hash" | "least-loaded" |
 "p2c"``), and ``FleetCoordinator.deploy(package, rollout=...)`` stages
 releases (all-at-once, canary fractions, A/B cohorts by user hash) with
-per-cohort accuracy/latency reports.  The legacy entry points
-(``MagnetoPlatform.edge_predict``, ``EdgeDevice.infer``, ``Router.submit``)
-are deprecation shims over this client.  ``examples/quickstart.py`` and
+per-cohort accuracy/latency reports.  ``examples/quickstart.py`` and
 ``examples/serving_api.py`` walk through the API; ``pilote serve`` runs the
 three-layer demonstration.
 """
@@ -92,13 +90,7 @@ from repro.core import PILOTE, PiloteConfig, EmbeddingNetwork, NCMClassifier
 from repro.data import Activity, HARDataset, build_incremental_scenario, make_feature_dataset
 from repro.baselines import PretrainedBaseline, RetrainedBaseline
 from repro.edge import InferenceEngine, MagnetoPlatform
-from repro.fleet import (
-    CheckpointStore,
-    FleetCoordinator,
-    Router,
-    TrafficGenerator,
-    WorkloadSpec,
-)
+from repro.fleet import CheckpointStore, FleetCoordinator, TrafficGenerator, WorkloadSpec
 from repro.serving import (
     PendingResult,
     PredictRequest,
@@ -123,7 +115,6 @@ __all__ = [
     "MagnetoPlatform",
     "InferenceEngine",
     "FleetCoordinator",
-    "Router",
     "TrafficGenerator",
     "WorkloadSpec",
     "CheckpointStore",

@@ -1,6 +1,6 @@
 """Runtime race sanitizer for the concurrent serving stack.
 
-The scheduler, its per-device :class:`~repro.fleet.router.DeviceStats` rows,
+The scheduler, its per-device :class:`~repro.serving.report.DeviceStats` rows,
 and the control plane's :class:`~repro.control.signals.SignalBus` are all
 designed for a *single-writer* discipline: every mutation happens on the
 thread driving the event loop (the caller of ``submit``/``drain``, or the

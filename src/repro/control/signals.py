@@ -61,7 +61,7 @@ class SignalBus:
 
     ``window`` is the number of recent *submissions* the arrival-rate and
     recent-failure signals cover; the rolling attainment window is the
-    stats layer's own (:data:`repro.fleet.router.ROLLING_WINDOW` outcomes
+    stats layer's own (:data:`repro.serving.report.ROLLING_WINDOW` outcomes
     per lane) so the bus, the stats endpoint and benchmark artifacts all
     quote one number.
     """

@@ -152,33 +152,3 @@ class EdgeDevice:
             )
         self.inference_requests += 1
         return self._engine.predict(windows)
-
-    def infer(self, windows: np.ndarray) -> np.ndarray:
-        """Deprecated direct entry point; prefer the unified serving client.
-
-        .. deprecated::
-            Use ``repro.serving.serve(device).predict(windows)`` (or
-            :meth:`serve` for the raw engine call).  This shim delegates
-            through a cached :class:`~repro.serving.ServingClient`, so the
-            output — and the ``inference_requests`` accounting — is identical
-            to the new path.
-        """
-        import warnings
-
-        warnings.warn(
-            "EdgeDevice.infer is deprecated; build a client with "
-            "repro.serving.serve(device) and use predict()/submit() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if np.asarray(windows).shape[0] == 0:
-            # The protocol rejects empty requests; the legacy path answered
-            # them with an empty prediction array — preserve that here.
-            return self.serve(windows)
-        client = getattr(self, "_serving_client", None)
-        if client is None:
-            from repro.serving.client import serve
-
-            client = serve(self)
-            self._serving_client = client
-        return client.predict(windows)

@@ -123,29 +123,6 @@ class MagnetoPlatform:
             self._serving_client = serve(self)
         return self._serving_client
 
-    def edge_predict(self, features: np.ndarray) -> np.ndarray:
-        """Step 4: on-device batched inference (deprecated entry point).
-
-        .. deprecated::
-            Use ``platform.serving_client().predict(features)`` — or
-            ``repro.serving.serve(platform)`` for deadlines, futures and
-            per-request metadata.  This shim delegates to that client, so
-            output and device accounting are identical to the new path.
-        """
-        import warnings
-
-        warnings.warn(
-            "MagnetoPlatform.edge_predict is deprecated; use "
-            "repro.serving.serve(platform).predict(features) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if np.asarray(features).shape[0] == 0:
-            # The protocol rejects empty requests; the legacy path answered
-            # them with an empty prediction array — preserve that here.
-            return self._serve_edge(features)
-        return self.serving_client().predict(features)
-
     # ------------------------------------------------------------------ #
     def to_fleet(self, n_devices: int, profiles=None) -> "FleetCoordinator":
         """Scale this platform out to ``n_devices`` independently-learning devices.

@@ -7,10 +7,6 @@ that architecture out to a *fleet* behind a single cloud broadcast:
   :class:`~repro.edge.device.DeviceProfile`s, deploys one
   :class:`~repro.edge.transfer.TransferPackage` to all of them (each device
   gets an independent learner) and schedules staggered per-device increments;
-* :class:`Router` (alias :class:`LoadBalancer`) shards inference requests
-  across devices by user id, batches them through each device's
-  :class:`~repro.edge.inference.InferenceEngine`, and records per-device
-  throughput/latency/queue-depth statistics on a simulated parallel clock;
 * :class:`TrafficGenerator` produces deterministic open-loop workloads
   (uniform, bursty, Zipf-skewed user populations);
 * :class:`CheckpointStore` snapshots device state (full or delta archives),
@@ -26,10 +22,12 @@ Entry points: ``MagnetoPlatform.to_fleet(n)``, the ``pilote fleet-sim`` CLI
 subcommand, ``examples/fleet_simulation.py`` and
 ``benchmarks/bench_fleet.py``.
 
-Serving itself now goes through :mod:`repro.serving`: ``serve(fleet)``
-builds a futures-based client whose event-loop scheduler supersedes the
-router's synchronous per-tick drain, with pluggable routing policies and
-rollout staging on ``FleetCoordinator.deploy``.
+Serving goes through :mod:`repro.serving`: ``serve(fleet)`` builds a
+futures-based client whose event-loop scheduler shards requests across the
+devices (by user id under the default ``"hash"`` routing), batches them
+through each device's :class:`~repro.edge.inference.InferenceEngine` and
+records per-device statistics on a simulated parallel clock, with pluggable
+routing policies and rollout staging on ``FleetCoordinator.deploy``.
 """
 
 from repro.fleet.checkpoint import CheckpointStore, DeviceCheckpoint
@@ -42,7 +40,6 @@ from repro.fleet.coordinator import (
     RegionCoordinator,
     TransferLedger,
 )
-from repro.fleet.router import DeviceStats, LoadBalancer, Router, RoutingReport
 from repro.fleet.simulation import FleetSimulationResult
 from repro.fleet.traffic import (
     InferenceRequest,
@@ -59,10 +56,6 @@ __all__ = [
     "HierarchicalFleetCoordinator",
     "RegionCoordinator",
     "TransferLedger",
-    "Router",
-    "LoadBalancer",
-    "DeviceStats",
-    "RoutingReport",
     "TrafficGenerator",
     "WorkloadSpec",
     "InferenceRequest",

@@ -12,7 +12,7 @@ different times.
 
 Serving runs through each device's batched
 :class:`~repro.edge.inference.InferenceEngine`; request distribution is the
-router's job (:mod:`repro.fleet.router`).
+serving scheduler's job (:mod:`repro.serving.scheduler`).
 
 At fleet sizes past a few thousand devices the flat coordinator's
 one-learner-per-device model stops scaling, so
@@ -129,8 +129,8 @@ class FleetDevice:
         with self.edge.precision():
             return self.edge.serve(windows)
 
-    #: The event-loop scheduler and legacy router both call ``infer`` on a
-    #: device-like target; for a fleet device it is simply :meth:`serve`.
+    #: The serving executors call ``infer`` on a device-like target; for a
+    #: fleet device it is simply :meth:`serve`.
     infer = serve
 
     def learn_new_activity(
@@ -398,7 +398,7 @@ class FleetCoordinator:
 
         ``dataset`` (optional) is evaluated on every *deployed* device's
         learner for per-cohort accuracy; ``serving`` (an optional
-        :class:`~repro.fleet.router.RoutingReport`, e.g.
+        :class:`~repro.serving.report.RoutingReport`, e.g.
         ``client.report()``) contributes per-cohort request counts and
         mean/p99 simulated latency.
         """

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -33,10 +33,12 @@ from repro.fleet.coordinator import (
     FleetCoordinator,
     HierarchicalFleetCoordinator,
 )
-from repro.fleet.router import RoutingReport
 from repro.fleet.traffic import TrafficGenerator, WorkloadSpec, staggered_schedule
 from repro.utils.logging import get_logger
 from repro.utils.rng import resolve_rng, spawn_rngs
+
+if TYPE_CHECKING:  # the serving package imports repro.fleet at load time
+    from repro.serving.report import RoutingReport
 
 logger = get_logger("fleet.simulation")
 

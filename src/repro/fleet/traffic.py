@@ -47,8 +47,7 @@ class InferenceRequest:
         Optional absolute simulated deadline, honoured by the event-loop
         scheduler exactly like :class:`~repro.serving.PredictRequest`'s
         (admission rejection / queue expiry / late-completion miss — see
-        :mod:`repro.serving.scheduler`).  The legacy tick-drain router
-        ignores it.
+        :mod:`repro.serving.scheduler`).
     """
 
     user_id: int

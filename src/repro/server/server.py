@@ -57,7 +57,7 @@ class ServerStats:
     """End-to-end accounting of every predict frame the server received.
 
     The wire-level complement to the scheduler's
-    :class:`~repro.fleet.router.RoutingReport`: latencies here are measured
+    :class:`~repro.serving.report.RoutingReport`: latencies here are measured
     from frame receipt to answer enqueue on the event loop's wall clock, so
     they include bridging, queueing and execution.  The exactly-once
     invariant the shutdown tests gate is ``received == answered + failed``.

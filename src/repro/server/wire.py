@@ -25,7 +25,7 @@ raw payload so a request's float32 matrix is never JSON-encoded.  Kinds:
   :data:`WIRE_ERRORS`; unknown names decode to the base class) and
   ``message``;
 * ``stats`` — request/reply pair correlated by ``request_id``; the reply
-  embeds the server's :class:`~repro.fleet.router.RoutingReport` export
+  embeds the server's :class:`~repro.serving.report.RoutingReport` export
   plus its end-to-end counters under ``"stats"``;
 * ``bye`` — polite half of a client close (EOF works too).
 

@@ -14,11 +14,13 @@ front door:
   same API;
 * **scheduler** (:mod:`repro.serving.scheduler`) — an event-loop
   :class:`EventLoopScheduler` over the fleet's simulated ``DeviceStats``
-  clock, superseding the legacy router's synchronous per-tick drain, with a
-  pluggable queue order (:data:`SCHEDULING_ORDERS`): ``"fifo"`` arrival
+  clock, with a pluggable queue order (:data:`SCHEDULING_ORDERS`): ``"fifo"`` arrival
   order or ``"edf"`` earliest-deadline-first, plus deadline admission
   control and per-device SLO accounting
   (``DeviceStats.deadline_misses``, ``RoutingReport.slo_attainment``);
+* **report** (:mod:`repro.serving.report`) — the per-device
+  :class:`DeviceStats` rows and the fleet-level :class:`RoutingReport` the
+  scheduler produces, with ``to_dict``/``from_dict`` round-trips;
 * **executor** (:mod:`repro.serving.executor`) — pluggable batch execution
   behind the scheduler (:data:`EXECUTORS`): :class:`SerialExecutor`
   (inline on the simulated clock, the default and bit-exact historical
@@ -42,12 +44,12 @@ front door:
   reports.
 
 ``benchmarks/bench_serving.py`` gates the scheduler's per-request overhead
-against the legacy router and the p99 latency win of ``least-loaded`` over
+against a bare ``InferenceEngine.predict`` loop and the p99 latency win of ``least-loaded`` over
 ``hash`` under Zipf-skewed traffic; ``benchmarks/bench_deadlines.py`` gates
 that EDF answers strictly more requests within deadline than FIFO on an
 overloaded Zipf workload at no extra per-request overhead;
 ``benchmarks/bench_workers.py`` gates the serial executor's bit-exactness
-with the legacy path and the process executor's real wall-clock speedup on
+with direct per-device engine calls and the process executor's real wall-clock speedup on
 multi-core hardware.
 """
 
@@ -79,6 +81,7 @@ from repro.serving.client import (
     ServingClient,
     serve,
 )
+from repro.serving.report import ROLLING_WINDOW, DeviceStats, RoutingReport
 from repro.serving.protocol import (
     PendingResult,
     Prediction,
@@ -125,6 +128,9 @@ __all__ = [
     "Prediction",
     "PendingResult",
     "EventLoopScheduler",
+    "DeviceStats",
+    "RoutingReport",
+    "ROLLING_WINDOW",
     "RoutingPolicy",
     "HashRouting",
     "RegionalRouting",

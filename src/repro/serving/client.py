@@ -46,7 +46,7 @@ from repro.fleet.coordinator import (
     FleetDevice,
     HierarchicalFleetCoordinator,
 )
-from repro.fleet.router import RoutingReport
+from repro.serving.report import RoutingReport
 from repro.serving.executor import Executor
 from repro.serving.protocol import PendingResult, PredictRequest
 from repro.serving.routing import RegionalRouting, RoutingPolicy

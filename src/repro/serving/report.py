@@ -1,40 +1,25 @@
-"""Request routing and load balancing across a fleet of edge devices.
+"""Serving reports: per-device statistics and the fleet-level view.
 
-The router shards an open-loop stream of :class:`InferenceRequest`s across
-devices **by user id** (a user's data always lands on the same device — the
-MAGNETO privacy model requires it) and batches each device's share through its
-:class:`~repro.edge.inference.InferenceEngine` in one call per tick.
-
-Timing uses a simulated clock layered on measured compute: each per-device
-batch is timed with the wall clock and converted to device-seconds through the
-profile's ``relative_compute``, and devices drain their queues *in parallel*
-in simulated time.  Aggregate fleet throughput is therefore
-``total_windows / makespan`` where the makespan is the latest completion time
-across devices — the quantity ``benchmarks/bench_fleet.py`` gates on.
-
-The synchronous per-tick drain here is the *legacy* serving surface: new code
-should go through :mod:`repro.serving`, whose event-loop scheduler
-(:class:`~repro.serving.EventLoopScheduler`) serves the same requests with
-futures, deadlines and pluggable routing policies at no extra per-request
-overhead (``benchmarks/bench_serving.py`` gates that).  The router stays for
-its sharding hash (which :class:`~repro.serving.HashRouting` reuses) and for
-callers of the tick-synchronous API.
+The event-loop scheduler (:mod:`repro.serving.scheduler`) keeps one
+:class:`DeviceStats` row per device lane and summarises them in a
+:class:`RoutingReport`.  Timing uses a simulated clock layered on measured
+compute: each per-device batch is timed with the wall clock and converted to
+device-seconds through the profile's ``relative_compute``, and devices drain
+their queues *in parallel* in simulated time.  Aggregate fleet throughput is
+therefore ``total_windows / makespan`` where the makespan is the latest
+completion time across devices — the quantity ``benchmarks/bench_fleet.py``
+gates on.  Both types serialise through ``to_dict``/``from_dict`` for the
+network server's stats endpoint and the benchmark artifacts.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
-from repro.fleet.coordinator import FleetDevice
-from repro.fleet.traffic import InferenceRequest
-from repro.utils.clock import perf_seconds
-from repro.utils.hashing import splitmix64
-from repro.utils.rng import RandomState, resolve_rng
+__all__ = ["ROLLING_WINDOW", "DeviceStats", "RoutingReport"]
 
 #: Rolling-window length (in deadline-carrying request outcomes) for the
 #: recent-attainment signal.  Shared by the per-device rows, the fleet-level
@@ -45,7 +30,7 @@ ROLLING_WINDOW = 256
 
 @dataclass
 class DeviceStats:
-    """Serving statistics for one device, accumulated by the router."""
+    """Serving statistics for one device lane, accumulated by the scheduler."""
 
     device_id: int
     profile: str
@@ -58,27 +43,25 @@ class DeviceStats:
     max_queue_depth: int = 0
     available_at: float = 0.0        # simulated time the device frees up
     #: Served requests that carried a deadline, and how many of those
-    #: completed past it (service began in time but finished late).  Only
-    #: the event-loop scheduler populates these; requests expired *before*
-    #: service are counted fleet-wide in ``RoutingReport.total_expired``.
+    #: completed past it (service began in time but finished late).
+    #: Requests expired *before* service are counted fleet-wide in
+    #: ``RoutingReport.total_expired``.
     deadline_requests: int = 0
     deadline_misses: int = 0
     #: Requests lost on this device to a raising engine/worker (the
     #: per-device view of ``RoutingReport.total_failed``).
     failures: int = 0
     #: Requests currently queued on this device's lane — a *live* gauge
-    #: (not a counter) maintained by the event-loop scheduler at enqueue
-    #: and service time; always 0 for the legacy tick drain.
+    #: (not a counter) maintained by the scheduler at enqueue and service
+    #: time.
     queue_depth: int = 0
     #: Rolling deadline outcomes (1 = met, 0 = missed/expired/rejected) for
     #: the most recent deadline-carrying requests on this lane, bounded to
     #: ``2 * ROLLING_WINDOW`` entries; :attr:`rolling_deadline_attainment`
-    #: reads the last ``ROLLING_WINDOW``.  Only the event-loop scheduler
-    #: populates it.
+    #: reads the last ``ROLLING_WINDOW``.
     recent_deadlines: List[int] = field(default_factory=list, repr=False)
-    #: Per-request simulated latencies; populated by the event-loop scheduler
-    #: (the legacy tick drain only tracks the aggregate) for percentile views.
-    #: Bounded to the scheduler's most recent LATENCY_HISTORY_CAP requests.
+    #: Per-request simulated latencies for percentile views, bounded to the
+    #: scheduler's most recent LATENCY_HISTORY_CAP requests.
     latencies: List[float] = field(default_factory=list, repr=False)
     #: Which clock the timing columns are on: ``"simulated"`` (the default —
     #: wall time scaled by ``relative_compute``, devices modeled as draining
@@ -158,7 +141,13 @@ class DeviceStats:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "DeviceStats":
-        """Rebuild a row from :meth:`to_dict` output (derived keys ignored)."""
+        """Rebuild a row from :meth:`to_dict` output.
+
+        Derived keys are ignored, except the exported rolling pair: the
+        window is rebuilt from ``rolling_window`` outcomes of which
+        ``rolling_deadline_attainment`` met their deadline.  Their order
+        does not travel, so the rebuilt window lists the hits first.
+        """
         fields = {
             key: data[key]
             for key in (
@@ -169,6 +158,9 @@ class DeviceStats:
             )
             if key in data
         }
+        window = int(data.get("rolling_window", 0))
+        hits = round(float(data.get("rolling_deadline_attainment", 1.0)) * window)
+        fields["recent_deadlines"] = [1] * hits + [0] * (window - hits)
         return cls(**fields)  # type: ignore[arg-type]
 
 
@@ -243,10 +235,10 @@ class RoutingReport:
     def latency_percentile(self, quantile: float) -> float:
         """Simulated latency percentile (``quantile`` in [0, 100]).
 
-        Needs per-request latencies, which only the event-loop scheduler
-        records (over its most recent window per device — see
-        ``repro.serving.scheduler.LATENCY_HISTORY_CAP``); returns 0.0 for
-        reports produced by the legacy tick drain.
+        Needs per-request latencies, which the scheduler records over its
+        most recent window per device (see
+        ``repro.serving.scheduler.LATENCY_HISTORY_CAP``); returns 0.0 for a
+        report without them, such as one restored by :meth:`from_dict`.
         """
         samples = [
             latency
@@ -334,11 +326,11 @@ class RoutingReport:
         served and :attr:`resolved_requests` counters.  This keeps the
         ratio consistent on runs long enough to trim the history — the
         window can no longer over-weight expiries against a truncated
-        served count.  Exact (not estimated) for event-loop reports whose
-        history has not trimmed; legacy tick-drain reports keep no
-        per-request history at all, so with nothing expired or failed they
-        stay vacuously ``1.0`` (as before), and otherwise the absent
-        samples contribute zero served-within credit (also as before).
+        served count.  Exact (not estimated) for reports whose history has
+        not trimmed; a report without per-request history (one restored by
+        :meth:`from_dict`) stays vacuously ``1.0`` with nothing expired or
+        failed, and otherwise the absent samples contribute zero
+        served-within credit.
         """
         sampled = 0
         within = 0
@@ -348,8 +340,7 @@ class RoutingReport:
                 within += int(np.count_nonzero(samples <= target_seconds))
                 sampled += samples.size
         if sampled == 0 and self.total_expired + self.total_failed == 0:
-            # No latency view and nothing lost: vacuously attained (matches
-            # legacy-router reports, which keep no per-request history).
+            # No latency view and nothing lost: vacuously attained.
             return 1.0
         resolved = self.resolved_requests or (
             self.total_requests + self.total_expired + self.total_failed
@@ -457,233 +448,3 @@ class RoutingReport:
             total_cancelled=int(data.get("total_cancelled", 0)),
             resolved_requests=int(data.get("resolved_requests", 0)),
         )
-
-
-class Router:
-    """Shards inference requests across fleet devices and batches per device.
-
-    Parameters
-    ----------
-    devices:
-        The fleet's devices (each must have an engine attached before
-        requests are dispatched to it).  When given a list — e.g.
-        ``FleetCoordinator.devices`` — the router keeps a *live view* of it,
-        so ``FleetCoordinator.replace_device`` takes effect for in-flight
-        routing; the device *count* must stay fixed (it is the sharding
-        modulus).
-    seed:
-        Seeds the sharding salt: the same seed always produces the same
-        user → device assignment, different seeds rebalance differently.
-    """
-
-    def __init__(
-        self, devices: Sequence[FleetDevice], *, seed: RandomState = None
-    ) -> None:
-        if not devices:
-            raise ConfigurationError("the router needs at least one device")
-        self._devices = devices if isinstance(devices, list) else list(devices)
-        self._n_shards = len(devices)
-        self._salt = np.uint64(resolve_rng(seed).integers(0, 2**63 - 1, dtype=np.int64))
-        self._stats: Dict[int, DeviceStats] = {
-            d.device_id: DeviceStats(device_id=d.device_id, profile=d.profile.name)
-            for d in self._devices
-        }
-        self._total_requests = 0
-        self._total_windows = 0
-        self._legacy_client = None  # lazy ServingClient behind the submit() shim
-
-    # ------------------------------------------------------------------ #
-    @property
-    def n_devices(self) -> int:
-        return len(self._devices)
-
-    def replace_device(self, device_id: int, replacement) -> None:
-        """Swap a (crashed) device in the live device list, keeping its slot.
-
-        Mutates the shared list, so a coordinator (and any event-loop
-        scheduler) holding the same list sees the replacement immediately —
-        including for requests already in flight.
-        """
-        for index, candidate in enumerate(self._devices):
-            if candidate.device_id == device_id:
-                self._devices[index] = replacement
-                return
-        raise ConfigurationError(f"no device with id {device_id} behind this router")
-
-    def submit(self, request) -> np.ndarray:
-        """Deprecated single-request entry point; returns per-window class ids.
-
-        .. deprecated::
-            Use the unified serving client instead —
-            ``repro.serving.serve(fleet).submit(request)`` returns a
-            :class:`~repro.serving.PendingResult` future with deadlines and
-            metadata support.  This shim delegates to that client (same
-            sharding salt, so the same user → device placement) and blocks on
-            the result.
-        """
-        warnings.warn(
-            "Router.submit is deprecated; build a client with "
-            "repro.serving.serve(...) and use submit()/predict() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        client = self._legacy_client
-        if client is None:
-            from repro.serving.client import ServingClient
-            from repro.serving.routing import HashRouting
-
-            client = ServingClient(
-                self._devices, routing=HashRouting(salt=self._salt)
-            )
-            self._legacy_client = client
-        pending = client.submit(request)
-        client.drain()
-        return pending.result().class_ids
-
-    def shard(self, user_ids) -> np.ndarray:
-        """Deterministic device index for each user id (vectorised).
-
-        Uses the shared salted splitmix64 finaliser
-        (:func:`repro.utils.hashing.splitmix64` — the same one
-        :class:`~repro.serving.HashRouting` hashes with) so the assignment
-        is uniform over devices, stable per user, and reproducible from the
-        router seed.
-        """
-        hashed = splitmix64(user_ids, self._salt)
-        return (hashed % np.uint64(self._n_shards)).astype(np.int64)
-
-    # ------------------------------------------------------------------ #
-    def dispatch_tick(
-        self, requests: Sequence[InferenceRequest]
-    ) -> List[Optional[np.ndarray]]:
-        """Route one tick's arrivals; returns predictions aligned with input.
-
-        Each device's share of the tick is concatenated into a single batch
-        and served through the device engine in one call (the engine applies
-        its own internal ``batch_size`` bound), which is what keeps the
-        per-request overhead of the fleet layer small.
-        """
-        predictions: List[Optional[np.ndarray]] = [None] * len(requests)
-        if not requests:
-            return predictions
-        if len(self._devices) != self._n_shards:
-            raise ConfigurationError(
-                f"the fleet changed size ({self._n_shards} -> {len(self._devices)}); "
-                "build a new Router — the device count is the sharding modulus"
-            )
-        user_ids = np.fromiter(
-            (r.user_id for r in requests), dtype=np.int64, count=len(requests)
-        )
-        assignment = self.shard(user_ids)
-        arrival = min(r.arrival_seconds for r in requests)
-        for position in range(self._n_shards):
-            indices = np.flatnonzero(assignment == position)
-            if indices.size == 0:
-                continue
-            device = self._devices[position]
-            # setdefault: a replacement device (crash/restore) may carry a new
-            # id; it inherits the shard but gets its own stats row.
-            stats = self._stats.setdefault(
-                device.device_id,
-                DeviceStats(device_id=device.device_id, profile=device.profile.name),
-            )
-            batch_requests = [requests[i] for i in indices]
-            windows = np.concatenate([r.features for r in batch_requests], axis=0)
-
-            start = perf_seconds()
-            outputs = device.infer(windows)
-            wall = perf_seconds() - start
-            service = wall / device.profile.relative_compute
-
-            begin = max(stats.available_at, arrival)
-            queue_depth = len(batch_requests) + (1 if stats.available_at > arrival else 0)
-            completion = begin + service
-            stats.available_at = completion
-            stats.requests += len(batch_requests)
-            stats.windows += int(windows.shape[0])
-            stats.batches += 1
-            stats.busy_seconds += service
-            stats.wall_seconds += wall
-            stats.max_queue_depth = max(stats.max_queue_depth, queue_depth)
-            stats.total_latency_seconds += sum(
-                completion - r.arrival_seconds for r in batch_requests
-            )
-
-            offset = 0
-            for request, index in zip(batch_requests, indices):
-                predictions[index] = outputs[offset:offset + request.n_windows]
-                offset += request.n_windows
-            self._total_requests += len(batch_requests)
-            self._total_windows += int(windows.shape[0])
-        return predictions
-
-    def route(
-        self, ticks: Iterable[Sequence[InferenceRequest]]
-    ) -> RoutingReport:
-        """Dispatch a whole stream of ticks and return the fleet report."""
-        for requests in ticks:
-            self.dispatch_tick(requests)
-        return self.report()
-
-    def report(self) -> RoutingReport:
-        """Current routing statistics (stats keep accumulating afterwards).
-
-        Traffic served through the deprecated :meth:`submit` shim is folded
-        in, so mixing the two entry points does not undercount.
-        """
-        per_device = dict(self._stats)
-        total_requests = self._total_requests
-        total_windows = self._total_windows
-        total_expired = 0
-        total_rejected = 0
-        total_failed = 0
-        if self._legacy_client is not None:
-            shim = self._legacy_client.report()
-            total_requests += shim.total_requests
-            total_windows += shim.total_windows
-            total_expired += shim.total_expired
-            total_rejected += shim.total_rejected
-            total_failed += shim.total_failed
-            for device_id, extra in shim.per_device.items():
-                if extra.requests == 0:
-                    continue
-                base = per_device.get(device_id)
-                per_device[device_id] = (
-                    _merged_stats(base, extra) if base is not None else extra
-                )
-        return RoutingReport(
-            per_device=per_device,
-            total_requests=total_requests,
-            total_windows=total_windows,
-            total_expired=total_expired,
-            total_rejected=total_rejected,
-            total_failed=total_failed,
-            resolved_requests=total_requests + total_expired + total_failed,
-        )
-
-
-def _merged_stats(base: DeviceStats, extra: DeviceStats) -> DeviceStats:
-    """Sum two stats rows for the same device (tick drain + submit shim)."""
-    return DeviceStats(
-        device_id=base.device_id,
-        profile=base.profile,
-        requests=base.requests + extra.requests,
-        windows=base.windows + extra.windows,
-        batches=base.batches + extra.batches,
-        busy_seconds=base.busy_seconds + extra.busy_seconds,
-        wall_seconds=base.wall_seconds + extra.wall_seconds,
-        total_latency_seconds=base.total_latency_seconds + extra.total_latency_seconds,
-        max_queue_depth=max(base.max_queue_depth, extra.max_queue_depth),
-        available_at=max(base.available_at, extra.available_at),
-        deadline_requests=base.deadline_requests + extra.deadline_requests,
-        deadline_misses=base.deadline_misses + extra.deadline_misses,
-        failures=base.failures + extra.failures,
-        queue_depth=base.queue_depth + extra.queue_depth,
-        recent_deadlines=base.recent_deadlines + extra.recent_deadlines,
-        latencies=base.latencies + extra.latencies,
-        clock=base.clock if base.clock == extra.clock else "mixed",
-    )
-
-
-#: Alias emphasising the balancing role in docs and examples.
-LoadBalancer = Router

@@ -30,7 +30,6 @@ from typing import Dict, Optional, Sequence, Type, Union
 import numpy as np
 
 from repro.exceptions import RoutingError
-from repro.utils.hashing import splitmix64
 
 __all__ = [
     "RoutingPolicy",
@@ -42,6 +41,27 @@ __all__ = [
     "make_routing_policy",
     "splitmix64",
 ]
+
+
+# 64-bit mixing constants (splitmix64 finaliser).
+_MIX1 = np.uint64(0xFF51AFD7ED558CCD)
+_MIX2 = np.uint64(0xC4CEB9FE1A85EC53)
+_SHIFT = np.uint64(33)
+
+
+def splitmix64(values, salt: np.uint64) -> np.ndarray:
+    """Vectorised salted splitmix64 finaliser over an integer array.
+
+    Uniform over 64 bits, stable per value, and reproducible from the salt —
+    the properties user-id sharding needs.
+    """
+    v = np.atleast_1d(np.asarray(values)).astype(np.uint64) + salt
+    v ^= v >> _SHIFT
+    v *= _MIX1
+    v ^= v >> _SHIFT
+    v *= _MIX2
+    v ^= v >> _SHIFT
+    return v
 
 
 def _draw_salt(rng) -> np.uint64:
@@ -107,12 +127,9 @@ class HashRouting(RoutingPolicy):
 
     name = "hash"
 
-    def __init__(self, *, salt: Optional[np.uint64] = None) -> None:
-        self._fixed_salt = salt
-
     def bind(self, n_lanes: int, rng) -> None:
         super().bind(n_lanes, rng)
-        self._salt = self._fixed_salt if self._fixed_salt is not None else _draw_salt(rng)
+        self._salt = _draw_salt(rng)
 
     def assign_batch(self, requests, user_ids, scheduler, lanes=None):
         hashed = splitmix64(user_ids, self._salt)

@@ -1,23 +1,20 @@
 """Event-loop request scheduler over the simulated ``DeviceStats`` clock.
 
-This replaces the legacy :class:`~repro.fleet.router.Router`'s synchronous
-per-tick drain: instead of routing and executing one tick at a time, requests
-are *submitted* (each immediately receives a
+Requests are *submitted* (each immediately receives a
 :class:`~repro.serving.protocol.PendingResult` future) and a heap-ordered
 event loop later drains the per-device queues in simulated-clock order.
 
 Timing follows the fleet's established model: each per-device batch is timed
 with the wall clock, converted to device-seconds through the profile's
 ``relative_compute``, and devices drain *in parallel* in simulated time.  The
-scheduler reuses the fleet's :class:`~repro.fleet.router.DeviceStats` /
-:class:`~repro.fleet.router.RoutingReport` types, and additionally records
+scheduler keeps one :class:`~repro.serving.report.DeviceStats` row per lane,
+summarised in a :class:`~repro.serving.report.RoutingReport`, and records
 per-request latencies so reports can answer percentile (p99) questions.
 
 Queue order is a pluggable seam (``scheduling=``, one of
 :data:`SCHEDULING_ORDERS`):
 
-* ``"fifo"`` (default) — each lane serves its batches in arrival order, the
-  behaviour of the legacy tick drain;
+* ``"fifo"`` (default) — each lane serves its batches in arrival order;
 * ``"edf"`` — earliest-deadline-first: each lane serves the queued batch
   with the earliest deadline among those that have already arrived
   (deadline-less batches sort last and fall back to arrival order among
@@ -42,16 +39,16 @@ Deadline semantics, end to end:
   ``RoutingReport.deadline_attainment`` / ``slo_attainment`` aggregate the
   breakdown.
 
-Design notes for the hot path (the per-request overhead is gated against the
-legacy router in ``benchmarks/bench_serving.py`` and
+Design notes for the hot path (the per-request overhead is gated against a
+bare ``InferenceEngine.predict`` loop in ``benchmarks/bench_serving.py`` and
 ``benchmarks/bench_deadlines.py``):
 
 * assignment is vectorised per submitted batch (one hash over all user ids
   for the default policy), and requests are grouped into per-lane batches
   with numpy, not per-request branching;
 * requests sharing a device and an arrival time coalesce into one queue
-  entry served by a single engine call — the same batching the legacy
-  router performed per tick (under EDF, co-arriving requests additionally
+  entry served by a single engine call — one batch per lane per tick when
+  the caller drains tick by tick (under EDF, co-arriving requests additionally
   split by deadline so the queue order can discriminate; discrete deadline
   classes — see ``WorkloadSpec.deadline_multipliers`` — keep that split
   coarse and the engine batches large);
@@ -91,7 +88,7 @@ from repro.exceptions import (
     RoutingError,
     ServingError,
 )
-from repro.fleet.router import DeviceStats, RoutingReport
+from repro.serving.report import DeviceStats, RoutingReport
 from repro.serving.executor import Executor, LaneResult, LaneTask, make_executor
 from repro.serving.protocol import PendingResult, PredictResponse
 from repro.serving.routing import RoutingPolicy, make_routing_policy
@@ -741,9 +738,9 @@ class EventLoopScheduler:
 
         Requests assigned to the same device with the same arrival time are
         coalesced into one engine call at drain time, which is what keeps the
-        per-request overhead at the legacy router's level.  Requests whose
-        deadline is already unmeetable on their lane are rejected here (their
-        futures complete immediately with
+        per-request overhead below the engine's own per-request cost.
+        Requests whose deadline is already unmeetable on their lane are
+        rejected here (their futures complete immediately with
         :class:`~repro.exceptions.DeadlineExceededError`).
         """
         if not requests:

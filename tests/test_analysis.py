@@ -267,6 +267,12 @@ class TestRegistryCompleteness:
                     f"{package.__name__}.__all__"
                 )
 
+    def test_report_types_exported(self):
+        import repro.serving
+        import repro.serving.report
+
+        assert set(repro.serving.report.__all__) <= set(repro.serving.__all__)
+
 
 # --------------------------------------------------------------------- #
 # Runtime sanitizer

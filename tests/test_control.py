@@ -41,7 +41,7 @@ from repro.exceptions import (
     ServingError,
     WorkerDiedError,
 )
-from repro.fleet.router import DeviceStats, ROLLING_WINDOW, RoutingReport
+from repro.serving import ROLLING_WINDOW, DeviceStats, RoutingReport
 from repro.serving import (
     EventLoopScheduler,
     LocalServingDevice,
@@ -726,6 +726,21 @@ class TestRollingStats:
         restored = RoutingReport.from_dict(data)
         assert restored.total_shed == report.total_shed
         assert restored.total_cancelled == report.total_cancelled
+
+    def test_report_round_trip_keeps_rolling_attainment(self):
+        missing = DeviceStats(device_id=0, profile="test")
+        for index in range(ROLLING_WINDOW + 44):
+            missing.note_deadline(index % 4 == 0)  # attainment 0.25
+        partial = DeviceStats(device_id=1, profile="test")
+        for index in range(3):
+            partial.note_deadline(index == 0)  # attainment 1/3
+        report = RoutingReport(per_device={0: missing, 1: partial})
+        data = report.to_dict()
+        assert data["per_device"]["0"]["rolling_deadline_attainment"] == 0.25
+        assert data["per_device"]["0"]["rolling_window"] == ROLLING_WINDOW
+        assert data["per_device"]["1"]["rolling_window"] == 3
+        assert data["rolling_deadline_attainment"] < 1.0
+        assert RoutingReport.from_dict(data).to_dict() == data
 
     def test_queue_depth_gauge_tracks_pending(self):
         client = _client(2)

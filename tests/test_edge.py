@@ -55,10 +55,10 @@ class TestEdgeDevice:
         with pytest.raises(EdgeResourceError):
             device.store("x", -1)
 
-    def test_infer_without_engine_explains_attach(self):
+    def test_serve_without_engine_explains_attach(self):
         device = EdgeDevice()
         with pytest.raises(NotFittedError, match="attach_inference"):
-            device.infer(np.zeros((1, 4)))
+            device.serve(np.zeros((1, 4)))
 
 
 class TestTransferPackaging:
@@ -107,7 +107,7 @@ class TestMagnetoPlatform:
         package = platform.deploy_to_edge()
         assert platform.device.storage_used == pytest.approx(package.total_bytes)
         platform.edge_learn_new_activity(run_scenario.new_train, run_scenario.new_validation)
-        predictions = platform.edge_predict(run_scenario.test.features)
+        predictions = platform.serving_client().predict(run_scenario.test.features)
         assert predictions.shape[0] == run_scenario.test.n_samples
         assert int(Activity.RUN) in set(predictions.tolist())
         report = platform.storage_report()
@@ -120,7 +120,7 @@ class TestMagnetoPlatform:
         with pytest.raises(NotFittedError):
             platform.edge_learn_new_activity(run_scenario.new_train)
         with pytest.raises(NotFittedError):
-            platform.edge_predict(run_scenario.test.features)
+            platform.serving_client().predict(run_scenario.test.features)
 
 
 class TestProfiler:

@@ -9,6 +9,7 @@ from repro.edge.device import DEVICE_PROFILES, DeviceProfile, EdgeDevice
 from repro.edge.inference import InferenceEngine
 from repro.edge.magneto import MagnetoPlatform
 from repro.exceptions import DataError, EdgeResourceError, NotFittedError
+from repro.serving import serve
 
 
 class TestInferenceEngineCorrectness:
@@ -110,15 +111,15 @@ class TestInferenceEngineCache:
 
 
 class TestEdgeWiring:
-    def test_device_infer_requires_engine(self):
+    def test_device_serve_requires_engine(self):
         device = EdgeDevice()
         with pytest.raises(NotFittedError):
-            device.infer(np.zeros((1, 4)))
+            serve(device).predict(np.zeros((1, 4)))
 
-    def test_device_attach_and_infer(self, pretrained_pilote, run_scenario):
+    def test_device_attach_and_serve(self, pretrained_pilote, run_scenario):
         device = EdgeDevice()
         device.attach_inference(pretrained_pilote.inference_engine())
-        predictions = device.infer(run_scenario.test.features[:8])
+        predictions = serve(device).predict(run_scenario.test.features[:8])
         assert predictions.shape == (8,)
         assert device.inference_requests == 1
 
@@ -140,7 +141,7 @@ class TestEdgeWiring:
         platform.cloud.learner = copy.deepcopy(pretrained_pilote)
         platform.cloud.history = object()
         platform.deploy_to_edge()
-        predictions = platform.edge_predict(run_scenario.test.features[:12])
+        predictions = platform.serving_client().predict(run_scenario.test.features[:12])
         assert predictions.shape == (12,)
         assert platform.device.inference_requests == 1
         assert platform.device.engine is not None

@@ -21,12 +21,13 @@ from repro.fleet import (
     CheckpointStore,
     FleetCoordinator,
     InferenceRequest,
-    Router,
     TrafficGenerator,
     WorkloadSpec,
     staggered_schedule,
 )
 from repro.fleet import simulation as fleet_simulation
+from repro.serving import HashRouting, serve
+from repro.utils.rng import resolve_rng
 
 
 @pytest.fixture(scope="module")
@@ -106,57 +107,52 @@ class TestTrafficGenerator:
             staggered_schedule(0)
 
 
-class TestRouterSharding:
-    def test_same_seed_same_assignment(self, fleet):
-        users = np.arange(500)
-        first = Router(fleet.devices, seed=11).shard(users)
-        second = Router(fleet.devices, seed=11).shard(users)
-        assert np.array_equal(first, second)
+def hash_lanes(users, seed, n_lanes=3):
+    """Lane of each user under ``serve(fleet, routing="hash", seed=seed)``."""
+    policy = HashRouting()
+    policy.bind(n_lanes, resolve_rng(seed))
+    users = np.asarray(users, dtype=np.int64)
+    return policy.assign_batch([None] * users.size, users, scheduler=None)
 
-    def test_different_seed_rebalances(self, fleet):
-        users = np.arange(500)
-        first = Router(fleet.devices, seed=11).shard(users)
-        second = Router(fleet.devices, seed=12).shard(users)
-        assert not np.array_equal(first, second)
 
-    def test_assignment_is_stable_per_user_and_in_range(self, fleet):
-        router = Router(fleet.devices, seed=5)
-        users = np.array([7, 7, 7, 123, 123])
-        assignment = router.shard(users)
+class TestHashSharding:
+    def test_same_seed_same_assignment(self):
+        users = np.arange(500)
+        assert np.array_equal(hash_lanes(users, 11), hash_lanes(users, 11))
+
+    def test_different_seed_rebalances(self):
+        users = np.arange(500)
+        assert not np.array_equal(hash_lanes(users, 11), hash_lanes(users, 12))
+
+    def test_assignment_is_stable_per_user_and_in_range(self):
+        assignment = hash_lanes([7, 7, 7, 123, 123], 5)
         assert len(set(assignment[:3].tolist())) == 1
         assert len(set(assignment[3:].tolist())) == 1
         assert assignment.min() >= 0 and assignment.max() < 3
 
-    def test_roughly_balanced_over_many_users(self, fleet):
-        assignment = Router(fleet.devices, seed=2).shard(np.arange(3000))
-        counts = np.bincount(assignment, minlength=3)
-        assert counts.min() > 700  # each device gets a fair share of 1000±
+    def test_roughly_balanced_over_many_users(self):
+        counts = np.bincount(hash_lanes(np.arange(3000), 2), minlength=3)
+        assert counts.min() > 700  # each lane gets a fair share of 1000±
 
-    def test_needs_devices(self):
-        with pytest.raises(ConfigurationError):
-            Router([], seed=0)
+    def test_client_places_users_on_their_hash_lane(self, fleet, pool):
+        users = [7, 7, 123, 40, 5]
+        client = serve(fleet, routing="hash", seed=5)
+        futures = client.submit_many(
+            [InferenceRequest(user_id=u, features=pool[:1]) for u in users]
+        )
+        placed = [fleet.devices.index(fleet.device(f.result().device_id)) for f in futures]
+        assert placed == hash_lanes(users, 5).tolist()
 
 
-class TestRouterDispatch:
-    def test_predictions_match_direct_device_inference(self, package, tiny_config, pool):
-        coordinator = FleetCoordinator(tiny_config, seed=0)
-        coordinator.provision(1)
-        coordinator.deploy(package)
-        device = coordinator.devices[0]
-        requests = [
-            InferenceRequest(user_id=i, features=pool[4 * i:4 * i + 4])
-            for i in range(8)
-        ]
-        router = Router(coordinator.devices, seed=3)
-        predictions = router.dispatch_tick(requests)
-        direct = device.infer(np.concatenate([r.features for r in requests], axis=0))
-        assert np.array_equal(np.concatenate(predictions), direct)
-
+class TestFleetServing:
     def test_stats_accumulate(self, fleet, pool):
         spec = WorkloadSpec(n_users=40, requests_per_tick=12, n_ticks=4)
         traffic = TrafficGenerator(pool, spec, seed=1)
-        router = Router(fleet.devices, seed=1)
-        report = router.route(traffic.ticks())
+        client = serve(fleet, routing="hash", seed=1)
+        for requests in traffic.ticks():
+            client.submit_many(requests)
+            client.drain()
+        report = client.report()
         assert report.total_requests == 48
         assert report.total_windows == 48
         assert sum(s.requests for s in report.per_device.values()) == 48
@@ -166,10 +162,30 @@ class TestRouterDispatch:
         assert all(s.busy_seconds > 0 and s.max_queue_depth >= 1 for s in served)
         assert all(s.mean_latency_seconds >= 0 for s in served)
 
-    def test_empty_tick_is_noop(self, fleet):
-        router = Router(fleet.devices, seed=1)
-        assert router.dispatch_tick([]) == []
-        assert router.report().total_requests == 0
+    def test_single_device_fleet_matches_direct_device_serving(
+        self, package, tiny_config, pool
+    ):
+        coordinator = FleetCoordinator(tiny_config, seed=0)
+        coordinator.provision(1)
+        coordinator.deploy(package)
+        requests = [
+            InferenceRequest(user_id=i, features=pool[4 * i:4 * i + 4])
+            for i in range(8)
+        ]
+        client = serve(coordinator, seed=3)
+        futures = client.submit_many(requests)
+        client.drain()
+        served = np.concatenate([f.result().class_ids for f in futures])
+        direct = coordinator.devices[0].serve(
+            np.concatenate([r.features for r in requests], axis=0)
+        )
+        assert served.tobytes() == direct.tobytes()
+
+    def test_empty_submit_is_noop(self, fleet):
+        client = serve(fleet, routing="hash", seed=1)
+        assert client.submit_many([]) == []
+        assert client.drain() == 0
+        assert client.report().total_requests == 0
 
 
 class TestFleetCoordinator:
@@ -334,23 +350,16 @@ class TestCheckpointStore:
         with pytest.raises(SerializationError, match="evicted"):
             store.restore(evicted)
 
-    def test_live_router_follows_device_replacement(self, fleet, pool, tmp_path):
-        router = Router(fleet.devices, seed=1)
-        replaced_id = int(router.shard([7])[0])
-        crashed = fleet.devices[replaced_id]
+    def test_live_client_follows_device_replacement(self, fleet, pool, tmp_path):
+        client = serve(fleet, routing="hash", seed=1)
+        crashed = fleet.devices[int(hash_lanes([7], 1)[0])]
         store = CheckpointStore(tmp_path)
         replacement = store.restore(store.save(crashed))
         fleet.replace_device(crashed.device_id, replacement)
         before = replacement.edge.inference_requests
-        router.dispatch_tick([InferenceRequest(user_id=7, features=pool[:2])])
+        client.predict(pool[:2], user_id=7)
         assert replacement.edge.inference_requests == before + 1
         assert crashed.edge.inference_requests == 0
-
-    def test_router_rejects_resized_fleet(self, fleet, pool):
-        router = Router(fleet.devices, seed=1)
-        fleet.provision(1)
-        with pytest.raises(ConfigurationError):
-            router.dispatch_tick([InferenceRequest(user_id=1, features=pool[:1])])
 
 
 class TestFleetSimulation:

@@ -75,7 +75,7 @@ class TestFullPipeline:
         platform.edge_learn_new_activity(
             pipeline_scenario.new_train, pipeline_scenario.new_validation
         )
-        predictions = platform.edge_predict(pipeline_scenario.test.features)
+        predictions = platform.serving_client().predict(pipeline_scenario.test.features)
         accuracy = float(np.mean(predictions == pipeline_scenario.test.labels))
         assert accuracy > 0.6
 

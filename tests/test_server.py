@@ -27,7 +27,7 @@ from repro.exceptions import (
     WireProtocolError,
 )
 from repro.fleet import TrafficGenerator, WorkloadSpec
-from repro.fleet.router import DeviceStats, RoutingReport
+from repro.serving import DeviceStats, RoutingReport
 from repro.server import (
     AsyncConnection,
     AsyncServingClient,

@@ -16,14 +16,7 @@ from repro.exceptions import (
     RoutingError,
     ServingError,
 )
-from repro.fleet import (
-    FleetCoordinator,
-    InferenceRequest,
-    LoadBalancer,
-    Router,
-    TrafficGenerator,
-    WorkloadSpec,
-)
+from repro.fleet import FleetCoordinator, InferenceRequest, TrafficGenerator, WorkloadSpec
 from repro.serving import (
     ABRollout,
     AllAtOnceRollout,
@@ -146,17 +139,45 @@ class TestServeFacade:
         predictions = client.predict(pool[:12])
         assert np.array_equal(predictions, pretrained_pilote.predict(pool[:12]))
 
-    def test_fleet_client_matches_legacy_router(self, fleet, pool):
+    def test_empty_batch_on_device_and_platform(self, pretrained_pilote, tiny_config):
+        """A device serves an empty batch as no predictions; the client
+        rejects an empty request with a typed error instead."""
+        empty = np.empty((0, pretrained_pilote.model.input_dim))
+        device = EdgeDevice()
+        device.attach_inference(pretrained_pilote.inference_engine())
+        assert device.serve(empty).shape == (0,)
+        platform = MagnetoPlatform(tiny_config, seed=0)
+        platform.cloud.learner = pretrained_pilote
+        platform.cloud.history = object()
+        platform.deploy_to_edge()
+        assert platform.device.serve(empty).shape == (0,)
+        with pytest.raises(InvalidRequestError):
+            platform.serving_client().predict(empty)
+
+    def test_fleet_client_matches_direct_device_serving(self, fleet, pool):
+        """Each device's share of a tick, concatenated in submission order
+        and served by one ``device.serve`` call, gives the client's bytes."""
         requests = [
             InferenceRequest(user_id=i, features=pool[2 * i:2 * i + 2])
             for i in range(12)
         ]
-        legacy = Router(fleet.devices, seed=9).dispatch_tick(requests)
         client = serve(fleet, routing="hash", seed=9)
         futures = client.submit_many(requests)
         client.drain()
-        for future, expected in zip(futures, legacy):
-            assert np.array_equal(future.result().class_ids, expected)
+        responses = [future.result() for future in futures]
+        by_device = {}
+        for request, response in zip(requests, responses):
+            by_device.setdefault(response.device_id, []).append((request, response))
+        for device_id, pairs in by_device.items():
+            expected = fleet.device(device_id).serve(
+                np.concatenate([request.features for request, _ in pairs])
+            )
+            served = np.concatenate([response.class_ids for _, response in pairs])
+            assert served.tobytes() == expected.tobytes()
+        per_device = client.report().per_device
+        assert {i: s.requests for i, s in per_device.items() if s.requests} == {
+            device_id: len(pairs) for device_id, pairs in by_device.items()
+        }
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ServingError, match="don't know how to serve"):
@@ -302,12 +323,12 @@ class TestDeadlines:
 
 class TestInFlightReplacement:
     def test_replace_device_no_drop_no_double(self, fleet, pool, tmp_path):
-        """LoadBalancer.replace_device with requests in flight: every request
-        is answered exactly once, queued work lands on the replacement."""
+        """FleetCoordinator.replace_device with requests in flight: every
+        request is answered exactly once, queued work lands on the
+        replacement."""
         from repro.fleet import CheckpointStore
 
         client = serve(fleet, routing="hash", seed=1)
-        balancer = LoadBalancer(fleet.devices, seed=1)
         requests = [
             InferenceRequest(user_id=u, features=pool[:1]) for u in range(30)
         ]
@@ -317,8 +338,8 @@ class TestInFlightReplacement:
         crashed = fleet.devices[0]
         store = CheckpointStore(tmp_path)
         replacement = store.restore(store.save(crashed))
-        balancer.replace_device(crashed.device_id, replacement)
-        assert fleet.devices[0] is replacement  # live list is shared
+        fleet.replace_device(crashed.device_id, replacement)
+        assert fleet.devices[0] is replacement  # the scheduler's live list
 
         completions = []
         for future in futures:
@@ -333,64 +354,37 @@ class TestInFlightReplacement:
 
     def test_replace_unknown_device_rejected(self, fleet):
         with pytest.raises(ConfigurationError):
-            LoadBalancer(fleet.devices, seed=1).replace_device(99, fleet.devices[0])
+            fleet.replace_device(99, fleet.devices[0])
         with pytest.raises(RoutingError):
             serve(fleet).replace_device(99, fleet.devices[0])
 
 
-class TestDeprecationShims:
-    def test_edge_predict_warns_and_matches_client(self, pretrained_pilote, tiny_config, pool):
-        platform = MagnetoPlatform(tiny_config, seed=0)
-        platform.cloud.learner = pretrained_pilote
-        platform.cloud.history = object()
-        platform.deploy_to_edge()
-        fresh = serve(platform).predict(pool[:10])
-        with pytest.warns(DeprecationWarning, match="edge_predict is deprecated"):
-            legacy = platform.edge_predict(pool[:10])
-        assert np.array_equal(legacy, fresh)
+class TestReportModule:
+    @pytest.mark.parametrize(
+        "first", ["repro.serving.report", "repro.fleet", "repro.serving", "repro"]
+    )
+    def test_report_types_resolve_from_serving_in_fresh_interpreter(self, first):
+        import os
+        import subprocess
+        import sys
 
-    def test_edge_device_infer_warns_and_matches_client(self, pretrained_pilote, pool):
-        device = EdgeDevice()
-        device.attach_inference(pretrained_pilote.inference_engine())
-        fresh = serve(device).predict(pool[:6])
-        with pytest.warns(DeprecationWarning, match="EdgeDevice.infer is deprecated"):
-            legacy = device.infer(pool[:6])
-        assert np.array_equal(legacy, fresh)
+        import repro
 
-    def test_router_submit_warns_and_matches_dispatch(self, fleet, pool):
-        request = InferenceRequest(user_id=17, features=pool[:4])
-        reference = Router(fleet.devices, seed=3).dispatch_tick([request])[0]
-        router = Router(fleet.devices, seed=3)
-        with pytest.warns(DeprecationWarning, match="Router.submit is deprecated"):
-            predictions = router.submit(request)
-        assert np.array_equal(predictions, reference)
-        # submit() traffic is folded into the router's own report.
-        assert router.report().total_requests == 1
-
-    def test_router_report_merges_submit_and_dispatch(self, fleet, pool):
-        router = Router(fleet.devices, seed=3)
-        router.dispatch_tick(
-            [InferenceRequest(user_id=u, features=pool[:1]) for u in range(6)]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        code = (
+            f"import importlib, pkgutil; importlib.import_module({first!r})\n"
+            "import repro.fleet, repro.serving as serving\n"
+            "fleet_modules = {m.name for m in pkgutil.iter_modules(repro.fleet.__path__)}\n"
+            "assert 'router' not in fleet_modules, fleet_modules\n"
+            "assert serving.DeviceStats.__module__ == 'repro.serving.report'\n"
+            "assert serving.RoutingReport.__module__ == 'repro.serving.report'\n"
+            "assert serving.ROLLING_WINDOW == 256\n"
         )
-        with pytest.warns(DeprecationWarning):
-            router.submit(InferenceRequest(user_id=0, features=pool[:2]))
-        report = router.report()
-        assert report.total_requests == 7
-        assert report.total_windows == 8
-        assert sum(s.requests for s in report.per_device.values()) == 7
-
-    def test_shims_preserve_empty_batch_behaviour(self, pretrained_pilote, tiny_config):
-        empty = np.empty((0, pretrained_pilote.model.input_dim))
-        device = EdgeDevice()
-        device.attach_inference(pretrained_pilote.inference_engine())
-        with pytest.warns(DeprecationWarning):
-            assert device.infer(empty).shape == (0,)
-        platform = MagnetoPlatform(tiny_config, seed=0)
-        platform.cloud.learner = pretrained_pilote
-        platform.cloud.history = object()
-        platform.deploy_to_edge()
-        with pytest.warns(DeprecationWarning):
-            assert platform.edge_predict(empty).shape == (0,)
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestWorkloadSpecValidation:

@@ -24,7 +24,7 @@ from repro.exceptions import (
     WorkerDiedError,
 )
 from repro.fleet import FleetCoordinator, TrafficGenerator, WorkloadSpec
-from repro.fleet.router import DeviceStats, RoutingReport
+from repro.serving import DeviceStats, RoutingReport
 from repro.serving import (
     EXECUTORS,
     EventLoopScheduler,
