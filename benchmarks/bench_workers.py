@@ -14,6 +14,8 @@ measurements isolate batch execution itself):
 2. **Real wall-clock speedup** — a compute-bound fleet workload drained
    through the ``ProcessExecutor`` must beat the ``SerialExecutor`` on
    *measured* wall-clock throughput, with identical predictions.  The
+   serial baseline is the scheduler's fused drain: its lanes share one
+   package's weights, so each tick embeds all lanes in one stacked call.  The
    required speedup scales with the hardware actually available:
    ≥ 1.8× with 4+ usable cores (the acceptance target, 4 workers),
    ≥ 1.2× with 2-3 cores, and on a single core — where no parallel
@@ -59,11 +61,17 @@ SIM_NODE = DeviceProfile(
     "sim-node", storage_bytes=256 * 2**20, memory_bytes=2**30, relative_compute=1.0
 )
 
-#: Wide enough layers that the per-batch GEMMs dominate the IPC cost of
-#: shipping the window payloads — the "compute-bound" in the gate (roughly
-#: 100 ms of embedding compute per ~330 KB task payload).
+#: The serving learner of the serial bit-exactness gate.
 HEAVY_CONFIG = PiloteConfig(
     hidden_dims=(512, 256), embedding_dim=32, cache_size=1200, seed=0
+)
+#: Wide enough layers that the per-batch GEMMs dominate the IPC cost of
+#: shipping the window payloads — the "compute-bound" in the speedup gate
+#: (about 65 µs of embedding compute per 320-byte window, ~1.6 s per stream
+#: on one Xeon core).  At ``HEAVY_CONFIG``'s width the engine is fast enough
+#: that the stream serves in ~0.15 s and IPC dominates (0.7-1.0x on 2 vCPUs).
+SPEEDUP_CONFIG = PiloteConfig(
+    hidden_dims=(2048, 1024), embedding_dim=32, cache_size=1200, seed=0
 )
 N_FEATURES = 80
 
@@ -97,9 +105,9 @@ def build_fleet(package, n_devices: int, config=HEAVY_CONFIG) -> FleetCoordinato
     return fleet
 
 
-def _compute_bound_ticks(pool, n_ticks: int = 6, per_tick: int = 256):
+def _compute_bound_ticks(pool, n_ticks: int = 6, per_tick: int = 256, pattern="zipf"):
     spec = WorkloadSpec(
-        pattern="zipf", n_users=500, requests_per_tick=per_tick,
+        pattern=pattern, n_users=500, requests_per_tick=per_tick,
         n_ticks=n_ticks, windows_per_request=16,
     )
     return list(TrafficGenerator(pool, spec, seed=7).ticks())
@@ -172,19 +180,22 @@ def test_process_executor_wall_clock_speedup(report):
     cores = usable_cores()
     effective = min(N_WORKERS, cores)
     with precision("edge"):
-        package = package_for_edge(make_serving_learner())
+        package = package_for_edge(make_serving_learner(SPEEDUP_CONFIG))
         pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES)).astype(np.float32)
-        ticks = _compute_bound_ticks(pool)
+        # Uniform users keep the lanes balanced: under Zipf, hash routing
+        # puts ~59% of the windows on one of two lanes, which caps any
+        # two-worker speedup near 1.7x before IPC and host noise.
+        ticks = _compute_bound_ticks(pool, pattern="uniform")
         n_windows = sum(r.n_windows for t in ticks for r in t)
         probe = ticks[0][:4]
 
-        serial_fleet = build_fleet(package, N_WORKERS)
+        serial_fleet = build_fleet(package, N_WORKERS, SPEEDUP_CONFIG)
         with serve(serial_fleet, routing="hash", seed=7, executor="serial") as client:
             client.submit_many(probe)
             client.drain()  # warm caches outside the timed window
             serial_predictions, serial_wall = _drain_stream(client, ticks)
 
-        process_fleet = build_fleet(package, N_WORKERS)
+        process_fleet = build_fleet(package, N_WORKERS, SPEEDUP_CONFIG)
         with serve(
             process_fleet, routing="hash", seed=7,
             executor="process", workers=N_WORKERS,

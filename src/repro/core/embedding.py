@@ -12,6 +12,14 @@ tape for training (one record per layer), and :meth:`EmbeddingNetwork.embed`
 — what every inference caller uses: serving engines, herding, prototype
 refresh and the distillation teacher — runs the eval-mode forwards on plain
 numpy arrays, with no ``Tensor``, no tape and no train/eval flip.
+
+Every network carries a :attr:`EmbeddingNetwork.weights_token`: an opaque,
+O(1) key that is equal on two networks only when they are known to hold the
+same weights.  Networks materialised from one
+:class:`~repro.edge.transfer.TransferPackage` share the package's token, so
+the serving scheduler can embed their lanes' windows in one stacked call;
+every weight write path (construction, :meth:`load_state_dict`, training in
+``PILOTE``) resets it to ``None``, which never matches anything.
 """
 
 from __future__ import annotations
@@ -66,6 +74,10 @@ class EmbeddingNetwork(Module):
             rng=rng if rng is not None else self.config.seed,
         )
         self.normalize = bool(self.config.normalize_embeddings)
+        #: Shared-weights key (see the module docstring); ``None`` means
+        #: "these weights are this network's own" and never fuses.  Code
+        #: that writes parameters directly must reset it.
+        self.weights_token: Optional[object] = None
 
     # ------------------------------------------------------------------ #
     def forward(self, inputs) -> Tensor:
@@ -109,6 +121,11 @@ class EmbeddingNetwork(Module):
             raise ShapeError(
                 f"expected input of shape (batch, {self.input_dim}), got {shape}"
             )
+
+    def load_state_dict(self, state) -> None:
+        """Load weights (see :meth:`Module.load_state_dict`); drops the token."""
+        super().load_state_dict(state)
+        self.weights_token = None
 
     # ------------------------------------------------------------------ #
     def clone_frozen(self) -> "EmbeddingNetwork":

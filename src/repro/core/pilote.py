@@ -438,6 +438,9 @@ class PILOTE:
         """Shared optimisation loop for pre-training and incremental updates."""
         assert self.model is not None
         model = self.model
+        # Training rewrites the weights in place: they are this learner's own
+        # from here on, so its lanes stop sharing embeddings with siblings.
+        model.weights_token = None
         config = self.config
         pair_strategy = "new_centred" if new_classes else "all"
         sampler = PairSampler(

@@ -21,6 +21,12 @@ The engine holds a reference to its learner rather than copied state: after
 an on-device incremental update the very next ``predict`` call serves the
 new classes with no explicit re-wiring.
 
+``predict`` is ``classify(embed(windows))``, and :meth:`InferenceEngine
+.classify` is public: the serving scheduler embeds the windows of several
+lanes whose networks share weights in one stacked call, then hands each
+engine its slice.  :class:`SnapshotEngine` runs the same chunked embed and
+the same classify code, so the three paths cannot drift apart.
+
 When serving must leave the process — the multi-process
 :class:`~repro.serving.ProcessExecutor` runs one worker per lane group —
 the live-learner reference cannot travel.  :meth:`InferenceEngine
@@ -64,6 +70,11 @@ class InferenceEngine:
     batch_size:
         Maximum number of windows embedded per internal step; bounds peak
         working memory during large requests.
+
+    :meth:`predict` embeds through the learner, then :meth:`classify` runs
+    the NCM half (refresh check, prototype distances, class-id ``take``).
+    Fused serving calls :meth:`classify` directly with embeddings computed
+    for several engines at once.
     """
 
     def __init__(self, learner: "PILOTE", *, batch_size: int = 256) -> None:
@@ -131,39 +142,47 @@ class InferenceEngine:
         }
 
     # ------------------------------------------------------------------ #
-    def _distances(self, windows: np.ndarray) -> np.ndarray:
-        """``(n, n_classes)`` prototype distances for many raw windows."""
+    def _embed(self, windows: np.ndarray) -> np.ndarray:
+        """Embeddings of raw windows, ``batch_size`` rows per model call."""
+        return _embed_in_chunks(
+            self._learner.embed, windows, self.batch_size,
+            self._learner.config.embedding_dim,
+        )
+
+    def _distances(self, embeddings: np.ndarray) -> np.ndarray:
+        """``(n, n_classes)`` prototype distances of current-state embeddings."""
+        classifier = self._classifier
+        distances = _prototype_distances(
+            embeddings, classifier.prototype_matrix(), classifier.metric,
+            self.batch_size,
+        )
+        n_windows = int(embeddings.shape[0])
+        self.batches_served += -(-n_windows // self.batch_size)
+        self.windows_served += n_windows
+        return distances
+
+    def classify(self, embeddings: np.ndarray) -> np.ndarray:
+        """Class ids for already-embedded windows — the NCM half of :meth:`predict`.
+
+        Runs the refresh check, the prototype distances (one GEMM per
+        ``batch_size`` rows, the chunks :meth:`predict` embeds in) and the
+        class-id ``take``.  The serving scheduler calls it directly with a
+        lane's slice of one embedding stacked across lanes whose networks
+        share a :attr:`~repro.core.embedding.EmbeddingNetwork.weights_token`.
+        """
         self._refresh_if_stale()
-        assert self._classifier is not None
-        backend = get_backend()
-        windows = backend.asarray(windows)
-        if windows.ndim == 1:
-            windows = windows[None, :]
-        prototypes = self._classifier.prototype_matrix()
-        metric = self._classifier.metric
-        if windows.shape[0] == 0:
-            return backend.zeros((0, prototypes.shape[0]))
-        chunks = []
-        for start in range(0, windows.shape[0], self.batch_size):
-            chunk = windows[start:start + self.batch_size]
-            embeddings = self._learner.embed(chunk)
-            chunks.append(
-                backend.pairwise_distances(embeddings, prototypes, metric=metric)
-            )
-            self.batches_served += 1
-        self.windows_served += int(windows.shape[0])
-        return np.concatenate(chunks, axis=0)
+        distances = self._distances(embeddings)
+        return self._class_ids.take(np.argmin(distances, axis=1))
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Class ids for a batch of raw feature windows."""
-        distances = self._distances(windows)
-        assert self._class_ids is not None
-        return self._class_ids.take(np.argmin(distances, axis=1))
+        return self.classify(self._embed(windows))
 
     def predict_scores(self, windows: np.ndarray) -> np.ndarray:
         """Soft class scores (softmax over negative prototype distances)."""
-        distances = self._distances(windows)
-        logits = -distances
+        embeddings = self._embed(windows)
+        self._refresh_if_stale()
+        logits = -self._distances(embeddings)
         logits -= logits.max(axis=1, keepdims=True)
         exp = np.exp(logits)
         return exp / exp.sum(axis=1, keepdims=True)
@@ -416,25 +435,66 @@ class SnapshotEngine:
         self.windows_served = 0
         self.batches_served = 0
 
+    def classify(self, embeddings: np.ndarray) -> np.ndarray:
+        """Class ids for already-embedded windows (snapshot state)."""
+        with precision(self._dtype):
+            distances = _prototype_distances(
+                embeddings, self._prototypes, self._metric, self.batch_size
+            )
+        n_windows = int(embeddings.shape[0])
+        self.batches_served += -(-n_windows // self.batch_size)
+        self.windows_served += n_windows
+        return self._class_ids.take(np.argmin(distances, axis=1))
+
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Class ids for a batch of raw feature windows (snapshot state)."""
         with precision(self._dtype):
-            backend = get_backend()
-            windows = backend.asarray(windows)
-            if windows.ndim == 1:
-                windows = windows[None, :]
-            if windows.shape[0] == 0:
-                return np.empty(0, dtype=np.int64)
-            chunks = []
-            for start in range(0, windows.shape[0], self.batch_size):
-                chunk = windows[start:start + self.batch_size]
-                embeddings = self._model.embed(chunk)
-                chunks.append(
-                    backend.pairwise_distances(
-                        embeddings, self._prototypes, metric=self._metric
-                    )
-                )
-                self.batches_served += 1
-            distances = np.concatenate(chunks, axis=0)
-        self.windows_served += int(windows.shape[0])
-        return self._class_ids.take(np.argmin(distances, axis=1))
+            return self.classify(_embed_in_chunks(
+                self._model.embed, windows, self.batch_size,
+                self._model.embedding_dim,
+            ))
+
+
+def _embed_in_chunks(
+    embed, windows: np.ndarray, batch_size: int, embedding_dim: int
+) -> np.ndarray:
+    """``embed`` over raw windows, at most ``batch_size`` rows per call.
+
+    Bounds peak working memory on large requests; a 1-D window is one row
+    and an empty request embeds nothing.
+    """
+    windows = get_backend().asarray(windows)
+    if windows.ndim == 1:
+        windows = windows[None, :]
+    n_windows = windows.shape[0]
+    if n_windows == 0:
+        return get_backend().zeros((0, embedding_dim))
+    if n_windows <= batch_size:
+        return embed(windows)
+    return np.concatenate([
+        embed(windows[start:start + batch_size])
+        for start in range(0, n_windows, batch_size)
+    ], axis=0)
+
+
+def _prototype_distances(
+    embeddings: np.ndarray, prototypes: np.ndarray, metric: str, batch_size: int
+) -> np.ndarray:
+    """``(n, n_classes)`` distances, one GEMM per ``batch_size``-row chunk.
+
+    The chunks are the ones :func:`_embed_in_chunks` embeds, so a lane's
+    distance GEMMs keep their shapes whether its embeddings came from its
+    own ``predict`` or from a slice of an embedding stacked across lanes.
+    """
+    backend = get_backend()
+    n_windows = embeddings.shape[0]
+    if n_windows == 0:
+        return backend.zeros((0, prototypes.shape[0]))
+    if n_windows <= batch_size:
+        return backend.pairwise_distances(embeddings, prototypes, metric=metric)
+    return np.concatenate([
+        backend.pairwise_distances(
+            embeddings[start:start + batch_size], prototypes, metric=metric
+        )
+        for start in range(0, n_windows, batch_size)
+    ], axis=0)

@@ -36,6 +36,20 @@ class TransferPackage:
     exemplar_capacity: Optional[int] = None
 
     @property
+    def weights_token(self) -> object:
+        """The token every learner instantiated from this package carries.
+
+        Owned by the package (created on first use), so all its learners'
+        :attr:`~repro.core.embedding.EmbeddingNetwork.weights_token` compare
+        equal until one of them rewrites its weights.  The package's
+        ``model_state`` is treated as immutable once learners exist.
+        """
+        token = self.__dict__.get("_weights_token")
+        if token is None:
+            token = self.__dict__["_weights_token"] = object()
+        return token
+
+    @property
     def total_bytes(self) -> int:
         return self.model_bytes + self.support_set_bytes + self.prototype_bytes
 
@@ -75,7 +89,8 @@ class TransferPackage:
         into rows; the backbone weights are always private (training updates
         them in place, and ``load_state_dict`` copies regardless).  The
         instantiated state is identical either way — ``seed`` only feeds the
-        learner's *future* training streams.
+        learner's *future* training streams.  Either way the learner's model
+        carries the package's :attr:`weights_token`.
         """
         from repro.core.embedding import EmbeddingNetwork  # local import avoids a cycle
         from repro.core.ncm import NCMClassifier
@@ -87,6 +102,7 @@ class TransferPackage:
         learner.model = EmbeddingNetwork(int(input_dim), config=config)
         learner.model.load_state_dict(self.model_state)
         learner.model.eval()
+        learner.model.weights_token = self.weights_token
         learner._old_classes = sorted(int(c) for c in self.prototypes)
         learner.exemplars.strategy = self.exemplar_strategy
         learner.exemplars.capacity = self.exemplar_capacity

@@ -133,6 +133,36 @@ class FleetDevice:
     #: fleet device it is simply :meth:`serve`.
     infer = serve
 
+    # -- fused serving: ``serve`` split at the embedding ------------------ #
+    def fusion_key(self) -> Optional[tuple]:
+        """``(weights_token, serving dtype)``, or ``None`` to never fuse.
+
+        Lanes with equal keys hold the same network weights at the same
+        dtype, so the serial scheduler may embed their windows in one
+        stacked :meth:`embed` call and finish each lane with
+        :meth:`classify`.  ``None`` before deployment and once the learner
+        owns its weights (trained on the device, restored from a checkpoint).
+        """
+        engine = self.edge.engine
+        if engine is None:
+            return None
+        model = engine.learner.model
+        token = None if model is None else model.weights_token
+        if token is None:
+            return None
+        return (token, self.profile.compute_dtype)
+
+    def embed(self, windows: np.ndarray) -> np.ndarray:
+        """Embed windows with the served network at this device's dtype."""
+        engine = self.edge.engine
+        with self.edge.precision():
+            return engine.learner.model.embed(windows, batch_size=engine.batch_size)
+
+    def classify(self, embeddings: np.ndarray) -> np.ndarray:
+        """Finish :meth:`serve` from embeddings: this device's prototypes."""
+        with self.edge.precision():
+            return self.edge.engine.classify(embeddings)
+
     def learn_new_activity(
         self,
         new_train: HARDataset,

@@ -23,10 +23,11 @@ front door:
   scheduler produces, with ``to_dict``/``from_dict`` round-trips;
 * **executor** (:mod:`repro.serving.executor`) — pluggable batch execution
   behind the scheduler (:data:`EXECUTORS`): :class:`SerialExecutor`
-  (inline on the simulated clock, the default and bit-exact historical
-  behaviour), :class:`ThreadExecutor` (shared-memory pool for I/O-shaped
-  lanes) and :class:`ProcessExecutor` (persistent worker OS processes, one
-  per lane group, serving shipped
+  (inline on the simulated clock, the default; only its drain embeds the
+  batches of lanes that share weights in one call),
+  :class:`ThreadExecutor` (shared-memory pool for I/O-shaped lanes) and
+  :class:`ProcessExecutor` (persistent worker OS processes, one per lane
+  group, serving shipped
   :class:`~repro.edge.inference.EngineStateSnapshot` replicas keyed by
   ``PILOTE.state_version``; futures complete from an IPC result queue, and
   a dead worker fails its batches with a typed

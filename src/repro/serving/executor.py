@@ -9,7 +9,11 @@ that batch actually executes.  Three implementations ship with the library
   the calling thread, bit-exact with the historical scheduler: every batch
   is timed with the wall clock and converted to device-seconds through the
   profile's ``relative_compute``, so N lanes drain "in parallel" only on
-  the simulated clock;
+  the simulated clock.  Its drain is also the only one that fuses: lanes
+  whose devices share network weights get one stacked embedding per heap
+  pass, classified per lane by the scheduler (see
+  :mod:`repro.serving.scheduler`); the thread and process executors
+  always serve each lane through its own ``infer``;
 * :class:`ThreadExecutor` (``"thread"``) — a shared-memory thread pool.
   The numpy kernels release the GIL during GEMMs so compute overlaps
   partially, but this executor is primarily for I/O-shaped lanes (devices

@@ -55,16 +55,34 @@ bare ``InferenceEngine.predict`` loop in ``benchmarks/bench_serving.py`` and
 * completion state lives on the *batch*: futures are three-slot views
   ``(request, batch, index)``, so finishing a batch is O(1) in the number
   of requests, and per-request class-id slices materialise lazily on
-  ``result()``.
+  ``result()``;
+* lanes that share weights share one embedding call (below).
+
+Fused serving (serial executor, FIFO lanes).  Fleet devices deployed from
+one :class:`~repro.edge.transfer.TransferPackage` hold identical network
+weights until one of them retrains — only their prototypes differ — and
+each exposes that as ``fusion_key()``: ``(weights_token, serving dtype)``.
+At the start of every heap pass the drain stacks the head batches of all
+ready lanes with equal keys and calls ``EmbeddingNetwork.embed`` once per
+key; each batch parks its slice, and when the heap reaches the lane, in
+the usual order, the device finishes it with ``classify`` (its own
+prototypes, refresh check included).  A lane's service time is its own
+classify time plus its row share of the stacked embed.  A batch changed in
+between (expiry, cancellation, coalescing, a weight rewrite) embeds its own
+rows as before.  With one lane, under EDF, and on the concurrent executors
+nothing fuses.  Stacked rows are byte-equal to a lane's own embedding for
+lane batches of 2+ rows; a 1-row batch differs in the last bits, because
+BLAS serves a 1-row product with a matrix-vector kernel.
 
 Batch *execution* is a pluggable seam (``executor=``, see
 :mod:`repro.serving.executor`): the scheduler prepares each lane's next
 batch (queue pop, deadline expiry, window coalescing) and completes its
 futures/stats, while the executor decides where the engine call runs —
 inline on the simulated clock (:class:`~repro.serving.executor
-.SerialExecutor`, the default and bit-exact historical behaviour), on a
-thread pool, or on persistent worker processes whose results come back
-over an IPC queue (:class:`~repro.serving.executor.ProcessExecutor`).
+.SerialExecutor`, the default; fused lanes are classified inline by the
+scheduler itself), on a thread pool, or on persistent worker processes
+whose results come back over an IPC queue
+(:class:`~repro.serving.executor.ProcessExecutor`).
 Concurrent executors drain in *rounds* — one batch per non-empty lane per
 round, lanes in parallel — which preserves every per-lane ordering
 guarantee (FIFO/EDF, expiry, admission) because lanes never share state;
@@ -83,6 +101,7 @@ import numpy as np
 
 from repro.exceptions import (
     ConfigurationError,
+    DataError,
     DeadlineExceededError,
     RequestCancelledError,
     RoutingError,
@@ -122,7 +141,7 @@ class _Batch:
         "requests", "futures", "arrival", "scheduler",
         "outputs", "device_id", "completion", "finished",
         "error", "errors", "watchers", "_offsets",
-        "deadline", "has_deadlines", "lane", "n_cancelled",
+        "deadline", "has_deadlines", "lane", "n_cancelled", "parked",
     )
 
     def __init__(self, arrival: float, scheduler: "EventLoopScheduler") -> None:
@@ -142,6 +161,7 @@ class _Batch:
         self.has_deadlines = False  # any request carries a deadline
         self.lane = -1  # queue position, set at enqueue (feeds lane_of)
         self.n_cancelled = 0  # futures flagged by cancel(), pending pop
+        self.parked: Optional[_Parked] = None  # slice of a stacked embedding
 
     def offsets(self) -> List[int]:
         """Lazy cumulative window offsets for per-request output slices."""
@@ -162,6 +182,10 @@ class _Batch:
         self.completion = completion
         self.error = error
         self.finished = True
+        # Futures point at their batch; dropping the batch's list of them
+        # leaves no reference cycle, so answered batches are freed by
+        # reference counting instead of waiting for a cyclic-GC pass.
+        self.futures = None
         if self.watchers:
             for future, callback in self.watchers:
                 callback(future)
@@ -186,6 +210,58 @@ class _Batch:
                 else:
                     still_waiting.append((watcher, callback))
             self.watchers = still_waiting or None
+
+
+class _Parked:
+    """A head batch's slice of an embedding stacked across lanes.
+
+    Parked on the batch at the start of a serial heap pass and used when the
+    heap reaches the lane — but only if the batch still holds exactly the
+    ``n_requests`` requests of the ``requests`` list it was stacked from
+    (expiry and cancellation replace that list, coalescing grows it) and
+    the lane's device still reports the same fusion ``key`` (retraining
+    drops the weights token).  ``embed_seconds`` is the lane's row share of
+    the stacked embed's wall time.
+    """
+
+    __slots__ = ("key", "requests", "n_requests", "windows", "embeddings", "embed_seconds")
+
+    def __init__(self, key, requests, windows, embeddings, embed_seconds) -> None:
+        self.key = key
+        self.requests = requests
+        self.n_requests = len(requests)
+        self.windows = windows
+        self.embeddings = embeddings
+        self.embed_seconds = embed_seconds
+
+
+def _fusion_key(device) -> Optional[tuple]:
+    """The device's ``fusion_key()``; ``None`` for devices without one.
+
+    Only device types whose ``infer`` is exactly ``classify(embed(...))``
+    define it (``FleetDevice``); wrappers and adapters that inject behaviour
+    into ``infer`` do not, so they always serve through it.
+    """
+    fusion_key = getattr(device, "fusion_key", None)
+    return fusion_key() if fusion_key is not None else None
+
+
+def _batch_windows(requests: Sequence) -> np.ndarray:
+    """The coalesced window matrix of a batch's requests, in queue order."""
+    if len(requests) == 1:
+        return requests[0].features
+    return np.concatenate([r.features for r in requests], axis=0)
+
+
+def _timed_classify(prepared: "_PreparedBatch") -> LaneResult:
+    """Finish a fused lane inline: its classify time plus its embed share."""
+    start = perf_seconds()
+    try:
+        outputs = prepared.device.classify(prepared.parked.embeddings)
+    except Exception as error:  # typed errors travel through the futures
+        return LaneResult(prepared.position, None, 0.0, error)
+    wall = perf_seconds() - start + prepared.parked.embed_seconds
+    return LaneResult(prepared.position, outputs, wall, None)
 
 
 def _queue_batch(queue: Deque[_Batch], arrival: float, scheduler) -> _Batch:
@@ -437,13 +513,18 @@ class _PreparedBatch:
     struct so ``_complete`` can apply the outcome without re-deriving lane
     state.  ``windows`` is ``None`` when every request expired before
     service — there is nothing to execute, but ``n_resolved`` futures were
-    already resolved by the expiry.
+    already resolved by the expiry.  ``parked`` carries the batch's
+    still-valid slice of a stacked embedding, if the serial drain fused it.
     """
 
-    __slots__ = ("position", "batch", "device", "stats", "begin", "n_resolved", "windows")
+    __slots__ = (
+        "position", "batch", "device", "stats", "begin", "n_resolved",
+        "windows", "parked",
+    )
 
     def __init__(
-        self, position, batch, device, stats, begin, n_resolved, windows=None
+        self, position, batch, device, stats, begin, n_resolved, windows=None,
+        parked=None,
     ) -> None:
         self.position = position
         self.batch = batch
@@ -452,6 +533,35 @@ class _PreparedBatch:
         self.begin = begin
         self.n_resolved = n_resolved
         self.windows = windows
+        self.parked = parked
+
+
+def _lane_runs(
+    assignment: np.ndarray, arrivals: np.ndarray, n_lanes: int
+) -> List[Tuple[int, List[int]]]:
+    """Request indices grouped into ``(lane, indices)`` runs, in enqueue order.
+
+    Lanes ascend; within a lane, requests keep submission order and a new
+    run starts wherever the arrival time changes from the previous request
+    of that lane (one run per tick in the common open-loop case).  One
+    stable sort by lane, cut where the lane or the arrival changes, instead
+    of a scan of the whole assignment per lane.
+    """
+    order = np.argsort(assignment, kind="stable")
+    lanes = assignment[order]
+    if lanes.size and (lanes[0] < 0 or lanes[-1] >= n_lanes):
+        raise RoutingError(
+            f"lane assignment out of range [0, {n_lanes}): "
+            f"{int(lanes[0])}..{int(lanes[-1])}"
+        )
+    ordered = arrivals[order]
+    cuts = np.flatnonzero((lanes[1:] != lanes[:-1]) | (ordered[1:] != ordered[:-1]))
+    bounds = [0, *(cuts + 1).tolist(), int(order.size)]
+    indices = order.tolist()
+    return [
+        (int(lanes[start]), indices[start:end])
+        for start, end in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 class EventLoopScheduler:
@@ -478,8 +588,8 @@ class EventLoopScheduler:
     executor:
         Where batches execute — an :class:`~repro.serving.executor.Executor`
         instance or registry name (``"serial"``/``"thread"``/``"process"``);
-        ``None`` means the inline serial executor, bit-exact with the
-        historical scheduler.  Queue order, routing, rollouts and deadline
+        ``None`` means the inline serial executor, the only one whose
+        drain fuses lanes that share weights.  Queue order, routing, rollouts and deadline
         accounting compose unchanged with every executor.
     workers:
         Pool size for the concurrent executors (default: one per CPU core,
@@ -609,16 +719,14 @@ class EventLoopScheduler:
                     break
                 n_requests = len(batch.requests)
                 self._pending_counts[position] -= n_requests
+                batch.parked = None
                 batch.finish(
                     None, -1, float(self._available_at[position]), error=error
                 )
                 lane_failed += n_requests
             if lane_failed:
                 self._lane_failures[position] += lane_failed
-                device = self._devices[position]
-                stats = self._stats.setdefault(
-                    device.device_id, self._stats_row(device)
-                )
+                stats = self._stats_for(self._devices[position])
                 stats.failures += lane_failed
                 stats.queue_depth = int(self._pending_counts[position])
                 failed += lane_failed
@@ -700,11 +808,19 @@ class EventLoopScheduler:
 
     def _note_queue_depth(self, position: int) -> None:
         """Mirror a lane's live queued-count gauge onto its stats row."""
-        device = self._devices[position]
+        stats = self._stats_for(self._devices[position])
+        stats.queue_depth = int(self._pending_counts[position])
+
+    def _stats_for(self, device) -> DeviceStats:
+        """The device's stats row, created on first use.
+
+        A replacement device (crash/restore) may carry a new id; it inherits
+        the lane but gets its own row.
+        """
         stats = self._stats.get(device.device_id)
         if stats is None:
-            stats = self._stats.setdefault(device.device_id, self._stats_row(device))
-        stats.queue_depth = int(self._pending_counts[position])
+            stats = self._stats[device.device_id] = self._stats_row(device)
+        return stats
 
     def _stats_row(self, device) -> DeviceStats:
         """A fresh stats row for a device, on this scheduler's clock."""
@@ -797,22 +913,12 @@ class EventLoopScheduler:
             dtype=np.float64,
             count=len(requests),
         )
-        for lane in range(self._n_lanes):
-            lane_indices = np.flatnonzero(assignment == lane)
-            if lane_indices.size == 0:
-                continue
-            # Split the lane's share into runs of equal arrival time (one
-            # run per tick in the common open-loop case).
-            lane_arrivals = arrivals[lane_indices]
-            boundaries = np.flatnonzero(np.diff(lane_arrivals)) + 1
-            for segment in np.split(lane_indices, boundaries):
-                segment_futures = self._enqueue_segment(
-                    lane,
-                    float(arrivals[segment[0]]),
-                    [requests[i] for i in segment],
-                )
-                for index, future in zip(segment.tolist(), segment_futures):
-                    futures[index] = future
+        for lane, segment in _lane_runs(assignment, arrivals, self._n_lanes):
+            segment_futures = self._enqueue_segment(
+                lane, float(arrivals[segment[0]]), [requests[i] for i in segment]
+            )
+            for index, future in zip(segment, segment_futures):
+                futures[index] = future
         return futures  # type: ignore[return-value]
 
     def _enqueue_segment(
@@ -899,8 +1005,7 @@ class EventLoopScheduler:
         if rejected:
             # Rejections are deadline outcomes too: they count against the
             # rolling attainment window exactly as queue expiries do.
-            device = self._devices[position]
-            stats = self._stats.setdefault(device.device_id, self._stats_row(device))
+            stats = self._stats_for(self._devices[position])
             for _ in range(rejected):
                 stats.note_deadline(False)
         return futures  # type: ignore[return-value]
@@ -912,7 +1017,10 @@ class EventLoopScheduler:
         With the (default) serial executor, lanes are processed in
         simulated-clock order: the heap always pops the lane whose next
         batch starts earliest (``max(available_at, batch arrival)``),
-        mirroring devices draining their queues in parallel.  With a
+        mirroring devices draining their queues in parallel.  Each heap
+        pass first embeds the head batches of FIFO lanes that share
+        weights in one stacked call (see the module docstring); the pops
+        then classify them in the same order as ever.  With a
         concurrent executor the loop instead runs *rounds* — one batch per
         non-empty lane, executed in parallel, futures completed from the
         executor's results — which preserves every per-lane ordering
@@ -938,6 +1046,8 @@ class EventLoopScheduler:
                     heap.append((begin, self._event_counter, position))
             if not heap:
                 return resolved
+            if len(heap) > 1 and not self._edf:
+                self._embed_heads(heap)
             heapq.heapify(heap)
             while heap:
                 _, _, position = heapq.heappop(heap)
@@ -1007,6 +1117,55 @@ class EventLoopScheduler:
             for batch, outputs, device_id, completion, error in finishes:
                 batch.finish(outputs, device_id, completion, error=error)
 
+    def _embed_heads(self, heap: List[tuple]) -> None:
+        """Stack the head batches of lanes that share weights; embed once.
+
+        Ready FIFO lanes whose devices report equal fusion keys (same
+        weights token, same serving dtype) have their head batches' windows
+        stacked and embedded in one call per key; each batch parks its
+        slice (:class:`_Parked`) for the heap to classify when it reaches
+        the lane.  Serving order is untouched: this only moves embedding
+        work ahead of the heap.  Batches about to lose requests (flagged
+        cancellations, deadlines already passed at their begin time) are
+        left to embed their own rows, as is every batch of a key whose rows
+        cannot be stacked or embedded (a malformed request): each lane then
+        fails on its own, exactly as without fusion.
+        """
+        groups: Dict[tuple, List[Tuple[int, _Batch]]] = {}
+        for begin, _, position in heap:
+            key = _fusion_key(self._devices[position])
+            if key is None:
+                continue
+            batch = self._lanes[position].batches[0]
+            if batch.n_cancelled or (batch.has_deadlines and any(
+                deadline is not None and begin > deadline
+                for deadline in (
+                    getattr(r, "deadline_seconds", None) for r in batch.requests
+                )
+            )):
+                continue
+            groups.setdefault(key, []).append((position, batch))
+        for key, members in groups.items():
+            if len(members) < 2:
+                continue
+            try:
+                lane_windows = [_batch_windows(batch.requests) for _, batch in members]
+                stacked = np.concatenate(lane_windows, axis=0)
+                # Timed like an unfused lane: the engine call, not the copies.
+                start = perf_seconds()
+                embeddings = self._devices[members[0][0]].embed(stacked)
+            except (ValueError, DataError):
+                continue  # malformed rows: each lane embeds its own, fails alone
+            seconds_per_row = (perf_seconds() - start) / stacked.shape[0]
+            offset = 0
+            for (_, batch), windows in zip(members, lane_windows):
+                end = offset + windows.shape[0]
+                batch.parked = _Parked(
+                    key, batch.requests, windows, embeddings[offset:end],
+                    seconds_per_row * windows.shape[0],
+                )
+                offset = end
+
     def _execute_next(self, position: int) -> int:
         """Serve one queued batch on the device currently holding the lane."""
         prepared = self._prepare_next(position)
@@ -1014,7 +1173,9 @@ class EventLoopScheduler:
             # A re-entrant drain (from a done-callback resolving a future)
             # already served this lane; the outer heap entry is stale.
             return 0
-        if prepared.windows is not None:
+        if prepared.parked is not None:
+            self._complete(prepared, _timed_classify(prepared))
+        elif prepared.windows is not None:
             result = self._executor.run(
                 [LaneTask(prepared.position, prepared.windows)]
             )[0]
@@ -1034,23 +1195,28 @@ class EventLoopScheduler:
         n_resolved = len(batch.requests)
         self._pending_counts[position] -= n_resolved
         device = self._devices[position]
-        # setdefault: a replacement device (crash/restore) may carry a new
-        # id; it inherits the lane but gets its own stats row.
-        stats = self._stats.setdefault(device.device_id, self._stats_row(device))
+        stats = self._stats_for(device)
         stats.queue_depth = int(self._pending_counts[position])
         begin = max(self._available_at[position], batch.arrival)
+        parked, batch.parked = batch.parked, None
         requests = batch.requests
         if batch.has_deadlines or batch.n_cancelled:
             requests = self._filter_before_service(batch, begin, stats)
             if not requests:
                 return _PreparedBatch(position, batch, device, stats, begin, n_resolved)
-        windows = (
-            requests[0].features
-            if len(requests) == 1
-            else np.concatenate([r.features for r in requests], axis=0)
-        )
+        if (
+            parked is not None
+            and parked.requests is requests
+            and parked.n_requests == len(requests)
+            and _fusion_key(device) == parked.key
+        ):
+            return _PreparedBatch(
+                position, batch, device, stats, begin, n_resolved,
+                parked.windows, parked,
+            )
         return _PreparedBatch(
-            position, batch, device, stats, begin, n_resolved, windows
+            position, batch, device, stats, begin, n_resolved,
+            _batch_windows(requests),
         )
 
     def _complete(
@@ -1181,10 +1347,13 @@ class EventLoopScheduler:
             else:
                 kept_requests.append(request)
                 kept_futures.append(future)
-        for new_index, future in enumerate(kept_futures):
-            future._index = new_index
         self._total_expired += expired
         batch.n_cancelled = 0
+        if len(kept_requests) == len(batch.requests):
+            # Nothing dropped: keep the list a parked embedding was cut from.
+            return batch.requests
+        for new_index, future in enumerate(kept_futures):
+            future._index = new_index
         batch.requests = kept_requests
         batch.futures = kept_futures
         return kept_requests
