@@ -3,19 +3,19 @@
 Three gates, all on a serving-only learner (no gradient training, so the
 benchmark isolates the coordination layer itself):
 
-1. **Memory sub-linearity** — a hierarchical fleet holds one copy-on-write
+1. **Memory sub-linearity** — a pooled fleet holds one copy-on-write
    template per region instead of one learner per device, so growing the
    fleet 100× (10k → 1M devices) must grow peak allocation far less than
-   100×; a flat fleet at small scale is measured alongside to show the
+   100×; an unpooled fleet at small scale is measured alongside to show the
    per-device cost the pooling removes.
 2. **Delta proportionality** — after refining K of C classes, the snapshot
    delta must carry exactly K prototype rows and a payload that is a small
    fraction of the full snapshot, and applying it must reproduce the target
    snapshot bit for bit.  This is what keeps broadcast re-syncs and worker
    re-shipping O(changed classes).
-3. **Small-fleet bit-exactness** — the hierarchical coordinator with every
-   device materialised must serve the exact predictions (and device
-   assignments) of the flat coordinator under the same seeds, while shipping
+3. **Small-fleet bit-exactness** — a pooled fleet with every device
+   materialised must serve the exact predictions (and device assignments)
+   of the unpooled fleet under the same seeds, while shipping
    one package per region instead of one per device.
 
 Each gate also emits ``results/<name>.json`` with the measured numbers so CI
@@ -37,7 +37,7 @@ from repro.core.embedding import EmbeddingNetwork
 from repro.core.pilote import PILOTE
 from repro.edge.device import DeviceProfile
 from repro.edge.transfer import package_for_edge
-from repro.fleet import FleetCoordinator, HierarchicalFleetCoordinator
+from repro.fleet import FleetCoordinator
 from repro.serving import PredictRequest, serve
 
 SIM_NODE = DeviceProfile(
@@ -79,7 +79,9 @@ def test_memory_sublinear_in_devices(report):
         package = package_for_edge(make_serving_learner())
 
         def build_hier(n_devices: int) -> None:
-            fleet = HierarchicalFleetCoordinator(CONFIG, profiles=(SIM_NODE,), seed=0)
+            fleet = FleetCoordinator(
+                CONFIG, profiles=(SIM_NODE,), seed=0, n_regions=min(64, n_devices)
+            )
             fleet.provision(n_devices)
             fleet.deploy(package)
             fleet.serving_lanes()
@@ -163,7 +165,7 @@ def test_small_fleet_bit_exact_with_flat(report):
         flat = FleetCoordinator(CONFIG, profiles=(SIM_NODE,), seed=11)
         flat.provision(n_devices)
         flat.deploy(package)
-        tree = HierarchicalFleetCoordinator(
+        tree = FleetCoordinator(
             CONFIG, profiles=(SIM_NODE,), seed=11, n_regions=n_regions
         )
         tree.provision(n_devices)

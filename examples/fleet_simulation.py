@@ -12,11 +12,11 @@ exercises the fleet subsystem (:mod:`repro.fleet`) end to end:
 4. the run reports per-device serving stats, aggregate simulated throughput,
    the per-device accuracy divergence, and a checkpoint → crash → restore
    round-trip on one device;
-5. the same broadcast then goes out to a 100,000-device *hierarchical* fleet
-   (:class:`~repro.fleet.HierarchicalFleetCoordinator`): regions share one
+5. the same broadcast then goes out to a 100,000-device fleet pooled into
+   8 regions (``FleetCoordinator(..., n_regions=8)``): regions share one
    copy-on-write template each, only the device that drifts is materialised,
    and the transfer ledger shows one shipment per region rather than per
-   device.  ``pilote fleet-sim --devices 1000000`` runs the same tree at
+   device.  ``pilote fleet-sim --devices 1000000`` runs the same layout at
    full scale.
 
 Run with::
@@ -35,7 +35,6 @@ from repro.edge.device import DEVICE_PROFILES
 from repro.fleet import (
     CheckpointStore,
     FleetCoordinator,
-    HierarchicalFleetCoordinator,
     TrafficGenerator,
     WorkloadSpec,
     staggered_schedule,
@@ -62,7 +61,7 @@ def main() -> None:
     fleet = FleetCoordinator(config, profiles=profiles, seed=SEED)
     fleet.provision(N_DEVICES)
     fleet.deploy(package)
-    for row in fleet.describe():
+    for row in (device.describe() for device in fleet.devices):
         print(f"  device {row['device_id']} ({row['profile']}): "
               f"{row['storage_used'] / 1024:.1f} KB used")
 
@@ -114,15 +113,15 @@ def main() -> None:
               f"device; predictions identical: {identical}")
         fleet.replace_device(0, restored)
 
-    # 7. The regional tree: the same broadcast, 100,000 devices, 8 regions.
+    # 7. Pooled regions: the same broadcast, 100,000 devices, 8 regions.
     #    Pooled devices serve from one copy-on-write template per region; a
     #    device only gets its own learner once it actually drifts.
-    tree = HierarchicalFleetCoordinator(config, seed=SEED, n_regions=8)
+    tree = FleetCoordinator(config, seed=SEED, n_regions=8)
     tree.provision(100_000)
     tree.deploy(package)
     drifter = tree.device(12_345)  # materialised out of its region's pool
     drifter.learn_new_activity(scenario.new_train.subsample(60, rng=SEED))
-    client = serve(tree, seed=SEED)  # regional routing over the lane tree
+    client = serve(tree, seed=SEED)  # hash routing folded onto region lanes
     try:
         pending = [
             client.submit(PredictRequest(user_id=user, features=scenario.test.features[:4]))
@@ -133,13 +132,13 @@ def main() -> None:
     finally:
         client.close()
     region = tree.region_of(12_345)
-    print(f"\nhierarchical fleet: {len(tree):,} devices in {tree.n_regions} regions, "
+    print(f"\npooled fleet: {len(tree):,} devices in {tree.n_regions} regions, "
           f"{len(tree.serving_lanes())} serving lanes")
     print(f"  region {region.region_id}: {region.n_pooled:,} pooled devices + "
           f"{len(region.materialized)} materialised (device 12,345 drifted)")
     print(f"  broadcast shipped {tree.transfers.deploy_shipments} packages "
           f"({tree.transfers.deploy_bytes / 2**20:.2f} MB) instead of {len(tree):,}")
-    print(f"  served {answered}/32 requests through the regional tree")
+    print(f"  served {answered}/32 requests through the region lanes")
 
 
 if __name__ == "__main__":

@@ -33,11 +33,11 @@ increments, checkpoint/restore — see ``examples/fleet_simulation.py`` and
 the :mod:`repro.fleet` package, run ``pilote fleet-sim --scale quick
 --routing least-loaded`` for the end-to-end simulation, or ``pilote serve``
 for the same workload answered by every serving layer.  Past ~1000 devices
-the simulation switches to a hierarchical tree of regional coordinators
-(``pilote fleet-sim --devices 1000000``, or ``--regions 8`` to pick the
-fan-out): regions serve one pooled copy-on-write template each, devices are
-only materialised when they drift, and re-syncs ship snapshot *deltas* — so
-a million-device fleet runs in megabytes, not terabytes.
+the simulation pools the fleet into regions (``pilote fleet-sim --devices
+1000000``, or ``--regions 8`` to pick the count): regions serve one pooled
+copy-on-write template each, devices are only materialised when they drift,
+and re-syncs ship snapshot *deltas* — so a million-device fleet runs in
+megabytes, not terabytes.
 
 Profiling the update
 --------------------

@@ -18,10 +18,10 @@ a served/missed/expired SLO breakdown), and ``--executor
 (the serial default models the simulated parallel clock; thread/process run
 real shared-memory or multi-process workers and report measured wall-clock
 latency).  Past 1024 devices (or with an explicit ``--regions N``) the fleet
-runs on the hierarchical coordinator — pooled per-region device state and
-delta snapshot shipping make ``--devices 1000000`` tractable.  ``pilote serve`` answers one seeded workload through all three
-serving layers (bare learner, MAGNETO platform, fleet) over the unified
-:mod:`repro.serving` API.
+pools its devices into regions — pooled per-region device state and delta
+snapshot shipping make ``--devices 1000000`` tractable.  ``pilote serve``
+answers one seeded workload through all three serving layers (bare learner,
+MAGNETO platform, fleet) over the unified :mod:`repro.serving` API.
 
 ``pilote fleet-sim --adaptive`` attaches the self-tuning control plane
 (:mod:`repro.control`) to the simulation's serving client — load-shedding
@@ -174,9 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--regions",
         type=int,
         default=None,
-        help="regional shard count for fleet-sim's hierarchical coordinator "
-        "(default: automatic — flat below 1024 devices, up to 64 regions "
-        "above; forcing a value always selects the hierarchical fleet)",
+        help="pool the fleet's devices into N regions, each served from one "
+        "shared template until a device drifts (default: automatic — one "
+        "region per device up to 1024 devices, up to 64 regions above)",
     )
     parser.add_argument(
         "--host",

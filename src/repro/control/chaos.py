@@ -316,24 +316,23 @@ class ChaosRunReport:
 
 # ---------------------------------------------------------------------- #
 def _wrap_devices(fleet, spec: ChaosSpec):
-    """Install the scenario's device wrappers in the fleet's live list.
+    """Install the scenario's device wrappers through ``replace_device``.
 
     Returns the wrappers so the injection loop can flip their flags; the
-    scheduler sees them through the same live list (``fleet.devices``)
-    that device replacement uses.
+    scheduler sees them because the fleet swaps them into its live lanes.
     """
     wrappers = []
     if spec.scenario == "worker-storm":
         for position in spec.storm_devices:
             wrapper = FlakyDevice(fleet.devices[position])
-            fleet.devices[position] = wrapper
+            fleet.replace_device(wrapper.device_id, wrapper)
             wrappers.append(wrapper)
     elif spec.scenario == "stragglers":
         for position in spec.storm_devices:
             wrapper = StragglerDevice(
                 fleet.devices[position], slow_factor=spec.slow_factor
             )
-            fleet.devices[position] = wrapper
+            fleet.replace_device(wrapper.device_id, wrapper)
             wrappers.append(wrapper)
     return wrappers
 

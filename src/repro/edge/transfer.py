@@ -79,11 +79,11 @@ class TransferPackage:
         layer (:mod:`repro.fleet`) uses this to provision many devices from a
         single cloud broadcast.
 
-        ``copy_arrays=False`` is the copy-on-write path used by pooled fleet
-        templates (:class:`~repro.fleet.coordinator.HierarchicalFleetCoordinator`):
+        ``copy_arrays=False`` is the copy-on-write path every fleet device
+        deploys through (:meth:`~repro.fleet.coordinator.FleetDevice.deploy`):
         exemplar rows and prototypes are *shared* with the package instead of
-        deep-copied, so a region full of identical devices costs one support
-        set, not N.  Sharing is safe because every mutation path
+        deep-copied, so a fleet of identical devices costs one support set,
+        not N.  Sharing is safe because every mutation path
         (``ExemplarStore.select``/``set_exemplars``, ``PrototypeStore.set``,
         ``_refresh_prototypes``) replaces whole entries rather than writing
         into rows; the backbone weights are always private (training updates

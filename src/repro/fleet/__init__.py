@@ -6,17 +6,17 @@ that architecture out to a *fleet* behind a single cloud broadcast:
 * :class:`FleetCoordinator` provisions N devices from heterogeneous
   :class:`~repro.edge.device.DeviceProfile`s, deploys one
   :class:`~repro.edge.transfer.TransferPackage` to all of them (each device
-  gets an independent learner) and schedules staggered per-device increments;
+  gets an independent learner) and schedules staggered per-device increments.
+  Devices live in regions (:class:`RegionCoordinator`); with ``n_regions``
+  the same class scales to a million devices: regions serve pooled
+  copy-on-write template state behind one lane each, only drifting devices
+  are materialised, and broadcasts ship one package per region
+  (:class:`TransferLedger` accounts the bytes);
 * :class:`TrafficGenerator` produces deterministic open-loop workloads
   (uniform, bursty, Zipf-skewed user populations);
 * :class:`CheckpointStore` snapshots device state (full or delta archives),
   evicts under a storage budget, and restores state onto a fresh device
-  (crash/replace, elasticity);
-* :class:`HierarchicalFleetCoordinator` scales the same architecture to a
-  million devices: regions (:class:`RegionCoordinator`) serve pooled
-  copy-on-write template state behind one lane each, only drifting devices
-  are materialised, and broadcasts ship one package per region
-  (:class:`TransferLedger` accounts the bytes).
+  (crash/replace, elasticity).
 
 Entry points: ``MagnetoPlatform.to_fleet(n)``, the ``pilote fleet-sim`` CLI
 subcommand, ``examples/fleet_simulation.py`` and
@@ -36,7 +36,6 @@ from repro.fleet.coordinator import (
     FleetAccuracyReport,
     FleetCoordinator,
     FleetDevice,
-    HierarchicalFleetCoordinator,
     RegionCoordinator,
     TransferLedger,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "FleetCoordinator",
     "FleetDevice",
     "FleetAccuracyReport",
-    "HierarchicalFleetCoordinator",
     "RegionCoordinator",
     "TransferLedger",
     "TrafficGenerator",

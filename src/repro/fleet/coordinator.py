@@ -4,31 +4,29 @@ One :class:`~repro.edge.cloud.CloudServer` broadcast, many edge devices: the
 coordinator provisions N :class:`~repro.edge.device.EdgeDevice`s from
 (possibly heterogeneous) :class:`~repro.edge.device.DeviceProfile`s, deploys
 the same :class:`~repro.edge.transfer.TransferPackage` to each of them, and
-schedules per-device incremental updates.  Every device owns an *independent*
-learner materialised from the package
+schedules per-device incremental updates.  Every device that learns owns an
+*independent* learner materialised from the package
 (:meth:`~repro.edge.transfer.TransferPackage.instantiate_learner`), so devices
 drift apart exactly as a real fleet does when new activities reach users at
 different times.
 
-Serving runs through each device's batched
+Devices live in :class:`RegionCoordinator` regions.  By default every device
+is its own region.  Past a few thousand devices one learner per device stops
+scaling, so ``FleetCoordinator(..., n_regions=k)`` pools each region's
+devices behind one copy-on-write template learner and a single serving lane,
+and materialises into a real :class:`FleetDevice` only the devices that
+actually drift (a scheduled increment, a checkpoint probe) — fleet memory
+scales with *distinct states*, not device count, and a broadcast ships one
+package per region instead of one per device.
+
+Serving runs through each lane's batched
 :class:`~repro.edge.inference.InferenceEngine`; request distribution is the
 serving scheduler's job (:mod:`repro.serving.scheduler`).
-
-At fleet sizes past a few thousand devices the flat coordinator's
-one-learner-per-device model stops scaling, so
-:class:`HierarchicalFleetCoordinator` restructures the fleet into a tree of
-:class:`RegionCoordinator` shards: each region serves its devices from one
-*pooled* copy-on-write template learner
-(:meth:`~repro.edge.transfer.TransferPackage.instantiate_learner` with
-``copy_arrays=False``) behind a single serving lane, and only devices that
-actually drift (a scheduled increment, a checkpoint probe) are materialised
-into real :class:`FleetDevice`\\ s — fleet memory scales with *distinct
-states*, not device count, and a broadcast ships one package per region
-instead of one per device.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -91,23 +89,18 @@ class FleetDevice:
         return self.learner is not None and self.edge.engine is not None
 
     def deploy(
-        self,
-        package: TransferPackage,
-        config: PiloteConfig,
-        seed: RandomState = None,
-        *,
-        copy_arrays: bool = True,
+        self, package: TransferPackage, config: PiloteConfig, seed: RandomState = None
     ) -> None:
         """Receive the cloud broadcast: build the local learner and engine.
 
-        ``copy_arrays=False`` shares the package's exemplar/prototype arrays
-        copy-on-write instead of deep-copying them — the pooled-template path
-        of :class:`HierarchicalFleetCoordinator` (safe: every learner
-        mutation replaces whole per-class entries, never writes into rows).
+        The learner shares the package's exemplar/prototype arrays
+        copy-on-write instead of deep-copying them (safe: every learner
+        mutation replaces whole per-class entries, never writes into rows),
+        so devices that never learn cost no support-set copy.
         """
         with self.edge.precision():
             self.learner = package.instantiate_learner(
-                config, seed=seed, copy_arrays=copy_arrays
+                config, seed=seed, copy_arrays=False
             )
             self.edge.store("model", package.model_bytes)
             self.edge.store("support_set", package.support_set_bytes)
@@ -202,25 +195,20 @@ class FleetDevice:
 class FleetAccuracyReport:
     """Per-device accuracy after (staggered) increments, plus divergence.
 
-    ``weights`` (optional) gives each entry a device multiplicity — the
-    hierarchical coordinator evaluates every *distinct state* once (one
-    pooled template per region, each drifted device individually) and
-    weights it by how many devices share it, so the mean/std describe the
-    whole fleet, not the handful of evaluations.  Without weights every
-    entry counts once, matching the historical flat behaviour exactly.
+    ``weights`` gives each entry a device multiplicity — the coordinator
+    evaluates every *distinct state* once (one pooled template per region,
+    each materialised device individually) and weights it by how many
+    devices share it, so the mean/std describe the whole fleet, not the
+    handful of evaluations.
     """
 
     per_device: Dict[int, float]
-    weights: Optional[Dict[int, float]] = None
+    weights: Dict[int, float]
 
     def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         keys = list(self.per_device)
         values = np.asarray([self.per_device[k] for k in keys], dtype=np.float64)
-        if self.weights is None:
-            return values, np.ones(len(keys))
-        return values, np.asarray(
-            [self.weights.get(k, 1.0) for k in keys], dtype=np.float64
-        )
+        return values, np.asarray([self.weights[k] for k in keys], dtype=np.float64)
 
     @property
     def n_devices(self) -> float:
@@ -253,11 +241,11 @@ class FleetAccuracyReport:
 class TransferLedger:
     """Bytes that crossed the (simulated) cloud → edge network.
 
-    One broadcast on the flat coordinator ships the package once *per
-    device*; the hierarchical coordinator ships once *per region* and
-    materialises devices locally from the region template — this ledger is
-    where that difference becomes measurable (``pilote fleet-sim`` prints it
-    and ``benchmarks/bench_fleet_scale.py`` gates on it).
+    One broadcast ships the package once *per region* — once per device on
+    an unpooled fleet — and pooled regions materialise devices locally from
+    the region's package; this ledger is where that difference becomes
+    measurable (``pilote fleet-sim`` prints it and
+    ``benchmarks/bench_fleet_scale.py`` gates on it).
     """
 
     deploy_bytes: int = 0
@@ -268,19 +256,92 @@ class TransferLedger:
         self.deploy_shipments += int(shipments)
 
 
+@dataclass
+class RegionCoordinator:
+    """One region of a fleet: the contiguous device ids ``[start, stop)``.
+
+    Every device in the region shares the region's device profile.  A
+    one-device region materialises its device at provision and serves it
+    directly.  A larger region *pools* its devices: until one drifts (a
+    scheduled increment, a checkpoint probe) it is served from one
+    copy-on-write template learner behind a single lane — a
+    :class:`FleetDevice` with a *negative* id, so it can never collide with a
+    real device id (always ≥ 0).  Drifted devices are *materialised* into
+    ``materialized`` and served individually from then on.  ``package`` is
+    the broadcast the region holds (``None`` before deployment); devices
+    materialised later deploy from it.
+    """
+
+    region_id: int
+    start: int
+    stop: int
+    profile: DeviceProfile
+    lane: Optional[FleetDevice] = None
+    package: Optional[TransferPackage] = None
+    materialized: Dict[int, FleetDevice] = field(default_factory=dict)
+
+    @property
+    def n_devices(self) -> int:
+        return self.stop - self.start
+
+    @property
+    def n_pooled(self) -> int:
+        """Devices still served from the pooled template."""
+        return self.n_devices - len(self.materialized)
+
+    def describe(self) -> Dict[str, object]:
+        return {
+            "region_id": self.region_id,
+            "device_range": (self.start, self.stop),
+            "profile": self.profile.name,
+            "n_devices": self.n_devices,
+            "n_pooled": self.n_pooled,
+            "materialized": sorted(self.materialized),
+        }
+
+
 class FleetCoordinator:
     """Provisions, deploys and schedules a fleet of edge devices.
+
+    Devices live in :class:`RegionCoordinator` regions covering contiguous
+    id ranges.  With ``n_regions=None`` every device is its own region and
+    owns an independent learner from provision on.  With ``n_regions=k``
+    each :meth:`provision` call shards its devices into (at most) ``k``
+    regions that serve from one pooled copy-on-write template learner each,
+    and only devices that actually diverge are materialised: a million
+    devices that received the same broadcast and ran the same increments are
+    bit-identical, so memory scales with the number of *distinct states*
+    (regions + drifted devices), not with device count, and one broadcast
+    ships one package per region instead of one per device.
+
+    Whatever the region layout:
+
+    - ``device(i)`` returns device ``i``, materialising it out of its
+      region's pool when needed.  Device ``i`` always trains from the same
+      per-device RNG stream, so a small fleet served pooled is bit-exact with
+      the same fleet unpooled (``benchmarks/bench_fleet_scale.py`` gates on
+      this).
+    - ``deploy(..., rollout=...)`` stages over *region* ids; policies that
+      route users (``"ab"``) need every region to hold a single device.
+    - :meth:`serving_lanes` and :meth:`lane_map` are what
+      :func:`repro.serving.serve` routes over: users hash to a *device*,
+      and the lane map folds pooled devices onto their region's lane.
+    - :meth:`accuracy_report` evaluates each distinct state once and weights
+      it by how many devices share it.
 
     Parameters
     ----------
     config:
         PILOTE configuration shared by every device learner.
     profiles:
-        Device profiles to cycle through while provisioning; defaults to the
-        stock smartphone profile for every device.
+        Device profiles to cycle through (one per region) while
+        provisioning; defaults to the stock smartphone profile.
     seed:
-        Root seed; per-device learner streams are spawned from it so the
+        Root seed; per-device learner streams are drawn from it so the
         fleet is reproducible end to end.
+    n_regions:
+        Regions per :meth:`provision` call, or ``None`` for one region per
+        device (no pooling).
     """
 
     def __init__(
@@ -289,118 +350,227 @@ class FleetCoordinator:
         *,
         profiles: Optional[Sequence[DeviceProfile]] = None,
         seed: RandomState = None,
+        n_regions: Optional[int] = None,
     ) -> None:
+        if n_regions is not None and n_regions <= 0:
+            raise ConfigurationError(f"n_regions must be positive, got {n_regions}")
         self.config = config or PiloteConfig()
         self.profiles = tuple(profiles) if profiles else (DEVICE_PROFILES["smartphone"],)
         self._root_rng = resolve_rng(seed)
+        self._requested_regions = n_regions
+        self.regions: List[RegionCoordinator] = []
+        #: Live list of the materialised devices, in id order.
         self.devices: List[FleetDevice] = []
-        self.package: Optional[TransferPackage] = None
         self.transfers = TransferLedger()
         self._pending_increments: List[Tuple[int, int, HARDataset, Optional[HARDataset]]] = []
         self._rollout = None  # ActiveRollout when deploy(..., rollout=...) ran
-        self._device_index: Dict[int, int] = {}
+        self._device_seeds = np.empty(0, dtype=np.int64)
+        self._lanes: Optional[List[FleetDevice]] = None
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self.devices)
+        return self.regions[-1].stop if self.regions else 0
 
-    def _reindex(self) -> None:
-        self._device_index = {
-            device.device_id: position for position, device in enumerate(self.devices)
-        }
-
-    def device(self, device_id: int) -> FleetDevice:
-        """Look up one device by id (O(1) via the id → position index)."""
-        device_id = int(device_id)
-        position = self._device_index.get(device_id)
-        if position is not None and position < len(self.devices):
-            candidate = self.devices[position]
-            if candidate.device_id == device_id:
-                return candidate
-        # Index went stale (external list surgery) — rebuild once and retry.
-        self._reindex()
-        position = self._device_index.get(device_id)
-        if position is not None:
-            return self.devices[position]
-        raise ConfigurationError(f"no device with id {device_id} in the fleet")
+    @property
+    def n_regions(self) -> Optional[int]:
+        """Region count of a pooled fleet; ``None`` when every device is its own."""
+        return None if self._requested_regions is None else len(self.regions)
 
     def provision(
         self, n_devices: int, profiles: Optional[Sequence[DeviceProfile]] = None
     ) -> List[FleetDevice]:
-        """Add ``n_devices`` fresh devices, cycling through the profile list."""
+        """Add ``n_devices`` devices in new regions; returns those materialised.
+
+        The new ids continue after the existing ones.  Profiles cycle per
+        region (pooling requires every device in a region to share one).
+        Devices of one-device regions — every device of an unpooled fleet —
+        are materialised now and returned; pooled devices materialise lazily.
+        """
         if n_devices <= 0:
             raise ConfigurationError(f"n_devices must be positive, got {n_devices}")
+        if self._lanes is not None:
+            raise ConfigurationError(
+                "cannot provision after serving_lanes() froze the lane set"
+            )
         pool = tuple(profiles) if profiles else self.profiles
+        n_devices = int(n_devices)
+        n_new_regions = min(self._requested_regions or n_devices, n_devices)
+        size = -(-n_devices // n_new_regions)  # ceil division
+        first = len(self)
         created = []
-        next_id = max((d.device_id for d in self.devices), default=-1) + 1
-        for index in range(n_devices):
-            profile = pool[index % len(pool)]
-            device = FleetDevice(next_id + index, EdgeDevice(profile))
-            self._device_index[device.device_id] = len(self.devices)
-            self.devices.append(device)
-            created.append(device)
-        logger.info("provisioned %d devices (%d total)", n_devices, len(self.devices))
+        for index, start in enumerate(range(first, first + n_devices, size)):
+            region = RegionCoordinator(
+                len(self.regions),
+                start,
+                min(start + size, first + n_devices),
+                pool[index % len(pool)],
+            )
+            self.regions.append(region)
+            if region.n_devices == 1:
+                created.append(self._materialize(region, start))
+            else:
+                region.lane = FleetDevice(-(region.region_id + 1), EdgeDevice(region.profile))
+        logger.info(
+            "provisioned %d devices in regions of <= %d (%d devices total)",
+            n_devices,
+            size,
+            len(self),
+        )
         return created
 
+    def region_of(self, device_id: int) -> RegionCoordinator:
+        """The region owning a (non-negative) device id."""
+        device_id = int(device_id)
+        if not 0 <= device_id < len(self):
+            raise ConfigurationError(f"no device with id {device_id} in the fleet")
+        index = bisect.bisect_right(self.regions, device_id, key=lambda r: r.start)
+        return self.regions[index - 1]
+
+    def device(self, device_id: int) -> FleetDevice:
+        """Look up one device by id, materialising it out of its region's pool.
+
+        A materialised device deploys copy-on-write from the package its
+        region holds, with the device's own RNG stream.  Materialisation is
+        frozen once :meth:`serving_lanes` ran — new lanes would invalidate
+        the routing table.
+        """
+        region = self.region_of(device_id)
+        device = region.materialized.get(int(device_id))
+        if device is not None:
+            return device
+        if self._lanes is not None:
+            raise ConfigurationError(
+                "cannot materialise new devices after serving_lanes() froze the "
+                "lane set; materialise (e.g. schedule increments) before serving"
+            )
+        return self._materialize(region, int(device_id))
+
+    def _materialize(self, region: RegionCoordinator, device_id: int) -> FleetDevice:
+        device = FleetDevice(device_id, EdgeDevice(region.profile))
+        if region.package is not None:
+            device.deploy(region.package, self.config, seed=self._device_rng(device_id))
+        region.materialized[device_id] = device
+        position = bisect.bisect(self.devices, device_id, key=lambda d: d.device_id)
+        self.devices.insert(position, device)
+        return device
+
+    def _device_rng(self, device_id: int) -> np.random.Generator:
+        return resolve_rng(int(self._device_seeds[device_id]))
+
+    def replace_device(self, device_id: int, replacement: FleetDevice) -> FleetDevice:
+        """Swap a materialised (crashed) device for its replacement.
+
+        The replacement keeps the device's id and takes its place in
+        :attr:`devices` and in the frozen serving lanes, so requests already
+        queued for the device reach the replacement.
+        """
+        device_id = int(device_id)
+        region = self.region_of(device_id)  # raises ConfigurationError when absent
+        current = region.materialized.get(device_id)
+        if current is None:
+            raise ConfigurationError(
+                f"device {device_id} is not materialised; only materialised "
+                "devices can be replaced"
+            )
+        if int(replacement.device_id) != device_id:
+            raise ConfigurationError(
+                f"replacement carries device id {replacement.device_id}, "
+                f"expected {device_id}"
+            )
+        region.materialized[device_id] = replacement
+        self.devices[self.devices.index(current)] = replacement
+        if self._lanes is not None and self._lanes is not self.devices:
+            self._lanes[self._lanes.index(current)] = replacement
+        return replacement
+
+    # ------------------------------------------------------------------ #
+    # broadcast and staged rollout
+    # ------------------------------------------------------------------ #
     def deploy(self, package: TransferPackage, rollout=None) -> None:
         """Deploy one transfer package across the fleet.
 
-        Without a ``rollout`` policy this is the historical broadcast: every
-        not-yet-deployed device receives the package at once.  With one — a
-        :class:`~repro.serving.rollout.RolloutPolicy` instance or registry
-        name (``"all-at-once"``, ``"staged"``, ``"ab"``) — the policy plans
-        which devices receive the package at which stage; stage 0 is applied
-        immediately and :meth:`advance_rollout` applies the rest.  Cohort
-        labels from the plan feed :meth:`rollout_report`.
+        Without a ``rollout`` policy every region receives the package at
+        once.  With one — a :class:`~repro.serving.rollout.RolloutPolicy`
+        instance or registry name (``"all-at-once"``, ``"staged"``,
+        ``"ab"``) — the policy plans which regions receive the package at
+        which stage; stage 0 is applied immediately and
+        :meth:`advance_rollout` applies the rest.  Cohort labels from the
+        plan feed :meth:`cohort_of` and :meth:`rollout_report`.
+
+        A region that already holds ``package`` is skipped; every other
+        target region ships it once, to its template lane and to each of its
+        materialised devices, and the transfer ledger counts exactly those
+        shipments.
         """
-        if not self.devices:
+        if not self.regions:
             raise ConfigurationError("provision() must run before deploy()")
-        if rollout is None:
-            targets = [d for d in self.devices if not d.is_deployed]
-            self._deploy_to(targets, package)
-            self._rollout = None
-        else:
-            from repro.serving.rollout import ActiveRollout, make_rollout_policy
-
-            policy = make_rollout_policy(rollout)
-            plan = policy.plan([d.device_id for d in self.devices], self._root_rng)
-            self._deploy_to([self.device(i) for i in plan.stages[0]], package)
-            self._rollout = ActiveRollout(policy=policy, plan=plan, package=package)
-            logger.info(
-                "rollout %r: stage 0/%d deployed to %d devices",
-                policy.name,
-                plan.n_stages,
-                len(plan.stages[0]),
+        missing = len(self) - self._device_seeds.size
+        if missing:
+            drawn = self._root_rng.integers(0, 2**63 - 1, size=missing, dtype=np.int64)
+            self._device_seeds = (
+                np.concatenate([self._device_seeds, drawn]) if self._device_seeds.size else drawn
             )
-        self.package = package
+        if rollout is None:
+            self._deploy_to(self.regions, package)
+            self._rollout = None
+            return
+        from repro.serving.rollout import ActiveRollout, make_rollout_policy
 
-    def _deploy_to(self, targets: Sequence[FleetDevice], package: TransferPackage) -> None:
-        seeds = spawn_rngs(self._root_rng, len(targets))
-        for device, device_rng in zip(targets, seeds):
-            device.deploy(package, self.config, seed=device_rng)
-        self.transfers.record_deploy(package.total_bytes, len(targets))
+        policy = make_rollout_policy(rollout)
+        if policy.routes_users and any(r.lane is not None for r in self.regions):
+            raise ConfigurationError(
+                f"rollout policy {policy.name!r} routes individual users to device "
+                "cohorts and needs one device per region; this fleet pools devices"
+            )
+        plan = policy.plan([r.region_id for r in self.regions], self._root_rng)
+        self._deploy_to([self.regions[i] for i in plan.stages[0]], package)
+        self._rollout = ActiveRollout(policy=policy, plan=plan, package=package)
         logger.info(
-            "deployed %.2f KB package to %d devices",
-            package.total_bytes / 1024,
-            len(targets),
+            "rollout %r: stage 0/%d deployed to %d regions",
+            policy.name,
+            plan.n_stages,
+            len(plan.stages[0]),
         )
 
-    # ------------------------------------------------------------------ #
-    # staged rollout
-    # ------------------------------------------------------------------ #
+    def _deploy_to(
+        self, regions: Sequence[RegionCoordinator], package: TransferPackage
+    ) -> None:
+        shipments = 0
+        networks: Dict[str, object] = {}
+        for region in regions:
+            if region.package is package:
+                continue
+            region.package = package
+            if region.lane is not None:
+                region.lane.deploy(package, self.config, seed=0)
+                # A template never trains (a drifting device materialises
+                # instead), so the templates of one broadcast serve from one
+                # read-only network per dtype.
+                learner = region.lane.learner
+                learner.model = networks.setdefault(region.lane.serving_dtype, learner.model)
+            for device_id, device in region.materialized.items():
+                device.deploy(package, self.config, seed=self._device_rng(device_id))
+            shipments += 1
+        self.transfers.record_deploy(package.total_bytes, shipments)
+        logger.info(
+            "deployed %.2f KB package to %d regions",
+            package.total_bytes / 1024,
+            shipments,
+        )
+
     @property
     def active_rollout(self):
         """The rollout in progress, or ``None``."""
         return self._rollout
 
     def cohort_of(self, device_id: int) -> Optional[str]:
-        """Rollout cohort label of one device (``None`` without a rollout)."""
+        """Rollout cohort of a device — its region's label (``None`` without one)."""
         if self._rollout is None:
             return None
-        return self._rollout.plan.cohorts.get(int(device_id))
+        return self._rollout.plan.cohorts.get(self.region_of(device_id).region_id)
 
     def advance_rollout(self) -> List[int]:
-        """Deploy the next rollout stage; returns the newly deployed ids.
+        """Deploy the next rollout stage; returns the newly deployed region ids.
 
         Returns an empty list once the plan is exhausted (the rollout stays
         recorded for cohort reporting).  Raises
@@ -412,10 +582,10 @@ class FleetCoordinator:
         if self._rollout.complete:
             return []
         stage = self._rollout.plan.stages[self._rollout.next_stage]
-        self._deploy_to([self.device(i) for i in stage], self._rollout.package)
+        self._deploy_to([self.regions[i] for i in stage], self._rollout.package)
         self._rollout.next_stage += 1
         logger.info(
-            "rollout %r: stage %d/%d deployed to %d devices",
+            "rollout %r: stage %d/%d deployed to %d regions",
             self._rollout.policy.name,
             self._rollout.next_stage - 1,
             self._rollout.plan.n_stages,
@@ -430,7 +600,9 @@ class FleetCoordinator:
         learner for per-cohort accuracy; ``serving`` (an optional
         :class:`~repro.serving.report.RoutingReport`, e.g.
         ``client.report()``) contributes per-cohort request counts and
-        mean/p99 simulated latency.
+        mean/p99 simulated latency.  Raises
+        :class:`~repro.exceptions.ConfigurationError` for a cohort that
+        contains a pooled region, whose devices have no state of their own.
         """
         from repro.serving.rollout import CohortReport, RolloutReport
 
@@ -438,16 +610,23 @@ class FleetCoordinator:
             raise ConfigurationError("no rollout in progress; deploy(..., rollout=...) first")
         cohorts = self._rollout.plan.cohorts
         report = RolloutReport(policy=self._rollout.policy.name)
-        for device in self.devices:
-            cohort = cohorts.get(device.device_id)
+        for region in self.regions:
+            cohort = cohorts.get(region.region_id)
             if cohort is None:
                 continue
+            if region.lane is not None:
+                raise ConfigurationError(
+                    f"rollout cohort {cohort!r} contains pooled region "
+                    f"{region.region_id}; use cohort_of() and describe() for "
+                    "region-level rollout state"
+                )
             row = report.per_cohort.setdefault(
                 cohort, CohortReport(cohort=cohort, device_ids=[], n_deployed=0)
             )
-            row.device_ids.append(device.device_id)
-            if device.is_deployed:
-                row.n_deployed += 1
+            for device_id in sorted(region.materialized):
+                row.device_ids.append(device_id)
+                if region.materialized[device_id].is_deployed:
+                    row.n_deployed += 1
         if dataset is not None:
             for row in report.per_cohort.values():
                 accuracies = [
@@ -475,15 +654,6 @@ class FleetCoordinator:
                     )
         return report
 
-    def replace_device(self, device_id: int, replacement: FleetDevice) -> FleetDevice:
-        """Swap a (crashed) device for its replacement, keeping the id slot."""
-        current = self.device(device_id)  # raises ConfigurationError when absent
-        position = self._device_index[current.device_id]
-        self.devices[position] = replacement
-        del self._device_index[current.device_id]
-        self._device_index[replacement.device_id] = position
-        return replacement
-
     # ------------------------------------------------------------------ #
     # staggered incremental updates
     # ------------------------------------------------------------------ #
@@ -495,7 +665,7 @@ class FleetCoordinator:
         new_validation: Optional[HARDataset] = None,
     ) -> None:
         """Queue an incremental update for one device at a simulation tick."""
-        self.device(device_id)  # validate the id eagerly
+        self.device(device_id)  # validate (and materialise) the id eagerly
         self._pending_increments.append((int(tick), device_id, new_train, new_validation))
 
     def pending_increments(self) -> List[Tuple[int, int]]:
@@ -521,327 +691,37 @@ class FleetCoordinator:
         return histories
 
     # ------------------------------------------------------------------ #
-    def accuracy_report(self, dataset: HARDataset) -> FleetAccuracyReport:
-        """Per-device accuracy on one test set — the fleet divergence view."""
-        if not self.devices:
-            raise ConfigurationError("the fleet has no devices")
-        return FleetAccuracyReport(
-            per_device={d.device_id: d.accuracy(dataset) for d in self.devices}
-        )
-
-    def describe(self) -> List[Dict[str, object]]:
-        return [device.describe() for device in self.devices]
-
-
-@dataclass
-class RegionCoordinator:
-    """One shard of the hierarchical fleet: a contiguous id range ``[start, stop)``.
-
-    Every device in the region shares the region's device profile and — until
-    it drifts — the region's pooled copy-on-write template learner, served
-    through one synthetic serving lane (a :class:`FleetDevice` carrying a
-    *negative* id so it can never collide with a real device id, which are
-    always ≥ 0).  Devices that drift away from the template (a scheduled
-    increment, a checkpoint probe) are *materialised* into ``materialized``
-    and served individually from then on.
-    """
-
-    region_id: int
-    start: int
-    stop: int
-    profile: DeviceProfile
-    lane: Optional[FleetDevice] = None
-    materialized: Dict[int, FleetDevice] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.lane is None:
-            self.lane = FleetDevice(-(self.region_id + 1), EdgeDevice(self.profile))
-
-    @property
-    def n_devices(self) -> int:
-        return self.stop - self.start
-
-    @property
-    def n_pooled(self) -> int:
-        """Devices still served from the pooled template."""
-        return self.n_devices - len(self.materialized)
-
-    def owns(self, device_id: int) -> bool:
-        return self.start <= int(device_id) < self.stop
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "region_id": self.region_id,
-            "device_range": (self.start, self.stop),
-            "profile": self.profile.name,
-            "n_devices": self.n_devices,
-            "n_pooled": self.n_pooled,
-            "materialized": sorted(self.materialized),
-        }
-
-
-class HierarchicalFleetCoordinator(FleetCoordinator):
-    """A fleet restructured as a tree of :class:`RegionCoordinator` shards.
-
-    The flat :class:`FleetCoordinator` materialises one learner per device,
-    which stops being tractable somewhere past a few thousand devices (a
-    million devices would hold a million copies of the same support set).
-    The hierarchical coordinator exploits that devices which received the
-    same broadcast and ran the same increments are *bit-identical*: each
-    region serves its devices from one pooled template learner instantiated
-    copy-on-write from the :class:`~repro.edge.transfer.TransferPackage`
-    (``copy_arrays=False``), and only devices that actually diverge are
-    materialised.  Memory scales with the number of *distinct states*
-    (regions + drifted devices), not with device count, and one broadcast
-    ships one package per region instead of one per device.
-
-    Compatibility with the flat coordinator:
-
-    - ``device(i)`` materialises device ``i`` on demand; the materialised
-      learner trains from the *same* spawned RNG stream flat device ``i``
-      would use, so a small fleet run hierarchically is bit-exact with the
-      flat coordinator (``benchmarks/bench_fleet_scale.py`` gates on this).
-    - ``schedule_increment``/``run_due_increments`` are inherited unchanged —
-      validation materialises the target device.
-    - ``deploy(..., rollout=...)`` stages over *regions* (device-granular
-      policies that route users, e.g. ``"ab"``, are rejected).
-    - ``accuracy_report`` evaluates each distinct state once and weights it
-      by device multiplicity.
-
-    Serving integrates through :meth:`serving_lanes` (one lane per region
-    plus every materialised device) and :meth:`lane_map`, which
-    :class:`~repro.serving.routing.RegionalRouting` uses to keep user → device
-    hashing identical to the flat fleet's ``"hash"`` policy.
-    """
-
-    def __init__(
-        self,
-        config: Optional[PiloteConfig] = None,
-        *,
-        profiles: Optional[Sequence[DeviceProfile]] = None,
-        seed: RandomState = None,
-        n_regions: Optional[int] = None,
-    ) -> None:
-        super().__init__(config, profiles=profiles, seed=seed)
-        self.regions: List[RegionCoordinator] = []
-        self.requested_regions = n_regions
-        self._n_devices = 0
-        self._region_size = 0
-        self._device_seeds: Optional[np.ndarray] = None
-        self._lanes: Optional[List[FleetDevice]] = None
-
-    # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return self._n_devices
-
-    @property
-    def n_regions(self) -> int:
-        return len(self.regions)
-
-    def provision(
-        self, n_devices: int, profiles: Optional[Sequence[DeviceProfile]] = None
-    ) -> List[RegionCoordinator]:
-        """Shard ``n_devices`` ids into regions; returns the region list.
-
-        Unlike the flat coordinator a hierarchical fleet is provisioned
-        exactly once — regions own contiguous id ranges, so growing the fleet
-        later would reshuffle ownership.  Profiles cycle per *region* (every
-        device in a region shares its profile; pooling requires it).
-        """
-        if self.regions:
-            raise ConfigurationError("a hierarchical fleet is provisioned exactly once")
-        if n_devices <= 0:
-            raise ConfigurationError(f"n_devices must be positive, got {n_devices}")
-        pool = tuple(profiles) if profiles else self.profiles
-        requested = self.requested_regions if self.requested_regions else min(64, n_devices)
-        if requested <= 0:
-            raise ConfigurationError(f"n_regions must be positive, got {requested}")
-        requested = min(int(requested), int(n_devices))
-        self._region_size = -(-int(n_devices) // requested)  # ceil division
-        n_regions = -(-int(n_devices) // self._region_size)
-        for region_id in range(n_regions):
-            start = region_id * self._region_size
-            stop = min(start + self._region_size, int(n_devices))
-            self.regions.append(
-                RegionCoordinator(region_id, start, stop, pool[region_id % len(pool)])
-            )
-        self._n_devices = int(n_devices)
-        logger.info(
-            "provisioned %d devices across %d regions (<= %d devices each)",
-            n_devices,
-            n_regions,
-            self._region_size,
-        )
-        return list(self.regions)
-
-    # ------------------------------------------------------------------ #
-    def deploy(self, package: TransferPackage, rollout=None) -> None:
-        """Broadcast the package region-by-region (one shipment per region)."""
-        if not self.regions:
-            raise ConfigurationError("provision() must run before deploy()")
-        if self._device_seeds is None:
-            # The exact draw the flat coordinator's spawn_rngs() would make
-            # for a full broadcast, so materialised device i trains from the
-            # identical RNG stream as flat device i (bit-exact equivalence).
-            self._device_seeds = self._root_rng.integers(
-                0, 2**63 - 1, size=self._n_devices, dtype=np.int64
-            )
-        if rollout is None:
-            self._deploy_regions(self.regions, package)
-            self._rollout = None
-        else:
-            from repro.serving.rollout import ActiveRollout, make_rollout_policy
-
-            policy = make_rollout_policy(rollout)
-            if policy.routes_users:
-                raise ConfigurationError(
-                    f"rollout policy {policy.name!r} routes individual users and "
-                    "cannot drive a region-granular hierarchical rollout"
-                )
-            plan = policy.plan([r.region_id for r in self.regions], self._root_rng)
-            self._deploy_regions([self.regions[i] for i in plan.stages[0]], package)
-            self._rollout = ActiveRollout(policy=policy, plan=plan, package=package)
-            logger.info(
-                "rollout %r: stage 0/%d deployed to %d regions",
-                policy.name,
-                plan.n_stages,
-                len(plan.stages[0]),
-            )
-        self.package = package
-
-    def _deploy_regions(
-        self, regions: Sequence[RegionCoordinator], package: TransferPackage
-    ) -> None:
-        for region in regions:
-            if not region.lane.is_deployed:
-                region.lane.deploy(package, self.config, seed=0, copy_arrays=False)
-            for device in region.materialized.values():
-                if not device.is_deployed:
-                    device.deploy(
-                        package,
-                        self.config,
-                        seed=resolve_rng(
-                            int(self._device_seeds[device.device_id])
-                        ),
-                        copy_arrays=False,
-                    )
-        self.transfers.record_deploy(package.total_bytes, len(regions))
-        logger.info(
-            "deployed %.2f KB package to %d regions",
-            package.total_bytes / 1024,
-            len(regions),
-        )
-
-    def advance_rollout(self) -> List[int]:
-        """Deploy the next rollout stage; returns the newly deployed region ids."""
-        if self._rollout is None:
-            raise ConfigurationError("no rollout in progress; deploy(..., rollout=...) first")
-        if self._rollout.complete:
-            return []
-        stage = self._rollout.plan.stages[self._rollout.next_stage]
-        self._deploy_regions([self.regions[i] for i in stage], self._rollout.package)
-        self._rollout.next_stage += 1
-        return list(stage)
-
-    def cohort_of(self, device_id: int) -> Optional[str]:
-        """Rollout cohort of a device — its *region's* cohort label."""
-        if self._rollout is None:
-            return None
-        return self._rollout.plan.cohorts.get(self.region_of(device_id).region_id)
-
-    def rollout_report(self, dataset=None, serving=None):
-        raise ConfigurationError(
-            "per-device rollout reports are not available on a hierarchical fleet; "
-            "use cohort_of() and describe() for region-level rollout state"
-        )
-
-    # ------------------------------------------------------------------ #
-    def region_of(self, device_id: int) -> RegionCoordinator:
-        """The region owning a (non-negative) device id."""
-        device_id = int(device_id)
-        if not 0 <= device_id < self._n_devices:
-            raise ConfigurationError(f"no device with id {device_id} in the fleet")
-        return self.regions[device_id // self._region_size]
-
-    def device(self, device_id: int) -> FleetDevice:
-        """Materialise (or fetch) one device out of its region's pool.
-
-        The materialised learner is instantiated copy-on-write from the
-        deployed package with the same per-device RNG stream the flat
-        coordinator would have spawned, so everything downstream (increments,
-        checkpoints, serving) behaves exactly as on a flat fleet.
-        Materialisation is frozen once :meth:`serving_lanes` ran — new lanes
-        would invalidate the routing table.
-        """
-        region = self.region_of(device_id)
-        device_id = int(device_id)
-        existing = region.materialized.get(device_id)
-        if existing is not None:
-            return existing
-        if self._lanes is not None:
-            raise ConfigurationError(
-                "cannot materialise new devices after serving_lanes() froze the "
-                "lane set; materialise (e.g. schedule increments) before serving"
-            )
-        device = FleetDevice(device_id, EdgeDevice(region.profile))
-        if region.lane.is_deployed and self.package is not None:
-            device.deploy(
-                self.package,
-                self.config,
-                seed=resolve_rng(int(self._device_seeds[device_id])),
-                copy_arrays=False,
-            )
-        region.materialized[device_id] = device
-        return device
-
-    def replace_device(self, device_id: int, replacement: FleetDevice) -> FleetDevice:
-        """Swap a materialised (crashed) device for its replacement."""
-        device_id = int(device_id)
-        region = self.region_of(device_id)
-        current = region.materialized.get(device_id)
-        if current is None:
-            raise ConfigurationError(
-                f"device {device_id} is not materialised; only materialised "
-                "devices can be replaced"
-            )
-        del region.materialized[device_id]
-        region.materialized[int(replacement.device_id)] = replacement
-        if self._lanes is not None:
-            # In-place swap so the scheduler, which shares this list, sees it.
-            self._lanes[self._lanes.index(current)] = replacement
-        return replacement
-
-    # ------------------------------------------------------------------ #
     # serving integration
     # ------------------------------------------------------------------ #
     def serving_lanes(self) -> List[FleetDevice]:
-        """Freeze and return the serving lanes: region lanes, then drifted devices.
+        """Freeze and return the serving lanes.
 
-        Every region contributes its pooled template lane (position =
-        ``region_id``), followed by all materialised devices in id order.
+        The template lanes of pooled regions come first (in region order),
+        followed by every materialised device in id order; an unpooled fleet
+        serves straight from its live :attr:`devices` list.
         :func:`repro.serving.client.serve` passes this list to the scheduler;
         the first call freezes materialisation so :meth:`lane_map` stays valid.
         """
         if self._lanes is None:
-            lanes = [region.lane for region in self.regions]
-            for region in self.regions:
-                lanes.extend(region.materialized[i] for i in sorted(region.materialized))
-            self._lanes = lanes
+            templates = [r.lane for r in self.regions if r.lane is not None]
+            self._lanes = templates + self.devices if templates else self.devices
         return self._lanes
 
     def lane_map(self) -> np.ndarray:
-        """``device id → serving-lane position`` (int64 vector of length N).
+        """``device id → serving-lane position`` (int64 vector, one per device).
 
         Pooled devices map to their region's lane; materialised devices map
-        to their own lane.  :class:`~repro.serving.routing.RegionalRouting`
-        indexes this array with the hashed user id, which keeps the user →
-        *device* assignment identical to flat ``"hash"`` routing — the lane
-        merely serves whichever state that device currently holds.
+        to their own lane, so an unpooled fleet's map is the identity.
+        :class:`~repro.serving.routing.HashRouting` indexes it with the
+        hashed user id, which keeps the user → *device* assignment the same
+        whatever the region layout — the lane merely serves whichever state
+        that device currently holds.
         """
-        lanes = self.serving_lanes()
-        positions = {lane.device_id: pos for pos, lane in enumerate(lanes)}
-        mapping = np.arange(self._n_devices, dtype=np.int64) // self._region_size
+        positions = {lane.device_id: pos for pos, lane in enumerate(self.serving_lanes())}
+        mapping = np.empty(len(self), dtype=np.int64)
         for region in self.regions:
+            if region.lane is not None:
+                mapping[region.start:region.stop] = positions[region.lane.device_id]
             for device_id in region.materialized:
                 mapping[device_id] = positions[device_id]
         return mapping
@@ -854,9 +734,10 @@ class HierarchicalFleetCoordinator(FleetCoordinator):
         per_device: Dict[int, float] = {}
         weights: Dict[int, float] = {}
         for region in self.regions:
-            if region.lane.is_deployed and region.n_pooled > 0:
-                per_device[region.lane.device_id] = region.lane.accuracy(dataset)
-                weights[region.lane.device_id] = float(region.n_pooled)
+            lane = region.lane
+            if lane is not None and lane.is_deployed and region.n_pooled > 0:
+                per_device[lane.device_id] = lane.accuracy(dataset)
+                weights[lane.device_id] = float(region.n_pooled)
             for device_id in sorted(region.materialized):
                 device = region.materialized[device_id]
                 if device.is_deployed:
@@ -867,6 +748,7 @@ class HierarchicalFleetCoordinator(FleetCoordinator):
         return FleetAccuracyReport(per_device=per_device, weights=weights)
 
     def describe(self) -> List[Dict[str, object]]:
+        """One summary row per region (see :meth:`FleetDevice.describe` per device)."""
         return [region.describe() for region in self.regions]
 
 

@@ -28,11 +28,7 @@ from repro.evaluation.scenarios import FLEET_SCENARIO, FleetScenarioSpec
 from repro.exceptions import ConfigurationError
 from repro.experiments.common import ExperimentSettings, make_dataset
 from repro.fleet.checkpoint import CheckpointStore
-from repro.fleet.coordinator import (
-    FleetAccuracyReport,
-    FleetCoordinator,
-    HierarchicalFleetCoordinator,
-)
+from repro.fleet.coordinator import FleetAccuracyReport, FleetCoordinator
 from repro.fleet.traffic import TrafficGenerator, WorkloadSpec, staggered_schedule
 from repro.utils.logging import get_logger
 from repro.utils.rng import resolve_rng, spawn_rngs
@@ -42,15 +38,18 @@ if TYPE_CHECKING:  # the serving package imports repro.fleet at load time
 
 logger = get_logger("fleet.simulation")
 
-#: Past this many devices the simulation switches to the hierarchical
-#: coordinator automatically (one pooled template per region, only drifting
-#: devices materialised) — the flat one-learner-per-device model would not
-#: fit in memory at, say, a million devices.
+#: Past this many devices the simulation pools the fleet into regions
+#: automatically (one template per region, only drifting devices
+#: materialised) — one learner per device would not fit in memory at, say,
+#: a million devices.
 HIERARCHICAL_DEVICE_THRESHOLD = 1024
 
-#: How many devices of a hierarchical fleet actually drift (receive a
-#: staggered increment and are therefore materialised).  Spread evenly over
-#: the id range; device 0 is always included so the checkpoint probe runs.
+#: Region count of an automatically pooled fleet (capped at the device count).
+DEFAULT_REGIONS = 64
+
+#: How many devices of a pooled fleet actually drift (receive a staggered
+#: increment and are therefore materialised).  Spread evenly over the id
+#: range; device 0 is always included so the checkpoint probe runs.
 HIERARCHICAL_DRIFT_DEVICES = 16
 
 
@@ -197,11 +196,12 @@ def run(
     inline on the simulated clock — the default — ``"thread"``, or
     ``"process"`` for a pool of ``workers`` real worker processes; the
     report's throughput/latency lines then carry measured wall-clock
-    numbers instead of the simulated parallel clock).  ``regions`` forces the
-    hierarchical coordinator with that many regional shards; without it, the
-    simulation switches to hierarchical mode automatically past
+    numbers instead of the simulated parallel clock).  ``regions`` pools the
+    fleet into that many regions; without it, the simulation pools
+    :data:`DEFAULT_REGIONS` regions automatically past
     :data:`HIERARCHICAL_DEVICE_THRESHOLD` devices (which is what makes
-    ``pilote fleet-sim --devices 1000000`` tractable).
+    ``pilote fleet-sim --devices 1000000`` tractable) and otherwise gives
+    every device its own region.
     """
     settings = settings or ExperimentSettings.default()
     if n_devices is None:
@@ -239,23 +239,20 @@ def run(
     package = cloud.export_package()
 
     # 2. Provision and deploy.
-    hierarchical = regions is not None or n_devices > HIERARCHICAL_DEVICE_THRESHOLD
-    if hierarchical:
-        fleet: FleetCoordinator = HierarchicalFleetCoordinator(
-            settings.config, seed=settings.seed, n_regions=regions
-        )
-    else:
-        fleet = FleetCoordinator(settings.config, seed=settings.seed)
+    if regions is None and n_devices > HIERARCHICAL_DEVICE_THRESHOLD:
+        regions = min(DEFAULT_REGIONS, n_devices)
+    pooled = regions is not None
+    fleet = FleetCoordinator(settings.config, seed=settings.seed, n_regions=regions)
     fleet.provision(n_devices)
     fleet.deploy(package)
 
     # 3. Staggered increments: device i learns the new activity at its own
     #    tick from its own subsample, so the fleet genuinely drifts apart.
-    #    Hierarchically only a fixed-size drift cohort (spread over the id
+    #    In a pooled fleet only a fixed-size drift cohort (spread over the id
     #    range, always including device 0 for the checkpoint probe) gets an
     #    increment — scheduling one per device would materialise the whole
     #    fleet and defeat the pooling.
-    if hierarchical:
+    if pooled:
         drift_ids = np.unique(
             np.linspace(
                 0, n_devices - 1, num=min(n_devices, HIERARCHICAL_DRIFT_DEVICES)
@@ -330,49 +327,28 @@ def run(
             np.array_equal(device0.infer(probe), restored.infer(probe))
         )
 
+    # One row per serving lane: pooled region lanes first (labelled by region
+    # and multiplicity), then the materialised devices.
     device_rows = []
-    if isinstance(fleet, HierarchicalFleetCoordinator):
-        # One row per serving lane: pooled region lanes first (labelled by
-        # region and multiplicity), then the materialised (drifted) devices.
-        for lane in fleet.serving_lanes():
-            stats = routing_report.per_device[lane.device_id]
-            pooled = lane.device_id < 0
-            region = (
-                fleet.regions[-lane.device_id - 1]
-                if pooled
-                else fleet.region_of(lane.device_id)
-            )
-            device_rows.append(
-                {
-                    "device_id": (
-                        f"R{region.region_id}x{region.n_pooled}"
-                        if pooled
-                        else lane.device_id
-                    ),
-                    "profile": lane.profile.name,
-                    "requests": stats.requests,
-                    "throughput": stats.throughput,
-                    "mean_latency_ms": stats.mean_latency_seconds * 1e3,
-                    "max_queue_depth": stats.max_queue_depth,
-                    "increment_tick": schedule.get(lane.device_id, "-"),
-                    "accuracy": accuracy.per_device.get(lane.device_id, float("nan")),
-                }
-            )
-    else:
-        for device in fleet.devices:
-            stats = routing_report.per_device[device.device_id]
-            device_rows.append(
-                {
-                    "device_id": device.device_id,
-                    "profile": device.profile.name,
-                    "requests": stats.requests,
-                    "throughput": stats.throughput,
-                    "mean_latency_ms": stats.mean_latency_seconds * 1e3,
-                    "max_queue_depth": stats.max_queue_depth,
-                    "increment_tick": schedule[device.device_id],
-                    "accuracy": accuracy.per_device[device.device_id],
-                }
-            )
+    for lane in fleet.serving_lanes():
+        stats = routing_report.per_device[lane.device_id]
+        if lane.device_id < 0:
+            region = fleet.regions[-lane.device_id - 1]
+            label = f"R{region.region_id}x{region.n_pooled}"
+        else:
+            label = lane.device_id
+        device_rows.append(
+            {
+                "device_id": label,
+                "profile": lane.profile.name,
+                "requests": stats.requests,
+                "throughput": stats.throughput,
+                "mean_latency_ms": stats.mean_latency_seconds * 1e3,
+                "max_queue_depth": stats.max_queue_depth,
+                "increment_tick": schedule.get(lane.device_id, "-"),
+                "accuracy": accuracy.per_device.get(lane.device_id, float("nan")),
+            }
+        )
     logger.info(
         "fleet simulation: %d devices, %.0f windows/s aggregate, accuracy spread %.4f",
         n_devices,
@@ -391,9 +367,7 @@ def run(
         scheduling_order=client.scheduling,
         deadline_ms=deadline_ms,
         executor_name=client.executor,
-        n_regions=(
-            fleet.n_regions if isinstance(fleet, HierarchicalFleetCoordinator) else None
-        ),
+        n_regions=fleet.n_regions,
         peak_rss_bytes=_peak_rss_bytes(),
         deploy_bytes=fleet.transfers.deploy_bytes,
         deploy_shipments=fleet.transfers.deploy_shipments,

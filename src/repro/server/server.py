@@ -324,7 +324,7 @@ class ServingServer:
     client:
         The :class:`~repro.serving.ServingClient` answering the traffic —
         anything :func:`repro.serving.serve` can build, from a bare learner
-        to a :class:`~repro.fleet.HierarchicalFleetCoordinator` fleet.  The
+        to a pooled million-device :class:`~repro.fleet.FleetCoordinator`.  The
         server owns it from :meth:`start` on and closes it in :meth:`stop`.
     host / port:
         Listen address; port ``0`` picks a free port (see :attr:`address`

@@ -1,7 +1,7 @@
 """CLI runners for the network front door: ``pilote serve-net`` / ``bench-client``.
 
 ``serve-net`` stands up a real asyncio socket server over a freshly built
-serving fleet (flat or hierarchical past ``--regions``) and answers wire
+serving fleet (pooled into regions with ``--regions``) and answers wire
 traffic for a bounded duration (or forever); ``bench-client`` is the
 matching closed-loop load generator — pointed at a running server, or
 self-hosting a loopback server when no ``--port`` is given, which makes it
@@ -29,7 +29,7 @@ from repro.core.pilote import PILOTE
 from repro.edge.device import DeviceProfile
 from repro.edge.transfer import package_for_edge
 from repro.exceptions import ConfigurationError
-from repro.fleet.coordinator import FleetCoordinator, HierarchicalFleetCoordinator
+from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.traffic import TrafficGenerator, WorkloadSpec
 from repro.serving.client import serve
 from repro.server.client import LoadReport, run_load
@@ -82,28 +82,19 @@ def build_serving_fleet(
 ) -> FleetCoordinator:
     """A deployed, warmed fleet ready to sit behind the front door.
 
-    With ``regions`` the fleet is a
-    :class:`~repro.fleet.HierarchicalFleetCoordinator` — the server then
-    fronts its pooled regional serving lanes, exactly what ``serve()``
-    builds for million-device simulations.
+    With ``regions`` the fleet pools its devices into that many regions —
+    the server then fronts the pooled regional serving lanes, exactly what
+    ``serve()`` builds for million-device simulations.
     """
     if n_devices <= 0:
         raise ConfigurationError(f"n_devices must be positive, got {n_devices}")
     package = package_for_edge(make_serving_learner(config, seed=seed))
-    if regions is not None:
-        fleet: FleetCoordinator = HierarchicalFleetCoordinator(
-            config, profiles=(SIM_NODE,), seed=seed, n_regions=regions
-        )
-    else:
-        fleet = FleetCoordinator(config, profiles=(SIM_NODE,), seed=seed)
+    fleet = FleetCoordinator(
+        config, profiles=(SIM_NODE,), seed=seed, n_regions=regions
+    )
     fleet.provision(n_devices)
     fleet.deploy(package)
-    lanes = (
-        fleet.serving_lanes()
-        if isinstance(fleet, HierarchicalFleetCoordinator)
-        else fleet.devices
-    )
-    for lane in lanes:
+    for lane in fleet.serving_lanes():
         engine = getattr(lane, "engine", None)
         if engine is not None:
             engine.warm()

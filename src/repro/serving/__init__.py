@@ -106,7 +106,6 @@ from repro.serving.routing import (
     LeastLoadedRouting,
     PowerOfTwoRouting,
     ROUTING_POLICIES,
-    RegionalRouting,
     RoutingPolicy,
     make_routing_policy,
 )
@@ -134,7 +133,6 @@ __all__ = [
     "ROLLING_WINDOW",
     "RoutingPolicy",
     "HashRouting",
-    "RegionalRouting",
     "LeastLoadedRouting",
     "PowerOfTwoRouting",
     "ROUTING_POLICIES",

@@ -41,15 +41,11 @@ from repro.edge.device import DeviceProfile, EdgeDevice
 from repro.edge.inference import InferenceEngine
 from repro.edge.magneto import MagnetoPlatform
 from repro.exceptions import ClientClosedError, RoutingError, ServingError
-from repro.fleet.coordinator import (
-    FleetCoordinator,
-    FleetDevice,
-    HierarchicalFleetCoordinator,
-)
+from repro.fleet.coordinator import FleetCoordinator, FleetDevice
 from repro.serving.report import RoutingReport
 from repro.serving.executor import Executor
 from repro.serving.protocol import PendingResult, PredictRequest
-from repro.serving.routing import RegionalRouting, RoutingPolicy
+from repro.serving.routing import HashRouting, RoutingPolicy
 from repro.serving.scheduler import EventLoopScheduler
 from repro.utils.rng import RandomState
 
@@ -102,8 +98,8 @@ class ServingClient:
     Parameters
     ----------
     devices:
-        Device-like targets (``FleetCoordinator.devices`` passes its live
-        list, so device replacement reaches in-flight requests).
+        Device-like targets (``FleetCoordinator.serving_lanes()`` passes
+        its live list, so device replacement reaches in-flight requests).
     routing:
         Policy name (``"hash"``, ``"least-loaded"``, ``"p2c"``), a
         :class:`~repro.serving.routing.RoutingPolicy` instance, or ``None``
@@ -443,26 +439,15 @@ def serve(
 
 
 def _build_client(target, options: dict, PILOTE) -> ServingClient:
-    routing = options["routing"]
-    if isinstance(target, HierarchicalFleetCoordinator):
+    if isinstance(target, FleetCoordinator):
         if not target.regions:
             raise ServingError("the fleet has no devices; provision() first")
-        lanes = target.serving_lanes()
-        if routing is None or routing == "hash":
-            # Hash through the fleet's device → lane map so pooled devices
-            # keep the exact user placement a flat fleet would give them.
-            options["routing"] = RegionalRouting(target)
+        if options["routing"] in (None, "hash"):
+            # Hash users over devices, then fold through the device → lane
+            # map so pooled devices share their region's lane.
+            options["routing"] = HashRouting(target.lane_map())
         return ServingClient(
-            lanes,
-            coordinator=target,
-            label="fleet-tree",
-            **options,
-        )
-    if isinstance(target, FleetCoordinator):
-        if not target.devices:
-            raise ServingError("the fleet has no devices; provision() first")
-        return ServingClient(
-            target.devices,
+            target.serving_lanes(),
             coordinator=target,
             label="fleet",
             **options,

@@ -34,7 +34,6 @@ from repro.exceptions import RoutingError
 __all__ = [
     "RoutingPolicy",
     "HashRouting",
-    "RegionalRouting",
     "LeastLoadedRouting",
     "PowerOfTwoRouting",
     "ROUTING_POLICIES",
@@ -117,6 +116,13 @@ class RoutingPolicy:
 class HashRouting(RoutingPolicy):
     """Seeded user-id hash sharding — sticky, stateless, fully vectorised.
 
+    Users hash to a *device*, and ``lane_map`` (a fleet's ``device id →
+    lane position`` vector, :meth:`~repro.fleet.FleetCoordinator.lane_map`)
+    folds each device onto the lane serving it: pooled devices onto their
+    region's template lane, materialised devices onto their own.  A user
+    therefore lands on the same logical device whatever the fleet's region
+    layout.  Without a map every lane is its own device.
+
     When routing is restricted to a lane subset (mid-rollout, or within an
     A/B cohort), each user's *full-fleet* placement is still preferred:
     only users whose preferred lane is outside the subset are remapped
@@ -127,47 +133,16 @@ class HashRouting(RoutingPolicy):
 
     name = "hash"
 
+    def __init__(self, lane_map: Optional[np.ndarray] = None) -> None:
+        self._fleet_lane_map = lane_map
+
     def bind(self, n_lanes: int, rng) -> None:
         super().bind(n_lanes, rng)
         self._salt = _draw_salt(rng)
-
-    def assign_batch(self, requests, user_ids, scheduler, lanes=None):
-        hashed = splitmix64(user_ids, self._salt)
-        preferred = (hashed % np.uint64(self._n_lanes)).astype(np.int64)
-        if lanes is None:
-            return preferred
-        lanes = np.asarray(lanes, dtype=np.int64)
-        fallback = lanes[(hashed % np.uint64(lanes.size)).astype(np.int64)]
-        return np.where(np.isin(preferred, lanes), preferred, fallback)
-
-
-class RegionalRouting(RoutingPolicy):  # repro: noqa[repro-registry] needs a fleet, constructed explicitly
-    """Hash routing through a hierarchical fleet's ``device → lane`` map.
-
-    Users are hashed to a *device* exactly as :class:`HashRouting` hashes
-    them to a lane on a flat fleet (same salt draw, same modulus over the
-    device count), then the fleet's lane map folds pooled devices onto their
-    region's template lane while drifted devices keep their own lane.  A
-    user therefore lands on the same logical device whether the fleet is
-    flat or hierarchical — only the amount of physical state behind that
-    device differs.
-
-    Not in :data:`ROUTING_POLICIES`: it needs a fleet, so
-    :func:`repro.serving.client.serve` constructs it when handed a
-    :class:`~repro.fleet.coordinator.HierarchicalFleetCoordinator`.
-    """
-
-    name = "regional"
-
-    def __init__(self, fleet) -> None:
-        # Duck-typed: anything with lane_map() → int64 array of lane positions
-        # indexed by device id (avoids importing repro.fleet here).
-        self._fleet = fleet
-
-    def bind(self, n_lanes: int, rng) -> None:
-        super().bind(n_lanes, rng)
-        self._salt = _draw_salt(rng)  # same first draw as HashRouting.bind
-        self._lane_map = np.asarray(self._fleet.lane_map(), dtype=np.int64)
+        if self._fleet_lane_map is None:
+            self._lane_map = np.arange(n_lanes, dtype=np.int64)
+        else:
+            self._lane_map = np.asarray(self._fleet_lane_map, dtype=np.int64)
 
     def assign_batch(self, requests, user_ids, scheduler, lanes=None):
         hashed = splitmix64(user_ids, self._salt)

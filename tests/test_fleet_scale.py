@@ -7,11 +7,12 @@ Covers the hierarchical coordinator stack end to end at test scale:
   support set rebuilt under an unchanged model) produces an *empty* delta;
 * ``PILOTE.refine_prototype`` — the cheap single-class increment that makes
   deltas small — updates exactly one prototype and bumps the state version;
-* ``FleetCoordinator.device()`` resolves through the id index (including
+* ``FleetCoordinator.device()`` resolves through the region index (including
   after ``replace_device``);
-* ``HierarchicalFleetCoordinator`` serves a small fleet bit-identically to
-  the flat coordinator, pools undrifted devices behind region lanes, and
-  weights accuracy by multiplicity;
+* a pooled ``FleetCoordinator(n_regions=k)`` serves a small fleet
+  bit-identically to the unpooled one, pools undrifted devices behind region
+  lanes, weights accuracy by multiplicity, and keeps lanes, ledger and
+  materialised devices on one package across repeated broadcasts;
 * ``CheckpointStore.save(delta=True)`` restores exactly, including through
   delta chains and after LRU eviction consolidates a delta's base away;
 * the process executor ships deltas (not full snapshots) for an
@@ -37,12 +38,7 @@ from repro.exceptions import (
     SnapshotMismatchError,
     StaleSnapshotError,
 )
-from repro.fleet import (
-    CheckpointStore,
-    FleetCoordinator,
-    FleetDevice,
-    HierarchicalFleetCoordinator,
-)
+from repro.fleet import CheckpointStore, FleetCoordinator, FleetDevice
 from repro.serving import PredictRequest, serve
 
 N_FEATURES = 20
@@ -178,7 +174,7 @@ class TestRefinePrototype:
 
 
 # ---------------------------------------------------------------------- #
-# flat coordinator: id index
+# unpooled fleet: id index
 # ---------------------------------------------------------------------- #
 class TestDeviceIndex:
     def test_lookup_and_missing(self, learner):
@@ -194,36 +190,37 @@ class TestDeviceIndex:
         replacement = FleetDevice(1, EdgeDevice(SIM_NODE))
         fleet.replace_device(1, replacement)
         assert fleet.device(1) is replacement
+        assert fleet.devices[1] is replacement
         # Untouched ids still resolve after the swap.
         assert fleet.device(0).device_id == 0
         assert fleet.device(2).device_id == 2
-
-    def test_index_survives_external_list_surgery(self, learner):
-        fleet = FleetCoordinator(CONFIG, profiles=(SIM_NODE,), seed=0)
-        fleet.provision(3)
-        fleet.devices.insert(0, FleetDevice(100, EdgeDevice(SIM_NODE)))  # stale index
-        assert fleet.device(100).device_id == 100
-        assert fleet.device(2).device_id == 2
+        with pytest.raises(ConfigurationError):
+            fleet.replace_device(2, FleetDevice(7, EdgeDevice(SIM_NODE)))
 
 
 # ---------------------------------------------------------------------- #
-# hierarchical coordinator
+# pooled regions
 # ---------------------------------------------------------------------- #
 class TestHierarchicalFleet:
     def _package(self, learner):
         return package_for_edge(learner)
 
-    def test_small_fleet_bit_exact_with_flat(self, learner, windows):
+    @pytest.mark.parametrize(
+        "n_devices, n_regions",
+        [(6, 3), (7, 3), (5, 2), (8, 3), (6, 6)],
+        ids=["even", "singleton-tail", "uneven", "short-tail", "one-per-region"],
+    )
+    def test_small_fleet_bit_exact_with_flat(self, learner, n_devices, n_regions):
         package = self._package(learner)
         flat = FleetCoordinator(CONFIG, profiles=(SIM_NODE,), seed=7)
-        flat.provision(6)
+        flat.provision(n_devices)
         flat.deploy(package)
-        tree = HierarchicalFleetCoordinator(
-            CONFIG, profiles=(SIM_NODE,), seed=7, n_regions=3
+        tree = FleetCoordinator(
+            CONFIG, profiles=(SIM_NODE,), seed=7, n_regions=n_regions
         )
-        tree.provision(6)
+        tree.provision(n_devices)
         tree.deploy(package)
-        for device_id in range(6):
+        for device_id in range(n_devices):
             tree.device(device_id)  # materialise everyone pre-freeze
 
         flat_client = serve(flat, seed=11)
@@ -250,7 +247,7 @@ class TestHierarchicalFleet:
 
     def test_pooled_serving_and_weighted_accuracy(self, learner, har_dataset):
         package = self._package(learner)
-        tree = HierarchicalFleetCoordinator(CONFIG, seed=7, n_regions=4)
+        tree = FleetCoordinator(CONFIG, seed=7, n_regions=4)
         tree.provision(100)
         tree.deploy(package)
         assert len(tree) == 100
@@ -259,6 +256,8 @@ class TestHierarchicalFleet:
         lanes = tree.serving_lanes()
         assert len(lanes) == 4
         assert all(lane.device_id < 0 for lane in lanes)
+        # The templates of one broadcast share one read-only network.
+        assert len({id(lane.learner.model) for lane in lanes}) == 1
         mapping = tree.lane_map()
         assert mapping.shape == (100,)
         assert set(np.unique(mapping)) == {0, 1, 2, 3}
@@ -275,7 +274,7 @@ class TestHierarchicalFleet:
     def test_materialised_devices_drift_and_weigh_individually(self, learner):
         rng = np.random.default_rng(6)
         package = self._package(learner)
-        tree = HierarchicalFleetCoordinator(CONFIG, seed=7, n_regions=2)
+        tree = FleetCoordinator(CONFIG, seed=7, n_regions=2)
         tree.provision(10)
         tree.deploy(package)
         drifted = tree.device(3)
@@ -287,22 +286,25 @@ class TestHierarchicalFleet:
         assert tree.lane_map()[3] == 2  # drifted device routes to its own lane
         assert tree.lane_map()[4] == region.region_id
 
-    def test_provision_is_once_only_and_freeze_is_enforced(self, learner):
+    def test_provision_appends_regions_and_freeze_is_enforced(self, learner):
         package = self._package(learner)
-        tree = HierarchicalFleetCoordinator(CONFIG, seed=7, n_regions=2)
+        tree = FleetCoordinator(CONFIG, seed=7, n_regions=2)
         tree.provision(8)
-        with pytest.raises(ConfigurationError):
-            tree.provision(8)
+        tree.provision(8)  # two more regions over ids 8..15
+        assert len(tree) == 16 and tree.n_regions == 4
+        assert tree.region_of(9).start == 8
         tree.deploy(package)
         tree.device(0)
         tree.serving_lanes()  # freezes materialisation
         tree.device(0)  # already materialised: still fine
         with pytest.raises(ConfigurationError):
             tree.device(5)
+        with pytest.raises(ConfigurationError):
+            tree.provision(1)
 
     def test_staged_rollout_over_regions(self, learner):
         package = self._package(learner)
-        tree = HierarchicalFleetCoordinator(CONFIG, seed=7, n_regions=4)
+        tree = FleetCoordinator(CONFIG, seed=7, n_regions=4)
         tree.provision(16)
         tree.deploy(package, rollout="staged")
         deployed = [r.lane.is_deployed for r in tree.regions]
@@ -316,14 +318,26 @@ class TestHierarchicalFleet:
 
     def test_user_routing_rollouts_rejected(self, learner):
         package = self._package(learner)
-        tree = HierarchicalFleetCoordinator(CONFIG, seed=7, n_regions=4)
+        tree = FleetCoordinator(CONFIG, seed=7, n_regions=4)
         tree.provision(16)
         with pytest.raises(ConfigurationError):
             tree.deploy(package, rollout="ab")
 
+    def test_user_routing_rollout_on_one_device_regions(self, learner):
+        """``"ab"`` needs one device per region, not an unpooled constructor."""
+        package = self._package(learner)
+        fleet = FleetCoordinator(CONFIG, seed=7, n_regions=4)
+        fleet.provision(4)
+        fleet.deploy(package, rollout="ab")
+        assert fleet.serving_lanes() is fleet.devices  # no template lanes
+        report = fleet.rollout_report()
+        device_ids = [i for row in report.per_cohort.values() for i in row.device_ids]
+        assert sorted(device_ids) == [0, 1, 2, 3]
+        assert {fleet.cohort_of(i) for i in range(4)} == {"treatment", "control"}
+
     def test_deploy_ships_once_per_region(self, learner):
         package = self._package(learner)
-        tree = HierarchicalFleetCoordinator(CONFIG, seed=7, n_regions=5)
+        tree = FleetCoordinator(CONFIG, seed=7, n_regions=5)
         tree.provision(500)
         tree.deploy(package)
         assert tree.transfers.deploy_shipments == 5
@@ -334,9 +348,30 @@ class TestHierarchicalFleet:
         flat.deploy(package)
         assert flat.transfers.deploy_shipments == 20
 
+    @pytest.mark.parametrize("n_regions", [None, 2])
+    def test_second_broadcast_reaches_every_lane(self, learner, n_regions):
+        """A new package replaces the old on every lane, the ledger counts the
+        shipments made, and devices materialised later hold the new package."""
+        old = self._package(learner)
+        new = self._package(make_serving_learner(per_class=20))
+        fleet = FleetCoordinator(CONFIG, seed=7, n_regions=n_regions)
+        fleet.provision(4)
+        fleet.deploy(old)
+        shipments = fleet.transfers.deploy_shipments
+        fleet.deploy(new)
+        assert fleet.transfers.deploy_shipments == 2 * shipments
+        fleet.deploy(new)  # every region already holds it: nothing ships
+        assert fleet.transfers.deploy_shipments == 2 * shipments
+        assert fleet.transfers.deploy_bytes == shipments * (
+            old.total_bytes + new.total_bytes
+        )
+        fleet.device(1)
+        for lane in fleet.serving_lanes():
+            assert lane.learner.model.weights_token is new.weights_token
+
     def test_replace_device_swaps_materialised_lane(self, learner, windows):
         package = self._package(learner)
-        tree = HierarchicalFleetCoordinator(CONFIG, seed=7, n_regions=2)
+        tree = FleetCoordinator(CONFIG, seed=7, n_regions=2)
         tree.provision(8)
         tree.deploy(package)
         original = tree.device(2)

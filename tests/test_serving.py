@@ -246,7 +246,10 @@ class TestRoutingPolicies:
 
     def test_scheduler_rejects_resized_fleet(self, fleet, pool):
         client = serve(fleet, seed=1)
-        fleet.provision(1)
+        with pytest.raises(ConfigurationError):
+            fleet.provision(1)  # serving froze the fleet's lane set
+        lanes = client.scheduler.devices
+        lanes.append(lanes[0])  # a lane list grown behind the scheduler's back
         with pytest.raises(RoutingError):
             client.submit(PredictRequest(user_id=0, features=pool[:1]))
 
