@@ -9,9 +9,10 @@ measurements isolate the serving and control layers):
    adaptive stack (edf + p2c + load-shedding + hedged requests).  The
    adaptive client must answer a strictly larger fraction of the stream
    within deadline than the *best* static config, by a CI-gated margin.
-   The run uses the serial executor's simulated clock, so the gate is
-   stable on single-core CI runners; deadlines are calibrated from a
-   measured per-batch service time, so it is stable across machine speeds.
+   The run uses the serial executor's simulated clock and sets deadlines
+   from its service time of one lane's per-tick batch
+   (:func:`~repro.serving.scheduler.service_seconds`), so the result is
+   the same on every machine.
 2. **Autoscaler elasticity without lost batches** — a bursty stream on the
    process executor: the autoscaler must grow the worker pool during the
    burst, shrink it back when traffic quiets (respecting cooldown), and
@@ -28,7 +29,6 @@ directly (``PYTHONPATH=src python benchmarks/bench_control.py``).
 
 from __future__ import annotations
 
-import time
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from repro.control import ControlPlane, FlakyDevice, PoolAutoscaler, run_suite
 from repro.edge.transfer import package_for_edge
 from repro.fleet import TrafficGenerator, WorkloadSpec
 from repro.serving import serve
+from repro.serving.scheduler import service_seconds
 
 #: Overload factor of the chaos workload: per-tick arrivals carry ~4x the
 #: service capacity of one tick interval.
@@ -66,26 +67,14 @@ STATIC_CONFIGS = [
 ]
 
 
-def _calibrate_batch_service_seconds(fleet, pool) -> float:
-    """Measured wall seconds to serve one lane's per-tick batch (best of 3)."""
-    windows = pool[: REQUESTS_PER_TICK // N_DEVICES]
-    device = fleet.devices[0]
-    best = None
-    for _ in range(3):
-        start = time.perf_counter()
-        device.infer(windows)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best
-
-
 def _run_chaos_config(package, pool, batch_service, scheduling, routing, adaptive):
     """One closed-loop chaos run; returns the stream-level SLO summary."""
     fleet = build_fleet(package, N_DEVICES)
     storm = []
     for position in STORM_DEVICES:
         wrapper = FlakyDevice(fleet.devices[position])
-        fleet.devices[position] = wrapper
+        fleet.replace_device(wrapper.device_id, wrapper)
+        assert fleet.device(wrapper.device_id) is wrapper
         storm.append(wrapper)
     client = serve(
         fleet, routing=routing, scheduling=scheduling, seed=7, adaptive=adaptive
@@ -142,9 +131,7 @@ def test_adaptive_beats_static_under_chaos(report):
         package = package_for_edge(make_serving_learner())
         pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES))
         fleet = build_fleet(package, N_DEVICES)
-        for device in fleet.devices:
-            device.infer(pool[:8])  # warm every engine cache
-        batch_service = _calibrate_batch_service_seconds(fleet, pool)
+        batch_service = service_seconds(fleet.devices[0], REQUESTS_PER_TICK // N_DEVICES)
 
         rows = [
             _run_chaos_config(package, pool, batch_service, scheduling, routing, False)
@@ -190,8 +177,8 @@ def test_adaptive_beats_static_under_chaos(report):
         },
     )
     assert adaptive["in_deadline"] > best_static["in_deadline"]
-    # CI gate: the measured margin on this workload is ~5-6% of the
-    # stream; gate at roughly half so scheduler noise can't flake it.
+    # CI gate: the margin on this workload is 5.55% of the stream, the
+    # same on every run (simulated clock); the gate sits at roughly half.
     assert margin >= 0.03, (
         f"adaptive margin {margin:.2%} below the 3% gate "
         f"(adaptive {adaptive['attainment']:.2%} vs best static "

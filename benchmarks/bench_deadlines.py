@@ -10,9 +10,10 @@ measurements isolate the serving layer itself):
    and lose strictly fewer to expiry+miss.  FIFO head-of-line-blocks late
    urgent requests behind earlier relaxed ones until their deadlines pass;
    EDF reorders each lane's queue so the urgent sub-stream (sized well
-   within capacity) is served in time.  Deadlines are calibrated from a
-   measured per-batch service time, so the gate is stable across machine
-   speeds.
+   within capacity) is served in time.  Deadlines are set from the
+   simulated clock's service time of one lane's per-tick batch
+   (:func:`~repro.serving.scheduler.service_seconds`), so the result is
+   the same on every machine.
 2. **EDF overhead within the serving gate** — with EDF scheduling enabled
    (on deadline-less traffic, where it degenerates to arrival order), the
    scheduler's per-request bookkeeping must stay at or below the per-request
@@ -24,8 +25,6 @@ directly (``PYTHONPATH=src python benchmarks/bench_deadlines.py``).
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from repro.backend import precision
 from repro.edge.transfer import package_for_edge
 from repro.fleet import TrafficGenerator, WorkloadSpec
 from repro.serving import serve
+from repro.serving.scheduler import service_seconds
 
 #: Overload factor of the deadline workload: per-tick arrivals carry ~4x the
 #: service capacity of one tick interval, so queues grow without bound.
@@ -58,28 +58,13 @@ REQUESTS_PER_TICK = 1024
 N_TICKS = 16
 
 
-def _calibrate_batch_service_seconds(fleet, pool) -> float:
-    """Measured wall seconds to serve one lane's per-tick batch (best of 3)."""
-    windows = pool[: REQUESTS_PER_TICK // N_DEVICES]
-    device = fleet.devices[0]
-    best = None
-    for _ in range(3):
-        start = time.perf_counter()
-        device.infer(windows)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best
-
-
 def test_edf_reduces_deadline_misses_vs_fifo(report):
     """EDF answers strictly more requests in deadline than FIFO (overload)."""
     with precision("edge"):
         package = package_for_edge(make_serving_learner())
         pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES))
         fleet = build_fleet(package, N_DEVICES)
-        for device in fleet.devices:
-            device.infer(pool[:8])  # warm every engine cache
-        batch_service = _calibrate_batch_service_seconds(fleet, pool)
+        batch_service = service_seconds(fleet.devices[0], REQUESTS_PER_TICK // N_DEVICES)
         workload = WorkloadSpec(
             pattern="zipf",
             n_users=1000,

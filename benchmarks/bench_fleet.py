@@ -145,9 +145,6 @@ def test_fleet_throughput_scales(report):
             fleet = build_fleet(package, n_devices)
             traffic = TrafficGenerator(pool, make_workload(pattern), seed=7)
             client = serve(fleet, routing="hash", seed=7)
-            # Warm every engine cache so the measurement is steady-state.
-            for device in fleet.devices:
-                device.infer(pool[:8])
             for requests in traffic.ticks():
                 client.submit_many(requests)
                 client.drain()

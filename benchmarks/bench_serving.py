@@ -85,8 +85,6 @@ def test_least_loaded_beats_hash_p99_under_zipf(report):
         package = package_for_edge(make_serving_learner())
         pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES))
         fleet = build_fleet(package, 8)
-        for device in fleet.devices:
-            device.infer(pool[:8])  # warm every engine cache
 
         def routed_p99(routing: str):
             client = serve(fleet, routing=routing, seed=7)

@@ -83,8 +83,7 @@ def main() -> None:
 
     def storm_run(adaptive: bool):
         fleet = build_serving_fleet(2, seed=0)
-        flaky = FlakyDevice(fleet.devices[0])
-        fleet.devices[0] = flaky
+        flaky = fleet.replace_device(0, FlakyDevice(fleet.devices[0]))
         run_client = serve(
             fleet, routing="p2c", scheduling="edf", seed=7, adaptive=adaptive
         )

@@ -74,6 +74,12 @@ class EmbeddingNetwork(Module):
             rng=rng if rng is not None else self.config.seed,
         )
         self.normalize = bool(self.config.normalize_embeddings)
+        #: Multiply-add FLOPs of one row through the layers (2·Σ in·out);
+        #: the simulated serving clock charges batches by it.
+        self.flops_per_row = 2 * sum(
+            fan_in * fan_out
+            for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:])
+        )
         #: Shared-weights key (see the module docstring); ``None`` means
         #: "these weights are this network's own" and never fuses.  Code
         #: that writes parameters directly must reset it.

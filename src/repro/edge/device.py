@@ -34,8 +34,11 @@ class DeviceProfile:
     memory_bytes:
         Working memory available during training.
     relative_compute:
-        Compute speed relative to the reference machine running the
-        experiments (1.0 = same speed); used to extrapolate epoch latency.
+        Compute speed relative to the reference machine (1.0 = same
+        speed).  It divides measured epoch time to extrapolate training
+        latency, and it divides the modeled serving time of
+        :func:`~repro.serving.scheduler.service_seconds` on the simulated
+        clock.
     """
 
     name: str

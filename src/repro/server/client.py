@@ -68,12 +68,9 @@ class AsyncConnection:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        *,
-        codec: Optional[int] = None,
     ) -> None:
         self._reader = reader
         self._writer = writer
-        self._codec = codec
         self._next_id = 0
         self._waiters: Dict[int, asyncio.Future] = {}
         self._closed = False
@@ -82,12 +79,10 @@ class AsyncConnection:
         )
 
     @classmethod
-    async def open(
-        cls, host: str, port: int, *, codec: Optional[int] = None
-    ) -> "AsyncConnection":
+    async def open(cls, host: str, port: int) -> "AsyncConnection":
         reader, writer = await asyncio.open_connection(host, port)
         _disable_nagle(writer)
-        return cls(reader, writer, codec=codec)
+        return cls(reader, writer)
 
     # ------------------------------------------------------------------ #
     @property
@@ -122,14 +117,14 @@ class AsyncConnection:
             request_id, user_id, features,
             deadline_ms=deadline_ms, metadata=metadata,
         )
-        await wire.write_frame(self._writer, header, payload, self._codec)
+        await wire.write_frame(self._writer, header, payload)
         return await future
 
     async def stats(self) -> Dict[str, Any]:
         """The server's stats export (scheduler report + wire counters)."""
         request_id, future = self._register()
         header, payload = wire.stats_request_frame(request_id)
-        await wire.write_frame(self._writer, header, payload, self._codec)
+        await wire.write_frame(self._writer, header, payload)
         return await future
 
     async def close(self) -> None:
@@ -138,7 +133,7 @@ class AsyncConnection:
             return
         self._closed = True
         try:
-            await wire.write_frame(self._writer, *wire.bye_frame(), self._codec)
+            await wire.write_frame(self._writer, *wire.bye_frame())
         except (ConnectionError, OSError, WireProtocolError):
             pass
         try:
@@ -340,7 +335,6 @@ async def run_load(
     window: int = 32,
     slo_target_ms: Optional[float] = None,
     fetch_server_stats: bool = True,
-    codec: Optional[int] = None,
 ) -> LoadReport:
     """Drive the server closed-loop and account every request exactly once.
 
@@ -413,10 +407,7 @@ async def run_load(
         if pending:
             await asyncio.gather(*list(pending), return_exceptions=True)
 
-    sockets = [
-        await AsyncConnection.open(host, port, codec=codec)
-        for _ in range(connections)
-    ]
+    sockets = [await AsyncConnection.open(host, port) for _ in range(connections)]
     start = perf_seconds()
     try:
         await asyncio.gather(*(worker(connection) for connection in sockets))

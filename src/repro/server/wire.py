@@ -5,9 +5,7 @@ Every message on a connection is one *frame*::
     >BII  header  payload
     │ │└─ payload length (raw little-endian array bytes, may be 0)
     │ └── header length (serialized mapping)
-    └──── header codec: 0 = JSON (always available), 1 = msgpack (used
-          automatically when the ``msgpack`` package is importable; a peer
-          without it keeps speaking JSON — the codec byte is per frame)
+    └──── header codec: always 0 (JSON); any other byte is a framing error
 
 The header is a small mapping carrying the message ``kind`` plus its
 metadata; bulk numerics (feature windows in, class ids out) travel in the
@@ -57,19 +55,11 @@ from repro.exceptions import (
     WorkerDiedError,
 )
 
-try:  # optional accelerator for the header codec; JSON is the floor
-    import msgpack  # type: ignore
-except ImportError:  # pragma: no cover - exercised where msgpack is absent
-    msgpack = None
-
 __all__ = [
     "CODEC_JSON",
-    "CODEC_MSGPACK",
-    "DEFAULT_CODEC",
     "MAX_HEADER_BYTES",
     "MAX_PAYLOAD_BYTES",
     "WIRE_ERRORS",
-    "available_codecs",
     "encode_frame",
     "read_frame",
     "write_frame",
@@ -86,11 +76,8 @@ __all__ = [
 
 _PREFIX = struct.Struct(">BII")
 
+#: The one header codec; the prefix byte stays so the frame layout is fixed.
 CODEC_JSON = 0
-CODEC_MSGPACK = 1
-
-#: The codec this process encodes headers with (peers may differ per frame).
-DEFAULT_CODEC = CODEC_MSGPACK if msgpack is not None else CODEC_JSON
 
 #: A header is routing metadata, not a payload: anything this large is a
 #: framing error, not a request.
@@ -120,42 +107,14 @@ WIRE_ERRORS: Dict[str, type] = {
 }
 
 
-def available_codecs() -> Tuple[int, ...]:
-    """Header codecs this process can decode."""
-    return (CODEC_JSON, CODEC_MSGPACK) if msgpack is not None else (CODEC_JSON,)
-
-
 # ---------------------------------------------------------------------- #
 # framing
 # ---------------------------------------------------------------------- #
-def _encode_header(header: Dict[str, Any], codec: int) -> bytes:
-    if codec == CODEC_MSGPACK:
-        if msgpack is None:
-            raise WireProtocolError(
-                "cannot encode a msgpack header: the msgpack package is not "
-                "installed (use CODEC_JSON)"
-            )
-        return msgpack.packb(header, use_bin_type=True)
-    if codec == CODEC_JSON:
-        return json.dumps(header, separators=(",", ":")).encode("utf-8")
-    raise WireProtocolError(f"unknown header codec {codec}")
-
-
 def _decode_header(raw: bytes, codec: int) -> Dict[str, Any]:
+    if codec != CODEC_JSON:
+        raise WireProtocolError(f"unknown header codec byte {codec}")
     try:
-        if codec == CODEC_MSGPACK:
-            if msgpack is None:
-                raise WireProtocolError(
-                    "peer sent a msgpack header but the msgpack package is "
-                    "not installed on this side"
-                )
-            header = msgpack.unpackb(raw, raw=False)
-        elif codec == CODEC_JSON:
-            header = json.loads(raw.decode("utf-8"))
-        else:
-            raise WireProtocolError(f"unknown header codec byte {codec}")
-    except WireProtocolError:
-        raise
+        header = json.loads(raw.decode("utf-8"))
     except Exception as exc:
         raise WireProtocolError(f"undecodable frame header: {exc}") from exc
     if not isinstance(header, dict):
@@ -165,12 +124,9 @@ def _decode_header(raw: bytes, codec: int) -> Dict[str, Any]:
     return header
 
 
-def encode_frame(
-    header: Dict[str, Any], payload: bytes = b"", codec: Optional[int] = None
-) -> bytes:
+def encode_frame(header: Dict[str, Any], payload: bytes = b"") -> bytes:
     """One wire frame as bytes (prefix + header + payload)."""
-    codec = DEFAULT_CODEC if codec is None else codec
-    raw_header = _encode_header(header, codec)
+    raw_header = json.dumps(header, separators=(",", ":")).encode("utf-8")
     if len(raw_header) > MAX_HEADER_BYTES:
         raise WireProtocolError(
             f"frame header of {len(raw_header)} bytes exceeds the "
@@ -181,7 +137,7 @@ def encode_frame(
             f"frame payload of {len(payload)} bytes exceeds the "
             f"{MAX_PAYLOAD_BYTES}-byte bound"
         )
-    return _PREFIX.pack(codec, len(raw_header), len(payload)) + raw_header + payload
+    return _PREFIX.pack(CODEC_JSON, len(raw_header), len(payload)) + raw_header + payload
 
 
 async def read_frame(
@@ -225,10 +181,9 @@ async def write_frame(
     writer: asyncio.StreamWriter,
     header: Dict[str, Any],
     payload: bytes = b"",
-    codec: Optional[int] = None,
 ) -> None:
     """Encode and send one frame, honouring the transport's backpressure."""
-    writer.write(encode_frame(header, payload, codec))
+    writer.write(encode_frame(header, payload))
     await writer.drain()
 
 

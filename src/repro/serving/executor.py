@@ -6,12 +6,13 @@ that batch actually executes.  Three implementations ship with the library
 (:data:`EXECUTORS`, ``pilote fleet-sim --executor {serial,thread,process}``):
 
 * :class:`SerialExecutor` (``"serial"``, the default) — inline execution on
-  the calling thread, bit-exact with the historical scheduler: every batch
-  is timed with the wall clock and converted to device-seconds through the
-  profile's ``relative_compute``, so N lanes drain "in parallel" only on
-  the simulated clock.  Its drain is also the only one that fuses: lanes
-  whose devices share network weights get one stacked embedding per heap
-  pass, classified per lane by the scheduler (see
+  the calling thread.  The scheduler charges every batch its modeled
+  service time (:func:`~repro.serving.scheduler.service_seconds`: rows x
+  the network's FLOPs per row, scaled by the profile's
+  ``relative_compute``), so N lanes drain "in parallel" on the simulated
+  clock and a seed fully determines the result.  Its drain is also the
+  only one that fuses: lanes whose devices share network weights get one
+  stacked embedding per heap pass, classified per lane by the scheduler (see
   :mod:`repro.serving.scheduler`); the thread and process executors
   always serve each lane through its own ``infer``;
 * :class:`ThreadExecutor` (``"thread"``) — a shared-memory thread pool.
@@ -180,12 +181,13 @@ def _timed_infer(device, windows: np.ndarray, position: int) -> LaneResult:
 
 
 class SerialExecutor(Executor):
-    """Inline execution on the simulated clock — the historical behaviour.
+    """Inline execution on the simulated clock.
 
-    Bit-exact with the pre-executor scheduler: same engine calls, same
-    wall-clock timing converted to device-seconds through
-    ``profile.relative_compute``, same simulated-parallel reports
-    (``benchmarks/bench_workers.py`` gates the equivalence)."""
+    Answers are bit-exact with serving each device directly
+    (``benchmarks/bench_workers.py`` gates the equivalence).  The measured
+    ``wall`` of each result is kept as an observation only: the scheduler
+    times the simulated clock with
+    :func:`~repro.serving.scheduler.service_seconds`."""
 
     name = "serial"
     clock = "simulated"

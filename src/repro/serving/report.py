@@ -2,14 +2,16 @@
 
 The event-loop scheduler (:mod:`repro.serving.scheduler`) keeps one
 :class:`DeviceStats` row per device lane and summarises them in a
-:class:`RoutingReport`.  Timing uses a simulated clock layered on measured
-compute: each per-device batch is timed with the wall clock and converted to
-device-seconds through the profile's ``relative_compute``, and devices drain
-their queues *in parallel* in simulated time.  Aggregate fleet throughput is
-therefore ``total_windows / makespan`` where the makespan is the latest
-completion time across devices — the quantity ``benchmarks/bench_fleet.py``
-gates on.  Both types serialise through ``to_dict``/``from_dict`` for the
-network server's stats endpoint and the benchmark artifacts.
+:class:`RoutingReport`.  Timing uses a simulated clock: each per-device
+batch is charged the modeled service time of
+:func:`~repro.serving.scheduler.service_seconds` (rows x the network's
+FLOPs per row, scaled by the profile's ``relative_compute``), and devices
+drain their queues *in parallel* in simulated time.  Aggregate fleet
+throughput is therefore ``total_windows / makespan`` where the makespan is
+the latest completion time across devices — the quantity
+``benchmarks/bench_fleet.py`` gates on.  Both types serialise through
+``to_dict``/``from_dict`` for the network server's stats endpoint and the
+benchmark artifacts.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ class DeviceStats:
     requests: int = 0
     windows: int = 0
     batches: int = 0
-    busy_seconds: float = 0.0        # simulated device-seconds of compute
-    wall_seconds: float = 0.0        # measured engine wall clock
+    busy_seconds: float = 0.0        # device-seconds of compute, on ``clock``
+    wall_seconds: float = 0.0        # measured engine wall clock (observation)
     total_latency_seconds: float = 0.0
     max_queue_depth: int = 0
     available_at: float = 0.0        # simulated time the device frees up
@@ -64,10 +66,11 @@ class DeviceStats:
     #: scheduler's most recent LATENCY_HISTORY_CAP requests.
     latencies: List[float] = field(default_factory=list, repr=False)
     #: Which clock the timing columns are on: ``"simulated"`` (the default —
-    #: wall time scaled by ``relative_compute``, devices modeled as draining
-    #: in parallel) or ``"wall"`` (measured elapsed time where the batch
-    #: actually ran, set by the concurrent serving executors).  Lets reports
-    #: distinguish modeled from measured latency.
+    #: modeled service times, see ``repro.serving.scheduler.service_seconds``,
+    #: with devices draining in parallel; a seed determines every value) or
+    #: ``"wall"`` (measured elapsed time where the batch actually ran, set by
+    #: the concurrent serving executors).  ``wall_seconds`` is measured on
+    #: both clocks.
     clock: str = "simulated"
 
     @property

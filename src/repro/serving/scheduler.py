@@ -4,10 +4,14 @@ Requests are *submitted* (each immediately receives a
 :class:`~repro.serving.protocol.PendingResult` future) and a heap-ordered
 event loop later drains the per-device queues in simulated-clock order.
 
-Timing follows the fleet's established model: each per-device batch is timed
-with the wall clock, converted to device-seconds through the profile's
-``relative_compute``, and devices drain *in parallel* in simulated time.  The
-scheduler keeps one :class:`~repro.serving.report.DeviceStats` row per lane,
+Timing is computed, not measured: a batch of ``rows`` windows takes
+:func:`service_seconds` on the simulated clock — a fixed per-call cost plus
+the served network's per-row FLOPs, scaled by the profile's
+``relative_compute`` — and devices drain *in parallel* in simulated time, so
+a seed fully determines every latency, deadline verdict and report.  The
+engine call's measured wall time is still recorded (``wall_seconds``) as an
+observation, but nothing on the simulated clock reads it.  The scheduler
+keeps one :class:`~repro.serving.report.DeviceStats` row per lane,
 summarised in a :class:`~repro.serving.report.RoutingReport`, and records
 per-request latencies so reports can answer percentile (p99) questions.
 
@@ -66,8 +70,10 @@ At the start of every heap pass the drain stacks the head batches of all
 ready lanes with equal keys and calls ``EmbeddingNetwork.embed`` once per
 key; each batch parks its slice, and when the heap reaches the lane, in
 the usual order, the device finishes it with ``classify`` (its own
-prototypes, refresh check included).  A lane's service time is its own
-classify time plus its row share of the stacked embed.  A batch changed in
+prototypes, refresh check included).  A fused lane is charged the same
+modeled service time as an unfused one, so fusion changes no simulated
+number; its measured ``wall_seconds`` is its classify time plus its row
+share of the stacked embed.  A batch changed in
 between (expiry, cancellation, coalescing, a weight rewrite) embeds its own
 rows as before.  With one lane, under EDF, and on the concurrent executors
 nothing fuses.  Stacked rows are byte-equal to a lane's own embedding for
@@ -114,7 +120,7 @@ from repro.serving.routing import RoutingPolicy, make_routing_policy
 from repro.utils.clock import perf_seconds
 from repro.utils.rng import RandomState, resolve_rng
 
-__all__ = ["EventLoopScheduler", "SCHEDULING_ORDERS"]
+__all__ = ["EventLoopScheduler", "SCHEDULING_ORDERS", "service_seconds"]
 
 #: Queue orders understood by :class:`EventLoopScheduler` (and the
 #: ``pilote fleet-sim --scheduling`` flag).
@@ -125,6 +131,38 @@ SCHEDULING_ORDERS = ("fifo", "edf")
 #: a few MB per device at the cap.  Trimming waits until 2x the cap so the
 #: compaction cost amortises to O(1) per request.
 LATENCY_HISTORY_CAP = 100_000
+
+# The simulated service-time model.  Both constants were fitted once, by
+# relative least squares, to ``FleetDevice.infer`` wall times at float32 on a
+# 2-vCPU x86 container (BLAS on one thread): four backbones from
+# 80-128-64-32 to 80-1024-512-128-64-128, batches of 1-256 rows.  Median
+# error of the fit is ~20%; what matters is that the model is fixed.
+#: Per-call cost of one engine batch on a ``relative_compute=1.0`` device.
+BATCH_SECONDS = 7.0e-5
+#: Seconds per FLOP of embedding work on a ``relative_compute=1.0`` device.
+SECONDS_PER_FLOP = 2.5e-11
+#: Per-row FLOPs charged to devices that serve without an
+#: ``EmbeddingNetwork`` (test adapters, bare callables): the serving
+#: backbone's 80-256-128-32.
+REFERENCE_ROW_FLOPS = 114_688
+
+
+def service_seconds(device, rows: int) -> float:
+    """Simulated seconds ``device`` takes to serve a batch of ``rows`` windows.
+
+    ``(BATCH_SECONDS + rows * flops_per_row * SECONDS_PER_FLOP) /
+    relative_compute``, where ``flops_per_row`` is the served network's
+    :attr:`~repro.core.embedding.EmbeddingNetwork.flops_per_row`
+    (:data:`REFERENCE_ROW_FLOPS` when the device has none).  A pure
+    function of the batch, so the same seed gives the same clock.
+    """
+    engine = getattr(device, "engine", None)
+    model = getattr(getattr(engine, "learner", None), "model", None)
+    flops = getattr(model, "flops_per_row", REFERENCE_ROW_FLOPS)
+    return (
+        (BATCH_SECONDS + rows * flops * SECONDS_PER_FLOP)
+        / device.profile.relative_compute
+    )
 
 
 class _Batch:
@@ -221,7 +259,7 @@ class _Parked:
     (expiry and cancellation replace that list, coalescing grows it) and
     the lane's device still reports the same fusion ``key`` (retraining
     drops the weights token).  ``embed_seconds`` is the lane's row share of
-    the stacked embed's wall time.
+    the stacked embed's measured wall time (it feeds ``wall_seconds`` only).
     """
 
     __slots__ = ("key", "requests", "n_requests", "windows", "embeddings", "embed_seconds")
@@ -254,7 +292,8 @@ def _batch_windows(requests: Sequence) -> np.ndarray:
 
 
 def _timed_classify(prepared: "_PreparedBatch") -> LaneResult:
-    """Finish a fused lane inline: its classify time plus its embed share."""
+    """Finish a fused lane inline; ``wall`` is its classify time plus its
+    measured embed share."""
     start = perf_seconds()
     try:
         outputs = prepared.device.classify(prepared.parked.embeddings)
@@ -1251,25 +1290,23 @@ class EventLoopScheduler:
             batch.finish(None, device.device_id, begin, error=result.error)
             return None
         wall = result.wall
+        n_windows = int(prepared.windows.shape[0])
         if self._wall_clock:
-            # Measured mode: no modeled relative_compute scaling.  The
-            # batch completes at the shared measured clock reading (which
-            # includes time spent waiting for a busy worker — lanes
-            # outnumbering workers must not look fully parallel); the
-            # in-worker elapsed time is still what counts as busy compute.
+            # Measured mode.  The batch completes at the shared measured
+            # clock reading (which includes time spent waiting for a busy
+            # worker — lanes outnumbering workers must not look fully
+            # parallel); the in-worker elapsed time counts as busy compute.
             completion = (
                 max(begin, measured_now) if measured_now is not None
                 else begin + wall
             )
             service = wall
         else:
-            service = wall / device.profile.relative_compute
+            service = service_seconds(device, n_windows)
             completion = begin + service
         self._available_at[position] = completion
         stats.available_at = completion  # feeds RoutingReport.makespan_seconds
 
-        windows = prepared.windows
-        n_windows = int(windows.shape[0])
         stats.requests += len(requests)
         stats.windows += n_windows
         stats.batches += 1

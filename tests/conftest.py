@@ -74,6 +74,26 @@ def incremented_pilote(pretrained_pilote, run_scenario) -> PILOTE:
     return learner
 
 
+@pytest.fixture(scope="session")
+def simulated_fields():
+    """Strip a ``RoutingReport.to_dict()`` down to its simulated fields.
+
+    Per-device ``wall_seconds`` and the fleet's ``engine_wall_seconds`` are
+    measured observations; on the simulated clock every other field is a
+    function of the seed.
+    """
+
+    def view(report: dict) -> dict:
+        data = {key: value for key, value in report.items() if key != "engine_wall_seconds"}
+        data["per_device"] = {
+            device: {key: value for key, value in row.items() if key != "wall_seconds"}
+            for device, row in report["per_device"].items()
+        }
+        return data
+
+    return view
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     """A fresh deterministic generator per test."""

@@ -7,7 +7,6 @@ regression (drain-then-retire, no lost in-flight batches) — plus the
 rolling-window stats exports and the chaos suite's invariants.
 """
 
-import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +31,7 @@ from repro.control import (
     make_controller,
     run_chaos,
 )
+from repro.edge.device import DeviceProfile
 from repro.exceptions import (
     ConfigurationError,
     DeadlineExceededError,
@@ -51,18 +51,27 @@ from repro.serving import (
     ThreadExecutor,
     serve,
 )
+from repro.serving.scheduler import service_seconds
 
 
-def _infer(seconds=0.001):
-    def run(windows):
-        time.sleep(seconds)
-        return np.zeros(windows.shape[0], dtype=np.int64)
+def _answer(windows):
+    return np.zeros(windows.shape[0], dtype=np.int64)
 
-    return run
+
+def _profile(seconds):
+    """A profile whose 1-row batch takes ``seconds`` on the simulated clock."""
+    reference = service_seconds(LocalServingDevice(_answer), 1)
+    return DeviceProfile(
+        "slow", storage_bytes=2**20, memory_bytes=2**20,
+        relative_compute=reference / seconds,
+    )
 
 
 def _devices(n, seconds=0.001):
-    return [LocalServingDevice(_infer(seconds), device_id=i) for i in range(n)]
+    profile = _profile(seconds)
+    return [
+        LocalServingDevice(_answer, profile=profile, device_id=i) for i in range(n)
+    ]
 
 
 def _cheap_serving_learner(rng_seed):
@@ -791,8 +800,16 @@ class TestChaos:
         assert report.failed_by_type.get("ClientClosedError", 0) == 8
         assert report.answered == report.sent - 8
 
+    @pytest.mark.parametrize("adaptive", [True, False])
+    @pytest.mark.parametrize("name", ["worker-storm", "stragglers", "restart"])
+    def test_simulated_clock_scenarios_are_seed_determined(self, name, adaptive):
+        spec = CHAOS_SCENARIOS[name]
+        assert spec.executor == "serial"
+        first = run_chaos(spec, adaptive=adaptive).to_dict()
+        assert run_chaos(spec, adaptive=adaptive).to_dict() == first
+
     def test_straggler_device_slows_only_while_flagged(self):
-        inner = LocalServingDevice(_infer(), device_id=0)
+        inner = LocalServingDevice(_answer, device_id=0)
         straggler = StragglerDevice(inner, slow_factor=4.0)
         baseline = straggler.profile.relative_compute
         straggler.slow = True

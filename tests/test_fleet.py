@@ -398,3 +398,39 @@ class TestFleetSimulation:
         assert "Fleet simulation" in text
         assert "divergence" in text
         assert "round-trip reproduces predictions: True" in text
+
+    def test_deadline_run_is_seed_determined(self, simulated_fields):
+        settings = ExperimentSettings(
+            samples_per_class=40,
+            n_rounds=1,
+            config=PiloteConfig(
+                hidden_dims=(32, 16), embedding_dim=8, batch_size=16,
+                max_epochs_pretrain=2, max_epochs_increment=1, cache_size=60,
+                max_pairs_per_batch=64, seed=0,
+            ),
+            exemplars_per_class=8,
+            seed=0,
+        )
+        scenario = FleetScenarioSpec(
+            experiment_id="fleet-determinism",
+            description="overloaded four-device deadline run",
+            n_devices=4,
+            new_classes=(Activity.RUN,),
+            traffic_pattern="zipf",
+            n_users=40,
+            requests_per_tick=24,
+            n_ticks=4,
+        )
+
+        def routed():
+            result = fleet_simulation.run(
+                settings, scenario=scenario, routing="least-loaded",
+                scheduling="edf", deadline_ms=0.3,
+            )
+            return result.routing.to_dict()
+
+        first = routed()
+        breakdown = first["deadline_breakdown"]
+        assert breakdown["served"] > 0
+        assert breakdown["missed"] + breakdown["expired"] > 0  # deadlines bite
+        assert simulated_fields(routed()) == simulated_fields(first)

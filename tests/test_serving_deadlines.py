@@ -7,13 +7,13 @@ serving-path regression fixes: failed-batch accounting, re-entrant
 out-of-order ``_queue_batch`` walk-back.
 """
 
-import time
 from collections import deque
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser
+from repro.edge.device import DeviceProfile
 from repro.exceptions import (
     ConfigurationError,
     DataError,
@@ -29,21 +29,22 @@ from repro.serving import (
     serve,
 )
 from repro.serving.routing import LeastLoadedRouting, PowerOfTwoRouting
+from repro.serving.scheduler import service_seconds
 
 
-def _slow_infer(seconds=0.002):
-    """A deterministic-enough device function with a measurable service time."""
-
-    def infer(windows):
-        time.sleep(seconds)
-        return np.zeros(windows.shape[0], dtype=np.int64)
-
-    return infer
+def _answer(windows):
+    return np.zeros(windows.shape[0], dtype=np.int64)
 
 
-def _scheduler(scheduling="fifo", infer=None, n_devices=1):
+def _scheduler(scheduling="fifo", infer=_answer, n_devices=1, seconds=0.002):
+    """Lanes whose 1-row batch takes ``seconds`` on the simulated clock."""
+    reference = service_seconds(LocalServingDevice(_answer), 1)
+    profile = DeviceProfile(
+        "slow", storage_bytes=2**20, memory_bytes=2**20,
+        relative_compute=reference / seconds,
+    )
     devices = [
-        LocalServingDevice(infer or _slow_infer(), device_id=i)
+        LocalServingDevice(infer, profile=profile, device_id=i)
         for i in range(n_devices)
     ]
     return EventLoopScheduler(devices, scheduling=scheduling, seed=0)
@@ -134,9 +135,9 @@ class TestEdfScheduling:
         """The tentpole story in miniature: urgent requests survive EDF."""
 
         def run(scheduling):
-            scheduler = _scheduler(scheduling, infer=_slow_infer(0.004))
+            scheduler = _scheduler(scheduling, seconds=0.004)
             futures = []
-            # Tick 0 warms the lane; ticks arrive faster than service.
+            # Ticks arrive faster than service.
             for tick in range(6):
                 arrival = tick * 1e-4
                 futures.append(
@@ -150,15 +151,8 @@ class TestEdfScheduling:
             in_deadline = report.total_deadline_requests - report.total_deadline_misses
             return in_deadline, report.total_expired
 
-        # Real sleeps feed the measured clock, so scheduler-independent
-        # jitter can expire one extra request on either side of the
-        # comparison (~5-10% of runs on a loaded machine).  A genuine EDF
-        # regression fails every attempt; jitter does not survive three.
-        for attempt in range(3):
-            fifo_in, fifo_expired = run("fifo")
-            edf_in, edf_expired = run("edf")
-            if edf_in >= fifo_in and edf_expired <= fifo_expired:
-                break
+        fifo_in, fifo_expired = run("fifo")
+        edf_in, edf_expired = run("edf")
         assert edf_in >= fifo_in
         assert edf_expired <= fifo_expired
 

@@ -17,7 +17,13 @@ from repro.core.embedding import EmbeddingNetwork
 from repro.edge.device import EdgeDevice
 from repro.edge.transfer import package_for_edge
 from repro.exceptions import RoutingError, ShapeError
-from repro.fleet import CheckpointStore, FleetCoordinator, FleetDevice
+from repro.fleet import (
+    CheckpointStore,
+    FleetCoordinator,
+    FleetDevice,
+    TrafficGenerator,
+    WorkloadSpec,
+)
 from repro.serving import EventLoopScheduler, PredictRequest, serve
 from repro.serving import scheduler as scheduler_module
 from repro.serving.client import IN_PROCESS_PROFILE
@@ -153,6 +159,32 @@ class TestFusedDrain:
         rows, _ = _one_batch_per_lane(scheduler, pool)
         scheduler.drain()
         assert embed_calls == [r.shape[0] for r in rows]
+
+    def test_fusion_changes_no_simulated_number(
+        self, package, tiny_config, pool, embed_calls, simulated_fields
+    ):
+        """Fused and unfused lanes are charged the same modeled service time."""
+        workload = WorkloadSpec(
+            pattern="zipf", n_users=64, requests_per_tick=32, n_ticks=6,
+            tick_seconds=1e-4,
+        )
+        reports, calls = [], []
+        for fused in (True, False):
+            coordinator = FleetCoordinator(tiny_config, seed=0)
+            coordinator.provision(N_LANES)
+            coordinator.deploy(package)
+            if not fused:
+                for device in coordinator.devices:
+                    device.learner.model.weights_token = None
+            client = serve(coordinator, seed=0)
+            for requests in TrafficGenerator(pool, workload, seed=3).ticks():
+                client.submit_many(requests)
+                client.drain()
+            reports.append(client.report().to_dict())
+            calls.append(len(embed_calls))
+            del embed_calls[:]
+        assert calls[0] < calls[1]  # the first run really fused
+        assert simulated_fields(reports[0]) == simulated_fields(reports[1])
 
     @pytest.mark.parametrize("rows_per_lane", [1, 2, 5, 16])
     def test_stacked_embeddings_match_each_device(self, fleet, pool, rows_per_lane):
