@@ -72,18 +72,11 @@ def batch_norm_train(
 
 
 def batch_norm_eval(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    epsilon: float,
+    x: Tensor, gamma: Tensor, beta: Tensor, mean: np.ndarray, std: np.ndarray
 ) -> Tensor:
-    """Normalise ``(batch, features)`` rows by tracked statistics."""
-    return _apply(
-        "batch_norm_eval", x, gamma, beta,
-        running_mean=running_mean, running_var=running_var, epsilon=epsilon,
-    )
+    """Normalise ``(batch, features)`` rows by tracked statistics, as the
+    ``(mean, std)`` of :func:`~repro.autodiff.primitives.batch_norm_eval_constants`."""
+    return _apply("batch_norm_eval", x, gamma, beta, mean=mean, std=std)
 
 
 def l2_normalize(x: Tensor, axis: int = -1, epsilon: float = 1e-12) -> Tensor:

@@ -527,10 +527,15 @@ def _scale_shift_vjp(need, grad, normalised, scaled, gamma):
     return grad_normalised, grad_gamma, (grad if need[2] else None)
 
 
-def _batch_norm_eval_forward(ctx, x, gamma, beta, *, running_mean, running_var, epsilon):
+def batch_norm_eval_constants(running_mean, running_var, epsilon):
+    """The ``(mean, std)`` rows ``batch_norm_eval`` normalises by, in the
+    policy dtype: ``std = sqrt(running_var + epsilon)``."""
     mean = np.asarray(running_mean.reshape(1, -1), dtype=default_dtype())
     variance = np.asarray(running_var.reshape(1, -1), dtype=default_dtype())
-    std = np.sqrt(variance + _constant(epsilon))
+    return mean, np.sqrt(variance + _constant(epsilon))
+
+
+def _batch_norm_eval_forward(ctx, x, gamma, beta, *, mean, std):
     # No (n, features) temporary outlives its use: this is the serving path.
     normalised = (x - mean) / std
     scaled = normalised * gamma

@@ -78,6 +78,11 @@ class NCMClassifier:
         return self._prototype_matrix
 
     @property
+    def version(self) -> Optional[int]:
+        """The fitted prototype store's mutation counter (``None`` unfitted)."""
+        return None if self._store is None else self._store.version
+
+    @property
     def classes_(self) -> List[int]:
         if self._store is None:
             raise NotFittedError("the NCM classifier has not been fitted")

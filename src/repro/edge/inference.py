@@ -21,11 +21,11 @@ The engine holds a reference to its learner rather than copied state: after
 an on-device incremental update the very next ``predict`` call serves the
 new classes with no explicit re-wiring.
 
-``predict`` is ``classify(embed(windows))``, and :meth:`InferenceEngine
-.classify` is public: the serving scheduler embeds the windows of several
-lanes whose networks share weights in one stacked call, then hands each
-engine its slice.  :class:`SnapshotEngine` runs the same chunked embed and
-the same classify code, so the three paths cannot drift apart.
+``predict`` is ``classify(embed(windows))``.  The serving scheduler embeds
+the windows of lanes whose networks share weights in one stacked call and
+classifies them in one distance call (:func:`classify_stacked`); each engine
+takes its answer through :meth:`InferenceEngine.accept`.
+:class:`SnapshotEngine` runs the same chunked embed and classify code.
 
 When serving must leave the process — the multi-process
 :class:`~repro.serving.ProcessExecutor` runs one worker per lane group —
@@ -41,7 +41,7 @@ machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,8 +73,8 @@ class InferenceEngine:
 
     :meth:`predict` embeds through the learner, then :meth:`classify` runs
     the NCM half (refresh check, prototype distances, class-id ``take``).
-    Fused serving calls :meth:`classify` directly with embeddings computed
-    for several engines at once.
+    Fused serving answers several engines at once (:func:`classify_stacked`)
+    and counts each answer through :meth:`accept`.
     """
 
     def __init__(self, learner: "PILOTE", *, batch_size: int = 256) -> None:
@@ -156,23 +156,46 @@ class InferenceEngine:
             embeddings, classifier.prototype_matrix(), classifier.metric,
             self.batch_size,
         )
-        n_windows = int(embeddings.shape[0])
+        self._count(int(embeddings.shape[0]))
+        return distances
+
+    def _count(self, n_windows: int) -> None:
         self.batches_served += -(-n_windows // self.batch_size)
         self.windows_served += n_windows
-        return distances
 
     def classify(self, embeddings: np.ndarray) -> np.ndarray:
         """Class ids for already-embedded windows — the NCM half of :meth:`predict`.
 
         Runs the refresh check, the prototype distances (one GEMM per
         ``batch_size`` rows, the chunks :meth:`predict` embeds in) and the
-        class-id ``take``.  The serving scheduler calls it directly with a
-        lane's slice of one embedding stacked across lanes whose networks
-        share a :attr:`~repro.core.embedding.EmbeddingNetwork.weights_token`.
+        class-id ``take``.
         """
         self._refresh_if_stale()
         distances = self._distances(embeddings)
         return self._class_ids.take(np.argmin(distances, axis=1))
+
+    def ncm_state(self) -> Optional[tuple]:
+        """``(classifier, prototype store version)`` the next :meth:`classify`
+        would answer from; ``None`` while the learner has no classifier."""
+        learner = self._learner
+        if not learner._classifier_ready:
+            return None
+        if self._cached_version == learner.state_version:
+            classifier = self._classifier
+        else:
+            classifier = learner.classifier  # what the refresh will bind
+        return (classifier, classifier.version)
+
+    def accept(self, class_ids: np.ndarray, state: tuple) -> bool:
+        """Count ``class_ids`` that :func:`classify_stacked` computed from
+        ``state`` as served; ``False`` (nothing counted) once the NCM state
+        has moved.  Runs :meth:`classify`'s refresh check first, so the
+        counters read the same whether or not the lane was fused."""
+        self._refresh_if_stale()
+        if self.ncm_state() != state:
+            return False
+        self._count(int(class_ids.shape[0]))
+        return True
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Class ids for a batch of raw feature windows."""
@@ -453,6 +476,54 @@ class SnapshotEngine:
                 self._model.embed, windows, self.batch_size,
                 self._model.embedding_dim,
             ))
+
+
+def classify_stacked(
+    members: Sequence[Tuple[InferenceEngine, tuple, int]],
+    embeddings: np.ndarray,
+    stacked: Optional[tuple] = None,
+) -> Tuple[List[np.ndarray], tuple]:
+    """Class ids for lanes whose networks share weights, from one distance call.
+
+    ``members`` lists ``(engine, current ncm_state, rows)`` in the order
+    of their rows in ``embeddings``, all with one metric.  Each row's class
+    comes from its own engine's block of one ``pairwise_distances`` call
+    against the stacked prototypes.  Returns the class ids per member and
+    the stacked prototypes to pass back as ``stacked`` next time; they are
+    rebuilt when a member has no block cut from its current state, keeping
+    absent engines' blocks whose state has not moved.  Runs under the active
+    dtype policy and counts nothing (see :meth:`InferenceEngine.accept`).
+    """
+    blocks = {} if stacked is None else stacked[2]
+    if any(blocks.get(engine, (None,))[0] != state for engine, state, _ in members):
+        current = {engine for engine, _, _ in members}
+        stacked = _stack([(engine, state) for engine, state, _ in members] + [
+            (engine, block[0]) for engine, block in blocks.items()
+            if engine not in current and engine.ncm_state() == block[0]
+        ])
+    metric, prototypes, blocks = stacked
+    distances = get_backend().pairwise_distances(embeddings, prototypes, metric=metric)
+    answers, first = [], 0
+    for engine, _, rows in members:
+        _, start, class_ids = blocks[engine]
+        block = distances[first:first + rows, start:start + class_ids.size]
+        answers.append(class_ids.take(np.argmin(block, axis=1)))
+        first += rows
+    return answers, stacked
+
+
+def _stack(members: Sequence[Tuple[InferenceEngine, tuple]]) -> tuple:
+    """``(metric, stacked prototypes, blocks)`` of ``(engine, ncm state)``
+    members.  ``blocks`` maps each engine — held by reference, so a freed
+    engine's ``id`` can never alias a new one — to ``(state, first column,
+    class ids)`` of its rows in the stacked prototypes."""
+    blocks, start = {}, 0
+    for engine, state in members:
+        class_ids = np.asarray(state[0].classes_, dtype=np.int64)
+        blocks[engine] = (state, start, class_ids)
+        start += class_ids.size
+    prototypes = np.concatenate([state[0].prototype_matrix() for _, state in members])
+    return members[0][1][0].metric, prototypes, blocks
 
 
 def _embed_in_chunks(

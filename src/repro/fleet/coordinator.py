@@ -132,9 +132,10 @@ class FleetDevice:
 
         Lanes with equal keys hold the same network weights at the same
         dtype, so the serial scheduler may embed their windows in one
-        stacked :meth:`embed` call and finish each lane with
-        :meth:`classify`.  ``None`` before deployment and once the learner
-        owns its weights (trained on the device, restored from a checkpoint).
+        stacked :meth:`embed` call and answer each lane from its
+        :attr:`engine`'s prototypes.  ``None`` before deployment and once
+        the learner owns its weights (trained on the device, restored from
+        a checkpoint).
         """
         engine = self.edge.engine
         if engine is None:
@@ -150,11 +151,6 @@ class FleetDevice:
         engine = self.edge.engine
         with self.edge.precision():
             return engine.learner.model.embed(windows, batch_size=engine.batch_size)
-
-    def classify(self, embeddings: np.ndarray) -> np.ndarray:
-        """Finish :meth:`serve` from embeddings: this device's prototypes."""
-        with self.edge.precision():
-            return self.edge.engine.classify(embeddings)
 
     def learn_new_activity(
         self,

@@ -10,12 +10,14 @@ bit-identical to the eval-mode ``forward`` and never touches ``training``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.autodiff import ops
+from repro.autodiff.primitives import batch_norm_eval_constants
 from repro.autodiff.tensor import Tensor
+from repro.backend.policy import default_dtype
 from repro.backend.registry import NO_TAPE, get_op
 from repro.exceptions import ShapeError
 from repro.nn.init import he_uniform, zeros_init
@@ -157,6 +159,8 @@ class BatchNorm1d(Module):
 
     Uses batch statistics during training (with running-average tracking) and
     the tracked statistics at evaluation time, mirroring torch's semantics.
+    :meth:`update_buffer`, the statistics' one write path, drops the cached
+    eval-mode constants (:meth:`eval_constants`).
     """
 
     def __init__(self, num_features: int, momentum: float = 0.1, epsilon: float = 1e-5) -> None:
@@ -170,6 +174,7 @@ class BatchNorm1d(Module):
         self.beta = Parameter(np.zeros(num_features), name="beta")
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
+        self._eval_constants: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def forward(self, inputs: Tensor) -> Tensor:
         inputs = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
@@ -183,16 +188,26 @@ class BatchNorm1d(Module):
             )
             self._update_running(mean, variance, inputs.shape[0])
             return output
-        return ops.batch_norm_eval(
-            inputs, self.gamma, self.beta, self.running_mean, self.running_var, self.epsilon
-        )
+        return ops.batch_norm_eval(inputs, self.gamma, self.beta, *self.eval_constants())
 
     def array_forward(self, inputs: np.ndarray) -> np.ndarray:
+        mean, std = self.eval_constants()
         return _BATCH_NORM_EVAL(
-            NO_TAPE, inputs, self.gamma.data, self.beta.data,
-            running_mean=self.running_mean, running_var=self.running_var,
-            epsilon=self.epsilon,
+            NO_TAPE, inputs, self.gamma.data, self.beta.data, mean=mean, std=std
         )
+
+    def eval_constants(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The eval-mode ``(mean, std)`` rows in the policy dtype, cached."""
+        cached = self._eval_constants
+        if cached is None or cached[0].dtype != default_dtype():
+            cached = self._eval_constants = batch_norm_eval_constants(
+                self.running_mean, self.running_var, self.epsilon
+            )
+        return cached
+
+    def update_buffer(self, name: str, value: np.ndarray) -> None:
+        super().update_buffer(name, value)
+        self._eval_constants = None
 
     def _update_running(self, batch_mean: np.ndarray, batch_var: np.ndarray, batch_size: int) -> None:
         momentum = self.momentum

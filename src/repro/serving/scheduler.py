@@ -60,32 +60,34 @@ bare ``InferenceEngine.predict`` loop in ``benchmarks/bench_serving.py`` and
   ``(request, batch, index)``, so finishing a batch is O(1) in the number
   of requests, and per-request class-id slices materialise lazily on
   ``result()``;
-* lanes that share weights share one embedding call (below).
+* lanes that share weights share one embedding and one NCM call (below).
 
 Fused serving (serial executor, FIFO lanes).  Fleet devices deployed from
 one :class:`~repro.edge.transfer.TransferPackage` hold identical network
 weights until one of them retrains — only their prototypes differ — and
 each exposes that as ``fusion_key()``: ``(weights_token, serving dtype)``.
-At the start of every heap pass the drain stacks the head batches of all
-ready lanes with equal keys and calls ``EmbeddingNetwork.embed`` once per
-key; each batch parks its slice, and when the heap reaches the lane, in
-the usual order, the device finishes it with ``classify`` (its own
-prototypes, refresh check included).  A fused lane is charged the same
-modeled service time as an unfused one, so fusion changes no simulated
-number; its measured ``wall_seconds`` is its classify time plus its row
-share of the stacked embed.  A batch changed in
-between (expiry, cancellation, coalescing, a weight rewrite) embeds its own
-rows as before.  With one lane, under EDF, and on the concurrent executors
-nothing fuses.  Stacked rows are byte-equal to a lane's own embedding for
-lane batches of 2+ rows; a 1-row batch differs in the last bits, because
-BLAS serves a 1-row product with a matrix-vector kernel.
+At the start of every heap pass the drain groups the head batches of ready
+lanes with equal keys (and one NCM metric), embeds each group's stacked
+windows in one call and classifies them in one distance call against the
+group's stacked prototypes (:func:`~repro.edge.inference.classify_stacked`).
+Each batch parks its class ids with the NCM state they came from; when the
+heap reaches the lane, in the usual order, it takes them only if its
+requests, fusion key and NCM state are unchanged, and is served unfused
+otherwise (expiry, cancellation, coalescing, new weights or prototypes, a
+replaced device).  A fused lane is charged the same modeled service time
+as an unfused one, so fusion changes no simulated number; its measured
+``wall_seconds`` is its row share of the fused pass.  With one lane, under
+EDF, and on the concurrent executors nothing fuses.  Stacked rows are
+byte-equal to a lane's own embedding for lane batches of 2+ rows; a 1-row
+batch differs in the last bits, because BLAS serves a 1-row product with a
+matrix-vector kernel.
 
 Batch *execution* is a pluggable seam (``executor=``, see
 :mod:`repro.serving.executor`): the scheduler prepares each lane's next
 batch (queue pop, deadline expiry, window coalescing) and completes its
 futures/stats, while the executor decides where the engine call runs —
 inline on the simulated clock (:class:`~repro.serving.executor
-.SerialExecutor`, the default; fused lanes are classified inline by the
+.SerialExecutor`, the default; fused lanes are answered inline by the
 scheduler itself), on a thread pool, or on persistent worker processes
 whose results come back over an IPC queue
 (:class:`~repro.serving.executor.ProcessExecutor`).
@@ -105,6 +107,8 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.backend import precision
+from repro.edge.inference import classify_stacked
 from repro.exceptions import (
     ConfigurationError,
     DataError,
@@ -251,32 +255,33 @@ class _Batch:
 
 
 class _Parked:
-    """A head batch's slice of an embedding stacked across lanes.
+    """A head batch's answer from a pass fused across lanes.
 
     Parked on the batch at the start of a serial heap pass and used when the
     heap reaches the lane — but only if the batch still holds exactly the
     ``n_requests`` requests of the ``requests`` list it was stacked from
-    (expiry and cancellation replace that list, coalescing grows it) and
-    the lane's device still reports the same fusion ``key`` (retraining
-    drops the weights token).  ``embed_seconds`` is the lane's row share of
-    the stacked embed's measured wall time (it feeds ``wall_seconds`` only).
+    (expiry and cancellation replace that list, coalescing grows it), the
+    device still reports the same fusion ``key`` and its engine accepts the
+    NCM ``state`` the ``class_ids`` came from.  ``seconds`` is the lane's
+    row share of the fused pass's wall time (it feeds ``wall_seconds`` only).
     """
 
-    __slots__ = ("key", "requests", "n_requests", "windows", "embeddings", "embed_seconds")
+    __slots__ = ("key", "requests", "n_requests", "windows", "class_ids", "state", "seconds")
 
-    def __init__(self, key, requests, windows, embeddings, embed_seconds) -> None:
+    def __init__(self, key, requests, windows, class_ids, state, seconds) -> None:
         self.key = key
         self.requests = requests
         self.n_requests = len(requests)
         self.windows = windows
-        self.embeddings = embeddings
-        self.embed_seconds = embed_seconds
+        self.class_ids = class_ids
+        self.state = state
+        self.seconds = seconds
 
 
 def _fusion_key(device) -> Optional[tuple]:
     """The device's ``fusion_key()``; ``None`` for devices without one.
 
-    Only device types whose ``infer`` is exactly ``classify(embed(...))``
+    Only device types whose ``infer`` is exactly ``engine.classify(embed(...))``
     define it (``FleetDevice``); wrappers and adapters that inject behaviour
     into ``infer`` do not, so they always serve through it.
     """
@@ -289,18 +294,6 @@ def _batch_windows(requests: Sequence) -> np.ndarray:
     if len(requests) == 1:
         return requests[0].features
     return np.concatenate([r.features for r in requests], axis=0)
-
-
-def _timed_classify(prepared: "_PreparedBatch") -> LaneResult:
-    """Finish a fused lane inline; ``wall`` is its classify time plus its
-    measured embed share."""
-    start = perf_seconds()
-    try:
-        outputs = prepared.device.classify(prepared.parked.embeddings)
-    except Exception as error:  # typed errors travel through the futures
-        return LaneResult(prepared.position, None, 0.0, error)
-    wall = perf_seconds() - start + prepared.parked.embed_seconds
-    return LaneResult(prepared.position, outputs, wall, None)
 
 
 def _queue_batch(queue: Deque[_Batch], arrival: float, scheduler) -> _Batch:
@@ -553,7 +546,7 @@ class _PreparedBatch:
     state.  ``windows`` is ``None`` when every request expired before
     service — there is nothing to execute, but ``n_resolved`` futures were
     already resolved by the expiry.  ``parked`` carries the batch's
-    still-valid slice of a stacked embedding, if the serial drain fused it.
+    still-valid answer from a fused pass, if the serial drain fused it.
     """
 
     __slots__ = (
@@ -696,6 +689,8 @@ class EventLoopScheduler:
         #: the floor admits.
         self.admission = None
         self._event_counter = 0
+        # Stacked prototypes of each fused group, kept for the next pass.
+        self._stacked: Dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------ #
     @property
@@ -1057,9 +1052,9 @@ class EventLoopScheduler:
         simulated-clock order: the heap always pops the lane whose next
         batch starts earliest (``max(available_at, batch arrival)``),
         mirroring devices draining their queues in parallel.  Each heap
-        pass first embeds the head batches of FIFO lanes that share
-        weights in one stacked call (see the module docstring); the pops
-        then classify them in the same order as ever.  With a
+        pass first answers the head batches of FIFO lanes that share
+        weights in one stacked pass (see the module docstring); the pops
+        then complete them in the same order as ever.  With a
         concurrent executor the loop instead runs *rounds* — one batch per
         non-empty lane, executed in parallel, futures completed from the
         executor's results — which preserves every per-lane ordering
@@ -1157,22 +1152,23 @@ class EventLoopScheduler:
                 batch.finish(outputs, device_id, completion, error=error)
 
     def _embed_heads(self, heap: List[tuple]) -> None:
-        """Stack the head batches of lanes that share weights; embed once.
+        """Answer the head batches of lanes that share weights in one pass.
 
-        Ready FIFO lanes whose devices report equal fusion keys (same
-        weights token, same serving dtype) have their head batches' windows
-        stacked and embedded in one call per key; each batch parks its
-        slice (:class:`_Parked`) for the heap to classify when it reaches
-        the lane.  Serving order is untouched: this only moves embedding
-        work ahead of the heap.  Batches about to lose requests (flagged
-        cancellations, deadlines already passed at their begin time) are
-        left to embed their own rows, as is every batch of a key whose rows
-        cannot be stacked or embedded (a malformed request): each lane then
-        fails on its own, exactly as without fusion.
+        Ready FIFO lanes with equal fusion keys (same weights token, same
+        serving dtype) and one NCM metric form a group: their head batches'
+        windows are embedded in one call and classified in one
+        :func:`~repro.edge.inference.classify_stacked` call, and each batch
+        parks its class ids (:class:`_Parked`) for the heap.  Serving order
+        is untouched.  Left unfused: batches about to lose requests (flagged
+        cancellations, deadlines already passed at their begin time), lanes
+        whose learner has no classifier yet, and every batch of a group
+        whose rows cannot be stacked or embedded (a malformed request): each
+        lane then fails on its own, exactly as without fusion.
         """
-        groups: Dict[tuple, List[Tuple[int, _Batch]]] = {}
+        groups: Dict[tuple, List[Tuple[int, _Batch, tuple]]] = {}
         for begin, _, position in heap:
-            key = _fusion_key(self._devices[position])
+            device = self._devices[position]
+            key = _fusion_key(device)
             if key is None:
                 continue
             batch = self._lanes[position].batches[0]
@@ -1183,27 +1179,36 @@ class EventLoopScheduler:
                 )
             )):
                 continue
-            groups.setdefault(key, []).append((position, batch))
-        for key, members in groups.items():
+            state = device.engine.ncm_state()
+            if state is not None:
+                groups.setdefault((key, state[0].metric), []).append((position, batch, state))
+        cache, self._stacked = self._stacked, {}
+        for group, members in groups.items():
             if len(members) < 2:
                 continue
+            key = group[0]
             try:
-                lane_windows = [_batch_windows(batch.requests) for _, batch in members]
+                lane_windows = [_batch_windows(batch.requests) for _, batch, _ in members]
                 stacked = np.concatenate(lane_windows, axis=0)
-                # Timed like an unfused lane: the engine call, not the copies.
+                # Timed like an unfused lane: the engine calls, not the copies.
                 start = perf_seconds()
                 embeddings = self._devices[members[0][0]].embed(stacked)
+                with precision(key[1]):
+                    answers, self._stacked[group] = classify_stacked(
+                        [
+                            (self._devices[position].engine, state, windows.shape[0])
+                            for (position, _, state), windows in zip(members, lane_windows)
+                        ],
+                        embeddings, cache.get(group),
+                    )
             except (ValueError, DataError):
-                continue  # malformed rows: each lane embeds its own, fails alone
+                continue  # malformed rows: each lane serves its own, fails alone
             seconds_per_row = (perf_seconds() - start) / stacked.shape[0]
-            offset = 0
-            for (_, batch), windows in zip(members, lane_windows):
-                end = offset + windows.shape[0]
+            for (_, batch, state), windows, class_ids in zip(members, lane_windows, answers):
                 batch.parked = _Parked(
-                    key, batch.requests, windows, embeddings[offset:end],
+                    key, batch.requests, windows, class_ids, state,
                     seconds_per_row * windows.shape[0],
                 )
-                offset = end
 
     def _execute_next(self, position: int) -> int:
         """Serve one queued batch on the device currently holding the lane."""
@@ -1213,7 +1218,8 @@ class EventLoopScheduler:
             # already served this lane; the outer heap entry is stale.
             return 0
         if prepared.parked is not None:
-            self._complete(prepared, _timed_classify(prepared))
+            parked = prepared.parked
+            self._complete(prepared, LaneResult(position, parked.class_ids, parked.seconds))
         elif prepared.windows is not None:
             result = self._executor.run(
                 [LaneTask(prepared.position, prepared.windows)]
@@ -1248,6 +1254,7 @@ class EventLoopScheduler:
             and parked.requests is requests
             and parked.n_requests == len(requests)
             and _fusion_key(device) == parked.key
+            and device.engine.accept(parked.class_ids, parked.state)
         ):
             return _PreparedBatch(
                 position, batch, device, stats, begin, n_resolved,

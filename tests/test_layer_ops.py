@@ -25,6 +25,7 @@ import pytest
 from repro.autodiff import ops
 from repro.autodiff import tensor as autodiff_tensor
 from repro.autodiff.gradcheck import check_gradients
+from repro.autodiff.primitives import batch_norm_eval_constants
 from repro.autodiff.tensor import Tensor, no_grad
 from repro.backend import get_backend, precision
 from repro.core.embedding import EmbeddingNetwork
@@ -312,7 +313,9 @@ class TestSingleOpsMatchCompositeGraphs:
         arrays = [rng.normal(size=(rows, 4)), rng.normal(size=4), rng.normal(size=4)]
         with precision(profile):
             assert_same(
-                lambda x, g, b: ops.batch_norm_eval(x, g, b, running_mean, running_var, 1e-5),
+                lambda x, g, b: ops.batch_norm_eval(
+                    x, g, b, *batch_norm_eval_constants(running_mean, running_var, 1e-5)
+                ),
                 lambda x, g, b: composite_batch_norm_eval(
                     x, g, b, running_mean, running_var, 1e-5
                 ),
@@ -391,9 +394,11 @@ class TestSingleOpGradients:
     def test_batch_norm_eval(self):
         inputs = self._inputs((5, 3), (3,), (3,))
         w = self._weights((5, 3))
-        mean, var = np.array([0.1, -0.2, 0.3]), np.array([0.5, 1.5, 2.0])
+        constants = batch_norm_eval_constants(
+            np.array([0.1, -0.2, 0.3]), np.array([0.5, 1.5, 2.0]), 1e-5
+        )
         assert check_gradients(
-            lambda t: (ops.batch_norm_eval(t[0], t[1], t[2], mean, var, 1e-5) * w).sum(),
+            lambda t: (ops.batch_norm_eval(t[0], t[1], t[2], *constants) * w).sum(),
             inputs,
         )
 
@@ -470,6 +475,55 @@ class TestArrayEmbed:
                 ])
         assert embedded.dtype == expected.dtype
         assert np.array_equal(embedded, expected)
+
+    @staticmethod
+    def _assert_embed_is_the_eval_forward(model, features):
+        """``embed`` against the tape's eval forward through the composite
+        BatchNorm, which reads the running statistics with no cache."""
+        embedded = model.embed(features)
+        was_training = model.training
+        model.eval()
+        with no_grad(), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BatchNorm1d, "forward", composite_batch_norm_forward)
+            expected = model(Tensor(get_backend().asarray(features))).data
+        model.train(was_training)
+        assert embedded.dtype == expected.dtype
+        assert embedded.tobytes() == expected.tobytes()
+        return embedded
+
+    def test_cached_batch_norm_constants_follow_a_training_step(self, tiny_config):
+        rng = np.random.default_rng(11)
+        model = EmbeddingNetwork(6, config=tiny_config, rng=3)
+        features = rng.normal(size=(5, 6))
+        before = self._assert_embed_is_the_eval_forward(model, features)
+        model(Tensor(rng.normal(size=(16, 6)) * 2.0 + 0.5))  # update_buffer
+        after = self._assert_embed_is_the_eval_forward(model, features)
+        assert not np.array_equal(before, after)
+
+    def test_cached_batch_norm_constants_follow_load_state_dict(self, tiny_config):
+        rng = np.random.default_rng(12)
+        model = EmbeddingNetwork(6, config=tiny_config, rng=3)
+        donor = EmbeddingNetwork(6, config=tiny_config, rng=3)
+        donor(Tensor(rng.normal(size=(16, 6)) * 2.0 + 0.5))  # move its statistics
+        features = rng.normal(size=(5, 6))
+        before = self._assert_embed_is_the_eval_forward(model, features)
+        model.load_state_dict(donor.state_dict())
+        after = self._assert_embed_is_the_eval_forward(model, features)
+        assert not np.array_equal(before, after)
+        np.testing.assert_array_equal(after, donor.embed(features))
+
+    def test_cached_batch_norm_constants_follow_the_precision(self, tiny_config):
+        rng = np.random.default_rng(13)
+        model = EmbeddingNetwork(6, config=tiny_config, rng=3)
+        model(Tensor(rng.normal(size=(16, 6)) * 2.0 + 0.5))
+        features = rng.normal(size=(5, 6))
+        norm = next(m for m in model.modules() if isinstance(m, BatchNorm1d))
+        dtypes = []
+        for profile in ("reference", "edge", "reference", "edge"):
+            with precision(profile):
+                self._assert_embed_is_the_eval_forward(model, features)
+                dtypes.append(norm.eval_constants()[1].dtype)
+        assert dtypes == [np.float64, np.float32] * 2
 
     def test_embed_rejects_the_wrong_width(self, tiny_config):
         model = EmbeddingNetwork(6, config=tiny_config)

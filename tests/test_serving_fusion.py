@@ -2,8 +2,9 @@
 
 Covers the weights token every write path must reset (and
 ``refine_prototype`` must keep), the serial drain's stacked embedding and
-its fallbacks, the one-pass lane grouping of ``_enqueue`` against the
-per-lane scan it replaced, and the scheduler's lazily built stats rows.
+NCM pass and the unfused fallback, the one-pass lane grouping of
+``_enqueue`` against the per-lane scan it replaced, and the scheduler's
+lazily built stats rows.
 """
 
 import gc
@@ -12,8 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backend import get_backend
 from repro.control.chaos import FlakyDevice
 from repro.core.embedding import EmbeddingNetwork
+from repro.core.ncm import NCMClassifier
 from repro.edge.device import EdgeDevice
 from repro.edge.transfer import package_for_edge
 from repro.exceptions import RoutingError, ShapeError
@@ -197,7 +200,9 @@ class TestFusedDrain:
             fused = stacked[position * rows_per_lane:(position + 1) * rows_per_lane]
             assert fused.dtype == own.dtype
             np.testing.assert_allclose(fused, own, rtol=1e-6, atol=1e-7)
-            np.testing.assert_array_equal(device.classify(fused), device.serve(rows[position]))
+            with device.edge.precision():
+                answer = device.engine.classify(fused)
+            np.testing.assert_array_equal(answer, device.serve(rows[position]))
 
     def test_fused_answers_follow_each_devices_prototypes(self, fleet, pool, embed_calls):
         device = fleet.devices[1]
@@ -330,6 +335,148 @@ class TestReplacedDevices:
         scheduler.drain()
         assert sorted(embed_calls) == sorted([1 + 3 + 4, 2])
         np.testing.assert_array_equal(futures[1].result().class_ids, replacement.serve(rows[1]))
+
+
+# ---------------------------------------------------------------------- #
+def _puller(device, rows):
+    """A callable that refines a class the device does not give ``rows`` yet
+    towards them, so the device answers ``rows`` differently afterwards."""
+    before = device.serve(rows)
+    class_id = next(c for c in device.learner.classes_ if c not in set(before.tolist()))
+
+    def pull(*_):
+        with device.edge.precision():
+            device.learner.refine_prototype(class_id, np.repeat(rows, 200, axis=0))
+
+    return before, pull
+
+
+class TestFusedNCM:
+    """One NCM call per group; a lane whose NCM state moved is served unfused."""
+
+    def _serve_with_lane0_callback(self, fleet, pool, on_lane0_done):
+        scheduler = EventLoopScheduler(fleet.devices)
+        rows, futures = _one_batch_per_lane(scheduler, pool, sizes=(1, 2, 2, 2))
+        futures[0].add_done_callback(lambda _: on_lane0_done(scheduler))
+        scheduler.drain()
+        return rows, futures
+
+    def test_one_distance_call_per_group(self, fleet, pool, monkeypatch):
+        backend = type(get_backend())
+        calls = []
+        original = backend.pairwise_distances
+
+        def counted(self, queries, references, metric="euclidean"):
+            calls.append((queries.shape[0], references.shape[0]))
+            return original(self, queries, references, metric=metric)
+
+        monkeypatch.setattr(backend, "pairwise_distances", counted)
+        scheduler = EventLoopScheduler(fleet.devices)
+        rows, futures = _one_batch_per_lane(scheduler, pool)
+        scheduler.drain()
+        n_classes = sum(len(d.learner.classes_) for d in fleet.devices)
+        assert calls == [(sum(r.shape[0] for r in rows), n_classes)]
+        for device, lane_rows, future in zip(fleet.devices, rows, futures):
+            np.testing.assert_array_equal(future.result().class_ids, device.serve(lane_rows))
+
+    def test_refine_mid_pass_is_followed(self, fleet, pool, embed_calls):
+        device = fleet.devices[1]
+        before, pull = _puller(device, pool[1:3])  # lane 1's rows
+        del embed_calls[:]
+        rows, futures = self._serve_with_lane0_callback(fleet, pool, pull)
+        # Stacked, the refine in the callback, then lane 1 alone.
+        assert embed_calls == [1 + 2 + 2 + 2, 400, 2]
+        answer = futures[1].result().class_ids
+        np.testing.assert_array_equal(answer, device.serve(rows[1]))
+        assert not np.array_equal(answer, before)
+        for position in (0, 2, 3):
+            np.testing.assert_array_equal(
+                futures[position].result().class_ids,
+                fleet.devices[position].serve(rows[position]),
+            )
+
+    def test_replace_device_mid_pass(self, fleet, package, tiny_config, pool):
+        original = fleet.devices[1]
+        replacement = FleetDevice(original.device_id, EdgeDevice(original.profile))
+        replacement.deploy(package, tiny_config)
+        assert replacement.fusion_key() == original.fusion_key()
+        before, pull = _puller(replacement, pool[1:3])
+        pull()
+        rows, futures = self._serve_with_lane0_callback(
+            fleet, pool,
+            lambda scheduler: scheduler.replace_device(original.device_id, replacement),
+        )
+        answer = futures[1].result().class_ids
+        np.testing.assert_array_equal(answer, replacement.serve(rows[1]))
+        np.testing.assert_array_equal(before, original.serve(rows[1]))
+        assert not np.array_equal(answer, before)
+
+    @pytest.mark.parametrize("change", ["cosine", "fewer_classes"])
+    def test_mixed_groups_answer_like_each_device(self, fleet, pool, embed_calls, change):
+        for device in fleet.devices[2:]:
+            learner = device.learner
+            if change == "cosine":
+                learner.classifier = NCMClassifier("cosine").fit(learner.prototypes)
+            else:
+                learner.classifier = NCMClassifier().fit({
+                    c: learner.prototypes.get(c) for c in learner.classes_[1:]
+                })
+        scheduler = EventLoopScheduler(fleet.devices)
+        rows, futures = _one_batch_per_lane(scheduler, pool)
+        scheduler.drain()
+        # A cosine lane never shares a distance call with a Euclidean one.
+        expected = [1 + 2, 3 + 4] if change == "cosine" else [1 + 2 + 3 + 4]
+        assert sorted(embed_calls) == expected
+        for device, lane_rows, future in zip(fleet.devices, rows, futures):
+            np.testing.assert_array_equal(future.result().class_ids, device.serve(lane_rows))
+        assert fleet.devices[3].engine.cache_info()["cached_classes"] == (
+            len(fleet.devices[3].learner.classes_) - (change == "fewer_classes")
+        )
+
+    def test_engine_counters_and_answers_match_the_unfused_run(
+        self, package, tiny_config, pool, embed_calls
+    ):
+        workload = WorkloadSpec(
+            pattern="zipf", n_users=64, requests_per_tick=32, n_ticks=8,
+            tick_seconds=1e-4,
+        )
+        counters, calls, answers = [], [], []
+        for fused in (True, False):
+            coordinator = FleetCoordinator(tiny_config, seed=0)
+            coordinator.provision(N_LANES)
+            coordinator.deploy(package)
+            devices = coordinator.devices
+            if not fused:
+                for device in devices:
+                    device.learner.model.weights_token = None
+            client = serve(coordinator, seed=0)
+            served = []
+            for tick, requests in enumerate(TrafficGenerator(pool, workload, seed=3).ticks()):
+                futures = client.submit_many(requests)
+                # Prototype refreshes between passes and from inside one.
+                device = devices[tick % N_LANES]
+                with device.edge.precision():
+                    device.learner.refine_prototype(device.learner.classes_[0], pool[tick:tick + 4])
+                target = devices[(tick + 2) % N_LANES]
+
+                def refine_mid_pass(_, target=target, rows=pool[tick + 8:tick + 12]):
+                    with target.edge.precision():
+                        target.learner.refine_prototype(target.learner.classes_[1], rows)
+
+                futures[0].add_done_callback(refine_mid_pass)
+                client.drain()
+                served.extend(future.result().class_ids.tolist() for future in futures)
+            counters.append([
+                {key: device.engine.cache_info()[key]
+                 for key in ("windows_served", "batches_served", "cache_refreshes")}
+                for device in devices
+            ])
+            answers.append(served)
+            calls.append(len(embed_calls))
+            del embed_calls[:]
+        assert calls[0] < calls[1]  # the first run really fused
+        assert counters[0] == counters[1]
+        assert answers[0] == answers[1]
 
 
 # ---------------------------------------------------------------------- #
