@@ -83,6 +83,11 @@ class NCMClassifier:
         return None if self._store is None else self._store.version
 
     @property
+    def class_ids(self) -> np.ndarray:
+        """:attr:`classes_` as an int64 array, in prototype-row order."""
+        return self._class_ids
+
+    @property
     def classes_(self) -> List[int]:
         if self._store is None:
             raise NotFittedError("the NCM classifier has not been fitted")

@@ -23,8 +23,8 @@ new classes with no explicit re-wiring.
 
 ``predict`` is ``classify(embed(windows))``.  The serving scheduler embeds
 the windows of lanes whose networks share weights in one stacked call and
-classifies them in one distance call (:func:`classify_stacked`); each engine
-takes its answer through :meth:`InferenceEngine.accept`.
+classifies them against their stacked prototypes (:func:`classify_stacked`);
+each engine takes its answer through :meth:`InferenceEngine.accept`.
 :class:`SnapshotEngine` runs the same chunked embed and classify code.
 
 When serving must leave the process — the multi-process
@@ -55,6 +55,7 @@ from repro.exceptions import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports edge lazily)
     from repro.core.config import PiloteConfig
+    from repro.core.ncm import NCMClassifier
     from repro.core.pilote import PILOTE
 
 
@@ -478,52 +479,54 @@ class SnapshotEngine:
             ))
 
 
+#: Most distances (rows x stacked prototypes) one fused distance call computes:
+#: every row pays for every stacked prototype.  On a 2-vCPU x86 host (float32,
+#: one BLAS thread, 32-wide embeddings) a call costs ~12 us plus ~5 ns a
+#: distance, so a call this size costs about two small ones.
+STACKED_DISTANCES = 2048
+
+
 def classify_stacked(
-    members: Sequence[Tuple[InferenceEngine, tuple, int]],
-    embeddings: np.ndarray,
-    stacked: Optional[tuple] = None,
-) -> Tuple[List[np.ndarray], tuple]:
-    """Class ids for lanes whose networks share weights, from one distance call.
+    members: Sequence[Tuple["NCMClassifier", int, int]], embeddings: np.ndarray
+) -> List[np.ndarray]:
+    """Class ids for lanes whose networks share weights, from few distance calls.
 
-    ``members`` lists ``(engine, current ncm_state, rows)`` in the order
-    of their rows in ``embeddings``, all with one metric.  Each row's class
-    comes from its own engine's block of one ``pairwise_distances`` call
-    against the stacked prototypes.  Returns the class ids per member and
-    the stacked prototypes to pass back as ``stacked`` next time; they are
-    rebuilt when a member has no block cut from its current state, keeping
-    absent engines' blocks whose state has not moved.  Runs under the active
-    dtype policy and counts nothing (see :meth:`InferenceEngine.accept`).
+    ``members`` lists ``(classifier, rows, batch_size)`` per lane, in the
+    order of their rows in ``embeddings``, all with one metric.  Consecutive
+    lanes share a ``pairwise_distances`` call against their stacked
+    prototypes, each row reading its own lane's block, while the call stays
+    within :data:`STACKED_DISTANCES`; a lane past it is classified alone, in
+    its engine's ``batch_size`` chunks.  Nothing is kept between calls.  Runs
+    under the active dtype policy and counts nothing (see ``accept``).
     """
-    blocks = {} if stacked is None else stacked[2]
-    if any(blocks.get(engine, (None,))[0] != state for engine, state, _ in members):
-        current = {engine for engine, _, _ in members}
-        stacked = _stack([(engine, state) for engine, state, _ in members] + [
-            (engine, block[0]) for engine, block in blocks.items()
-            if engine not in current and engine.ncm_state() == block[0]
-        ])
-    metric, prototypes, blocks = stacked
-    distances = get_backend().pairwise_distances(embeddings, prototypes, metric=metric)
-    answers, first = [], 0
-    for engine, _, rows in members:
-        _, start, class_ids = blocks[engine]
-        block = distances[first:first + rows, start:start + class_ids.size]
-        answers.append(class_ids.take(np.argmin(block, axis=1)))
-        first += rows
-    return answers, stacked
-
-
-def _stack(members: Sequence[Tuple[InferenceEngine, tuple]]) -> tuple:
-    """``(metric, stacked prototypes, blocks)`` of ``(engine, ncm state)``
-    members.  ``blocks`` maps each engine — held by reference, so a freed
-    engine's ``id`` can never alias a new one — to ``(state, first column,
-    class ids)`` of its rows in the stacked prototypes."""
-    blocks, start = {}, 0
-    for engine, state in members:
-        class_ids = np.asarray(state[0].classes_, dtype=np.int64)
-        blocks[engine] = (state, start, class_ids)
-        start += class_ids.size
-    prototypes = np.concatenate([state[0].prototype_matrix() for _, state in members])
-    return members[0][1][0].metric, prototypes, blocks
+    chunks: List[list] = []
+    n_rows = n_columns = 0
+    for classifier, rows, batch_size in members:
+        prototypes = classifier.prototype_matrix()
+        columns = prototypes.shape[0]
+        if not chunks or (n_rows + rows) * (n_columns + columns) > STACKED_DISTANCES:
+            chunks.append([])
+            n_rows = n_columns = 0
+        chunks[-1].append((classifier, prototypes, rows, batch_size))
+        n_rows += rows
+        n_columns += columns
+    answers: List[np.ndarray] = []
+    first = 0
+    for chunk in chunks:
+        classifiers, blocks, row_counts, batch_sizes = zip(*chunk)
+        n_rows = sum(row_counts)
+        distances = _prototype_distances(
+            embeddings[first:first + n_rows], np.concatenate(blocks),
+            classifiers[0].metric, min(batch_sizes),
+        )
+        row = column = 0
+        for classifier, prototypes, rows, _ in chunk:
+            block = distances[row:row + rows, column:column + prototypes.shape[0]]
+            answers.append(classifier.class_ids.take(np.argmin(block, axis=1)))
+            row += rows
+            column += prototypes.shape[0]
+        first += n_rows
+    return answers
 
 
 def _embed_in_chunks(
@@ -553,9 +556,11 @@ def _prototype_distances(
 ) -> np.ndarray:
     """``(n, n_classes)`` distances, one GEMM per ``batch_size``-row chunk.
 
-    The chunks are the ones :func:`_embed_in_chunks` embeds, so a lane's
-    distance GEMMs keep their shapes whether its embeddings came from its
-    own ``predict`` or from a slice of an embedding stacked across lanes.
+    The chunks are the ones :func:`_embed_in_chunks` embeds, so a
+    :class:`SnapshotEngine`, and a lane :func:`classify_stacked` classifies
+    alone, run the live engine's GEMM shapes.  Lanes stacked into one call
+    run other shapes: their distances may differ in the last bits, so a
+    lane's class id can differ from its own ``predict`` at a near-tie.
     """
     backend = get_backend()
     n_windows = embeddings.shape[0]

@@ -68,8 +68,10 @@ weights until one of them retrains — only their prototypes differ — and
 each exposes that as ``fusion_key()``: ``(weights_token, serving dtype)``.
 At the start of every heap pass the drain groups the head batches of ready
 lanes with equal keys (and one NCM metric), embeds each group's stacked
-windows in one call and classifies them in one distance call against the
-group's stacked prototypes (:func:`~repro.edge.inference.classify_stacked`).
+windows in one call and classifies them against the group's stacked
+prototypes in as few distance calls as
+:data:`~repro.edge.inference.STACKED_DISTANCES` allows
+(:func:`~repro.edge.inference.classify_stacked`).
 Each batch parks its class ids with the NCM state they came from; when the
 heap reaches the lane, in the usual order, it takes them only if its
 requests, fusion key and NCM state are unchanged, and is served unfused
@@ -689,8 +691,6 @@ class EventLoopScheduler:
         #: the floor admits.
         self.admission = None
         self._event_counter = 0
-        # Stacked prototypes of each fused group, kept for the next pass.
-        self._stacked: Dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------ #
     @property
@@ -1156,7 +1156,7 @@ class EventLoopScheduler:
 
         Ready FIFO lanes with equal fusion keys (same weights token, same
         serving dtype) and one NCM metric form a group: their head batches'
-        windows are embedded in one call and classified in one
+        windows are embedded in one call and classified by one
         :func:`~repro.edge.inference.classify_stacked` call, and each batch
         parks its class ids (:class:`_Parked`) for the heap.  Serving order
         is untouched.  Left unfused: batches about to lose requests (flagged
@@ -1182,7 +1182,6 @@ class EventLoopScheduler:
             state = device.engine.ncm_state()
             if state is not None:
                 groups.setdefault((key, state[0].metric), []).append((position, batch, state))
-        cache, self._stacked = self._stacked, {}
         for group, members in groups.items():
             if len(members) < 2:
                 continue
@@ -1193,14 +1192,12 @@ class EventLoopScheduler:
                 # Timed like an unfused lane: the engine calls, not the copies.
                 start = perf_seconds()
                 embeddings = self._devices[members[0][0]].embed(stacked)
+                lanes = [
+                    (state[0], windows.shape[0], self._devices[position].engine.batch_size)
+                    for (position, _, state), windows in zip(members, lane_windows)
+                ]
                 with precision(key[1]):
-                    answers, self._stacked[group] = classify_stacked(
-                        [
-                            (self._devices[position].engine, state, windows.shape[0])
-                            for (position, _, state), windows in zip(members, lane_windows)
-                        ],
-                        embeddings, cache.get(group),
-                    )
+                    answers = classify_stacked(lanes, embeddings)
             except (ValueError, DataError):
                 continue  # malformed rows: each lane serves its own, fails alone
             seconds_per_row = (perf_seconds() - start) / stacked.shape[0]

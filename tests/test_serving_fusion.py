@@ -8,6 +8,7 @@ lazily built stats rows.
 """
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.backend import get_backend
 from repro.control.chaos import FlakyDevice
 from repro.core.embedding import EmbeddingNetwork
 from repro.core.ncm import NCMClassifier
+from repro.edge import inference
 from repro.edge.device import EdgeDevice
 from repro.edge.transfer import package_for_edge
 from repro.exceptions import RoutingError, ShapeError
@@ -361,7 +363,9 @@ class TestFusedNCM:
         scheduler.drain()
         return rows, futures
 
-    def test_one_distance_call_per_group(self, fleet, pool, monkeypatch):
+    @pytest.fixture()
+    def distance_calls(self, monkeypatch):
+        """``(rows, prototypes)`` of every ``pairwise_distances`` call, in order."""
         backend = type(get_backend())
         calls = []
         original = backend.pairwise_distances
@@ -371,13 +375,56 @@ class TestFusedNCM:
             return original(self, queries, references, metric=metric)
 
         monkeypatch.setattr(backend, "pairwise_distances", counted)
+        return calls
+
+    def test_one_distance_call_per_group(self, fleet, pool, distance_calls):
         scheduler = EventLoopScheduler(fleet.devices)
         rows, futures = _one_batch_per_lane(scheduler, pool)
         scheduler.drain()
         n_classes = sum(len(d.learner.classes_) for d in fleet.devices)
-        assert calls == [(sum(r.shape[0] for r in rows), n_classes)]
+        assert distance_calls == [(sum(r.shape[0] for r in rows), n_classes)]
         for device, lane_rows, future in zip(fleet.devices, rows, futures):
             np.testing.assert_array_equal(future.result().class_ids, device.serve(lane_rows))
+
+    def test_distance_calls_stay_within_the_bound(
+        self, fleet, pool, distance_calls, monkeypatch
+    ):
+        # 4 classes a lane; lanes of 1, 2, 3 and 4 rows.  Lanes 0+1 fit
+        # (3 rows x 8 prototypes); adding lane 2 would not (6 x 12), nor
+        # lane 3 to lane 2 (7 x 8), so lanes 2 and 3 each get a call.
+        monkeypatch.setattr(inference, "STACKED_DISTANCES", 40)
+        scheduler = EventLoopScheduler(fleet.devices)
+        rows, futures = _one_batch_per_lane(scheduler, pool)
+        scheduler.drain()
+        assert distance_calls == [(3, 8), (3, 4), (4, 4)]
+        for device, lane_rows, future in zip(fleet.devices, rows, futures):
+            np.testing.assert_array_equal(future.result().class_ids, device.serve(lane_rows))
+
+    def test_replaced_devices_leave_no_stacked_state(
+        self, fleet, package, tiny_config, pool, distance_calls
+    ):
+        scheduler = EventLoopScheduler(fleet.devices)
+        held = sum(len(d.learner.classes_) for d in fleet.devices)
+        engines, drained = [], []
+        for _ in range(3):
+            outgoing = scheduler.devices[1]
+            replacement = FleetDevice(outgoing.device_id, EdgeDevice(outgoing.profile))
+            replacement.deploy(package, tiny_config)
+            engines.append(weakref.ref(replacement.engine))
+            scheduler.replace_device(outgoing.device_id, replacement)
+            del outgoing, replacement
+            rows, futures = _one_batch_per_lane(scheduler, pool)
+            del distance_calls[:]
+            scheduler.drain()
+            drained.append(list(distance_calls))
+            for device, lane_rows, future in zip(scheduler.devices, rows, futures):
+                np.testing.assert_array_equal(
+                    future.result().class_ids, device.serve(lane_rows)
+                )
+        assert drained == [[(10, held)]] * 3  # only the lanes held now
+        gc.collect()
+        # Every replacement but the one the lane holds now has been freed.
+        assert [ref() is None for ref in engines] == [True, True, False]
 
     def test_refine_mid_pass_is_followed(self, fleet, pool, embed_calls):
         device = fleet.devices[1]
