@@ -149,7 +149,7 @@ def test_herding_speedup(report):
         "bench_backend_herding",
         "herding selection (n=2000, d=64, m=300)\n"
         f"  legacy (candidate-mean matrix): {legacy_seconds * 1e3:8.2f} ms\n"
-        f"  vectorized (GEMV + workspace):  {new_seconds * 1e3:8.2f} ms\n"
+        f"  vectorized (GEMV):              {new_seconds * 1e3:8.2f} ms\n"
         f"  speedup:                        {speedup:8.2f}x",
     )
     assert speedup >= 2.0

@@ -22,8 +22,8 @@ Quick start::
 Compute backend
 ---------------
 
-All numerics run through the pluggable compute backend
-(:mod:`repro.backend`), which owns three policy decisions:
+All numerics run through one numeric substrate (:mod:`repro.backend`),
+which owns two policy decisions:
 
 * **dtype policy** — leaf tensors and backend arrays use the global compute
   dtype: ``float64`` in the default *reference* profile (seed-compatible,
@@ -35,16 +35,15 @@ All numerics run through the pluggable compute backend
 * **op registry** — every autodiff operation is a named forward/vjp record
   (:mod:`repro.autodiff.primitives`), so the tape is inspectable
   (``Tensor.trace()``) and ops are testable in isolation.
-* **workspace** — reusable scratch buffers so steady-state training/serving
-  steps stop allocating.
+
+Array creation and the shared kernels (distance matrices, grouped means)
+live on :class:`repro.backend.NumpyBackend`, reached through
+:func:`repro.backend.get_backend`.
 
 Batched serving goes through
 :class:`repro.edge.inference.InferenceEngine` (also reachable as
 ``learner.inference_engine()``), which caches the prototype matrix and
-invalidates it automatically when the learner integrates new classes.  The
-backend is the extension point for future accelerator or multi-device
-backends: implement :class:`repro.backend.Backend` and install it with
-:func:`repro.backend.set_backend`.
+invalidates it automatically when the learner integrates new classes.
 
 Fleet serving
 -------------
@@ -85,7 +84,7 @@ per-cohort accuracy/latency reports.  ``examples/quickstart.py`` and
 three-layer demonstration.
 """
 
-from repro.backend import Backend, NumpyBackend, get_backend, precision, set_backend
+from repro.backend import NumpyBackend, get_backend, precision
 from repro.core import PILOTE, PiloteConfig, EmbeddingNetwork, NCMClassifier
 from repro.data import Activity, HARDataset, build_incremental_scenario, make_feature_dataset
 from repro.baselines import PretrainedBaseline, RetrainedBaseline
@@ -123,10 +122,8 @@ __all__ = [
     "PredictRequest",
     "PredictResponse",
     "PendingResult",
-    "Backend",
     "NumpyBackend",
     "get_backend",
-    "set_backend",
     "precision",
     "__version__",
 ]

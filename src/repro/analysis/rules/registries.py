@@ -1,8 +1,8 @@
 """R4 ``repro-registry``: concrete protocol implementations are registered.
 
-The serving stack dispatches executors, controllers, routing/rollout policies
-and backends by name through module-level registry dicts (``EXECUTORS``,
-``CONTROLLERS``, ``ROUTING_POLICIES``, ``ROLLOUT_POLICIES``, ``BACKENDS``).
+The serving stack dispatches executors, controllers and routing/rollout
+policies by name through module-level registry dicts (``EXECUTORS``,
+``CONTROLLERS``, ``ROUTING_POLICIES``, ``ROLLOUT_POLICIES``).
 A concrete subclass that never lands in its registry is silently
 un-dispatchable — the drift class this rule machine-checks.  A class counts
 as *concrete* when it is public (no leading underscore) and declares a
@@ -35,7 +35,6 @@ REGISTRY_SPECS: Dict[str, str] = {
     "Controller": "CONTROLLERS",
     "RoutingPolicy": "ROUTING_POLICIES",
     "RolloutPolicy": "ROLLOUT_POLICIES",
-    "Backend": "BACKENDS",
 }
 
 
@@ -78,7 +77,7 @@ def _concrete_name_attr(node: ast.ClassDef) -> Optional[str]:
 class RegistryRule(Rule):
     rule_id = "repro-registry"
     description = (
-        "concrete Executor/Controller/RoutingPolicy/RolloutPolicy/Backend "
+        "concrete Executor/Controller/RoutingPolicy/RolloutPolicy "
         "classes must appear in their registry dict and package __all__"
     )
     visits = ()  # project-level: everything happens in finish()

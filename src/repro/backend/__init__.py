@@ -1,7 +1,6 @@
-"""Pluggable compute backend: dtype policy, op registry, reusable workspace.
+"""The numerical substrate: dtype policy, op registry, numpy kernels.
 
-This package is the seam between the numerical substrate and everything built
-on it (autodiff, nn, PILOTE core, serving):
+Everything numeric (autodiff, nn, PILOTE core, serving) builds on:
 
 * :mod:`repro.backend.policy` — the global compute-dtype policy
   (``float32`` for edge profiles, ``float64`` reference/gradcheck) with the
@@ -9,23 +8,13 @@ on it (autodiff, nn, PILOTE core, serving):
 * :mod:`repro.backend.registry` — the declarative op registry the autodiff
   tape dispatches through (named forward/vjp records instead of anonymous
   closures);
-* :mod:`repro.backend.workspace` — reusable scratch buffers so repeated
-  training/serving steps stop allocating;
-* :mod:`repro.backend.backend` — the :class:`~repro.backend.backend.Backend`
-  abstraction (array creation + shared vectorized kernels) with
-  :class:`~repro.backend.backend.NumpyBackend` as the default and the
-  extension point for future accelerator backends.
+* :mod:`repro.backend.backend` — :class:`~repro.backend.backend.NumpyBackend`,
+  array creation under the policy plus the shared vectorized kernels
+  (distance matrices, grouped means), reached through
+  :func:`~repro.backend.backend.get_backend`.
 """
 
-from repro.backend.backend import (
-    BACKENDS,
-    Backend,
-    NumpyBackend,
-    get_backend,
-    install_worker_backend,
-    make_backend,
-    set_backend,
-)
+from repro.backend.backend import NumpyBackend, get_backend
 from repro.backend.policy import (
     PROFILE_DTYPES,
     default_dtype,
@@ -42,16 +31,10 @@ from repro.backend.registry import (
     list_ops,
     register_op,
 )
-from repro.backend.workspace import Workspace
 
 __all__ = [
-    "BACKENDS",
-    "Backend",
     "NumpyBackend",
     "get_backend",
-    "install_worker_backend",
-    "make_backend",
-    "set_backend",
     "PROFILE_DTYPES",
     "default_dtype",
     "precision",
@@ -64,5 +47,4 @@ __all__ = [
     "is_registered",
     "list_ops",
     "register_op",
-    "Workspace",
 ]

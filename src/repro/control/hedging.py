@@ -265,7 +265,7 @@ class HedgedRequests(Controller):
         for index, (request, future) in enumerate(zip(requests, out)):
             if budget <= 0:
                 break
-            deadline = getattr(request, "deadline_seconds", None)
+            deadline = request.deadline_seconds
             if deadline is None:
                 continue
             primary = scheduler.lane_of(future)
@@ -333,8 +333,8 @@ class HedgedRequests(Controller):
             features=request.features,
             arrival_seconds=request.arrival_seconds,
             deadline_seconds=request.deadline_seconds,
-            metadata=getattr(request, "metadata", None),
-            request_id=getattr(request, "request_id", None),
+            metadata=request.metadata,
+            request_id=request.request_id,
         )
         return scheduler.submit_assigned(
             [clone], np.asarray([lane], dtype=np.int64)

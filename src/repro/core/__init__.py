@@ -16,8 +16,6 @@ edge (Section 5 of the paper):
 from repro.core.config import PiloteConfig
 from repro.core.embedding import EmbeddingNetwork
 from repro.core.pairs import PairBatch, PairSampler
-from repro.core.contrastive import contrastive_loss
-from repro.core.distillation import distillation_loss
 from repro.core.exemplars import ExemplarStore, herding_selection, random_selection
 from repro.core.prototypes import PrototypeStore, compute_class_prototypes
 from repro.core.ncm import NCMClassifier
@@ -29,8 +27,6 @@ __all__ = [
     "EmbeddingNetwork",
     "PairSampler",
     "PairBatch",
-    "contrastive_loss",
-    "distillation_loss",
     "ExemplarStore",
     "herding_selection",
     "random_selection",

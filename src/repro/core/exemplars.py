@@ -53,12 +53,12 @@ def herding_selection(
 
         ``argmin_i  ||e_i||² + 2 · e_i · (S − k·μ)``
 
-    so each step costs one matrix-vector product into a reused scratch
-    buffer instead of materialising the ``(n, d)`` candidate-mean matrix and
-    its row norms — the same selection, a fraction of the allocations.
+    so each step costs one matrix-vector product into one ``scores`` vector,
+    allocated once per call, instead of materialising the ``(n, d)``
+    candidate-mean matrix and its row norms — the same selection, a fraction
+    of the allocations.
     """
-    backend = get_backend()
-    embeddings = backend.asarray(embeddings)
+    embeddings = get_backend().asarray(embeddings)
     if embeddings.ndim != 2:
         raise DataError(f"embeddings must be 2-D, got shape {embeddings.shape}")
     count = embeddings.shape[0]
@@ -73,7 +73,7 @@ def herding_selection(
     running_sum = np.zeros_like(prototype)
     centre = np.empty_like(prototype)
     available = np.ones(count, dtype=bool)
-    scores = backend.scratch(count, embeddings.dtype, tag="herding.scores")
+    scores = np.empty(count, dtype=embeddings.dtype)
     selected: List[int] = []
     for step in range(1, n_exemplars + 1):
         np.multiply(prototype, -float(step), out=centre)

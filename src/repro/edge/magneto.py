@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-import numpy as np
-
 from repro.core.config import PiloteConfig
 from repro.core.pilote import PILOTE
 from repro.data.dataset import HARDataset
@@ -100,14 +98,6 @@ class MagnetoPlatform:
         self.device.store("support_set", self.edge_learner.support_set_nbytes())
         self.device.store("prototypes", self.edge_learner.prototypes.nbytes())
         return history
-
-    def _serve_edge(self, features: np.ndarray) -> np.ndarray:
-        """Raw single-device serving path behind the unified client."""
-        if self.edge_learner is None:
-            raise NotFittedError("the edge learner is not initialised")
-        if self.device.engine is not None:
-            return self.device.serve(features)
-        return self.edge_learner.predict(features)
 
     def serving_client(self, **kwargs) -> "ServingClient":
         """The platform's unified serving client (cached without options).

@@ -32,7 +32,6 @@ routing policies and rollout staging on ``FleetCoordinator.deploy``.
 
 from repro.fleet.checkpoint import CheckpointStore, DeviceCheckpoint
 from repro.fleet.coordinator import (
-    Fleet,
     FleetAccuracyReport,
     FleetCoordinator,
     FleetDevice,
@@ -41,14 +40,12 @@ from repro.fleet.coordinator import (
 )
 from repro.fleet.simulation import FleetSimulationResult
 from repro.fleet.traffic import (
-    InferenceRequest,
     TrafficGenerator,
     WorkloadSpec,
     staggered_schedule,
 )
 
 __all__ = [
-    "Fleet",
     "FleetCoordinator",
     "FleetDevice",
     "FleetAccuracyReport",
@@ -56,7 +53,6 @@ __all__ = [
     "TransferLedger",
     "TrafficGenerator",
     "WorkloadSpec",
-    "InferenceRequest",
     "staggered_schedule",
     "CheckpointStore",
     "DeviceCheckpoint",

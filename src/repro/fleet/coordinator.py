@@ -746,7 +746,3 @@ class FleetCoordinator:
     def describe(self) -> List[Dict[str, object]]:
         """One summary row per region (see :meth:`FleetDevice.describe` per device)."""
         return [region.describe() for region in self.regions]
-
-
-#: Short alias used in examples and docs.
-Fleet = FleetCoordinator

@@ -25,48 +25,11 @@ import numpy as np
 
 from repro.data.dataset import HARDataset
 from repro.exceptions import ConfigurationError, DataError
+from repro.serving.protocol import PredictRequest
 from repro.utils.rng import RandomState, resolve_rng
 
 #: Workload patterns understood by :class:`TrafficGenerator`.
 PATTERNS = ("uniform", "bursty", "zipf")
-
-
-@dataclass(frozen=True)
-class InferenceRequest:
-    """One user's inference request: a few feature windows to classify.
-
-    Attributes
-    ----------
-    user_id:
-        Stable identity of the requesting user; the router shards on it.
-    features:
-        ``(n_windows, n_features)`` feature matrix for this request.
-    arrival_seconds:
-        Simulated arrival time (tick index × tick duration).
-    deadline_seconds:
-        Optional absolute simulated deadline, honoured by the event-loop
-        scheduler exactly like :class:`~repro.serving.PredictRequest`'s
-        (admission rejection / queue expiry / late-completion miss — see
-        :mod:`repro.serving.scheduler`).
-    """
-
-    user_id: int
-    features: np.ndarray
-    arrival_seconds: float = 0.0
-    deadline_seconds: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.user_id < 0:
-            raise DataError(f"user_id must be non-negative, got {self.user_id}")
-        if self.deadline_seconds is not None and self.deadline_seconds <= self.arrival_seconds:
-            raise DataError(
-                f"deadline_seconds ({self.deadline_seconds}) must be after "
-                f"arrival_seconds ({self.arrival_seconds})"
-            )
-
-    @property
-    def n_windows(self) -> int:
-        return int(self.features.shape[0])
 
 
 @dataclass(frozen=True)
@@ -181,7 +144,7 @@ class WorkloadSpec:
 
 
 class TrafficGenerator:
-    """Seeded generator of :class:`InferenceRequest` streams.
+    """Seeded generator of :class:`~repro.serving.PredictRequest` streams.
 
     Parameters
     ----------
@@ -235,7 +198,7 @@ class TrafficGenerator:
             for i in range(count)
         ]
 
-    def tick(self, tick_index: int) -> List[InferenceRequest]:
+    def tick(self, tick_index: int) -> List[PredictRequest]:
         """Requests arriving during one tick (advances the internal stream)."""
         spec = self.spec
         count = spec.requests_at_tick(tick_index)
@@ -249,7 +212,7 @@ class TrafficGenerator:
         else:
             deadlines = [None] * count
         return [
-            InferenceRequest(
+            PredictRequest(
                 user_id=int(users[i]),
                 features=self.pool[rows[i]],
                 arrival_seconds=arrival,
@@ -258,14 +221,14 @@ class TrafficGenerator:
             for i in range(count)
         ]
 
-    def ticks(self) -> Iterator[List[InferenceRequest]]:
+    def ticks(self) -> Iterator[List[PredictRequest]]:
         """Iterate over all ``spec.n_ticks`` ticks of the stream."""
         for tick_index in range(self.spec.n_ticks):
             yield self.tick(tick_index)
 
-    def requests(self) -> List[InferenceRequest]:
+    def requests(self) -> List[PredictRequest]:
         """The whole stream flattened (convenience for benchmarks)."""
-        flattened: List[InferenceRequest] = []
+        flattened: List[PredictRequest] = []
         for batch in self.ticks():
             flattened.extend(batch)
         return flattened

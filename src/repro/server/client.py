@@ -358,9 +358,9 @@ async def run_load(
     stream = iter(requests)
 
     async def one(connection: AsyncConnection, request) -> None:
-        deadline = getattr(request, "deadline_seconds", None)
+        deadline = request.deadline_seconds
         deadline_ms = (
-            (deadline - getattr(request, "arrival_seconds", 0.0)) * 1e3
+            (deadline - request.arrival_seconds) * 1e3
             if deadline is not None else None
         )
         loop = asyncio.get_running_loop()

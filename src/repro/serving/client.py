@@ -454,18 +454,15 @@ def _build_client(target, options: dict, PILOTE) -> ServingClient:
         )
     if isinstance(target, FleetDevice):
         return ServingClient([target], label="fleet-device", **options)
+    label = "edge-device"
     if isinstance(target, MagnetoPlatform):
-        device = LocalServingDevice(
-            target._serve_edge,
-            profile=target.device.profile,
-            engine=target.device.engine,
-        )
-        return ServingClient([device], label="platform", **options)
+        # A platform serves through its one edge device, under its own label.
+        target, label = target.device, "platform"
     if isinstance(target, EdgeDevice):
         device = LocalServingDevice(
             target.serve, profile=target.profile, engine=target.engine
         )
-        return ServingClient([device], label="edge-device", **options)
+        return ServingClient([device], label=label, **options)
     if isinstance(target, InferenceEngine):
         device = LocalServingDevice(target.predict, engine=target)
         return ServingClient([device], label="engine", **options)

@@ -21,9 +21,10 @@ that batch actually executes.  Three implementations ship with the library
   whose ``infer`` waits on something other than the interpreter);
 * :class:`ProcessExecutor` (``"process"``) — a persistent pool of worker
   OS processes, one process per *lane group* (lane ``i`` always lands on
-  worker ``i % workers``, keeping per-lane caches warm).  Each worker
-  installs its own compute backend at startup
-  (:func:`repro.backend.install_worker_backend`) and serves from shipped
+  worker ``i % workers``, keeping per-lane caches warm).  Each worker has
+  its own copy of module state (the dtype policy included; every
+  :class:`~repro.edge.inference.SnapshotEngine` pins its snapshot's dtype)
+  and serves from shipped
   :class:`~repro.edge.inference.EngineStateSnapshot`\\ s — picklable
   replicas of each lane's :class:`~repro.edge.inference.InferenceEngine`
   keyed by ``PILOTE.state_version``, re-shipped automatically when a
@@ -64,7 +65,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.backend import default_dtype, get_backend, precision, resolve_dtype
+from repro.backend import default_dtype, precision, resolve_dtype
 from repro.utils.clock import perf_seconds
 from repro.exceptions import (
     ConfigurationError,
@@ -297,8 +298,8 @@ def _portable_error(error: BaseException) -> BaseException:
         return ServingError(f"{type(error).__name__}: {error}")
 
 
-def _process_worker_main(worker_index, task_queue, result_queue, backend_name):
-    """Worker process loop: install a backend, serve shipped snapshots.
+def _process_worker_main(worker_index, task_queue, result_queue):
+    """Worker process loop: serve shipped snapshots.
 
     Messages: ``("sync", position, snapshot)`` installs/replaces the lane's
     :class:`~repro.edge.inference.SnapshotEngine`; ``("delta", position,
@@ -310,10 +311,8 @@ def _process_worker_main(worker_index, task_queue, result_queue, backend_name):
     parent's worker-death path, exercised by tests); ``None`` shuts down
     cleanly.
     """
-    from repro.backend import install_worker_backend
     from repro.edge.inference import SnapshotEngine
 
-    install_worker_backend(backend_name)
     engines: Dict[int, SnapshotEngine] = {}
     snapshots: Dict[int, object] = {}  # lane -> last installed EngineStateSnapshot
     while True:
@@ -455,7 +454,7 @@ class ProcessExecutor(Executor):
         task_queue = self._context.Queue()
         process = self._context.Process(
             target=_process_worker_main,
-            args=(index, task_queue, self._results, get_backend().name),
+            args=(index, task_queue, self._results),
             daemon=True,
             name=f"repro-worker-{index}",
         )

@@ -19,11 +19,6 @@ Failures are typed: :class:`~repro.exceptions.ServingError` subclasses such
 as :class:`~repro.exceptions.DeadlineExceededError` come back through
 :meth:`PendingResult.exception` / :meth:`PendingResult.result` rather than
 escaping mid-drain.
-
-The legacy :class:`~repro.fleet.traffic.InferenceRequest` is accepted
-everywhere a :class:`PredictRequest` is (it carries the same ``user_id`` /
-``features`` / ``arrival_seconds`` core), so existing traffic generators feed
-the new API unchanged.
 """
 
 from __future__ import annotations
@@ -166,11 +161,11 @@ class PredictResponse:
 
     @property
     def request_id(self) -> Optional[int]:
-        return getattr(self.request, "request_id", None)
+        return self.request.request_id
 
     @property
     def metadata(self) -> Optional[Mapping[str, Any]]:
-        return getattr(self.request, "metadata", None)
+        return self.request.metadata
 
     @property
     def n_windows(self) -> int:
@@ -182,7 +177,7 @@ class PredictResponse:
 
     @property
     def deadline_missed(self) -> bool:
-        deadline = getattr(self.request, "deadline_seconds", None)
+        deadline = self.request.deadline_seconds
         return deadline is not None and self.completed_seconds > deadline
 
     @property

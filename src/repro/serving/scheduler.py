@@ -965,7 +965,7 @@ class EventLoopScheduler:
         control and (under EDF) per-deadline grouping.
         """
         if any(
-            getattr(request, "deadline_seconds", None) is not None
+            request.deadline_seconds is not None
             for request in segment
         ):
             return self._enqueue_deadline_segment(position, arrival, segment)
@@ -996,7 +996,7 @@ class EventLoopScheduler:
         rejected = 0
         admitted = 0
         for index, request in enumerate(segment):
-            deadline = getattr(request, "deadline_seconds", None)
+            deadline = request.deadline_seconds
             if deadline is not None:
                 if floor > deadline:
                     futures[index] = _RejectedResult(
@@ -1173,10 +1173,8 @@ class EventLoopScheduler:
                 continue
             batch = self._lanes[position].batches[0]
             if batch.n_cancelled or (batch.has_deadlines and any(
-                deadline is not None and begin > deadline
-                for deadline in (
-                    getattr(r, "deadline_seconds", None) for r in batch.requests
-                )
+                r.deadline_seconds is not None and begin > r.deadline_seconds
+                for r in batch.requests
             )):
                 continue
             state = device.engine.ncm_state()
@@ -1324,7 +1322,7 @@ class EventLoopScheduler:
             n_deadline = 0
             n_missed = 0
             for request in requests:
-                deadline = getattr(request, "deadline_seconds", None)
+                deadline = request.deadline_seconds
                 if deadline is not None:
                     n_deadline += 1
                     if completion > deadline:
@@ -1374,7 +1372,7 @@ class EventLoopScheduler:
                 )
                 self._total_cancelled += 1
                 continue
-            deadline = getattr(request, "deadline_seconds", None)
+            deadline = request.deadline_seconds
             if deadline is not None and begin > deadline:
                 batch.fail_future(
                     future,

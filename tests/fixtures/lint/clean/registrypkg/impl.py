@@ -1,16 +1,16 @@
 """Fixture: concrete class present in both the registry and __all__."""
 
 
-class Backend:
+class Controller:
     name = "abstract"
 
 
-class CompleteBackend(Backend):
+class CompleteController(Controller):
     name = "complete"
 
 
-class OptOutBackend(Backend):  # repro: noqa[repro-registry] fixture opt-out
+class OptOutController(Controller):  # repro: noqa[repro-registry] fixture opt-out
     name = "opt-out"
 
 
-BACKENDS = {CompleteBackend.name: CompleteBackend}
+CONTROLLERS = {CompleteController.name: CompleteController}

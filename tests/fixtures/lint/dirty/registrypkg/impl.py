@@ -1,12 +1,12 @@
 """Fixture: in the registry dict but missing from the package __all__."""
 
 
-class Backend:
+class Controller:
     name = "abstract"
 
 
-class ShadowBackend(Backend):
+class ShadowController(Controller):
     name = "shadow"
 
 
-BACKENDS = {ShadowBackend.name: ShadowBackend}
+CONTROLLERS = {ShadowController.name: ShadowController}

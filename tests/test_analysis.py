@@ -39,7 +39,6 @@ from repro.analysis.sanitizer import (
     auto_sanitize,
     sanitize_enabled,
 )
-from repro.backend import BACKENDS
 from repro.control import CHAOS_SCENARIOS, CONTROLLERS
 from repro.control.chaos import ChaosRunReport, run_chaos
 from repro.exceptions import AnalysisError, SanitizerViolationError
@@ -128,7 +127,7 @@ class TestRuleFixtures:
     def test_registry_rule_flags_missing_dunder_all(self):
         findings = run_lint(DIRTY, select=["repro-registry"])
         assert any(
-            "__all__" in finding.message and "ShadowBackend" in finding.message
+            "__all__" in finding.message and "ShadowController" in finding.message
             for finding in findings
         )
 
@@ -242,15 +241,14 @@ class TestRealTree:
 class TestRegistryCompleteness:
     @pytest.mark.parametrize(
         "registry",
-        [EXECUTORS, ROUTING_POLICIES, ROLLOUT_POLICIES, CONTROLLERS, BACKENDS],
-        ids=["executors", "routing", "rollout", "controllers", "backends"],
+        [EXECUTORS, ROUTING_POLICIES, ROLLOUT_POLICIES, CONTROLLERS],
+        ids=["executors", "routing", "rollout", "controllers"],
     )
     def test_registry_keys_match_class_names(self, registry):
         for key, cls in registry.items():
             assert cls.name == key
 
     def test_registered_classes_exported(self):
-        import repro.backend
         import repro.control
         import repro.serving
 
@@ -259,7 +257,6 @@ class TestRegistryCompleteness:
             (ROUTING_POLICIES, repro.serving),
             (ROLLOUT_POLICIES, repro.serving),
             (CONTROLLERS, repro.control),
-            (BACKENDS, repro.backend),
         ):
             for cls in registry.values():
                 assert cls.__name__ in package.__all__, (

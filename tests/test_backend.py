@@ -1,4 +1,4 @@
-"""Tests for the compute backend: dtype policy, op registry, workspace, kernels."""
+"""Tests for the compute backend: dtype policy, op registry, kernels."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.autodiff.gradcheck import check_gradients
 from repro.autodiff.tensor import Tensor
 from repro.backend import (
     NumpyBackend,
-    Workspace,
     default_dtype,
     get_backend,
     get_op,
@@ -116,37 +115,6 @@ class TestOpRegistry:
         assert np.allclose(x.grad, 2.0 * x.data + 1.0)
 
 
-class TestWorkspace:
-    def test_same_key_reuses_buffer(self):
-        workspace = Workspace()
-        first = workspace.request((16, 8), "float64")
-        second = workspace.request((16, 8), "float64")
-        assert first is second
-        assert workspace.stats()["hits"] == 1
-        assert workspace.stats()["misses"] == 1
-
-    def test_tags_separate_colliding_shapes(self):
-        workspace = Workspace()
-        a = workspace.request(32, "float64", tag="scores")
-        b = workspace.request(32, "float64", tag="center")
-        assert a is not b
-        assert len(workspace) == 2
-
-    def test_dtype_separates_buffers(self):
-        workspace = Workspace()
-        a = workspace.request(8, "float32")
-        b = workspace.request(8, "float64")
-        assert a.dtype == np.float32 and b.dtype == np.float64
-        assert a is not b
-
-    def test_clear_drops_everything(self):
-        workspace = Workspace()
-        workspace.request((4, 4))
-        workspace.clear()
-        assert len(workspace) == 0
-        assert workspace.nbytes == 0
-
-
 class TestBackendKernels:
     def test_pairwise_euclidean_matches_naive(self):
         rng = np.random.default_rng(0)
@@ -186,6 +154,44 @@ class TestBackendKernels:
         with precision("edge"):
             assert backend.asarray([1.0, 2.0]).dtype == np.float32
         assert backend.asarray([1.0, 2.0]).dtype == np.float64
+
+    def test_backend_zeros_follows_policy_unless_dtype_given(self):
+        backend = get_backend()
+        with precision("edge"):
+            assert backend.zeros((2, 3)).dtype == np.float32
+            assert backend.zeros(4, dtype="float64").dtype == np.float64
+        zeros = backend.zeros((2, 3))
+        assert zeros.dtype == np.float64 and not zeros.any()
+
+    def test_grouped_means_shape_errors(self):
+        backend = get_backend()
+        with pytest.raises(ShapeError):
+            backend.grouped_means(np.zeros(6), np.zeros(6))
+        with pytest.raises(ShapeError):
+            backend.grouped_means(np.zeros((6, 2)), np.zeros(5))
+
+    def test_one_process_wide_instance(self):
+        assert get_backend() is get_backend()
+        assert type(get_backend()) is NumpyBackend
+
+    def test_ncm_distances_go_through_the_class_kernel(self, monkeypatch):
+        """Wrapping ``NumpyBackend.pairwise_distances`` on the class sees
+        every NCM distance call: span tracers and counters patch it there."""
+        from repro.core.ncm import NCMClassifier
+
+        original = NumpyBackend.pairwise_distances
+        calls = []
+
+        def recorded(self, queries, references, metric="euclidean"):
+            calls.append((np.shape(queries), np.shape(references), metric))
+            return original(self, queries, references, metric)
+
+        monkeypatch.setattr(NumpyBackend, "pairwise_distances", recorded)
+        prototypes = {0: np.zeros(3), 1: np.ones(3), 4: np.full(3, 5.0)}
+        classifier = NCMClassifier().fit(prototypes)
+        predicted = classifier.predict(np.array([[0.1, 0.0, 0.0], [4.0, 5.0, 6.0]]))
+        assert predicted.tolist() == [0, 4]
+        assert calls == [((2, 3), (3, 3), "euclidean")]
 
 
 class TestGradcheckDtypePolicy:

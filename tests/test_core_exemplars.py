@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backend import precision
 from repro.core.exemplars import ExemplarStore, herding_selection, random_selection
 from repro.exceptions import DataError
 
@@ -12,6 +13,20 @@ def _clustered_class(seed=0, n=50, d=4, outliers=5):
     core = rng.normal(0.0, 0.5, size=(n - outliers, d))
     far = rng.normal(8.0, 0.5, size=(outliers, d))
     return np.concatenate([core, far], axis=0)
+
+
+def _naive_herding(embeddings, n_exemplars):
+    """Algorithm 1's herding step written out: at step ``k`` take the unused
+    row whose inclusion puts the running mean closest to the prototype."""
+    prototype = embeddings.mean(axis=0)
+    running = np.zeros_like(prototype)
+    selected = []
+    for step in range(1, min(n_exemplars, len(embeddings)) + 1):
+        errors = np.linalg.norm((running + embeddings) / step - prototype, axis=1)
+        errors[selected] = np.inf
+        selected.append(int(np.argmin(errors)))
+        running += embeddings[selected[-1]]
+    return selected
 
 
 class TestHerdingSelection:
@@ -44,6 +59,27 @@ class TestHerdingSelection:
         first = herding_selection(embeddings, embeddings, 1)[0]
         distances = np.linalg.norm(embeddings - prototype, axis=1)
         assert first == int(np.argmin(distances))
+
+    def test_matches_the_written_out_selection(self):
+        for seed, n in ((3, 50), (4, 23)):
+            embeddings = np.random.default_rng(seed).normal(size=(n, 5))
+            selected = herding_selection(embeddings, embeddings, 15)
+            assert selected.tolist() == _naive_herding(embeddings, 15)
+
+    def test_calls_do_not_depend_on_earlier_calls(self):
+        """Each call owns its scores vector: interleaving calls of other
+        sizes and dtypes leaves every selection as a fresh call makes it."""
+        big = _clustered_class(2)
+        small = big[7:30]
+        fresh_big = herding_selection(big, big, 12)
+        with precision("edge"):
+            fresh_small = herding_selection(small, small, 9)
+        for _ in range(2):
+            with precision("edge"):
+                assert np.array_equal(herding_selection(small, small, 9), fresh_small)
+            assert np.array_equal(herding_selection(small, small, 9),
+                                  _naive_herding(small, 9))
+            assert np.array_equal(herding_selection(big, big, 12), fresh_big)
 
     def test_invalid_arguments(self):
         embeddings = np.random.default_rng(0).normal(size=(5, 3))

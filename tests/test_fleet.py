@@ -20,13 +20,12 @@ from repro.experiments.common import ExperimentSettings
 from repro.fleet import (
     CheckpointStore,
     FleetCoordinator,
-    InferenceRequest,
     TrafficGenerator,
     WorkloadSpec,
     staggered_schedule,
 )
 from repro.fleet import simulation as fleet_simulation
-from repro.serving import HashRouting, serve
+from repro.serving import HashRouting, PredictRequest, serve
 from repro.utils.rng import resolve_rng
 
 
@@ -94,7 +93,18 @@ class TestTrafficGenerator:
 
     def test_negative_user_rejected(self, pool):
         with pytest.raises(DataError):
-            InferenceRequest(user_id=-1, features=pool[:1])
+            PredictRequest(user_id=-1, features=pool[:1])
+
+    def test_generated_requests_are_frozen_predict_requests(self):
+        rows = np.random.default_rng(0).normal(size=(20, 8))
+        spec = WorkloadSpec(requests_per_tick=4, n_ticks=1, windows_per_request=2)
+        requests = TrafficGenerator(rows, spec, seed=0).requests()
+        assert all(isinstance(r, PredictRequest) for r in requests)
+        # Served batches coalesce payloads, so a generated one must reject
+        # writes exactly like a hand-built request's.
+        with pytest.raises(ValueError):
+            requests[0].features[0, 0] = 99.0
+        assert rows.flags.writeable  # each payload is a copy of pool rows
 
     def test_empty_pool_rejected(self):
         with pytest.raises(DataError):
@@ -138,7 +148,7 @@ class TestHashSharding:
         users = [7, 7, 123, 40, 5]
         client = serve(fleet, routing="hash", seed=5)
         futures = client.submit_many(
-            [InferenceRequest(user_id=u, features=pool[:1]) for u in users]
+            [PredictRequest(user_id=u, features=pool[:1]) for u in users]
         )
         placed = [fleet.devices.index(fleet.device(f.result().device_id)) for f in futures]
         assert placed == hash_lanes(users, 5).tolist()
@@ -169,7 +179,7 @@ class TestFleetServing:
         coordinator.provision(1)
         coordinator.deploy(package)
         requests = [
-            InferenceRequest(user_id=i, features=pool[4 * i:4 * i + 4])
+            PredictRequest(user_id=i, features=pool[4 * i:4 * i + 4])
             for i in range(8)
         ]
         client = serve(coordinator, seed=3)

@@ -1,17 +1,16 @@
 """Additional coverage for small public APIs not exercised elsewhere:
-weight initialisers, the functional loss wrappers, multi-input op error paths
-and the edge-device profile catalogue."""
+weight initialisers, the loss modules called functionally, multi-input op
+error paths and the edge-device profile catalogue."""
 
 import numpy as np
 import pytest
 
 from repro.autodiff import ops
 from repro.autodiff.tensor import Tensor
-from repro.core.contrastive import contrastive_loss, contrastive_loss_value
-from repro.core.distillation import distillation_loss, distillation_loss_value
 from repro.edge.device import DEVICE_PROFILES
 from repro.exceptions import ShapeError
 from repro.nn.init import he_uniform, normal_init, xavier_uniform, zeros_init
+from repro.nn.losses import ContrastiveLoss, DistillationLoss
 
 
 class TestInitializers:
@@ -42,39 +41,68 @@ class TestInitializers:
         assert xavier_uniform((7,), rng=0).shape == (7,)
 
 
+def _numpy_contrastive(left, right, same_class, *, margin=1.0, variant="squared"):
+    """Plain-numpy Eq. 2, the oracle for :class:`ContrastiveLoss`."""
+    left = np.asarray(left, dtype=np.float64)
+    right = np.asarray(right, dtype=np.float64)
+    same = np.asarray(same_class, dtype=np.float64).reshape(-1)
+    squared = ((left - right) ** 2).sum(axis=1)
+    if variant == "squared":
+        dissimilar = np.maximum(0.0, margin**2 - squared)
+    else:
+        distance = np.sqrt(squared + 1e-12)
+        dissimilar = np.maximum(0.0, margin - distance) ** 2
+    return float((same * squared + (1.0 - same) * dissimilar).mean())
+
+
+def _numpy_distillation(new, old):
+    """Plain-numpy mean of ``||new - old||²``, the oracle for :class:`DistillationLoss`."""
+    new = np.asarray(new, dtype=np.float64)
+    old = np.asarray(old, dtype=np.float64)
+    return float(((new - old) ** 2).sum(axis=1).mean())
+
+
 class TestFunctionalLossWrappers:
+    """The loss modules built and called in one expression on raw arrays,
+    the way a functional ``loss(left, right, same)`` call would, agree with
+    the plain-numpy formulas."""
+
     def _pairs(self):
         rng = np.random.default_rng(0)
         return rng.normal(size=(6, 4)), rng.normal(size=(6, 4)), rng.integers(0, 2, size=6)
 
     def test_contrastive_wrapper_matches_numpy_value(self):
         left, right, same = self._pairs()
-        differentiable = contrastive_loss(left, right, same, margin=1.5)
-        plain = contrastive_loss_value(left, right, same, margin=1.5)
+        differentiable = ContrastiveLoss(margin=1.5)(Tensor(left), Tensor(right), same)
+        plain = _numpy_contrastive(left, right, same, margin=1.5)
         assert float(differentiable.data) == pytest.approx(plain)
 
     def test_contrastive_wrapper_hadsell_variant(self):
         left, right, same = self._pairs()
-        differentiable = contrastive_loss(left, right, same, margin=1.0, variant="hadsell")
-        plain = contrastive_loss_value(left, right, same, margin=1.0, variant="hadsell")
+        criterion = ContrastiveLoss(margin=1.0, variant="hadsell")
+        differentiable = criterion(Tensor(left), Tensor(right), same)
+        plain = _numpy_contrastive(left, right, same, margin=1.0, variant="hadsell")
         assert float(differentiable.data) == pytest.approx(plain, abs=1e-6)
 
     def test_contrastive_wrapper_propagates_gradients(self):
         left, right, same = self._pairs()
         left_tensor = Tensor(left, requires_grad=True)
-        contrastive_loss(left_tensor, Tensor(right), same).backward()
+        ContrastiveLoss()(left_tensor, Tensor(right), same).backward()
         assert left_tensor.grad is not None
 
     def test_distillation_wrapper_matches_numpy_value(self):
         rng = np.random.default_rng(1)
         new, old = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-        assert float(distillation_loss(new, old).data) == pytest.approx(
-            distillation_loss_value(new, old)
+        assert float(DistillationLoss()(Tensor(new), Tensor(old)).data) == pytest.approx(
+            _numpy_distillation(new, old)
         )
 
     def test_distillation_zero_at_identity(self):
         embeddings = np.random.default_rng(2).normal(size=(4, 6))
-        assert distillation_loss_value(embeddings, embeddings) == pytest.approx(0.0)
+        assert float(
+            DistillationLoss()(Tensor(embeddings), Tensor(embeddings)).data
+        ) == pytest.approx(0.0)
+        assert _numpy_distillation(embeddings, embeddings) == pytest.approx(0.0)
 
 
 class TestOpsErrorPaths:

@@ -16,7 +16,7 @@ from repro.exceptions import (
     RoutingError,
     ServingError,
 )
-from repro.fleet import FleetCoordinator, InferenceRequest, TrafficGenerator, WorkloadSpec
+from repro.fleet import FleetCoordinator, TrafficGenerator, WorkloadSpec
 from repro.serving import (
     ABRollout,
     AllAtOnceRollout,
@@ -136,8 +136,11 @@ class TestServeFacade:
         platform.deploy_to_edge()
         client = platform.serving_client()
         assert client is platform.serving_client()  # cached
+        assert client.label == "platform"
+        before = platform.device.inference_requests
         predictions = client.predict(pool[:12])
         assert np.array_equal(predictions, pretrained_pilote.predict(pool[:12]))
+        assert platform.device.inference_requests == before + 1
 
     def test_empty_batch_on_device_and_platform(self, pretrained_pilote, tiny_config):
         """A device serves an empty batch as no predictions; the client
@@ -158,7 +161,7 @@ class TestServeFacade:
         """Each device's share of a tick, concatenated in submission order
         and served by one ``device.serve`` call, gives the client's bytes."""
         requests = [
-            InferenceRequest(user_id=i, features=pool[2 * i:2 * i + 2])
+            PredictRequest(user_id=i, features=pool[2 * i:2 * i + 2])
             for i in range(12)
         ]
         client = serve(fleet, routing="hash", seed=9)
@@ -204,7 +207,7 @@ class TestRoutingPolicies:
         first = serve(fleet, routing="hash", seed=4)
         second = serve(fleet, routing="hash", seed=4)
         requests = [
-            InferenceRequest(user_id=u, features=pool[:1]) for u in (7, 7, 7, 123)
+            PredictRequest(user_id=u, features=pool[:1]) for u in (7, 7, 7, 123)
         ]
         devices_first = [
             f.result().device_id for f in first.submit_many(requests)
@@ -231,7 +234,7 @@ class TestRoutingPolicies:
 
     def test_p2c_deterministic_and_in_range(self, fleet, pool):
         requests = [
-            InferenceRequest(user_id=u, features=pool[:1]) for u in range(30)
+            PredictRequest(user_id=u, features=pool[:1]) for u in range(30)
         ]
 
         def placements():
@@ -333,7 +336,7 @@ class TestInFlightReplacement:
 
         client = serve(fleet, routing="hash", seed=1)
         requests = [
-            InferenceRequest(user_id=u, features=pool[:1]) for u in range(30)
+            PredictRequest(user_id=u, features=pool[:1]) for u in range(30)
         ]
         futures = client.submit_many(requests)
         assert client.pending_requests == 30
@@ -461,7 +464,7 @@ class TestRolloutPolicies:
 
         client = serve(coordinator, seed=3)
         requests = [
-            InferenceRequest(user_id=u, features=pool[:1]) for u in range(60)
+            PredictRequest(user_id=u, features=pool[:1]) for u in range(60)
         ]
         futures = client.submit_many(requests)
         client.drain()
@@ -495,13 +498,13 @@ class TestRolloutPolicies:
         deployed = {d.device_id for d in coordinator.devices if d.is_deployed}
         client = serve(coordinator, seed=2)
         futures = client.submit_many(
-            [InferenceRequest(user_id=u, features=pool[:1]) for u in range(20)]
+            [PredictRequest(user_id=u, features=pool[:1]) for u in range(20)]
         )
         client.drain()
         assert {f.result().device_id for f in futures} <= deployed
         coordinator.advance_rollout()
         futures = client.submit_many(
-            [InferenceRequest(user_id=u, features=pool[:1]) for u in range(20)]
+            [PredictRequest(user_id=u, features=pool[:1]) for u in range(20)]
         )
         client.drain()
         assert all(f.exception() is None for f in futures)
@@ -515,7 +518,7 @@ class TestRolloutPolicies:
         coordinator.deploy(package, rollout=StagedRollout(fractions=(0.5, 1.0)))
         client = serve(coordinator, routing="hash", seed=6)
         requests = [
-            InferenceRequest(user_id=u, features=pool[:1]) for u in range(40)
+            PredictRequest(user_id=u, features=pool[:1]) for u in range(40)
         ]
         preferred = client.scheduler.policy.assign_batch(
             requests, np.arange(40), client.scheduler
@@ -536,7 +539,7 @@ class TestRolloutPolicies:
         coordinator.deploy(package, rollout=ABRollout(treatment_fraction=0.5))
         client = serve(coordinator, seed=0)
         requests = [
-            InferenceRequest(user_id=u, features=pool[:1]) for u in range(40)
+            PredictRequest(user_id=u, features=pool[:1]) for u in range(40)
         ]
         with pytest.raises(RoutingError, match="no deployed devices"):
             client.submit_many(requests)
@@ -580,7 +583,7 @@ class TestSchedulerDirect:
     def test_report_latencies_feed_percentiles(self, fleet, pool):
         client = serve(fleet, seed=2)
         client.submit_many(
-            [InferenceRequest(user_id=u, features=pool[:1]) for u in range(12)]
+            [PredictRequest(user_id=u, features=pool[:1]) for u in range(12)]
         )
         client.drain()
         report = client.report()

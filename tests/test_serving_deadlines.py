@@ -20,7 +20,7 @@ from repro.exceptions import (
     DeadlineExceededError,
     InvalidRequestError,
 )
-from repro.fleet import FleetCoordinator, InferenceRequest, TrafficGenerator, WorkloadSpec
+from repro.fleet import FleetCoordinator, TrafficGenerator, WorkloadSpec
 from repro.serving import (
     EventLoopScheduler,
     LocalServingDevice,
@@ -329,12 +329,12 @@ class TestReentrantDrain:
             # loop already popped and dropped from its heap.
             followups.extend(
                 client.submit_many([
-                    InferenceRequest(user_id=u, features=pool[:1])
+                    PredictRequest(user_id=u, features=pool[:1])
                     for u in range(12)
                 ])
             )
 
-        first = client.submit(InferenceRequest(user_id=0, features=pool[:1]))
+        first = client.submit(PredictRequest(user_id=0, features=pool[:1]))
         first.add_done_callback(chain)
         client.drain()
         assert len(followups) == 12
@@ -381,13 +381,13 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             request.features[:] = 0.0
 
-    def test_inference_request_deadline_validation(self):
+    def test_request_deadline_validation(self):
         with pytest.raises(DataError, match="deadline"):
-            InferenceRequest(
+            PredictRequest(
                 user_id=0, features=np.ones((1, 3)),
                 arrival_seconds=2.0, deadline_seconds=1.0,
             )
-        request = InferenceRequest(
+        request = PredictRequest(
             user_id=0, features=np.ones((1, 3)),
             arrival_seconds=1.0, deadline_seconds=2.0,
         )
