@@ -22,6 +22,8 @@ measurements isolate the serving and control layers):
    both adaptive and static mode, must satisfy the exactly-once ledger:
    ``sent == answered + failed`` with zero unresolved futures, zero
    double-fired callbacks, and server-side conservation including hedges.
+   Only the simulated-clock runs are written to ``results/``; the
+   wall-clock process runs are printed.
 
 Run via pytest (``python -m pytest benchmarks/bench_control.py -q -s``) or
 directly (``PYTHONPATH=src python benchmarks/bench_control.py``).
@@ -34,7 +36,13 @@ import numpy as np
 
 from bench_fleet import N_FEATURES, build_fleet, make_serving_learner
 from repro.backend import precision
-from repro.control import ControlPlane, FlakyDevice, PoolAutoscaler, run_suite
+from repro.control import (
+    CHAOS_SCENARIOS,
+    ControlPlane,
+    FlakyDevice,
+    PoolAutoscaler,
+    run_suite,
+)
 from repro.edge.transfer import package_for_edge
 from repro.fleet import TrafficGenerator, WorkloadSpec
 from repro.serving import serve
@@ -265,22 +273,34 @@ def _predict_request(user_id, features):
 
 
 def test_chaos_suite_exactly_once(report):
-    """Every chaos scenario, adaptive and static, keeps the ledger exact."""
+    """Every chaos scenario, adaptive and static, keeps the ledger exact.
+
+    The result files hold the simulated-clock runs only, which a seed fully
+    determines.  The process runs kill real workers on the wall clock, so
+    how many batches die varies from run to run: they are printed, and
+    gated like the others, but not written.
+    """
     with precision("edge"):
         adaptive_runs = run_suite(adaptive=True, seed=11)
         static_runs = run_suite(adaptive=False, seed=11)
 
-    lines = ["chaos suite exactly-once ledgers (seed 11)"]
+    lines = ["chaos suite exactly-once ledgers (seed 11, simulated clock)"]
+    wall = ["chaos suite wall-clock runs (counts vary from run to run)"]
     data = {"adaptive": [], "static": []}
     for mode, runs in (("adaptive", adaptive_runs), ("static", static_runs)):
         for run in runs:
-            lines.append(
+            row = (
                 f"  {mode:8s} {run.name:22s} sent {run.sent:4d}  "
                 f"answered {run.answered:4d}  failed {run.failed:4d}  "
                 f"hedges {run.hedges_fired:4d}  exactly_once={run.exactly_once}"
             )
-            data[mode].append(run.to_dict())
+            if CHAOS_SCENARIOS[run.name].executor == "serial":
+                lines.append(row)
+                data[mode].append(run.to_dict())
+            else:
+                wall.append(row)
     report("bench_control_chaos", "\n".join(lines), data=data)
+    print("\n".join(wall))
     for run in adaptive_runs + static_runs:
         assert run.exactly_once, f"{run.name}: {run.to_dict()}"
         assert run.sent == run.answered + run.failed

@@ -1,6 +1,6 @@
 """Benchmarks of the million-device fleet machinery.
 
-Three gates, all on a serving-only learner (no gradient training, so the
+Two gates, both on a serving-only learner (no gradient training, so the
 benchmark isolates the coordination layer itself):
 
 1. **Memory sub-linearity** — a pooled fleet holds one copy-on-write
@@ -8,12 +8,7 @@ benchmark isolates the coordination layer itself):
    fleet 100× (10k → 1M devices) must grow peak allocation far less than
    100×; an unpooled fleet at small scale is measured alongside to show the
    per-device cost the pooling removes.
-2. **Delta proportionality** — after refining K of C classes, the snapshot
-   delta must carry exactly K prototype rows and a payload that is a small
-   fraction of the full snapshot, and applying it must reproduce the target
-   snapshot bit for bit.  This is what keeps broadcast re-syncs and worker
-   re-shipping O(changed classes).
-3. **Small-fleet bit-exactness** — a pooled fleet with every device
+2. **Small-fleet bit-exactness** — a pooled fleet with every device
    materialised must serve the exact predictions (and device assignments)
    of the unpooled fleet under the same seeds, while shipping
    one package per region instead of one per device.
@@ -118,45 +113,6 @@ def test_memory_sublinear_in_devices(report):
     assert hier_small < flat_small / 5  # pooling removes the per-device copies
 
 
-def test_delta_bytes_proportional_to_changed_classes(report):
-    """A K-class refinement re-syncs O(K) rows, not the full engine state."""
-    n_classes = 8
-    with precision("edge"):
-        learner = make_serving_learner(n_classes=n_classes)
-        rng = np.random.default_rng(1)
-        probe = rng.normal(size=(256, N_FEATURES))
-        rows = []
-        for k in (1, 2, 4):
-            base = learner.inference_engine().state_snapshot()
-            for class_id in range(k):
-                learner.refine_prototype(
-                    class_id, rng.normal(size=(6, N_FEATURES)) + class_id
-                )
-            target = learner.inference_engine().state_snapshot()
-            delta = target.diff(base)
-            rebuilt = base.apply_delta(delta)
-            exact = bool(
-                np.array_equal(rebuilt.prototypes, target.prototypes)
-                and np.array_equal(rebuilt.class_ids, target.class_ids)
-            )
-            rows.append((k, delta, target.nbytes, exact))
-
-    lines = [f"snapshot delta payload vs full snapshot ({n_classes} classes)"]
-    data = {"full_snapshot_bytes": rows[0][2], "n_classes": n_classes}
-    for k, delta, full_nbytes, exact in rows:
-        lines.append(
-            f"  {k} class(es) refined: {delta.n_changed} rows, "
-            f"{delta.nbytes:6d} B vs {full_nbytes} B full "
-            f"({delta.nbytes / full_nbytes:7.2%}), apply exact: {exact}"
-        )
-        data[f"delta_bytes_k{k}"] = delta.nbytes
-        data[f"delta_rows_k{k}"] = delta.n_changed
-        assert delta.n_changed == k
-        assert exact
-        assert delta.nbytes < full_nbytes * 0.05
-    report("bench_fleet_scale_delta", "\n".join(lines), data=data)
-
-
 def test_small_fleet_bit_exact_with_flat(report):
     """Regional serving is a pure optimisation: flat predictions, fewer bytes."""
     n_devices, n_regions = 8, 4
@@ -221,6 +177,5 @@ if __name__ == "__main__":
         return name
 
     test_memory_sublinear_in_devices(_report)
-    test_delta_bytes_proportional_to_changed_classes(_report)
     test_small_fleet_bit_exact_with_flat(_report)
     print("\nall fleet-scale benchmarks passed")

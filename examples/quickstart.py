@@ -35,9 +35,8 @@ the :mod:`repro.fleet` package, run ``pilote fleet-sim --scale quick
 for the same workload answered by every serving layer.  Past ~1000 devices
 the simulation pools the fleet into regions (``pilote fleet-sim --devices
 1000000``, or ``--regions 8`` to pick the count): regions serve one pooled
-copy-on-write template each, devices are only materialised when they drift,
-and re-syncs ship snapshot *deltas* — so a million-device fleet runs in
-megabytes, not terabytes.
+copy-on-write template each and devices are only materialised when they
+drift — so a million-device fleet runs in megabytes, not terabytes.
 
 Profiling the update
 --------------------

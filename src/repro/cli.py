@@ -18,8 +18,9 @@ a served/missed/expired SLO breakdown), and ``--executor
 (the serial default models the simulated parallel clock; thread/process run
 real shared-memory or multi-process workers and report measured wall-clock
 latency).  Past 1024 devices (or with an explicit ``--regions N``) the fleet
-pools its devices into regions — pooled per-region device state and delta
-snapshot shipping make ``--devices 1000000`` tractable.  ``pilote serve``
+pools its devices into regions: one copy-on-write template learner serves
+each region's undrifted devices, which makes ``--devices 1000000``
+tractable.  ``pilote serve``
 answers one seeded workload through all three serving layers (bare learner,
 MAGNETO platform, fleet) over the unified :mod:`repro.serving` API.
 

@@ -1,10 +1,20 @@
-"""Saving and restoring a full PILOTE learner.
+"""The one learner-state format: capture and rebuild a full PILOTE learner.
 
-Edge deployments need to persist the learner between sessions (the device may
-reboot between two data-collection campaigns).  The checkpoint contains the
-backbone weights, the exemplar support set, the class prototypes and the
-class bookkeeping; the configuration is stored as metadata so a restored
-learner is functionally identical to the saved one.
+What moves between cloud, edge, storage and serving workers is one thing:
+the learner state.  :func:`pilote_state` captures it as a flat
+``str → ndarray`` mapping plus a metadata dict, and :func:`pilote_from_state`
+is the single rebuild path every consumer goes through:
+
+* checkpoints on disk (:func:`save_pilote`/:func:`load_pilote` and
+  :class:`~repro.fleet.checkpoint.CheckpointStore`) store the whole state;
+* the cloud → edge broadcast
+  (:meth:`~repro.edge.transfer.TransferPackage.instantiate_learner`) lays its
+  arrays out in this format;
+* process serving workers (:class:`~repro.serving.ProcessExecutor`) receive
+  it without the ``exemplars/`` keys and rebuild the learner they answer from.
+
+The configuration, the class bookkeeping and the NCM metric travel as
+metadata, so a rebuilt learner is functionally identical to the captured one.
 """
 
 from __future__ import annotations
@@ -13,11 +23,11 @@ import dataclasses
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
 from repro.core.config import PiloteConfig
+from repro.core.ncm import NCMClassifier
 from repro.core.pilote import PILOTE
 from repro.exceptions import NotFittedError, SerializationError
+from repro.utils.rng import RandomState
 from repro.utils.serialization import load_npz_state, save_npz_state
 
 PathLike = Union[str, Path]
@@ -30,9 +40,9 @@ def pilote_state(learner: PILOTE) -> tuple:
 
     ``state`` is a flat ``str → ndarray`` mapping (``model/<param>``,
     ``exemplars/<class>``, ``prototypes/<class>``) and ``metadata`` the
-    config/bookkeeping dict.  Exposed separately from :func:`save_pilote` so
-    callers can diff two states (delta checkpoints in
-    :class:`~repro.fleet.checkpoint.CheckpointStore`) without touching disk.
+    config/bookkeeping dict, NCM metric included.  The ``model/`` arrays are
+    copies; exemplar rows and prototypes are the learner's own arrays, which
+    it only ever replaces, never writes into.
     """
     if not learner.is_pretrained:
         raise NotFittedError("only a pre-trained learner can be saved")
@@ -51,6 +61,7 @@ def pilote_state(learner: PILOTE) -> tuple:
         "new_classes": list(learner.new_classes),
         "exemplar_strategy": learner.exemplars.strategy,
         "exemplar_capacity": learner.exemplars.capacity,
+        "metric": learner.classifier.metric,
     }
     return state, metadata
 
@@ -61,13 +72,21 @@ def save_pilote(learner: PILOTE, path: PathLike) -> Path:
     return save_npz_state(path, state, metadata=metadata)
 
 
-def pilote_from_state(state: dict, metadata: dict) -> PILOTE:
-    """Rebuild a learner from a :func:`pilote_state`-shaped ``(state, metadata)``."""
+def pilote_from_state(state: dict, metadata: dict, *, seed: RandomState = None) -> PILOTE:
+    """Rebuild a learner from a :func:`pilote_state`-shaped ``(state, metadata)``.
+
+    Arrays are taken as given, not copied: the caller hands over arrays the
+    rebuilt learner may keep (freshly loaded ones, or copies).  Weights and
+    exemplars land in the active dtype policy.  ``seed`` feeds the learner's
+    future training streams only (default: the config's seed).  A learner
+    with prototypes comes back with its classifier fitted under the
+    metadata's metric (Euclidean when absent) at ``state_version`` 1.
+    """
     config_fields = dict(metadata["config"])
     config_fields["hidden_dims"] = tuple(config_fields["hidden_dims"])
     config = PiloteConfig(**config_fields)
 
-    learner = PILOTE(config)
+    learner = PILOTE(config, seed=seed)
     from repro.core.embedding import EmbeddingNetwork  # local import avoids a cycle at module load
 
     learner.model = EmbeddingNetwork(int(metadata["input_dim"]), config=config)
@@ -85,13 +104,16 @@ def pilote_from_state(state: dict, metadata: dict) -> PILOTE:
     learner.exemplars.capacity = metadata.get("exemplar_capacity")
     for key, value in state.items():
         if key.startswith("exemplars/"):
-            learner.exemplars.set_exemplars(int(key.split("/")[1]), np.asarray(value))
+            learner.exemplars.set_exemplars(int(key.split("/")[1]), value, copy=False)
     for key, value in state.items():
         if key.startswith("prototypes/"):
-            learner.prototypes.set(int(key.split("/")[1]), np.asarray(value))
+            learner.prototypes.set(int(key.split("/")[1]), value)
     if len(learner.prototypes) > 0:
-        learner.classifier = learner.classifier.fit(learner.prototypes)
+        learner.classifier = NCMClassifier(metadata.get("metric", "euclidean")).fit(
+            learner.prototypes
+        )
         learner._classifier_ready = True
+        learner._state_version += 1
     return learner
 
 

@@ -293,10 +293,7 @@ class PILOTE:
         (``learn_new_classes`` rebuilds everything); it embeds the new
         windows under the frozen model and moves the class prototype to the
         running mean, weighting the existing prototype by the class's
-        exemplar count.  Exactly one prototype row changes, so downstream
-        delta re-syncs (:meth:`EngineStateSnapshot.diff
-        <repro.edge.inference.EngineStateSnapshot.diff>`) ship one row
-        instead of the whole engine state.
+        exemplar count.  Exactly one prototype row changes.
 
         Returns the updated prototype.
         """

@@ -14,12 +14,7 @@ updates.
 
 from repro.edge.device import DeviceProfile, EdgeDevice
 from repro.edge.cloud import CloudServer
-from repro.edge.inference import (
-    EngineSnapshotDelta,
-    EngineStateSnapshot,
-    InferenceEngine,
-    SnapshotEngine,
-)
+from repro.edge.inference import InferenceEngine
 from repro.edge.transfer import TransferPackage, package_for_edge
 from repro.edge.magneto import MagnetoPlatform
 from repro.edge.profiler import EdgeProfiler, LatencyReport
@@ -29,9 +24,6 @@ __all__ = [
     "DeviceProfile",
     "CloudServer",
     "InferenceEngine",
-    "EngineStateSnapshot",
-    "EngineSnapshotDelta",
-    "SnapshotEngine",
     "TransferPackage",
     "package_for_edge",
     "MagnetoPlatform",

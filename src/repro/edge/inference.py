@@ -25,36 +25,24 @@ new classes with no explicit re-wiring.
 the windows of lanes whose networks share weights in one stacked call and
 classifies them against their stacked prototypes (:func:`classify_stacked`);
 each engine takes its answer through :meth:`InferenceEngine.accept`.
-:class:`SnapshotEngine` runs the same chunked embed and classify code.
 
-When serving must leave the process — the multi-process
+When serving leaves the process — the multi-process
 :class:`~repro.serving.ProcessExecutor` runs one worker per lane group —
-the live-learner reference cannot travel.  :meth:`InferenceEngine
-.state_snapshot` captures everything ``predict`` needs as one picklable
-:class:`EngineStateSnapshot` (model weights, prototype matrix, class-id
-lookup, metric, compute dtype) keyed by ``PILOTE.state_version``, and
-:class:`SnapshotEngine` rebuilds the exact batched serving path from it on
-the remote side — bit-identical predictions, no learner, no gradient
-machinery.
+the worker rebuilds the learner from its shipped state
+(:func:`~repro.core.persistence.pilote_from_state`) and serves it through an
+engine of its own, so remote answers run this same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import default_dtype, get_backend, precision, resolve_dtype
-from repro.exceptions import (
-    DataError,
-    NotFittedError,
-    SnapshotMismatchError,
-    StaleSnapshotError,
-)
+from repro.backend import get_backend
+from repro.exceptions import DataError, NotFittedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports edge lazily)
-    from repro.core.config import PiloteConfig
     from repro.core.ncm import NCMClassifier
     from repro.core.pilote import PILOTE
 
@@ -211,273 +199,6 @@ class InferenceEngine:
         exp = np.exp(logits)
         return exp / exp.sum(axis=1, keepdims=True)
 
-    # ------------------------------------------------------------------ #
-    def state_snapshot(self, *, compute_dtype=None) -> "EngineStateSnapshot":
-        """Picklable snapshot of everything ``predict`` needs, sans learner.
-
-        ``compute_dtype`` is the dtype the remote replica will serve under
-        (a device profile's ``compute_dtype``, or the current policy dtype
-        when omitted); the prototype matrix is materialised in that dtype so
-        the remote GEMMs are bit-identical to the live engine's.  The
-        snapshot is keyed by the learner's ``state_version`` — executors
-        compare it against the live version and re-ship on staleness (an
-        incremental update or a fresh broadcast bumps the version).
-        """
-        dtype = (
-            resolve_dtype(compute_dtype) if compute_dtype is not None else default_dtype()
-        )
-        with precision(dtype):
-            self._refresh_if_stale()
-            assert self._classifier is not None and self._class_ids is not None
-            prototypes = np.array(self._classifier.prototype_matrix(), copy=True)
-        learner = self._learner
-        return EngineStateSnapshot(
-            state_version=learner.state_version,
-            batch_size=self.batch_size,
-            metric=self._classifier.metric,
-            compute_dtype=str(prototypes.dtype),
-            class_ids=self._class_ids.copy(),
-            prototypes=prototypes,
-            model_state={
-                key: np.array(value, copy=True)
-                for key, value in learner.model.state_dict().items()
-            },
-            input_dim=learner.model.input_dim,
-            config=learner.config,
-        )
-
-
-@dataclass(frozen=True)
-class EngineStateSnapshot:
-    """Serializable serving state of one :class:`InferenceEngine`.
-
-    Plain numpy payloads plus the (picklable) learner configuration —
-    everything :class:`SnapshotEngine` needs to reproduce the engine's
-    predictions in another process, and nothing else (no exemplar support
-    set, no optimizer state, no live object references).  ``state_version``
-    is the staleness key: a snapshot taken at version *v* serves exactly
-    what the live engine served at *v*.
-    """
-
-    state_version: int
-    batch_size: int
-    metric: str
-    compute_dtype: str
-    class_ids: np.ndarray
-    prototypes: np.ndarray
-    model_state: Dict[str, np.ndarray]
-    input_dim: int
-    config: "PiloteConfig"
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate payload size shipped over IPC."""
-        arrays = [self.class_ids, self.prototypes, *self.model_state.values()]
-        return int(sum(a.nbytes for a in arrays))
-
-    # ------------------------------------------------------------------ #
-    def _check_compatible(self, other: "EngineStateSnapshot") -> None:
-        """Raise :class:`SnapshotMismatchError` unless a delta between the
-        two snapshots can reproduce ``self`` exactly."""
-        if self.compute_dtype != other.compute_dtype:
-            raise SnapshotMismatchError(
-                f"compute dtype moved ({other.compute_dtype!r} -> "
-                f"{self.compute_dtype!r}); a delta cannot bridge dtypes"
-            )
-        if self.metric != other.metric:
-            raise SnapshotMismatchError(
-                f"distance metric moved ({other.metric!r} -> {self.metric!r})"
-            )
-        if self.input_dim != other.input_dim or self.config != other.config:
-            raise SnapshotMismatchError(
-                "model architecture moved between snapshots"
-            )
-        if set(self.model_state) != set(other.model_state):
-            raise SnapshotMismatchError(
-                "model parameter key sets differ between snapshots"
-            )
-        if self.prototypes.shape[1:] != other.prototypes.shape[1:]:
-            raise SnapshotMismatchError(
-                f"embedding dimension moved ({other.prototypes.shape[1:]} -> "
-                f"{self.prototypes.shape[1:]})"
-            )
-
-    def diff(self, base: "EngineStateSnapshot") -> "EngineSnapshotDelta":
-        """The delta turning ``base`` into this snapshot.
-
-        Prototype rows are matched *by class id* (an increment may insert a
-        class anywhere in the sorted row order), and only rows whose values
-        moved — plus rows of brand-new classes — travel.  Model parameters
-        are keyed arrays; only changed ones travel.  Incompatible snapshots
-        (dtype/metric/architecture drift) raise
-        :class:`~repro.exceptions.SnapshotMismatchError`, telling the caller
-        to ship the full snapshot instead.
-        """
-        self._check_compatible(base)
-        base_rows = {int(c): base.prototypes[j] for j, c in enumerate(base.class_ids)}
-        changed: list = []
-        for i, class_id in enumerate(self.class_ids):
-            old = base_rows.get(int(class_id))
-            if old is None or not np.array_equal(self.prototypes[i], old):
-                changed.append(i)
-        changed_rows = np.asarray(changed, dtype=np.int64)
-        model_updates = {
-            key: value
-            for key, value in self.model_state.items()
-            if not np.array_equal(value, base.model_state[key])
-        }
-        return EngineSnapshotDelta(
-            base_version=base.state_version,
-            state_version=self.state_version,
-            batch_size=self.batch_size,
-            metric=self.metric,
-            compute_dtype=self.compute_dtype,
-            class_ids=self.class_ids.copy(),
-            changed_rows=changed_rows,
-            prototype_rows=np.array(self.prototypes[changed_rows], copy=True),
-            n_classes=int(self.prototypes.shape[0]),
-            model_updates=model_updates,
-        )
-
-    def apply_delta(self, delta: "EngineSnapshotDelta") -> "EngineStateSnapshot":
-        """Rebuild the successor snapshot this delta was diffed against.
-
-        ``delta`` must have been produced by :meth:`diff` against *this*
-        snapshot's ``state_version`` — anything else raises
-        :class:`~repro.exceptions.StaleSnapshotError` so the caller can fall
-        back to a full re-ship.
-        """
-        if delta.base_version != self.state_version:
-            raise StaleSnapshotError(
-                f"delta was diffed against state_version {delta.base_version}, "
-                f"but this snapshot is at {self.state_version}"
-            )
-        if delta.compute_dtype != self.compute_dtype:
-            raise SnapshotMismatchError(
-                f"delta compute dtype {delta.compute_dtype!r} does not match "
-                f"snapshot dtype {self.compute_dtype!r}"
-            )
-        base_rows = {int(c): self.prototypes[j] for j, c in enumerate(self.class_ids)}
-        prototypes = np.empty(
-            (delta.n_classes, self.prototypes.shape[1]), dtype=self.prototypes.dtype
-        )
-        changed = set(int(i) for i in delta.changed_rows)
-        for i, class_id in enumerate(delta.class_ids):
-            if i in changed:
-                continue
-            carried = base_rows.get(int(class_id))
-            if carried is None:
-                raise StaleSnapshotError(
-                    f"delta carries unchanged class {int(class_id)} that this "
-                    "base snapshot does not hold"
-                )
-            prototypes[i] = carried
-        if delta.changed_rows.size:
-            prototypes[delta.changed_rows] = delta.prototype_rows
-        model_state = {
-            key: delta.model_updates.get(key, value)
-            for key, value in self.model_state.items()
-        }
-        return EngineStateSnapshot(
-            state_version=delta.state_version,
-            batch_size=delta.batch_size,
-            metric=delta.metric,
-            compute_dtype=delta.compute_dtype,
-            class_ids=np.asarray(delta.class_ids, dtype=np.int64),
-            prototypes=prototypes,
-            model_state=model_state,
-            input_dim=self.input_dim,
-            config=self.config,
-        )
-
-
-@dataclass(frozen=True)
-class EngineSnapshotDelta:
-    """What changed between two :class:`EngineStateSnapshot`\\ s of one lane.
-
-    Produced by :meth:`EngineStateSnapshot.diff` and consumed by
-    :meth:`EngineStateSnapshot.apply_delta`; ships only the prototype rows
-    whose values moved (plus new classes) and the model parameter arrays
-    that changed, keyed by the base snapshot's ``state_version`` so a stale
-    base is detected instead of silently mis-applied.  A prototype-only
-    increment therefore re-syncs O(changed classes) bytes instead of the
-    whole engine state.
-    """
-
-    base_version: int
-    state_version: int
-    batch_size: int
-    metric: str
-    compute_dtype: str
-    class_ids: np.ndarray
-    changed_rows: np.ndarray
-    prototype_rows: np.ndarray
-    n_classes: int
-    model_updates: Dict[str, np.ndarray]
-
-    @property
-    def n_changed(self) -> int:
-        """Prototype rows that travel (new or moved classes)."""
-        return int(self.changed_rows.size)
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate payload size shipped over IPC."""
-        arrays = [
-            self.class_ids,
-            self.changed_rows,
-            self.prototype_rows,
-            *self.model_updates.values(),
-        ]
-        return int(sum(a.nbytes for a in arrays))
-
-
-class SnapshotEngine:
-    """Batched serving rebuilt from an :class:`EngineStateSnapshot`.
-
-    The remote counterpart of :class:`InferenceEngine`: same chunked
-    embed → distance-GEMM → ``take`` pipeline, same backend kernels, but
-    every piece of state comes from the snapshot instead of a live learner.
-    ``predict`` runs under the snapshot's ``compute_dtype`` so the outputs
-    are bit-identical to the engine the snapshot was taken from.
-    """
-
-    def __init__(self, snapshot: EngineStateSnapshot) -> None:
-        from repro.core.embedding import EmbeddingNetwork  # deferred: edge <- core cycle
-
-        self.state_version = snapshot.state_version
-        self.batch_size = snapshot.batch_size
-        self._metric = snapshot.metric
-        self._dtype = resolve_dtype(snapshot.compute_dtype)
-        self._class_ids = np.asarray(snapshot.class_ids, dtype=np.int64)
-        self._prototypes = snapshot.prototypes
-        with precision(self._dtype):
-            model = EmbeddingNetwork(snapshot.input_dim, config=snapshot.config)
-            model.load_state_dict(snapshot.model_state)
-        model.eval()
-        self._model = model
-        self.windows_served = 0
-        self.batches_served = 0
-
-    def classify(self, embeddings: np.ndarray) -> np.ndarray:
-        """Class ids for already-embedded windows (snapshot state)."""
-        with precision(self._dtype):
-            distances = _prototype_distances(
-                embeddings, self._prototypes, self._metric, self.batch_size
-            )
-        n_windows = int(embeddings.shape[0])
-        self.batches_served += -(-n_windows // self.batch_size)
-        self.windows_served += n_windows
-        return self._class_ids.take(np.argmin(distances, axis=1))
-
-    def predict(self, windows: np.ndarray) -> np.ndarray:
-        """Class ids for a batch of raw feature windows (snapshot state)."""
-        with precision(self._dtype):
-            return self.classify(_embed_in_chunks(
-                self._model.embed, windows, self.batch_size,
-                self._model.embedding_dim,
-            ))
-
 
 #: Most distances (rows x stacked prototypes) one fused distance call computes:
 #: every row pays for every stacked prototype.  On a 2-vCPU x86 host (float32,
@@ -556,9 +277,9 @@ def _prototype_distances(
 ) -> np.ndarray:
     """``(n, n_classes)`` distances, one GEMM per ``batch_size``-row chunk.
 
-    The chunks are the ones :func:`_embed_in_chunks` embeds, so a
-    :class:`SnapshotEngine`, and a lane :func:`classify_stacked` classifies
-    alone, run the live engine's GEMM shapes.  Lanes stacked into one call
+    The chunks are the ones :func:`_embed_in_chunks` embeds, so a lane
+    :func:`classify_stacked` classifies alone runs the live engine's GEMM
+    shapes.  Lanes stacked into one call
     run other shapes: their distances may differ in the last bits, so a
     lane's class id can differ from its own ``predict`` at a near-tie.
     """

@@ -9,12 +9,14 @@ float32-serialised sizes, which is the quantity the paper's Q2 analysis uses
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.config import PiloteConfig
+from repro.core.persistence import pilote_from_state
 from repro.core.pilote import PILOTE
 from repro.exceptions import NotFittedError, SerializationError
 from repro.utils.rng import RandomState
@@ -73,11 +75,12 @@ class TransferPackage:
         """Materialise an *independent* PILOTE learner from this package.
 
         This is what happens on every device that receives the package: the
-        backbone weights, support set and prototypes are materialised into a
-        fresh learner, so the device can keep learning locally without sharing
-        state with the cloud learner or with any sibling device.  The fleet
-        layer (:mod:`repro.fleet`) uses this to provision many devices from a
-        single cloud broadcast.
+        backbone weights, support set and prototypes are rebuilt into a fresh
+        learner through :func:`~repro.core.persistence.pilote_from_state`
+        (every package class counts as an old class), so the device can keep
+        learning locally without sharing state with the cloud learner or
+        with any sibling device.  The fleet layer (:mod:`repro.fleet`) uses
+        this to provision many devices from a single cloud broadcast.
 
         ``copy_arrays=False`` is the copy-on-write path every fleet device
         deploys through (:meth:`~repro.fleet.coordinator.FleetDevice.deploy`):
@@ -92,35 +95,24 @@ class TransferPackage:
         learner's *future* training streams.  Either way the learner's model
         carries the package's :attr:`weights_token`.
         """
-        from repro.core.embedding import EmbeddingNetwork  # local import avoids a cycle
-        from repro.core.ncm import NCMClassifier
-
         if not self.exemplar_features:
             raise SerializationError("the transfer package carries no support set")
-        input_dim = next(iter(self.exemplar_features.values())).shape[1]
-        learner = PILOTE(config, seed=seed)
-        learner.model = EmbeddingNetwork(int(input_dim), config=config)
-        learner.model.load_state_dict(self.model_state)
-        learner.model.eval()
-        learner.model.weights_token = self.weights_token
-        learner._old_classes = sorted(int(c) for c in self.prototypes)
-        learner.exemplars.strategy = self.exemplar_strategy
-        learner.exemplars.capacity = self.exemplar_capacity
+        take = np.array if copy_arrays else np.asarray
+        state = {f"model/{key}": value for key, value in self.model_state.items()}
         for class_id, rows in self.exemplar_features.items():
-            if copy_arrays:
-                learner.exemplars.set_exemplars(int(class_id), np.array(rows, copy=True))
-            else:
-                learner.exemplars.set_exemplars(int(class_id), rows, copy=False)
+            state[f"exemplars/{class_id}"] = take(rows)
         for class_id, prototype in self.prototypes.items():
-            learner.prototypes.set(
-                int(class_id),
-                np.array(prototype, copy=True) if copy_arrays else prototype,
-            )
-        learner._pretrain_dataset = None
-        if len(learner.prototypes) > 0:
-            learner.classifier = NCMClassifier().fit(learner.prototypes)
-            learner._classifier_ready = True
-            learner._state_version += 1
+            state[f"prototypes/{class_id}"] = take(prototype)
+        metadata = {
+            "config": dataclasses.asdict(config),
+            "input_dim": next(iter(self.exemplar_features.values())).shape[1],
+            "old_classes": sorted(int(c) for c in self.prototypes),
+            "new_classes": [],
+            "exemplar_strategy": self.exemplar_strategy,
+            "exemplar_capacity": self.exemplar_capacity,
+        }
+        learner = pilote_from_state(state, metadata, seed=seed)
+        learner.model.weights_token = self.weights_token
         return learner
 
 

@@ -91,20 +91,14 @@ class WireProtocolError(ServingError):
 
 
 class ExecutorError(ServingError):
-    """Raised when a serving executor cannot run a batch (missing engine
-    snapshot, unusable worker pool, unknown executor name)."""
+    """Raised when a serving executor cannot run a batch (missing engine or
+    learner state, unusable worker pool, unknown executor name)."""
 
 
 class WorkerDiedError(ExecutorError):
     """Raised through a request's future when the worker process executing
     its batch died before answering; the batch is neither retried nor
     dropped silently (counted in ``RoutingReport.total_failed``)."""
-
-
-class SnapshotMismatchError(ServingError):
-    """Raised when two :class:`~repro.edge.inference.EngineStateSnapshot`\\ s
-    cannot be diffed (different model architecture, compute dtype, metric or
-    parameter key set); callers fall back to shipping the full snapshot."""
 
 
 class AnalysisError(ReproError):
@@ -117,9 +111,3 @@ class SanitizerViolationError(AnalysisError):
     """Raised by :meth:`repro.analysis.Sanitizer.assert_clean` when the
     runtime sanitizer recorded an unsynchronized cross-thread write to
     scheduler, stats, or signal-bus state."""
-
-
-class StaleSnapshotError(ServingError):
-    """Raised when an :class:`~repro.edge.inference.EngineSnapshotDelta` is
-    applied to a snapshot whose ``state_version`` is not the delta's base;
-    callers fall back to a full re-ship."""

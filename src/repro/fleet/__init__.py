@@ -14,8 +14,8 @@ that architecture out to a *fleet* behind a single cloud broadcast:
   (:class:`TransferLedger` accounts the bytes);
 * :class:`TrafficGenerator` produces deterministic open-loop workloads
   (uniform, bursty, Zipf-skewed user populations);
-* :class:`CheckpointStore` snapshots device state (full or delta archives),
-  evicts under a storage budget, and restores state onto a fresh device
+* :class:`CheckpointStore` snapshots device state (one self-contained
+  archive each), evicts under a storage budget, and restores state onto a fresh device
   (crash/replace, elasticity).
 
 Entry points: ``MagnetoPlatform.to_fleet(n)``, the ``pilote fleet-sim`` CLI

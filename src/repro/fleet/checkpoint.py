@@ -3,40 +3,28 @@
 Fleet elasticity needs device state to outlive devices: a wearable dies, a
 phone is replaced, a simulation wants to roll a device back.  The
 :class:`CheckpointStore` persists each device's full PILOTE state as one
-``.npz`` archive (via :func:`repro.core.persistence.save_pilote`, which builds
-on :mod:`repro.utils.serialization`), keeps the archive set under a storage
-budget with least-recently-used eviction, and can materialise a *fresh*
-:class:`~repro.fleet.coordinator.FleetDevice` from any surviving checkpoint.
+``.npz`` archive (:func:`repro.core.persistence.save_pilote`), keeps the
+archive set under a storage budget with least-recently-used eviction, and
+can materialise a *fresh* :class:`~repro.fleet.coordinator.FleetDevice` from
+any surviving checkpoint.
 
 Restoration is exact: the restored device reproduces the original device's
 predictions bit for bit (the npz round-trip is lossless and serving is
-deterministic), which ``benchmarks/bench_fleet.py`` gates on.
-
-``save(device, delta=True)`` writes a *delta* checkpoint against the
-device's most recent surviving checkpoint: only the arrays that changed
-since the base (plus a removed-key list) land on disk, which is how a
-million-device simulation keeps periodic checkpoints affordable — an
-incremental update that touched one class writes O(one class), not the full
-learner.  Restoration resolves the delta chain transparently, and LRU
-eviction *consolidates* any dependent delta into a full archive before its
-base is unlinked, so every surviving checkpoint always restores.
+deterministic), which ``benchmarks/bench_fleet.py`` gates on.  Every
+archive is self-contained: evicting one never affects another.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
-import numpy as np
-
-from repro.core.persistence import pilote_from_state, pilote_state
+from repro.core.persistence import load_pilote, save_pilote
 from repro.edge.device import DeviceProfile, EdgeDevice
 from repro.exceptions import EdgeResourceError, SerializationError
 from repro.fleet.coordinator import FleetDevice
 from repro.utils.logging import get_logger
-from repro.utils.serialization import load_npz_state, save_npz_state
 
 PathLike = Union[str, Path]
 
@@ -60,9 +48,6 @@ class DeviceCheckpoint:
         Location of the ``.npz`` archive on disk.
     nbytes:
         On-disk size of the archive (what the budget accounting uses).
-    base_id:
-        ``None`` for a full archive; for a delta checkpoint, the
-        ``checkpoint_id`` of the base it must be merged onto.
     """
 
     checkpoint_id: int
@@ -70,7 +55,6 @@ class DeviceCheckpoint:
     profile: DeviceProfile
     path: Path
     nbytes: int
-    base_id: Optional[int] = None
 
 
 class CheckpointStore:
@@ -94,9 +78,6 @@ class CheckpointStore:
         self._sequence = 0
         # Insertion order doubles as recency order: index 0 = least recent.
         self._checkpoints: List[DeviceCheckpoint] = []
-        #: Cumulative bytes written to disk (full + delta + consolidation) —
-        #: the quantity delta checkpoints exist to shrink.
-        self.bytes_written = 0
 
     @classmethod
     def for_profile(cls, directory: PathLike, profile: DeviceProfile) -> "CheckpointStore":
@@ -117,21 +98,9 @@ class CheckpointStore:
         matching = [c for c in self._checkpoints if c.device_id == device_id]
         return max(matching, key=lambda c: c.checkpoint_id) if matching else None
 
-    def _by_id(self, checkpoint_id: int) -> Optional[DeviceCheckpoint]:
-        for candidate in self._checkpoints:
-            if candidate.checkpoint_id == checkpoint_id:
-                return candidate
-        return None
-
     # ------------------------------------------------------------------ #
-    def save(self, device: FleetDevice, *, delta: bool = False) -> DeviceCheckpoint:
-        """Snapshot a device's learner; may evict older checkpoints.
-
-        With ``delta=True`` and a surviving earlier checkpoint of the same
-        device, only the arrays that changed since that base are written
-        (``base_id`` records the dependency); without a usable base the call
-        silently degrades to a full archive.
-        """
+    def save(self, device: FleetDevice) -> DeviceCheckpoint:
+        """Snapshot a device's learner; may evict older checkpoints."""
         if device.learner is None:
             raise SerializationError(
                 f"device {device.device_id} has no learner to checkpoint"
@@ -139,28 +108,11 @@ class CheckpointStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         checkpoint_id = self._sequence
         self._sequence += 1
-        state, metadata = pilote_state(device.learner)
-        base = self.latest(device.device_id) if delta else None
-        base_id: Optional[int] = None
-        if base is not None and base.path.exists():
-            base_state, _ = self._load_state(base)
-            payload = {
-                key: value
-                for key, value in state.items()
-                if key not in base_state or not np.array_equal(value, base_state[key])
-            }
-            metadata = dict(metadata)
-            metadata["delta_base"] = base.checkpoint_id
-            metadata["delta_removed"] = [k for k in base_state if k not in state]
-            state = payload
-            base_id = base.checkpoint_id
-        path = save_npz_state(
+        path = save_pilote(
+            device.learner,
             self.directory / f"device{device.device_id}-ckpt{checkpoint_id}.npz",
-            state,
-            metadata=metadata,
         )
         nbytes = path.stat().st_size
-        self.bytes_written += int(nbytes)
         if self.budget_bytes is not None and nbytes > self.budget_bytes:
             path.unlink()
             raise EdgeResourceError(
@@ -173,81 +125,16 @@ class CheckpointStore:
             profile=device.profile,
             path=path,
             nbytes=int(nbytes),
-            base_id=base_id,
         )
         self._checkpoints.append(checkpoint)
         self._evict_to_budget()
         return checkpoint
 
-    # ------------------------------------------------------------------ #
-    def _load_state(self, checkpoint: DeviceCheckpoint) -> Tuple[Dict, Dict]:
-        """Fully-resolved ``(state, metadata)`` of a checkpoint.
-
-        Delta checkpoints are merged onto their base chain (drop removed
-        keys, overlay changed arrays); the returned metadata is the
-        checkpoint's own, delta bookkeeping included.
-        """
-        if not checkpoint.path.exists():
-            raise SerializationError(
-                f"checkpoint {checkpoint.checkpoint_id} of device "
-                f"{checkpoint.device_id} is gone from disk (evicted?)"
-            )
-        payload = load_npz_state(checkpoint.path)
-        metadata = payload.get("__metadata__")
-        if not isinstance(metadata, dict) or "config" not in metadata:
-            raise SerializationError(f"{checkpoint.path} is not a PILOTE checkpoint")
-        state = {key: value for key, value in payload.items() if key != "__metadata__"}
-        base_id = metadata.get("delta_base")
-        if base_id is not None:
-            base = self._by_id(int(base_id))
-            if base is None:
-                raise SerializationError(
-                    f"checkpoint {checkpoint.checkpoint_id} depends on evicted "
-                    f"base {base_id}"
-                )
-            base_state, _ = self._load_state(base)
-            merged = {
-                key: value
-                for key, value in base_state.items()
-                if key not in set(metadata.get("delta_removed", []))
-            }
-            merged.update(state)
-            state = merged
-        return state, metadata
-
-    def _consolidate(self, dependent: DeviceCheckpoint) -> DeviceCheckpoint:
-        """Rewrite a delta checkpoint as a self-contained full archive."""
-        state, metadata = self._load_state(dependent)
-        metadata = {
-            key: value
-            for key, value in metadata.items()
-            if key not in ("delta_base", "delta_removed")
-        }
-        path = save_npz_state(dependent.path, state, metadata=metadata)
-        nbytes = int(path.stat().st_size)
-        self.bytes_written += nbytes
-        logger.info(
-            "consolidated delta checkpoint %d of device %d into a full archive "
-            "(%d B) before its base is evicted",
-            dependent.checkpoint_id,
-            dependent.device_id,
-            nbytes,
-        )
-        return dataclasses.replace(dependent, base_id=None, nbytes=nbytes)
-
     def _evict_to_budget(self) -> None:
         if self.budget_bytes is None:
             return
         while self.total_bytes > self.budget_bytes and len(self._checkpoints) > 1:
-            evicted = self._checkpoints[0]
-            # Keep every survivor restorable: deltas built on the evicted
-            # archive become full archives first, while the base is still
-            # resolvable (the loop re-checks the budget, so growth here just
-            # evicts further).
-            for position, dependent in enumerate(self._checkpoints):
-                if dependent.base_id == evicted.checkpoint_id:
-                    self._checkpoints[position] = self._consolidate(dependent)
-            self._checkpoints.pop(0)
+            evicted = self._checkpoints.pop(0)
             evicted.path.unlink(missing_ok=True)
             logger.info(
                 "evicted checkpoint %d of device %d (%d B) to stay under budget",
@@ -284,7 +171,11 @@ class CheckpointStore:
                     f"no surviving checkpoint for device {checkpoint}"
                 )
             checkpoint = found
-        state, metadata = self._load_state(checkpoint)  # raises if gone/broken
+        if not checkpoint.path.exists():
+            raise SerializationError(
+                f"checkpoint {checkpoint.checkpoint_id} of device "
+                f"{checkpoint.device_id} is gone from disk (evicted?)"
+            )
         # Touch for recency: restored checkpoints are the last to be evicted.
         if checkpoint in self._checkpoints:
             self._checkpoints.remove(checkpoint)
@@ -296,8 +187,7 @@ class CheckpointStore:
         # Load under the replacement's dtype policy so the restored parameters
         # keep the exact on-device dtype (and serving stays bit-identical).
         with replacement.edge.precision():
-            learner = pilote_from_state(state, metadata)
-            replacement.adopt(learner)
+            replacement.adopt(load_pilote(checkpoint.path))
             # Warm the serving caches now, not inside the first request: a
             # restored device usually replaces one that was mid-traffic, so
             # it should answer at full speed immediately (the rebuild is

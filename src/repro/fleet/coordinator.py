@@ -69,9 +69,9 @@ class FleetDevice:
     def engine(self):
         """The serving engine attached to the underlying edge device.
 
-        Exposed so remote executors can snapshot it
-        (:meth:`~repro.edge.inference.InferenceEngine.state_snapshot`);
-        ``None`` until a package is deployed.
+        Exposed so remote executors can ship its learner's state
+        (:func:`~repro.core.persistence.pilote_state`); ``None`` until a
+        package is deployed.
         """
         return self.edge.engine
 

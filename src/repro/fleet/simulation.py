@@ -86,7 +86,6 @@ class FleetSimulationResult:
     deploy_shipments: int = 0
     resync_bytes: int = 0
     resync_full: int = 0
-    resync_delta: int = 0
 
     def to_text(self) -> str:
         # Concurrent executors measure real elapsed time; the serial default
@@ -145,8 +144,8 @@ class FleetSimulationResult:
             )
         resync_note = (
             f"; executor re-sync {self.resync_bytes / 2**20:.2f} MB "
-            f"({self.resync_full} full, {self.resync_delta} delta)"
-            if self.resync_full or self.resync_delta
+            f"({self.resync_full} full)"
+            if self.resync_full
             else ""
         )
         lines.extend(
@@ -373,6 +372,5 @@ def run(
         deploy_shipments=fleet.transfers.deploy_shipments,
         resync_bytes=int(resync.get("bytes_shipped", 0)),
         resync_full=int(resync.get("full_syncs", 0)),
-        resync_delta=int(resync.get("delta_syncs", 0)),
         control_stats=control_stats,
     )

@@ -27,9 +27,9 @@ front door:
   batches of lanes that share weights in one call),
   :class:`ThreadExecutor` (shared-memory pool for I/O-shaped lanes) and
   :class:`ProcessExecutor` (persistent worker OS processes, one per lane
-  group, serving shipped
-  :class:`~repro.edge.inference.EngineStateSnapshot` replicas keyed by
-  ``PILOTE.state_version``; futures complete from an IPC result queue, and
+  group, each rebuilding its lanes' learners from the shipped
+  :func:`~repro.core.persistence.pilote_state` state, re-shipped when
+  ``PILOTE.state_version`` moves; futures complete from an IPC result queue, and
   a dead worker fails its batches with a typed
   :class:`~repro.exceptions.WorkerDiedError` before being respawned).
   Concurrent executors report *measured* wall-clock latency

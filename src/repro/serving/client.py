@@ -67,8 +67,8 @@ class LocalServingDevice:
     event-loop scheduler expects from a fleet device: ``infer``,
     ``device_id`` and ``profile``.  ``engine`` optionally names the
     :class:`~repro.edge.inference.InferenceEngine` behind the callable so
-    the multi-process executor can snapshot it for remote serving
-    (``serve(...)`` wires it automatically); ``serving_dtype`` stays
+    the multi-process executor can ship its learner's state for remote
+    serving (``serve(...)`` wires it automatically); ``serving_dtype`` stays
     ``None`` because in-process adapters serve under the ambient dtype
     policy rather than a device profile's pinned dtype.
     """
@@ -86,10 +86,31 @@ class LocalServingDevice:
         self._infer = infer
         self.profile = profile
         self.device_id = int(device_id)
-        self.engine = engine
+        self._engine = engine
+
+    @property
+    def engine(self):
+        return self._engine
 
     def infer(self, windows: np.ndarray) -> np.ndarray:
         return self._infer(windows)
+
+
+class _EdgeDeviceLane(LocalServingDevice):
+    """An :class:`~repro.edge.device.EdgeDevice` as a lane.
+
+    ``engine`` is the device's engine when it is read, not when the lane is
+    built, so a client built before deployment serves (and the simulated
+    clock charges) the engine deployed later.
+    """
+
+    def __init__(self, device: EdgeDevice) -> None:
+        super().__init__(device.serve, profile=device.profile)
+        self._device = device
+
+    @property
+    def engine(self):
+        return self._device.engine
 
 
 class ServingClient:
@@ -307,11 +328,11 @@ class ServingClient:
         return self._scheduler.report()
 
     def sync_stats(self) -> Optional[dict]:
-        """The executor's snapshot-shipping counters, when it keeps any.
+        """The executor's learner-state shipping counters, when it keeps any.
 
-        ``{"bytes_shipped", "full_syncs", "delta_syncs"}`` for the process
-        executor, ``None`` for executors that ship nothing; feeds the
-        report's JSON export (``RoutingReport.to_dict(sync_stats=...)``).
+        ``{"bytes_shipped", "full_syncs"}`` for the process executor,
+        ``None`` for executors that ship nothing; feeds the report's JSON
+        export (``RoutingReport.to_dict(sync_stats=...)``).
         """
         executor = self._scheduler.executor
         stats = getattr(executor, "sync_stats", None)
@@ -459,10 +480,7 @@ def _build_client(target, options: dict, PILOTE) -> ServingClient:
         # A platform serves through its one edge device, under its own label.
         target, label = target.device, "platform"
     if isinstance(target, EdgeDevice):
-        device = LocalServingDevice(
-            target.serve, profile=target.profile, engine=target.engine
-        )
-        return ServingClient([device], label=label, **options)
+        return ServingClient([_EdgeDeviceLane(target)], label=label, **options)
     if isinstance(target, InferenceEngine):
         device = LocalServingDevice(target.predict, engine=target)
         return ServingClient([device], label="engine", **options)

@@ -22,14 +22,16 @@ that batch actually executes.  Three implementations ship with the library
 * :class:`ProcessExecutor` (``"process"``) — a persistent pool of worker
   OS processes, one process per *lane group* (lane ``i`` always lands on
   worker ``i % workers``, keeping per-lane caches warm).  Each worker has
-  its own copy of module state (the dtype policy included; every
-  :class:`~repro.edge.inference.SnapshotEngine` pins its snapshot's dtype)
-  and serves from shipped
-  :class:`~repro.edge.inference.EngineStateSnapshot`\\ s — picklable
-  replicas of each lane's :class:`~repro.edge.inference.InferenceEngine`
-  keyed by ``PILOTE.state_version``, re-shipped automatically when a
-  broadcast or incremental update bumps the live version.  Request futures
-  are completed from the worker pool's IPC result queue inside ``drain()``.
+  its own copy of module state (the dtype policy included) and serves each
+  lane from its shipped learner state — the
+  :func:`~repro.core.persistence.pilote_state` format minus the exemplar
+  support set — rebuilt with
+  :func:`~repro.core.persistence.pilote_from_state` and answered through
+  the same :class:`~repro.edge.inference.InferenceEngine` the device uses,
+  under the device's compute dtype.  The state is re-shipped in full when a
+  broadcast or incremental update bumps the live ``PILOTE.state_version``.
+  Request futures are completed from the worker pool's IPC result queue
+  inside ``drain()``.
 
 Executors are a *mechanism* seam: FIFO/EDF queue order, routing policies,
 rollout staging and deadline accounting all live above it in the scheduler
@@ -50,7 +52,7 @@ Worker death is a first-class outcome, not a hang: when a worker process
 dies mid-round, its outstanding batches fail with a typed
 :class:`~repro.exceptions.WorkerDiedError` (no future is dropped or
 answered twice), the worker is respawned with a fresh queue, and the next
-round re-ships whatever snapshots it lost.
+round re-ships whatever learner states it lost.
 """
 
 from __future__ import annotations
@@ -66,12 +68,12 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.backend import default_dtype, precision, resolve_dtype
+from repro.core.persistence import pilote_from_state, pilote_state
 from repro.utils.clock import perf_seconds
 from repro.exceptions import (
     ConfigurationError,
     ExecutorError,
     ServingError,
-    SnapshotMismatchError,
     WorkerDiedError,
 )
 
@@ -299,22 +301,18 @@ def _portable_error(error: BaseException) -> BaseException:
 
 
 def _process_worker_main(worker_index, task_queue, result_queue):
-    """Worker process loop: serve shipped snapshots.
+    """Worker process loop: serve shipped learner states.
 
-    Messages: ``("sync", position, snapshot)`` installs/replaces the lane's
-    :class:`~repro.edge.inference.SnapshotEngine`; ``("delta", position,
-    delta)`` advances the retained base snapshot with an
-    :class:`~repro.edge.inference.EngineSnapshotDelta` (only the rows that
-    moved cross the IPC queue); ``("run", task_id, position, windows)``
-    answers on the shared result queue as ``(task_id, position, outputs,
-    wall, error)``; ``("crash",)`` kills the process without cleanup (the
-    parent's worker-death path, exercised by tests); ``None`` shuts down
-    cleanly.
+    Messages: ``("sync", position, state, metadata)`` rebuilds the lane's
+    learner with :func:`~repro.core.persistence.pilote_from_state` under the
+    shipped compute dtype and installs its
+    :class:`~repro.edge.inference.InferenceEngine`; ``("run", task_id,
+    position, windows)`` answers on the shared result queue as ``(task_id,
+    position, outputs, wall, error)``; ``("crash",)`` kills the process
+    without cleanup (the parent's worker-death path, exercised by tests);
+    ``None`` shuts down cleanly.
     """
-    from repro.edge.inference import SnapshotEngine
-
-    engines: Dict[int, SnapshotEngine] = {}
-    snapshots: Dict[int, object] = {}  # lane -> last installed EngineStateSnapshot
+    engines: Dict[int, tuple] = {}  # lane -> (engine, compute dtype)
     while True:
         try:
             message = task_queue.get()
@@ -324,43 +322,26 @@ def _process_worker_main(worker_index, task_queue, result_queue):
             break
         kind = message[0]
         if kind == "sync":
-            _, position, snapshot = message
-            engines[position] = SnapshotEngine(snapshot)
-            snapshots[position] = snapshot
-            continue
-        if kind == "delta":
-            _, position, delta = message
-            # Apply onto the retained base; any failure (missing base, stale
-            # version — possible only if the parent's book-keeping broke)
-            # drops the lane so the next "run" fails typed through its future
-            # rather than serving stale state.
-            try:
-                base = snapshots.get(position)
-                if base is None:
-                    raise ExecutorError(
-                        f"worker {worker_index} received a delta for lane "
-                        f"{position} but holds no base snapshot"
-                    )
-                snapshot = base.apply_delta(delta)
-            except Exception:
-                engines.pop(position, None)
-                snapshots.pop(position, None)
-            else:
-                engines[position] = SnapshotEngine(snapshot)
-                snapshots[position] = snapshot
+            _, position, state, metadata = message
+            dtype = resolve_dtype(metadata["compute_dtype"])
+            with precision(dtype):
+                learner = pilote_from_state(state, metadata)
+            engine = learner.inference_engine(batch_size=metadata["batch_size"])
+            engines[position] = (engine, dtype)
             continue
         if kind == "crash":
             os._exit(1)
         _, task_id, position, windows = message
         try:
-            engine = engines.get(position)
-            if engine is None:
+            if position not in engines:
                 raise ExecutorError(
-                    f"worker {worker_index} holds no engine snapshot for "
+                    f"worker {worker_index} holds no learner state for "
                     f"lane {position}"
                 )
+            engine, dtype = engines[position]
             start = perf_seconds()
-            outputs = engine.predict(windows)
+            with precision(dtype):
+                outputs = engine.predict(windows)
             wall = perf_seconds() - start
         except Exception as error:
             result_queue.put((task_id, position, None, 0.0, _portable_error(error)))
@@ -383,17 +364,15 @@ class ProcessExecutor(Executor):
     """Persistent multi-process worker pool, one process per lane group.
 
     Lane ``i`` is pinned to worker ``i % workers`` so each worker keeps a
-    warm :class:`~repro.edge.inference.SnapshotEngine` per lane it owns.
-    Snapshots are shipped lazily and re-shipped only when the lane's live
-    engine, its learner, or the learner's ``PILOTE.state_version`` changes
-    (a broadcast, an on-device increment, or a device/learner replacement —
-    a fresh learner restarts its version counter, so identity is part of
-    the staleness key), so steady-state rounds carry just the window
-    payloads.  A version bump on an already-shipped lane ships an
-    :class:`~repro.edge.inference.EngineSnapshotDelta` — only the prototype
-    rows and parameters that moved — falling back to the full snapshot when
-    the delta would not be smaller or the architecture changed
-    (``sync_stats()`` reports bytes shipped and full vs delta counts).  Every device behind the scheduler must expose an ``engine``
+    warm rebuilt learner and :class:`~repro.edge.inference.InferenceEngine`
+    per lane it owns.  Learner states are shipped lazily and re-shipped in
+    full only when the lane's live engine, its learner, or the learner's
+    ``PILOTE.state_version`` changes (a broadcast, an on-device increment,
+    or a device/learner replacement — a fresh learner restarts its version
+    counter, so identity is part of the staleness key), so steady-state
+    rounds carry just the window payloads (``sync_stats()`` reports the
+    bytes shipped and the number of syncs).  Every device behind the
+    scheduler must expose an ``engine``
     (``FleetDevice``/``EdgeDevice`` do; ``serve(...)`` wires it for the
     in-process adapters) — a lane without one fails with a typed
     :class:`~repro.exceptions.ExecutorError`.
@@ -401,7 +380,7 @@ class ProcessExecutor(Executor):
     A dead worker fails its in-flight batches with
     :class:`~repro.exceptions.WorkerDiedError` and is respawned with a
     fresh queue before the next round; lanes it owned re-sync their
-    snapshots automatically.
+    learner states automatically.
     """
 
     name = "process"
@@ -416,12 +395,10 @@ class ProcessExecutor(Executor):
         )
         self._workers: List[_Worker] = []
         self._results = None
-        # lane -> (engine, learner, state_version, snapshot) last shipped.
-        # Identity matters, not just the version number: a redeploy or device
+        # lane -> (engine, learner, state_version) last shipped.  Identity
+        # matters, not just the version number: a redeploy or device
         # replacement installs a *fresh* learner whose counter restarts, so
-        # an equal version from a different object must still re-ship.  The
-        # retained snapshot is the delta base the worker holds too, so a
-        # version bump ships only the rows that moved.
+        # an equal version from a different object must still re-ship.
         self._shipped: Dict[int, tuple] = {}
         self._task_counter = 0
         self.n_workers = 0
@@ -432,10 +409,9 @@ class ProcessExecutor(Executor):
         self._retiring: List[_Worker] = []
         self._running = False  # inside run(): tasks are in flight over IPC
         # Shipping telemetry (survives close() so reports can read it after
-        # the pool is released): bytes over the IPC queue, full vs delta.
+        # the pool is released): bytes over the IPC queue and sync count.
         self.bytes_shipped = 0
         self.full_syncs = 0
-        self.delta_syncs = 0
 
     def bind(self, devices: Sequence) -> None:
         super().bind(devices)
@@ -481,7 +457,7 @@ class ProcessExecutor(Executor):
         path: the sentinel queues *behind* anything already on their task
         queues, so queued syncs/batches complete before the process exits,
         and the join happens opportunistically (blocking at :meth:`close`).
-        Lanes whose owning slot changed re-ship their snapshots to the new
+        Lanes whose owning slot changed re-ship their learner states to the new
         owner on the next round.  Capped at the lane count.
         """
         if workers <= 0:
@@ -509,7 +485,7 @@ class ProcessExecutor(Executor):
                 except (ValueError, OSError):  # pragma: no cover
                     pass
             self._retiring.extend(retired)
-        # Remap: any lane whose owner slot moved must re-sync its snapshot
+        # Remap: any lane whose owner slot moved must re-sync its learner state
         # to the new owner (the old owner's copy is unreachable or retired).
         for position in list(self._shipped):
             if position % old != position % workers:
@@ -567,7 +543,7 @@ class ProcessExecutor(Executor):
             self._results.close()
             self._results = None
 
-    # -- snapshot shipping ---------------------------------------------- #
+    # -- learner-state shipping --------------------------------------- #
     def _live_engine(self, position: int):
         device = self._devices[position]
         engine = getattr(device, "engine", None)
@@ -576,52 +552,38 @@ class ProcessExecutor(Executor):
                 f"lane {position} (device "
                 f"{getattr(device, 'device_id', '?')}) exposes no "
                 "InferenceEngine; the process executor serves from shipped "
-                "engine snapshots"
+                "learner states"
             )
         return engine
 
     def _sync_lane(self, worker: _Worker, position: int) -> None:
         engine = self._live_engine(position)
         learner = engine.learner
-        shipped = self._shipped.get(position)
-        if (
-            shipped is not None
-            and shipped[0] is engine
-            and shipped[1] is learner
-            and shipped[2] == learner.state_version
-        ):
+        shipped = (engine, learner, learner.state_version)
+        if self._shipped.get(position) == shipped:
             return
-        device = self._devices[position]
-        snapshot = engine.state_snapshot(
-            compute_dtype=str(_device_dtype(device))
+        dtype = _device_dtype(self._devices[position])
+        state, metadata = pilote_state(learner)
+        # Copies, without the support set (serving never reads it), and the
+        # prototypes already in the dtype the worker serves under.
+        state = {
+            key: np.array(value, dtype=dtype) if key.startswith("prototypes/") else value
+            for key, value in state.items()
+            if not key.startswith("exemplars/")
+        }
+        metadata.update(
+            state_version=learner.state_version,
+            batch_size=engine.batch_size,
+            compute_dtype=str(dtype),
         )
-        delta = None
-        if shipped is not None and shipped[0] is engine and shipped[1] is learner:
-            # Same engine/learner, newer version: the worker still holds the
-            # previously shipped snapshot, so only the rows that moved need
-            # to cross the IPC queue.  Architectural changes raise
-            # SnapshotMismatchError and fall back to the full re-ship.
-            try:
-                delta = snapshot.diff(shipped[3])
-            except SnapshotMismatchError:
-                delta = None
-        if delta is not None and delta.nbytes < snapshot.nbytes:
-            worker.task_queue.put(("delta", position, delta))
-            self.bytes_shipped += delta.nbytes
-            self.delta_syncs += 1
-        else:
-            worker.task_queue.put(("sync", position, snapshot))
-            self.bytes_shipped += snapshot.nbytes
-            self.full_syncs += 1
-        self._shipped[position] = (engine, learner, snapshot.state_version, snapshot)
+        worker.task_queue.put(("sync", position, state, metadata))
+        self.bytes_shipped += sum(value.nbytes for value in state.values())
+        self.full_syncs += 1
+        self._shipped[position] = shipped
 
     def sync_stats(self) -> Dict[str, int]:
-        """Cumulative snapshot-shipping telemetry (full syncs, deltas, bytes)."""
-        return {
-            "bytes_shipped": self.bytes_shipped,
-            "full_syncs": self.full_syncs,
-            "delta_syncs": self.delta_syncs,
-        }
+        """Cumulative learner-state shipping telemetry (syncs and bytes)."""
+        return {"bytes_shipped": self.bytes_shipped, "full_syncs": self.full_syncs}
 
     # -- execution ------------------------------------------------------ #
     def run(self, tasks: Sequence[LaneTask]) -> List[LaneResult]:
@@ -646,8 +608,8 @@ class ProcessExecutor(Executor):
             try:
                 self._sync_lane(worker, task.position)
             except Exception as error:
-                # An unsnapshottable lane (no engine, learner not fitted,
-                # snapshot failure, ...) fails its batch through the future,
+                # A lane whose state cannot ship (no engine, learner not
+                # fitted, ...) fails its batch through the future,
                 # like any other serving error — never a lost task, and
                 # never an aborted round stranding already-queued lanes.
                 results.append(LaneResult(task.position, None, 0.0, error))

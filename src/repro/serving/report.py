@@ -378,7 +378,7 @@ class RoutingReport:
         ``pilote bench-client`` and the benchmark artifacts: counters,
         derived throughput/latency aggregates (p50/p99 from the bounded
         per-device histories, which themselves do not travel), the deadline
-        breakdown, and optionally the executor's snapshot ``sync_stats``
+        breakdown, and optionally the executor's ``sync_stats``
         and the :meth:`slo_attainment` at a caller-chosen target.
         """
         data: Dict[str, object] = {

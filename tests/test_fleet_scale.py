@@ -1,22 +1,15 @@
-"""Million-device fleet machinery: snapshot deltas, pooled regions, delta checkpoints.
+"""Million-device fleet machinery: pooled regions and the device index.
 
 Covers the hierarchical coordinator stack end to end at test scale:
 
-* ``EngineStateSnapshot.diff``/``apply_delta`` round-trips bit-exactly, a
-  stale base raises the typed fallback error, and a no-op increment (the
-  support set rebuilt under an unchanged model) produces an *empty* delta;
-* ``PILOTE.refine_prototype`` — the cheap single-class increment that makes
-  deltas small — updates exactly one prototype and bumps the state version;
+* ``PILOTE.refine_prototype`` — the cheap single-class increment — updates
+  exactly one prototype and bumps the state version;
 * ``FleetCoordinator.device()`` resolves through the region index (including
   after ``replace_device``);
 * a pooled ``FleetCoordinator(n_regions=k)`` serves a small fleet
   bit-identically to the unpooled one, pools undrifted devices behind region
   lanes, weights accuracy by multiplicity, and keeps lanes, ledger and
-  materialised devices on one package across repeated broadcasts;
-* ``CheckpointStore.save(delta=True)`` restores exactly, including through
-  delta chains and after LRU eviction consolidates a delta's base away;
-* the process executor ships deltas (not full snapshots) for an
-  already-shipped lane whose state version bumped.
+  materialised devices on one package across repeated broadcasts.
 """
 
 from __future__ import annotations
@@ -30,15 +23,9 @@ from repro.core.config import PiloteConfig
 from repro.core.embedding import EmbeddingNetwork
 from repro.core.pilote import PILOTE
 from repro.edge.device import DEVICE_PROFILES, DeviceProfile, EdgeDevice
-from repro.edge.inference import EngineSnapshotDelta, EngineStateSnapshot
 from repro.edge.transfer import package_for_edge
-from repro.exceptions import (
-    ConfigurationError,
-    DataError,
-    SnapshotMismatchError,
-    StaleSnapshotError,
-)
-from repro.fleet import CheckpointStore, FleetCoordinator, FleetDevice
+from repro.exceptions import ConfigurationError, DataError
+from repro.fleet import FleetCoordinator, FleetDevice
 from repro.serving import PredictRequest, serve
 
 N_FEATURES = 20
@@ -75,83 +62,8 @@ def windows() -> np.ndarray:
 
 
 # ---------------------------------------------------------------------- #
-# snapshot deltas
+# cheap single-class increments
 # ---------------------------------------------------------------------- #
-class TestSnapshotDelta:
-    def test_diff_apply_roundtrip_bit_exact(self, learner):
-        base = learner.inference_engine().state_snapshot()
-        rng = np.random.default_rng(1)
-        learner.refine_prototype(2, rng.normal(size=(5, N_FEATURES)) + 2)
-        target = learner.inference_engine().state_snapshot()
-
-        delta = target.diff(base)
-        assert isinstance(delta, EngineSnapshotDelta)
-        assert delta.base_version == base.state_version
-        assert delta.state_version == target.state_version
-        assert delta.n_changed == 1  # exactly the refined class moved
-        assert not delta.model_updates  # prototype-only increment
-        assert delta.nbytes < target.nbytes / 10
-
-        rebuilt = target_from = base.apply_delta(delta)
-        assert isinstance(target_from, EngineStateSnapshot)
-        assert np.array_equal(rebuilt.prototypes, target.prototypes)
-        assert np.array_equal(rebuilt.class_ids, target.class_ids)
-        for key, value in target.model_state.items():
-            assert np.array_equal(rebuilt.model_state[key], value)
-        assert rebuilt.state_version == target.state_version
-
-    def test_noop_increment_ships_zero_rows(self, learner):
-        """Recomputing prototypes from unchanged exemplars bumps the version
-        but moves no values — the delta must be empty."""
-        base = learner.inference_engine().state_snapshot()
-        learner._refresh_prototypes()  # deterministic: same exemplars in, same means out
-        bumped = learner.inference_engine().state_snapshot()
-        assert bumped.state_version > base.state_version
-
-        delta = bumped.diff(base)
-        assert delta.n_changed == 0
-        assert not delta.model_updates
-        rebuilt = base.apply_delta(delta)
-        assert np.array_equal(rebuilt.prototypes, bumped.prototypes)
-
-    def test_stale_base_raises_typed_error(self, learner):
-        rng = np.random.default_rng(2)
-        snap0 = learner.inference_engine().state_snapshot()
-        learner.refine_prototype(0, rng.normal(size=(3, N_FEATURES)))
-        snap1 = learner.inference_engine().state_snapshot()
-        learner.refine_prototype(1, rng.normal(size=(3, N_FEATURES)) + 1)
-        snap2 = learner.inference_engine().state_snapshot()
-
-        delta = snap2.diff(snap1)
-        with pytest.raises(StaleSnapshotError):
-            snap0.apply_delta(delta)  # wrong base version -> full re-ship
-
-    def test_incompatible_snapshots_refuse_to_diff(self, learner):
-        import dataclasses
-
-        snap = learner.inference_engine().state_snapshot()
-        other_metric = dataclasses.replace(snap, metric="manhattan")
-        with pytest.raises(SnapshotMismatchError):
-            snap.diff(other_metric)
-        other_dtype = dataclasses.replace(snap, compute_dtype="float32")
-        with pytest.raises(SnapshotMismatchError):
-            snap.diff(other_dtype)
-
-    def test_new_class_rows_travel_in_delta(self, pilote_copy, run_scenario):
-        base = pilote_copy.inference_engine().state_snapshot()
-        pilote_copy.learn_new_classes(
-            run_scenario.new_train, run_scenario.new_validation
-        )
-        target = pilote_copy.inference_engine().state_snapshot()
-        delta = target.diff(base)
-        # A real increment retrains the backbone: every prototype moves and
-        # the model updates travel too — but apply is still bit-exact.
-        assert delta.n_changed == target.prototypes.shape[0]
-        rebuilt = base.apply_delta(delta)
-        assert np.array_equal(rebuilt.prototypes, target.prototypes)
-        assert np.array_equal(rebuilt.class_ids, target.class_ids)
-
-
 class TestRefinePrototype:
     def test_moves_one_prototype_and_bumps_version(self, learner):
         rng = np.random.default_rng(3)
@@ -381,106 +293,3 @@ class TestHierarchicalFleet:
         tree.replace_device(2, replacement)
         assert tree.device(2) is replacement
         assert replacement in lanes and original not in lanes
-
-
-# ---------------------------------------------------------------------- #
-# delta checkpoints
-# ---------------------------------------------------------------------- #
-class TestDeltaCheckpoints:
-    def _device(self, learner):
-        device = FleetDevice(0, EdgeDevice(SIM_NODE))
-        device.adopt(learner)
-        return device
-
-    def test_delta_save_restores_bit_exact(self, learner, windows, tmp_path):
-        device = self._device(learner)
-        store = CheckpointStore(tmp_path)
-        full = store.save(device)
-        learner.refine_prototype(1, np.random.default_rng(1).normal(size=(4, N_FEATURES)))
-        delta = store.save(device, delta=True)
-        assert delta.base_id == full.checkpoint_id
-        assert delta.nbytes < full.nbytes / 10
-        restored = store.restore(delta)
-        assert np.array_equal(device.infer(windows), restored.infer(windows))
-
-    def test_delta_without_base_degrades_to_full(self, learner, tmp_path):
-        device = self._device(learner)
-        store = CheckpointStore(tmp_path)
-        checkpoint = store.save(device, delta=True)
-        assert checkpoint.base_id is None
-
-    def test_delta_chain_restores(self, learner, windows, tmp_path):
-        rng = np.random.default_rng(2)
-        device = self._device(learner)
-        store = CheckpointStore(tmp_path)
-        store.save(device)
-        learner.refine_prototype(0, rng.normal(size=(3, N_FEATURES)))
-        first = store.save(device, delta=True)
-        learner.refine_prototype(2, rng.normal(size=(3, N_FEATURES)) + 2)
-        second = store.save(device, delta=True)
-        assert second.base_id == first.checkpoint_id
-        restored = store.restore(second)
-        assert np.array_equal(device.infer(windows), restored.infer(windows))
-
-    def test_eviction_consolidates_dependent_deltas(self, learner, windows, tmp_path):
-        rng = np.random.default_rng(3)
-        device = self._device(learner)
-        probe_store = CheckpointStore(tmp_path / "probe")
-        full_nbytes = probe_store.save(device).nbytes
-
-        store = CheckpointStore(tmp_path / "real", budget_bytes=int(full_nbytes * 2.4))
-        store.save(device)  # id 0: the delta's base
-        learner.refine_prototype(1, rng.normal(size=(3, N_FEATURES)) + 1)
-        delta = store.save(device, delta=True)  # id 1
-        expected = device.infer(windows)
-        learner.refine_prototype(0, rng.normal(size=(3, N_FEATURES)))
-        store.save(device)  # id 2
-        store.restore(delta)  # touch for recency: evict id 0, then id 2
-        learner.refine_prototype(2, rng.normal(size=(3, N_FEATURES)) + 2)
-        store.save(device)  # id 3: pushes over budget
-        survivors = {c.checkpoint_id: c for c in store.checkpoints()}
-        assert 0 not in survivors
-        assert survivors[delta.checkpoint_id].base_id is None  # consolidated
-        restored = store.restore(survivors[delta.checkpoint_id])
-        assert np.array_equal(expected, restored.infer(windows))
-
-    def test_bytes_written_accounts_deltas(self, learner, tmp_path):
-        device = self._device(learner)
-        store = CheckpointStore(tmp_path)
-        full = store.save(device)
-        written_after_full = store.bytes_written
-        assert written_after_full == full.nbytes
-        learner.refine_prototype(1, np.random.default_rng(4).normal(size=(2, N_FEATURES)))
-        delta = store.save(device, delta=True)
-        assert store.bytes_written == written_after_full + delta.nbytes
-
-
-# ---------------------------------------------------------------------- #
-# process executor delta shipping
-# ---------------------------------------------------------------------- #
-class TestExecutorDeltaShipping:
-    def test_version_bump_ships_delta_not_full(self, learner, windows):
-        client = serve(learner, executor="process", workers=1)
-        try:
-            pending = client.submit(PredictRequest(user_id=1, features=windows))
-            client.drain()
-            pending.result()
-            executor = client.scheduler.executor
-            assert executor.sync_stats()["full_syncs"] == 1
-            assert executor.sync_stats()["delta_syncs"] == 0
-
-            learner.refine_prototype(
-                0, np.random.default_rng(5).normal(size=(3, N_FEATURES))
-            )
-            after = client.submit(PredictRequest(user_id=1, features=windows))
-            client.drain()
-            stats = executor.sync_stats()
-            assert stats["full_syncs"] == 1
-            assert stats["delta_syncs"] == 1
-            # Delta-served predictions match the live engine bit for bit.
-            local = learner.inference_engine()
-            assert np.array_equal(after.result().class_ids, local.predict(windows))
-        finally:
-            client.close()
-        # Telemetry survives close() so reports can read it afterwards.
-        assert client.scheduler.executor.sync_stats()["delta_syncs"] == 1

@@ -1,0 +1,245 @@
+"""The one learner-state format: capture, rebuild, ship.
+
+``repro.core.persistence.pilote_state``/``pilote_from_state`` is the only way
+a learner is captured and rebuilt:
+
+* ``TransferPackage.instantiate_learner`` rebuilds through
+  ``pilote_from_state`` and yields the learner it would yield from the same
+  arrays;
+* checkpoints (``save_pilote``/``load_pilote`` and ``CheckpointStore``) keep
+  the NCM metric, and every archive restores on its own;
+* the process executor ships the format as copies, without the exemplar
+  support set, and its workers answer byte-identically to the device after
+  every kind of update, at float32 and at float64.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.backend import precision
+from repro.core.ncm import NCMClassifier
+from repro.core.persistence import (
+    load_pilote,
+    pilote_from_state,
+    pilote_state,
+    save_pilote,
+)
+from repro.edge.device import DeviceProfile, EdgeDevice
+from repro.edge.transfer import package_for_edge
+from repro.fleet import CheckpointStore, FleetCoordinator, FleetDevice
+from repro.serving import ProcessExecutor, serve
+
+
+def _profile(dtype: str) -> DeviceProfile:
+    return DeviceProfile(
+        f"node-{dtype}", storage_bytes=2**28, memory_bytes=2**30, compute_dtype=dtype
+    )
+
+
+@pytest.fixture(scope="module")
+def pool(run_scenario):
+    return run_scenario.test.features[:48]
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_learner(a, b, pool) -> None:
+    """Weights, exemplars, prototypes, class split and answers, byte for byte."""
+    state_a, state_b = a.model.state_dict(), b.model.state_dict()
+    assert list(state_a) == list(state_b)
+    assert all(_same_bytes(state_a[key], state_b[key]) for key in state_a)
+    assert a.exemplars.classes == b.exemplars.classes
+    for class_id in a.exemplars.classes:
+        assert _same_bytes(a.exemplars.get(class_id), b.exemplars.get(class_id))
+    assert a.prototypes.classes == b.prototypes.classes
+    for class_id in a.prototypes.classes:
+        assert _same_bytes(a.prototypes.get(class_id), b.prototypes.get(class_id))
+    assert a.old_classes == b.old_classes and a.new_classes == b.new_classes
+    assert a.config == b.config
+    assert a.state_version == b.state_version
+    assert _same_bytes(a.predict(pool), b.predict(pool))
+
+
+def _cosine(learner):
+    """Switch a learner to the cosine metric.  Bumping the state version, as
+    every learner write does, re-binds an engine the learner already has."""
+    learner.classifier = NCMClassifier("cosine").fit(learner.prototypes)
+    learner._state_version += 1
+    return learner
+
+
+# ---------------------------------------------------------------------- #
+# one rebuild path
+# ---------------------------------------------------------------------- #
+class TestInstantiateIsPiloteFromState:
+    @pytest.mark.parametrize("copy_arrays", [True, False], ids=["copied", "shared"])
+    @pytest.mark.parametrize("profile", ["reference", "edge"])
+    def test_same_learner_from_the_same_arrays(
+        self, pretrained_pilote, pool, copy_arrays, profile
+    ):
+        package = package_for_edge(pretrained_pilote)
+        with precision(profile):
+            instantiated = package.instantiate_learner(
+                pretrained_pilote.config, seed=3, copy_arrays=copy_arrays
+            )
+            rebuilt = pilote_from_state(*pilote_state(pretrained_pilote), seed=3)
+            _assert_same_learner(instantiated, rebuilt, pool)
+        assert instantiated.state_version == 1
+        assert instantiated.model.weights_token is package.weights_token
+        shared = [
+            np.shares_memory(instantiated.prototypes.get(c), package.prototypes[c])
+            for c in package.prototypes
+        ]
+        assert all(shared) if not copy_arrays else not any(shared)
+
+    def test_same_future_training(self, pretrained_pilote, run_scenario, pool):
+        """Config and seed land the same way, so an increment learns the same."""
+        package = package_for_edge(pretrained_pilote)
+        instantiated = package.instantiate_learner(pretrained_pilote.config, seed=3)
+        rebuilt = pilote_from_state(*pilote_state(pretrained_pilote), seed=3)
+        for learner in (instantiated, rebuilt):
+            learner.learn_new_classes(run_scenario.new_train, run_scenario.new_validation)
+        _assert_same_learner(instantiated, rebuilt, pool)
+
+    def test_restored_learner_is_at_version_one_and_defaults_to_euclidean(
+        self, pretrained_pilote, pool
+    ):
+        state, metadata = pilote_state(pretrained_pilote)
+        del metadata["metric"]  # an archive written before the metric travelled
+        restored = pilote_from_state(state, metadata)
+        assert restored.state_version == 1
+        assert restored.classifier.metric == "euclidean"
+        assert np.array_equal(restored.predict(pool), pretrained_pilote.predict(pool))
+
+
+# ---------------------------------------------------------------------- #
+# checkpoints
+# ---------------------------------------------------------------------- #
+class TestCheckpoints:
+    def test_cosine_metric_survives_save_and_load(self, pilote_copy, pool, tmp_path):
+        learner = _cosine(pilote_copy)
+        restored = load_pilote(save_pilote(learner, tmp_path / "cosine"))
+        assert restored.classifier.metric == "cosine"
+        assert np.array_equal(restored.predict(pool), learner.predict(pool))
+
+    def test_cosine_metric_survives_the_checkpoint_store(self, pilote_copy, pool, tmp_path):
+        device = FleetDevice(0, EdgeDevice(_profile("float64")))
+        device.adopt(_cosine(pilote_copy))
+        store = CheckpointStore(tmp_path)
+        restored = store.restore(store.save(device))
+        assert restored.learner.classifier.metric == "cosine"
+        assert np.array_equal(restored.infer(pool), device.infer(pool))
+
+    def test_eviction_leaves_every_survivor_restorable(self, pilote_copy, pool, tmp_path):
+        device = FleetDevice(0, EdgeDevice(_profile("float64")))
+        device.adopt(pilote_copy)
+        probe = CheckpointStore(tmp_path / "probe").save(device).nbytes
+        store = CheckpointStore(tmp_path / "store", budget_bytes=int(probe * 2.5))
+        answers = []
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            pilote_copy.refine_prototype(
+                pilote_copy.old_classes[0], rng.normal(size=(2, pool.shape[1]))
+            )
+            store.save(device)
+            answers.append(device.infer(pool))
+        kept = store.checkpoints()
+        assert [c.checkpoint_id for c in kept] == [1, 2]
+        for checkpoint, expected in zip(kept, answers[1:]):
+            assert np.array_equal(store.restore(checkpoint).infer(pool), expected)
+
+
+# ---------------------------------------------------------------------- #
+# process serving
+# ---------------------------------------------------------------------- #
+class _CapturingWorker:
+    """Stands in for a pool worker: records what would cross the IPC queue."""
+
+    def __init__(self) -> None:
+        self.task_queue = self
+        self.messages = []
+
+    def put(self, message) -> None:
+        self.messages.append(message)
+
+
+def _ship(device):
+    executor = ProcessExecutor(workers=1)
+    executor.bind([device])
+    worker = _CapturingWorker()
+    executor._sync_lane(worker, 0)
+    (kind, position, state, metadata), = worker.messages
+    assert (kind, position) == ("sync", 0)
+    return executor, state, metadata
+
+
+class TestProcessShipping:
+    def test_state_has_no_support_set_and_names_its_serving(self, pretrained_pilote):
+        package = package_for_edge(pretrained_pilote)
+        device = FleetDevice(0, EdgeDevice(_profile("float32")))
+        device.deploy(package, pretrained_pilote.config, seed=0)
+        executor, state, metadata = _ship(device)
+        assert not [key for key in state if key.startswith("exemplars/")]
+        assert {key.split("/")[0] for key in state} == {"model", "prototypes"}
+        assert all(
+            state[f"prototypes/{c}"].dtype == np.float32 for c in package.prototypes
+        )
+        assert metadata["state_version"] == device.learner.state_version
+        assert metadata["batch_size"] == device.engine.batch_size
+        assert metadata["compute_dtype"] == "float32"
+        assert executor.sync_stats() == {
+            "bytes_shipped": sum(value.nbytes for value in state.values()),
+            "full_syncs": 1,
+        }
+
+    def test_state_holds_copies(self, pilote_copy):
+        device = FleetDevice(0, EdgeDevice(_profile("float64")))
+        device.adopt(pilote_copy)
+        _, state, _ = _ship(device)
+        before = {key: value.copy() for key, value in state.items()}
+        class_id = pilote_copy.old_classes[0]
+        prototype = pilote_copy.prototypes.get(class_id)
+        assert not np.shares_memory(state[f"prototypes/{class_id}"], prototype)
+        prototype += 1.0  # mutate the learner after capture, in place
+        for parameter in pilote_copy.model.parameters():
+            parameter.data += 1.0
+        for key, value in state.items():
+            assert _same_bytes(value, before[key]), key
+
+    @pytest.mark.parametrize("update", ["refine_prototype", "learn_new_classes"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_reships_and_answers_like_the_device(
+        self, pretrained_pilote, run_scenario, pool, update, dtype
+    ):
+        fleet = FleetCoordinator(
+            pretrained_pilote.config, profiles=(_profile(dtype),), seed=0
+        )
+        fleet.provision(1)
+        fleet.deploy(package_for_edge(pretrained_pilote))
+        device = fleet.devices[0]
+        with serve(fleet, executor="process", workers=1) as client:
+            assert np.array_equal(client.predict(pool), device.serve(pool))
+            if update == "refine_prototype":
+                with device.edge.precision():
+                    device.learner.refine_prototype(
+                        device.learner.old_classes[0], run_scenario.old_train.features[:5]
+                    )
+            else:
+                device.learn_new_activity(run_scenario.new_train)
+            served = client.predict(pool)
+            stats = client.sync_stats()
+        expected = device.serve(pool)
+        assert _same_bytes(served, expected)
+        assert stats["full_syncs"] == 2
+
+    def test_cosine_metric_survives_process_serving(self, pilote_copy, pool):
+        learner = _cosine(pilote_copy)
+        euclidean = NCMClassifier().fit(learner.prototypes).predict(learner.embed(pool))
+        expected = learner.inference_engine().predict(pool)
+        assert not np.array_equal(expected, euclidean)  # the metric matters here
+        with serve(learner, executor="process", workers=1) as client:
+            assert np.array_equal(client.predict(pool), expected)

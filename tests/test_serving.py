@@ -142,6 +142,28 @@ class TestServeFacade:
         assert np.array_equal(predictions, pretrained_pilote.predict(pool[:12]))
         assert platform.device.inference_requests == before + 1
 
+    def test_platform_client_cached_before_deploy_follows_the_device(
+        self, pretrained_pilote, tiny_config
+    ):
+        """The lane reads the device's engine when used, so a client cached
+        before deployment is charged the deployed network's FLOPs."""
+        from repro.serving.scheduler import BATCH_SECONDS, SECONDS_PER_FLOP, service_seconds
+
+        platform = MagnetoPlatform(tiny_config, seed=0)
+        client = platform.serving_client()  # cached before deploy_to_edge
+        lane = client.scheduler.devices[0]
+        undeployed = service_seconds(lane, 8)
+        platform.cloud.learner = pretrained_pilote
+        platform.cloud.history = object()
+        platform.deploy_to_edge()
+        assert platform.serving_client() is client
+        assert lane.engine is platform.device.engine
+        flops = pretrained_pilote.model.flops_per_row
+        assert service_seconds(lane, 8) == (
+            (BATCH_SECONDS + 8 * flops * SECONDS_PER_FLOP) / lane.profile.relative_compute
+        )
+        assert service_seconds(lane, 8) != undeployed
+
     def test_empty_batch_on_device_and_platform(self, pretrained_pilote, tiny_config):
         """A device serves an empty batch as no predictions; the client
         rejects an empty request with a typed error instead."""

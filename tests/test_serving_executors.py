@@ -5,17 +5,14 @@ deadline accounting compose unchanged with every executor; on a seeded
 workload the three executors produce identical predictions and identical
 ``RoutingReport`` outcome counters; a dying worker process surfaces as a
 typed :class:`~repro.exceptions.ServingError` with no dropped or
-double-answered futures; and engine state travels to worker processes as
-picklable snapshots keyed by ``PILOTE.state_version``.
+double-answered futures; and learner state travels to worker processes in
+the ``pilote_state`` format, re-shipped when ``PILOTE.state_version`` moves.
 """
-
-import pickle
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser
-from repro.edge.inference import EngineStateSnapshot, SnapshotEngine
 from repro.edge.transfer import package_for_edge
 from repro.exceptions import (
     ConfigurationError,
@@ -424,31 +421,7 @@ class TestWallClockAccounting:
             assert scheduler.report().total_requests == 3
 
 
-class TestEngineSnapshot:
-    def test_snapshot_round_trips_bit_exact(self, pretrained_pilote, pool):
-        engine = pretrained_pilote.inference_engine()
-        snapshot = engine.state_snapshot()
-        assert isinstance(snapshot, EngineStateSnapshot)
-        assert snapshot.state_version == pretrained_pilote.state_version
-        assert snapshot.nbytes > 0
-        replica = SnapshotEngine(pickle.loads(pickle.dumps(snapshot)))
-        assert replica.state_version == snapshot.state_version
-        assert np.array_equal(replica.predict(pool[:64]), engine.predict(pool[:64]))
-
-    def test_snapshot_pins_compute_dtype(self, pretrained_pilote):
-        engine = pretrained_pilote.inference_engine()
-        snapshot32 = engine.state_snapshot(compute_dtype="float32")
-        snapshot64 = engine.state_snapshot(compute_dtype="float64")
-        assert snapshot32.prototypes.dtype == np.float32
-        assert snapshot64.prototypes.dtype == np.float64
-
-    def test_snapshot_holds_no_live_references(self, pretrained_pilote):
-        snapshot = pretrained_pilote.inference_engine().state_snapshot()
-        assert all(
-            isinstance(value, np.ndarray) for value in snapshot.model_state.values()
-        )
-        assert isinstance(snapshot.class_ids, np.ndarray)
-
+class TestEngineWarm:
     def test_warm_builds_caches_once(self, pilote_copy):
         from repro.edge.inference import InferenceEngine
 
