@@ -22,7 +22,7 @@ typed :class:`~repro.serving.PredictRequest` /
 :class:`~repro.serving.PredictResponse` protocol that also fronts a
 ``MagnetoPlatform`` or a whole device fleet — step 6 below uses it, and
 ``examples/serving_api.py`` covers futures, deadlines, routing policies and
-staged rollouts.
+the serving report.
 
 Fleet serving
 -------------

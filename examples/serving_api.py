@@ -1,17 +1,16 @@
-"""Tour of the unified serving API: protocol, futures, routing, rollout.
+"""Tour of the unified serving API: protocol, futures, routing, executors.
 
-One pre-trained PILOTE learner is served six ways through the *same*
+One pre-trained PILOTE learner is served five ways through the *same*
 request/response protocol (:mod:`repro.serving`):
 
 1. bare learner — ``serve(learner).predict(...)`` one-liner;
 2. futures with deadlines and metadata on the simulated clock;
 3. an 8-device fleet under Zipf-skewed traffic, comparing the ``hash``
    (sticky per user) and ``least-loaded`` routing policies on p99 latency;
-4. a staged rollout followed by an A/B rollout with per-cohort reporting;
-5. deadline-aware scheduling — the same overloaded deadline workload under
+4. deadline-aware scheduling — the same overloaded deadline workload under
    ``fifo`` vs ``edf`` queue order, with the served/missed/expired SLO
    breakdown from the routing report;
-6. pluggable executors — one workload drained through the ``serial``
+5. pluggable executors — one workload drained through the ``serial``
    (inline, simulated clock), ``thread`` and ``process`` (real worker
    processes) executors, with identical predictions and the measured vs
    modeled clock distinction in the reports.
@@ -28,7 +27,7 @@ from repro.core.pilote import PILOTE
 from repro.data import Activity, build_incremental_scenario, make_feature_dataset
 from repro.edge.transfer import package_for_edge
 from repro.fleet import FleetCoordinator, TrafficGenerator, WorkloadSpec
-from repro.serving import ABRollout, PredictRequest, StagedRollout, serve
+from repro.serving import PredictRequest, serve
 
 
 def build_learner(scenario, seed: int = 0) -> PILOTE:
@@ -82,27 +81,7 @@ def main() -> None:
               f"{report.p99_latency_seconds * 1e3:8.2f} ms  "
               f"(aggregate {report.aggregate_throughput:8.0f} windows/s)")
 
-    # 4. Rollout policies on FleetCoordinator.deploy.
-    fleet = FleetCoordinator(learner.config, seed=0)
-    fleet.provision(8)
-    fleet.deploy(package, rollout=StagedRollout(fractions=(0.25, 1.0)))
-    print(f"staged rollout: stage 0 deployed to "
-          f"{sum(d.is_deployed for d in fleet.devices)}/8 devices; "
-          f"advancing -> {len(fleet.advance_rollout())} more")
-
-    ab_fleet = FleetCoordinator(learner.config, seed=0)
-    ab_fleet.provision(8)
-    ab_fleet.deploy(package)                      # baseline everywhere
-    ab_fleet.deploy(package, rollout=ABRollout(treatment_fraction=0.5))
-    ab_client = serve(ab_fleet, seed=0)
-    traffic = TrafficGenerator(pool, workload, seed=11)
-    for requests in traffic.ticks():
-        ab_client.submit_many(requests)
-    ab_client.drain()
-    print()
-    print(ab_fleet.rollout_report(scenario.test, serving=ab_client.report()).to_text())
-
-    # 5. Deadline-aware scheduling: FIFO vs EDF on an overloaded deadline
+    # 4. Deadline-aware scheduling: FIFO vs EDF on an overloaded deadline
     #    workload (1-in-4 requests urgent, the rest relaxed).
     deadline_workload = WorkloadSpec(
         pattern="zipf", n_users=300, requests_per_tick=512, n_ticks=8,
@@ -124,9 +103,9 @@ def main() -> None:
               f"{breakdown['missed']} missed, {breakdown['expired']} expired "
               f"(attainment {client.report().deadline_attainment:.3f})")
 
-    # 6. Executors: the same workload drained inline (serial, simulated
+    # 5. Executors: the same workload drained inline (serial, simulated
     #    clock), on a thread pool, and on real worker processes serving
-    #    shipped engine snapshots.  Predictions are identical; what changes
+    #    shipped learner state.  Predictions are identical; what changes
     #    is where batches run and whether the report's clock is modeled
     #    ("simulated") or measured ("wall").
     executor_workload = WorkloadSpec(pattern="zipf", n_users=300,

@@ -77,9 +77,9 @@ every layer speaks the same typed protocol::
     response = pending.result()                   # ids + device + latency
 
 Fleet clients take a routing policy (``routing="hash" | "least-loaded" |
-"p2c"``), and ``FleetCoordinator.deploy(package, rollout=...)`` stages
-releases (all-at-once, canary fractions, A/B cohorts by user hash) with
-per-cohort accuracy/latency reports.  ``examples/quickstart.py`` and
+"p2c"``), and ``FleetCoordinator.deploy(package)`` ships one package to
+every region that lacks it; a partially deployed fleet serves from its
+deployed devices.  ``examples/quickstart.py`` and
 ``examples/serving_api.py`` walk through the API; ``pilote serve`` runs the
 three-layer demonstration.
 """

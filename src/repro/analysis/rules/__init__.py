@@ -22,9 +22,8 @@ Shipped rules
     :class:`~repro.exceptions.ConfigurationError`) subclass; bare ``except:``
     and silent ``except Exception: pass`` are banned.
 ``repro-registry``
-    Concrete ``Executor``/``Controller``/``RoutingPolicy``/``RolloutPolicy``
-    implementations must appear in their registry dict and their package
-    ``__all__``.
+    Concrete ``Executor``/``Controller``/``RoutingPolicy`` implementations
+    must appear in their registry dict and their package ``__all__``.
 ``repro-lock-callback``
     No user-callback invocation inside a ``with <lock>:`` block — the
     deadlock class the scheduler/executor dodged by hand.

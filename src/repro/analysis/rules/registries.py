@@ -1,8 +1,8 @@
 """R4 ``repro-registry``: concrete protocol implementations are registered.
 
-The serving stack dispatches executors, controllers and routing/rollout
-policies by name through module-level registry dicts (``EXECUTORS``,
-``CONTROLLERS``, ``ROUTING_POLICIES``, ``ROLLOUT_POLICIES``).
+The serving stack dispatches executors, controllers and routing policies by
+name through module-level registry dicts (``EXECUTORS``, ``CONTROLLERS``,
+``ROUTING_POLICIES``).
 A concrete subclass that never lands in its registry is silently
 un-dispatchable — the drift class this rule machine-checks.  A class counts
 as *concrete* when it is public (no leading underscore) and declares a
@@ -34,7 +34,6 @@ REGISTRY_SPECS: Dict[str, str] = {
     "Executor": "EXECUTORS",
     "Controller": "CONTROLLERS",
     "RoutingPolicy": "ROUTING_POLICIES",
-    "RolloutPolicy": "ROLLOUT_POLICIES",
 }
 
 
@@ -77,7 +76,7 @@ def _concrete_name_attr(node: ast.ClassDef) -> Optional[str]:
 class RegistryRule(Rule):
     rule_id = "repro-registry"
     description = (
-        "concrete Executor/Controller/RoutingPolicy/RolloutPolicy "
+        "concrete Executor/Controller/RoutingPolicy "
         "classes must appear in their registry dict and package __all__"
     )
     visits = ()  # project-level: everything happens in finish()

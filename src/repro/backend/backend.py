@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.backend.policy import DtypeLike, default_dtype, resolve_dtype
-from repro.exceptions import ConfigurationError, ShapeError
+from repro.exceptions import ShapeError
 
 
 class NumpyBackend:
@@ -38,9 +38,9 @@ class NumpyBackend:
 
     # -- kernels --------------------------------------------------------- #
     def pairwise_distances(
-        self, queries: np.ndarray, references: np.ndarray, metric: str = "euclidean"
+        self, queries: np.ndarray, references: np.ndarray
     ) -> np.ndarray:
-        """``(n, m)`` distances between query rows and reference rows."""
+        """``(n, m)`` Euclidean distances between query rows and reference rows."""
         queries = np.asarray(queries)
         references = np.asarray(references)
         if queries.ndim != 2 or references.ndim != 2:
@@ -53,19 +53,13 @@ class NumpyBackend:
                 f"dimension mismatch: queries are {queries.shape[1]}-D, "
                 f"references {references.shape[1]}-D"
             )
-        if metric == "euclidean":
-            # ||q - r||^2 = ||q||^2 - 2 q.r + ||r||^2 via one GEMM instead of
-            # materialising the (n, m, d) difference tensor.
-            q_sq = np.einsum("ij,ij->i", queries, queries)
-            r_sq = np.einsum("ij,ij->i", references, references)
-            squared = q_sq[:, None] - 2.0 * (queries @ references.T) + r_sq[None, :]
-            np.maximum(squared, 0.0, out=squared)
-            return np.sqrt(squared, out=squared)
-        if metric == "cosine":
-            q_norm = queries / (np.linalg.norm(queries, axis=1, keepdims=True) + 1e-12)
-            r_norm = references / (np.linalg.norm(references, axis=1, keepdims=True) + 1e-12)
-            return 1.0 - q_norm @ r_norm.T
-        raise ConfigurationError(f"unknown metric {metric!r}")
+        # ||q - r||^2 = ||q||^2 - 2 q.r + ||r||^2 via one GEMM instead of
+        # materialising the (n, m, d) difference tensor.
+        q_sq = np.einsum("ij,ij->i", queries, queries)
+        r_sq = np.einsum("ij,ij->i", references, references)
+        squared = q_sq[:, None] - 2.0 * (queries @ references.T) + r_sq[None, :]
+        np.maximum(squared, 0.0, out=squared)
+        return np.sqrt(squared, out=squared)
 
     def grouped_means(
         self, values: np.ndarray, groups: np.ndarray

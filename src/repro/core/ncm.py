@@ -23,12 +23,9 @@ from repro.exceptions import DataError, NotFittedError
 
 
 class NCMClassifier:
-    """Nearest-class-mean classification with Euclidean (or cosine) distance."""
+    """Nearest-class-mean classification with Euclidean distance."""
 
-    def __init__(self, metric: str = "euclidean") -> None:
-        if metric not in ("euclidean", "cosine"):
-            raise DataError(f"metric must be 'euclidean' or 'cosine', got {metric!r}")
-        self.metric = metric
+    def __init__(self) -> None:
         self._store: Optional[PrototypeStore] = None
         self._classes: List[int] = []
         self._class_ids: Optional[np.ndarray] = None
@@ -108,7 +105,7 @@ class NCMClassifier:
                 f"embeddings have dimension {embeddings.shape[1]}, prototypes "
                 f"{prototypes.shape[1]}"
             )
-        return backend.pairwise_distances(embeddings, prototypes, metric=self.metric)
+        return backend.pairwise_distances(embeddings, prototypes)
 
     def predict(self, embeddings: np.ndarray) -> np.ndarray:
         """Class id of the nearest prototype for every embedding."""

@@ -13,8 +13,10 @@ is the single rebuild path every consumer goes through:
 * process serving workers (:class:`~repro.serving.ProcessExecutor`) receive
   it without the ``exemplars/`` keys and rebuild the learner they answer from.
 
-The configuration, the class bookkeeping and the NCM metric travel as
-metadata, so a rebuilt learner is functionally identical to the captured one.
+The configuration and the class bookkeeping travel as metadata, so a rebuilt
+learner is functionally identical to the captured one.  NCM serving is
+Euclidean (Eq. 1); an archive whose metadata names another metric is
+rejected.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from pathlib import Path
 from typing import Union
 
 from repro.core.config import PiloteConfig
-from repro.core.ncm import NCMClassifier
 from repro.core.pilote import PILOTE
 from repro.exceptions import NotFittedError, SerializationError
 from repro.utils.rng import RandomState
@@ -40,7 +41,7 @@ def pilote_state(learner: PILOTE) -> tuple:
 
     ``state`` is a flat ``str → ndarray`` mapping (``model/<param>``,
     ``exemplars/<class>``, ``prototypes/<class>``) and ``metadata`` the
-    config/bookkeeping dict, NCM metric included.  The ``model/`` arrays are
+    config/bookkeeping dict.  The ``model/`` arrays are
     copies; exemplar rows and prototypes are the learner's own arrays, which
     it only ever replaces, never writes into.
     """
@@ -61,7 +62,6 @@ def pilote_state(learner: PILOTE) -> tuple:
         "new_classes": list(learner.new_classes),
         "exemplar_strategy": learner.exemplars.strategy,
         "exemplar_capacity": learner.exemplars.capacity,
-        "metric": learner.classifier.metric,
     }
     return state, metadata
 
@@ -79,9 +79,16 @@ def pilote_from_state(state: dict, metadata: dict, *, seed: RandomState = None) 
     rebuilt learner may keep (freshly loaded ones, or copies).  Weights and
     exemplars land in the active dtype policy.  ``seed`` feeds the learner's
     future training streams only (default: the config's seed).  A learner
-    with prototypes comes back with its classifier fitted under the
-    metadata's metric (Euclidean when absent) at ``state_version`` 1.
+    with prototypes comes back with its classifier fitted at
+    ``state_version`` 1.  Raises :class:`~repro.exceptions.SerializationError`
+    when the metadata names an NCM metric other than Euclidean, the only one
+    the classifier serves.
     """
+    metric = metadata.get("metric", "euclidean")
+    if metric != "euclidean":
+        raise SerializationError(
+            f"unsupported NCM metric {metric!r}; only 'euclidean' is served"
+        )
     config_fields = dict(metadata["config"])
     config_fields["hidden_dims"] = tuple(config_fields["hidden_dims"])
     config = PiloteConfig(**config_fields)
@@ -109,11 +116,7 @@ def pilote_from_state(state: dict, metadata: dict, *, seed: RandomState = None) 
         if key.startswith("prototypes/"):
             learner.prototypes.set(int(key.split("/")[1]), value)
     if len(learner.prototypes) > 0:
-        learner.classifier = NCMClassifier(metadata.get("metric", "euclidean")).fit(
-            learner.prototypes
-        )
-        learner._classifier_ready = True
-        learner._state_version += 1
+        learner.refit_classifier()
     return learner
 
 

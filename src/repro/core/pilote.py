@@ -317,10 +317,18 @@ class PILOTE:
             weight + embeddings.shape[0]
         )
         self.prototypes.set(class_id, updated)
+        self.refit_classifier()
+        return self.prototypes.get(class_id)
+
+    def refit_classifier(self) -> None:
+        """Fit the NCM classifier to the current prototypes (Eq. 1).
+
+        The one place the classifier changes: it bumps :attr:`state_version`
+        so serving caches rebind to the new prototypes.
+        """
         self.classifier = NCMClassifier().fit(self.prototypes)
         self._classifier_ready = True
         self._state_version += 1
-        return self.prototypes.get(class_id)
 
     # ------------------------------------------------------------------ #
     # inference
@@ -409,17 +417,15 @@ class PILOTE:
             self.prototypes.set(class_id, embeddings.mean(axis=0))
         self._phase_seconds["prototype_refresh"] = perf_seconds() - start
         if len(self.prototypes) > 0:
-            self.classifier = NCMClassifier().fit(self.prototypes)
-            self._classifier_ready = True
-        self._state_version += 1
+            self.refit_classifier()
+        else:
+            self._state_version += 1
 
     def _ensure_classifier(self) -> None:
         if not self._classifier_ready:
             if len(self.prototypes) == 0:
                 raise NotFittedError("no prototypes available; train the model first")
-            self.classifier = NCMClassifier().fit(self.prototypes)
-            self._classifier_ready = True
-            self._state_version += 1
+            self.refit_classifier()
 
     def _run_training(
         self,

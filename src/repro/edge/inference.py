@@ -142,8 +142,7 @@ class InferenceEngine:
         """``(n, n_classes)`` prototype distances of current-state embeddings."""
         classifier = self._classifier
         distances = _prototype_distances(
-            embeddings, classifier.prototype_matrix(), classifier.metric,
-            self.batch_size,
+            embeddings, classifier.prototype_matrix(), self.batch_size
         )
         self._count(int(embeddings.shape[0]))
         return distances
@@ -213,7 +212,7 @@ def classify_stacked(
     """Class ids for lanes whose networks share weights, from few distance calls.
 
     ``members`` lists ``(classifier, rows, batch_size)`` per lane, in the
-    order of their rows in ``embeddings``, all with one metric.  Consecutive
+    order of their rows in ``embeddings``.  Consecutive
     lanes share a ``pairwise_distances`` call against their stacked
     prototypes, each row reading its own lane's block, while the call stays
     within :data:`STACKED_DISTANCES`; a lane past it is classified alone, in
@@ -234,11 +233,10 @@ def classify_stacked(
     answers: List[np.ndarray] = []
     first = 0
     for chunk in chunks:
-        classifiers, blocks, row_counts, batch_sizes = zip(*chunk)
+        _, blocks, row_counts, batch_sizes = zip(*chunk)
         n_rows = sum(row_counts)
         distances = _prototype_distances(
-            embeddings[first:first + n_rows], np.concatenate(blocks),
-            classifiers[0].metric, min(batch_sizes),
+            embeddings[first:first + n_rows], np.concatenate(blocks), min(batch_sizes)
         )
         row = column = 0
         for classifier, prototypes, rows, _ in chunk:
@@ -273,7 +271,7 @@ def _embed_in_chunks(
 
 
 def _prototype_distances(
-    embeddings: np.ndarray, prototypes: np.ndarray, metric: str, batch_size: int
+    embeddings: np.ndarray, prototypes: np.ndarray, batch_size: int
 ) -> np.ndarray:
     """``(n, n_classes)`` distances, one GEMM per ``batch_size``-row chunk.
 
@@ -288,10 +286,8 @@ def _prototype_distances(
     if n_windows == 0:
         return backend.zeros((0, prototypes.shape[0]))
     if n_windows <= batch_size:
-        return backend.pairwise_distances(embeddings, prototypes, metric=metric)
+        return backend.pairwise_distances(embeddings, prototypes)
     return np.concatenate([
-        backend.pairwise_distances(
-            embeddings[start:start + batch_size], prototypes, metric=metric
-        )
+        backend.pairwise_distances(embeddings[start:start + batch_size], prototypes)
         for start in range(0, n_windows, batch_size)
     ], axis=0)

@@ -27,7 +27,8 @@ futures-based client whose event-loop scheduler shards requests across the
 devices (by user id under the default ``"hash"`` routing), batches them
 through each device's :class:`~repro.edge.inference.InferenceEngine` and
 records per-device statistics on a simulated parallel clock, with pluggable
-routing policies and rollout staging on ``FleetCoordinator.deploy``.
+routing policies; a partially deployed fleet routes only over its deployed
+devices.
 """
 
 from repro.fleet.checkpoint import CheckpointStore, DeviceCheckpoint

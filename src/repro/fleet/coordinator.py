@@ -317,8 +317,7 @@ class FleetCoordinator:
       per-device RNG stream, so a small fleet served pooled is bit-exact with
       the same fleet unpooled (``benchmarks/bench_fleet_scale.py`` gates on
       this).
-    - ``deploy(..., rollout=...)`` stages over *region* ids; policies that
-      route users (``"ab"``) need every region to hold a single device.
+    - :meth:`deploy` ships a package once per region that lacks it.
     - :meth:`serving_lanes` and :meth:`lane_map` are what
       :func:`repro.serving.serve` routes over: users hash to a *device*,
       and the lane map folds pooled devices onto their region's lane.
@@ -359,7 +358,6 @@ class FleetCoordinator:
         self.devices: List[FleetDevice] = []
         self.transfers = TransferLedger()
         self._pending_increments: List[Tuple[int, int, HARDataset, Optional[HARDataset]]] = []
-        self._rollout = None  # ActiveRollout when deploy(..., rollout=...) ran
         self._device_seeds = np.empty(0, dtype=np.int64)
         self._lanes: Optional[List[FleetDevice]] = None
 
@@ -480,23 +478,17 @@ class FleetCoordinator:
         return replacement
 
     # ------------------------------------------------------------------ #
-    # broadcast and staged rollout
+    # broadcast
     # ------------------------------------------------------------------ #
-    def deploy(self, package: TransferPackage, rollout=None) -> None:
+    def deploy(self, package: TransferPackage) -> None:
         """Deploy one transfer package across the fleet.
 
-        Without a ``rollout`` policy every region receives the package at
-        once.  With one — a :class:`~repro.serving.rollout.RolloutPolicy`
-        instance or registry name (``"all-at-once"``, ``"staged"``,
-        ``"ab"``) — the policy plans which regions receive the package at
-        which stage; stage 0 is applied immediately and
-        :meth:`advance_rollout` applies the rest.  Cohort labels from the
-        plan feed :meth:`cohort_of` and :meth:`rollout_report`.
-
         A region that already holds ``package`` is skipped; every other
-        target region ships it once, to its template lane and to each of its
+        region ships it once, to its template lane and to each of its
         materialised devices, and the transfer ledger counts exactly those
-        shipments.
+        shipments.  Regions provisioned after a deploy stay undeployed until
+        the next one, so serving routes only over the deployed lanes of a
+        partially deployed fleet.
         """
         if not self.regions:
             raise ConfigurationError("provision() must run before deploy()")
@@ -506,34 +498,9 @@ class FleetCoordinator:
             self._device_seeds = (
                 np.concatenate([self._device_seeds, drawn]) if self._device_seeds.size else drawn
             )
-        if rollout is None:
-            self._deploy_to(self.regions, package)
-            self._rollout = None
-            return
-        from repro.serving.rollout import ActiveRollout, make_rollout_policy
-
-        policy = make_rollout_policy(rollout)
-        if policy.routes_users and any(r.lane is not None for r in self.regions):
-            raise ConfigurationError(
-                f"rollout policy {policy.name!r} routes individual users to device "
-                "cohorts and needs one device per region; this fleet pools devices"
-            )
-        plan = policy.plan([r.region_id for r in self.regions], self._root_rng)
-        self._deploy_to([self.regions[i] for i in plan.stages[0]], package)
-        self._rollout = ActiveRollout(policy=policy, plan=plan, package=package)
-        logger.info(
-            "rollout %r: stage 0/%d deployed to %d regions",
-            policy.name,
-            plan.n_stages,
-            len(plan.stages[0]),
-        )
-
-    def _deploy_to(
-        self, regions: Sequence[RegionCoordinator], package: TransferPackage
-    ) -> None:
         shipments = 0
         networks: Dict[str, object] = {}
-        for region in regions:
+        for region in self.regions:
             if region.package is package:
                 continue
             region.package = package
@@ -553,102 +520,6 @@ class FleetCoordinator:
             package.total_bytes / 1024,
             shipments,
         )
-
-    @property
-    def active_rollout(self):
-        """The rollout in progress, or ``None``."""
-        return self._rollout
-
-    def cohort_of(self, device_id: int) -> Optional[str]:
-        """Rollout cohort of a device — its region's label (``None`` without one)."""
-        if self._rollout is None:
-            return None
-        return self._rollout.plan.cohorts.get(self.region_of(device_id).region_id)
-
-    def advance_rollout(self) -> List[int]:
-        """Deploy the next rollout stage; returns the newly deployed region ids.
-
-        Returns an empty list once the plan is exhausted (the rollout stays
-        recorded for cohort reporting).  Raises
-        :class:`~repro.exceptions.ConfigurationError` when no rollout is
-        active.
-        """
-        if self._rollout is None:
-            raise ConfigurationError("no rollout in progress; deploy(..., rollout=...) first")
-        if self._rollout.complete:
-            return []
-        stage = self._rollout.plan.stages[self._rollout.next_stage]
-        self._deploy_to([self.regions[i] for i in stage], self._rollout.package)
-        self._rollout.next_stage += 1
-        logger.info(
-            "rollout %r: stage %d/%d deployed to %d regions",
-            self._rollout.policy.name,
-            self._rollout.next_stage - 1,
-            self._rollout.plan.n_stages,
-            len(stage),
-        )
-        return list(stage)
-
-    def rollout_report(self, dataset: Optional[HARDataset] = None, serving=None):
-        """Per-cohort accuracy and latency across the current rollout.
-
-        ``dataset`` (optional) is evaluated on every *deployed* device's
-        learner for per-cohort accuracy; ``serving`` (an optional
-        :class:`~repro.serving.report.RoutingReport`, e.g.
-        ``client.report()``) contributes per-cohort request counts and
-        mean/p99 simulated latency.  Raises
-        :class:`~repro.exceptions.ConfigurationError` for a cohort that
-        contains a pooled region, whose devices have no state of their own.
-        """
-        from repro.serving.rollout import CohortReport, RolloutReport
-
-        if self._rollout is None:
-            raise ConfigurationError("no rollout in progress; deploy(..., rollout=...) first")
-        cohorts = self._rollout.plan.cohorts
-        report = RolloutReport(policy=self._rollout.policy.name)
-        for region in self.regions:
-            cohort = cohorts.get(region.region_id)
-            if cohort is None:
-                continue
-            if region.lane is not None:
-                raise ConfigurationError(
-                    f"rollout cohort {cohort!r} contains pooled region "
-                    f"{region.region_id}; use cohort_of() and describe() for "
-                    "region-level rollout state"
-                )
-            row = report.per_cohort.setdefault(
-                cohort, CohortReport(cohort=cohort, device_ids=[], n_deployed=0)
-            )
-            for device_id in sorted(region.materialized):
-                row.device_ids.append(device_id)
-                if region.materialized[device_id].is_deployed:
-                    row.n_deployed += 1
-        if dataset is not None:
-            for row in report.per_cohort.values():
-                accuracies = [
-                    self.device(i).accuracy(dataset)
-                    for i in row.device_ids
-                    if self.device(i).is_deployed
-                ]
-                row.accuracy = float(np.mean(accuracies)) if accuracies else None
-        if serving is not None:
-            for row in report.per_cohort.values():
-                stats = [
-                    serving.per_device[i]
-                    for i in row.device_ids
-                    if i in serving.per_device
-                ]
-                row.requests = int(sum(s.requests for s in stats))
-                if row.requests:
-                    row.mean_latency_seconds = (
-                        sum(s.total_latency_seconds for s in stats) / row.requests
-                    )
-                latencies = [l for s in stats for l in s.latencies]
-                if latencies:
-                    row.p99_latency_seconds = float(
-                        np.percentile(np.asarray(latencies), 99.0)
-                    )
-        return report
 
     # ------------------------------------------------------------------ #
     # staggered incremental updates

@@ -38,11 +38,7 @@ front door:
 * **routing** (:mod:`repro.serving.routing`) — pluggable
   :class:`RoutingPolicy` implementations (seeded ``"hash"``,
   ``"least-loaded"``, power-of-two-choices ``"p2c"``), selectable per
-  client and from the CLI;
-* **rollout** (:mod:`repro.serving.rollout`) — :class:`RolloutPolicy`
-  staging on ``FleetCoordinator.deploy`` (all-at-once, staged canary
-  fractions, A/B cohorts by user hash) with per-cohort accuracy/latency
-  reports.
+  client and from the CLI.
 
 ``benchmarks/bench_serving.py`` gates the scheduler's per-request overhead
 against a bare ``InferenceEngine.predict`` loop and the p99 latency win of ``least-loaded`` over
@@ -89,18 +85,6 @@ from repro.serving.protocol import (
     PredictRequest,
     PredictResponse,
 )
-from repro.serving.rollout import (
-    ABRollout,
-    ActiveRollout,
-    AllAtOnceRollout,
-    CohortReport,
-    ROLLOUT_POLICIES,
-    RolloutPlan,
-    RolloutPolicy,
-    RolloutReport,
-    StagedRollout,
-    make_rollout_policy,
-)
 from repro.serving.routing import (
     HashRouting,
     LeastLoadedRouting,
@@ -137,16 +121,6 @@ __all__ = [
     "PowerOfTwoRouting",
     "ROUTING_POLICIES",
     "make_routing_policy",
-    "RolloutPolicy",
-    "AllAtOnceRollout",
-    "StagedRollout",
-    "ABRollout",
-    "RolloutPlan",
-    "ActiveRollout",
-    "CohortReport",
-    "RolloutReport",
-    "ROLLOUT_POLICIES",
-    "make_rollout_policy",
     "LocalServingDevice",
     "IN_PROCESS_PROFILE",
     "ServingError",

@@ -25,10 +25,8 @@ behind it::
 
     class_ids = serve(learner).predict(windows)   # one-liner, same types
 
-When the fleet has an active A/B rollout
-(:class:`~repro.serving.rollout.ABRollout`), the client confines each user to
-their cohort's devices before applying the routing policy, so treatment and
-control populations never mix.
+Behind a coordinator the client routes only over deployed devices, so a
+partially deployed fleet serves from the devices that hold a learner.
 """
 
 from __future__ import annotations
@@ -141,7 +139,7 @@ class ServingClient:
         as a context manager) to release worker pools.
     coordinator:
         The owning :class:`~repro.fleet.FleetCoordinator`, when there is one;
-        enables cohort-confined routing under an active A/B rollout.
+        routing then skips devices that have no learner deployed yet.
     """
 
     def __init__(
@@ -234,36 +232,29 @@ class ServingClient:
     def submit_many(self, requests: Sequence) -> List[PendingResult]:
         """Queue many requests at once (vectorised routing), one future each.
 
-        Routing only considers *deployed* devices, so serving keeps working
-        mid-rollout (staged canaries leave part of the fleet without a
-        learner until :meth:`~repro.fleet.FleetCoordinator.advance_rollout`
-        reaches it).  Under an active A/B rollout, each user is additionally
-        confined to their cohort's devices.
+        Routing only considers *deployed* devices, so a partially deployed
+        fleet (devices provisioned after the last
+        :meth:`~repro.fleet.FleetCoordinator.deploy`) keeps serving from the
+        devices that hold a learner.
         """
         if self._closed:
             raise ClientClosedError(
                 "cannot submit to a closed serving client; build a new one "
                 "with repro.serving.serve(...)"
             )
-        rollout = (
-            self._coordinator.active_rollout if self._coordinator is not None else None
-        )
-        if rollout is not None and rollout.routes_users:
-            futures = self._submit_cohorted(requests, rollout)
+        lanes = self._deployed_lanes()
+        if lanes is None:
+            futures = self._scheduler.submit_many(requests)
+        elif not requests:
+            futures = []
         else:
-            lanes = self._deployed_lanes()
-            if lanes is None:
-                futures = self._scheduler.submit_many(requests)
-            elif not requests:
-                futures = []
-            else:
-                user_ids = np.fromiter(
-                    (r.user_id for r in requests), dtype=np.int64, count=len(requests)
-                )
-                assignment = self._scheduler.policy.assign_batch(
-                    requests, user_ids, self._scheduler, lanes=lanes
-                )
-                futures = self._scheduler.submit_assigned(requests, assignment)
+            user_ids = np.fromiter(
+                (r.user_id for r in requests), dtype=np.int64, count=len(requests)
+            )
+            assignment = self._scheduler.policy.assign_batch(
+                requests, user_ids, self._scheduler, lanes=lanes
+            )
+            futures = self._scheduler.submit_assigned(requests, assignment)
         # Every submit path funnels through the control plane (when one is
         # attached): controllers see the queued wave and may replace entries
         # (hedged pairs) or act on the pre-drain signals (autoscaling).
@@ -371,49 +362,6 @@ class ServingClient:
             return None
         if not lanes:
             raise RoutingError("no deployed devices in the fleet; deploy() first")
-        return np.asarray(lanes, dtype=np.int64)
-
-    def _submit_cohorted(self, requests: Sequence, rollout) -> List[PendingResult]:
-        """Confine each user to their rollout cohort, then route within it."""
-        scheduler = self._scheduler
-        cohort_indices: dict = {}
-        for index, request in enumerate(requests):
-            cohort = rollout.policy.user_cohort(request.user_id)
-            cohort_indices.setdefault(cohort, []).append(index)
-        # Resolve every cohort's lanes up front: an unservable cohort raises
-        # *before* anything is queued, so no request is half-submitted.
-        lanes_by_cohort = {
-            cohort: self._cohort_lanes(rollout, cohort) for cohort in cohort_indices
-        }
-        futures: List[Optional[PendingResult]] = [None] * len(requests)
-        for cohort, indices in cohort_indices.items():
-            lanes = lanes_by_cohort[cohort]
-            group = [requests[i] for i in indices]
-            user_ids = np.fromiter(
-                (r.user_id for r in group), dtype=np.int64, count=len(group)
-            )
-            assignment = scheduler.policy.assign_batch(
-                group, user_ids, scheduler, lanes=lanes
-            )
-            for future, index in zip(
-                scheduler.submit_assigned(group, assignment), indices
-            ):
-                futures[index] = future
-        return futures  # type: ignore[return-value]
-
-    def _cohort_lanes(self, rollout, cohort: Optional[str]) -> Optional[np.ndarray]:
-        if cohort is None:
-            return None
-        lanes = [
-            position
-            for position, device in enumerate(self._scheduler.devices)
-            if rollout.plan.cohorts.get(device.device_id) == cohort
-            and getattr(device, "is_deployed", True)
-        ]
-        if not lanes:
-            raise RoutingError(
-                f"rollout cohort {cohort!r} has no deployed devices to serve it"
-            )
         return np.asarray(lanes, dtype=np.int64)
 
 

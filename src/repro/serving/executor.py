@@ -33,8 +33,8 @@ that batch actually executes.  Three implementations ship with the library
   Request futures are completed from the worker pool's IPC result queue
   inside ``drain()``.
 
-Executors are a *mechanism* seam: FIFO/EDF queue order, routing policies,
-rollout staging and deadline accounting all live above it in the scheduler
+Executors are a *mechanism* seam: FIFO/EDF queue order, routing policies
+and deadline accounting all live above it in the scheduler
 and compose unchanged with every implementation.  What changes is the
 meaning of time (:attr:`Executor.clock`): the serial executor reports
 *modeled* device latency on the simulated parallel clock, the concurrent

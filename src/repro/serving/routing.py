@@ -105,7 +105,7 @@ class RoutingPolicy:
         """Lane index for every request (``lanes`` restricts the candidates).
 
         ``lanes``, when given, is the subset of lane positions this batch may
-        use — the hook rollout cohorts use to confine users to their arm.
+        use — a partially deployed fleet routes only over its deployed lanes.
         """
         raise NotImplementedError  # repro: noqa[repro-errors] abstract protocol method
 
@@ -123,12 +123,12 @@ class HashRouting(RoutingPolicy):
     therefore lands on the same logical device whatever the fleet's region
     layout.  Without a map every lane is its own device.
 
-    When routing is restricted to a lane subset (mid-rollout, or within an
-    A/B cohort), each user's *full-fleet* placement is still preferred:
-    only users whose preferred lane is outside the subset are remapped
-    (deterministically) within it.  Placement is therefore stable across a
-    staged rollout's growth and identical to plain hash sharding once every
-    lane is available again.
+    When routing is restricted to a lane subset (a partially deployed
+    fleet), each user's *full-fleet* placement is still preferred: only
+    users whose preferred lane is outside the subset are remapped
+    (deterministically) within it.  Placement is therefore stable as later
+    deploys reach the rest of the fleet, and identical to plain hash
+    sharding once every lane is available again.
     """
 
     name = "hash"

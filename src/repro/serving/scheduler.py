@@ -67,7 +67,7 @@ one :class:`~repro.edge.transfer.TransferPackage` hold identical network
 weights until one of them retrains — only their prototypes differ — and
 each exposes that as ``fusion_key()``: ``(weights_token, serving dtype)``.
 At the start of every heap pass the drain groups the head batches of ready
-lanes with equal keys (and one NCM metric), embeds each group's stacked
+lanes with equal keys, embeds each group's stacked
 windows in one call and classifies them against the group's stacked
 prototypes in as few distance calls as
 :data:`~repro.edge.inference.STACKED_DISTANCES` allows
@@ -623,7 +623,7 @@ class EventLoopScheduler:
         Where batches execute — an :class:`~repro.serving.executor.Executor`
         instance or registry name (``"serial"``/``"thread"``/``"process"``);
         ``None`` means the inline serial executor, the only one whose
-        drain fuses lanes that share weights.  Queue order, routing, rollouts and deadline
+        drain fuses lanes that share weights.  Queue order, routing and deadline
         accounting compose unchanged with every executor.
     workers:
         Pool size for the concurrent executors (default: one per CPU core,
@@ -930,7 +930,7 @@ class EventLoopScheduler:
         return futures
 
     def submit_assigned(self, requests: Sequence, assignment: np.ndarray) -> List[PendingResult]:
-        """Queue requests with a precomputed lane assignment (cohort routing)."""
+        """Queue requests with a precomputed lane assignment (deployed-lane routing)."""
         if not requests:
             return []
         if len(self._devices) != self._n_lanes:
@@ -1155,7 +1155,7 @@ class EventLoopScheduler:
         """Answer the head batches of lanes that share weights in one pass.
 
         Ready FIFO lanes with equal fusion keys (same weights token, same
-        serving dtype) and one NCM metric form a group: their head batches'
+        serving dtype) form a group: their head batches'
         windows are embedded in one call and classified by one
         :func:`~repro.edge.inference.classify_stacked` call, and each batch
         parks its class ids (:class:`_Parked`) for the heap.  Serving order
@@ -1179,11 +1179,10 @@ class EventLoopScheduler:
                 continue
             state = device.engine.ncm_state()
             if state is not None:
-                groups.setdefault((key, state[0].metric), []).append((position, batch, state))
-        for group, members in groups.items():
+                groups.setdefault(key, []).append((position, batch, state))
+        for key, members in groups.items():
             if len(members) < 2:
                 continue
-            key = group[0]
             try:
                 lane_windows = [_batch_windows(batch.requests) for _, batch, _ in members]
                 stacked = np.concatenate(lane_windows, axis=0)

@@ -42,7 +42,7 @@ from repro.analysis.sanitizer import (
 from repro.control import CHAOS_SCENARIOS, CONTROLLERS
 from repro.control.chaos import ChaosRunReport, run_chaos
 from repro.exceptions import AnalysisError, SanitizerViolationError
-from repro.serving import EXECUTORS, ROLLOUT_POLICIES, ROUTING_POLICIES
+from repro.serving import EXECUTORS, ROUTING_POLICIES
 from repro.serving.protocol import PredictRequest
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
@@ -241,8 +241,8 @@ class TestRealTree:
 class TestRegistryCompleteness:
     @pytest.mark.parametrize(
         "registry",
-        [EXECUTORS, ROUTING_POLICIES, ROLLOUT_POLICIES, CONTROLLERS],
-        ids=["executors", "routing", "rollout", "controllers"],
+        [EXECUTORS, ROUTING_POLICIES, CONTROLLERS],
+        ids=["executors", "routing", "controllers"],
     )
     def test_registry_keys_match_class_names(self, registry):
         for key, cls in registry.items():
@@ -255,7 +255,6 @@ class TestRegistryCompleteness:
         for registry, package in (
             (EXECUTORS, repro.serving),
             (ROUTING_POLICIES, repro.serving),
-            (ROLLOUT_POLICIES, repro.serving),
             (CONTROLLERS, repro.control),
         ):
             for cls in registry.values():

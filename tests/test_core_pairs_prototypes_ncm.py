@@ -206,12 +206,6 @@ class TestNCMClassifier:
         assert scores.sum() == pytest.approx(1.0)
         assert scores[0, 0] > scores[0, 1]
 
-    def test_cosine_metric(self):
-        classifier = NCMClassifier(metric="cosine").fit(
-            {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
-        )
-        assert classifier.predict(np.array([[2.0, 0.1]])).tolist() == [0]
-
     def test_fit_from_prototype_store(self):
         store = PrototypeStore()
         store.set(7, [0.0, 0.0])
@@ -231,8 +225,6 @@ class TestNCMClassifier:
             self._fitted().predict(np.zeros((2, 3)))
 
     def test_invalid_inputs(self):
-        with pytest.raises(DataError):
-            NCMClassifier(metric="manhattan")
         with pytest.raises(DataError):
             NCMClassifier().fit({})
         with pytest.raises(DataError):

@@ -61,6 +61,15 @@ def windows() -> np.ndarray:
     return np.random.default_rng(9).normal(size=(12, N_FEATURES))
 
 
+def _region_learners(fleet) -> list:
+    """The learner of every region, one per region in region order."""
+    return [
+        region.lane.learner if region.lane is not None
+        else region.materialized[region.start].learner
+        for region in fleet.regions
+    ]
+
+
 # ---------------------------------------------------------------------- #
 # cheap single-class increments
 # ---------------------------------------------------------------------- #
@@ -214,38 +223,18 @@ class TestHierarchicalFleet:
         with pytest.raises(ConfigurationError):
             tree.provision(1)
 
-    def test_staged_rollout_over_regions(self, learner):
-        package = self._package(learner)
-        tree = FleetCoordinator(CONFIG, seed=7, n_regions=4)
-        tree.provision(16)
-        tree.deploy(package, rollout="staged")
-        deployed = [r.lane.is_deployed for r in tree.regions]
-        assert any(deployed) and not all(deployed)
-        while tree.advance_rollout():
-            pass
-        assert all(r.lane.is_deployed for r in tree.regions)
-        assert tree.cohort_of(0) is not None
-        with pytest.raises(ConfigurationError):
-            tree.rollout_report()
-
-    def test_user_routing_rollouts_rejected(self, learner):
-        package = self._package(learner)
-        tree = FleetCoordinator(CONFIG, seed=7, n_regions=4)
-        tree.provision(16)
-        with pytest.raises(ConfigurationError):
-            tree.deploy(package, rollout="ab")
-
-    def test_user_routing_rollout_on_one_device_regions(self, learner):
-        """``"ab"`` needs one device per region, not an unpooled constructor."""
+    def test_one_device_regions_serve_without_template_lanes(self, learner):
+        """A pooled fleet whose regions hold one device each serves like an
+        unpooled one: every device is materialised and is its own lane."""
         package = self._package(learner)
         fleet = FleetCoordinator(CONFIG, seed=7, n_regions=4)
         fleet.provision(4)
-        fleet.deploy(package, rollout="ab")
-        assert fleet.serving_lanes() is fleet.devices  # no template lanes
-        report = fleet.rollout_report()
-        device_ids = [i for row in report.per_cohort.values() for i in row.device_ids]
-        assert sorted(device_ids) == [0, 1, 2, 3]
-        assert {fleet.cohort_of(i) for i in range(4)} == {"treatment", "control"}
+        fleet.deploy(package)
+        assert all(region.lane is None for region in fleet.regions)
+        assert [d.device_id for d in fleet.devices] == [0, 1, 2, 3]
+        assert all(d.is_deployed for d in fleet.devices)
+        assert fleet.serving_lanes() is fleet.devices
+        assert fleet.lane_map().tolist() == [0, 1, 2, 3]
 
     def test_deploy_ships_once_per_region(self, learner):
         package = self._package(learner)
@@ -259,6 +248,20 @@ class TestHierarchicalFleet:
         flat.provision(20)
         flat.deploy(package)
         assert flat.transfers.deploy_shipments == 20
+
+        # provision -> deploy -> provision: a second deploy ships only to the
+        # regions that lack the package, and leaves the others untouched.
+        for fleet, n_devices, new_regions in ((tree, 500, 5), (flat, 4, 4)):
+            shipped = fleet.transfers.deploy_shipments
+            learners = _region_learners(fleet)
+            fleet.provision(n_devices)
+            fleet.deploy(package)
+            assert fleet.transfers.deploy_shipments == shipped + new_regions
+            assert fleet.transfers.deploy_bytes == (
+                (shipped + new_regions) * package.total_bytes
+            )
+            assert _region_learners(fleet)[:len(learners)] == learners
+            assert all(region.package is package for region in fleet.regions)
 
     @pytest.mark.parametrize("n_regions", [None, 2])
     def test_second_broadcast_reaches_every_lane(self, learner, n_regions):

@@ -6,8 +6,9 @@ a learner is captured and rebuilt:
 * ``TransferPackage.instantiate_learner`` rebuilds through
   ``pilote_from_state`` and yields the learner it would yield from the same
   arrays;
-* checkpoints (``save_pilote``/``load_pilote`` and ``CheckpointStore``) keep
-  the NCM metric, and every archive restores on its own;
+* checkpoints (``save_pilote``/``load_pilote`` and ``CheckpointStore``)
+  restore every archive on its own, and an archive naming an NCM metric
+  other than Euclidean is rejected with a typed error;
 * the process executor ships the format as copies, without the exemplar
   support set, and its workers answer byte-identically to the device after
   every kind of update, at float32 and at float64.
@@ -19,17 +20,17 @@ import numpy as np
 import pytest
 
 from repro.backend import precision
-from repro.core.ncm import NCMClassifier
 from repro.core.persistence import (
     load_pilote,
     pilote_from_state,
     pilote_state,
-    save_pilote,
 )
 from repro.edge.device import DeviceProfile, EdgeDevice
 from repro.edge.transfer import package_for_edge
+from repro.exceptions import SerializationError
 from repro.fleet import CheckpointStore, FleetCoordinator, FleetDevice
 from repro.serving import ProcessExecutor, serve
+from repro.utils.serialization import load_npz_state, save_npz_state
 
 
 def _profile(dtype: str) -> DeviceProfile:
@@ -62,14 +63,6 @@ def _assert_same_learner(a, b, pool) -> None:
     assert a.config == b.config
     assert a.state_version == b.state_version
     assert _same_bytes(a.predict(pool), b.predict(pool))
-
-
-def _cosine(learner):
-    """Switch a learner to the cosine metric.  Bumping the state version, as
-    every learner write does, re-binds an engine the learner already has."""
-    learner.classifier = NCMClassifier("cosine").fit(learner.prototypes)
-    learner._state_version += 1
-    return learner
 
 
 # ---------------------------------------------------------------------- #
@@ -109,30 +102,74 @@ class TestInstantiateIsPiloteFromState:
         self, pretrained_pilote, pool
     ):
         state, metadata = pilote_state(pretrained_pilote)
-        del metadata["metric"]  # an archive written before the metric travelled
-        restored = pilote_from_state(state, metadata)
-        assert restored.state_version == 1
-        assert restored.classifier.metric == "euclidean"
-        assert np.array_equal(restored.predict(pool), pretrained_pilote.predict(pool))
+        assert "metric" not in metadata
+        expected = pretrained_pilote.predict(pool)
+        # Archives written while the metric travelled name it explicitly.
+        for archived in (metadata, {**metadata, "metric": "euclidean"}):
+            restored = pilote_from_state(state, archived)
+            assert restored.state_version == 1
+            assert np.array_equal(restored.predict(pool), expected)
+
+    @pytest.mark.parametrize(
+        "update",
+        ["refit_classifier", "refine_prototype", "build_support_set", "learn_new_classes"],
+    )
+    def test_each_update_bumps_the_version_once(
+        self, pilote_copy, run_scenario, pool, update
+    ):
+        """Every update refits the classifier through one method, which bumps
+        ``state_version`` once, so a live engine rebuilds its cache once."""
+        engine = pilote_copy.inference_engine()
+        engine.predict(pool)
+        version = pilote_copy.state_version
+        refreshes = engine.cache_info()["cache_refreshes"]
+        if update == "refit_classifier":
+            # A direct prototype edit becomes visible through one refit.
+            old_classes = pilote_copy.old_classes
+            pilote_copy.prototypes.set(
+                old_classes[0], pilote_copy.prototypes.get(old_classes[1])
+            )
+            pilote_copy.refit_classifier()
+        elif update == "refine_prototype":
+            pilote_copy.refine_prototype(pilote_copy.old_classes[0], pool[:4])
+        elif update == "build_support_set":
+            pilote_copy.build_support_set(per_class=5)
+        else:
+            pilote_copy.learn_new_classes(
+                run_scenario.new_train, run_scenario.new_validation
+            )
+        assert pilote_copy.state_version == version + 1
+        assert np.array_equal(engine.predict(pool), pilote_copy.predict(pool))
+        assert pilote_copy.state_version == version + 1
+        assert engine.cache_info()["cache_refreshes"] == refreshes + 1
 
 
 # ---------------------------------------------------------------------- #
 # checkpoints
 # ---------------------------------------------------------------------- #
 class TestCheckpoints:
-    def test_cosine_metric_survives_save_and_load(self, pilote_copy, pool, tmp_path):
-        learner = _cosine(pilote_copy)
-        restored = load_pilote(save_pilote(learner, tmp_path / "cosine"))
-        assert restored.classifier.metric == "cosine"
-        assert np.array_equal(restored.predict(pool), learner.predict(pool))
+    @pytest.mark.parametrize("metric", ["cosine", "manhattan", None])
+    def test_archive_naming_another_metric_is_rejected(
+        self, pretrained_pilote, tmp_path, metric
+    ):
+        state, metadata = pilote_state(pretrained_pilote)
+        metadata["metric"] = metric
+        with pytest.raises(SerializationError, match="unsupported NCM metric"):
+            pilote_from_state(state, metadata)
+        path = save_npz_state(tmp_path / "archive", state, metadata=metadata)
+        with pytest.raises(SerializationError, match="unsupported NCM metric"):
+            load_pilote(path)
 
-    def test_cosine_metric_survives_the_checkpoint_store(self, pilote_copy, pool, tmp_path):
+    def test_checkpoint_store_rejects_another_metric(self, pilote_copy, tmp_path):
         device = FleetDevice(0, EdgeDevice(_profile("float64")))
-        device.adopt(_cosine(pilote_copy))
+        device.adopt(pilote_copy)
         store = CheckpointStore(tmp_path)
-        restored = store.restore(store.save(device))
-        assert restored.learner.classifier.metric == "cosine"
-        assert np.array_equal(restored.infer(pool), device.infer(pool))
+        checkpoint = store.save(device)
+        state = load_npz_state(checkpoint.path)
+        metadata = state.pop("__metadata__")
+        save_npz_state(checkpoint.path, state, metadata={**metadata, "metric": "cosine"})
+        with pytest.raises(SerializationError, match="unsupported NCM metric"):
+            store.restore(checkpoint)
 
     def test_eviction_leaves_every_survivor_restorable(self, pilote_copy, pool, tmp_path):
         device = FleetDevice(0, EdgeDevice(_profile("float64")))
@@ -235,11 +272,3 @@ class TestProcessShipping:
         expected = device.serve(pool)
         assert _same_bytes(served, expected)
         assert stats["full_syncs"] == 2
-
-    def test_cosine_metric_survives_process_serving(self, pilote_copy, pool):
-        learner = _cosine(pilote_copy)
-        euclidean = NCMClassifier().fit(learner.prototypes).predict(learner.embed(pool))
-        expected = learner.inference_engine().predict(pool)
-        assert not np.array_equal(expected, euclidean)  # the metric matters here
-        with serve(learner, executor="process", workers=1) as client:
-            assert np.array_equal(client.predict(pool), expected)

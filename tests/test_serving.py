@@ -1,4 +1,4 @@
-"""Tests for the unified serving API: protocol, client, scheduler, rollout."""
+"""Tests for the unified serving API: protocol, client, scheduler, routing."""
 
 import numpy as np
 import pytest
@@ -18,14 +18,11 @@ from repro.exceptions import (
 )
 from repro.fleet import FleetCoordinator, TrafficGenerator, WorkloadSpec
 from repro.serving import (
-    ABRollout,
-    AllAtOnceRollout,
     EventLoopScheduler,
     HashRouting,
     PendingResult,
     PredictRequest,
     PredictResponse,
-    StagedRollout,
     make_routing_policy,
     serve,
 )
@@ -437,143 +434,87 @@ class TestWorkloadSpecValidation:
             WorkloadSpec(requests_per_tick=0)
 
 
-class TestRolloutPolicies:
-    def test_staged_fraction_validation(self):
-        with pytest.raises(ConfigurationError):
-            StagedRollout(fractions=())
-        with pytest.raises(ConfigurationError):
-            StagedRollout(fractions=(0.5, 0.25))
-        with pytest.raises(ConfigurationError):
-            StagedRollout(fractions=(0.0, 1.0))
+def _partially_deployed(package, tiny_config, n_regions):
+    """provision -> deploy -> provision: the second half holds no learner yet."""
+    coordinator = FleetCoordinator(tiny_config, seed=0, n_regions=n_regions)
+    coordinator.provision(4)
+    coordinator.deploy(package)
+    coordinator.provision(4)
+    return coordinator
 
-    def test_all_at_once_matches_legacy_deploy(self, package, tiny_config, pool):
-        coordinator = FleetCoordinator(tiny_config, seed=0)
-        coordinator.provision(2)
-        coordinator.deploy(package, rollout=AllAtOnceRollout())
-        assert all(d.is_deployed for d in coordinator.devices)
-        assert coordinator.active_rollout.complete
-        assert coordinator.cohort_of(0) == "fleet"
 
-    def test_staged_rollout_advances(self, package, tiny_config):
-        coordinator = FleetCoordinator(tiny_config, seed=0)
-        coordinator.provision(4)
-        coordinator.deploy(package, rollout=StagedRollout(fractions=(0.25, 0.5, 1.0)))
-        assert sum(d.is_deployed for d in coordinator.devices) == 1
-        assert coordinator.cohort_of(0) == "stage-0"
-        assert coordinator.advance_rollout() == [1]
-        assert coordinator.advance_rollout() == [2, 3]
-        assert coordinator.active_rollout.complete
-        assert coordinator.advance_rollout() == []
+def _deployed_positions(client) -> set:
+    return {
+        position
+        for position, lane in enumerate(client.scheduler.devices)
+        if lane.is_deployed
+    }
 
-    def test_advance_without_rollout_rejected(self, fleet):
-        with pytest.raises(ConfigurationError, match="no rollout"):
-            fleet.advance_rollout()
-        with pytest.raises(ConfigurationError, match="no rollout"):
-            fleet.rollout_report()
 
-    def test_ab_rollout_confines_users_to_cohorts(self, package, tiny_config, pool, run_scenario):
-        coordinator = FleetCoordinator(tiny_config, seed=0)
-        coordinator.provision(4)
-        coordinator.deploy(package)                       # baseline everywhere
-        coordinator.deploy(package, rollout=ABRollout(treatment_fraction=0.5))
-        rollout = coordinator.active_rollout
-        arms = set(rollout.plan.cohorts.values())
-        assert arms == {"treatment", "control"}
-        policy = rollout.policy
-        cohorts = {u: policy.user_cohort(u) for u in range(200)}
-        assert set(cohorts.values()) == {"treatment", "control"}
-        assert all(policy.user_cohort(u) == cohorts[u] for u in range(200))
-
-        client = serve(coordinator, seed=3)
-        requests = [
-            PredictRequest(user_id=u, features=pool[:1]) for u in range(60)
-        ]
+@pytest.mark.parametrize("n_regions", [None, 2], ids=["unpooled", "pooled"])
+class TestPartialDeployment:
+    @pytest.mark.parametrize("routing", ["hash", "least-loaded", "p2c"])
+    def test_routes_only_to_deployed_lanes(
+        self, package, tiny_config, pool, n_regions, routing
+    ):
+        coordinator = _partially_deployed(package, tiny_config, n_regions)
+        client = serve(coordinator, routing=routing, seed=2)
+        lanes = client.scheduler.devices
+        deployed = _deployed_positions(client)
+        assert 0 < len(deployed) < len(lanes)
+        deployed_ids = {lanes[position].device_id for position in deployed}
+        requests = [PredictRequest(user_id=u, features=pool[:1]) for u in range(40)]
         futures = client.submit_many(requests)
         client.drain()
-        for request, future in zip(requests, futures):
-            device_id = future.result().device_id
-            assert rollout.plan.cohorts[device_id] == cohorts[request.user_id]
-
-        report = coordinator.rollout_report(run_scenario.test, serving=client.report())
-        assert set(report.per_cohort) == {"treatment", "control"}
-        assert sum(r.requests for r in report.per_cohort.values()) == 60
-        for row in report.per_cohort.values():
-            assert row.accuracy is not None and 0.0 <= row.accuracy <= 1.0
-            assert row.n_deployed == len(row.device_ids)
-        text = report.to_text()
-        assert "treatment" in text and "control" in text
-
-    def test_ab_needs_two_devices_and_valid_fraction(self, package, tiny_config):
-        with pytest.raises(ConfigurationError):
-            ABRollout(treatment_fraction=1.0)
-        coordinator = FleetCoordinator(tiny_config, seed=0)
-        coordinator.provision(1)
-        with pytest.raises(ConfigurationError):
-            coordinator.deploy(package, rollout=ABRollout())
-
-    def test_serving_mid_staged_rollout_uses_deployed_devices_only(
-        self, package, tiny_config, pool
-    ):
-        coordinator = FleetCoordinator(tiny_config, seed=0)
-        coordinator.provision(4)
-        coordinator.deploy(package, rollout=StagedRollout(fractions=(0.25, 1.0)))
-        deployed = {d.device_id for d in coordinator.devices if d.is_deployed}
-        client = serve(coordinator, seed=2)
-        futures = client.submit_many(
-            [PredictRequest(user_id=u, features=pool[:1]) for u in range(20)]
-        )
-        client.drain()
-        assert {f.result().device_id for f in futures} <= deployed
-        coordinator.advance_rollout()
-        futures = client.submit_many(
-            [PredictRequest(user_id=u, features=pool[:1]) for u in range(20)]
-        )
+        assert {f.result().device_id for f in futures} <= deployed_ids
+        coordinator.deploy(package)
+        futures = client.submit_many(requests)
         client.drain()
         assert all(f.exception() is None for f in futures)
+        # The second deploy opens the rest of the fleet to routing.
+        assert {f.result().device_id for f in futures} - deployed_ids
 
-    def test_hash_placement_sticky_across_rollout_growth(
-        self, package, tiny_config, pool
+    def test_hash_placement_survives_the_second_deploy(
+        self, package, tiny_config, pool, n_regions
     ):
-        """Users whose full-fleet hash lane is deployed keep it mid-rollout."""
-        coordinator = FleetCoordinator(tiny_config, seed=0)
-        coordinator.provision(4)
-        coordinator.deploy(package, rollout=StagedRollout(fractions=(0.5, 1.0)))
+        """Users whose full-fleet hash lane is deployed keep it; the rest
+        move to it once the second deploy reaches their lane."""
+        coordinator = _partially_deployed(package, tiny_config, n_regions)
         client = serve(coordinator, routing="hash", seed=6)
-        requests = [
-            PredictRequest(user_id=u, features=pool[:1]) for u in range(40)
+        lanes = client.scheduler.devices
+        deployed = _deployed_positions(client)
+        requests = [PredictRequest(user_id=u, features=pool[:1]) for u in range(40)]
+        preferred = [
+            lanes[int(position)].device_id
+            for position in client.scheduler.policy.assign_batch(
+                requests, np.arange(40), client.scheduler
+            )
         ]
-        preferred = client.scheduler.policy.assign_batch(
-            requests, np.arange(40), client.scheduler
-        )
-        staged = [f.result().device_id for f in client.submit_many(requests)]
-        deployed = {d.device_id for d in coordinator.devices if d.is_deployed}
-        for user, full_fleet_lane in enumerate(preferred):
-            if int(full_fleet_lane) in deployed:
-                assert staged[user] == int(full_fleet_lane)
-        coordinator.advance_rollout()
+        deployed_ids = {lanes[position].device_id for position in deployed}
+        assert deployed_ids < set(preferred)  # some users prefer an undeployed lane
+        partial = [f.result().device_id for f in client.submit_many(requests)]
+        assert set(partial) <= deployed_ids
+        for user, device_id in enumerate(preferred):
+            if device_id in deployed_ids:
+                assert partial[user] == device_id
+        coordinator.deploy(package)
         complete = [f.result().device_id for f in client.submit_many(requests)]
-        assert complete == [int(lane) for lane in preferred]
+        assert complete == preferred
 
-    def test_unservable_cohort_rejected_before_enqueue(self, package, tiny_config, pool):
-        coordinator = FleetCoordinator(tiny_config, seed=0)
-        coordinator.provision(2)
-        # AB rollout on an undeployed fleet: the control arm has no learner.
-        coordinator.deploy(package, rollout=ABRollout(treatment_fraction=0.5))
+    def test_fleet_without_deployed_devices_queues_nothing(
+        self, package, tiny_config, pool, n_regions
+    ):
+        coordinator = FleetCoordinator(tiny_config, seed=0, n_regions=n_regions)
+        coordinator.provision(4)
         client = serve(coordinator, seed=0)
-        requests = [
-            PredictRequest(user_id=u, features=pool[:1]) for u in range(40)
-        ]
+        requests = [PredictRequest(user_id=u, features=pool[:1]) for u in range(40)]
         with pytest.raises(RoutingError, match="no deployed devices"):
             client.submit_many(requests)
         assert client.pending_requests == 0  # nothing half-submitted
-
-    def test_rollout_by_registry_name(self, package, tiny_config):
-        coordinator = FleetCoordinator(tiny_config, seed=0)
-        coordinator.provision(2)
-        coordinator.deploy(package, rollout="all-at-once")
-        assert coordinator.active_rollout.policy.name == "all-at-once"
-        with pytest.raises(ConfigurationError):
-            coordinator.deploy(package, rollout="percentage")
+        coordinator.deploy(package)
+        futures = client.submit_many(requests)
+        client.drain()
+        assert all(f.exception() is None for f in futures)
 
 
 class TestCli:
