@@ -2,8 +2,8 @@
 
 The multi-input primitives (concatenation, stacking), the network layers
 (``linear``, batch normalisation, ``l2_normalize``), the row-wise pair
-distance and PILOTE's whole training objective dispatch through the backend
-op registry — their forward/vjp rules live in
+distance and PILOTE's whole training step (network and objective) dispatch
+through the backend op registry — their forward/vjp rules live in
 :mod:`repro.autodiff.primitives` as named, individually testable records,
 one op per layer.  The remaining numerical helpers (softmax,
 log-softmax, MSE) are expressed in terms of registered primitives, so their
@@ -12,10 +12,11 @@ tapes remain fully named without needing dedicated backward rules.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.autodiff.primitives import STEP_LAYERS
 from repro.backend.registry import apply as _apply
 from repro.autodiff.tensor import Tensor
 from repro.exceptions import DataError, ShapeError
@@ -95,36 +96,46 @@ def pairwise_squared_distance(a: Tensor, b: Tensor) -> Tensor:
     return _apply("pairwise_squared_distance", a, b)
 
 
-def pilote_objective(
-    embeddings: Tensor,
+def pilote_step(
+    inputs: Tensor,
+    parameters: Sequence[Tensor],
+    *,
+    layers: Sequence[Tuple[str, Optional[float]]],
+    normalize: bool = False,
     left: np.ndarray,
     right: np.ndarray,
     same_class,
-    *,
     margin: float = 1.0,
     variant: str = "squared",
     alpha: float = 0.0,
     old_rows: Optional[np.ndarray] = None,
     teacher: Optional[np.ndarray] = None,
-) -> Tensor:
-    """PILOTE's joint objective ``α · L_disti + (1 − α) · L_contra`` as one op.
+) -> Tuple[Tensor, List[Tuple[np.ndarray, np.ndarray]]]:
+    """PILOTE's training loss on one batch, network included, as one op.
 
-    ``embeddings`` are one batch's ``(n, d)`` rows.  The contrastive term
-    (paper Eq. 2, ``variant`` ``"squared"`` or ``"hadsell"``) is the mean
-    over the pairs ``(left[i], right[i])`` with pair labels ``same_class``;
-    the distillation term (Algorithm 1, line 11) is the mean squared
-    distance of the ``old_rows`` to ``teacher``, the frozen model's
-    embeddings of those rows.  With no ``old_rows`` (or ``alpha == 0``) the
-    objective is the contrastive term alone; with an empty ``old_rows`` it
-    is ``(1 − α) · L_contra``.  Values and gradients are bit-identical to
-    the composite of row gathers, :class:`~repro.nn.losses.ContrastiveLoss`
-    and :class:`~repro.nn.losses.DistillationLoss` it replaces.
+    ``layers`` is the network as ``(kind, epsilon)`` entries: ``"linear"``
+    takes the next two ``parameters`` (weight, bias), ``"batch_norm"`` the
+    next two (gamma, beta) and normalises by batch statistics with its
+    ``epsilon``, ``"relu"`` none; ``normalize`` L2-normalises the output
+    rows.  The objective over the resulting embeddings is
+    :func:`~repro.autodiff.primitives.pilote_loss` (``α · L_disti + (1 − α)
+    · L_contra``; ``teacher`` holds the frozen model's embeddings of the
+    ``old_rows``).  Returns the loss and each BatchNorm's batch
+    ``(mean, biased variance)`` for the caller's running-statistics update.
     """
     if variant not in ("squared", "hadsell"):
         raise DataError(f"variant must be 'squared' or 'hadsell', got {variant!r}")
     if margin <= 0:
         raise DataError(f"margin must be positive, got {margin}")
     alpha = check_probability(alpha, name="alpha")
+    layers = tuple(layers)
+    unknown = sorted({kind for kind, _ in layers} - set(STEP_LAYERS))
+    if unknown:
+        raise DataError(f"pilote_step runs {STEP_LAYERS} layers, got {unknown}")
+    if inputs.ndim != 2 or inputs.shape[0] < 2:
+        raise ShapeError(
+            f"a training step needs a (batch >= 2, features) input, got {inputs.shape}"
+        )
     left = np.asarray(left).reshape(-1)
     right = np.asarray(right).reshape(-1)
     if left.shape != right.shape:
@@ -133,17 +144,21 @@ def pilote_objective(
         raise ShapeError(f"expected {left.shape[0]} pair labels, got {np.size(same_class)}")
     if old_rows is not None:
         old_rows = np.asarray(old_rows).reshape(-1)
-        expected = (old_rows.shape[0],) + embeddings.shape[1:]
+        # the last parameter is the output width's bias (or BatchNorm beta)
+        expected = (old_rows.shape[0], np.shape(parameters[-1])[0])
         if old_rows.size and (teacher is None or np.shape(teacher) != expected):
             raise ShapeError(
                 f"distillation needs teacher embeddings of shape {expected}, got "
                 f"{None if teacher is None else np.shape(teacher)}"
             )
-    return _apply(
-        "pilote_objective", embeddings, left=left, right=right, same_class=same_class,
-        margin=float(margin), variant=variant, alpha=alpha, old_rows=old_rows,
-        teacher=teacher,
+    batch_stats: List[Tuple[np.ndarray, np.ndarray]] = []
+    loss = _apply(
+        "pilote_step", inputs, *parameters, layers=layers, normalize=bool(normalize),
+        left=left, right=right, same_class=same_class, margin=float(margin),
+        variant=variant, alpha=alpha, old_rows=old_rows, teacher=teacher,
+        batch_stats=batch_stats,
     )
+    return loss, batch_stats
 
 
 def euclidean_distance(a: Tensor, b: Tensor, epsilon: float = 1e-12) -> Tensor:

@@ -15,31 +15,37 @@ Conventions:
   broadcast reduction is handled downstream by ``Tensor._accumulate``.
 
 The network layers are single ops (``linear``, ``batch_norm_train``,
-``batch_norm_eval``, ``l2_normalize``) as are ``pairwise_squared_distance``
-and PILOTE's whole training objective (``pilote_objective``: the pair and
-old-row gathers, the contrastive and distillation terms and their α-mix), so
-each layer's arithmetic lives here and nowhere else.  Their forwards do the
-same numpy calls, in the same order, as the elementwise graphs they replace
-— constants materialised in the policy dtype, as a ``Tensor`` leaf would be
-— and their vjps walk that graph's backward pass by hand: each interior
-cotangent is cast and reduced as ``Tensor._accumulate`` would
+``batch_norm_eval``, ``l2_normalize``) as is ``pairwise_squared_distance``,
+so each layer's arithmetic lives here and nowhere else.  Their forwards do
+the same numpy calls, in the same order, as the elementwise graphs they
+replace — constants materialised in the policy dtype, as a ``Tensor`` leaf
+would be — and their vjps walk that graph's backward pass by hand: each
+interior cotangent is cast and reduced as ``Tensor._accumulate`` would
 (:func:`node_grad`) and contributions are summed in the order the tape
-delivered them; the objective scatters its row gathers' cotangents with
-:func:`scatter_rows`, byte-equal to ``np.add.at``.  Training results are
-therefore bit-identical to the elementwise graph.  The inference path calls
-the same forwards on plain arrays with
-:data:`~repro.backend.registry.NO_TAPE`, so serving and training share one implementation of every layer.
+delivered them, so the baselines, which train through these ops, are
+bit-identical to the elementwise graph.  The inference path calls the same
+forwards on plain arrays with :data:`~repro.backend.registry.NO_TAPE`, so
+serving and training share one implementation of every layer.
+
+PILOTE's whole training step is one op, ``pilote_step``.  Its forward runs
+the training-mode layer forwards above and the objective (:func:`pilote_loss`:
+the contrastive and distillation terms and their α-mix, with the composite
+losses' constants), so its loss is the per-layer graph's to the byte.  Its
+backward computes every parameter's gradient in closed form from the
+layers' saved arrays: BatchNorm by its three-term formula, and the scatter
+of the pair and old-row gathers' cotangents as one small GEMM with the ±1
+pair-incidence matrix of :func:`pair_incidence`.  Those sums run in another
+order than the graph's, so the gradients agree with it to float rounding.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 import numpy as np
 
 from repro.backend.policy import default_dtype
-from repro.backend.registry import register_op
+from repro.backend.registry import OpContext, register_op
 from repro.exceptions import ShapeError
 
 
@@ -391,54 +397,6 @@ def _getitem_forward(ctx, a, *, index):
     return a[index]
 
 
-def scatter_rows(shape, dtype, index, values) -> np.ndarray:
-    """``np.add.at(np.zeros(shape, dtype), index, values)``, byte for byte,
-    for a valid 1-D integer ``index`` into the first axis.
-
-    ``np.add.at`` adds one contribution at a time, in index order.  Here
-    each contribution goes to slab ``k`` of a zero ``(K + 1, *shape)``
-    stack, ``k`` being its occurrence rank in its row (counted from 1; a
-    stable sort finds it), and one reduce over the slab axis adds the
-    stack.  numpy reduces an outer axis slab by slab, so every element is
-    ``((0 + v1) + v2) + ...`` exactly as ``np.add.at`` sums it: slab 0 is
-    its zero start (whether or not numpy starts a reduction from its
-    identity), and the zero padding after a row's last contribution leaves
-    a sum that starts from ``+0.0`` unchanged.  Two cases keep
-    ``np.add.at``: a slab of a single element, which would make the slab
-    axis numpy's inner loop, summed pairwise; and a stack of ``depth =
-    K + 1`` slabs (``K`` the most contributions to one row) whose
-    ``depth * shape[0]`` rows exceed eight times the ``count + shape[0]``
-    rows ``np.add.at`` touches.  The objective's pair gathers can reach a
-    depth of the batch size (one row in every pair, e.g. a ``new_centred``
-    batch with a single new-class row), a stack quadratic in the batch.
-    The factor 8 sits below the measured speed crossover (float32, 32–128
-    columns, 64–256 rows, 16–255 contributions, 2 vCPUs: once the sort's
-    fixed cost is paid, the stack is faster up to ~9×, slower from ~14×),
-    so the guard costs no speed and keeps the stack's memory linear in the
-    contributions and the output.
-    """
-    count = index.shape[0]
-    values = np.asarray(values, dtype=dtype)
-    if values.shape != (count,) + tuple(shape[1:]):
-        values = np.broadcast_to(values, (count,) + tuple(shape[1:]))
-    full_size = math.prod(shape)
-    if count == 0 or full_size == 0:
-        return np.zeros(shape, dtype=dtype)
-    rows = index if index.min() >= 0 else index % shape[0]
-    order = np.argsort(rows, kind="stable")
-    ordered = rows[order]
-    rank = np.empty(count, dtype=np.intp)
-    rank[order] = np.arange(1, count + 1) - np.searchsorted(ordered, ordered)
-    depth = int(rank.max()) + 1
-    if full_size == 1 or depth * shape[0] > 8 * (count + shape[0]):
-        full = np.zeros(shape, dtype=dtype)
-        np.add.at(full, index, values)
-        return full
-    slabs = np.zeros((depth,) + tuple(shape), dtype=dtype)
-    slabs[rank, rows] = values
-    return np.add.reduce(slabs, axis=0)
-
-
 def _getitem_vjp(ctx, grad):
     shape, dtype, index = ctx.saved
     full = np.zeros(shape, dtype=dtype)
@@ -683,131 +641,193 @@ register_op(
     doc="row-wise ||a_i - b_i||^2 of two (n, d) matrices",
 )
 
+
 # --------------------------------------------------------------------------- #
-# PILOTE's training objective (one op; see the module docstring)
+# PILOTE's training step (one op; see the module docstring)
 # --------------------------------------------------------------------------- #
 
-
-def _mean_vjp(grad, per_item, total, inverse_count):
-    """Cotangent of ``per_item`` in ``per_item.sum() * inverse_count``."""
-    grad_total = node_grad(grad * inverse_count, total)
-    return node_grad(np.broadcast_to(grad_total, per_item.shape), per_item)
+#: Layer kinds a ``pilote_step`` program may chain.
+STEP_LAYERS = ("linear", "batch_norm", "relu")
 
 
-def _pilote_objective_forward(ctx, embeddings, *, left, right, same_class, margin,
-                              variant="squared", alpha=0.0, old_rows=None, teacher=None):
-    # contrastive term (paper Eq. 2) over the pairs (left[i], right[i])
-    pair_left = embeddings[left]
-    pair_right = embeddings[right]
-    labels = np.asarray(
-        np.asarray(same_class, dtype=pair_left.dtype).reshape(-1), dtype=default_dtype()
-    )
-    diff, squared, distance2 = _squared_distances(pair_left, pair_right)
+def pair_incidence(left, right, rows, old_rows=None, dtype=None) -> np.ndarray:
+    """The ±1 pair-incidence matrix ``D`` of a batch of ``rows`` rows.
+
+    Row ``p`` of the first ``P = len(left)`` holds +1 at ``left[p]`` and −1
+    at ``right[p]``, so ``(D @ e)[:P]`` is ``e[left] - e[right]``; the ``R``
+    rows after them hold +1 at ``old_rows[r]``, so ``(D @ e)[P:]`` is
+    ``e[old_rows]``.  ``Dᵀ @ g`` is then the scatter-add of the gathered
+    rows' cotangents ``g`` back onto the batch, in one GEMM.
+    """
+    pairs = left.shape[0]
+    extra = 0 if old_rows is None else old_rows.shape[0]
+    matrix = np.zeros((pairs + extra, rows), dtype=dtype or default_dtype())
+    positions = np.arange(pairs)
+    matrix[positions, left] = 1.0
+    matrix[positions, right] -= 1.0  # a self-pair's row stays 0
+    if extra:
+        matrix[pairs + np.arange(extra), old_rows] = 1.0
+    return matrix
+
+
+def pilote_loss(embeddings, *, left, right, same_class, margin, variant="squared",
+                alpha=0.0, old_rows=None, teacher=None) -> np.ndarray:
+    """PILOTE's objective over a batch's embeddings, on plain arrays.
+
+    ``α · L_disti + (1 − α) · L_contra``: the contrastive term (paper Eq. 2)
+    is the mean over the pairs ``(left[i], right[i])`` with pair labels
+    ``same_class``; the distillation term (Algorithm 1, line 11) is the mean
+    squared distance of the ``old_rows`` to ``teacher``, the frozen model's
+    embeddings of those rows.  With no ``old_rows`` (or ``alpha == 0``) the
+    objective is the contrastive term alone; with an empty ``old_rows`` it
+    is ``(1 − α) · L_contra``.  This is ``pilote_step``'s objective; the
+    validation pass evaluates it on ``EmbeddingNetwork.embed`` output.
+    """
+    return _objective_forward(embeddings, left, right, same_class, margin, variant,
+                              alpha, old_rows, teacher)[0]
+
+
+def _objective_forward(embeddings, left, right, same_class, margin, variant, alpha,
+                       old_rows, teacher):
+    # Constants are materialised in the policy dtype, as the composite of
+    # row gathers, ContrastiveLoss and DistillationLoss holds them.
+    diff = embeddings[left] - embeddings[right]
+    distance2 = (diff * diff).sum(axis=1)
+    labels = np.asarray(same_class, dtype=default_dtype()).reshape(-1)
     if variant == "squared":
-        hinge_input = _constant(margin**2) - distance2
-        dissimilar = np.maximum(hinge_input, 0.0)
-        hadsell = None
+        distance = None
+        hinge = np.maximum(_constant(margin * margin) - distance2, 0.0)
+        dissimilar = hinge
     else:
-        shifted = distance2 + _constant(1e-12)
-        distance = np.sqrt(shifted)
-        hinge_input = _constant(margin) - distance
-        hinge = np.maximum(hinge_input, 0.0)
+        distance = np.sqrt(distance2 + _constant(1e-12))
+        hinge = np.maximum(_constant(margin) - distance, 0.0)
         dissimilar = hinge * hinge
-        hadsell = (shifted, distance, hinge)
-    similar_part = labels * distance2
-    dissimilar_weight = _constant(1.0) - labels
-    dissimilar_part = dissimilar_weight * dissimilar
-    per_pair = similar_part + dissimilar_part
-    total = np.asarray(per_pair.sum())
-    inverse_pairs = _constant(1.0 / per_pair.size)
-    contrastive = total * inverse_pairs
-    contrastive_nodes = (
-        pair_left, pair_right, labels, diff, squared, distance2, hinge_input, dissimilar,
-        hadsell, similar_part, dissimilar_part, dissimilar_weight, per_pair, total,
-        inverse_pairs, contrastive,
-    )
-    # the α-mix: pure contrastive without a teacher, scaled without old rows
-    distillation_nodes = contrastive_weight = None
-    if alpha <= 0.0 or old_rows is None:
-        loss = contrastive
-    elif len(old_rows) == 0:
-        contrastive_weight = _constant(1.0 - alpha)
-        loss = contrastive * contrastive_weight
+    per_pair = labels * distance2 + (_constant(1.0) - labels) * dissimilar
+    contrastive = per_pair.sum() * _constant(1.0 / diff.shape[0])
+    weight = _constant(1.0 if alpha <= 0.0 or old_rows is None else 1.0 - alpha)
+    loss = contrastive * weight
+    student_error = None
+    if alpha > 0.0 and old_rows is not None and len(old_rows) > 0:
+        student_error = embeddings[old_rows] - np.asarray(teacher, dtype=default_dtype())
+        distillation = (student_error * student_error).sum(axis=1).sum()
+        loss = distillation * _constant(1.0 / len(old_rows)) * _constant(alpha) + loss
+    saved = (embeddings.shape[0], left, right, old_rows, diff, labels, hinge, distance,
+             weight, alpha, student_error)
+    return np.asarray(loss, dtype=embeddings.dtype), saved
+
+
+def _objective_vjp(grad, saved):
+    """Cotangent of the embeddings given the loss's cotangent ``grad``."""
+    (rows, left, right, old_rows, diff, labels, hinge, distance, weight, alpha,
+     student_error) = saved
+    # d(per-pair loss)/d(d²): y - (1 - y)·[m² > d²] (squared form) or
+    # y - (1 - y)·hinge/d (Hadsell form, hinge = max(m - d, 0))
+    if distance is None:
+        slope = labels - (_constant(1.0) - labels) * (hinge > 0.0)
     else:
-        # distillation term (Algorithm 1, line 11) on the old-class rows
-        student = embeddings[old_rows]
-        old = np.asarray(teacher, dtype=default_dtype())
-        d_diff, d_squared, d_distance2 = _squared_distances(student, old)
-        d_total = np.asarray(d_distance2.sum())
-        inverse_rows = _constant(1.0 / d_distance2.size)
-        distillation = d_total * inverse_rows
-        distillation_weight = _constant(alpha)
-        contrastive_weight = _constant(1.0 - alpha)
-        weighted = (distillation * distillation_weight, contrastive * contrastive_weight)
-        loss = weighted[0] + weighted[1]
-        distillation_nodes = (
-            student, d_diff, d_squared, d_distance2, d_total, inverse_rows, distillation,
-            distillation_weight, weighted,
-        )
-    ctx.save(embeddings, left, right, old_rows, contrastive_nodes, distillation_nodes,
-             contrastive_weight)
+        slope = labels - (_constant(1.0) - labels) * hinge / distance
+    grad_pair = grad * weight * _constant(1.0 / diff.shape[0]) * 2.0
+    grad_rows = (grad_pair * slope)[:, None] * diff
+    if student_error is None:
+        old_rows = None
+    else:
+        scale = grad * _constant(alpha) * _constant(1.0 / student_error.shape[0]) * 2.0
+        grad_rows = np.concatenate([grad_rows, scale * student_error])
+    incidence = pair_incidence(left, right, rows, old_rows, diff.dtype)
+    return incidence.T @ grad_rows
+
+
+def _pilote_step_forward(ctx, x, *parameters, layers, normalize, left, right, same_class,
+                         margin, variant="squared", alpha=0.0, old_rows=None,
+                         teacher=None, batch_stats=None):
+    # The network in training mode (batch statistics in every BatchNorm),
+    # through the layer ops' own forwards; each layer's saved arrays feed
+    # the closed-form backward.
+    saved = []
+    hidden = x
+    position = 0
+    for kind, epsilon in layers:
+        layer_ctx = OpContext(kind)
+        if kind == "relu":
+            hidden = _relu_forward(layer_ctx, hidden)
+        else:
+            first, second = parameters[position:position + 2]
+            position += 2
+            if kind == "linear":
+                hidden = _linear_forward(layer_ctx, hidden, first, second)
+            else:
+                stats = []
+                hidden = _batch_norm_train_forward(
+                    layer_ctx, hidden, first, second, epsilon=epsilon, batch_stats=stats
+                )
+                if batch_stats is not None:
+                    batch_stats.append(tuple(stats))
+        saved.append(layer_ctx.saved)
+    norm = None
+    if normalize:
+        norm_ctx = OpContext("l2_normalize")
+        hidden = _l2_normalize_forward(norm_ctx, hidden, axis=1)
+        norm = norm_ctx.saved[-1]
+    loss, objective = _objective_forward(hidden, left, right, same_class, margin, variant,
+                                         alpha, old_rows, teacher)
+    ctx.save(layers, len(parameters), saved, hidden, norm, objective)
     return loss
 
 
-def _pilote_objective_vjp(ctx, grad):
-    (embeddings, left, right, old_rows, contrastive_nodes, distillation_nodes,
-     contrastive_weight) = ctx.saved
-    (pair_left, pair_right, labels, diff, squared, distance2, hinge_input, dissimilar,
-     hadsell, similar_part, dissimilar_part, dissimilar_weight, per_pair, total,
-     inverse_pairs, contrastive) = contrastive_nodes
-    shape, dtype = embeddings.shape, embeddings.dtype
-    # the α-mix
-    grad_contrastive = grad
-    if distillation_nodes is not None:
-        (student, d_diff, d_squared, d_distance2, d_total, inverse_rows, distillation,
-         distillation_weight, weighted) = distillation_nodes
-        grad_distillation = node_grad(
-            node_grad(grad, weighted[0]) * distillation_weight, distillation
-        )
-        grad_contrastive = node_grad(grad, weighted[1])
-    if contrastive_weight is not None:
-        grad_contrastive = node_grad(grad_contrastive * contrastive_weight, contrastive)
-    # contrastive: mean over pairs of y * d² + (1 - y) * hinge
-    grad_per_pair = _mean_vjp(grad_contrastive, per_pair, total, inverse_pairs)
-    grad_dissimilar = node_grad(
-        node_grad(grad_per_pair, dissimilar_part) * dissimilar_weight, dissimilar
-    )
-    if hadsell is None:
-        grad_hinge_input = node_grad(grad_dissimilar * (hinge_input > 0.0), hinge_input)
-        grad_from_hinge = -grad_hinge_input
-    else:
-        shifted, distance, hinge = hadsell
-        # hinge * hinge hands the same cotangent back twice
-        grad_square_term = node_grad(grad_dissimilar * hinge, hinge)
-        grad_hinge = grad_square_term + grad_square_term
-        grad_hinge_input = node_grad(grad_hinge * (hinge_input > 0.0), hinge_input)
-        grad_distance = node_grad(-grad_hinge_input, distance)
-        grad_from_hinge = node_grad(_sqrt_cotangent(grad_distance, distance), shifted)
-    grad_distance2 = node_grad(
-        node_grad(grad_per_pair, similar_part) * labels, distance2
-    ) + node_grad(grad_from_hinge, distance2)
-    grad_diff = _squared_distances_vjp(grad_distance2, diff, squared)
-    grad_left = node_grad(grad_diff, pair_left)
-    grad_right = node_grad(-grad_diff, pair_right)
-    # Floating-point sums are not associative: add the row scatters as the
-    # tape delivered them, (student rows + left members) + right members.
-    grad_embeddings = scatter_rows(shape, dtype, left, grad_left)
-    if distillation_nodes is not None:
-        grad_student = node_grad(_squared_distances_vjp(
-            _mean_vjp(grad_distillation, d_distance2, d_total, inverse_rows),
-            d_diff, d_squared,
-        ), student)
-        grad_embeddings = scatter_rows(shape, dtype, old_rows, grad_student) + grad_embeddings
-    return (grad_embeddings + scatter_rows(shape, dtype, right, grad_right),)
+def _pilote_step_vjp(ctx, grad):
+    layers, count, saved, embeddings, norm, objective = ctx.saved
+    upstream = _objective_vjp(grad, objective)
+    if norm is not None:
+        # embeddings = hidden / sqrt(sum(hidden²) + epsilon)
+        radial = (upstream * embeddings).sum(axis=1, keepdims=True)
+        upstream = (upstream - embeddings * radial) / norm
+    need_x = ctx.needs_input_grad[0]
+    cotangents = [None] * count
+    position = count
+    input_total = None  # the column sums of a BatchNorm's input cotangent
+    for (kind, _), values in zip(reversed(layers), reversed(saved)):
+        if kind == "linear":
+            inputs, weight, _ = values
+            position -= 2
+            cotangents[position] = inputs.T @ upstream
+            cotangents[position + 1] = (
+                upstream.sum(axis=0) if input_total is None else input_total
+            )
+            input_total = None
+            if position or need_x:
+                upstream = upstream @ weight.T
+        elif kind == "batch_norm":
+            # The three-term BatchNorm backward, written with the forward's
+            # own 1/n constant k (exact also where k is rounded to a float32
+            # policy): with g the normalised rows' cotangent,
+            # grad_centred = (g - k·normalised·Σ(g·normalised)) / std and
+            # grad_x = grad_centred - k·Σ grad_centred.
+            gamma, inverse_count = values[1], values[2]
+            std, normalised = values[10], values[11]
+            position -= 2
+            cotangents[position] = (upstream * normalised).sum(axis=0)
+            cotangents[position + 1] = upstream.sum(axis=0)
+            grad_normalised = upstream * gamma
+            spread = (grad_normalised * normalised).sum(axis=0) * inverse_count
+            grad_centred = (grad_normalised - normalised * spread) / std
+            centred_total = grad_centred.sum(axis=0)
+            upstream = grad_centred - centred_total * inverse_count
+            # Σ grad_x is (1 - n·k)·Σ grad_centred: 0 when k is exactly 1/n
+            # (the batch mean subtracts a bias that feeds this layer).  Summing
+            # ``upstream`` instead gives rounding noise, which Adam's
+            # normalisation turns into lr-sized steps in float32.
+            residual = 1.0 - upstream.shape[0] * float(inverse_count)
+            input_total = centred_total * np.asarray(residual, dtype=centred_total.dtype)
+        else:
+            (mask,) = values
+            upstream = upstream * mask
+            input_total = None
+    return (upstream if need_x else None, *cotangents)
 
 
 register_op(
-    "pilote_objective", _pilote_objective_forward, _pilote_objective_vjp,
-    doc="PILOTE's loss over a batch's embeddings: alpha * distillation + "
-        "(1 - alpha) * contrastive, with the pair and old-row gathers",
+    "pilote_step", _pilote_step_forward, _pilote_step_vjp,
+    doc="PILOTE's training loss over a batch's rows: the training-mode "
+        "Linear/BatchNorm1d/ReLU chain (optionally L2-normalised), then "
+        "alpha * distillation + (1 - alpha) * contrastive",
 )

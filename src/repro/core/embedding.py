@@ -6,12 +6,14 @@ layers, and a final linear projection into a 128-dimensional embedding space.
 Both Siamese branches share the same weights, so a single network object is
 enough; pairs are formed downstream by indexing the embedded batch.
 
-The network has two entry points over the same layer ops
-(:mod:`repro.autodiff.primitives`): :meth:`EmbeddingNetwork.forward` builds a
-tape for training (one record per layer), and :meth:`EmbeddingNetwork.embed`
-— what every inference caller uses: serving engines, herding, prototype
-refresh and the distillation teacher — runs the eval-mode forwards on plain
-numpy arrays, with no ``Tensor``, no tape and no train/eval flip.
+The network has three entry points (:mod:`repro.autodiff.primitives`):
+:meth:`EmbeddingNetwork.training_loss` is PILOTE's training step, the layers
+and the objective in one op with a closed-form backward;
+:meth:`EmbeddingNetwork.forward` builds a tape of the layer ops (one record
+per layer); and :meth:`EmbeddingNetwork.embed` — what every inference caller
+uses: serving engines, herding, prototype refresh, validation and the
+distillation teacher — runs the eval-mode forwards on plain numpy arrays,
+with no ``Tensor``, no tape and no train/eval flip.
 
 Every network carries a :attr:`EmbeddingNetwork.weights_token`: an opaque,
 O(1) key that is equal on two networks only when they are known to hold the
@@ -34,7 +36,7 @@ from repro.backend import get_backend
 from repro.backend.registry import NO_TAPE, get_op
 from repro.core.config import PiloteConfig
 from repro.exceptions import ShapeError
-from repro.nn.layers import Sequential, build_mlp
+from repro.nn.layers import BatchNorm1d, Linear, Sequential, build_mlp
 from repro.nn.module import Module
 from repro.utils.rng import RandomState
 
@@ -95,12 +97,41 @@ class EmbeddingNetwork(Module):
             embeddings = ops.l2_normalize(embeddings, axis=1)
         return embeddings
 
+    def training_loss(self, features: np.ndarray, **objective) -> Tensor:
+        """PILOTE's objective on one training batch of feature rows, as one op.
+
+        :func:`~repro.autodiff.ops.pilote_step` runs the training-mode layers
+        (batch statistics) and the objective (``objective`` are its pair,
+        margin, variant, α and distillation keywords), and its vjp computes
+        every parameter's gradient in closed form: one tape record for the
+        whole step.  Each BatchNorm's running statistics are updated from
+        the batch, as its training-mode forward would.
+        """
+        layers, parameters, norms = [], [], []
+        for layer in self.backbone.layers:
+            if isinstance(layer, Linear):
+                layers.append(("linear", None))
+                parameters += (layer.weight, layer.bias)
+            elif isinstance(layer, BatchNorm1d):
+                layers.append(("batch_norm", layer.epsilon))
+                parameters += (layer.gamma, layer.beta)
+                norms.append(layer)
+            else:
+                layers.append((type(layer).__name__.lower(), None))
+        loss, batch_stats = ops.pilote_step(
+            Tensor(features), parameters, layers=layers, normalize=self.normalize,
+            **objective,
+        )
+        for norm, (mean, variance) in zip(norms, batch_stats):
+            norm._update_running(mean, variance, features.shape[0])
+        return loss
+
     def embed(self, features: np.ndarray, *, batch_size: int = 512) -> np.ndarray:
         """Inference-mode embedding of a feature matrix, as a plain numpy program.
 
         Bit-identical to the eval-mode :meth:`forward` but builds no
         ``Tensor`` and leaves ``training`` and the BatchNorm buffers alone,
-        so it is safe mid-training (the distillation teacher) and cheap for
+        so it is safe mid-training (validation) and cheap for
         the 1-8 row calls of small-batch serving.  Large inputs are
         processed in chunks to bound peak memory on resource-constrained
         devices.
@@ -134,13 +165,6 @@ class EmbeddingNetwork(Module):
         self.weights_token = None
 
     # ------------------------------------------------------------------ #
-    def clone_frozen(self) -> "EmbeddingNetwork":
-        """Deep copy used as the frozen teacher ``φ_Θo`` for distillation."""
-        duplicate = EmbeddingNetwork(self.input_dim, config=self.config)
-        duplicate.load_state_dict(self.state_dict())
-        duplicate.eval()
-        return duplicate
-
     def describe(self) -> dict:
         """Architecture summary (used by logs, examples and the edge profiler)."""
         return {

@@ -12,7 +12,8 @@ available for pre-training and ablations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +24,21 @@ from repro.utils.rng import RandomState, resolve_rng
 
 #: Largest label (exclusive) resolved by a membership lookup table.
 _LOOKUP_LIMIT = 1 << 16
+
+
+@lru_cache(maxsize=16)
+def upper_triangle(count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(count, k=1)``, built once per ``count``.
+
+    The arrays are shared by every caller, so they are read-only: a write
+    to a :class:`PairBatch` holding them raises instead of corrupting the
+    cache.  Batches come in a few sizes (the batch size and an epoch's
+    remainder), so a small cache holds them all.
+    """
+    left, right = np.triu_indices(count, k=1)
+    left.flags.writeable = False
+    right.flags.writeable = False
+    return left, right
 
 
 @dataclass
@@ -109,7 +125,7 @@ class PairSampler:
             # Membership is resolved once per row, then gathered per pair.
             row_is_new = class_membership(labels, new_classes)
             if row_is_new.any():
-                left, right = np.triu_indices(count, k=1)
+                left, right = upper_triangle(count)
                 involves_new = row_is_new[left] | row_is_new[right]
                 return self._capped(labels, left[involves_new], right[involves_new])
             # A batch of exemplars only falls back to all pairs.
@@ -131,7 +147,7 @@ class PairSampler:
         count = labels.shape[0]
         total = count * (count - 1) // 2
         if total <= self.max_pairs:
-            left, right = np.triu_indices(count, k=1)
+            left, right = upper_triangle(count)
         else:
             chosen = self._rng.choice(total, size=self.max_pairs, replace=False)
             # Row i holds the pairs (i, i+1) .. (i, count-1), starting at offset[i].
@@ -144,7 +160,7 @@ class PairSampler:
     # ------------------------------------------------------------------ #
     def _balanced(self, labels: np.ndarray) -> PairBatch:
         count = labels.shape[0]
-        left, right = np.triu_indices(count, k=1)
+        left, right = upper_triangle(count)
         same = labels[left] == labels[right]
         positive = np.flatnonzero(same)
         negative = np.flatnonzero(~same)

@@ -28,8 +28,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.autodiff import ops
+from repro.autodiff.primitives import pilote_loss
 from repro.autodiff.tensor import Tensor
+from repro.backend.policy import default_dtype
 from repro.core.config import PiloteConfig
 from repro.core.embedding import EmbeddingNetwork
 from repro.core.exemplars import ExemplarStore
@@ -64,7 +65,6 @@ class PILOTE:
         self.config = config or PiloteConfig()
         self._rng = resolve_rng(seed if seed is not None else self.config.seed)
         self.model: Optional[EmbeddingNetwork] = None
-        self.teacher: Optional[EmbeddingNetwork] = None
         self.exemplars = ExemplarStore(
             capacity=self.config.cache_size,
             strategy=self.config.exemplar_strategy,
@@ -147,13 +147,15 @@ class PILOTE:
         self._old_classes = [int(c) for c in train.classes]
         self._new_classes = []
         self._pretrain_dataset = train
+        validation_arrays = None
+        if validation is not None and validation.n_samples > 1:
+            validation_arrays = (validation.features, validation.labels)
         history = self._run_training(
             features=train.features,
             labels=train.labels,
-            validation=validation,
+            validation=validation_arrays,
             max_epochs=self.config.max_epochs_pretrain,
             new_classes=None,
-            teacher=None,
         )
         self.build_support_set(per_class=exemplars_per_class)
         logger.info(
@@ -234,9 +236,6 @@ class PILOTE:
             raise DataError(f"classes {sorted(already_known)} are already known to the model")
         self._phase_seconds = {}
 
-        # Freeze the current model as the distillation teacher φ_Θo.
-        self.teacher = self.model.clone_frozen()
-
         support_features, support_labels = self.exemplars.as_dataset()
         combined_features = np.concatenate([support_features, new_train.features], axis=0)
         combined_labels = np.concatenate([support_labels, new_train.labels], axis=0)
@@ -257,11 +256,9 @@ class PILOTE:
         history = self._run_training(
             features=combined_features,
             labels=combined_labels,
-            validation=None,
-            validation_arrays=validation_pair,
+            validation=validation_pair,
             max_epochs=self.config.max_epochs_increment,
             new_classes=set(incoming),
-            teacher=self.teacher,
         )
 
         # Store exemplars for the new classes and refresh all prototypes.
@@ -432,13 +429,20 @@ class PILOTE:
         *,
         features: np.ndarray,
         labels: np.ndarray,
-        validation: Optional[HARDataset],
+        validation: Optional[Tuple[np.ndarray, np.ndarray]],
         max_epochs: int,
         new_classes: Optional[Set[int]],
-        teacher: Optional[EmbeddingNetwork],
-        validation_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> TrainingHistory:
-        """Shared optimisation loop for pre-training and incremental updates."""
+        """Shared optimisation loop for pre-training and incremental updates.
+
+        A training step is one op (:meth:`EmbeddingNetwork.training_loss`);
+        a validation pass evaluates the same objective on ``embed`` output,
+        on plain arrays (its scalar is handed back as a leaf ``Tensor``).  With ``new_classes`` the objective distils the
+        old-class rows towards the frozen teacher ``φ_Θo``: the model as the
+        increment starts, whose embeddings of those rows are computed here,
+        once.  The trainer batches row ids in place of labels, so each step
+        looks up its rows' labels and teacher embeddings.
+        """
         assert self.model is not None
         model = self.model
         # Training rewrites the weights in place: they are this learner's own
@@ -452,30 +456,47 @@ class PILOTE:
         eval_sampler = PairSampler(
             strategy="all", max_pairs=config.max_pairs_per_batch, rng=self._rng
         )
+        alpha = config.alpha if new_classes else 0.0
         old_class_ids = set(self._old_classes)
-        alpha = config.alpha if teacher is not None else 0.0
 
-        def joint_loss(batch_features: np.ndarray, batch_labels: np.ndarray, *, training: bool) -> Tensor:
-            batch_tensor = Tensor(batch_features)
-            embeddings = model(batch_tensor)
-            active_sampler = sampler if training else eval_sampler
-            pairs = active_sampler.sample(batch_labels, new_classes=new_classes)
-            old_rows = teacher_embeddings = None
+        def objective_inputs(rows_features, rows_labels, active_sampler):
+            """``row ids -> objective keywords`` over one set of rows."""
+            old = teacher = None
             if alpha > 0.0:
-                old_rows = np.flatnonzero(class_membership(batch_labels, old_class_ids))
-                if old_rows.size:
-                    teacher_embeddings = teacher.embed(batch_features[old_rows])
-            return ops.pilote_objective(
-                embeddings, pairs.left, pairs.right, pairs.same_class,
-                margin=config.margin, variant=config.contrastive_variant,
-                alpha=alpha, old_rows=old_rows, teacher=teacher_embeddings,
+                old = class_membership(rows_labels, old_class_ids)
+                teacher = np.zeros((len(old), model.embedding_dim), dtype=default_dtype())
+                teacher[old] = model.embed(rows_features[old])
+
+            def keywords(rows: np.ndarray) -> dict:
+                batch_labels = rows_labels[rows]
+                pairs = active_sampler.sample(batch_labels, new_classes=new_classes)
+                old_rows = old_teacher = None
+                if teacher is not None:
+                    old_rows = np.flatnonzero(old[rows])
+                    old_teacher = teacher[rows[old_rows]]
+                return dict(
+                    left=pairs.left, right=pairs.right, same_class=pairs.same_class,
+                    margin=config.margin, variant=config.contrastive_variant,
+                    alpha=alpha, old_rows=old_rows, teacher=old_teacher,
+                )
+
+            return keywords
+
+        train_inputs = objective_inputs(features, labels, sampler)
+
+        def train_loss(batch_features: np.ndarray, rows: np.ndarray) -> Tensor:
+            return model.training_loss(batch_features, **train_inputs(rows))
+
+        validation_data = validation_loss = None
+        if validation is not None:
+            validation_features, validation_labels = validation
+            validation_inputs = objective_inputs(
+                validation_features, validation_labels, eval_sampler
             )
+            validation_data = (validation_features, np.arange(len(validation_labels)))
 
-        def train_loss(batch_features: np.ndarray, batch_labels: np.ndarray) -> Tensor:
-            return joint_loss(batch_features, batch_labels, training=True)
-
-        def validation_loss(batch_features: np.ndarray, batch_labels: np.ndarray) -> Tensor:
-            return joint_loss(batch_features, batch_labels, training=False)
+            def validation_loss(batch_features: np.ndarray, rows: np.ndarray) -> Tensor:
+                return Tensor(pilote_loss(model.embed(batch_features), **validation_inputs(rows)))
 
         optimizer = Adam(model.parameters(), lr=config.learning_rate)
         scheduler = HalvingLR(optimizer)
@@ -492,17 +513,11 @@ class PILOTE:
             batch_size=config.batch_size,
             rng=self._rng,
         )
-        if validation_arrays is not None:
-            validation_data: Optional[Tuple[np.ndarray, np.ndarray]] = validation_arrays
-        elif validation is not None and validation.n_samples > 1:
-            validation_data = (validation.features, validation.labels)
-        else:
-            validation_data = None
         training_start = perf_seconds()
         history = trainer.fit(
             train_loss,
             features,
-            labels,
+            np.arange(len(labels)),
             validation=validation_data,
             validation_loss=validation_loss,
         )

@@ -10,10 +10,12 @@ The two losses at the heart of PILOTE are implemented here:
   away from the embeddings produced by the frozen pre-trained model.
 
 PILOTE's training combines them with the balancing weight ``α``
-(``L = α · L_disti + (1 − α) · L_contra``) in one op,
-:func:`repro.autodiff.ops.pilote_objective`, bit-identical to these two
-modules.  Cross-entropy and logit distillation are provided for the
-classifier-head baselines (LwF, iCaRL, fine-tuning, GDumb, EWC).
+(``L = α · L_disti + (1 − α) · L_contra``) inside its one-op training step,
+:func:`repro.autodiff.ops.pilote_step`, whose closed-form gradients match
+these two modules' to float rounding (its validation pass evaluates the same
+objective on plain arrays, :func:`repro.autodiff.primitives.pilote_loss`).
+Cross-entropy and logit distillation are provided for the classifier-head
+baselines (LwF, iCaRL, fine-tuning, GDumb, EWC).
 """
 
 from __future__ import annotations

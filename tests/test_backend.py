@@ -77,10 +77,13 @@ class TestOpRegistry:
             "relu", "sum", "max", "reshape", "transpose", "getitem",
             "concatenate", "stack", "linear", "batch_norm_train",
             "batch_norm_eval", "l2_normalize", "pairwise_squared_distance",
+            "pilote_step",
         ):
             assert expected in names
         assert is_registered("mul")
         assert not is_registered("definitely-not-an-op")
+        # The training step replaced the objective-only op.
+        assert not is_registered("pilote_objective")
 
     def test_unknown_op_raises_with_known_names(self):
         with pytest.raises(KeyError, match="known ops"):

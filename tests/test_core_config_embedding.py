@@ -104,15 +104,19 @@ class TestEmbeddingNetwork:
         embeddings = network.embed(np.random.default_rng(0).normal(size=(5, 6)))
         assert np.allclose(np.linalg.norm(embeddings, axis=1), 1.0, atol=1e-6)
 
-    def test_clone_frozen_is_identical_but_independent(self):
-        network = self._network()
-        frozen = network.clone_frozen()
-        batch = np.random.default_rng(3).normal(size=(4, 10))
-        assert np.allclose(network.embed(batch), frozen.embed(batch))
-        # Mutating the original must not affect the clone.
-        for parameter in network.parameters():
-            parameter.data += 1.0
-        assert not np.allclose(network.embed(batch), frozen.embed(batch))
+    def test_training_loss_tracks_batch_statistics_like_the_forward(self):
+        # One training step as one op updates each BatchNorm's running
+        # statistics from the batch, as a training-mode forward does.
+        ours, theirs = self._network(), self._network()
+        batch = np.random.default_rng(3).normal(size=(8, 10)) * 2.0 + 1.0
+        pairs = dict(left=np.array([0, 1, 2]), right=np.array([3, 4, 5]),
+                     same_class=np.array([1.0, 0.0, 1.0]), margin=1.0, variant="squared")
+        loss = ours.training_loss(batch, **pairs)
+        assert loss.op == "pilote_step" and loss.shape == ()
+        theirs(Tensor(batch))
+        for (name, value), (_, expected) in zip(ours.named_buffers(), theirs.named_buffers()):
+            np.testing.assert_allclose(value, expected, rtol=1e-12, err_msg=name)
+        assert not np.allclose(ours.embed(batch), self._network().embed(batch))
 
     def test_describe_reports_parameter_count(self):
         network = self._network()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import PiloteConfig
+from repro.core.embedding import EmbeddingNetwork
 from repro.core.pilote import PILOTE
 from repro.data.activities import Activity
 from repro.exceptions import DataError, NotFittedError
@@ -126,9 +127,13 @@ class TestDistillationEffect:
         )
         assert pilote_old >= retrained_old - 0.05
 
-    def test_teacher_is_frozen_copy(self, incremented_pilote):
-        assert incremented_pilote.teacher is not None
-        assert not incremented_pilote.teacher.training
+    def test_no_teacher_outlives_the_increment(self, incremented_pilote):
+        # The frozen teacher's embeddings are computed once per increment;
+        # no second copy of the network stays on the device afterwards.
+        assert not hasattr(incremented_pilote, "teacher")
+        networks = [v for v in vars(incremented_pilote).values()
+                    if isinstance(v, EmbeddingNetwork)]
+        assert networks == [incremented_pilote.model]
 
 
 class TestResourceAccounting:

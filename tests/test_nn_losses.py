@@ -109,8 +109,22 @@ class TestDistillationLoss:
             DistillationLoss()(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
 
 
+def pilote_step(embeddings, left, right, labels, **objective):
+    """``ops.pilote_step`` over one identity ``linear`` layer, so the step's
+    embeddings are exactly the given rows (``x @ I + 0``)."""
+    width = embeddings.shape[1]
+    parameters = [Tensor(np.eye(width), requires_grad=True),
+                  Tensor(np.zeros(width), requires_grad=True)]
+    loss, batch_stats = ops.pilote_step(
+        embeddings, parameters, layers=[("linear", None)], left=left, right=right,
+        same_class=labels, **objective,
+    )
+    assert batch_stats == []
+    return loss
+
+
 class TestPiloteObjective:
-    """``ops.pilote_objective``: α · L_disti + (1 − α) · L_contra as one op."""
+    """``ops.pilote_step``'s objective: α · L_disti + (1 − α) · L_contra."""
 
     @staticmethod
     def _batch(seed):
@@ -123,8 +137,8 @@ class TestPiloteObjective:
 
     def test_alpha_zero_equals_contrastive(self):
         embeddings, left, right, labels, old_rows, teacher = self._batch(5)
-        joint = ops.pilote_objective(embeddings, left, right, labels, alpha=0.0,
-                                     old_rows=old_rows, teacher=teacher)
+        joint = pilote_step(embeddings, left, right, labels, alpha=0.0,
+                            old_rows=old_rows, teacher=teacher)
         contrastive = ContrastiveLoss(margin=1.0)(embeddings[left], embeddings[right], labels)
         assert float(joint.data) == float(contrastive.data)
 
@@ -133,16 +147,16 @@ class TestPiloteObjective:
         contrastive = float(
             ContrastiveLoss(margin=1.0)(embeddings[left], embeddings[right], labels).data
         )
-        pretrain = ops.pilote_objective(embeddings, left, right, labels, alpha=0.5)
-        no_old = ops.pilote_objective(embeddings, left, right, labels, alpha=0.5,
-                                      old_rows=np.array([], dtype=np.int64))
+        pretrain = pilote_step(embeddings, left, right, labels, alpha=0.5)
+        no_old = pilote_step(embeddings, left, right, labels, alpha=0.5,
+                             old_rows=np.array([], dtype=np.int64))
         assert float(pretrain.data) == contrastive
         assert float(no_old.data) == pytest.approx(0.5 * contrastive)
 
     def test_combination_weights(self):
         embeddings, left, right, labels, old_rows, teacher = self._batch(7)
-        value = float(ops.pilote_objective(embeddings, left, right, labels, alpha=0.3,
-                                           old_rows=old_rows, teacher=teacher).data)
+        value = float(pilote_step(embeddings, left, right, labels, alpha=0.3,
+                                  old_rows=old_rows, teacher=teacher).data)
         contrastive = float(
             ContrastiveLoss(margin=1.0)(embeddings[left], embeddings[right], labels).data
         )
@@ -152,8 +166,8 @@ class TestPiloteObjective:
     def test_gradients_reach_only_gathered_rows(self):
         embeddings, _, _, labels, old_rows, teacher = self._batch(8)
         left, right = np.array([0, 1, 2, 0, 1, 3]), np.array([4, 5, 4, 6, 3, 9])
-        ops.pilote_objective(embeddings, left, right, labels, alpha=0.4,
-                             old_rows=old_rows, teacher=teacher).backward()
+        pilote_step(embeddings, left, right, labels, alpha=0.4,
+                    old_rows=old_rows, teacher=teacher).backward()
         untouched = sorted(set(range(12)) - set(left) - set(right) - set(old_rows))
         assert untouched and not embeddings.grad[untouched].any()
         assert embeddings.grad[old_rows].any(axis=1).all()
@@ -161,21 +175,26 @@ class TestPiloteObjective:
     def test_invalid_alpha(self):
         embeddings, left, right, labels, _, _ = self._batch(9)
         with pytest.raises(DataError):
-            ops.pilote_objective(embeddings, left, right, labels, alpha=1.5)
+            pilote_step(embeddings, left, right, labels, alpha=1.5)
 
     def test_invalid_construction(self):
         embeddings, left, right, labels, old_rows, teacher = self._batch(10)
         with pytest.raises(DataError):
-            ops.pilote_objective(embeddings, left, right, labels, variant="cosine")
+            pilote_step(embeddings, left, right, labels, variant="cosine")
         with pytest.raises(DataError):
-            ops.pilote_objective(embeddings, left, right, labels, margin=0.0)
+            pilote_step(embeddings, left, right, labels, margin=0.0)
         with pytest.raises(ShapeError):
-            ops.pilote_objective(embeddings, left, right[:3], labels)
+            pilote_step(embeddings, left, right[:3], labels)
         with pytest.raises(ShapeError):
-            ops.pilote_objective(embeddings, left, right, labels[:4])
+            pilote_step(embeddings, left, right, labels[:4])
         with pytest.raises(ShapeError):
-            ops.pilote_objective(embeddings, left, right, labels, alpha=0.5,
-                                 old_rows=old_rows, teacher=teacher[:2])
+            pilote_step(embeddings, left, right, labels, alpha=0.5,
+                        old_rows=old_rows, teacher=teacher[:2])
+        with pytest.raises(ShapeError):  # BatchNorm statistics need two rows
+            pilote_step(embeddings[:1], np.array([0]), np.array([0]), labels[:1])
+        with pytest.raises(DataError):
+            ops.pilote_step(embeddings, [], layers=[("dropout", None)], left=left,
+                            right=right, same_class=labels)
 
 
 class TestCrossEntropy:
