@@ -2,8 +2,12 @@
 
 Accuracy of the Pre-trained / Re-trained / PILOTE strategies on all five
 "new class" scenarios (mean ± std over rounds).  The printed table mirrors the
-paper's Table 2; the expected shape is PILOTE ≥ Re-trained on most scenarios,
-with both above the Pre-trained baseline.
+paper's Table 2.  At bench scale with seed 7 the run shows PILOTE ≥
+Re-trained on 5 of 5 scenarios.  It does not show both above the
+Pre-trained baseline: on Still neither beats it (pre-trained 0.8631,
+re-trained 0.7413, PILOTE 0.8569), and on Walk re-trained does not
+(pre-trained 0.8640, re-trained 0.8400).  The asserts below check only that
+PILOTE wins at least half the scenarios and that every method beats chance.
 """
 
 from repro.experiments import table2

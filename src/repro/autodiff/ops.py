@@ -1,13 +1,10 @@
 """Free-function tensor operations built on :class:`~repro.autodiff.tensor.Tensor`.
 
-The multi-input primitives (concatenation, stacking), the network layers
-(``linear``, batch normalisation, ``l2_normalize``), the row-wise pair
-distance and PILOTE's whole training step (network and objective) dispatch
-through the backend op registry — their forward/vjp rules live in
-:mod:`repro.autodiff.primitives` as named, individually testable records,
-one op per layer.  The remaining numerical helpers (softmax,
-log-softmax, MSE) are expressed in terms of registered primitives, so their
-tapes remain fully named without needing dedicated backward rules.
+The network layers (``linear``, batch normalisation, ``l2_normalize``), the
+row-wise pair distance and PILOTE's whole training step (network and
+objective) dispatch through the backend op registry — their forward/vjp
+rules live in :mod:`repro.autodiff.primitives` as named, individually
+testable records, one op per layer.
 """
 
 from __future__ import annotations
@@ -21,34 +18,6 @@ from repro.backend.registry import apply as _apply
 from repro.autodiff.tensor import Tensor
 from repro.exceptions import DataError, ShapeError
 from repro.utils.validation import check_probability
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient routing back to each input."""
-    if not tensors:
-        raise ShapeError("concatenate requires at least one tensor")
-    return _apply("concatenate", *tensors, axis=axis)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis."""
-    if not tensors:
-        raise ShapeError("stack requires at least one tensor")
-    return _apply("stack", *tensors, axis=axis)
-
-
-def softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    shifted = logits - Tensor(logits.data.max(axis=axis, keepdims=True))
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable ``log(softmax(x))`` along ``axis``."""
-    shifted = logits - Tensor(logits.data.max(axis=axis, keepdims=True))
-    exp = shifted.exp()
-    return shifted - exp.sum(axis=axis, keepdims=True).log()
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -160,14 +129,3 @@ def pilote_step(
     )
     return loss, batch_stats
 
-
-def euclidean_distance(a: Tensor, b: Tensor, epsilon: float = 1e-12) -> Tensor:
-    """Row-wise Euclidean distance, ``sqrt`` smoothed for differentiability at 0."""
-    return (pairwise_squared_distance(a, b) + epsilon).sqrt()
-
-
-def mean_squared_error(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error over all elements (target never receives gradient)."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction - target.detach()
-    return (diff * diff).mean()

@@ -22,8 +22,8 @@ replace — constants materialised in the policy dtype, as a ``Tensor`` leaf
 would be — and their vjps walk that graph's backward pass by hand: each
 interior cotangent is cast and reduced as ``Tensor._accumulate`` would
 (:func:`node_grad`) and contributions are summed in the order the tape
-delivered them, so the baselines, which train through these ops, are
-bit-identical to the elementwise graph.  The inference path calls the same
+delivered them, so a tape of these ops is bit-identical to the elementwise
+graph.  The inference path calls the same
 forwards on plain arrays with :data:`~repro.backend.registry.NO_TAPE`, so
 serving and training share one implementation of every layer.
 
@@ -73,7 +73,6 @@ def node_grad(grad: np.ndarray, node: np.ndarray) -> np.ndarray:
 def _constant(value: float) -> np.ndarray:
     """A scalar as a ``Tensor`` leaf holds it: in the policy dtype."""
     return np.asarray(value, dtype=default_dtype())
-
 
 # --------------------------------------------------------------------------- #
 # arithmetic
@@ -197,33 +196,6 @@ register_op("matmul", _matmul_forward, _matmul_vjp, doc="matrix product a @ b")
 # --------------------------------------------------------------------------- #
 
 
-def _exp_forward(ctx, a):
-    out = np.exp(a)
-    ctx.save(out)
-    return out
-
-
-def _exp_vjp(ctx, grad):
-    (out,) = ctx.saved
-    return (grad * out,)
-
-
-register_op("exp", _exp_forward, _exp_vjp, doc="elementwise exponential")
-
-
-def _log_forward(ctx, a):
-    ctx.save(a)
-    return np.log(a)
-
-
-def _log_vjp(ctx, grad):
-    (a,) = ctx.saved
-    return (grad / a,)
-
-
-register_op("log", _log_forward, _log_vjp, doc="elementwise natural log")
-
-
 def _sqrt_forward(ctx, a):
     out = np.sqrt(a)
     ctx.save(out)
@@ -257,34 +229,6 @@ def _relu_vjp(ctx, grad):
 register_op("relu", _relu_forward, _relu_vjp, doc="rectified linear unit")
 
 
-def _sigmoid_forward(ctx, a):
-    out = 1.0 / (1.0 + np.exp(-a))
-    ctx.save(out)
-    return out
-
-
-def _sigmoid_vjp(ctx, grad):
-    (out,) = ctx.saved
-    return (grad * out * (1.0 - out),)
-
-
-register_op("sigmoid", _sigmoid_forward, _sigmoid_vjp, doc="logistic sigmoid")
-
-
-def _tanh_forward(ctx, a):
-    out = np.tanh(a)
-    ctx.save(out)
-    return out
-
-
-def _tanh_vjp(ctx, grad):
-    (out,) = ctx.saved
-    return (grad * (1.0 - out**2),)
-
-
-register_op("tanh", _tanh_forward, _tanh_vjp, doc="hyperbolic tangent")
-
-
 def _clamp_min_forward(ctx, a, *, minimum):
     mask = a > minimum
     ctx.save(mask)
@@ -300,19 +244,6 @@ register_op(
     "clamp_min", _clamp_min_forward, _clamp_min_vjp,
     doc="elementwise max(a, minimum) with sub-gradient 0 where clipped",
 )
-
-
-def _abs_forward(ctx, a):
-    ctx.save(np.sign(a))
-    return np.abs(a)
-
-
-def _abs_vjp(ctx, grad):
-    (sign,) = ctx.saved
-    return (grad * sign,)
-
-
-register_op("abs", _abs_forward, _abs_vjp, doc="elementwise absolute value")
 
 # --------------------------------------------------------------------------- #
 # reductions
@@ -333,33 +264,6 @@ def _sum_vjp(ctx, grad):
 
 
 register_op("sum", _sum_forward, _sum_vjp, doc="sum reduction over axis")
-
-
-def _max_forward(ctx, a, *, axis=None, keepdims=False):
-    out = a.max(axis=axis, keepdims=keepdims)
-    ctx.save(a, out, axis, keepdims)
-    return out
-
-
-def _max_vjp(ctx, grad):
-    a, out, axis, keepdims = ctx.saved
-    grad = np.asarray(grad)
-    if axis is None:
-        mask = (a == out).astype(a.dtype)
-        mask /= mask.sum()
-        return (mask * grad,)
-    expanded_max = a.max(axis=axis, keepdims=True)
-    mask = (a == expanded_max).astype(a.dtype)
-    mask /= mask.sum(axis=axis, keepdims=True)
-    if not keepdims:
-        grad = np.expand_dims(grad, axis=axis)
-    return (mask * grad,)
-
-
-register_op(
-    "max", _max_forward, _max_vjp,
-    doc="max reduction (gradient split uniformly across ties)",
-)
 
 # --------------------------------------------------------------------------- #
 # shape manipulation
@@ -408,47 +312,6 @@ register_op(
     "getitem", _getitem_forward, _getitem_vjp,
     doc="basic/fancy indexing (gradient scattered with np.add.at)",
 )
-
-# --------------------------------------------------------------------------- #
-# variadic ops
-# --------------------------------------------------------------------------- #
-
-
-def _concatenate_forward(ctx, *arrays, axis=0):
-    sizes = [array.shape[axis] for array in arrays]
-    ctx.save(np.cumsum([0] + sizes), axis)
-    return np.concatenate(arrays, axis=axis)
-
-
-def _concatenate_vjp(ctx, grad):
-    offsets, axis = ctx.saved
-    grad = np.asarray(grad)
-    pieces = []
-    for start, stop in zip(offsets[:-1], offsets[1:]):
-        slicer = [slice(None)] * grad.ndim
-        slicer[axis] = slice(int(start), int(stop))
-        pieces.append(grad[tuple(slicer)])
-    return tuple(pieces)
-
-
-register_op(
-    "concatenate", _concatenate_forward, _concatenate_vjp,
-    doc="concatenation along an existing axis",
-)
-
-
-def _stack_forward(ctx, *arrays, axis=0):
-    ctx.save(len(arrays), axis)
-    return np.stack(arrays, axis=axis)
-
-
-def _stack_vjp(ctx, grad):
-    count, axis = ctx.saved
-    pieces = np.split(np.asarray(grad), count, axis=axis)
-    return tuple(np.squeeze(piece, axis=axis) for piece in pieces)
-
-
-register_op("stack", _stack_forward, _stack_vjp, doc="stacking along a new axis")
 
 # --------------------------------------------------------------------------- #
 # network layers (one op each; see the module docstring)
@@ -640,7 +503,6 @@ register_op(
     _pairwise_squared_distance_forward, _pairwise_squared_distance_vjp,
     doc="row-wise ||a_i - b_i||^2 of two (n, d) matrices",
 )
-
 
 # --------------------------------------------------------------------------- #
 # PILOTE's training step (one op; see the module docstring)

@@ -235,7 +235,7 @@ class Tensor:
 
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
-            raise TypeError("tensor exponents are not supported; use exp/log instead")
+            raise TypeError("tensor exponents are not supported")
         return _apply("pow", self, exponent=float(exponent))
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
@@ -247,30 +247,15 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # elementwise non-linearities
     # ------------------------------------------------------------------ #
-    def exp(self) -> "Tensor":
-        return _apply("exp", self)
-
-    def log(self) -> "Tensor":
-        return _apply("log", self)
-
     def sqrt(self) -> "Tensor":
         return _apply("sqrt", self)
 
     def relu(self) -> "Tensor":
         return _apply("relu", self)
 
-    def sigmoid(self) -> "Tensor":
-        return _apply("sigmoid", self)
-
-    def tanh(self) -> "Tensor":
-        return _apply("tanh", self)
-
     def clamp_min(self, minimum: float) -> "Tensor":
         """Elementwise ``max(x, minimum)`` (sub-gradient 0 where clipped)."""
         return _apply("clamp_min", self, minimum=float(minimum))
-
-    def abs(self) -> "Tensor":
-        return _apply("abs", self)
 
     # ------------------------------------------------------------------ #
     # reductions
@@ -285,9 +270,6 @@ class Tensor:
             axes = axis if isinstance(axis, tuple) else (axis,)
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return _apply("max", self, axis=axis, keepdims=keepdims)
 
     # ------------------------------------------------------------------ #
     # shape manipulation

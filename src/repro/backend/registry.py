@@ -22,10 +22,10 @@ An op's ``forward`` is also the inference program: called with
 :data:`NO_TAPE` instead of an :class:`OpContext` it runs on plain arrays and
 keeps nothing for a backward pass.  The network layers are one op each
 (``linear``, ``batch_norm_train``/``batch_norm_eval``, ``l2_normalize``), so
-serving runs the very same layer forwards with no ``Tensor`` at all and a
-baseline's training step dispatches one op per layer plus its loss.
+serving runs the very same layer forwards with no ``Tensor`` at all.
 PILOTE's whole training step — layers and objective — is one op
-(``pilote_step``): one dispatch and one tape record a step.
+(``pilote_step``): one dispatch and one tape record a step, for PILOTE and
+for the Re-trained baseline alike.
 """
 
 from __future__ import annotations

@@ -9,38 +9,17 @@ same pre-trained model:
   enriched support set, without any forgetting-mitigation term (i.e. PILOTE
   with α = 0).
 
-For context with the related work discussed in Section 2, classifier-head
-continual-learning methods are also provided: naive fine-tuning, Learning
-without Forgetting (LwF), iCaRL, GDumb, EWC and the joint-training upper
-bound.
+Both wrap a :class:`~repro.core.pilote.PILOTE` learner, so they train and
+serve through PILOTE's own code.
 """
 
-from repro.baselines.base import (
-    ClassifierConfig,
-    IncrementalLearner,
-    SoftmaxClassifier,
-    clone_pretrained,
-)
+from repro.baselines.base import IncrementalLearner, clone_pretrained
 from repro.baselines.pretrained import PretrainedBaseline
 from repro.baselines.retrained import RetrainedBaseline
-from repro.baselines.finetune import FineTuneBaseline
-from repro.baselines.lwf import LwFBaseline
-from repro.baselines.icarl import ICaRLBaseline
-from repro.baselines.gdumb import GDumbBaseline
-from repro.baselines.ewc import EWCBaseline
-from repro.baselines.joint import JointTrainingBaseline
 
 __all__ = [
     "IncrementalLearner",
-    "SoftmaxClassifier",
-    "ClassifierConfig",
     "clone_pretrained",
     "PretrainedBaseline",
     "RetrainedBaseline",
-    "FineTuneBaseline",
-    "LwFBaseline",
-    "ICaRLBaseline",
-    "GDumbBaseline",
-    "EWCBaseline",
-    "JointTrainingBaseline",
 ]

@@ -72,7 +72,6 @@ class EmbeddingNetwork(Module):
         self.backbone: Sequential = build_mlp(
             layer_sizes,
             batch_norm=self.config.batch_norm,
-            activation="relu",
             rng=rng if rng is not None else self.config.seed,
         )
         self.normalize = bool(self.config.normalize_embeddings)

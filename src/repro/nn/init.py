@@ -7,26 +7,12 @@ import numpy as np
 from repro.utils.rng import RandomState, resolve_rng
 
 
-def xavier_uniform(shape, rng: RandomState = None) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation for (fan_in, fan_out) weight matrices."""
-    generator = resolve_rng(rng)
-    fan_in, fan_out = _fans(shape)
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return generator.uniform(-limit, limit, size=shape)
-
-
 def he_uniform(shape, rng: RandomState = None) -> np.ndarray:
     """He/Kaiming uniform initialisation, suited to ReLU networks."""
     generator = resolve_rng(rng)
     fan_in, _ = _fans(shape)
     limit = np.sqrt(6.0 / fan_in)
     return generator.uniform(-limit, limit, size=shape)
-
-
-def normal_init(shape, std: float = 0.01, rng: RandomState = None) -> np.ndarray:
-    """Zero-mean Gaussian initialisation with the given standard deviation."""
-    generator = resolve_rng(rng)
-    return generator.normal(0.0, std, size=shape)
 
 
 def zeros_init(shape) -> np.ndarray:

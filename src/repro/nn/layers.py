@@ -1,9 +1,9 @@
-"""Layers used by the PILOTE backbone: Linear, BatchNorm1d, ReLU, Dropout, Sequential.
+"""Layers used by the PILOTE backbone: Linear, BatchNorm1d, ReLU, Sequential.
 
 Each layer's arithmetic is one registered op (:mod:`repro.autodiff.primitives`):
 ``forward`` dispatches it on tensors — one tape record per layer — and
 ``array_forward`` calls the same op's forward on a plain array with no tape,
-in eval mode (tracked BatchNorm statistics, Dropout off).  A chain of
+in eval mode (tracked BatchNorm statistics).  A chain of
 ``array_forward`` calls is the network's inference program; it is
 bit-identical to the eval-mode ``forward`` and never touches ``training``.
 """
@@ -28,8 +28,6 @@ from repro.utils.rng import RandomState, resolve_rng
 _LINEAR = get_op("linear").forward
 _BATCH_NORM_EVAL = get_op("batch_norm_eval").forward
 _RELU = get_op("relu").forward
-_SIGMOID = get_op("sigmoid").forward
-_TANH = get_op("tanh").forward
 
 
 class Linear(Module):
@@ -89,69 +87,6 @@ class ReLU(Module):
 
     def __repr__(self) -> str:
         return "ReLU()"
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid activation."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.sigmoid()
-
-    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
-        return _SIGMOID(NO_TAPE, inputs)
-
-    def __repr__(self) -> str:
-        return "Sigmoid()"
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.tanh()
-
-    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
-        return _TANH(NO_TAPE, inputs)
-
-    def __repr__(self) -> str:
-        return "Tanh()"
-
-
-class Identity(Module):
-    """Pass-through layer (useful as a configurable no-op)."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs
-
-    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
-        return inputs
-
-    def __repr__(self) -> str:
-        return "Identity()"
-
-
-class Dropout(Module):
-    """Inverted dropout; active only in training mode."""
-
-    def __init__(self, p: float = 0.5, rng: RandomState = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = float(p)
-        self._rng = resolve_rng(rng)
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return inputs
-        keep = 1.0 - self.p
-        mask = (self._rng.random(inputs.shape) < keep).astype(inputs.data.dtype) / keep
-        return inputs * Tensor(mask, dtype=inputs.data.dtype)
-
-    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
-        return inputs
-
-    def __repr__(self) -> str:
-        return f"Dropout(p={self.p})"
 
 
 class BatchNorm1d(Module):
@@ -270,23 +205,17 @@ def build_mlp(
     layer_sizes: Sequence[int],
     *,
     batch_norm: bool = True,
-    activation: str = "relu",
-    final_activation: Optional[str] = None,
-    dropout: float = 0.0,
     rng: RandomState = None,
 ) -> Sequential:
     """Construct a fully connected network from a list of layer widths.
 
     ``layer_sizes = [in, h1, ..., out]`` produces ``len(layer_sizes) - 1``
-    linear layers.  Batch normalisation and the activation are applied after
-    every layer except the last, matching the paper's backbone description
+    linear layers.  Batch normalisation and ReLU are applied after every
+    layer except the last, matching the paper's backbone description
     (BatchNorm + ReLU on the first four layers, linear projection at the end).
     """
     if len(layer_sizes) < 2:
         raise ShapeError("build_mlp requires at least an input and an output size")
-    activations = {"relu": ReLU, "sigmoid": Sigmoid, "tanh": Tanh, "identity": Identity}
-    if activation not in activations:
-        raise ValueError(f"unknown activation {activation!r}; choose from {sorted(activations)}")
     generator = resolve_rng(rng)
     model = Sequential()
     last_index = len(layer_sizes) - 2
@@ -295,9 +224,5 @@ def build_mlp(
         if index < last_index:
             if batch_norm:
                 model.append(BatchNorm1d(fan_out))
-            model.append(activations[activation]())
-            if dropout > 0.0:
-                model.append(Dropout(dropout, rng=generator))
-        elif final_activation is not None:
-            model.append(activations[final_activation]())
+            model.append(ReLU())
     return model

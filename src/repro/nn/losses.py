@@ -14,8 +14,8 @@ PILOTE's training combines them with the balancing weight ``α``
 :func:`repro.autodiff.ops.pilote_step`, whose closed-form gradients match
 these two modules' to float rounding (its validation pass evaluates the same
 objective on plain arrays, :func:`repro.autodiff.primitives.pilote_loss`).
-Cross-entropy and logit distillation are provided for the classifier-head
-baselines (LwF, iCaRL, fine-tuning, GDumb, EWC).
+The two modules stay as the per-layer-graph reference those gradients are
+checked against.
 """
 
 from __future__ import annotations
@@ -118,63 +118,3 @@ class DistillationLoss(Module):
         squared = ops.pairwise_squared_distance(new_embeddings, old)
         return squared.mean() if self.reduction == "mean" else squared.sum()
 
-
-class CrossEntropyLoss(Module):
-    """Softmax cross-entropy against integer class labels."""
-
-    def __init__(self, reduction: str = "mean") -> None:
-        super().__init__()
-        if reduction not in ("mean", "sum"):
-            raise ValueError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
-        self.reduction = reduction
-
-    def forward(self, logits: Tensor, labels) -> Tensor:
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-        if logits.ndim != 2:
-            raise ShapeError(f"logits must be 2-D (batch, classes), got {logits.shape}")
-        if labels.shape[0] != logits.shape[0]:
-            raise ShapeError(
-                f"expected {logits.shape[0]} labels, got {labels.shape[0]}"
-            )
-        if labels.min() < 0 or labels.max() >= logits.shape[1]:
-            raise ShapeError(
-                f"labels must be in [0, {logits.shape[1] - 1}], got range "
-                f"[{labels.min()}, {labels.max()}]"
-            )
-        log_probabilities = ops.log_softmax(logits, axis=1)
-        picked = log_probabilities[np.arange(labels.shape[0]), labels]
-        loss = -picked
-        return loss.mean() if self.reduction == "mean" else loss.sum()
-
-
-class LogitDistillationLoss(Module):
-    """Hinton-style knowledge distillation on classifier logits.
-
-    Used by the LwF and iCaRL baselines: the new model's (temperature-scaled)
-    probabilities on old classes are pulled towards those of the old model.
-    """
-
-    def __init__(self, temperature: float = 2.0) -> None:
-        super().__init__()
-        if temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
-        self.temperature = float(temperature)
-
-    def forward(self, new_logits: Tensor, old_logits: Tensor) -> Tensor:
-        old = old_logits.detach() if isinstance(old_logits, Tensor) else Tensor(old_logits)
-        if new_logits.shape != old.shape:
-            raise ShapeError(
-                f"logit shapes must match, got {new_logits.shape} vs {old.shape}"
-            )
-        temperature = self.temperature
-        new_log_probs = ops.log_softmax(new_logits * (1.0 / temperature), axis=1)
-        old_probs = ops.softmax(Tensor(old.data * (1.0 / temperature)), axis=1)
-        per_sample = -(Tensor(old_probs.data) * new_log_probs).sum(axis=1)
-        return per_sample.mean()
-
-
-class MSELoss(Module):
-    """Mean squared error (targets treated as constants)."""
-
-    def forward(self, prediction: Tensor, target) -> Tensor:
-        return ops.mean_squared_error(prediction, target if isinstance(target, Tensor) else Tensor(target))

@@ -1,4 +1,4 @@
-"""Gradient-descent optimisers (SGD with momentum, Adam)."""
+"""The Adam optimiser PILOTE trains with, behind a small optimiser interface."""
 
 from __future__ import annotations
 
@@ -33,42 +33,6 @@ class Optimizer:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = float(lr)
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for parameter in self.parameters:
-            if parameter.grad is None:
-                continue
-            gradient = parameter.grad
-            if self.weight_decay:
-                gradient = gradient + self.weight_decay * parameter.data
-            if self.momentum:
-                velocity = self._velocity.get(id(parameter))
-                if velocity is None:
-                    velocity = np.zeros_like(parameter.data)
-                velocity = self.momentum * velocity + gradient
-                self._velocity[id(parameter)] = velocity
-                update = velocity
-            else:
-                update = gradient
-            parameter.data = parameter.data - self.lr * update
 
 
 class _FlatGroup:
@@ -134,7 +98,6 @@ class Adam(Optimizer):
         lr: float = 0.01,
         betas: tuple = (0.9, 0.999),
         epsilon: float = 1e-8,
-        weight_decay: float = 0.0,
     ) -> None:
         super().__init__(parameters, lr)
         beta1, beta2 = betas
@@ -143,7 +106,6 @@ class Adam(Optimizer):
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
-        self.weight_decay = float(weight_decay)
         self._step_count = 0
         self._groups: Optional[List[_FlatGroup]] = None
 
@@ -180,8 +142,6 @@ class Adam(Optimizer):
         gradient = np.concatenate(
             [parameters[i].grad.ravel() for i in live], out=group.gradient[:size]
         )
-        if self.weight_decay:
-            gradient = gradient + self.weight_decay * values
         term, denominator = group.temporaries[:, :size]
         # first = beta1 * first + (1 - beta1) * gradient
         first *= self.beta1

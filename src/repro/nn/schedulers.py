@@ -33,13 +33,6 @@ class LRScheduler:
         return self.optimizer.lr
 
 
-class ConstantLR(LRScheduler):
-    """Keep the learning rate fixed."""
-
-    def compute_lr(self, epoch: int) -> float:
-        return self.base_lr
-
-
 class HalvingLR(LRScheduler):
     """Halve the learning rate after every epoch (paper's schedule).
 
@@ -55,32 +48,3 @@ class HalvingLR(LRScheduler):
     def compute_lr(self, epoch: int) -> float:
         return max(self.base_lr * (0.5**epoch), self.min_lr)
 
-
-class StepLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int = 10, gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        if not 0 < gamma <= 1:
-            raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-
-    def compute_lr(self, epoch: int) -> float:
-        return self.base_lr * (self.gamma ** (epoch // self.step_size))
-
-
-class ExponentialDecayLR(LRScheduler):
-    """Exponential decay ``lr = base * decay^epoch``."""
-
-    def __init__(self, optimizer: Optimizer, decay: float = 0.95, min_lr: float = 1e-6) -> None:
-        super().__init__(optimizer)
-        if not 0 < decay <= 1:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
-        self.decay = float(decay)
-        self.min_lr = float(min_lr)
-
-    def compute_lr(self, epoch: int) -> float:
-        return max(self.base_lr * (self.decay**epoch), self.min_lr)

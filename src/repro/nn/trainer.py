@@ -2,8 +2,7 @@
 
 The paper stops training "when the difference of validation loss between
 epochs is less than a small threshold, 0.0001 for five consecutive steps";
-:class:`EarlyStopping` implements exactly that criterion (plus an optional
-patience-on-increase mode used by some baselines).
+:class:`EarlyStopping` implements exactly that criterion.
 """
 
 from __future__ import annotations
@@ -29,44 +28,30 @@ class EarlyStopping:
     """Plateau-based early stopping.
 
     Training stops once the absolute change in validation loss stays below
-    ``threshold`` for ``patience`` consecutive epochs (the paper's rule), or —
-    when ``mode="increase"`` — once the loss has not improved for ``patience``
-    epochs.
+    ``threshold`` for ``patience`` consecutive epochs (the paper's rule).
     """
 
-    def __init__(self, threshold: float = 1e-4, patience: int = 5, mode: str = "plateau") -> None:
+    def __init__(self, threshold: float = 1e-4, patience: int = 5) -> None:
         if patience <= 0:
             raise ValueError(f"patience must be positive, got {patience}")
-        if mode not in ("plateau", "increase"):
-            raise ValueError(f"mode must be 'plateau' or 'increase', got {mode!r}")
         self.threshold = float(threshold)
         self.patience = int(patience)
-        self.mode = mode
         self._previous: Optional[float] = None
-        self._best: float = np.inf
         self._streak = 0
 
     def update(self, validation_loss: float) -> bool:
         """Record a new validation loss; return ``True`` when training should stop."""
         loss = float(validation_loss)
-        if self.mode == "plateau":
-            if self._previous is not None and abs(self._previous - loss) < self.threshold:
-                self._streak += 1
-            else:
-                self._streak = 0
-            self._previous = loss
+        if self._previous is not None and abs(self._previous - loss) < self.threshold:
+            self._streak += 1
         else:
-            if loss < self._best - self.threshold:
-                self._best = loss
-                self._streak = 0
-            else:
-                self._streak += 1
+            self._streak = 0
+        self._previous = loss
         return self._streak >= self.patience
 
     def reset(self) -> None:
         """Clear the internal state so the object can be reused."""
         self._previous = None
-        self._best = np.inf
         self._streak = 0
 
 
@@ -99,8 +84,8 @@ class Trainer:
 
     The trainer is loss-agnostic: the caller supplies ``batch_loss``, a
     function mapping a mini-batch ``(X, y)`` to a scalar loss tensor.  This is
-    what lets the same loop serve the Siamese contrastive objective, the joint
-    PILOTE objective and the cross-entropy baselines.
+    what lets the same loop serve PILOTE's pre-training (contrastive only) and
+    its incremental update (the joint objective).
     """
 
     def __init__(

@@ -508,15 +508,18 @@ class _BatchFuture(PendingResult):
         return self._my_error()
 
     def result(self) -> PredictResponse:
-        self._ensure_done()
-        error = self._my_error()
-        if error is not None:
-            raise error
         batch = self._batch
-        offsets = batch.offsets()
-        class_ids = batch.outputs[offsets[self._index]:offsets[self._index + 1]]
+        # Every answer is read here: an answered batch skips the calls.
+        if not batch.finished or batch.errors is not None or batch.error is not None:
+            self._ensure_done()
+            error = self._my_error()
+            if error is not None:
+                raise error
+        offsets = batch._offsets or batch.offsets()
+        index = self._index
         return PredictResponse(
-            self.request, class_ids, batch.device_id, batch.completion
+            self.request, batch.outputs[offsets[index]:offsets[index + 1]],
+            batch.device_id, batch.completion,
         )
 
     # ------------------------------------------------------------------ #

@@ -97,11 +97,6 @@ class TestReductionsAndShapes:
         data = np.arange(12.0).reshape(3, 4)
         assert np.allclose(Tensor(data).mean(axis=0).data, data.mean(axis=0))
 
-    def test_max_global_and_axis(self):
-        data = np.array([[1.0, 5.0], [3.0, 2.0]])
-        assert Tensor(data).max().data == pytest.approx(5.0)
-        assert np.allclose(Tensor(data).max(axis=0).data, [3.0, 5.0])
-
     def test_reshape_and_transpose(self):
         tensor = Tensor(np.arange(6.0))
         assert tensor.reshape(2, 3).shape == (2, 3)
@@ -115,9 +110,6 @@ class TestReductionsAndShapes:
 
     def test_clamp_min(self):
         assert np.allclose(Tensor([-1.0, 2.0]).clamp_min(0.0).data, [0.0, 2.0])
-
-    def test_abs(self):
-        assert np.allclose(Tensor([-1.5, 2.0]).abs().data, [1.5, 2.0])
 
 
 class TestBackwardBasics:

@@ -5,8 +5,9 @@ Each network layer (``linear``, ``batch_norm_train``, ``batch_norm_eval``,
 ``l2_normalize``) and the loss's ``pairwise_squared_distance`` is a single
 registered op whose forward and vjp redo, by hand, the arithmetic of the
 elementwise ``Tensor`` graph that used to implement it: every forward and
-every input cotangent must be ``np.array_equal`` to it (the baselines train
-through these ops).  The composite forms survive below only as references,
+every input cotangent must be ``np.array_equal`` to it (``EmbeddingNetwork
+.forward`` builds its tape from these ops).  The composite forms survive
+below only as references,
 together with the composite objective (gathers through ``getitem``, whose
 vjp scatters with ``np.add.at``, then ``ContrastiveLoss`` and
 ``DistillationLoss``), the per-parameter Adam loop and the
@@ -35,6 +36,7 @@ from repro.autodiff.gradcheck import check_gradients
 from repro.autodiff.primitives import batch_norm_eval_constants
 from repro.autodiff.tensor import Tensor, no_grad
 from repro.backend import get_backend, precision
+from repro.baselines.retrained import RetrainedBaseline
 from repro.core.embedding import EmbeddingNetwork
 from repro.core.pairs import PairBatch, PairSampler, upper_triangle
 from repro.core.pilote import PILOTE
@@ -131,8 +133,6 @@ def reference_adam_step(self):
         if parameter.grad is None:
             continue
         gradient = parameter.grad
-        if self.weight_decay:
-            gradient = gradient + self.weight_decay * parameter.data
         key = id(parameter)
         first = first_moment.get(key)
         second = second_moment.get(key)
@@ -668,12 +668,11 @@ class TestFlatAdam:
     @pytest.mark.parametrize("dtypes", [
         ("float64",) * 4, ("float32",) * 4, ("float32", "float64", "float32", "float64"),
     ])
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_matches_the_per_parameter_loop(self, dtypes, weight_decay):
+    def test_matches_the_per_parameter_loop(self, dtypes):
         flat_params = self._parameters(dtypes)
         ref_params = self._parameters(dtypes)
-        flat = Adam(flat_params, lr=0.05, weight_decay=weight_decay)
-        reference = Adam(ref_params, lr=0.05, weight_decay=weight_decay)
+        flat = Adam(flat_params, lr=0.05)
+        reference = Adam(ref_params, lr=0.05)
         never = 3  # this parameter's grad stays None
         untouched = flat_params[never].data
         rng = np.random.default_rng(12)
@@ -784,10 +783,10 @@ class TestDispatchCount:
     """Counted the way the benchmark tracer counts: calls of the ``_apply``
     that ``repro.autodiff.tensor`` and ``repro.autodiff.ops`` bind."""
 
-    def test_a_training_step_dispatches_one_op_and_validation_none(
-        self, pretrained_pilote, run_scenario, tiny_config, monkeypatch
-    ):
-        edge = package_for_edge(pretrained_pilote).instantiate_learner(tiny_config, seed=0)
+    @staticmethod
+    def _assert_one_per_step(monkeypatch, run):
+        """``run()`` trains once: each training step dispatches one op, each
+        validation pass none, and nothing else dispatches."""
         dispatches = [0]
 
         def counting(apply):
@@ -809,11 +808,14 @@ class TestDispatchCount:
                 return out
             return wrapper
 
+        histories = []
+
         def counted_fit(self, batch_loss, features, labels, *, validation=None,
                         validation_loss=None):
-            return fit(self, measured("train", batch_loss), features, labels,
-                       validation=validation,
-                       validation_loss=measured("validation", validation_loss))
+            histories.append(fit(self, measured("train", batch_loss), features, labels,
+                                 validation=validation,
+                                 validation_loss=measured("validation", validation_loss)))
+            return histories[-1]
 
         steps = [0]
         adam_step = Adam.step
@@ -824,15 +826,33 @@ class TestDispatchCount:
 
         monkeypatch.setattr(Trainer, "fit", counted_fit)
         monkeypatch.setattr(Adam, "step", counted_step)
-        history = edge.learn_new_classes(run_scenario.new_train, run_scenario.new_validation)
+        run()
 
         train = [count for kind, count in per_call if kind == "train"]
         validation = [count for kind, count in per_call if kind == "validation"]
         assert train == [1] * steps[0] and steps[0] > 0
-        assert validation == [0] * len(history.validation_losses) and validation
+        assert len(histories) == 1
+        assert validation == [0] * len(histories[0].validation_losses) and validation
         # Herding, the teacher, validation and prototype refresh run on
         # plain arrays.
         assert dispatches[0] == steps[0]
+
+    def test_a_training_step_dispatches_one_op_and_validation_none(
+        self, pretrained_pilote, run_scenario, tiny_config, monkeypatch
+    ):
+        edge = package_for_edge(pretrained_pilote).instantiate_learner(tiny_config, seed=0)
+        self._assert_one_per_step(monkeypatch, lambda: edge.learn_new_classes(
+            run_scenario.new_train, run_scenario.new_validation))
+
+    def test_the_retrained_baseline_dispatches_one_op_a_step_and_validation_none(
+        self, pretrained_pilote, run_scenario, monkeypatch
+    ):
+        """Table 2's Re-trained strategy (PILOTE with α = 0) trains through
+        the same one-op step."""
+        baseline = RetrainedBaseline(pretrained=pretrained_pilote)
+        self._assert_one_per_step(monkeypatch, lambda: baseline.learn_increment(
+            run_scenario.new_train, run_scenario.new_validation))
+        assert baseline.learner.config.alpha == 0.0
 
 
 # --------------------------------------------------------------------------- #

@@ -1,6 +1,6 @@
 """Additional coverage for small public APIs not exercised elsewhere:
-weight initialisers, the loss modules called functionally, multi-input op
-error paths and the edge-device profile catalogue."""
+weight initialisers, the loss modules called functionally, op error paths
+and the edge-device profile catalogue."""
 
 import numpy as np
 import pytest
@@ -9,36 +9,24 @@ from repro.autodiff import ops
 from repro.autodiff.tensor import Tensor
 from repro.edge.device import DEVICE_PROFILES
 from repro.exceptions import ShapeError
-from repro.nn.init import he_uniform, normal_init, xavier_uniform, zeros_init
+from repro.nn.init import he_uniform, zeros_init
 from repro.nn.losses import ContrastiveLoss, DistillationLoss
 
 
 class TestInitializers:
-    def test_xavier_bounds(self):
-        weights = xavier_uniform((50, 30), rng=0)
-        limit = np.sqrt(6.0 / (50 + 30))
-        assert weights.shape == (50, 30)
-        assert np.all(np.abs(weights) <= limit + 1e-12)
-
     def test_he_bounds(self):
         weights = he_uniform((40, 20), rng=0)
         limit = np.sqrt(6.0 / 40)
         assert np.all(np.abs(weights) <= limit + 1e-12)
 
-    def test_he_is_wider_than_xavier_for_wide_outputs(self):
-        he = he_uniform((10, 1000), rng=0)
-        xavier = xavier_uniform((10, 1000), rng=0)
-        assert he.std() > xavier.std()
-
-    def test_normal_and_zeros(self):
-        assert abs(normal_init((2000,), std=0.05, rng=0).std() - 0.05) < 0.01
+    def test_zeros(self):
         assert np.all(zeros_init((3, 3)) == 0.0)
 
     def test_deterministic_given_seed(self):
-        assert np.allclose(xavier_uniform((5, 5), rng=3), xavier_uniform((5, 5), rng=3))
+        assert np.allclose(he_uniform((5, 5), rng=3), he_uniform((5, 5), rng=3))
 
     def test_vector_shapes_supported(self):
-        assert xavier_uniform((7,), rng=0).shape == (7,)
+        assert he_uniform((7,), rng=0).shape == (7,)
 
 
 def _numpy_contrastive(left, right, same_class, *, margin=1.0, variant="squared"):
@@ -106,21 +94,9 @@ class TestFunctionalLossWrappers:
 
 
 class TestOpsErrorPaths:
-    def test_concatenate_empty_list(self):
-        with pytest.raises(ShapeError):
-            ops.concatenate([])
-
-    def test_stack_empty_list(self):
-        with pytest.raises(ShapeError):
-            ops.stack([])
-
     def test_pairwise_distance_shape_mismatch(self):
         with pytest.raises(ShapeError):
             ops.pairwise_squared_distance(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))))
-
-    def test_concatenate_accepts_raw_arrays(self):
-        result = ops.concatenate([np.ones((2, 2)), np.zeros((1, 2))], axis=0)
-        assert result.shape == (3, 2)
 
 
 class TestDeviceProfiles:

@@ -7,13 +7,7 @@ from repro.autodiff import ops
 from repro.autodiff.gradcheck import check_gradients
 from repro.autodiff.tensor import Tensor
 from repro.exceptions import DataError, ShapeError
-from repro.nn.losses import (
-    ContrastiveLoss,
-    CrossEntropyLoss,
-    DistillationLoss,
-    LogitDistillationLoss,
-    MSELoss,
-)
+from repro.nn.losses import ContrastiveLoss, DistillationLoss
 
 
 def _pair(seed, n=6, d=4):
@@ -196,56 +190,3 @@ class TestPiloteObjective:
             ops.pilote_step(embeddings, [], layers=[("dropout", None)], left=left,
                             right=right, same_class=labels)
 
-
-class TestCrossEntropy:
-    def test_perfect_prediction_low_loss(self):
-        logits = Tensor(np.array([[10.0, -10.0], [-10.0, 10.0]]))
-        assert float(CrossEntropyLoss()(logits, [0, 1]).data) < 1e-6
-
-    def test_uniform_prediction_is_log_n(self):
-        logits = Tensor(np.zeros((3, 4)))
-        assert float(CrossEntropyLoss()(logits, [0, 1, 2]).data) == pytest.approx(np.log(4))
-
-    def test_sum_reduction(self):
-        logits = Tensor(np.zeros((2, 2)))
-        assert float(CrossEntropyLoss(reduction="sum")(logits, [0, 1]).data) == pytest.approx(
-            2 * np.log(2)
-        )
-
-    def test_gradients(self):
-        logits = Tensor(np.random.default_rng(0).normal(size=(5, 3)), requires_grad=True)
-        labels = np.array([0, 1, 2, 1, 0])
-        assert check_gradients(lambda t: CrossEntropyLoss()(t[0], labels), [logits])
-
-    def test_label_out_of_range_raises(self):
-        with pytest.raises(ShapeError):
-            CrossEntropyLoss()(Tensor(np.zeros((2, 2))), [0, 5])
-
-    def test_requires_2d_logits(self):
-        with pytest.raises(ShapeError):
-            CrossEntropyLoss()(Tensor(np.zeros(4)), [0])
-
-
-class TestLogitDistillationAndMSE:
-    def test_logit_distillation_minimised_at_equality(self):
-        logits = np.random.default_rng(0).normal(size=(4, 3))
-        loss = LogitDistillationLoss(temperature=2.0)
-        base = float(loss(Tensor(logits), Tensor(logits)).data)
-        perturbed = float(loss(Tensor(logits + 1.5), Tensor(logits)).data)
-        assert base <= perturbed
-
-    def test_logit_distillation_gradients(self):
-        new = Tensor(np.random.default_rng(1).normal(size=(4, 3)), requires_grad=True)
-        old = np.random.default_rng(2).normal(size=(4, 3))
-        loss = LogitDistillationLoss()
-        assert check_gradients(lambda t: loss(t[0], Tensor(old)), [new])
-
-    def test_logit_distillation_invalid_temperature(self):
-        with pytest.raises(ValueError):
-            LogitDistillationLoss(temperature=0.0)
-
-    def test_mse_loss_value_and_gradient(self):
-        prediction = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-        target = np.array([[0.0, 0.0]])
-        assert float(MSELoss()(prediction, target).data) == pytest.approx(2.5)
-        assert check_gradients(lambda t: MSELoss()(t[0], target), [prediction])

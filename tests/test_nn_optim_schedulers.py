@@ -5,8 +5,8 @@ import pytest
 
 from repro.autodiff.tensor import Tensor
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.schedulers import ConstantLR, ExponentialDecayLR, HalvingLR, StepLR
+from repro.nn.optim import Adam, Optimizer
+from repro.nn.schedulers import HalvingLR
 
 
 def _quadratic_step(optimizer, parameter):
@@ -18,35 +18,12 @@ def _quadratic_step(optimizer, parameter):
 
 
 class TestOptimizers:
-    def test_sgd_descends_quadratic(self):
-        parameter = Parameter(np.array([4.0, -2.0]))
-        optimizer = SGD([parameter], lr=0.1)
-        initial = float((parameter.data**2).sum())
-        for _ in range(50):
-            _quadratic_step(optimizer, parameter)
-        assert float((parameter.data**2).sum()) < initial * 1e-3
-
-    def test_sgd_momentum_converges(self):
-        parameter = Parameter(np.array([4.0, -2.0]))
-        optimizer = SGD([parameter], lr=0.05, momentum=0.9)
-        for _ in range(250):
-            _quadratic_step(optimizer, parameter)
-        assert np.allclose(parameter.data, 0.0, atol=1e-2)
-
     def test_adam_descends_quadratic(self):
         parameter = Parameter(np.array([4.0, -2.0, 1.0]))
         optimizer = Adam([parameter], lr=0.2)
         for _ in range(120):
             _quadratic_step(optimizer, parameter)
         assert np.allclose(parameter.data, 0.0, atol=1e-2)
-
-    def test_weight_decay_shrinks_parameters(self):
-        parameter = Parameter(np.array([1.0]))
-        optimizer = SGD([parameter], lr=0.1, weight_decay=1.0)
-        optimizer.zero_grad()
-        (parameter * 0.0).sum().backward()
-        optimizer.step()
-        assert parameter.data[0] < 1.0
 
     def test_skip_parameters_without_grad(self):
         used = Parameter(np.array([1.0]))
@@ -58,16 +35,14 @@ class TestOptimizers:
     def test_invalid_hyperparameters(self):
         parameter = Parameter(np.array([1.0]))
         with pytest.raises(ValueError):
-            SGD([parameter], lr=-1.0)
-        with pytest.raises(ValueError):
-            SGD([parameter], lr=0.1, momentum=1.5)
+            Adam([parameter], lr=-1.0)
         with pytest.raises(ValueError):
             Adam([parameter], lr=0.1, betas=(1.5, 0.9))
         with pytest.raises(ValueError):
             Adam([], lr=0.1)
 
     def test_set_lr_validation(self):
-        optimizer = SGD([Parameter(np.array([1.0]))], lr=0.1)
+        optimizer = Adam([Parameter(np.array([1.0]))], lr=0.1)
         with pytest.raises(ValueError):
             optimizer.set_lr(0.0)
 
@@ -79,7 +54,7 @@ class TestOptimizers:
 
 class TestSchedulers:
     def _optimizer(self, lr=0.01):
-        return SGD([Parameter(np.array([1.0]))], lr=lr)
+        return Adam([Parameter(np.array([1.0]))], lr=lr)
 
     def test_halving_schedule_matches_paper(self):
         optimizer = self._optimizer(0.01)
@@ -95,38 +70,13 @@ class TestSchedulers:
             scheduler.step()
         assert optimizer.lr == pytest.approx(1e-3)
 
-    def test_constant_schedule(self):
-        optimizer = self._optimizer(0.05)
-        scheduler = ConstantLR(optimizer)
-        scheduler.step()
-        assert optimizer.lr == pytest.approx(0.05)
-
-    def test_step_schedule(self):
-        optimizer = self._optimizer(1.0)
-        scheduler = StepLR(optimizer, step_size=2, gamma=0.1)
-        rates = [scheduler.step() for _ in range(4)]
-        assert rates == pytest.approx([1.0, 0.1, 0.1, 0.01])
-
-    def test_exponential_decay(self):
-        optimizer = self._optimizer(1.0)
-        scheduler = ExponentialDecayLR(optimizer, decay=0.5)
-        assert scheduler.step() == pytest.approx(0.5)
-        assert scheduler.step() == pytest.approx(0.25)
-
     def test_current_lr_property(self):
         optimizer = self._optimizer(0.3)
-        scheduler = ConstantLR(optimizer)
+        scheduler = HalvingLR(optimizer)
         assert scheduler.current_lr == pytest.approx(0.3)
+        scheduler.step()
+        assert scheduler.current_lr == pytest.approx(0.15)
 
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda opt: HalvingLR(opt, min_lr=0.0),
-            lambda opt: StepLR(opt, step_size=0),
-            lambda opt: StepLR(opt, gamma=0.0),
-            lambda opt: ExponentialDecayLR(opt, decay=1.5),
-        ],
-    )
-    def test_invalid_scheduler_arguments(self, factory):
+    def test_invalid_scheduler_arguments(self):
         with pytest.raises(ValueError):
-            factory(self._optimizer())
+            HalvingLR(self._optimizer(), min_lr=0.0)

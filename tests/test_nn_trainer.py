@@ -5,7 +5,7 @@ import pytest
 
 from repro.autodiff.tensor import Tensor
 from repro.nn.layers import Linear, Sequential, ReLU
-from repro.nn.losses import CrossEntropyLoss, MSELoss
+from repro.nn.losses import ContrastiveLoss
 from repro.nn.optim import Adam
 from repro.nn.schedulers import HalvingLR
 from repro.nn.trainer import EarlyStopping, Trainer, TrainingHistory
@@ -28,12 +28,6 @@ class TestEarlyStopping:
         assert not stopper.update(0.50001)
         assert not stopper.update(0.500011)
 
-    def test_increase_mode(self):
-        stopper = EarlyStopping(threshold=0.0, patience=2, mode="increase")
-        stopper.update(1.0)
-        assert not stopper.update(1.1)
-        assert stopper.update(1.2)
-
     def test_reset(self):
         stopper = EarlyStopping(threshold=1e-4, patience=1)
         stopper.update(1.0)
@@ -44,8 +38,6 @@ class TestEarlyStopping:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             EarlyStopping(patience=0)
-        with pytest.raises(ValueError):
-            EarlyStopping(mode="bogus")
 
 
 class TestTrainingHistory:
@@ -67,10 +59,10 @@ class TestTrainer:
         true_weights = rng.normal(size=(5, 1))
         targets = features @ true_weights
         model = Sequential(Linear(5, 1, rng=seed))
-        criterion = MSELoss()
 
         def batch_loss(batch_x, batch_y):
-            return criterion(model(Tensor(batch_x)), batch_y.reshape(-1, 1))
+            error = model(Tensor(batch_x)) - Tensor(batch_y.reshape(-1, 1))
+            return (error * error).mean()
 
         return model, batch_loss, features, targets
 
@@ -138,15 +130,22 @@ class TestTrainer:
         features = np.concatenate([rng.normal(-2, 1, size=(60, 4)), rng.normal(2, 1, size=(60, 4))])
         labels = np.array([0] * 60 + [1] * 60)
         model = Sequential(Linear(4, 8, rng=0), ReLU(), Linear(8, 2, rng=1))
-        criterion = CrossEntropyLoss()
+        criterion = ContrastiveLoss(margin=2.0)
 
         def batch_loss(batch_x, batch_y):
-            return criterion(model(Tensor(batch_x)), batch_y)
+            # every pair of the batch, as PILOTE's "all" pair strategy draws them
+            left, right = np.triu_indices(len(batch_y), k=1)
+            embeddings = model(Tensor(batch_x))
+            return criterion(embeddings[left], embeddings[right], batch_y[left] == batch_y[right])
 
         trainer = Trainer(model, Adam(model.parameters(), lr=0.05), max_epochs=10, batch_size=16, rng=0)
-        trainer.fit(batch_loss, features, labels)
-        predictions = np.argmax(model(Tensor(features)).data, axis=1)
-        assert (predictions == labels).mean() > 0.9
+        history = trainer.fit(batch_loss, features, labels)
+        assert history.train_losses[-1] < history.train_losses[0]
+        # nearest class mean in the learned embedding space (paper Eq. 1)
+        embeddings = model(Tensor(features)).data
+        means = np.stack([embeddings[labels == c].mean(axis=0) for c in (0, 1)])
+        distances = ((embeddings[:, None, :] - means[None]) ** 2).sum(axis=2)
+        assert (np.argmin(distances, axis=1) == labels).mean() > 0.9
 
     def test_minibatch_iteration_covers_all_samples(self):
         model, batch_loss, features, targets = self._regression_setup(4)

@@ -58,13 +58,6 @@ class TestForwardAlgebra:
 
     @given(small_matrix())
     @settings(**SETTINGS)
-    def test_softmax_rows_sum_to_one(self, data):
-        result = ops.softmax(Tensor(data), axis=1).data
-        assert np.allclose(result.sum(axis=1), 1.0)
-        assert np.all(result >= 0)
-
-    @given(small_matrix())
-    @settings(**SETTINGS)
     def test_l2_normalize_unit_norm(self, data):
         normalised = ops.l2_normalize(Tensor(data + 0.1), axis=1).data
         norms = np.linalg.norm(normalised, axis=1)
@@ -93,7 +86,7 @@ class TestGradientProperties:
     def test_elementwise_chain_matches_finite_differences(self, data):
         tensor = Tensor(data, requires_grad=True)
         assert check_gradients(
-            lambda t: ((t[0] * 0.5).tanh() + (t[0] ** 2)).sum(), [tensor],
+            lambda t: (((t[0] * 0.5) ** 2 + 1.0).sqrt() + (t[0] ** 2)).sum(), [tensor],
             atol=1e-4, rtol=1e-3,
         )
 
