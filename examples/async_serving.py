@@ -95,7 +95,7 @@ async def server_demo(learner, pool) -> None:
                           connections=3, window=16, slo_target_ms=1000.0)
     print()
     print(load.to_text())
-    # LoadReport.to_dict()/to_json() is the same export the stats endpoint
+    # LoadReport.to_dict() is the same export the stats endpoint
     # and `pilote bench-client` ship — ready for dashboards.
     print(f"\njson export keys: {sorted(load.to_dict())}")
 

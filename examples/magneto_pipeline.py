@@ -3,8 +3,10 @@
 Unlike the other examples (which start from the ready-made feature dataset),
 this one exercises every substrate end to end, the way a deployment would:
 
-1. simulate raw 22-channel sensor recordings for each activity;
-2. preprocess (denoise, window, extract the 80 statistical features, z-score);
+1. simulate one-second windows of raw 22-channel sensor data per activity
+   (the generator emits fixed-length windows, so nothing is denoised or
+   re-windowed);
+2. extract the 80 statistical features from each window and z-score them;
 3. pre-train on the cloud and package the model + support set;
 4. "ship" the package to an edge device with a storage budget;
 5. learn a newly observed activity on the device and profile the update
@@ -65,7 +67,7 @@ def main() -> None:
     history = platform.cloud_pretrain(
         scenario.old_train, scenario.old_validation, exemplars_per_class=100
     )
-    print(f"[cloud] {history.epochs_run} epochs, final loss {history.final_train_loss():.4f}")
+    print(f"[cloud] {history.epochs_run} epochs, final loss {history.train_losses[-1]:.4f}")
 
     package = platform.deploy_to_edge()
     print("[transfer] shipped to the edge device:")

@@ -107,7 +107,7 @@ def main() -> None:
     history = learner.pretrain(
         scenario.old_train, scenario.old_validation, exemplars_per_class=100
     )
-    print(f"pre-training: {history.epochs_run} epochs, final loss {history.final_train_loss():.4f}")
+    print(f"pre-training: {history.epochs_run} epochs, final loss {history.train_losses[-1]:.4f}")
 
     old_test = scenario.test.select_classes(scenario.old_classes)
     print(f"accuracy on old classes before the increment: {learner.evaluate(old_test):.4f}")

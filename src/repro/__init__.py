@@ -50,7 +50,8 @@ Fleet serving
 
 :mod:`repro.fleet` scales the single-device pipeline out to many devices
 behind one cloud broadcast: :class:`~repro.fleet.FleetCoordinator` provisions
-and deploys the fleet (``MagnetoPlatform.to_fleet(n)`` is the one-liner),
+and deploys the fleet (``fleet.provision(n)`` then
+``fleet.deploy(cloud.export_package())``),
 :class:`~repro.fleet.TrafficGenerator` replays seeded uniform/bursty/Zipf
 workloads, and :class:`~repro.fleet.CheckpointStore` snapshots/restores
 device state under a storage budget.  Run the end-to-end simulation with

@@ -19,7 +19,7 @@ from repro.analysis.engine import (
     render_text,
     run_lint,
 )
-from repro.analysis.rules import RULES, Rule, default_rules, list_rules, make_rule, register_rule
+from repro.analysis.rules import RULES, Rule, default_rules, register_rule
 from repro.analysis.sanitizer import (
     AccessLog,
     AccessRecord,
@@ -39,9 +39,7 @@ __all__ = [
     "Rule",
     "RULES",
     "register_rule",
-    "make_rule",
     "default_rules",
-    "list_rules",
     "AccessLog",
     "AccessRecord",
     "RecordingProxy",

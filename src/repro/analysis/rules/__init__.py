@@ -2,8 +2,8 @@
 
 Mirrors the registry shape of :mod:`repro.backend.registry`: each rule is a
 class with a stable ``rule_id``, registered in a module-level dict, looked up
-by id through a factory that raises :class:`~repro.exceptions.AnalysisError`
-for unknown names.  The engine (:mod:`repro.analysis.engine`) stays rule-
+by id (the engine's ``select`` raises :class:`~repro.exceptions.AnalysisError`
+for unknown ids).  The engine (:mod:`repro.analysis.engine`) stays rule-
 agnostic; adding a rule is "write the class, call :func:`register_rule`".
 
 Shipped rules
@@ -30,12 +30,15 @@ Shipped rules
 ``repro-roundtrip``
     Public dataclasses with ``to_dict`` must define a field-complete
     ``from_dict``.
+``repro-unused``
+    Every function, class and method is referenced somewhere in the tree
+    beyond its definition, imports and ``__all__``.
 """
 
 from __future__ import annotations
 
 import fnmatch
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.analysis.engine import FileContext, Finding
 from repro.exceptions import AnalysisError
@@ -44,9 +47,7 @@ __all__ = [
     "Rule",
     "RULES",
     "register_rule",
-    "make_rule",
     "default_rules",
-    "list_rules",
 ]
 
 
@@ -122,31 +123,9 @@ def register_rule(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
-def make_rule(rule_id: str) -> Rule:
-    """Instantiate the registered rule ``rule_id``.
-
-    Raises
-    ------
-    AnalysisError
-        If ``rule_id`` is not registered.
-    """
-    try:
-        cls = RULES[rule_id]
-    except KeyError:
-        raise AnalysisError(
-            f"unknown rule id {rule_id!r}; registered: {sorted(RULES)}"
-        ) from None
-    return cls()
-
-
 def default_rules() -> List[Rule]:
     """One fresh instance of every registered rule, in registration order."""
     return [cls() for cls in RULES.values()]
-
-
-def list_rules() -> List[Tuple[str, str]]:
-    """``(rule_id, description)`` pairs for every registered rule."""
-    return [(rule_id, cls.description) for rule_id, cls in RULES.items()]
 
 
 # Import rule modules for their registration side effects.
@@ -156,3 +135,4 @@ from repro.analysis.rules import errors as _errors  # noqa: E402,F401
 from repro.analysis.rules import registries as _registries  # noqa: E402,F401
 from repro.analysis.rules import locks as _locks  # noqa: E402,F401
 from repro.analysis.rules import roundtrip as _roundtrip  # noqa: E402,F401
+from repro.analysis.rules import unused as _unused  # noqa: E402,F401

@@ -286,7 +286,7 @@ class Sanitizer:
             "clean": not self.log.violations,
         }
 
-    def assert_clean(self) -> None:
+    def assert_clean(self) -> None:  # repro: noqa[repro-unused] test tooling: tests/conftest.py
         """Raise :class:`~repro.exceptions.SanitizerViolationError` if any
         cross-thread write was observed."""
         if not self.log.violations:
@@ -303,7 +303,7 @@ class Sanitizer:
 
 
 @contextmanager
-def auto_sanitize() -> Iterator[Sanitizer]:
+def auto_sanitize() -> Iterator[Sanitizer]:  # repro: noqa[repro-unused] test tooling: tests/conftest.py
     """Attach one shared :class:`Sanitizer` to every client built inside.
 
     Patches ``ServingClient.__init__`` for the duration of the context so

@@ -12,7 +12,7 @@ ultimately the PILOTE model are built, replacing the PyTorch dependency of
 the original paper.
 """
 
-from repro.autodiff.tensor import Tensor, no_grad, is_grad_enabled
+from repro.autodiff.tensor import Tensor, no_grad
 from repro.autodiff import ops
 from repro.autodiff import primitives
 from repro.autodiff.gradcheck import check_gradients, numerical_gradient
@@ -20,7 +20,6 @@ from repro.autodiff.gradcheck import check_gradients, numerical_gradient
 __all__ = [
     "Tensor",
     "no_grad",
-    "is_grad_enabled",
     "ops",
     "primitives",
     "check_gradients",

@@ -49,7 +49,7 @@ def numerical_gradient(
     return grad.reshape(target.data.shape)
 
 
-def check_gradients(
+def check_gradients(  # repro: noqa[repro-unused] test oracle: tests/test_registered_ops.py
     function: Callable[[Sequence[Tensor]], Tensor],
     inputs: Sequence[Tensor],
     *,

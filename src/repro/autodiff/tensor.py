@@ -38,11 +38,6 @@ ArrayLike = Union[float, int, np.ndarray, Sequence, "Tensor"]
 _GRAD_ENABLED = True
 
 
-def is_grad_enabled() -> bool:
-    """Return whether gradient recording is currently enabled."""
-    return _GRAD_ENABLED
-
-
 @contextlib.contextmanager
 def no_grad():
     """Context manager disabling graph construction (cheaper inference)."""

@@ -27,7 +27,6 @@ from repro.backend.registry import (
     OpSpec,
     apply,
     get_op,
-    is_registered,
     list_ops,
     register_op,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "OpSpec",
     "apply",
     "get_op",
-    "is_registered",
     "list_ops",
     "register_op",
 ]

@@ -14,7 +14,7 @@ Every caller reaches the one process-wide instance through
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -60,24 +60,6 @@ class NumpyBackend:
         squared = q_sq[:, None] - 2.0 * (queries @ references.T) + r_sq[None, :]
         np.maximum(squared, 0.0, out=squared)
         return np.sqrt(squared, out=squared)
-
-    def grouped_means(
-        self, values: np.ndarray, groups: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-group row means: returns ``(unique_groups, (g, d) means)``."""
-        values = np.asarray(values)
-        groups = np.asarray(groups).reshape(-1)
-        if values.ndim != 2:
-            raise ShapeError(f"grouped_means requires 2-D values, got {values.shape}")
-        if groups.shape[0] != values.shape[0]:
-            raise ShapeError(
-                f"got {groups.shape[0]} group ids for {values.shape[0]} rows"
-            )
-        unique, inverse = np.unique(groups, return_inverse=True)
-        sums = np.zeros((unique.shape[0], values.shape[1]), dtype=values.dtype)
-        np.add.at(sums, inverse, values)
-        counts = np.bincount(inverse, minlength=unique.shape[0])
-        return unique, sums / counts[:, None]
 
 
 _BACKEND = NumpyBackend()

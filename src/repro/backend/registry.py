@@ -110,13 +110,9 @@ def get_op(name: str) -> OpSpec:
         ) from None
 
 
-def list_ops() -> Tuple[str, ...]:
+def list_ops() -> Tuple[str, ...]:  # repro: noqa[repro-unused] test oracle: tests/test_registered_ops.py
     """Sorted names of every registered op."""
     return tuple(sorted(_REGISTRY))
-
-
-def is_registered(name: str) -> bool:
-    return name in _REGISTRY
 
 
 def bind_tensor(tensor_cls) -> None:
@@ -125,7 +121,7 @@ def bind_tensor(tensor_cls) -> None:
     _TENSOR_CLS = tensor_cls
 
 
-def apply(name: str, *inputs, **kwargs):
+def apply(name: str, *inputs, **kwargs):  # repro: noqa[repro-unused] called as _apply; perfbench/tracing.py
     """Apply a registered op to tensors, recording a named tape entry.
 
     ``inputs`` may mix tensors and array-likes; non-tensors are promoted.

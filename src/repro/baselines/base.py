@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 import copy
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,16 +29,22 @@ def clone_pretrained(learner: PILOTE) -> PILOTE:
 
 
 class IncrementalLearner(abc.ABC):
-    """Common interface of every incremental-learning method in the library."""
+    """Common interface of every incremental-learning method in the library.
+
+    A method wraps its own deep copy of the shared pre-trained learner
+    (``pretrained``), so comparing methods never mutates the original.
+    """
 
     #: Human-readable method name used in result tables.
     name: str = "incremental-learner"
 
-    @abc.abstractmethod
-    def fit_base(
-        self, train: HARDataset, validation: Optional[HARDataset] = None
-    ) -> "IncrementalLearner":
-        """Train on the initially available (old-class) data."""
+    def __init__(self, *, pretrained: PILOTE) -> None:
+        self._learner = clone_pretrained(pretrained)
+
+    @property
+    def learner(self) -> PILOTE:
+        """The wrapped PILOTE learner (exposed for inspection in experiments)."""
+        return self._learner
 
     @abc.abstractmethod
     def learn_increment(
@@ -46,17 +52,11 @@ class IncrementalLearner(abc.ABC):
     ) -> "IncrementalLearner":
         """Integrate new-class data arriving after the base training."""
 
-    @abc.abstractmethod
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict class ids for feature rows."""
+        return self._learner.inference_engine().predict(features)
 
     def evaluate(self, dataset: HARDataset) -> float:
         """Accuracy on a labelled dataset."""
         predictions = self.predict(dataset.features)
         return float(np.mean(predictions == dataset.labels))
-
-    @property
-    @abc.abstractmethod
-    def known_classes(self) -> List[int]:
-        """Class ids the learner can currently predict."""
-

@@ -9,62 +9,17 @@ the edge; only a prototype for the new class is added to the NCM classifier.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-import numpy as np
-
-from repro.baselines.base import IncrementalLearner, clone_pretrained
-from repro.core.config import PiloteConfig
-from repro.core.pilote import PILOTE
+from repro.baselines.base import IncrementalLearner
 from repro.data.dataset import HARDataset
 from repro.exceptions import NotFittedError
-from repro.utils.rng import RandomState
 
 
 class PretrainedBaseline(IncrementalLearner):
-    """Frozen pre-trained embedding + new-class prototypes (no edge training).
-
-    Parameters
-    ----------
-    config:
-        PILOTE configuration used if :meth:`fit_base` performs the
-        pre-training itself.
-    pretrained:
-        An already pre-trained :class:`PILOTE` learner to start from (deep
-        copied); this is how the experiment harness shares one pre-trained
-        model between all compared methods.
-    """
+    """Frozen pre-trained embedding + new-class prototypes (no edge training)."""
 
     name = "pre-trained"
-
-    def __init__(
-        self,
-        config: Optional[PiloteConfig] = None,
-        *,
-        pretrained: Optional[PILOTE] = None,
-        seed: RandomState = None,
-    ) -> None:
-        if pretrained is not None:
-            self._learner = clone_pretrained(pretrained)
-        else:
-            self._learner = PILOTE(config, seed=seed)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def learner(self) -> PILOTE:
-        """The wrapped PILOTE learner (exposed for inspection in experiments)."""
-        return self._learner
-
-    @property
-    def known_classes(self) -> List[int]:
-        return self._learner.classes_
-
-    def fit_base(
-        self, train: HARDataset, validation: Optional[HARDataset] = None
-    ) -> "PretrainedBaseline":
-        if not self._learner.is_pretrained:
-            self._learner.pretrain(train, validation)
-        return self
 
     def learn_increment(
         self, new_train: HARDataset, new_validation: Optional[HARDataset] = None
@@ -72,7 +27,7 @@ class PretrainedBaseline(IncrementalLearner):
         """Add new-class prototypes without touching the embedding network."""
         learner = self._learner
         if not learner.is_pretrained:
-            raise NotFittedError("fit_base() must run before learn_increment()")
+            raise NotFittedError("learn_increment() needs a pre-trained learner")
         counts = learner.exemplars.exemplars_per_class()
         budget = max(counts.values()) if counts else None
         for class_id in new_train.classes:
@@ -89,6 +44,3 @@ class PretrainedBaseline(IncrementalLearner):
             learner._new_classes = sorted(set(learner._new_classes) | {int(class_id)})
         learner._refresh_prototypes()
         return self
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return self._learner.inference_engine().predict(features)

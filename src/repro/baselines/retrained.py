@@ -9,16 +9,11 @@ is exactly what exposes it to catastrophic forgetting.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-import numpy as np
-
-from repro.baselines.base import IncrementalLearner, clone_pretrained
-from repro.core.config import PiloteConfig
-from repro.core.pilote import PILOTE
+from repro.baselines.base import IncrementalLearner
 from repro.data.dataset import HARDataset
 from repro.exceptions import NotFittedError
-from repro.utils.rng import RandomState
 
 
 class RetrainedBaseline(IncrementalLearner):
@@ -26,45 +21,14 @@ class RetrainedBaseline(IncrementalLearner):
 
     name = "re-trained"
 
-    def __init__(
-        self,
-        config: Optional[PiloteConfig] = None,
-        *,
-        pretrained: Optional[PILOTE] = None,
-        seed: RandomState = None,
-    ) -> None:
-        if pretrained is not None:
-            self._learner = clone_pretrained(pretrained)
-        else:
-            self._learner = PILOTE(config, seed=seed)
-
-    @property
-    def learner(self) -> PILOTE:
-        """The wrapped PILOTE learner (exposed for inspection in experiments)."""
-        return self._learner
-
-    @property
-    def known_classes(self) -> List[int]:
-        return self._learner.classes_
-
-    def fit_base(
-        self, train: HARDataset, validation: Optional[HARDataset] = None
-    ) -> "RetrainedBaseline":
-        if not self._learner.is_pretrained:
-            self._learner.pretrain(train, validation)
-        return self
-
     def learn_increment(
         self, new_train: HARDataset, new_validation: Optional[HARDataset] = None
     ) -> "RetrainedBaseline":
         """Re-train on support set ∪ new samples with the contrastive loss only."""
         if not self._learner.is_pretrained:
-            raise NotFittedError("fit_base() must run before learn_increment()")
+            raise NotFittedError("learn_increment() needs a pre-trained learner")
         # Disable the distillation term: α = 0 turns the joint loss into the
         # pure contrastive objective on the enriched support set.
         self._learner.config = self._learner.config.with_overrides(alpha=0.0)
         self._learner.learn_new_classes(new_train, new_validation)
         return self
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return self._learner.inference_engine().predict(features)

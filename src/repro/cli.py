@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULES",
         help="comma-separated lint rule ids to run (default: all; "
-        "see repro.analysis.list_rules)",
+        "see repro.analysis.RULES)",
     )
     parser.add_argument(
         "--path",

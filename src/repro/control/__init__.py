@@ -44,7 +44,6 @@ from repro.control.hedging import HedgedRequests, HedgedResult, HedgeStats
 from repro.control.plane import Controller, ControlPlane, default_controllers
 from repro.control.shedding import LoadShedder
 from repro.control.signals import ControlSignals, SignalBus
-from repro.exceptions import ConfigurationError
 
 __all__ = [
     "CHAOS_SCENARIOS",
@@ -63,7 +62,6 @@ __all__ = [
     "SignalBus",
     "StragglerDevice",
     "default_controllers",
-    "make_controller",
     "run_chaos",
     "run_suite",
 ]
@@ -74,14 +72,3 @@ CONTROLLERS = {
     HedgedRequests.name: HedgedRequests,
     PoolAutoscaler.name: PoolAutoscaler,
 }
-
-
-def make_controller(name: str, **options) -> Controller:
-    """Build a registered controller by name (``CONTROLLERS`` key)."""
-    try:
-        cls = CONTROLLERS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown controller {name!r}; available: {sorted(CONTROLLERS)}"
-        ) from None
-    return cls(**options)

@@ -72,7 +72,7 @@ class HedgeStats:
     def losers_resolved(self) -> int:
         return self.losers_cancelled + self.losers_served + self.losers_failed
 
-    def consistent(self) -> bool:
+    def consistent(self) -> bool:  # repro: noqa[repro-unused] test oracle: tests/test_control.py
         """The exactly-once invariant over fully-resolved pairs."""
         return (
             self.settled == self.fired

@@ -17,7 +17,7 @@ from repro.core.config import PiloteConfig
 from repro.core.embedding import EmbeddingNetwork
 from repro.core.pairs import PairBatch, PairSampler
 from repro.core.exemplars import ExemplarStore, herding_selection, random_selection
-from repro.core.prototypes import PrototypeStore, compute_class_prototypes
+from repro.core.prototypes import PrototypeStore
 from repro.core.ncm import NCMClassifier
 from repro.core.pilote import PILOTE
 from repro.core.persistence import load_pilote, save_pilote
@@ -31,7 +31,6 @@ __all__ = [
     "herding_selection",
     "random_selection",
     "PrototypeStore",
-    "compute_class_prototypes",
     "NCMClassifier",
     "PILOTE",
     "save_pilote",

@@ -225,13 +225,6 @@ class ExemplarStore:
     def remove(self, class_id: int) -> None:
         self._exemplars.pop(int(class_id), None)
 
-    def rebalance(self, per_class: int) -> None:
-        """Trim every class to at most ``per_class`` exemplars (keeps selection order)."""
-        if per_class <= 0:
-            raise DataError(f"per_class must be positive, got {per_class}")
-        for class_id, rows in list(self._exemplars.items()):
-            self._exemplars[class_id] = rows[:per_class]
-
     # ------------------------------------------------------------------ #
     def as_dataset(self) -> Tuple[np.ndarray, np.ndarray]:
         """All exemplars as ``(features, labels)`` arrays (the support set ``D_0``)."""

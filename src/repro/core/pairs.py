@@ -60,18 +60,6 @@ class PairBatch:
         if not (self.left.shape == self.right.shape == self.same_class.shape):
             raise DataError("pair index arrays must share the same shape")
 
-    @property
-    def n_pairs(self) -> int:
-        return int(self.left.shape[0])
-
-    @property
-    def n_positive(self) -> int:
-        return int(self.same_class.sum())
-
-    @property
-    def n_negative(self) -> int:
-        return self.n_pairs - self.n_positive
-
 
 class PairSampler:
     """Builds :class:`PairBatch` objects from mini-batch labels.
@@ -200,19 +188,3 @@ def class_membership(labels: np.ndarray, classes) -> np.ndarray:
     table = np.zeros(high + 1, dtype=bool)
     table[ids[(ids >= 0) & (ids <= high)]] = True
     return table[labels]
-
-
-def count_contrastive_pairs(class_counts: dict, new_classes: Optional[set] = None) -> int:
-    """Number of pairs formed under the paper's complexity discussion.
-
-    With ``new_classes`` given, only pairs involving at least one new-class
-    sample are counted (PILOTE's reduced pair set); otherwise all within-batch
-    pairs are counted.
-    """
-    total = int(sum(class_counts.values()))
-    all_pairs = total * (total - 1) // 2
-    if not new_classes:
-        return all_pairs
-    old_total = int(sum(c for k, c in class_counts.items() if k not in new_classes))
-    old_pairs = old_total * (old_total - 1) // 2
-    return all_pairs - old_pairs

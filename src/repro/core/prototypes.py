@@ -2,7 +2,7 @@
 
 A class prototype ``μ_y`` is the mean embedding of the class's exemplar set
 (Eq. 1 of the paper).  The :class:`PrototypeStore` keeps one prototype per
-class and supports incremental updates as exemplar sets change.
+class; PILOTE recomputes them whenever its exemplar sets change.
 """
 
 from __future__ import annotations
@@ -11,33 +11,7 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.exceptions import DataError, NotFittedError
-
-
-def compute_class_prototypes(
-    embeddings: np.ndarray, labels: np.ndarray
-) -> Dict[int, np.ndarray]:
-    """Mean embedding per class.
-
-    Parameters
-    ----------
-    embeddings:
-        ``(n, d)`` embedding matrix.
-    labels:
-        ``(n,)`` integer class ids.
-    """
-    backend = get_backend()
-    embeddings = backend.asarray(embeddings)
-    labels = np.asarray(labels).reshape(-1)
-    if embeddings.ndim != 2:
-        raise DataError(f"embeddings must be 2-D, got shape {embeddings.shape}")
-    if labels.shape[0] != embeddings.shape[0]:
-        raise DataError(
-            f"got {labels.shape[0]} labels for {embeddings.shape[0]} embeddings"
-        )
-    class_ids, means = backend.grouped_means(embeddings, labels)
-    return {int(class_id): mean for class_id, mean in zip(class_ids, means)}
 
 
 class PrototypeStore:
@@ -71,11 +45,6 @@ class PrototypeStore:
             )
         self._prototypes[int(class_id)] = prototype
         self._version += 1
-
-    def update_from(self, embeddings: np.ndarray, labels: np.ndarray) -> None:
-        """Recompute prototypes for every class present in ``labels``."""
-        for class_id, prototype in compute_class_prototypes(embeddings, labels).items():
-            self.set(class_id, prototype)
 
     def get(self, class_id: int) -> np.ndarray:
         if int(class_id) not in self._prototypes:

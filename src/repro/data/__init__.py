@@ -13,7 +13,6 @@ from repro.data.activities import (
     ACTIVITY_NAMES,
     Activity,
     activity_from_name,
-    activity_names,
 )
 from repro.data.sensors import SensorSuite, default_sensor_suite
 from repro.data.synthetic import (
@@ -23,19 +22,11 @@ from repro.data.synthetic import (
     make_feature_dataset,
 )
 from repro.data.dataset import DatasetSplits, HARDataset, train_val_test_split
-from repro.data.loaders import (
-    load_dataset_csv,
-    load_dataset_npz,
-    save_dataset_csv,
-    save_dataset_npz,
-)
 from repro.data.streams import IncrementalScenario, build_incremental_scenario
-from repro.data.imbalance import class_counts, imbalance_ratio, make_imbalanced, subsample_class
 
 __all__ = [
     "Activity",
     "ACTIVITY_NAMES",
-    "activity_names",
     "activity_from_name",
     "SensorSuite",
     "default_sensor_suite",
@@ -46,14 +37,6 @@ __all__ = [
     "HARDataset",
     "DatasetSplits",
     "train_val_test_split",
-    "load_dataset_npz",
-    "save_dataset_npz",
-    "load_dataset_csv",
-    "save_dataset_csv",
     "IncrementalScenario",
     "build_incremental_scenario",
-    "class_counts",
-    "imbalance_ratio",
-    "make_imbalanced",
-    "subsample_class",
 ]

@@ -40,12 +40,9 @@ _DISPLAY_NAMES = {
 ACTIVITY_NAMES: List[str] = [_DISPLAY_NAMES[a] for a in Activity]
 
 
-def activity_names() -> List[str]:
-    """Return the five activity display names in class-id order."""
-    return list(ACTIVITY_NAMES)
-
-
-def activity_from_name(name: str) -> Activity:
+def activity_from_name(  # repro: noqa[repro-unused] examples/incremental_new_activity.py
+    name: str,
+) -> Activity:
     """Look up an :class:`Activity` from its display name (case-insensitive)."""
     normalised = name.strip().lower().replace("_", "-")
     for activity, display in _DISPLAY_NAMES.items():

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class HARDataset:
     def __len__(self) -> int:
         return self.n_samples
 
-    def class_name(self, class_id: int) -> str:
+    def class_name(self, class_id: int) -> str:  # repro: noqa[repro-unused] examples/quickstart.py
         """Display name of a class (falls back to ``class_<id>``)."""
         return self.label_names.get(int(class_id), f"class_{int(class_id)}")
 
@@ -68,12 +68,6 @@ class HARDataset:
             labels=self.labels[mask],
             label_names=dict(self.label_names),
         )
-
-    def exclude_classes(self, classes: Iterable[int]) -> "HARDataset":
-        """Return the sub-dataset without the given classes."""
-        unwanted = set(int(c) for c in classes)
-        keep = [int(c) for c in self.classes if int(c) not in unwanted]
-        return self.select_classes(keep)
 
     def class_subset(self, class_id: int) -> np.ndarray:
         """Feature rows of a single class."""
@@ -106,35 +100,6 @@ class HARDataset:
             label_names=dict(self.label_names),
         )
 
-    def shuffled(self, rng: RandomState = None) -> "HARDataset":
-        """Return a row-shuffled copy."""
-        generator = resolve_rng(rng)
-        order = generator.permutation(self.n_samples)
-        return HARDataset(
-            features=self.features[order],
-            labels=self.labels[order],
-            label_names=dict(self.label_names),
-        )
-
-    def merge(self, other: "HARDataset") -> "HARDataset":
-        """Concatenate two datasets with the same feature dimensionality."""
-        if self.n_features != other.n_features:
-            raise DataError(
-                f"cannot merge datasets with {self.n_features} and {other.n_features} features"
-            )
-        names = dict(self.label_names)
-        names.update(other.label_names)
-        return HARDataset(
-            features=np.concatenate([self.features, other.features], axis=0),
-            labels=np.concatenate([self.labels, other.labels], axis=0),
-            label_names=names,
-        )
-
-    def class_distribution(self) -> Dict[int, int]:
-        """Mapping ``class id -> sample count``."""
-        values, counts = np.unique(self.labels, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
-
 
 @dataclass
 class DatasetSplits:
@@ -143,9 +108,6 @@ class DatasetSplits:
     train: HARDataset
     validation: HARDataset
     test: HARDataset
-
-    def sizes(self) -> Tuple[int, int, int]:
-        return self.train.n_samples, self.validation.n_samples, self.test.n_samples
 
 
 def train_val_test_split(

@@ -47,7 +47,7 @@ class IncrementalScenario:
     test: HARDataset
 
     @property
-    def all_classes(self) -> List[int]:
+    def all_classes(self) -> List[int]:  # repro: noqa[repro-unused] examples/magneto_pipeline.py
         return sorted(set(self.old_classes) | set(self.new_classes))
 
     def describe(self) -> Dict[str, object]:

@@ -111,20 +111,6 @@ class EdgeDevice:
             )
         self._allocations[name] = int(nbytes)
 
-    def free(self, name: str) -> None:
-        """Remove an artefact from the ledger."""
-        self._allocations.pop(name, None)
-
-    def can_store(self, nbytes: int) -> bool:
-        """Whether an additional artefact of ``nbytes`` would fit."""
-        return nbytes <= self.storage_free
-
-    def estimate_epoch_seconds(self, measured_seconds: float) -> float:
-        """Extrapolate a measured epoch duration to this device's compute speed."""
-        if measured_seconds < 0:
-            raise EdgeResourceError("measured_seconds must be non-negative")
-        return measured_seconds / self.profile.relative_compute
-
     # ------------------------------------------------------------------ #
     # serving
     # ------------------------------------------------------------------ #

@@ -11,7 +11,7 @@ The platform object wires the pieces end to end:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.config import PiloteConfig
 from repro.core.pilote import PILOTE
@@ -25,7 +25,6 @@ from repro.utils.logging import get_logger
 from repro.utils.rng import RandomState
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.fleet.coordinator import FleetCoordinator
     from repro.serving.client import ServingClient
 
 logger = get_logger("edge.magneto")
@@ -45,11 +44,10 @@ class MagnetoPlatform:
         self.device = EdgeDevice(device_profile)
         self.package: Optional[TransferPackage] = None
         self.edge_learner: Optional[PILOTE] = None
-        self.increment_histories: List[TrainingHistory] = []
         self._serving_client = None  # cached default repro.serving client
 
     # ------------------------------------------------------------------ #
-    def cloud_pretrain(
+    def cloud_pretrain(  # repro: noqa[repro-unused] examples/magneto_pipeline.py
         self,
         train: HARDataset,
         validation: Optional[HARDataset] = None,
@@ -84,22 +82,9 @@ class MagnetoPlatform:
         )
         return package
 
-    def edge_learn_new_activity(
-        self,
-        new_train: HARDataset,
-        new_validation: Optional[HARDataset] = None,
-    ) -> TrainingHistory:
-        """Step 3: incremental learning of newly collected activities on the edge."""
-        if self.edge_learner is None:
-            raise NotFittedError("deploy_to_edge() must run before edge learning")
-        history = self.edge_learner.learn_new_classes(new_train, new_validation)
-        self.increment_histories.append(history)
-        # Refresh the storage ledger: the support set now also contains new-class exemplars.
-        self.device.store("support_set", self.edge_learner.support_set_nbytes())
-        self.device.store("prototypes", self.edge_learner.prototypes.nbytes())
-        return history
-
-    def serving_client(self, **kwargs) -> "ServingClient":
+    def serving_client(  # repro: noqa[repro-unused] examples/magneto_pipeline.py
+        self, **kwargs
+    ) -> "ServingClient":
         """The platform's unified serving client (cached without options).
 
         Equivalent to ``repro.serving.serve(platform)``; keyword arguments
@@ -114,30 +99,7 @@ class MagnetoPlatform:
         return self._serving_client
 
     # ------------------------------------------------------------------ #
-    def to_fleet(self, n_devices: int, profiles=None) -> "FleetCoordinator":
-        """Scale this platform out to ``n_devices`` independently-learning devices.
-
-        The cloud's pre-trained package is broadcast to a freshly provisioned
-        fleet (:class:`repro.fleet.FleetCoordinator`); each device receives
-        its own learner copy and serving engine, so per-device increments and
-        request routing can proceed from here.  Requires
-        :meth:`cloud_pretrain` to have run.
-        """
-        from repro.fleet.coordinator import FleetCoordinator  # avoid an import cycle
-
-        if self.cloud.learner is None:
-            raise NotFittedError("cloud_pretrain() must run before to_fleet()")
-        fleet = FleetCoordinator(
-            self.config,
-            profiles=profiles or (self.device.profile,),
-            seed=self.cloud._seed,
-        )
-        fleet.provision(n_devices)
-        fleet.deploy(self.cloud.export_package())
-        return fleet
-
-    # ------------------------------------------------------------------ #
-    def storage_report(self) -> Dict[str, int]:
+    def storage_report(self) -> Dict[str, int]:  # repro: noqa[repro-unused] examples/magneto_pipeline.py
         """Current storage ledger of the edge device."""
         report = dict(self.device.allocations())
         report["free_bytes"] = self.device.storage_free

@@ -79,17 +79,3 @@ class ResultTable:
         for row in formatted:
             lines.append("  ".join(f"{cell:<{widths[i]}}" for i, cell in enumerate(row)))
         return "\n".join(lines)
-
-    def to_csv_rows(self) -> List[Dict[str, object]]:
-        """Rows with aggregates flattened to ``mean``/``std`` columns (for CSV export)."""
-        flattened = []
-        for row in self._rows:
-            out: Dict[str, object] = {}
-            for column, value in row.items():
-                if isinstance(value, AggregateResult):
-                    out[f"{column}_mean"] = value.mean
-                    out[f"{column}_std"] = value.std
-                else:
-                    out[column] = value
-            flattened.append(out)
-        return flattened

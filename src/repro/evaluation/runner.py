@@ -40,9 +40,6 @@ class ComparisonResult:
     pretrained_learner: Optional[PILOTE] = None
     learners: Dict[str, PILOTE] = field(default_factory=dict)
 
-    def accuracy_of(self, method: str) -> float:
-        return self.methods[method].accuracy
-
     def summary(self) -> Dict[str, float]:
         return {name: result.accuracy for name, result in self.methods.items()}
 

@@ -8,7 +8,7 @@ source of truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.data.activities import Activity
 
@@ -110,15 +110,3 @@ FLEET_SCENARIO = FleetScenarioSpec(
     n_devices=8,
     new_classes=(Activity.RUN,),
 )
-
-
-def all_scenarios() -> Dict[str, Sequence[object]]:
-    """Every experiment id mapped to its scenario definitions."""
-    return {
-        "table2": TABLE2_SCENARIOS,
-        "figure4": (FIGURE4_SCENARIO,),
-        "figure5": (FIGURE5_SCENARIO,),
-        "figure6": (FIGURE6_SCENARIO,),
-        "figure7": (FIGURE7_SCENARIO,),
-        "fleet": (FLEET_SCENARIO,),
-    }

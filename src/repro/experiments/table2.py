@@ -33,7 +33,9 @@ class Table2Result:
     def to_text(self) -> str:
         return self.table.to_text()
 
-    def method_wins(self, method: str = "pilote", against: str = "re-trained") -> int:
+    def method_wins(  # repro: noqa[repro-unused] benchmarks/bench_table2.py
+        self, method: str = "pilote", against: str = "re-trained"
+    ) -> int:
         """Number of scenarios where ``method``'s mean accuracy beats ``against``'s."""
         wins = 0
         for results in self.per_scenario.values():

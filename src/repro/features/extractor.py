@@ -15,7 +15,7 @@ Total: 80.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,23 +93,6 @@ class StatisticalFeatureExtractor:
     __call__ = transform
 
     # ------------------------------------------------------------------ #
-    def feature_names(self, n_channels: int) -> List[str]:
-        """Human-readable names of the produced features, in column order."""
-        names = [f"mean_ch{c}" for c in range(n_channels)]
-        names += [f"var_ch{c}" for c in range(n_channels)]
-        for index, group in enumerate(self.triaxial_groups):
-            names += [
-                f"jerk_mean_tri{index}",
-                f"jerk_var_tri{index}",
-                f"jerk_mag_mean_tri{index}",
-                f"jerk_mag_var_tri{index}",
-            ]
-        for index in range(len(self.triaxial_groups)):
-            names += [f"mag_mean_tri{index}", f"mag_var_tri{index}"]
-        if self.extra_registry is not None:
-            names += [f"extra_{name}" for name in self.extra_registry.names()]
-        return names
-
     def n_features(self, n_channels: int) -> int:
         """Number of features produced for a given channel count."""
         base = 2 * n_channels + 6 * len(self.triaxial_groups)

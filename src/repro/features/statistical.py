@@ -38,18 +38,6 @@ def channel_variances(windows: np.ndarray) -> np.ndarray:
     return windows.var(axis=1)
 
 
-def channel_min_max_range(windows: np.ndarray) -> np.ndarray:
-    """Per-channel peak-to-peak range: shape ``(n, channels)``."""
-    windows = _check_windows(windows)
-    return windows.max(axis=1) - windows.min(axis=1)
-
-
-def channel_energy(windows: np.ndarray) -> np.ndarray:
-    """Per-channel mean signal energy (mean of squares): shape ``(n, channels)``."""
-    windows = _check_windows(windows)
-    return (windows**2).mean(axis=1)
-
-
 def triaxial_magnitude_statistics(
     windows: np.ndarray,
     triaxial_groups: Sequence[Tuple[int, int, int]],

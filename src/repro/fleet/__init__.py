@@ -18,9 +18,10 @@ that architecture out to a *fleet* behind a single cloud broadcast:
   archive each), evicts under a storage budget, and restores state onto a fresh device
   (crash/replace, elasticity).
 
-Entry points: ``MagnetoPlatform.to_fleet(n)``, the ``pilote fleet-sim`` CLI
-subcommand, ``examples/fleet_simulation.py`` and
-``benchmarks/bench_fleet.py``.
+Entry points: ``FleetCoordinator(config)`` with ``provision(n)`` and
+``deploy(package)`` (a :class:`~repro.edge.transfer.TransferPackage` from
+``CloudServer.export_package()``), the ``pilote fleet-sim`` CLI subcommand,
+``examples/fleet_simulation.py`` and ``benchmarks/bench_fleet.py``.
 
 Serving goes through :mod:`repro.serving`: ``serve(fleet)`` builds a
 futures-based client whose event-loop scheduler shards requests across the

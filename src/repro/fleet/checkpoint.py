@@ -79,19 +79,10 @@ class CheckpointStore:
         # Insertion order doubles as recency order: index 0 = least recent.
         self._checkpoints: List[DeviceCheckpoint] = []
 
-    @classmethod
-    def for_profile(cls, directory: PathLike, profile: DeviceProfile) -> "CheckpointStore":
-        """A store whose budget mirrors a device profile's storage budget."""
-        return cls(directory, budget_bytes=profile.storage_bytes)
-
     # ------------------------------------------------------------------ #
     @property
     def total_bytes(self) -> int:
         return sum(c.nbytes for c in self._checkpoints)
-
-    def checkpoints(self) -> List[DeviceCheckpoint]:
-        """Kept checkpoints, least recently used first."""
-        return list(self._checkpoints)
 
     def latest(self, device_id: int) -> Optional[DeviceCheckpoint]:
         """The newest surviving checkpoint of one device, if any."""

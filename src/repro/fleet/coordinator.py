@@ -535,10 +535,6 @@ class FleetCoordinator:
         self.device(device_id)  # validate (and materialise) the id eagerly
         self._pending_increments.append((int(tick), device_id, new_train, new_validation))
 
-    def pending_increments(self) -> List[Tuple[int, int]]:
-        """``(tick, device_id)`` pairs still waiting to run."""
-        return [(tick, device_id) for tick, device_id, _, _ in self._pending_increments]
-
     def run_due_increments(self, tick: int) -> Dict[int, TrainingHistory]:
         """Run every queued increment whose tick has arrived."""
         due = [entry for entry in self._pending_increments if entry[0] <= tick]

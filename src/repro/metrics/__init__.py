@@ -3,15 +3,12 @@
 from repro.metrics.classification import (
     accuracy,
     classification_report,
-    f1_score,
-    per_class_accuracy,
     precision_recall_f1,
 )
 from repro.metrics.confusion import ConfusionMatrix, confusion_matrix
 from repro.metrics.forgetting import (
     average_incremental_accuracy,
     backward_transfer,
-    forgetting_measure,
     new_class_accuracy,
     old_class_accuracy,
 )
@@ -23,13 +20,10 @@ from repro.metrics.embedding_quality import (
 
 __all__ = [
     "accuracy",
-    "per_class_accuracy",
     "precision_recall_f1",
-    "f1_score",
     "classification_report",
     "ConfusionMatrix",
     "confusion_matrix",
-    "forgetting_measure",
     "backward_transfer",
     "average_incremental_accuracy",
     "old_class_accuracy",

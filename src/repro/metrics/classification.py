@@ -27,16 +27,6 @@ def accuracy(y_true, y_pred) -> float:
     return float(np.mean(y_true == y_pred))
 
 
-def per_class_accuracy(y_true, y_pred) -> Dict[int, float]:
-    """Recall of every class present in ``y_true``."""
-    y_true, y_pred = _validate(y_true, y_pred)
-    scores: Dict[int, float] = {}
-    for class_id in np.unique(y_true):
-        mask = y_true == class_id
-        scores[int(class_id)] = float(np.mean(y_pred[mask] == class_id))
-    return scores
-
-
 def precision_recall_f1(
     y_true, y_pred, *, classes: Optional[Sequence[int]] = None
 ) -> Dict[int, Dict[str, float]]:
@@ -56,18 +46,7 @@ def precision_recall_f1(
     return report
 
 
-def f1_score(y_true, y_pred, *, average: str = "macro") -> float:
-    """Macro- or micro-averaged F1 score."""
-    if average not in ("macro", "micro"):
-        raise DataError(f"average must be 'macro' or 'micro', got {average!r}")
-    y_true, y_pred = _validate(y_true, y_pred)
-    if average == "micro":
-        return accuracy(y_true, y_pred)
-    report = precision_recall_f1(y_true, y_pred, classes=np.unique(y_true))
-    return float(np.mean([scores["f1"] for scores in report.values()]))
-
-
-def classification_report(
+def classification_report(  # repro: noqa[repro-unused] examples/quickstart.py
     y_true, y_pred, *, label_names: Optional[Dict[int, str]] = None
 ) -> str:
     """Human-readable per-class report similar to scikit-learn's."""

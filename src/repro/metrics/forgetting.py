@@ -7,7 +7,7 @@ the old classes after the incremental update; the helpers here quantify that
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,11 +35,6 @@ def new_class_accuracy(y_true, y_pred, new_classes: Iterable[int]) -> float:
     return accuracy(y_true[new], y_pred[new])
 
 
-def forgetting_measure(accuracy_before: float, accuracy_after: float) -> float:
-    """Drop in old-class accuracy caused by the incremental update (≥ 0 means forgetting)."""
-    return float(accuracy_before - accuracy_after)
-
-
 def backward_transfer(per_step_old_accuracy: Sequence[float]) -> float:
     """Average change of old-class accuracy relative to the first measurement.
 
@@ -58,22 +53,3 @@ def average_incremental_accuracy(per_step_accuracy: Sequence[float]) -> float:
     if values.size == 0:
         raise DataError("at least one accuracy measurement is required")
     return float(values.mean())
-
-
-def forgetting_report(
-    y_true,
-    predictions_before,
-    predictions_after,
-    old_classes: Iterable[int],
-    new_classes: Iterable[int],
-) -> Dict[str, float]:
-    """Bundle of forgetting-related numbers for one incremental step."""
-    old_before = old_class_accuracy(y_true, predictions_before, old_classes)
-    old_after = old_class_accuracy(y_true, predictions_after, old_classes)
-    return {
-        "old_accuracy_before": old_before,
-        "old_accuracy_after": old_after,
-        "forgetting": forgetting_measure(old_before, old_after),
-        "new_accuracy_after": new_class_accuracy(y_true, predictions_after, new_classes),
-        "overall_accuracy_after": accuracy(y_true, predictions_after),
-    }

@@ -28,7 +28,7 @@ from repro.exceptions import ShapeError
 from repro.nn.module import Module
 
 
-class ContrastiveLoss(Module):
+class ContrastiveLoss(Module):  # repro: noqa[repro-unused] test oracle: tests/test_layer_ops.py
     """Supervised contrastive loss with margin (paper Eq. 2).
 
     For a pair of embeddings ``(e_i, e_j)`` with pair label ``Y`` (1 when the
@@ -93,7 +93,7 @@ class ContrastiveLoss(Module):
         return per_pair.mean() if self.reduction == "mean" else per_pair.sum()
 
 
-class DistillationLoss(Module):
+class DistillationLoss(Module):  # repro: noqa[repro-unused] test oracle: tests/test_layer_ops.py
     """Feature-space distillation loss (Algorithm 1, line 11).
 
     Penalises the squared Euclidean distance between the embeddings of

@@ -170,15 +170,3 @@ class Module:
         for module_name, module in self._modules.items():
             owners.update(module._buffer_owners(prefix=f"{prefix}{module_name}."))
         return owners
-
-    def copy_weights_from(self, other: "Module") -> None:
-        """Copy all parameters and buffers from a structurally identical module."""
-        self.load_state_dict(other.state_dict())
-
-    def clone(self) -> "Module":
-        """Deep copy the module (structure via ``__reduce__`` is not needed;
-        subclasses provide constructors and we round-trip the state dict)."""
-        import copy
-
-        duplicate = copy.deepcopy(self)
-        return duplicate

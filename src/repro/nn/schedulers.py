@@ -28,10 +28,6 @@ class LRScheduler:
     def compute_lr(self, epoch: int) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    @property
-    def current_lr(self) -> float:
-        return self.optimizer.lr
-
 
 class HalvingLR(LRScheduler):
     """Halve the learning rate after every epoch (paper's schedule).

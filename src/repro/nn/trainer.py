@@ -69,13 +69,6 @@ class TrainingHistory:
     def epochs_run(self) -> int:
         return len(self.train_losses)
 
-    def final_train_loss(self) -> float:
-        return self.train_losses[-1] if self.train_losses else float("nan")
-
-    def final_validation_loss(self) -> float:
-        return self.validation_losses[-1] if self.validation_losses else float("nan")
-
-
 BatchLossFn = Callable[[np.ndarray, np.ndarray], Tensor]
 
 

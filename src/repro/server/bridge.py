@@ -145,13 +145,9 @@ class AsyncServingClient:
         return self._client
 
     @property
-    def inflight(self) -> int:
+    def inflight(self) -> int:  # repro: noqa[repro-unused] examples/async_serving.py
         """Requests submitted here and not yet settled."""
         return self._inflight
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def submit(self, request: PredictRequest) -> "asyncio.Future":
         """Queue one already-stamped request; returns an asyncio future."""

@@ -18,7 +18,6 @@ server's JSON export for the scheduler-side view.
 from __future__ import annotations
 
 import asyncio
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
@@ -85,10 +84,6 @@ class AsyncConnection:
         return cls(reader, writer)
 
     # ------------------------------------------------------------------ #
-    @property
-    def inflight(self) -> int:
-        return len(self._waiters)
-
     def _register(self) -> "tuple[int, asyncio.Future]":
         if self._closed:
             raise WireProtocolError("connection is closed")
@@ -297,9 +292,6 @@ class LoadReport:
             slo_target_ms=payload.get("slo_target_ms"),
             server_stats=payload.get("server_stats"),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         lines = [

@@ -180,11 +180,6 @@ class ServingClient:
         """Name of the active executor (``serial``/``thread``/``process``)."""
         return self._scheduler.executor.name
 
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has run; submits raise typed afterwards."""
-        return self._closed
-
     def close(self) -> None:
         """Close the client: fail still-pending futures typed, release pools.
 

@@ -421,12 +421,6 @@ class RoutingReport:
             }
         return data
 
-    def to_json(self, **kwargs) -> str:
-        """:meth:`to_dict` as a JSON string (keys sorted, stable for diffs)."""
-        import json
-
-        return json.dumps(self.to_dict(**kwargs), indent=2, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RoutingReport":
         """Rebuild a report from :meth:`to_dict` output.

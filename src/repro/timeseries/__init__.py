@@ -1,28 +1,16 @@
-"""Multivariate time-series preprocessing.
+"""Time-series helpers the feature pipeline uses.
 
-The paper's preprocessing pipeline (Section 5, Figure 3) — denoising,
-segmentation into one-second windows and normalisation — is implemented here
-with linear-time operations so that it can run identically on the cloud and on
-the edge device.
+The synthetic generator emits fixed-length windows directly, so no raw
+recording is denoised, segmented or resampled here.  What remains is the
+column z-score that normalises feature matrices (the edge reuses the cloud's
+statistics) and the jerk, the time derivative behind the paper's jerk
+features.
 """
 
-from repro.timeseries.window import segment_windows, sliding_windows
-from repro.timeseries.denoise import denoise, low_pass_filter, median_filter, moving_average
-from repro.timeseries.normalize import min_max_scale, per_window_normalize, z_score
-from repro.timeseries.jerk import jerk, jerk_magnitude
-from repro.timeseries.resample import linear_resample
+from repro.timeseries.normalize import z_score
+from repro.timeseries.jerk import jerk
 
 __all__ = [
-    "segment_windows",
-    "sliding_windows",
-    "denoise",
-    "moving_average",
-    "median_filter",
-    "low_pass_filter",
     "z_score",
-    "min_max_scale",
-    "per_window_normalize",
     "jerk",
-    "jerk_magnitude",
-    "linear_resample",
 ]

@@ -29,16 +29,3 @@ def jerk(values: np.ndarray, sampling_rate_hz: float = 1.0) -> np.ndarray:
     if values.ndim == 3:
         return np.diff(values, axis=1) * sampling_rate_hz
     raise DataError(f"jerk expects 1-D, 2-D or 3-D input, got {values.ndim}-D")
-
-
-def jerk_magnitude(triaxial: np.ndarray, sampling_rate_hz: float = 1.0) -> np.ndarray:
-    """Euclidean norm of the jerk of a three-axis sensor.
-
-    ``triaxial`` has shape ``(time, 3)`` (or ``(windows, time, 3)``); the result
-    drops the axis dimension.
-    """
-    triaxial = check_array(triaxial, name="triaxial")
-    if triaxial.shape[-1] != 3:
-        raise DataError(f"expected a 3-axis signal on the last dimension, got {triaxial.shape}")
-    derivative = jerk(triaxial, sampling_rate_hz=sampling_rate_hz)
-    return np.linalg.norm(derivative, axis=-1)

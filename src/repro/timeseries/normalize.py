@@ -1,8 +1,8 @@
-"""Normalisation utilities for sensor streams and feature matrices."""
+"""Column z-score normalisation for feature matrices."""
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -33,61 +33,3 @@ def z_score(
     if return_stats:
         return normalised, np.asarray(mean), np.asarray(std)
     return normalised
-
-
-def min_max_scale(
-    values: np.ndarray,
-    *,
-    minimum: Optional[np.ndarray] = None,
-    maximum: Optional[np.ndarray] = None,
-    feature_range: Tuple[float, float] = (0.0, 1.0),
-    epsilon: float = 1e-12,
-) -> np.ndarray:
-    """Scale columns into ``feature_range`` (default [0, 1])."""
-    values = check_array(values, name="values")
-    low, high = feature_range
-    if high <= low:
-        raise ValueError(f"feature_range must be increasing, got {feature_range}")
-    if minimum is None:
-        minimum = values.min(axis=0)
-    if maximum is None:
-        maximum = values.max(axis=0)
-    span = np.asarray(maximum) - np.asarray(minimum)
-    span = np.where(span < epsilon, 1.0, span)
-    unit = (values - minimum) / span
-    return unit * (high - low) + low
-
-
-def per_window_normalize(windows: np.ndarray, epsilon: float = 1e-8) -> np.ndarray:
-    """Z-score each window independently along its time axis.
-
-    Input shape ``(n_windows, window_length, channels)``; output has the same
-    shape.  Constant channels within a window map to zero.
-    """
-    windows = check_array(windows, name="windows", ndim=3)
-    mean = windows.mean(axis=1, keepdims=True)
-    std = windows.std(axis=1, keepdims=True)
-    std = np.where(std < epsilon, 1.0, std)
-    return (windows - mean) / std
-
-
-class StandardScaler:
-    """Fit/transform wrapper around :func:`z_score` for pipeline use."""
-
-    def __init__(self) -> None:
-        self.mean_: Optional[np.ndarray] = None
-        self.std_: Optional[np.ndarray] = None
-
-    def fit(self, values: np.ndarray) -> "StandardScaler":
-        values = check_array(values, name="values", ndim=2)
-        self.mean_ = values.mean(axis=0)
-        self.std_ = values.std(axis=0)
-        return self
-
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.std_ is None:
-            raise RuntimeError("StandardScaler must be fitted before transform()")
-        return z_score(values, mean=self.mean_, std=self.std_)
-
-    def fit_transform(self, values: np.ndarray) -> np.ndarray:
-        return self.fit(values).transform(values)

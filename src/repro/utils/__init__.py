@@ -1,30 +1,25 @@
 """Shared utilities: seeded RNG management, validation, serialization, logging."""
 
-from repro.utils.clock import Stopwatch, perf_seconds
-from repro.utils.rng import RandomState, resolve_rng, set_global_seed
+from repro.utils.clock import perf_seconds
+from repro.utils.rng import RandomState, resolve_rng
 from repro.utils.validation import (
     check_array,
     check_finite,
     check_labels,
-    check_positive,
     check_probability,
 )
-from repro.utils.serialization import load_npz_state, save_npz_state, state_dict_nbytes
+from repro.utils.serialization import load_npz_state, save_npz_state
 from repro.utils.logging import get_logger
 
 __all__ = [
-    "Stopwatch",
     "perf_seconds",
     "RandomState",
     "resolve_rng",
-    "set_global_seed",
     "check_array",
     "check_finite",
     "check_labels",
-    "check_positive",
     "check_probability",
     "save_npz_state",
     "load_npz_state",
-    "state_dict_nbytes",
     "get_logger",
 ]

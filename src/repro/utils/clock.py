@@ -10,14 +10,14 @@ service timing, the concurrent drain's measured clock, profilers, training
 epoch timing) goes through this module instead: one whitelisted seam,
 greppable, and patchable in tests that need a deterministic clock.
 
-``perf_seconds`` is the only primitive; everything else is sugar over it.
+``perf_seconds`` is the only primitive.
 """
 
 from __future__ import annotations
 
 import time as _time
 
-__all__ = ["perf_seconds", "Stopwatch"]
+__all__ = ["perf_seconds"]
 
 
 def perf_seconds() -> float:
@@ -29,28 +29,3 @@ def perf_seconds() -> float:
     whitelist.
     """
     return _time.perf_counter()
-
-
-class Stopwatch:
-    """Measure one elapsed interval: ``elapsed = Stopwatch().elapsed()``.
-
-    >>> watch = Stopwatch()
-    >>> ...            # doctest: +SKIP
-    >>> watch.elapsed()  # seconds since construction  # doctest: +SKIP
-    """
-
-    __slots__ = ("_start",)
-
-    def __init__(self) -> None:
-        self._start = perf_seconds()
-
-    def elapsed(self) -> float:
-        """Seconds since construction (or the last :meth:`restart`)."""
-        return perf_seconds() - self._start
-
-    def restart(self) -> float:
-        """Reset the origin; returns the interval that just ended."""
-        now = perf_seconds()
-        elapsed = now - self._start
-        self._start = now
-        return elapsed

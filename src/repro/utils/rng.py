@@ -8,31 +8,12 @@ a ``Generator`` so downstream code never has to branch on the type.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 # Public alias used in type hints across the library.
 RandomState = Union[None, int, np.random.Generator]
-
-_GLOBAL_SEED: Optional[int] = None
-
-
-def set_global_seed(seed: Optional[int]) -> None:
-    """Set a library-wide default seed used when ``resolve_rng(None)`` is called.
-
-    Parameters
-    ----------
-    seed:
-        Any integer, or ``None`` to restore non-deterministic behaviour.
-    """
-    global _GLOBAL_SEED
-    _GLOBAL_SEED = seed
-
-
-def get_global_seed() -> Optional[int]:
-    """Return the library-wide default seed (or ``None`` if unset)."""
-    return _GLOBAL_SEED
 
 
 def resolve_rng(seed: RandomState = None) -> np.random.Generator:
@@ -41,8 +22,8 @@ def resolve_rng(seed: RandomState = None) -> np.random.Generator:
     Parameters
     ----------
     seed:
-        ``None`` (use the global seed if set, otherwise OS entropy), an int,
-        or an existing generator (returned unchanged).
+        ``None`` (OS entropy), an int, or an existing generator (returned
+        unchanged).
 
     Returns
     -------
@@ -50,8 +31,6 @@ def resolve_rng(seed: RandomState = None) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if seed is None:
-        seed = _GLOBAL_SEED
     return np.random.default_rng(seed)
 
 

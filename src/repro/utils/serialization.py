@@ -59,11 +59,6 @@ def load_npz_state(path: PathLike) -> Dict[str, np.ndarray]:
     return state
 
 
-def state_dict_nbytes(state: Dict[str, np.ndarray]) -> int:
-    """Return the total number of bytes occupied by the arrays in ``state``."""
-    return int(sum(np.asarray(value).nbytes for value in state.values()))
-
-
 def float32_nbytes(n_values: int) -> int:
     """Number of bytes needed to store ``n_values`` float32 scalars."""
     if n_values < 0:

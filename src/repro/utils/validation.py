@@ -7,7 +7,7 @@ of public entry points.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -94,30 +94,12 @@ def check_labels(labels, *, name: str = "labels", n_samples: Optional[int] = Non
     return array
 
 
-def check_positive(value: float, *, name: str = "value", strict: bool = True) -> float:
-    """Validate a (strictly) positive scalar."""
-    if strict and not value > 0:
-        raise DataError(f"{name} must be strictly positive, got {value!r}")
-    if not strict and value < 0:
-        raise DataError(f"{name} must be non-negative, got {value!r}")
-    return float(value)
-
-
 def check_probability(value: float, *, name: str = "value") -> float:
     """Validate a scalar in the closed interval [0, 1]."""
     value = float(value)
     if not 0.0 <= value <= 1.0:
         raise DataError(f"{name} must lie in [0, 1], got {value!r}")
     return value
-
-
-def check_consistent_length(*arrays: Sequence, names: Optional[Iterable[str]] = None) -> None:
-    """Raise :class:`ShapeError` unless all arrays share the same first dimension."""
-    lengths = [len(a) for a in arrays]
-    if len(set(lengths)) > 1:
-        labels = list(names) if names is not None else [f"array{i}" for i in range(len(arrays))]
-        detail = ", ".join(f"{n}={l}" for n, l in zip(labels, lengths))
-        raise ShapeError(f"inconsistent first dimensions: {detail}")
 
 
 def check_feature_matrix(

@@ -1,15 +1,11 @@
-"""Matplotlib-free visualisation: PCA projections, ASCII plots, CSV export."""
+"""Matplotlib-free visualisation: PCA projections and ASCII plots."""
 
 from repro.viz.projection import pca_project, project_embeddings_2d
-from repro.viz.ascii import ascii_bar_chart, ascii_line_plot, ascii_scatter
-from repro.viz.export import export_series_csv, export_table_csv
+from repro.viz.ascii import ascii_line_plot, ascii_scatter
 
 __all__ = [
     "pca_project",
     "project_embeddings_2d",
     "ascii_line_plot",
     "ascii_scatter",
-    "ascii_bar_chart",
-    "export_table_csv",
-    "export_series_csv",
 ]

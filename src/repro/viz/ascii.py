@@ -1,4 +1,4 @@
-"""ASCII rendering of line plots, scatter plots and bar charts.
+"""ASCII rendering of line plots and scatter plots.
 
 These renderers are what the benchmark harness prints instead of matplotlib
 figures; they are intentionally simple but sufficient to see the shape of each
@@ -102,19 +102,4 @@ def ascii_scatter(
         for i, cid in enumerate(sorted(points_by_class))
     )
     lines.append(legend)
-    return "\n".join(lines)
-
-
-def ascii_bar_chart(
-    values: Dict[str, float], *, width: int = 50, title: Optional[str] = None
-) -> str:
-    """Render a horizontal bar chart of named values."""
-    if not values:
-        raise DataError("at least one value is required")
-    maximum = max(abs(v) for v in values.values()) or 1.0
-    label_width = max(len(name) for name in values)
-    lines = [title] if title else []
-    for name, value in values.items():
-        bar = "#" * int(round(abs(value) / maximum * width))
-        lines.append(f"{name:<{label_width}} | {bar} {value:.4f}")
     return "\n".join(lines)

@@ -14,3 +14,5 @@ class OptOutController(Controller):  # repro: noqa[repro-registry] fixture opt-o
 
 
 CONTROLLERS = {CompleteController.name: CompleteController}
+
+OPTED_OUT = (OptOutController,)

@@ -12,3 +12,7 @@ def legacy_site():
 
     # A justified exception, suppressed on its own line with a reason:
     return np.random.default_rng(0)  # repro: noqa[repro-rng] bit-compat fixture
+
+
+# Callers, so repro-unused sees every definition referenced.
+SITES = (seeded, legacy_site)

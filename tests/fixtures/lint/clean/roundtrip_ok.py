@@ -23,3 +23,6 @@ class DisplayOnly:
     """No to_dict at all — the rule does not apply."""
 
     label: str = ""
+
+
+EXPORTS = (RoundTripReport.to_dict, RoundTripReport.from_dict, DisplayOnly)

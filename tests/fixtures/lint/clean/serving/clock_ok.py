@@ -10,3 +10,6 @@ def measured():
 
 def simulated(lane_available_at, service_seconds):
     return lane_available_at + service_seconds
+
+
+CLOCKS = (measured, simulated)

@@ -25,3 +25,6 @@ def portable(batch):
     except Exception as error:
         # Broad but not silent: converted to a typed error.
         raise WorkerDiedError(str(error)) from error
+
+
+HANDLERS = (reraise, portable)

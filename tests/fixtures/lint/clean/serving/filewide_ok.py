@@ -11,3 +11,6 @@ def raw_a():
 
 def raw_b():
     return time.perf_counter()
+
+
+RAW_CLOCKS = (raw_a, raw_b)

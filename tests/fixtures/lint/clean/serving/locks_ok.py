@@ -13,3 +13,6 @@ class Notifier:
             pending = list(self._callbacks)
         for callback in pending:
             callback(result)
+
+
+FIRE = Notifier().fire_outside

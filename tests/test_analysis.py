@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import textwrap
 import threading
 import time
@@ -26,12 +27,11 @@ from repro.analysis import (
     LintEngine,
     RULES,
     default_rules,
-    list_rules,
-    make_rule,
     render_json,
     render_text,
     run_lint,
 )
+from repro.analysis.rules import Rule, register_rule
 from repro.analysis.sanitizer import (
     AccessRecord,
     RecordingProxy,
@@ -56,6 +56,7 @@ ALL_RULE_IDS = (
     "repro-registry",
     "repro-lock-callback",
     "repro-roundtrip",
+    "repro-unused",
 )
 
 
@@ -67,21 +68,26 @@ def rule_ids(findings):
 # Rule registry
 # --------------------------------------------------------------------- #
 class TestRuleRegistry:
-    def test_all_six_rules_registered(self):
+    def test_all_seven_rules_registered(self):
         assert set(ALL_RULE_IDS) <= set(RULES)
 
-    def test_make_rule_unknown_id_raises(self):
-        with pytest.raises(AnalysisError, match="unknown rule id"):
-            make_rule("no-such-rule")
-
-    def test_list_rules_has_descriptions(self):
-        listed = dict(list_rules())
+    def test_rules_have_descriptions(self):
         for rule_id in ALL_RULE_IDS:
-            assert listed[rule_id]
+            assert RULES[rule_id].description
 
     def test_engine_select_unknown_raises(self):
         with pytest.raises(AnalysisError, match="unknown rule id"):
             LintEngine(select=["bogus"])
+
+    def test_duplicate_rule_id_raises(self):
+        original = RULES["repro-rng"]
+
+        class Impostor(Rule):
+            rule_id = "repro-rng"
+
+        with pytest.raises(AnalysisError, match="duplicate rule id"):
+            register_rule(Impostor)
+        assert RULES["repro-rng"] is original
 
 
 # --------------------------------------------------------------------- #
@@ -130,6 +136,276 @@ class TestRuleFixtures:
             "__all__" in finding.message and "ShadowController" in finding.message
             for finding in findings
         )
+
+    def test_unused_rule_flags_unreferenced_definitions(self):
+        findings = run_lint(DIRTY, select=["repro-unused"])
+        flagged = {
+            finding.message.split()[0]
+            for finding in findings
+            if finding.path == "unused_bad.py"
+        }
+        # Never called; named only in __all__; named only in an import.
+        assert flagged == {"never_called", "exported_only", "ImportedOnly"}
+
+    def test_unused_rule_follows_references_across_files(self, tmp_path):
+        (tmp_path / "lib.py").write_text("def helper():\n    return 1\n")
+        target = tmp_path / "app.py"
+        target.write_text("import lib\n")
+        assert rule_ids(run_lint(tmp_path, select=["repro-unused"])) == {"repro-unused"}
+        target.write_text("import lib\n\nVALUE = lib.helper()\n")
+        assert run_lint(tmp_path, select=["repro-unused"]) == []
+
+
+# --------------------------------------------------------------------- #
+# repro-unused: what counts as a reference, one construct per case
+# --------------------------------------------------------------------- #
+_REFERENCED = {
+    "call-by-name": """
+        def helper():
+            return 1
+
+        VALUE = helper()
+        """,
+    "method-via-attribute": """
+        class Box:
+            def size(self):
+                return 1
+
+        SIZE = Box().size()
+        """,
+    "property-read": """
+        class Box:
+            @property
+            def size(self):
+                return 1
+
+        SIZE = Box().size
+        """,
+    "base-class": """
+        class Base:
+            pass
+
+        class Child(Base):
+            pass
+
+        CHILD = Child()
+        """,
+    "getattr-string": """
+        class Box:
+            def hook(self):
+                return 1
+
+        HOOKED = getattr(Box(), "hook")()
+        """,
+    "dotted-string": """
+        def target():
+            return 1
+
+        ENTRY_POINT = "package.module.target"
+        """,
+    "string-annotation": """
+        class Node:
+            pass
+
+        def make(parent: "Node" = None):
+            return parent
+
+        ROOT = make()
+        """,
+    "annotation": """
+        class Node:
+            pass
+
+        def make(parent: Node = None):
+            return parent
+
+        ROOT = make()
+        """,
+    "callback-argument": """
+        def by_length(text):
+            return len(text)
+
+        ORDER = sorted(["bb", "a"], key=by_length)
+        """,
+    "plain-decorator": """
+        def traced(function):
+            return function
+
+        @traced
+        def work():
+            return 1
+
+        RESULT = work()
+        """,
+    "registering-decorator": """
+        PLUGINS = []
+
+        def register_plugin(cls):
+            PLUGINS.append(cls)
+            return cls
+
+        @register_plugin
+        class Plugin:
+            pass
+        """,
+    "registering-decorator-call": """
+        PLUGINS = {}
+
+        def register(name):
+            def wrap(cls):
+                PLUGINS[name] = cls
+                return cls
+            return wrap
+
+        @register("plugin")
+        class Plugin:
+            pass
+        """,
+    "dunder-method": """
+        class Bag:
+            def __len__(self):
+                return 0
+
+        BAG = Bag()
+        """,
+    "exception-handler": """
+        class Refused(Exception):
+            pass
+
+        try:
+            VALUE = 1
+        except Refused:
+            VALUE = 0
+        """,
+    "returned-closure": """
+        def outer():
+            def inner():
+                return 1
+            return inner
+
+        RESULT = outer()()
+        """,
+    "awaited-coroutine": """
+        async def job():
+            return 1
+
+        async def main():
+            return await job()
+
+        COROUTINE = main
+        """,
+    "noqa-with-reason": """
+        def for_a_caller_elsewhere():  # repro: noqa[repro-unused] examples/demo.py calls it
+            return 1
+        """,
+}
+
+_UNREFERENCED = {
+    "never-called": (
+        """
+        def helper():
+            return 1
+        """,
+        {"helper"},
+    ),
+    "method-never-called": (
+        """
+        class Box:
+            def size(self):
+                return 1
+
+        BOX = Box()
+        """,
+        {"size"},
+    ),
+    "nested-class-never-used": (
+        """
+        class Outer:
+            class Inner:
+                pass
+
+        OUTER = Outer()
+        """,
+        {"Inner"},
+    ),
+    "async-never-awaited": (
+        """
+        async def job():
+            return 1
+        """,
+        {"job"},
+    ),
+    "named-only-in-all": (
+        """
+        __all__ = ["helper"]
+
+        def helper():
+            return 1
+        """,
+        {"helper"},
+    ),
+    "named-only-in-augmented-all": (
+        """
+        __all__ = []
+        __all__ += ["helper"]
+
+        def helper():
+            return 1
+        """,
+        {"helper"},
+    ),
+    "mentioned-in-prose-string": (
+        """
+        def helper():
+            return 1
+
+        NOTE = "call helper before the loop"
+        """,
+        {"helper"},
+    ),
+    "mentioned-in-comment": (
+        """
+        def helper():
+            return 1
+
+        # helper() is for later
+        """,
+        {"helper"},
+    ),
+    "keyword-argument-name": (
+        """
+        def helper():
+            return 1
+
+        OPTIONS = dict(helper=1)
+        """,
+        {"helper"},
+    ),
+    "noqa-for-another-rule": (
+        """
+        def helper():  # repro: noqa[repro-rng] not the rule that fires
+            return 1
+        """,
+        {"helper"},
+    ),
+}
+
+
+class TestUnusedRule:
+    def unused_names(self, tmp_path, source):
+        (tmp_path / "module.py").write_text(textwrap.dedent(source))
+        findings = run_lint(tmp_path, select=["repro-unused"])
+        return {finding.message.split()[0] for finding in findings}
+
+    @pytest.mark.parametrize("source", _REFERENCED.values(), ids=_REFERENCED.keys())
+    def test_referenced_definition_is_kept(self, tmp_path, source):
+        assert self.unused_names(tmp_path, source) == set()
+
+    @pytest.mark.parametrize(
+        "source, expected", _UNREFERENCED.values(), ids=_UNREFERENCED.keys()
+    )
+    def test_unreferenced_definition_is_flagged(self, tmp_path, source, expected):
+        assert self.unused_names(tmp_path, source) == expected
 
 
 # --------------------------------------------------------------------- #
@@ -193,6 +469,17 @@ class TestSuppression:
         findings = self.lint_source(tmp_path, "def broken(:\n    pass\n")
         assert rule_ids(findings) == {"repro-parse"}
 
+    def test_undecodable_source_reported_as_finding(self, tmp_path):
+        target = tmp_path / "latin1.py"
+        target.write_bytes(b"NAME = '\xe9t\xe9'\n")
+        findings = run_lint(tmp_path)
+        assert rule_ids(findings) == {"repro-parse"}
+        assert "unreadable source" in findings[0].message
+
+    def test_missing_lint_root_raises(self, tmp_path):
+        with pytest.raises(AnalysisError, match="does not exist"):
+            run_lint(tmp_path / "no-such-dir")
+
 
 # --------------------------------------------------------------------- #
 # Reporters
@@ -228,6 +515,24 @@ class TestRealTree:
         elapsed = time.perf_counter() - start
         assert findings == [], render_text(findings)
         assert elapsed < 10.0, f"lint took {elapsed:.1f}s (budget 10s)"
+
+    def test_every_unused_suppression_names_its_caller(self):
+        root = Path(repro.__file__).resolve().parent
+        repo = Path(__file__).resolve().parents[1]
+        suppressions = [
+            (path, line)
+            for path in sorted(root.rglob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if "noqa[repro-unused]" in line
+            and line.lstrip().startswith(("def ", "class "))
+        ]
+        assert suppressions
+        for path, line in suppressions:
+            reason = line.split("noqa[repro-unused]", 1)[1]
+            callers = re.findall(r"[\w/]+\.py", reason)
+            assert callers, f"{path.name}: no caller named in {line.strip()!r}"
+            for caller in callers:
+                assert (repo / caller).is_file(), f"{path.name}: {caller} does not exist"
 
     def test_default_rules_fresh_instances(self):
         first, second = default_rules(), default_rules()

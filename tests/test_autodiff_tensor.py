@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff.tensor import Tensor, is_grad_enabled, no_grad
+from repro.autodiff.tensor import Tensor, no_grad
 from repro.exceptions import GradientError, ShapeError
 
 
@@ -158,10 +158,9 @@ class TestBackwardBasics:
 class TestNoGrad:
     def test_no_grad_disables_graph(self):
         with no_grad():
-            assert not is_grad_enabled()
             x = Tensor(1.0, requires_grad=True)
             y = x * 2
-        assert is_grad_enabled()
+        assert Tensor(1.0, requires_grad=True).requires_grad
         assert not y.requires_grad
         assert not x.requires_grad  # requires_grad was forced off at creation
 
@@ -169,7 +168,7 @@ class TestNoGrad:
         with pytest.raises(RuntimeError):
             with no_grad():
                 raise RuntimeError("boom")
-        assert is_grad_enabled()
+        assert Tensor(1.0, requires_grad=True).requires_grad
 
     def test_comparison_returns_numpy(self):
         result = Tensor([1.0, 3.0]) > 2.0

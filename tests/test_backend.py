@@ -10,7 +10,6 @@ from repro.backend import (
     default_dtype,
     get_backend,
     get_op,
-    is_registered,
     list_ops,
     precision,
     resolve_dtype,
@@ -79,10 +78,9 @@ class TestOpRegistry:
             "pairwise_squared_distance", "pilote_step",
         ):
             assert expected in names
-        assert is_registered("mul")
-        assert not is_registered("definitely-not-an-op")
+        assert "definitely-not-an-op" not in names
         # The training step replaced the objective-only op.
-        assert not is_registered("pilote_objective")
+        assert "pilote_objective" not in names
 
     def test_unknown_op_raises_with_known_names(self):
         with pytest.raises(KeyError, match="known ops"):
@@ -133,14 +131,6 @@ class TestBackendKernels:
         with pytest.raises(ShapeError):
             backend.pairwise_distances(np.zeros(3), np.zeros((3, 2)))
 
-    def test_grouped_means_matches_per_class_loop(self):
-        rng = np.random.default_rng(2)
-        values = rng.normal(size=(20, 3))
-        groups = rng.integers(0, 4, size=20)
-        unique, means = get_backend().grouped_means(values, groups)
-        for class_id, mean in zip(unique, means):
-            assert np.allclose(mean, values[groups == class_id].mean(axis=0))
-
     def test_backend_asarray_follows_policy(self):
         backend = get_backend()
         assert isinstance(backend, NumpyBackend)
@@ -155,13 +145,6 @@ class TestBackendKernels:
             assert backend.zeros(4, dtype="float64").dtype == np.float64
         zeros = backend.zeros((2, 3))
         assert zeros.dtype == np.float64 and not zeros.any()
-
-    def test_grouped_means_shape_errors(self):
-        backend = get_backend()
-        with pytest.raises(ShapeError):
-            backend.grouped_means(np.zeros(6), np.zeros(6))
-        with pytest.raises(ShapeError):
-            backend.grouped_means(np.zeros((6, 2)), np.zeros(5))
 
     def test_one_process_wide_instance(self):
         assert get_backend() is get_backend()

@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.base import clone_pretrained
 from repro.baselines.pretrained import PretrainedBaseline
 from repro.baselines.retrained import RetrainedBaseline
+from repro.core.pilote import PILOTE
 from repro.data.activities import Activity
 from repro.exceptions import NotFittedError
 
@@ -36,7 +37,7 @@ class TestPretrainedBaseline:
     def test_increment_adds_new_class_prototype(self, pretrained_pilote, run_scenario):
         baseline = PretrainedBaseline(pretrained=pretrained_pilote)
         baseline.learn_increment(run_scenario.new_train)
-        assert int(Activity.RUN) in baseline.known_classes
+        assert int(Activity.RUN) in baseline.learner.classes_
         predictions = baseline.predict(run_scenario.test.features)
         assert int(Activity.RUN) in set(predictions.tolist())
 
@@ -52,15 +53,9 @@ class TestPretrainedBaseline:
         baseline.learn_increment(run_scenario.new_train)
         assert len(pretrained_pilote.classes_) == n_classes_before
 
-    def test_fit_base_then_increment(self, run_scenario, tiny_config):
-        baseline = PretrainedBaseline(tiny_config, seed=0)
-        baseline.fit_base(run_scenario.old_train, run_scenario.old_validation)
-        baseline.learn_increment(run_scenario.new_train)
-        assert baseline.evaluate(run_scenario.test) > 0.3
-
     def test_increment_before_fit_raises(self, tiny_config, run_scenario):
         with pytest.raises(NotFittedError):
-            PretrainedBaseline(tiny_config).learn_increment(run_scenario.new_train)
+            PretrainedBaseline(pretrained=PILOTE(tiny_config)).learn_increment(run_scenario.new_train)
 
 
 class TestRetrainedBaseline:
@@ -87,11 +82,11 @@ class TestRetrainedBaseline:
 
     def test_increment_before_fit_raises(self, tiny_config, run_scenario):
         with pytest.raises(NotFittedError):
-            RetrainedBaseline(tiny_config).learn_increment(run_scenario.new_train)
+            RetrainedBaseline(pretrained=PILOTE(tiny_config)).learn_increment(run_scenario.new_train)
 
     def test_known_classes_after_increment(self, pretrained_pilote, run_scenario):
         baseline = RetrainedBaseline(pretrained=pretrained_pilote)
         baseline.learn_increment(run_scenario.new_train, run_scenario.new_validation)
-        assert sorted(baseline.known_classes) == sorted(
+        assert sorted(baseline.learner.classes_) == sorted(
             run_scenario.old_classes + run_scenario.new_classes
         )

@@ -30,6 +30,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table2", "--scale", "huge"])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table2", "--sanitize"], "--sanitize only applies to the chaos"),
+            (["table2", "--select", "repro-rng"], "--select only applies to the lint"),
+            (["figure4", "--path", "src"], "--path only applies to the lint"),
+            (["serve", "--regions", "2"], "--regions only applies to fleet-sim"),
+            (["serve", "--executor", "thread"], "--executor/--workers only apply"),
+        ],
+        ids=["sanitize", "select", "path", "regions", "executor"],
+    )
+    def test_flag_outside_its_experiment_rejected(self, argv, message, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert message in capsys.readouterr().err
+
 
 class TestMain:
     def test_edge_experiment_runs_and_prints(self, capsys):

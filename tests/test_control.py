@@ -28,7 +28,6 @@ from repro.control import (
     SignalBus,
     StragglerDevice,
     default_controllers,
-    make_controller,
     run_chaos,
 )
 from repro.edge.device import DeviceProfile
@@ -208,15 +207,6 @@ class TestControlPlane:
         assert client.control_stats()["controllers"] == ["load-shedder"]
         plain = serve(pretrained_pilote)
         assert plain.control is None and plain.control_stats() is None
-
-    def test_make_controller_registry(self):
-        assert isinstance(make_controller("load-shedder"), LoadShedder)
-        assert isinstance(
-            make_controller("hedging", slack_seconds=0.5), HedgedRequests
-        )
-        assert isinstance(make_controller("autoscaler"), PoolAutoscaler)
-        with pytest.raises(ConfigurationError, match="unknown controller"):
-            make_controller("pid")
 
 
 # ---------------------------------------------------------------------- #

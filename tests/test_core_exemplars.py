@@ -145,13 +145,6 @@ class TestExemplarStore:
         store = self._store_with_two_classes()
         assert store.nbytes() == 20 * 4 * 4
 
-    def test_rebalance_trims(self):
-        store = self._store_with_two_classes()
-        store.rebalance(4)
-        assert store.exemplars_per_class() == {0: 4, 1: 4}
-        with pytest.raises(DataError):
-            store.rebalance(0)
-
     def test_set_and_remove(self):
         store = ExemplarStore()
         store.set_exemplars(3, np.ones((5, 2)))
@@ -232,12 +225,10 @@ class TestAliasingContract:
         assert store.get(0) is not cast
 
     def test_replacing_entries_never_mutates_shared_rows(self):
-        """The store-side promise: rebalance/select replace, never write."""
+        """The store-side promise: replacing an entry never writes the old rows."""
         rows = self._policy_rows(seed=3, shape=(8, 4))
         snapshot = rows.copy()
         store = ExemplarStore()
         store.set_exemplars(0, rows, copy=False)
-        store.rebalance(3)  # slices the entry; the shared buffer is untouched
-        assert np.array_equal(rows, snapshot)
         store.set_exemplars(0, self._policy_rows(seed=4))
         assert np.array_equal(rows, snapshot)

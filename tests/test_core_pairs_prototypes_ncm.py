@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.ncm import NCMClassifier
-from repro.core.pairs import PairSampler, class_membership, count_contrastive_pairs
-from repro.core.prototypes import PrototypeStore, compute_class_prototypes
+from repro.core.pairs import PairSampler, class_membership
+from repro.core.prototypes import PrototypeStore
 from repro.exceptions import DataError, NotFittedError
 
 
@@ -13,8 +13,8 @@ class TestPairSampler:
     def test_all_strategy_generates_all_pairs(self):
         labels = np.array([0, 0, 1, 1])
         pairs = PairSampler(strategy="all", max_pairs=100, rng=0).sample(labels)
-        assert pairs.n_pairs == 6
-        assert pairs.n_positive == 2  # (0,1) and (2,3)
+        assert pairs.left.size == 6
+        assert pairs.same_class.sum() == 2  # (0,1) and (2,3)
 
     def test_pair_labels_are_correct(self):
         labels = np.array([0, 1])
@@ -24,7 +24,7 @@ class TestPairSampler:
     def test_max_pairs_cap(self):
         labels = np.zeros(30, dtype=int)
         pairs = PairSampler(strategy="all", max_pairs=10, rng=0).sample(labels)
-        assert pairs.n_pairs == 10
+        assert pairs.left.size == 10
 
     def test_new_centred_only_involves_new_classes(self):
         labels = np.array([0, 0, 0, 5, 5])
@@ -33,7 +33,7 @@ class TestPairSampler:
         )
         involves_new = (labels[pairs.left] == 5) | (labels[pairs.right] == 5)
         assert involves_new.all()
-        assert pairs.n_pairs == 7  # 3*2 cross pairs + 1 new-new pair
+        assert pairs.left.size == 7  # 3*2 cross pairs + 1 new-new pair
 
     def test_new_centred_requires_new_classes(self):
         with pytest.raises(DataError):
@@ -44,19 +44,21 @@ class TestPairSampler:
         pairs = PairSampler(strategy="new_centred", max_pairs=100, rng=0).sample(
             labels, new_classes={9}
         )
-        assert pairs.n_pairs == 3  # falls back to all pairs
+        assert pairs.left.size == 3  # falls back to all pairs
 
     def test_balanced_strategy_mixes_positive_and_negative(self):
         labels = np.array([0] * 10 + [1] * 10)
         pairs = PairSampler(strategy="balanced", max_pairs=40, rng=0).sample(labels)
-        assert pairs.n_positive > 0 and pairs.n_negative > 0
-        assert abs(pairs.n_positive - pairs.n_negative) <= 2
+        n_positive = int(pairs.same_class.sum())
+        n_negative = pairs.left.size - n_positive
+        assert n_positive > 0 and n_negative > 0
+        assert abs(n_positive - n_negative) <= 2
 
     def test_balanced_single_class_batch(self):
         labels = np.zeros(6, dtype=int)
         pairs = PairSampler(strategy="balanced", max_pairs=10, rng=0).sample(labels)
-        assert pairs.n_pairs > 0
-        assert pairs.n_negative == 0
+        assert pairs.left.size > 0
+        assert pairs.same_class.sum() == pairs.left.size
 
     def test_requires_two_samples(self):
         with pytest.raises(DataError):
@@ -67,13 +69,6 @@ class TestPairSampler:
             PairSampler(strategy="everything")
         with pytest.raises(DataError):
             PairSampler(max_pairs=0)
-
-    def test_count_contrastive_pairs_reduction(self):
-        counts = {0: 10, 1: 10, 2: 5}
-        assert count_contrastive_pairs(counts) == 25 * 24 // 2
-        reduced = count_contrastive_pairs(counts, new_classes={2})
-        assert reduced == 25 * 24 // 2 - 20 * 19 // 2
-        assert reduced < count_contrastive_pairs(counts)
 
 
 class TestClassMembership:
@@ -95,19 +90,6 @@ class TestClassMembership:
 
 
 class TestPrototypes:
-    def test_compute_class_prototypes(self):
-        embeddings = np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 6.0]])
-        labels = np.array([1, 1, 3])
-        prototypes = compute_class_prototypes(embeddings, labels)
-        assert np.allclose(prototypes[1], [1.0, 1.0])
-        assert np.allclose(prototypes[3], [4.0, 6.0])
-
-    def test_compute_validates_shapes(self):
-        with pytest.raises(DataError):
-            compute_class_prototypes(np.zeros(5), np.zeros(5))
-        with pytest.raises(DataError):
-            compute_class_prototypes(np.zeros((3, 2)), np.zeros(2))
-
     def test_store_set_get_contains(self):
         store = PrototypeStore()
         store.set(2, [1.0, 2.0])
@@ -123,10 +105,10 @@ class TestPrototypes:
         with pytest.raises(DataError):
             store.set(1, [1.0, 2.0, 3.0])
 
-    def test_store_update_from_and_matrix(self):
+    def test_store_as_matrix(self):
         store = PrototypeStore()
-        embeddings = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 4.0]])
-        store.update_from(embeddings, np.array([0, 0, 1]))
+        store.set(1, [0.0, 4.0])
+        store.set(0, [1.0, 0.0])
         matrix = store.as_matrix()
         assert matrix.shape == (2, 2)
         assert np.allclose(matrix[0], [1.0, 0.0])

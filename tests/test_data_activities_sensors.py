@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.data.activities import ACTIVITY_NAMES, Activity, activity_from_name, activity_names
+from repro.data.activities import ACTIVITY_NAMES, Activity, activity_from_name
 from repro.data.sensors import SensorSuite, default_sensor_suite
 from repro.exceptions import ConfigurationError, DataError
 
@@ -15,11 +15,6 @@ class TestActivities:
     def test_display_names(self):
         assert Activity.ESCOOTER.display_name == "E-scooter"
         assert Activity.RUN.display_name == "Run"
-
-    def test_activity_names_returns_copy(self):
-        names = activity_names()
-        names.append("Fly")
-        assert len(ACTIVITY_NAMES) == 5
 
     @pytest.mark.parametrize(
         "name, expected",

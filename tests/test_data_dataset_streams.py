@@ -1,11 +1,10 @@
-"""Tests for HARDataset, splitting, incremental scenarios and imbalance utilities."""
+"""Tests for HARDataset, splitting and incremental scenarios."""
 
 import numpy as np
 import pytest
 
 from repro.data.activities import Activity
 from repro.data.dataset import HARDataset, train_val_test_split
-from repro.data.imbalance import class_counts, imbalance_ratio, make_imbalanced, subsample_class
 from repro.data.streams import build_incremental_scenario
 from repro.exceptions import DataError
 
@@ -34,12 +33,10 @@ class TestHARDataset:
         assert dataset.class_name(1) == "activity1"
         assert dataset.class_name(99) == "class_99"
 
-    def test_select_and_exclude_classes(self):
+    def test_select_classes(self):
         dataset = _dataset()
         selected = dataset.select_classes([0, 2])
         assert set(selected.classes.tolist()) == {0, 2}
-        excluded = dataset.exclude_classes([0])
-        assert 0 not in excluded.classes
 
     def test_select_missing_class_raises(self):
         with pytest.raises(DataError):
@@ -54,7 +51,8 @@ class TestHARDataset:
     def test_subsample_per_class(self):
         dataset = _dataset()
         small = dataset.subsample(5, per_class=True, rng=0)
-        assert all(count == 5 for count in small.class_distribution().values())
+        _, counts = np.unique(small.labels, return_counts=True)
+        assert np.all(counts == 5)
 
     def test_subsample_global(self):
         dataset = _dataset()
@@ -63,21 +61,6 @@ class TestHARDataset:
     def test_subsample_more_than_available(self):
         dataset = _dataset(n_per_class=3)
         assert dataset.subsample(100, per_class=True, rng=0).n_samples == 12
-
-    def test_shuffled_preserves_pairs(self):
-        dataset = _dataset()
-        shuffled = dataset.shuffled(rng=0)
-        # Class 3 rows were generated around mean 3; check labels still match rows.
-        mask = shuffled.labels == 3
-        assert abs(shuffled.features[mask].mean() - 3.0) < 0.5
-
-    def test_merge(self):
-        combined = _dataset(n_per_class=5).merge(_dataset(n_per_class=7, seed=1))
-        assert combined.n_samples == 4 * 5 + 4 * 7
-
-    def test_merge_feature_mismatch_raises(self):
-        with pytest.raises(DataError):
-            _dataset(n_features=4).merge(_dataset(n_features=6))
 
     def test_validation_of_inputs(self):
         with pytest.raises(DataError):
@@ -90,7 +73,9 @@ class TestSplits:
     def test_paper_split_proportions(self):
         dataset = _dataset(n_per_class=50)
         splits = train_val_test_split(dataset, test_fraction=0.3, validation_fraction=0.2, rng=0)
-        train_n, val_n, test_n = splits.sizes()
+        train_n, val_n, test_n = (
+            splits.train.n_samples, splits.validation.n_samples, splits.test.n_samples
+        )
         assert train_n + val_n + test_n == dataset.n_samples
         assert abs(test_n - 0.3 * dataset.n_samples) <= 4
         assert abs(val_n - 0.2 * 0.7 * dataset.n_samples) <= 4
@@ -169,39 +154,3 @@ class TestIncrementalScenario:
         scenario = build_incremental_scenario(har_dataset, [Activity.RUN], rng=0)
         assert int(Activity.RUN) in scenario.new_classes
         assert int(Activity.RUN) not in scenario.old_classes
-
-
-class TestImbalance:
-    def test_class_counts(self):
-        assert class_counts(np.array([0, 0, 1, 2, 2, 2])) == {0: 2, 1: 1, 2: 3}
-
-    def test_imbalance_ratio(self):
-        assert imbalance_ratio(np.array([0, 0, 0, 1])) == pytest.approx(3.0)
-        with pytest.raises(DataError):
-            imbalance_ratio(np.array([]))
-
-    def test_subsample_class(self):
-        dataset = _dataset(n_per_class=30)
-        reduced = subsample_class(dataset, 2, 5, rng=0)
-        counts = reduced.class_distribution()
-        assert counts[2] == 5
-        assert counts[0] == 30
-
-    def test_subsample_class_errors(self):
-        dataset = _dataset()
-        with pytest.raises(DataError):
-            subsample_class(dataset, 99, 5)
-        with pytest.raises(DataError):
-            subsample_class(dataset, 0, 0)
-
-    def test_make_imbalanced(self):
-        dataset = _dataset(n_per_class=40)
-        skewed = make_imbalanced(dataset, {0: 0.25, 1: 1.0}, rng=0)
-        counts = skewed.class_distribution()
-        assert counts[0] == 10
-        assert counts[1] == 40
-        assert imbalance_ratio(skewed.labels) == pytest.approx(4.0)
-
-    def test_make_imbalanced_invalid_proportion(self):
-        with pytest.raises(DataError):
-            make_imbalanced(_dataset(), {0: 0.0})

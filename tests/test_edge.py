@@ -20,8 +20,6 @@ class TestEdgeDevice:
         device.store("support", 300)
         assert device.storage_used == 700
         assert device.storage_free == 300
-        assert device.can_store(300)
-        assert not device.can_store(301)
 
     def test_over_budget_raises(self):
         device = EdgeDevice(DeviceProfile("test", storage_bytes=100, memory_bytes=100))
@@ -33,16 +31,6 @@ class TestEdgeDevice:
         device.store("model", 90)
         device.store("model", 50)  # replace, not add
         assert device.storage_used == 50
-
-    def test_free(self):
-        device = EdgeDevice(DeviceProfile("test", storage_bytes=100, memory_bytes=100))
-        device.store("x", 50)
-        device.free("x")
-        assert device.storage_used == 0
-
-    def test_epoch_extrapolation(self):
-        device = EdgeDevice(DEVICE_PROFILES["wearable"])
-        assert device.estimate_epoch_seconds(0.1) == pytest.approx(1.0)
 
     def test_invalid_profile(self):
         with pytest.raises(EdgeResourceError):
@@ -106,7 +94,7 @@ class TestMagnetoPlatform:
                                 exemplars_per_class=10)
         package = platform.deploy_to_edge()
         assert platform.device.storage_used == pytest.approx(package.total_bytes)
-        platform.edge_learn_new_activity(run_scenario.new_train, run_scenario.new_validation)
+        platform.edge_learner.learn_new_classes(run_scenario.new_train, run_scenario.new_validation)
         predictions = platform.serving_client().predict(run_scenario.test.features)
         assert predictions.shape[0] == run_scenario.test.n_samples
         assert int(Activity.RUN) in set(predictions.tolist())
@@ -117,8 +105,6 @@ class TestMagnetoPlatform:
         platform = MagnetoPlatform(tiny_config, seed=0)
         with pytest.raises(NotFittedError):
             platform.deploy_to_edge()
-        with pytest.raises(NotFittedError):
-            platform.edge_learn_new_activity(run_scenario.new_train)
         with pytest.raises(NotFittedError):
             platform.serving_client().predict(run_scenario.test.features)
 

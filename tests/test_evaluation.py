@@ -12,7 +12,6 @@ from repro.evaluation.scenarios import (
     FIGURE6_SCENARIO,
     FIGURE7_SCENARIO,
     TABLE2_SCENARIOS,
-    all_scenarios,
 )
 from repro.exceptions import ConfigurationError, DataError
 
@@ -75,13 +74,6 @@ class TestResultTable:
         with pytest.raises(KeyError):
             table.column("missing")
 
-    def test_csv_rows_flatten_aggregates(self):
-        table = ResultTable("t", columns=["method", "accuracy"])
-        table.add_row(method="pilote", accuracy=aggregate_values([0.9, 1.0]))
-        rows = table.to_csv_rows()
-        assert rows[0]["accuracy_mean"] == pytest.approx(0.95)
-        assert "accuracy_std" in rows[0]
-
     def test_empty_columns_rejected(self):
         with pytest.raises(DataError):
             ResultTable("t", columns=[])
@@ -101,10 +93,6 @@ class TestScenarioSpecs:
     def test_figure7_sweeps_new_class_samples(self):
         assert FIGURE7_SCENARIO.sweep_name == "new_class_samples"
         assert FIGURE7_SCENARIO.exemplars_per_class == 200
-
-    def test_all_scenarios_index(self):
-        index = all_scenarios()
-        assert set(index) == {"table2", "figure4", "figure5", "figure6", "figure7", "fleet"}
 
     def test_fleet_scenario_shape(self):
         from repro.evaluation.scenarios import FLEET_SCENARIO
@@ -132,7 +120,8 @@ class TestExperimentRunner:
             assert result.predictions.shape[0] == comparison.scenario.test.n_samples
 
     def test_pilote_at_least_matches_pretrained(self, comparison):
-        assert comparison.accuracy_of("pilote") >= comparison.accuracy_of("pre-trained") - 0.05
+        methods = comparison.methods
+        assert methods["pilote"].accuracy >= methods["pre-trained"].accuracy - 0.05
 
     def test_learners_kept_when_requested(self, comparison):
         assert set(comparison.learners) == set(PAPER_METHODS)
@@ -140,7 +129,7 @@ class TestExperimentRunner:
 
     def test_summary_matches_methods(self, comparison):
         summary = comparison.summary()
-        assert summary["pilote"] == comparison.accuracy_of("pilote")
+        assert summary["pilote"] == comparison.methods["pilote"].accuracy
 
     def test_shared_pretrained_model_reused(self, har_dataset, tiny_config):
         from repro.data.streams import build_incremental_scenario
@@ -151,7 +140,7 @@ class TestExperimentRunner:
         first = runner.compare(scenario, pretrained=pretrained, rng=2)
         # The shared learner must still only know the old classes afterwards.
         assert int(Activity.WALK) not in pretrained.classes_
-        assert first.accuracy_of("pilote") > 0.4
+        assert first.methods["pilote"].accuracy > 0.4
 
     def test_new_class_sample_cap_is_applied(self, har_dataset, tiny_config):
         runner = ExperimentRunner(tiny_config, methods=("pre-trained",))

@@ -7,9 +7,15 @@ plain re-training, and the edge footprint stays small.
 """
 
 import copy
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core.config import PiloteConfig
 from repro.core.pilote import PILOTE
@@ -21,7 +27,6 @@ from repro.data.dataset import HARDataset
 from repro.edge.magneto import MagnetoPlatform
 from repro.features.extractor import StatisticalFeatureExtractor
 from repro.metrics.confusion import ConfusionMatrix
-from repro.metrics.forgetting import forgetting_report
 from repro.timeseries.normalize import z_score
 from repro.utils.serialization import load_npz_state, save_npz_state
 
@@ -72,7 +77,7 @@ class TestFullPipeline:
         )
         package = platform.deploy_to_edge()
         assert package.total_bytes < platform.device.profile.storage_bytes
-        platform.edge_learn_new_activity(
+        platform.edge_learner.learn_new_classes(
             pipeline_scenario.new_train, pipeline_scenario.new_validation
         )
         predictions = platform.serving_client().predict(pipeline_scenario.test.features)
@@ -170,3 +175,34 @@ class TestFullPipeline:
         dataset = make_feature_dataset(samples_per_class=15, seed=0)
         assert dataset.n_features == 80
         assert set(dataset.classes.tolist()) == {int(a) for a in Activity}
+
+
+_SCIPY_BLOCKED = textwrap.dedent(
+    """
+    import sys
+
+    sys.modules["scipy"] = None  # any scipy import now raises ImportError
+
+    from repro import PILOTE, PiloteConfig, build_incremental_scenario, make_feature_dataset
+
+    dataset = make_feature_dataset(samples_per_class=40, seed=0)
+    scenario = build_incremental_scenario(dataset, [2], rng=0)
+    config = PiloteConfig(hidden_dims=(32, 16), embedding_dim=8, batch_size=16,
+                          max_epochs_pretrain=4, max_epochs_increment=3,
+                          cache_size=60, max_pairs_per_batch=64, seed=0)
+    learner = PILOTE(config)
+    learner.pretrain(scenario.old_train, scenario.old_validation, exemplars_per_class=10)
+    learner.learn_new_classes(scenario.new_train, scenario.new_validation)
+    assert learner.predict(scenario.test.features).shape == (scenario.test.n_samples,)
+    """
+)
+
+
+def test_repro_trains_and_predicts_with_scipy_blocked():
+    """numpy is the only runtime dependency: pretrain, increment and predict without scipy."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    completed = subprocess.run(
+        [sys.executable, "-c", _SCIPY_BLOCKED], env=env, capture_output=True, text=True
+    )
+    assert completed.returncode == 0, completed.stderr

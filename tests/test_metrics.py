@@ -7,8 +7,6 @@ from repro.exceptions import DataError
 from repro.metrics.classification import (
     accuracy,
     classification_report,
-    f1_score,
-    per_class_accuracy,
     precision_recall_f1,
 )
 from repro.metrics.confusion import ConfusionMatrix, confusion_matrix
@@ -20,8 +18,6 @@ from repro.metrics.embedding_quality import (
 from repro.metrics.forgetting import (
     average_incremental_accuracy,
     backward_transfer,
-    forgetting_measure,
-    forgetting_report,
     new_class_accuracy,
     old_class_accuracy,
 )
@@ -38,25 +34,11 @@ class TestClassification:
         with pytest.raises(DataError):
             accuracy([0, 1], [0])
 
-    def test_per_class_accuracy(self):
-        scores = per_class_accuracy([0, 0, 1, 1], [0, 1, 1, 1])
-        assert scores[0] == pytest.approx(0.5)
-        assert scores[1] == pytest.approx(1.0)
-
     def test_precision_recall_f1(self):
         report = precision_recall_f1([0, 0, 1, 1], [0, 1, 1, 1])
         assert report[1]["precision"] == pytest.approx(2 / 3)
         assert report[1]["recall"] == pytest.approx(1.0)
         assert report[0]["recall"] == pytest.approx(0.5)
-
-    def test_f1_macro_and_micro(self):
-        y_true = [0, 0, 1, 1]
-        y_pred = [0, 1, 1, 1]
-        assert f1_score(y_true, y_pred, average="micro") == pytest.approx(0.75)
-        macro = f1_score(y_true, y_pred, average="macro")
-        assert 0.0 < macro < 1.0
-        with pytest.raises(DataError):
-            f1_score(y_true, y_pred, average="weighted")
 
     def test_classification_report_contains_classes(self):
         report = classification_report([0, 1], [0, 1], label_names={0: "Walk", 1: "Run"})
@@ -65,7 +47,6 @@ class TestClassification:
     def test_perfect_scores(self):
         y = [0, 1, 2, 3]
         assert accuracy(y, y) == 1.0
-        assert f1_score(y, y) == pytest.approx(1.0)
 
 
 class TestConfusionMatrix:
@@ -113,10 +94,6 @@ class TestForgetting:
         with pytest.raises(DataError):
             new_class_accuracy([1, 1], [1, 1], [5])
 
-    def test_forgetting_measure_sign(self):
-        assert forgetting_measure(0.9, 0.7) == pytest.approx(0.2)
-        assert forgetting_measure(0.7, 0.9) == pytest.approx(-0.2)
-
     def test_backward_transfer(self):
         assert backward_transfer([0.9, 0.8, 0.7]) == pytest.approx(-0.15)
         with pytest.raises(DataError):
@@ -126,16 +103,6 @@ class TestForgetting:
         assert average_incremental_accuracy([0.8, 0.9]) == pytest.approx(0.85)
         with pytest.raises(DataError):
             average_incremental_accuracy([])
-
-    def test_forgetting_report_keys(self):
-        y_true = np.array([0, 0, 1, 1, 2, 2])
-        before = np.array([0, 0, 1, 1, 0, 0])
-        after = np.array([0, 1, 1, 1, 2, 2])
-        report = forgetting_report(y_true, before, after, old_classes=[0, 1], new_classes=[2])
-        assert report["old_accuracy_before"] == pytest.approx(1.0)
-        assert report["old_accuracy_after"] == pytest.approx(0.75)
-        assert report["forgetting"] == pytest.approx(0.25)
-        assert report["new_accuracy_after"] == pytest.approx(1.0)
 
 
 class TestEmbeddingQuality:

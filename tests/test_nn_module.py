@@ -108,14 +108,3 @@ class TestStateDict:
         other = Sequential(Linear(3, 3, rng=1), BatchNorm1d(3))
         other.load_state_dict(state)
         assert np.allclose(other[1].running_mean, net[1].running_mean)
-
-    def test_copy_weights_from(self):
-        net, other = TinyNet(), TinyNet()
-        other.copy_weights_from(net)
-        assert np.allclose(other.second.weight.data, net.second.weight.data)
-
-    def test_clone_is_independent(self):
-        net = TinyNet()
-        duplicate = net.clone()
-        duplicate.first.weight.data[:] = 0.0
-        assert not np.allclose(net.first.weight.data, 0.0)

@@ -70,13 +70,6 @@ class TestSchedulers:
             scheduler.step()
         assert optimizer.lr == pytest.approx(1e-3)
 
-    def test_current_lr_property(self):
-        optimizer = self._optimizer(0.3)
-        scheduler = HalvingLR(optimizer)
-        assert scheduler.current_lr == pytest.approx(0.3)
-        scheduler.step()
-        assert scheduler.current_lr == pytest.approx(0.15)
-
     def test_invalid_scheduler_arguments(self):
         with pytest.raises(ValueError):
             HalvingLR(self._optimizer(), min_lr=0.0)

@@ -41,15 +41,9 @@ class TestEarlyStopping:
 
 
 class TestTrainingHistory:
-    def test_epoch_count_and_final_losses(self):
+    def test_epoch_count(self):
         history = TrainingHistory(train_losses=[1.0, 0.5], validation_losses=[0.9, 0.6])
         assert history.epochs_run == 2
-        assert history.final_train_loss() == 0.5
-        assert history.final_validation_loss() == 0.6
-
-    def test_empty_history_is_nan(self):
-        history = TrainingHistory()
-        assert np.isnan(history.final_train_loss())
 
 
 class TestTrainer:

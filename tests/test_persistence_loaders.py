@@ -1,18 +1,11 @@
-"""Tests for PILOTE checkpointing and the file-based dataset loaders."""
+"""Tests for PILOTE checkpointing."""
 
 import numpy as np
 import pytest
 
 from repro.core.persistence import load_pilote, save_pilote
 from repro.core.pilote import PILOTE
-from repro.data.dataset import HARDataset
-from repro.data.loaders import (
-    load_dataset_csv,
-    load_dataset_npz,
-    save_dataset_csv,
-    save_dataset_npz,
-)
-from repro.exceptions import DataError, NotFittedError, SerializationError
+from repro.exceptions import NotFittedError, SerializationError
 from repro.utils.serialization import save_npz_state
 
 
@@ -47,83 +40,3 @@ class TestPilotePersistence:
         path = save_npz_state(tmp_path / "plain", {"a": np.ones(3)})
         with pytest.raises(SerializationError):
             load_pilote(path)
-
-
-def _toy_dataset():
-    rng = np.random.default_rng(0)
-    return HARDataset(
-        features=rng.normal(size=(20, 4)),
-        labels=np.array([0] * 10 + [1] * 10),
-        label_names={0: "Walk", 1: "Run"},
-    )
-
-
-class TestNpzLoader:
-    def test_round_trip(self, tmp_path):
-        dataset = _toy_dataset()
-        path = save_dataset_npz(dataset, tmp_path / "data")
-        loaded = load_dataset_npz(path)
-        assert np.allclose(loaded.features, dataset.features)
-        assert np.array_equal(loaded.labels, dataset.labels)
-        assert loaded.label_names == dataset.label_names
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(DataError):
-            load_dataset_npz(tmp_path / "nothing.npz")
-
-    def test_archive_without_required_arrays_raises(self, tmp_path):
-        path = tmp_path / "broken.npz"
-        np.savez(path, something=np.ones(3))
-        with pytest.raises(DataError):
-            load_dataset_npz(path)
-
-
-class TestCsvLoader:
-    def test_round_trip(self, tmp_path):
-        dataset = _toy_dataset()
-        path = save_dataset_csv(dataset, tmp_path / "data.csv")
-        loaded = load_dataset_csv(path)
-        assert np.allclose(loaded.features, dataset.features, atol=1e-9)
-        assert np.array_equal(loaded.labels, dataset.labels)
-
-    def test_named_labels_are_mapped(self, tmp_path):
-        path = tmp_path / "named.csv"
-        path.write_text("a,b,label\n1.0,2.0,Walk\n3.0,4.0,Run\n")
-        loaded = load_dataset_csv(path, label_names={0: "Walk", 1: "Run"})
-        assert loaded.labels.tolist() == [0, 1]
-        assert loaded.features.shape == (2, 2)
-
-    def test_feature_column_selection(self, tmp_path):
-        path = tmp_path / "cols.csv"
-        path.write_text("a,b,c,label\n1,2,3,0\n4,5,6,1\n")
-        loaded = load_dataset_csv(path, feature_columns=["a", "c"])
-        assert loaded.features.shape == (2, 2)
-        assert np.allclose(loaded.features[0], [1.0, 3.0])
-
-    def test_missing_label_column_raises(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(DataError):
-            load_dataset_csv(path)
-
-    def test_unknown_label_name_raises(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,label\n1,Fly\n")
-        with pytest.raises(DataError):
-            load_dataset_csv(path)
-
-    def test_non_numeric_feature_raises(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,label\noops,0\n")
-        with pytest.raises(DataError):
-            load_dataset_csv(path)
-
-    def test_empty_csv_raises(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("a,label\n")
-        with pytest.raises(DataError):
-            load_dataset_csv(path)
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(DataError):
-            load_dataset_csv(tmp_path / "nothing.csv")

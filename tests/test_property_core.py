@@ -8,8 +8,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core.exemplars import herding_selection
 from repro.core.ncm import NCMClassifier
 from repro.core.pairs import PairSampler
-from repro.core.prototypes import compute_class_prototypes
-from repro.metrics.classification import accuracy, per_class_accuracy
+from repro.metrics.classification import accuracy
 from repro.metrics.confusion import confusion_matrix
 
 SETTINGS = dict(max_examples=25, deadline=None)
@@ -27,14 +26,13 @@ class TestPairSamplerProperties:
         pairs = sampler.sample(labels)
         expected = (labels[pairs.left] == labels[pairs.right]).astype(float)
         assert np.array_equal(pairs.same_class, expected)
-        assert pairs.n_pairs == pairs.n_positive + pairs.n_negative
 
     @given(labels_strategy, st.integers(1, 50))
     @settings(**SETTINGS)
     def test_max_pairs_respected(self, labels, max_pairs):
         sampler = PairSampler(strategy="all", max_pairs=max_pairs, rng=0)
         pairs = sampler.sample(labels)
-        assert pairs.n_pairs <= max_pairs
+        assert pairs.left.size <= max_pairs
 
     @given(labels_strategy)
     @settings(**SETTINGS)
@@ -44,22 +42,6 @@ class TestPairSamplerProperties:
 
 
 class TestPrototypeProperties:
-    @given(
-        hnp.arrays(
-            np.float64,
-            st.tuples(st.integers(4, 20), st.integers(2, 6)),
-            elements=st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False),
-        )
-    )
-    @settings(**SETTINGS)
-    def test_prototypes_lie_within_class_bounds(self, embeddings):
-        labels = np.arange(embeddings.shape[0]) % 2
-        prototypes = compute_class_prototypes(embeddings, labels)
-        for class_id, prototype in prototypes.items():
-            rows = embeddings[labels == class_id]
-            assert np.all(prototype >= rows.min(axis=0) - 1e-9)
-            assert np.all(prototype <= rows.max(axis=0) + 1e-9)
-
     @given(st.integers(2, 10), st.integers(1, 8))
     @settings(**SETTINGS)
     def test_herding_prefix_property(self, n_exemplars, seed):
@@ -104,7 +86,6 @@ class TestMetricProperties:
     @settings(**SETTINGS)
     def test_accuracy_of_identical_predictions_is_one(self, labels):
         assert accuracy(labels, labels) == 1.0
-        assert all(v == 1.0 for v in per_class_accuracy(labels, labels).values())
 
     @given(labels_strategy, st.integers(0, 1000))
     @settings(**SETTINGS)

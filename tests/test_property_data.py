@@ -1,4 +1,4 @@
-"""Property-based tests for the data substrate: windowing, features, splits."""
+"""Property-based tests for the data substrate: features and splits."""
 
 import numpy as np
 import pytest
@@ -9,35 +9,8 @@ from repro.data.dataset import HARDataset, train_val_test_split
 from repro.features.statistical import channel_means, channel_variances
 from repro.timeseries.jerk import jerk
 from repro.timeseries.normalize import z_score
-from repro.timeseries.window import segment_windows
 
 SETTINGS = dict(max_examples=20, deadline=None)
-
-stream_strategy = hnp.arrays(
-    np.float64,
-    st.tuples(st.integers(10, 80), st.integers(1, 6)),
-    elements=st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False),
-)
-
-
-class TestWindowingProperties:
-    @given(stream_strategy, st.integers(2, 10))
-    @settings(**SETTINGS)
-    def test_segmentation_conserves_values(self, stream, window_length):
-        if stream.shape[0] < window_length:
-            return
-        windows = segment_windows(stream, window_length)
-        usable = windows.shape[0] * window_length
-        assert np.allclose(windows.reshape(usable, stream.shape[1]), stream[:usable])
-
-    @given(stream_strategy, st.integers(2, 10))
-    @settings(**SETTINGS)
-    def test_window_count(self, stream, window_length):
-        if stream.shape[0] < window_length:
-            return
-        windows = segment_windows(stream, window_length)
-        assert windows.shape[0] == stream.shape[0] // window_length
-
 
 class TestFeatureProperties:
     @given(
@@ -84,7 +57,7 @@ class TestSplitProperties:
         labels = np.repeat(np.arange(n_classes), per_class)
         dataset = HARDataset(features=features, labels=labels)
         splits = train_val_test_split(dataset, rng=seed)
-        total = sum(splits.sizes())
+        total = splits.train.n_samples + splits.validation.n_samples + splits.test.n_samples
         assert total == dataset.n_samples
         all_rows = np.concatenate(
             [splits.train.features, splits.validation.features, splits.test.features]
@@ -101,4 +74,5 @@ class TestSplitProperties:
         dataset = HARDataset(features=features, labels=labels)
         take = min(per_class, 7)
         small = dataset.subsample(take, per_class=True, rng=seed)
-        assert all(count == take for count in small.class_distribution().values())
+        _, counts = np.unique(small.labels, return_counts=True)
+        assert np.all(counts == take)

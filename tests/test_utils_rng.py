@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import get_global_seed, resolve_rng, set_global_seed, spawn_rngs
+from repro.utils.rng import resolve_rng, spawn_rngs
 
 
 class TestResolveRng:
@@ -21,23 +21,6 @@ class TestResolveRng:
 
     def test_none_returns_generator(self):
         assert isinstance(resolve_rng(None), np.random.Generator)
-
-
-class TestGlobalSeed:
-    def test_global_seed_controls_none(self):
-        set_global_seed(99)
-        try:
-            assert get_global_seed() == 99
-            first = resolve_rng(None).normal(size=4)
-            second = resolve_rng(None).normal(size=4)
-            assert np.allclose(first, second)
-        finally:
-            set_global_seed(None)
-
-    def test_clearing_global_seed(self):
-        set_global_seed(5)
-        set_global_seed(None)
-        assert get_global_seed() is None
 
 
 class TestSpawnRngs:

@@ -8,7 +8,6 @@ from repro.utils.serialization import (
     float32_nbytes,
     load_npz_state,
     save_npz_state,
-    state_dict_nbytes,
 )
 
 
@@ -43,10 +42,6 @@ class TestSaveLoadRoundTrip:
 
 
 class TestSizeAccounting:
-    def test_state_dict_nbytes(self):
-        state = {"a": np.zeros((10, 10)), "b": np.zeros(5)}
-        assert state_dict_nbytes(state) == 105 * 8
-
     def test_float32_nbytes(self):
         assert float32_nbytes(100) == 400
 

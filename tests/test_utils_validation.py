@@ -6,11 +6,9 @@ import pytest
 from repro.exceptions import DataError, ShapeError
 from repro.utils.validation import (
     check_array,
-    check_consistent_length,
     check_feature_matrix,
     check_finite,
     check_labels,
-    check_positive,
     check_probability,
 )
 
@@ -84,16 +82,6 @@ class TestCheckLabels:
 
 
 class TestScalarChecks:
-    def test_check_positive_accepts(self):
-        assert check_positive(1.5) == 1.5
-
-    def test_check_positive_rejects_zero_when_strict(self):
-        with pytest.raises(DataError):
-            check_positive(0.0)
-
-    def test_check_positive_non_strict_allows_zero(self):
-        assert check_positive(0.0, strict=False) == 0.0
-
     def test_check_probability_bounds(self):
         assert check_probability(0.0) == 0.0
         assert check_probability(1.0) == 1.0
@@ -104,13 +92,6 @@ class TestScalarChecks:
 
 
 class TestCompositeChecks:
-    def test_consistent_length_passes(self):
-        check_consistent_length([1, 2], [3, 4])
-
-    def test_consistent_length_fails(self):
-        with pytest.raises(ShapeError):
-            check_consistent_length([1, 2], [3])
-
     def test_feature_matrix_with_labels(self):
         features, labels = check_feature_matrix([[1.0, 2.0], [3.0, 4.0]], [0, 1])
         assert features.shape == (2, 2)

@@ -1,13 +1,10 @@
-"""Tests for PCA projection, ASCII plotting and CSV export."""
-
-import csv
+"""Tests for PCA projection and ASCII plotting."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import DataError
-from repro.viz.ascii import ascii_bar_chart, ascii_line_plot, ascii_scatter
-from repro.viz.export import export_series_csv, export_table_csv
+from repro.viz.ascii import ascii_line_plot, ascii_scatter
 from repro.viz.projection import pca_project, project_embeddings_2d
 
 
@@ -80,41 +77,3 @@ class TestAsciiPlots:
     def test_scatter_requires_2d_points(self):
         with pytest.raises(DataError):
             ascii_scatter({0: np.zeros((5, 3))})
-
-    def test_bar_chart(self):
-        text = ascii_bar_chart({"pilote": 0.95, "re-trained": 0.9}, title="accuracies")
-        assert "#" in text and "pilote" in text
-        with pytest.raises(DataError):
-            ascii_bar_chart({})
-
-
-class TestCsvExport:
-    def test_table_round_trip(self, tmp_path):
-        rows = [{"method": "pilote", "accuracy": 0.95}, {"method": "re-trained", "accuracy": 0.9}]
-        path = export_table_csv(tmp_path / "table.csv", rows)
-        with open(path) as handle:
-            loaded = list(csv.DictReader(handle))
-        assert loaded[0]["method"] == "pilote"
-        assert float(loaded[1]["accuracy"]) == pytest.approx(0.9)
-
-    def test_table_rejects_empty_and_inconsistent(self, tmp_path):
-        with pytest.raises(DataError):
-            export_table_csv(tmp_path / "x.csv", [])
-        with pytest.raises(DataError):
-            export_table_csv(tmp_path / "x.csv", [{"a": 1}, {"b": 2}])
-
-    def test_series_export(self, tmp_path):
-        path = export_series_csv(
-            tmp_path / "series.csv",
-            [10, 20],
-            {"pilote": [0.9, 0.95], "re-trained": [0.8, 0.9]},
-            x_name="exemplars",
-        )
-        with open(path) as handle:
-            loaded = list(csv.DictReader(handle))
-        assert loaded[0]["exemplars"] == "10"
-        assert float(loaded[1]["pilote"]) == pytest.approx(0.95)
-
-    def test_series_length_mismatch(self, tmp_path):
-        with pytest.raises(DataError):
-            export_series_csv(tmp_path / "x.csv", [1, 2], {"a": [1.0]})
