@@ -33,6 +33,9 @@ Shipped rules
 ``repro-unused``
     Every function, class and method is referenced somewhere in the tree
     beyond its definition, imports and ``__all__``.
+``repro-unused-import``
+    Every module other than a package ``__init__`` uses each name it
+    imports.
 """
 
 from __future__ import annotations
@@ -136,3 +139,4 @@ from repro.analysis.rules import registries as _registries  # noqa: E402,F401
 from repro.analysis.rules import locks as _locks  # noqa: E402,F401
 from repro.analysis.rules import roundtrip as _roundtrip  # noqa: E402,F401
 from repro.analysis.rules import unused as _unused  # noqa: E402,F401
+from repro.analysis.rules import imports as _imports  # noqa: E402,F401

@@ -21,7 +21,7 @@ different modules.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.engine import FileContext, Finding

@@ -9,7 +9,7 @@ validation-loss change stays below 10⁻⁴ for five consecutive epochs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.exceptions import ConfigurationError

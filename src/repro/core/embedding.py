@@ -85,6 +85,7 @@ class EmbeddingNetwork(Module):
         #: "these weights are this network's own" and never fuses.  Code
         #: that writes parameters directly must reset it.
         self.weights_token: Optional[object] = None
+        self._step_program = self._build_step_program()
 
     # ------------------------------------------------------------------ #
     def forward(self, inputs) -> Tensor:
@@ -106,6 +107,21 @@ class EmbeddingNetwork(Module):
         whole step.  Each BatchNorm's running statistics are updated from
         the batch, as its training-mode forward would.
         """
+        layers, parameters, norms = self._step_program
+        loss, batch_stats = ops.pilote_step(
+            Tensor(features), parameters, layers=layers, normalize=self.normalize,
+            **objective,
+        )
+        for norm, (mean, variance) in zip(norms, batch_stats):
+            norm._update_running(mean, variance, features.shape[0])
+        return loss
+
+    def _build_step_program(self):
+        """The backbone as :meth:`training_loss`'s op takes it: the
+        ``(kind, epsilon)`` layer entries, the parameters in op order and
+        the BatchNorms whose running statistics each step updates.  Built
+        once, at construction; ``load_state_dict`` keeps the ``Parameter``
+        objects, so it stays valid."""
         layers, parameters, norms = [], [], []
         for layer in self.backbone.layers:
             if isinstance(layer, Linear):
@@ -117,13 +133,7 @@ class EmbeddingNetwork(Module):
                 norms.append(layer)
             else:
                 layers.append((type(layer).__name__.lower(), None))
-        loss, batch_stats = ops.pilote_step(
-            Tensor(features), parameters, layers=layers, normalize=self.normalize,
-            **objective,
-        )
-        for norm, (mean, variance) in zip(norms, batch_stats):
-            norm._update_running(mean, variance, features.shape[0])
-        return loss
+        return tuple(layers), tuple(parameters), tuple(norms)
 
     def embed(self, features: np.ndarray, *, batch_size: int = 512) -> np.ndarray:
         """Inference-mode embedding of a feature matrix, as a plain numpy program.

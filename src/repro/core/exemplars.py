@@ -9,11 +9,12 @@ byte size is the quantity Q2 of the paper reasons about.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import get_backend
+from repro.backend import default_dtype, get_backend
+from repro.data.dataset import HARDataset
 from repro.exceptions import DataError
 from repro.utils.rng import RandomState, resolve_rng
 from repro.utils.serialization import float32_nbytes
@@ -226,8 +227,13 @@ class ExemplarStore:
         self._exemplars.pop(int(class_id), None)
 
     # ------------------------------------------------------------------ #
-    def as_dataset(self) -> Tuple[np.ndarray, np.ndarray]:
-        """All exemplars as ``(features, labels)`` arrays (the support set ``D_0``)."""
+    def as_dataset(self, extra: Optional[HARDataset] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """All exemplars as ``(features, labels)`` arrays (the support set
+        ``D_0``), followed by the rows of ``extra`` when one is given.
+
+        The features come out in the policy compute dtype from one
+        concatenation, so every row is copied once, straight into it.
+        """
         if not self._exemplars:
             raise DataError("the exemplar store is empty")
         features = []
@@ -236,7 +242,11 @@ class ExemplarStore:
             rows = self._exemplars[class_id]
             features.append(rows)
             labels.append(np.full(rows.shape[0], class_id, dtype=np.int64))
-        return np.concatenate(features, axis=0), np.concatenate(labels, axis=0)
+        if extra is not None:
+            features.append(extra.features)
+            labels.append(extra.labels)
+        return (np.concatenate(features, axis=0, dtype=default_dtype()),
+                np.concatenate(labels, axis=0))
 
     def nbytes(self, dtype_bytes: int = 4) -> int:
         """Storage footprint of the support set serialised as float32."""

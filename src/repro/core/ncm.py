@@ -13,7 +13,7 @@ single ``take`` instead of a per-row Python loop.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 

@@ -236,22 +236,12 @@ class PILOTE:
             raise DataError(f"classes {sorted(already_known)} are already known to the model")
         self._phase_seconds = {}
 
-        support_features, support_labels = self.exemplars.as_dataset()
-        combined_features = np.concatenate([support_features, new_train.features], axis=0)
-        combined_labels = np.concatenate([support_labels, new_train.labels], axis=0)
-
-        validation = new_validation
-        if validation is not None and validation.n_samples > 1:
-            validation_features = np.concatenate(
-                [support_features, validation.features], axis=0
-            )
-            validation_labels = np.concatenate([support_labels, validation.labels], axis=0)
-            validation_pair: Optional[Tuple[np.ndarray, np.ndarray]] = (
-                validation_features,
-                validation_labels,
-            )
-        else:
-            validation_pair = None
+        # The support set followed by the new rows, each set built in the
+        # policy dtype by one concatenation: the trainer uses them as given.
+        combined_features, combined_labels = self.exemplars.as_dataset(new_train)
+        validation_pair: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        if new_validation is not None and new_validation.n_samples > 1:
+            validation_pair = self.exemplars.as_dataset(new_validation)
 
         history = self._run_training(
             features=combined_features,

@@ -9,7 +9,7 @@ drives both the synthetic generator and the 80-feature extractor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.exceptions import ConfigurationError

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.data.dataset import DatasetSplits, HARDataset, train_val_test_split
 from repro.exceptions import DataError
 from repro.utils.rng import RandomState, resolve_rng

@@ -9,7 +9,7 @@ experiment harness enforce edge constraints explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np

@@ -44,7 +44,8 @@ class TransferPackage:
         Owned by the package (created on first use), so all its learners'
         :attr:`~repro.core.embedding.EmbeddingNetwork.weights_token` compare
         equal until one of them rewrites its weights.  The package's
-        ``model_state`` is treated as immutable once learners exist.
+        ``model_state`` is treated as immutable once learners exist; no
+        learner writes into it, because each copies it when instantiated.
         """
         token = self.__dict__.get("_weights_token")
         if token is None:
@@ -89,11 +90,12 @@ class TransferPackage:
         not N.  Sharing is safe because every mutation path
         (``ExemplarStore.select``/``set_exemplars``, ``PrototypeStore.set``,
         ``_refresh_prototypes``) replaces whole entries rather than writing
-        into rows; the backbone weights are always private (training updates
-        them in place, and ``load_state_dict`` copies regardless).  The
-        instantiated state is identical either way — ``seed`` only feeds the
-        learner's *future* training streams.  Either way the learner's model
-        carries the package's :attr:`weights_token`.
+        into rows.  The backbone is always private: ``load_state_dict``
+        copies its parameters and its BatchNorm running statistics either
+        way, because training writes them (``Adam`` updates the parameters
+        in place).  The instantiated state is identical either way — ``seed``
+        only feeds the learner's *future* training streams.  Either way the
+        learner's model carries the package's :attr:`weights_token`.
         """
         if not self.exemplar_features:
             raise SerializationError("the transfer package carries no support set")

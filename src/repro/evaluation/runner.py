@@ -11,9 +11,7 @@ confusion matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Optional, Sequence
 
 from repro.baselines.base import clone_pretrained
 from repro.baselines.pretrained import PretrainedBaseline

@@ -16,7 +16,7 @@ the orderings and crossovers are what the reproduction checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.core.config import PiloteConfig
 from repro.data.dataset import HARDataset

@@ -11,7 +11,7 @@ latency, optionally extrapolated to slower device profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.pilote import PILOTE
 from repro.data.activities import Activity

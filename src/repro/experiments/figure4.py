@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.data.activities import ACTIVITY_NAMES, Activity
+from repro.data.activities import Activity
 from repro.evaluation.runner import ExperimentRunner
 from repro.experiments.common import ExperimentSettings, make_dataset
 from repro.metrics.confusion import ConfusionMatrix

@@ -11,16 +11,13 @@ accuracy and backward transfer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from repro.baselines.base import clone_pretrained
 from repro.core.pilote import PILOTE
 from repro.data.activities import Activity
-from repro.data.dataset import HARDataset, train_val_test_split
-from repro.evaluation.runner import ExperimentRunner
+from repro.data.dataset import train_val_test_split
 from repro.experiments.common import ExperimentSettings, make_dataset
 from repro.metrics.classification import accuracy
 from repro.metrics.forgetting import average_incremental_accuracy, backward_transfer

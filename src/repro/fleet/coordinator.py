@@ -40,7 +40,7 @@ from repro.edge.transfer import TransferPackage
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.nn.trainer import TrainingHistory
 from repro.utils.logging import get_logger
-from repro.utils.rng import RandomState, resolve_rng, spawn_rngs
+from repro.utils.rng import RandomState, resolve_rng
 
 logger = get_logger("fleet.coordinator")
 

@@ -135,7 +135,10 @@ class Module:
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameters and buffers saved by :meth:`state_dict`."""
+        """Load parameters and buffers saved by :meth:`state_dict`.
+
+        Both are copied, so the module never shares an array with ``state``.
+        """
         parameters = dict(self.named_parameters())
         buffer_owners = self._buffer_owners()
         for key, value in state.items():
@@ -156,7 +159,7 @@ class Module:
                 if name not in buffer_owners:
                     raise SerializationError(f"unexpected buffer {name!r} in state dict")
                 owner, local_name = buffer_owners[name]
-                owner.update_buffer(local_name, np.asarray(value, dtype=np.float64))
+                owner.update_buffer(local_name, np.array(value, dtype=np.float64))
         missing = set(parameters) - {
             k[len("param."):] for k in state if k.startswith("param.")
         }

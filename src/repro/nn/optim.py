@@ -36,40 +36,33 @@ class Optimizer:
 
 
 class _FlatGroup:
-    """Parameters of one dtype laid end to end: their Adam moments as two
-    flat buffers (zero until a parameter's first gradient) and the flat
-    buffer of values the last step wrote, which the parameters view."""
+    """Parameters of one dtype laid end to end: their values as one flat
+    buffer that each packed parameter's ``data`` views, their Adam moments
+    as two more (zero until a parameter's first gradient), and one buffer
+    the gradients are gathered into."""
 
     def __init__(self, parameters: List[Parameter]) -> None:
         self.parameters = parameters
         self.bounds = np.cumsum([0] + [p.data.size for p in parameters]).tolist()
-        self.first = np.zeros(self.bounds[-1], dtype=parameters[0].data.dtype)
-        self.second = np.zeros_like(self.first)
-        self.gradient = np.empty_like(self.first)
-        self.temporaries = np.empty((2,) + self.first.shape, dtype=self.first.dtype)
-        self.values: Optional[np.ndarray] = None
-        self.views: List[np.ndarray] = []
+        self.values = np.empty(self.bounds[-1], dtype=parameters[0].data.dtype)
+        self.first = np.zeros_like(self.values)
+        self.second = np.zeros_like(self.values)
+        self.gradient = np.empty_like(self.values)
+        self.temporaries = np.empty((2,) + self.values.shape, dtype=self.values.dtype)
+        self.views: List[Optional[np.ndarray]] = [None] * len(parameters)
 
-    def current_values(self) -> np.ndarray:
-        """Every parameter's values, flat: the last step's buffer unless a
-        parameter has been given new data since (``load_state_dict``)."""
-        if self.values is not None and all(
-            parameter.data is view for parameter, view in zip(self.parameters, self.views)
-        ):
-            return self.values
-        return np.concatenate([parameter.data.ravel() for parameter in self.parameters])
-
-    def hand_out(self, values: np.ndarray, live: Sequence[int]) -> None:
-        """Give the ``live`` parameters their slices of the flat ``values``."""
-        offset = 0
+    def pack(self, live: Sequence[int]) -> None:
+        """Make each ``live`` parameter's ``data`` its slice of ``values``,
+        copying its values in, unless it views that slice already (a
+        parameter whose ``data`` was replaced, by ``load_state_dict``, is
+        packed again)."""
         for i in live:
             parameter = self.parameters[i]
-            size = parameter.data.size
-            parameter.data = values[offset:offset + size].reshape(parameter.data.shape)
-            offset += size
-        complete = len(live) == len(self.parameters)
-        self.values = values if complete else None
-        self.views = [parameter.data for parameter in self.parameters] if complete else []
+            if parameter.data is not self.views[i]:
+                view = self.values[self.bounds[i]:self.bounds[i + 1]]
+                view = view.reshape(parameter.data.shape)
+                view[...] = parameter.data
+                parameter.data = self.views[i] = view
 
     def live_rows(self, live: List[int]):
         """Buffer positions of the parameters ``live``."""
@@ -81,15 +74,18 @@ class _FlatGroup:
 class Adam(Optimizer):
     """Adam optimiser (Kingma & Ba, 2015) — the optimiser used by the paper.
 
-    Every parameter of one dtype is updated in one pass over flat buffers:
-    the gradients are gathered into one, the moments are updated in place,
-    and the new values are written to one fresh buffer that the parameters
-    then view (so an array read from ``parameter.data`` before a step keeps
-    its values).  The next step reads that buffer back unless a parameter's
-    ``data`` was replaced in between.  The arithmetic is elementwise and in
-    the per-parameter order, so this is bit-identical to updating parameter
-    by parameter.  A parameter whose ``grad`` is ``None`` is skipped: its
-    value and moments stay untouched.
+    Every parameter of one dtype is updated in one pass over flat buffers,
+    in place: the first step that gives a parameter a gradient copies its
+    values into the group's flat value buffer and makes its ``data`` a view
+    of it, and from then on each step gathers the gradients into one reused
+    buffer and updates the moments and the values where they lie.  An array
+    read from ``parameter.data`` is therefore that view and changes with
+    every step; take a copy (``state_dict()`` does) to keep the values.  A
+    parameter whose ``data`` is replaced between steps is packed again.  The
+    arithmetic is elementwise and in the per-parameter order, so this is
+    bit-identical to updating parameter by parameter.  A parameter whose
+    ``grad`` is ``None`` is skipped: its ``data``, value and moments stay
+    untouched.
     """
 
     def __init__(
@@ -128,16 +124,16 @@ class Adam(Optimizer):
 
     def _update(self, group: _FlatGroup, live: List[int], bias_correction1: float,
                 bias_correction2: float) -> None:
-        """Update the ``live`` parameters of ``group``: their moments in
-        place, their values into one fresh buffer."""
+        """Update the values and moments of the ``live`` parameters of
+        ``group`` in place."""
+        group.pack(live)
         parameters = group.parameters
-        if len(live) == len(parameters):
-            values = group.current_values()
-            first, second = group.first, group.second
+        complete = len(live) == len(parameters)
+        if complete:
+            values, first, second = group.values, group.first, group.second
         else:
             rows = group.live_rows(live)
-            values = np.concatenate([parameters[i].data.ravel() for i in live])
-            first, second = group.first[rows], group.second[rows]
+            values, first, second = group.values[rows], group.first[rows], group.second[rows]
         size = values.size
         gradient = np.concatenate(
             [parameters[i].grad.ravel() for i in live], out=group.gradient[:size]
@@ -151,14 +147,15 @@ class Adam(Optimizer):
         np.square(gradient, out=term)
         term *= 1.0 - self.beta2
         second += term
-        # values - lr * (first / bc1) / (sqrt(second / bc2) + epsilon)
+        # values -= lr * (first / bc1) / (sqrt(second / bc2) + epsilon)
         np.divide(first, bias_correction1, out=term)
         term *= self.lr
         np.divide(second, bias_correction2, out=denominator)
         np.sqrt(denominator, out=denominator)
         denominator += self.epsilon
         term /= denominator
-        if len(live) < len(parameters):
+        values -= term
+        if not complete:
+            group.values[rows] = values
             group.first[rows] = first
             group.second[rows] = second
-        group.hand_out(values - term, live)

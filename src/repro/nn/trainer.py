@@ -136,11 +136,14 @@ class Trainer:
             Optional ``(X_val, y_val)`` used for early stopping.
         validation_loss:
             Loss to evaluate on the validation split; defaults to ``batch_loss``.
+
+        Arrays not already in the policy compute dtype are cast once, up
+        front; arrays in it are used as given.  A step's loss, and with it
+        the step's tape, is dropped as soon as the step is done, so no
+        validation pass holds the last step's activations.
         """
         history = TrainingHistory()
         evaluate = validation_loss or batch_loss
-        # Materialise the training arrays in the policy compute dtype once,
-        # so per-batch Tensor construction is a cast-free view.
         backend = get_backend()
         features = backend.asarray(features)
         if validation is not None:
@@ -159,6 +162,7 @@ class Trainer:
                 loss.backward()
                 self.optimizer.step()
                 epoch_losses.append(float(loss.data))
+                del loss  # its tape holds the step's activations
             train_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
             history.train_losses.append(train_loss)
             history.learning_rates.append(self.optimizer.lr)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import asyncio
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 

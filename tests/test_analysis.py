@@ -57,6 +57,7 @@ ALL_RULE_IDS = (
     "repro-lock-callback",
     "repro-roundtrip",
     "repro-unused",
+    "repro-unused-import",
 )
 
 
@@ -146,6 +147,13 @@ class TestRuleFixtures:
         }
         # Never called; named only in __all__; named only in an import.
         assert flagged == {"never_called", "exported_only", "ImportedOnly"}
+
+    def test_unused_import_rule_flags_each_unused_name(self):
+        findings = run_lint(DIRTY / "imports_bad.py", select=["repro-unused-import"])
+        assert {finding.message.split()[0] for finding in findings} == {
+            "json", "os", "Ordered", "List",
+        }
+        assert [finding.line for finding in findings] == [3, 4, 5, 6]
 
     def test_unused_rule_follows_references_across_files(self, tmp_path):
         (tmp_path / "lib.py").write_text("def helper():\n    return 1\n")
@@ -406,6 +414,50 @@ class TestUnusedRule:
     )
     def test_unreferenced_definition_is_flagged(self, tmp_path, source, expected):
         assert self.unused_names(tmp_path, source) == expected
+
+
+# --------------------------------------------------------------------- #
+# repro-unused-import: what counts as a use, one construct per case
+# --------------------------------------------------------------------- #
+_IMPORT_CASES = {
+    "attribute-read": ("import numpy as np\nZERO = np.zeros(1)\n", set()),
+    "dotted-module": ("import os.path\nHERE = os.path.curdir\n", set()),
+    "annotation": (
+        "from typing import List\n\ndef f(names: List[str]):\n    return names\n\nf([])\n",
+        set(),
+    ),
+    "string-annotation": (
+        "from decimal import Decimal\n\ndef f(value: \"Decimal\"):\n    return value\n\n"
+        "f(1)\n",
+        set(),
+    ),
+    "re-export-in-all": ("from json import dumps\n__all__ = [\"dumps\"]\n", set()),
+    "future-import": ("from __future__ import annotations\n", set()),
+    "noqa-with-reason": ("import json  # repro: noqa[repro-unused-import] side effect\n", set()),
+    "unused-module": ("import json\n", {"json"}),
+    "unused-alias": ("import numpy as np\nnumpy = 1\n", {"np"}),
+    "unused-from-name": ("from typing import Dict, List\nX: Dict = {}\n", {"List"}),
+    "rebound-and-attribute-only": (
+        "import json\nclass A:\n    json = 1\nA().json\n", {"json"}
+    ),
+}
+
+
+class TestUnusedImportRule:
+    @pytest.mark.parametrize("source, expected", _IMPORT_CASES.values(),
+                             ids=_IMPORT_CASES.keys())
+    def test_what_counts_as_a_use(self, tmp_path, source, expected):
+        (tmp_path / "module.py").write_text(source)
+        findings = run_lint(tmp_path, select=["repro-unused-import"])
+        assert {finding.message.split()[0] for finding in findings} == expected
+
+    def test_a_package_init_may_import_what_it_re_exports(self, tmp_path):
+        package = tmp_path / "package"
+        package.mkdir()
+        (package / "__init__.py").write_text("from json import dumps\n")
+        (package / "module.py").write_text("from json import dumps\n")
+        findings = run_lint(tmp_path, select=["repro-unused-import"])
+        assert [finding.path for finding in findings] == ["package/module.py"]
 
 
 # --------------------------------------------------------------------- #

@@ -5,12 +5,14 @@ import copy
 import numpy as np
 import pytest
 
+from repro.backend import default_dtype, precision
 from repro.core.config import PiloteConfig
 from repro.core.embedding import EmbeddingNetwork
 from repro.core.pilote import PILOTE
 from repro.data.activities import Activity
 from repro.exceptions import DataError, NotFittedError
 from repro.metrics.forgetting import old_class_accuracy
+from repro.nn.trainer import Trainer
 
 
 class TestPretraining:
@@ -98,6 +100,24 @@ class TestIncrementalLearning:
         pilote_copy.exemplars._exemplars.clear()
         with pytest.raises(NotFittedError):
             pilote_copy.learn_new_classes(run_scenario.new_train)
+
+    @pytest.mark.parametrize("profile", ["reference", "edge"])
+    def test_training_rows_arrive_in_the_policy_dtype(
+        self, pilote_copy, run_scenario, monkeypatch, profile
+    ):
+        seen = []
+        fit = Trainer.fit
+
+        def recording_fit(trainer, batch_loss, features, labels, *, validation=None,
+                          validation_loss=None):
+            seen.append((features.dtype, validation[0].dtype))
+            return fit(trainer, batch_loss, features, labels, validation=validation,
+                       validation_loss=validation_loss)
+
+        monkeypatch.setattr(Trainer, "fit", recording_fit)
+        with precision(profile):
+            pilote_copy.learn_new_classes(run_scenario.new_train, run_scenario.new_validation)
+            assert seen == [(default_dtype(), default_dtype())]
 
     def test_predictions_cover_all_classes(self, incremented_pilote, run_scenario):
         predictions = incremented_pilote.predict(run_scenario.test.features)

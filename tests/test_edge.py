@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backend import precision
 from repro.core.config import PiloteConfig
 from repro.data.activities import Activity
 from repro.edge.cloud import CloudServer
@@ -11,6 +12,12 @@ from repro.edge.magneto import MagnetoPlatform
 from repro.edge.profiler import EdgeProfiler, LatencyReport
 from repro.edge.transfer import exemplar_storage_bytes, package_for_edge
 from repro.exceptions import EdgeResourceError, NotFittedError
+
+
+def backbone_arrays(learner):
+    """The arrays a learner's backbone holds: parameters, then buffers."""
+    model = learner.model
+    return [p.data for p in model.parameters()] + [b for _, b in model.named_buffers()]
 
 
 class TestEdgeDevice:
@@ -60,6 +67,48 @@ class TestTransferPackaging:
         assert set(package.exemplar_features) == set(pretrained_pilote.exemplars.classes)
         summary = package.summary()
         assert summary["total_megabytes"] == pytest.approx(package.total_bytes / 2**20)
+
+    @pytest.mark.parametrize("copy_arrays", [True, False])
+    def test_instantiated_backbones_share_no_array_with_the_package(
+        self, pretrained_pilote, tiny_config, copy_arrays
+    ):
+        package = package_for_edge(pretrained_pilote)
+        first, second = (
+            backbone_arrays(package.instantiate_learner(
+                tiny_config, seed=seed, copy_arrays=copy_arrays
+            ))
+            for seed in (1, 2)
+        )
+        package_arrays = list(package.model_state.values())
+        assert len(first) == len(second) == len(package_arrays)
+        for array in first + second:
+            assert not any(np.shares_memory(array, held) for held in package_arrays)
+        for array in first:
+            assert not any(np.shares_memory(array, other) for other in second)
+
+    @pytest.mark.parametrize("profile", ["reference", "edge"])
+    def test_an_increment_leaves_the_package_and_a_fleet_sibling_unchanged(
+        self, pretrained_pilote, tiny_config, run_scenario, profile
+    ):
+        with precision(profile):
+            package = package_for_edge(pretrained_pilote)
+            learner, sibling = (
+                package.instantiate_learner(tiny_config, seed=seed, copy_arrays=False)
+                for seed in (1, 2)
+            )
+            shipped = (list(package.model_state.values())
+                       + list(package.exemplar_features.values())
+                       + list(package.prototypes.values()))
+            shipped_bytes = [array.tobytes() for array in shipped]
+            sibling_bytes = [array.tobytes() for array in backbone_arrays(sibling)]
+            learner.learn_new_classes(run_scenario.new_train, run_scenario.new_validation)
+        assert [array.tobytes() for array in shipped] == shipped_bytes
+        assert [array.tobytes() for array in backbone_arrays(sibling)] == sibling_bytes
+        assert learner.model.state_dict().keys() == package.model_state.keys()
+        assert any(
+            learner.model.state_dict()[key].tobytes() != package.model_state[key].tobytes()
+            for key in package.model_state
+        )
 
     def test_package_requires_pretrained(self, tiny_config):
         from repro.core.pilote import PILOTE

@@ -695,6 +695,9 @@ class TestFlatAdam:
                 if parameter is flat_params[never]:
                     rows = slice(group.bounds[position], group.bounds[position + 1])
                     assert not group.first[rows].any() and not group.second[rows].any()
+                    assert group.views[position] is None  # never packed
+                else:
+                    assert np.shares_memory(parameter.data, group.values)
 
     def test_a_step_with_no_gradients_changes_nothing(self):
         parameters = self._parameters(("float64",) * 4)
@@ -708,17 +711,31 @@ class TestFlatAdam:
         for parameter in parameters:
             parameter.grad = rng.normal(size=parameter.data.shape).astype(parameter.data.dtype)
 
-    def test_values_read_before_a_step_keep_their_bytes(self):
-        parameters = self._parameters(("float32",) * 4)
+    def test_steps_update_one_buffer_in_place_and_state_dicts_keep_their_bytes(
+        self, tiny_config
+    ):
+        model = EmbeddingNetwork(6, config=tiny_config, rng=1)
+        parameters = model.parameters()
         optimizer = Adam(parameters, lr=0.1)
-        for step in range(3):
-            held = [p.data for p in parameters]
-            snapshot = [value.copy() for value in held]
+        self._set_gradients(parameters, 0)
+        optimizer.step()
+        (group,) = optimizer._groups
+        views = [p.data for p in parameters]
+        assert b"".join(view.tobytes() for view in views) == group.values.tobytes()
+        assert all(np.shares_memory(view, group.values) for view in views)
+        for step in range(1, 4):
+            saved = model.state_dict()
+            saved_bytes = {key: value.tobytes() for key, value in saved.items()}
             self._set_gradients(parameters, step)
             optimizer.step()
-            for value, saved, parameter in zip(held, snapshot, parameters):
-                assert value.tobytes() == saved.tobytes()
-                assert not np.array_equal(parameter.data, saved)
+            # The parameters still view Adam's buffer, which the step rewrote ...
+            assert all(p.data is view for p, view in zip(parameters, views))
+            now = model.state_dict()
+            assert all(
+                now[key].tobytes() != saved_bytes[key] for key in saved if key.startswith("param.")
+            )
+            # ... while the state taken before the step kept its bytes.
+            assert {key: value.tobytes() for key, value in saved.items()} == saved_bytes
 
     def test_a_load_state_dict_between_steps_is_honoured(self, tiny_config):
         models = [EmbeddingNetwork(6, config=tiny_config, rng=1) for _ in range(2)]

@@ -80,6 +80,15 @@ class TestStateDict:
         state["param.first.weight"][:] = 0.0
         assert not np.allclose(net.first.weight.data, 0.0)
 
+    def test_load_state_dict_copies_parameters_and_buffers(self):
+        state = TinyNet().state_dict()
+        net = TinyNet()
+        net.load_state_dict(state)
+        loaded = [p.data for p in net.parameters()] + [b for _, b in net.named_buffers()]
+        assert len(loaded) == len(state)
+        for value in state.values():
+            assert not any(np.shares_memory(value, array) for array in loaded)
+
     def test_missing_parameter_raises(self):
         net = TinyNet()
         state = net.state_dict()
