@@ -12,11 +12,14 @@ import time and does no work.  This is a project-level rule: it runs in
   dotted identifier (``getattr(obj, "name")``, registry keys),
 
 and flags each definition whose name is never referenced.  The definition
-itself, import statements and ``__all__`` are not references.
+itself, import statements and ``__all__`` are not references, and neither
+is a reference inside a definition of the same name: a recursive call, or
+a method that only forwards to the same-named method of another object,
+does not keep the name alive.
 
-Names are matched without scope, so one use of ``run`` anywhere keeps every
-``run``.  A definition whose only caller lives outside the lint root (a
-benchmark, an example, a test oracle) keeps itself with
+Beyond that, names are matched without scope, so one use of ``run``
+anywhere keeps every ``run``.  A definition whose only caller lives outside
+the lint root (a benchmark, an example, a test oracle) keeps itself with
 ``# repro: noqa[repro-unused] <caller>`` on its ``def``/``class`` line.
 """
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import List, Sequence, Set, Tuple
+from typing import FrozenSet, List, Sequence, Set, Tuple
 
 from repro.analysis.engine import FileContext, Finding
 from repro.analysis.rules import Rule, register_rule
@@ -68,25 +71,33 @@ class UnusedRule(Rule):
         referenced: Set[str] = set()
         for context in contexts:
             exported: Set[int] = set()  # id() of every node inside __all__'s value
-            # ast.walk is breadth-first, so an assignment precedes its values.
-            for node in ast.walk(context.tree):
+            # Depth first, each node with the names of the definitions around
+            # it; a node is seen before its children, so an assignment
+            # precedes its values.
+            stack: List[Tuple[ast.AST, FrozenSet[str]]] = [(context.tree, frozenset())]
+            while stack:
+                node, enclosing = stack.pop()
+                names: Tuple[str, ...] = ()
                 if isinstance(node, _DEFINITIONS):
                     dunder = node.name.startswith("__") and node.name.endswith("__")
                     if not dunder and not _is_registered(node):
                         definitions.append((node, context))
+                    enclosing = enclosing | {node.name}
                 elif isinstance(node, _ASSIGNMENTS) and _assigns_all(node):
                     exported.update(id(child) for child in ast.walk(node.value))
                 elif isinstance(node, ast.Name):
-                    referenced.add(node.id)
+                    names = (node.id,)
                 elif isinstance(node, ast.Attribute):
-                    referenced.add(node.attr)
+                    names = (node.attr,)
                 elif (
                     isinstance(node, ast.Constant)
                     and isinstance(node.value, str)
                     and id(node) not in exported
                     and _DOTTED_IDENTIFIER.match(node.value)
                 ):
-                    referenced.update(node.value.split("."))
+                    names = tuple(node.value.split("."))
+                referenced.update(name for name in names if name not in enclosing)
+                stack.extend((child, enclosing) for child in ast.iter_child_nodes(node))
         return [
             self.finding(node, context, f"{node.name} is defined but never referenced")
             for node, context in definitions

@@ -1,6 +1,6 @@
 """Free-function tensor operations built on :class:`~repro.autodiff.tensor.Tensor`.
 
-The network layers (``linear``, batch normalisation, ``l2_normalize``), the
+The network layers (``linear``, batch normalisation), the
 row-wise pair distance and PILOTE's whole training step (network and
 objective) dispatch through the backend op registry — their forward/vjp
 rules live in :mod:`repro.autodiff.primitives` as named, individually
@@ -20,10 +20,8 @@ from repro.exceptions import DataError, ShapeError
 from repro.utils.validation import check_probability
 
 
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Fully connected layer ``x @ weight + bias`` as one op."""
-    if bias is None:
-        return _apply("linear", x, weight)
     return _apply("linear", x, weight, bias)
 
 
@@ -49,11 +47,6 @@ def batch_norm_eval(
     return _apply("batch_norm_eval", x, gamma, beta, mean=mean, std=std)
 
 
-def l2_normalize(x: Tensor, axis: int = -1, epsilon: float = 1e-12) -> Tensor:
-    """Normalise rows (or the given axis) of ``x`` to unit Euclidean norm."""
-    return _apply("l2_normalize", x, axis=axis, epsilon=epsilon)
-
-
 def pairwise_squared_distance(a: Tensor, b: Tensor) -> Tensor:
     """Row-wise squared Euclidean distance between two equally shaped matrices.
 
@@ -70,7 +63,6 @@ def pilote_step(
     parameters: Sequence[Tensor],
     *,
     layers: Sequence[Tuple[str, Optional[float]]],
-    normalize: bool = False,
     left: np.ndarray,
     right: np.ndarray,
     same_class,
@@ -85,8 +77,8 @@ def pilote_step(
     ``layers`` is the network as ``(kind, epsilon)`` entries: ``"linear"``
     takes the next two ``parameters`` (weight, bias), ``"batch_norm"`` the
     next two (gamma, beta) and normalises by batch statistics with its
-    ``epsilon``, ``"relu"`` none; ``normalize`` L2-normalises the output
-    rows.  The objective over the resulting embeddings is
+    ``epsilon``, ``"relu"`` none; the last layer's output rows are the
+    embeddings.  The objective over the resulting embeddings is
     :func:`~repro.autodiff.primitives.pilote_loss` (``α · L_disti + (1 − α)
     · L_contra``; ``teacher`` holds the frozen model's embeddings of the
     ``old_rows``).  Returns the loss and each BatchNorm's batch
@@ -122,10 +114,9 @@ def pilote_step(
             )
     batch_stats: List[Tuple[np.ndarray, np.ndarray]] = []
     loss = _apply(
-        "pilote_step", inputs, *parameters, layers=layers, normalize=bool(normalize),
-        left=left, right=right, same_class=same_class, margin=float(margin),
-        variant=variant, alpha=alpha, old_rows=old_rows, teacher=teacher,
-        batch_stats=batch_stats,
+        "pilote_step", inputs, *parameters, layers=layers, left=left, right=right,
+        same_class=same_class, margin=float(margin), variant=variant, alpha=alpha,
+        old_rows=old_rows, teacher=teacher, batch_stats=batch_stats,
     )
     return loss, batch_stats
 

@@ -15,7 +15,7 @@ Conventions:
   broadcast reduction is handled downstream by ``Tensor._accumulate``.
 
 The network layers are single ops (``linear``, ``batch_norm_train``,
-``batch_norm_eval``, ``l2_normalize``) as is ``pairwise_squared_distance``,
+``batch_norm_eval``) as is ``pairwise_squared_distance``,
 so each layer's arithmetic lives here and nowhere else.  Their forwards do
 the same numpy calls, in the same order, as the elementwise graphs they
 replace — constants materialised in the policy dtype, as a ``Tensor`` leaf
@@ -318,10 +318,10 @@ register_op(
 # --------------------------------------------------------------------------- #
 
 
-def _linear_forward(ctx, x, weight, bias=None):
+def _linear_forward(ctx, x, weight, bias):
     product = x @ weight
     ctx.save(x, weight, product)
-    return product if bias is None else product + bias
+    return product + bias
 
 
 def _linear_vjp(ctx, grad):
@@ -330,12 +330,12 @@ def _linear_vjp(ctx, grad):
     grad_x, grad_weight = _matmul_cotangents(
         x, weight, node_grad(grad, product), need[0], need[1]
     )
-    return (grad_x, grad_weight, grad)[:len(need)]
+    return grad_x, grad_weight, grad
 
 
 register_op(
     "linear", _linear_forward, _linear_vjp,
-    doc="fully connected layer x @ weight (+ bias)",
+    doc="fully connected layer x @ weight + bias",
 )
 
 
@@ -435,36 +435,6 @@ def _batch_norm_train_vjp(ctx, grad):
 register_op(
     "batch_norm_train", _batch_norm_train_forward, _batch_norm_train_vjp,
     doc="batch normalisation with batch statistics (biased variance)",
-)
-
-
-def _l2_normalize_forward(ctx, x, *, axis=-1, epsilon=1e-12):
-    squared = x * x
-    total = squared.sum(axis=axis, keepdims=True)
-    shifted = total + _constant(epsilon)
-    norm = np.sqrt(shifted)
-    ctx.save(x, axis, squared, total, shifted, norm)
-    return x / norm
-
-
-def _l2_normalize_vjp(ctx, grad):
-    x, axis, squared, total, shifted, norm = ctx.saved
-    # x / norm
-    grad_x = node_grad(grad / norm, x)
-    grad_norm = node_grad(-grad * x / (norm**2), norm)
-    # norm = sqrt(sum(x * x) + epsilon)
-    grad_shifted = node_grad(_sqrt_cotangent(grad_norm, norm), shifted)
-    grad_total = node_grad(grad_shifted, total)
-    grad_squared = node_grad(np.broadcast_to(grad_total, squared.shape), squared)
-    # x * x hands the same cotangent back twice
-    grad_square_term = node_grad(grad_squared * x, x)
-    grad_x = grad_x + grad_square_term
-    return (grad_x + grad_square_term,)
-
-
-register_op(
-    "l2_normalize", _l2_normalize_forward, _l2_normalize_vjp,
-    doc="x / sqrt(sum(x * x, axis) + epsilon)",
 )
 
 
@@ -599,7 +569,7 @@ def _objective_vjp(grad, saved):
     return incidence.T @ grad_rows
 
 
-def _pilote_step_forward(ctx, x, *parameters, layers, normalize, left, right, same_class,
+def _pilote_step_forward(ctx, x, *parameters, layers, left, right, same_class,
                          margin, variant="squared", alpha=0.0, old_rows=None,
                          teacher=None, batch_stats=None):
     # The network in training mode (batch statistics in every BatchNorm),
@@ -625,24 +595,15 @@ def _pilote_step_forward(ctx, x, *parameters, layers, normalize, left, right, sa
                 if batch_stats is not None:
                     batch_stats.append(tuple(stats))
         saved.append(layer_ctx.saved)
-    norm = None
-    if normalize:
-        norm_ctx = OpContext("l2_normalize")
-        hidden = _l2_normalize_forward(norm_ctx, hidden, axis=1)
-        norm = norm_ctx.saved[-1]
     loss, objective = _objective_forward(hidden, left, right, same_class, margin, variant,
                                          alpha, old_rows, teacher)
-    ctx.save(layers, len(parameters), saved, hidden, norm, objective)
+    ctx.save(layers, len(parameters), saved, objective)
     return loss
 
 
 def _pilote_step_vjp(ctx, grad):
-    layers, count, saved, embeddings, norm, objective = ctx.saved
+    layers, count, saved, objective = ctx.saved
     upstream = _objective_vjp(grad, objective)
-    if norm is not None:
-        # embeddings = hidden / sqrt(sum(hidden²) + epsilon)
-        radial = (upstream * embeddings).sum(axis=1, keepdims=True)
-        upstream = (upstream - embeddings * radial) / norm
     need_x = ctx.needs_input_grad[0]
     cotangents = [None] * count
     position = count
@@ -690,6 +651,6 @@ def _pilote_step_vjp(ctx, grad):
 register_op(
     "pilote_step", _pilote_step_forward, _pilote_step_vjp,
     doc="PILOTE's training loss over a batch's rows: the training-mode "
-        "Linear/BatchNorm1d/ReLU chain (optionally L2-normalised), then "
+        "Linear/BatchNorm1d/ReLU chain, then "
         "alpha * distillation + (1 - alpha) * contrastive",
 )

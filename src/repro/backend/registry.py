@@ -21,7 +21,7 @@ inspectable (see ``Tensor.trace()``) and each op unit-testable through
 An op's ``forward`` is also the inference program: called with
 :data:`NO_TAPE` instead of an :class:`OpContext` it runs on plain arrays and
 keeps nothing for a backward pass.  The network layers are one op each
-(``linear``, ``batch_norm_train``/``batch_norm_eval``, ``l2_normalize``), so
+(``linear``, ``batch_norm_train``/``batch_norm_eval``), so
 serving runs the very same layer forwards with no ``Tensor`` at all.
 PILOTE's whole training step — layers and objective — is one op
 (``pilote_step``): one dispatch and one tape record a step, for PILOTE and

@@ -343,6 +343,3 @@ class HedgedRequests(Controller):
     # -- telemetry -------------------------------------------------------- #
     def stats(self) -> Dict[str, int]:
         return self.hedges.to_dict()
-
-    def describe(self) -> str:
-        return f"hedging(fired={self.hedges.fired})"

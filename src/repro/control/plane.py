@@ -58,9 +58,6 @@ class Controller:
         """JSON-ready decision telemetry."""
         return {}
 
-    def describe(self) -> str:
-        return self.name
-
 
 class ControlPlane:
     """Observes a serving client's signals and feeds decisions back.
@@ -139,10 +136,6 @@ class ControlPlane:
         for controller in self.controllers:
             data[controller.name] = controller.stats()
         return data
-
-    def describe(self) -> str:
-        inner = ", ".join(c.describe() for c in self.controllers) or "inert"
-        return f"control-plane({inner})"
 
 
 def default_controllers(scheduler) -> List[Controller]:

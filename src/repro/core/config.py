@@ -5,6 +5,12 @@ paper: a fully connected backbone of widths 1024 × 512 × 128 × 64 projecting
 into a 128-dimensional embedding space, Adam with an initial learning rate of
 0.01 halved every epoch, balancing weight α = 0.5, and early stopping once the
 validation-loss change stays below 10⁻⁴ for five consecutive epochs.
+
+What the paper fixes is not configurable: every hidden layer is followed
+by BatchNorm and ReLU, the last layer is a linear projection with no
+embedding normalisation, and Adam's moment decay rates and epsilon, the
+schedule's learning-rate floor and BatchNorm's momentum and epsilon are
+constants of :mod:`repro.nn`.
 """
 
 from __future__ import annotations
@@ -47,8 +53,6 @@ class PiloteConfig:
         ``"herding"`` (representative exemplars, Algorithm 1) or ``"random"``.
     max_pairs_per_batch:
         Cap on the number of contrastive pairs sampled from one mini-batch.
-    normalize_embeddings:
-        Whether to L2-normalise embeddings before distances are computed.
     seed:
         Base seed for parameter initialisation and batching.
     """
@@ -67,8 +71,6 @@ class PiloteConfig:
     cache_size: int = 800
     exemplar_strategy: str = "herding"
     max_pairs_per_batch: int = 256
-    normalize_embeddings: bool = False
-    batch_norm: bool = True
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -92,6 +94,14 @@ class PiloteConfig:
             raise ConfigurationError(f"batch_size must be at least 2, got {self.batch_size}")
         if self.max_epochs_pretrain <= 0 or self.max_epochs_increment <= 0:
             raise ConfigurationError("epoch caps must be positive")
+        if self.early_stopping_threshold < 0:
+            raise ConfigurationError(
+                f"early_stopping_threshold must be non-negative, got {self.early_stopping_threshold}"
+            )
+        if self.early_stopping_patience <= 0:
+            raise ConfigurationError(
+                f"early_stopping_patience must be positive, got {self.early_stopping_patience}"
+            )
         if self.cache_size <= 0:
             raise ConfigurationError(f"cache_size must be positive, got {self.cache_size}")
         if self.exemplar_strategy not in ("herding", "random"):
@@ -102,6 +112,8 @@ class PiloteConfig:
             raise ConfigurationError(
                 f"max_pairs_per_batch must be positive, got {self.max_pairs_per_batch}"
             )
+        if self.seed is not None and self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
     # ------------------------------------------------------------------ #
     def layer_sizes(self, input_dim: int) -> Tuple[int, ...]:

@@ -13,7 +13,9 @@ and the objective in one op with a closed-form backward;
 per layer); and :meth:`EmbeddingNetwork.embed` — what every inference caller
 uses: serving engines, herding, prototype refresh, validation and the
 distillation teacher — runs the eval-mode forwards on plain numpy arrays,
-with no ``Tensor``, no tape and no train/eval flip.
+with no ``Tensor``, no tape and no train/eval flip.  All three run the one
+backbone the paper fixes: Linear, BatchNorm and ReLU per hidden layer, then
+a Linear projection whose output is the embedding, not normalised.
 
 Every network carries a :attr:`EmbeddingNetwork.weights_token`: an opaque,
 O(1) key that is equal on two networks only when they are known to hold the
@@ -33,14 +35,11 @@ import numpy as np
 from repro.autodiff import ops
 from repro.autodiff.tensor import Tensor
 from repro.backend import get_backend
-from repro.backend.registry import NO_TAPE, get_op
 from repro.core.config import PiloteConfig
 from repro.exceptions import ShapeError
-from repro.nn.layers import BatchNorm1d, Linear, Sequential, build_mlp
+from repro.nn.layers import EPSILON, BatchNorm1d, Linear, Sequential, build_mlp
 from repro.nn.module import Module
 from repro.utils.rng import RandomState
-
-_L2_NORMALIZE = get_op("l2_normalize").forward
 
 
 class EmbeddingNetwork(Module):
@@ -52,8 +51,7 @@ class EmbeddingNetwork(Module):
         Dimensionality of the input feature vectors (80 for the paper's
         statistical features).
     config:
-        :class:`PiloteConfig` describing the layer widths, embedding size and
-        whether embeddings are L2-normalised.
+        :class:`PiloteConfig` describing the layer widths and embedding size.
     rng:
         Seed or generator for the weight initialisation.
     """
@@ -70,11 +68,8 @@ class EmbeddingNetwork(Module):
         self.embedding_dim = self.config.embedding_dim
         layer_sizes = self.config.layer_sizes(input_dim)
         self.backbone: Sequential = build_mlp(
-            layer_sizes,
-            batch_norm=self.config.batch_norm,
-            rng=rng if rng is not None else self.config.seed,
+            layer_sizes, rng=rng if rng is not None else self.config.seed
         )
-        self.normalize = bool(self.config.normalize_embeddings)
         #: Multiply-add FLOPs of one row through the layers (2·Σ in·out);
         #: the simulated serving clock charges batches by it.
         self.flops_per_row = 2 * sum(
@@ -92,10 +87,7 @@ class EmbeddingNetwork(Module):
         """Differentiable forward pass; accepts arrays or tensors."""
         tensor = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
         self._check_input(tensor.shape)
-        embeddings = self.backbone(tensor)
-        if self.normalize:
-            embeddings = ops.l2_normalize(embeddings, axis=1)
-        return embeddings
+        return self.backbone(tensor)
 
     def training_loss(self, features: np.ndarray, **objective) -> Tensor:
         """PILOTE's objective on one training batch of feature rows, as one op.
@@ -109,8 +101,7 @@ class EmbeddingNetwork(Module):
         """
         layers, parameters, norms = self._step_program
         loss, batch_stats = ops.pilote_step(
-            Tensor(features), parameters, layers=layers, normalize=self.normalize,
-            **objective,
+            Tensor(features), parameters, layers=layers, **objective
         )
         for norm, (mean, variance) in zip(norms, batch_stats):
             norm._update_running(mean, variance, features.shape[0])
@@ -128,7 +119,7 @@ class EmbeddingNetwork(Module):
                 layers.append(("linear", None))
                 parameters += (layer.weight, layer.bias)
             elif isinstance(layer, BatchNorm1d):
-                layers.append(("batch_norm", layer.epsilon))
+                layers.append(("batch_norm", EPSILON))
                 parameters += (layer.gamma, layer.beta)
                 norms.append(layer)
             else:
@@ -150,17 +141,11 @@ class EmbeddingNetwork(Module):
             features = features[None, :]
         self._check_input(features.shape)
         if features.shape[0] <= batch_size:
-            return self._embed_chunk(features)
+            return self.backbone.array_forward(features)
         return np.concatenate([
-            self._embed_chunk(features[start:start + batch_size])
+            self.backbone.array_forward(features[start:start + batch_size])
             for start in range(0, features.shape[0], batch_size)
         ], axis=0)
-
-    def _embed_chunk(self, chunk: np.ndarray) -> np.ndarray:
-        embeddings = self.backbone.array_forward(chunk)
-        if self.normalize:
-            embeddings = _L2_NORMALIZE(NO_TAPE, embeddings, axis=1)
-        return embeddings
 
     def _check_input(self, shape) -> None:
         if len(shape) != 2 or shape[1] != self.input_dim:
@@ -172,16 +157,3 @@ class EmbeddingNetwork(Module):
         """Load weights (see :meth:`Module.load_state_dict`); drops the token."""
         super().load_state_dict(state)
         self.weights_token = None
-
-    # ------------------------------------------------------------------ #
-    def describe(self) -> dict:
-        """Architecture summary (used by logs, examples and the edge profiler)."""
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dims": list(self.config.hidden_dims),
-            "embedding_dim": self.embedding_dim,
-            "n_parameters": self.num_parameters(),
-            "parameter_bytes_float32": self.parameter_nbytes(),
-            "batch_norm": self.config.batch_norm,
-            "normalized": self.normalize,
-        }

@@ -154,9 +154,6 @@ class ExemplarStore:
         """Mapping ``class id → number of stored exemplars``."""
         return {class_id: rows.shape[0] for class_id, rows in self._exemplars.items()}
 
-    def total_exemplars(self) -> int:
-        return int(sum(rows.shape[0] for rows in self._exemplars.values()))
-
     def per_class_budget(self, n_classes: Optional[int] = None) -> Optional[int]:
         """``m = K / n_classes`` (Algorithm 1, line 1); ``None`` when unbounded."""
         if self.capacity is None:
@@ -252,14 +249,3 @@ class ExemplarStore:
         """Storage footprint of the support set serialised as float32."""
         total_values = sum(rows.size for rows in self._exemplars.values())
         return float32_nbytes(total_values) if dtype_bytes == 4 else int(total_values * dtype_bytes)
-
-    def describe(self) -> Dict[str, object]:
-        """Summary used by the edge-transfer accounting and logs."""
-        return {
-            "strategy": self.strategy,
-            "capacity": self.capacity,
-            "classes": self.classes,
-            "exemplars_per_class": self.exemplars_per_class(),
-            "total_exemplars": self.total_exemplars(),
-            "nbytes_float32": self.nbytes(),
-        }

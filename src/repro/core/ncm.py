@@ -112,11 +112,3 @@ class NCMClassifier:
         nearest = np.argmin(self.distances(embeddings), axis=1)
         assert self._class_ids is not None
         return self._class_ids.take(nearest)
-
-    def predict_scores(self, embeddings: np.ndarray) -> np.ndarray:
-        """Soft scores (negative distances, softmax-normalised) per class."""
-        distances = self.distances(embeddings)
-        logits = -distances
-        logits -= logits.max(axis=1, keepdims=True)
-        exp = np.exp(logits)
-        return exp / exp.sum(axis=1, keepdims=True)

@@ -33,7 +33,9 @@ from repro.utils.serialization import load_npz_state, save_npz_state
 
 PathLike = Union[str, Path]
 
-_FORMAT_VERSION = 1
+#: Changes whenever the archived config's fields do; another version's
+#: archive is rejected, not migrated.
+_FORMAT_VERSION = 2
 
 
 def pilote_state(learner: PILOTE) -> tuple:
@@ -82,7 +84,8 @@ def pilote_from_state(state: dict, metadata: dict, *, seed: RandomState = None) 
     with prototypes comes back with its classifier fitted at
     ``state_version`` 1.  Raises :class:`~repro.exceptions.SerializationError`
     when the metadata names an NCM metric other than Euclidean, the only one
-    the classifier serves.
+    the classifier serves, or when its config names a field
+    :class:`PiloteConfig` does not have (an archive of another version).
     """
     metric = metadata.get("metric", "euclidean")
     if metric != "euclidean":
@@ -90,6 +93,9 @@ def pilote_from_state(state: dict, metadata: dict, *, seed: RandomState = None) 
             f"unsupported NCM metric {metric!r}; only 'euclidean' is served"
         )
     config_fields = dict(metadata["config"])
+    unknown = sorted(set(config_fields) - {f.name for f in dataclasses.fields(PiloteConfig)})
+    if unknown:
+        raise SerializationError(f"unknown PiloteConfig field(s) in metadata: {unknown}")
     config_fields["hidden_dims"] = tuple(config_fields["hidden_dims"])
     config = PiloteConfig(**config_fields)
 

@@ -333,11 +333,6 @@ class PILOTE:
         self._ensure_classifier()
         return self.classifier.predict(self.embed(features))
 
-    def predict_scores(self, features: np.ndarray) -> np.ndarray:
-        """Soft class scores (softmax over negative prototype distances)."""
-        self._ensure_classifier()
-        return self.classifier.predict_scores(self.embed(features))
-
     def inference_engine(self, *, batch_size: int = 256) -> "InferenceEngine":
         """A batched serving engine bound to this learner (created lazily).
 

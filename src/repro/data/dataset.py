@@ -115,7 +115,6 @@ def train_val_test_split(
     *,
     test_fraction: float = 0.3,
     validation_fraction: float = 0.2,
-    stratified: bool = True,
     rng: RandomState = None,
 ) -> DatasetSplits:
     """Split a dataset following the paper's protocol.
@@ -123,7 +122,8 @@ def train_val_test_split(
     The paper holds out 30% of the records as the test set and uses a 0.2
     validation split of the remaining data for both pre-training and
     incremental training.  ``validation_fraction`` is relative to the non-test
-    portion.
+    portion.  The split is stratified: each class is cut by the fractions
+    on its own.
     """
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction must be in (0, 1), got {test_fraction}")
@@ -136,22 +136,17 @@ def train_val_test_split(
         cut = int(round(fraction * indices.size))
         return permuted[cut:], permuted[:cut]
 
-    if stratified:
-        train_parts, val_parts, test_parts = [], [], []
-        for class_id in dataset.classes:
-            class_indices = np.flatnonzero(dataset.labels == class_id)
-            remaining, test_idx = split_indices(class_indices, test_fraction)
-            train_idx, val_idx = split_indices(remaining, validation_fraction)
-            train_parts.append(train_idx)
-            val_parts.append(val_idx)
-            test_parts.append(test_idx)
-        train_indices = np.concatenate(train_parts)
-        val_indices = np.concatenate(val_parts)
-        test_indices = np.concatenate(test_parts)
-    else:
-        all_indices = np.arange(dataset.n_samples)
-        remaining, test_indices = split_indices(all_indices, test_fraction)
-        train_indices, val_indices = split_indices(remaining, validation_fraction)
+    train_parts, val_parts, test_parts = [], [], []
+    for class_id in dataset.classes:
+        class_indices = np.flatnonzero(dataset.labels == class_id)
+        remaining, test_idx = split_indices(class_indices, test_fraction)
+        train_idx, val_idx = split_indices(remaining, validation_fraction)
+        train_parts.append(train_idx)
+        val_parts.append(val_idx)
+        test_parts.append(test_idx)
+    train_indices = np.concatenate(train_parts)
+    val_indices = np.concatenate(val_parts)
+    test_indices = np.concatenate(test_parts)
 
     def subset(indices: np.ndarray) -> HARDataset:
         indices = np.sort(indices)

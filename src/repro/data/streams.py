@@ -11,7 +11,7 @@ new-class sample pool, and a test set covering *all* classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.data.dataset import DatasetSplits, HARDataset, train_val_test_split
 from repro.exceptions import DataError
@@ -47,16 +47,6 @@ class IncrementalScenario:
     @property
     def all_classes(self) -> List[int]:  # repro: noqa[repro-unused] examples/magneto_pipeline.py
         return sorted(set(self.old_classes) | set(self.new_classes))
-
-    def describe(self) -> Dict[str, object]:
-        """Summary dictionary used by logs and experiment records."""
-        return {
-            "old_classes": list(self.old_classes),
-            "new_classes": list(self.new_classes),
-            "old_train_size": self.old_train.n_samples,
-            "new_train_size": self.new_train.n_samples,
-            "test_size": self.test.n_samples,
-        }
 
 
 def build_incremental_scenario(

@@ -191,15 +191,6 @@ class InferenceEngine:
         """Class ids for a batch of raw feature windows."""
         return self.classify(self._embed(windows))
 
-    def predict_scores(self, windows: np.ndarray) -> np.ndarray:
-        """Soft class scores (softmax over negative prototype distances)."""
-        embeddings = self._embed(windows)
-        self._refresh_if_stale()
-        logits = -self._distances(embeddings)
-        logits -= logits.max(axis=1, keepdims=True)
-        exp = np.exp(logits)
-        return exp / exp.sum(axis=1, keepdims=True)
-
 
 #: Most distances (rows x stacked prototypes) one fused distance call computes:
 #: every row pays for every stacked prototype.  On a 2-vCPU x86 host (float32,

@@ -16,7 +16,6 @@ from repro.features.statistical import (
     triaxial_magnitude_statistics,
 )
 from repro.features.extractor import StatisticalFeatureExtractor
-from repro.features.registry import FeatureRegistry, FeatureSpec
 
 __all__ = [
     "channel_means",
@@ -24,6 +23,4 @@ __all__ = [
     "triaxial_jerk_statistics",
     "triaxial_magnitude_statistics",
     "StatisticalFeatureExtractor",
-    "FeatureRegistry",
-    "FeatureSpec",
 ]

@@ -15,12 +15,11 @@ Total: 80.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.features.registry import FeatureRegistry
 from repro.features.statistical import (
     channel_means,
     channel_variances,
@@ -40,16 +39,12 @@ class StatisticalFeatureExtractor:
         gyroscope, ...).  Jerk and magnitude statistics are computed per group.
     sampling_rate_hz:
         Sampling rate used to scale the jerk to physical units.
-    extra_registry:
-        Optional :class:`FeatureRegistry` with additional feature blocks that
-        are appended after the standard 80 statistical features.
     """
 
     def __init__(
         self,
         triaxial_groups: Sequence[Tuple[int, int, int]],
         sampling_rate_hz: float = 120.0,
-        extra_registry: Optional[FeatureRegistry] = None,
     ) -> None:
         if sampling_rate_hz <= 0:
             raise DataError(f"sampling_rate_hz must be positive, got {sampling_rate_hz}")
@@ -58,7 +53,6 @@ class StatisticalFeatureExtractor:
             if len(group) != 3:
                 raise DataError(f"triaxial groups must have exactly 3 channels, got {group}")
         self.sampling_rate_hz = float(sampling_rate_hz)
-        self.extra_registry = extra_registry
 
     # ------------------------------------------------------------------ #
     def transform(self, windows: np.ndarray) -> np.ndarray:
@@ -85,10 +79,7 @@ class StatisticalFeatureExtractor:
             ),
             triaxial_magnitude_statistics(windows, self.triaxial_groups),
         ]
-        features = np.concatenate(blocks, axis=1)
-        if self.extra_registry is not None and len(self.extra_registry) > 0:
-            features = np.concatenate([features, self.extra_registry.compute(windows)], axis=1)
-        return features
+        return np.concatenate(blocks, axis=1)
 
     __call__ = transform
 

@@ -176,7 +176,7 @@ class FleetDevice:
         with self.edge.precision():
             return self.learner.evaluate(dataset)
 
-    def describe(self) -> Dict[str, object]:
+    def describe(self) -> Dict[str, object]:  # repro: noqa[repro-unused] examples/fleet_simulation.py
         return {
             "device_id": self.device_id,
             "profile": self.profile.name,
@@ -284,16 +284,6 @@ class RegionCoordinator:
     def n_pooled(self) -> int:
         """Devices still served from the pooled template."""
         return self.n_devices - len(self.materialized)
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "region_id": self.region_id,
-            "device_range": (self.start, self.stop),
-            "profile": self.profile.name,
-            "n_devices": self.n_devices,
-            "n_pooled": self.n_pooled,
-            "materialized": sorted(self.materialized),
-        }
 
 
 class FleetCoordinator:
@@ -609,7 +599,3 @@ class FleetCoordinator:
         if not per_device:
             raise ConfigurationError("no deployed devices to evaluate; deploy() first")
         return FleetAccuracyReport(per_device=per_device, weights=weights)
-
-    def describe(self) -> List[Dict[str, object]]:
-        """One summary row per region (see :meth:`FleetDevice.describe` per device)."""
-        return [region.describe() for region in self.regions]

@@ -58,11 +58,6 @@ class ConfusionMatrix:
         return cls(matrix=matrix, classes=classes, label_names=dict(label_names or {}))
 
     # ------------------------------------------------------------------ #
-    def normalized(self) -> np.ndarray:
-        """Row-normalised matrix (per-true-class rates)."""
-        totals = self.matrix.sum(axis=1, keepdims=True)
-        safe = np.where(totals == 0, 1, totals)
-        return self.matrix / safe
 
     def accuracy(self) -> float:
         total = self.matrix.sum()

@@ -12,8 +12,8 @@ from repro.nn.module import Module, Parameter
 from repro.nn.layers import BatchNorm1d, Linear, ReLU, Sequential, build_mlp
 from repro.nn.init import he_uniform, zeros_init
 from repro.nn.losses import ContrastiveLoss, DistillationLoss
-from repro.nn.optim import Adam, Optimizer
-from repro.nn.schedulers import HalvingLR, LRScheduler
+from repro.nn.optim import Adam
+from repro.nn.schedulers import HalvingLR
 from repro.nn.trainer import EarlyStopping, Trainer, TrainingHistory
 
 __all__ = [
@@ -28,9 +28,7 @@ __all__ = [
     "zeros_init",
     "ContrastiveLoss",
     "DistillationLoss",
-    "Optimizer",
     "Adam",
-    "LRScheduler",
     "HalvingLR",
     "EarlyStopping",
     "Trainer",

@@ -29,6 +29,11 @@ _LINEAR = get_op("linear").forward
 _BATCH_NORM_EVAL = get_op("batch_norm_eval").forward
 _RELU = get_op("relu").forward
 
+#: BatchNorm1d's running-statistics momentum and variance epsilon (torch's
+#: defaults, which the paper's backbone uses).
+MOMENTUM = 0.1
+EPSILON = 1e-5
+
 
 class Linear(Module):
     """Fully connected layer computing ``y = x W + b``.
@@ -37,8 +42,6 @@ class Linear(Module):
     ----------
     in_features, out_features:
         Input and output dimensionalities.
-    bias:
-        Whether to add a learned bias term.
     rng:
         Seed or generator for weight initialisation (He uniform).
     """
@@ -47,7 +50,6 @@ class Linear(Module):
         self,
         in_features: int,
         out_features: int,
-        bias: bool = True,
         rng: RandomState = None,
     ) -> None:
         super().__init__()
@@ -58,7 +60,7 @@ class Linear(Module):
         self.in_features = int(in_features)
         self.out_features = int(out_features)
         self.weight = Parameter(he_uniform((in_features, out_features), rng=rng), name="weight")
-        self.bias = Parameter(zeros_init((out_features,)), name="bias") if bias else None
+        self.bias = Parameter(zeros_init((out_features,)), name="bias")
 
     def forward(self, inputs: Tensor) -> Tensor:
         inputs = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
@@ -69,11 +71,10 @@ class Linear(Module):
         return ops.linear(inputs, self.weight, self.bias)
 
     def array_forward(self, inputs: np.ndarray) -> np.ndarray:
-        bias = None if self.bias is None else self.bias.data
-        return _LINEAR(NO_TAPE, inputs, self.weight.data, bias)
+        return _LINEAR(NO_TAPE, inputs, self.weight.data, self.bias.data)
 
     def __repr__(self) -> str:
-        return f"Linear({self.in_features}, {self.out_features}, bias={self.bias is not None})"
+        return f"Linear({self.in_features}, {self.out_features})"
 
 
 class ReLU(Module):
@@ -93,18 +94,17 @@ class BatchNorm1d(Module):
     """Batch normalisation over the feature dimension of ``(batch, features)`` inputs.
 
     Uses batch statistics during training (with running-average tracking) and
-    the tracked statistics at evaluation time, mirroring torch's semantics.
+    the tracked statistics at evaluation time, mirroring torch's semantics,
+    with momentum :data:`MOMENTUM` and variance epsilon :data:`EPSILON`.
     :meth:`update_buffer`, the statistics' one write path, drops the cached
     eval-mode constants (:meth:`eval_constants`).
     """
 
-    def __init__(self, num_features: int, momentum: float = 0.1, epsilon: float = 1e-5) -> None:
+    def __init__(self, num_features: int) -> None:
         super().__init__()
         if num_features <= 0:
             raise ShapeError(f"num_features must be positive, got {num_features}")
         self.num_features = int(num_features)
-        self.momentum = float(momentum)
-        self.epsilon = float(epsilon)
         self.gamma = Parameter(np.ones(num_features), name="gamma")
         self.beta = Parameter(np.zeros(num_features), name="beta")
         self.register_buffer("running_mean", np.zeros(num_features))
@@ -119,7 +119,7 @@ class BatchNorm1d(Module):
             )
         if self.training and inputs.shape[0] > 1:
             output, mean, variance = ops.batch_norm_train(
-                inputs, self.gamma, self.beta, self.epsilon
+                inputs, self.gamma, self.beta, EPSILON
             )
             self._update_running(mean, variance, inputs.shape[0])
             return output
@@ -136,7 +136,7 @@ class BatchNorm1d(Module):
         cached = self._eval_constants
         if cached is None or cached[0].dtype != default_dtype():
             cached = self._eval_constants = batch_norm_eval_constants(
-                self.running_mean, self.running_var, self.epsilon
+                self.running_mean, self.running_var, EPSILON
             )
         return cached
 
@@ -145,15 +145,14 @@ class BatchNorm1d(Module):
         self._eval_constants = None
 
     def _update_running(self, batch_mean: np.ndarray, batch_var: np.ndarray, batch_size: int) -> None:
-        momentum = self.momentum
         unbiased_var = batch_var * batch_size / max(batch_size - 1, 1)
-        new_mean = (1.0 - momentum) * self.running_mean + momentum * batch_mean
-        new_var = (1.0 - momentum) * self.running_var + momentum * unbiased_var
+        new_mean = (1.0 - MOMENTUM) * self.running_mean + MOMENTUM * batch_mean
+        new_var = (1.0 - MOMENTUM) * self.running_var + MOMENTUM * unbiased_var
         self.update_buffer("running_mean", new_mean)
         self.update_buffer("running_var", new_var)
 
     def __repr__(self) -> str:
-        return f"BatchNorm1d({self.num_features}, momentum={self.momentum})"
+        return f"BatchNorm1d({self.num_features})"
 
 
 class Sequential(Module):
@@ -204,7 +203,6 @@ class Sequential(Module):
 def build_mlp(
     layer_sizes: Sequence[int],
     *,
-    batch_norm: bool = True,
     rng: RandomState = None,
 ) -> Sequential:
     """Construct a fully connected network from a list of layer widths.
@@ -222,7 +220,6 @@ def build_mlp(
     for index, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
         model.append(Linear(fan_in, fan_out, rng=generator))
         if index < last_index:
-            if batch_norm:
-                model.append(BatchNorm1d(fan_out))
+            model.append(BatchNorm1d(fan_out))
             model.append(ReLU())
     return model

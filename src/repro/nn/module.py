@@ -75,12 +75,6 @@ class Module:
         for module_name, module in self._modules.items():
             yield from module.named_buffers(prefix=f"{prefix}{module_name}.")
 
-    def modules(self) -> Iterator["Module"]:
-        """Yield this module and every descendant."""
-        yield self
-        for module in self._modules.values():
-            yield from module.modules()
-
     def num_parameters(self) -> int:
         """Total number of scalar trainable parameters."""
         return int(sum(p.data.size for p in self.parameters()))

@@ -1,4 +1,10 @@
-"""The Adam optimiser PILOTE trains with, behind a small optimiser interface."""
+"""The Adam optimiser PILOTE trains with (the paper's only optimiser).
+
+The paper sets only Adam's initial learning rate (0.01, then halved every
+epoch by :class:`~repro.nn.schedulers.HalvingLR`); the moment decay rates
+and the denominator's epsilon are Kingma & Ba's defaults, kept as the
+constants :data:`BETA1`, :data:`BETA2` and :data:`EPSILON`.
+"""
 
 from __future__ import annotations
 
@@ -8,31 +14,9 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
-
-class Optimizer:
-    """Base optimiser interface: ``zero_grad`` / ``step`` over a parameter list."""
-
-    def __init__(self, parameters: Sequence[Parameter], lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.parameters: List[Parameter] = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received an empty parameter list")
-        self.lr = float(lr)
-
-    def zero_grad(self) -> None:
-        """Clear gradients on every managed parameter."""
-        for parameter in self.parameters:
-            parameter.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def set_lr(self, lr: float) -> None:
-        """Update the learning rate (used by the schedulers)."""
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = float(lr)
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 class _FlatGroup:
@@ -71,7 +55,7 @@ class _FlatGroup:
         ])
 
 
-class Adam(Optimizer):
+class Adam:
     """Adam optimiser (Kingma & Ba, 2015) — the optimiser used by the paper.
 
     Every parameter of one dtype is updated in one pass over flat buffers,
@@ -88,22 +72,24 @@ class Adam(Optimizer):
     untouched.
     """
 
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 0.01,
-        betas: tuple = (0.9, 0.999),
-        epsilon: float = 1e-8,
-    ) -> None:
-        super().__init__(parameters, lr)
-        beta1, beta2 = betas
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError(f"betas must lie in [0, 1), got {betas}")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
+    def __init__(self, parameters: Sequence[Parameter], lr: float) -> None:
+        self.parameters: List[Parameter] = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received an empty parameter list")
+        self.set_lr(lr)
         self._step_count = 0
         self._groups: Optional[List[_FlatGroup]] = None
+
+    def zero_grad(self) -> None:
+        """Clear gradients on every managed parameter."""
+        for parameter in self.parameters:
+            parameter.zero_grad()
+
+    def set_lr(self, lr: float) -> None:
+        """Set the learning rate (the scheduler calls this every epoch)."""
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        self.lr = float(lr)
 
     def _flat_groups(self) -> List[_FlatGroup]:
         if self._groups is None:
@@ -115,8 +101,8 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self._step_count += 1
-        bias_correction1 = 1.0 - self.beta1**self._step_count
-        bias_correction2 = 1.0 - self.beta2**self._step_count
+        bias_correction1 = 1.0 - BETA1**self._step_count
+        bias_correction2 = 1.0 - BETA2**self._step_count
         for group in self._flat_groups():
             live = [i for i, parameter in enumerate(group.parameters) if parameter.grad is not None]
             if live:
@@ -140,19 +126,19 @@ class Adam(Optimizer):
         )
         term, denominator = group.temporaries[:, :size]
         # first = beta1 * first + (1 - beta1) * gradient
-        first *= self.beta1
-        first += np.multiply(gradient, 1.0 - self.beta1, out=term)
+        first *= BETA1
+        first += np.multiply(gradient, 1.0 - BETA1, out=term)
         # second = beta2 * second + (1 - beta2) * gradient**2
-        second *= self.beta2
+        second *= BETA2
         np.square(gradient, out=term)
-        term *= 1.0 - self.beta2
+        term *= 1.0 - BETA2
         second += term
         # values -= lr * (first / bc1) / (sqrt(second / bc2) + epsilon)
         np.divide(first, bias_correction1, out=term)
         term *= self.lr
         np.divide(second, bias_correction2, out=denominator)
         np.sqrt(denominator, out=denominator)
-        denominator += self.epsilon
+        denominator += EPSILON
         term /= denominator
         values -= term
         if not complete:

@@ -1,8 +1,10 @@
-"""Generic training loop with the paper's early-stopping rule.
+"""The training loop with the paper's schedule and early-stopping rule.
 
-The paper stops training "when the difference of validation loss between
-epochs is less than a small threshold, 0.0001 for five consecutive steps";
-:class:`EarlyStopping` implements exactly that criterion.
+The paper trains with Adam, halves the learning rate every epoch
+(:class:`~repro.nn.schedulers.HalvingLR`) and stops "when the difference of
+validation loss between epochs is less than a small threshold, 0.0001 for
+five consecutive steps" (:class:`EarlyStopping`); :class:`Trainer` takes all
+three.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import numpy as np
 from repro.autodiff.tensor import Tensor, no_grad
 from repro.backend import get_backend
 from repro.nn.module import Module
-from repro.nn.optim import Optimizer
-from repro.nn.schedulers import LRScheduler
+from repro.nn.optim import Adam
+from repro.nn.schedulers import HalvingLR
 from repro.utils.clock import perf_seconds
 from repro.utils.logging import get_logger
 from repro.utils.rng import RandomState, resolve_rng
@@ -78,18 +80,20 @@ class Trainer:
     The trainer is loss-agnostic: the caller supplies ``batch_loss``, a
     function mapping a mini-batch ``(X, y)`` to a scalar loss tensor.  This is
     what lets the same loop serve PILOTE's pre-training (contrastive only) and
-    its incremental update (the joint objective).
+    its incremental update (the joint objective).  Each epoch shuffles the
+    rows, steps ``optimizer`` once a batch, then steps ``scheduler``;
+    ``early_stopping`` reads each epoch's validation loss.
     """
 
     def __init__(
         self,
         model: Module,
-        optimizer: Optimizer,
+        optimizer: Adam,
         *,
-        scheduler: Optional[LRScheduler] = None,
-        early_stopping: Optional[EarlyStopping] = None,
-        max_epochs: int = 50,
-        batch_size: int = 64,
+        scheduler: HalvingLR,
+        early_stopping: EarlyStopping,
+        max_epochs: int,
+        batch_size: int,
         rng: RandomState = None,
     ) -> None:
         if max_epochs <= 0:
@@ -105,12 +109,11 @@ class Trainer:
         self._rng = resolve_rng(rng)
 
     def iterate_minibatches(
-        self, features: np.ndarray, labels: np.ndarray, shuffle: bool = True
+        self, features: np.ndarray, labels: np.ndarray
     ) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
-        """Yield mini-batches of ``(features, labels)``."""
-        count = features.shape[0]
-        order = self._rng.permutation(count) if shuffle else np.arange(count)
-        for start in range(0, count, self.batch_size):
+        """Yield shuffled mini-batches of ``(features, labels)``."""
+        order = self._rng.permutation(features.shape[0])
+        for start in range(0, order.size, self.batch_size):
             index = order[start:start + self.batch_size]
             yield features[index], labels[index]
 
@@ -133,7 +136,8 @@ class Trainer:
         features, labels:
             Training arrays; batching and shuffling are handled here.
         validation:
-            Optional ``(X_val, y_val)`` used for early stopping.
+            Optional ``(X_val, y_val)`` used for early stopping; without
+            it every epoch up to ``max_epochs`` runs.
         validation_loss:
             Loss to evaluate on the validation split; defaults to ``batch_loss``.
 
@@ -148,8 +152,7 @@ class Trainer:
         features = backend.asarray(features)
         if validation is not None:
             validation = (backend.asarray(validation[0]), validation[1])
-        if self.early_stopping is not None:
-            self.early_stopping.reset()
+        self.early_stopping.reset()
         for epoch in range(self.max_epochs):
             start_time = perf_seconds()
             self.model.train()
@@ -174,11 +177,10 @@ class Trainer:
                 with no_grad():  # evaluated only: recording would build a dead tape
                     val_loss = float(evaluate(val_features, val_labels).data)
                 history.validation_losses.append(val_loss)
-                if self.early_stopping is not None and self.early_stopping.update(val_loss):
+                if self.early_stopping.update(val_loss):
                     history.stopped_early = True
                     logger.debug("early stopping at epoch %d (val loss %.6f)", epoch + 1, val_loss)
                     break
-            if self.scheduler is not None:
-                self.scheduler.step()
+            self.scheduler.step()
         self.model.eval()
         return history

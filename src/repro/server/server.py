@@ -376,12 +376,6 @@ class ServingServer:
         logger.info("serving on %s:%d", *self.address)
         return self.address
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        await self._server.serve_forever()
-
     async def __aenter__(self) -> "ServingServer":
         await self.start()
         return self

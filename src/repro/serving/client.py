@@ -328,16 +328,6 @@ class ServingClient:
         """Swap a device; queued requests are served by the replacement."""
         self._scheduler.replace_device(device_id, replacement)
 
-    def describe(self) -> dict:
-        return {
-            "label": self.label,
-            "routing": self.routing,
-            "scheduling": self.scheduling,
-            "executor": self.executor,
-            "n_devices": self.n_devices,
-            "pending_requests": self.pending_requests,
-        }
-
     # ------------------------------------------------------------------ #
     def _deployed_lanes(self) -> Optional[np.ndarray]:
         """Lane subset with a deployed device, or ``None`` when all are.

@@ -145,9 +145,6 @@ class Executor:
     def close(self) -> None:
         """Release worker pools (idempotent; serial executors are a no-op)."""
 
-    def describe(self) -> str:
-        return self.name
-
     # Concurrent executors additionally expose ``resize(workers) -> int``
     # (grow/shrink the pool between rounds without losing in-flight work);
     # the control plane's autoscaler feature-detects it with getattr, the

@@ -109,9 +109,6 @@ class RoutingPolicy:
         """
         raise NotImplementedError  # repro: noqa[repro-errors] abstract protocol method
 
-    def describe(self) -> str:
-        return self.name
-
 
 class HashRouting(RoutingPolicy):
     """Seeded user-id hash sharding — sticky, stateless, fully vectorised.

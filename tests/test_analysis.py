@@ -285,6 +285,23 @@ _REFERENCED = {
         except Refused:
             VALUE = 0
         """,
+    "recursive-and-called-elsewhere": """
+        def countdown(n):
+            return n if n <= 0 else countdown(n - 1)
+
+        RESULT = countdown(3)
+        """,
+    "same-named-method-called-elsewhere": """
+        class Inner:
+            def describe(self):
+                return "inner"
+
+        class Outer:
+            def describe(self):
+                return Inner().describe()
+
+        TEXT = Outer().describe()
+        """,
     "returned-closure": """
         def outer():
             def inner():
@@ -395,6 +412,48 @@ _UNREFERENCED = {
             return 1
         """,
         {"helper"},
+    ),
+    "self-recursive": (
+        """
+        def countdown(n):
+            return n if n <= 0 else countdown(n - 1)
+        """,
+        {"countdown"},
+    ),
+    "called-only-by-same-named-method": (
+        """
+        class Inner:
+            def describe(self):
+                return "inner"
+
+        class Outer:
+            def __init__(self):
+                self.inner = Inner()
+
+            def describe(self):
+                return self.inner.describe()
+
+        OUTER = Outer()
+        """,
+        {"describe"},
+    ),
+    "class-named-only-in-its-own-body": (
+        """
+        class Node:
+            def clone(self):
+                return Node()
+        """,
+        {"Node", "clone"},
+    ),
+    "string-name-inside-same-named-method": (
+        """
+        class Box:
+            def run(self):
+                return getattr(self, "run")
+
+        BOX = Box()
+        """,
+        {"run"},
     ),
 }
 

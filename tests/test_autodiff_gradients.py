@@ -98,9 +98,6 @@ class TestReductionShapeGradients:
 
 
 class TestOpsFunctionGradients:
-    def test_l2_normalize(self):
-        inputs = [_tensor((3, 4), 6)]
-        assert check_gradients(lambda t: (ops.l2_normalize(t[0]) ** 2).sum(), inputs)
 
     def test_pairwise_squared_distance(self):
         inputs = [_tensor((4, 3), 1), _tensor((4, 3), 2)]

@@ -74,7 +74,7 @@ class TestOpRegistry:
         for expected in (
             "add", "neg", "sub", "mul", "div", "pow", "matmul", "sqrt",
             "relu", "clamp_min", "sum", "reshape", "transpose", "getitem",
-            "linear", "batch_norm_train", "batch_norm_eval", "l2_normalize",
+            "linear", "batch_norm_train", "batch_norm_eval",
             "pairwise_squared_distance", "pilote_step",
         ):
             assert expected in names
@@ -229,9 +229,9 @@ class TestEndToEndDtypeParity:
         learner32 = _train_learner("edge", scenario)
         learner64 = _train_learner("reference", scenario)
         with precision("edge"):
-            scores32 = learner32.predict_scores(scenario.test.features)
+            scores32 = learner32.embed(scenario.test.features)
             accuracy32 = learner32.evaluate(scenario.test)
-        scores64 = learner64.predict_scores(scenario.test.features)
+        scores64 = learner64.embed(scenario.test.features)
         accuracy64 = learner64.evaluate(scenario.test)
         assert np.all(np.isfinite(scores32))
         assert np.all(np.isfinite(scores64))

@@ -53,11 +53,22 @@ class TestPiloteConfig:
             {"cache_size": 0},
             {"exemplar_strategy": "kmeans"},
             {"max_pairs_per_batch": 0},
+            {"early_stopping_patience": 0},
+            {"early_stopping_patience": -1},
+            {"early_stopping_threshold": -1e-9},
+            {"seed": -1},
         ],
     )
     def test_invalid_configurations(self, kwargs):
         with pytest.raises(ConfigurationError):
             PiloteConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"early_stopping_threshold": 0.0}, {"seed": 0}, {"seed": None}]
+    )
+    def test_boundary_values_are_accepted(self, kwargs):
+        config = PiloteConfig(**kwargs)
+        assert all(getattr(config, name) == value for name, value in kwargs.items())
 
 
 class TestEmbeddingNetwork:
@@ -96,14 +107,6 @@ class TestEmbeddingNetwork:
         with pytest.raises(ShapeError):
             network(Tensor(np.zeros((2, 7))))
 
-    def test_normalized_embeddings_have_unit_norm(self):
-        config = PiloteConfig(
-            hidden_dims=(8,), embedding_dim=4, normalize_embeddings=True, seed=0
-        )
-        network = EmbeddingNetwork(6, config=config, rng=0)
-        embeddings = network.embed(np.random.default_rng(0).normal(size=(5, 6)))
-        assert np.allclose(np.linalg.norm(embeddings, axis=1), 1.0, atol=1e-6)
-
     def test_training_loss_tracks_batch_statistics_like_the_forward(self):
         # One training step as one op updates each BatchNorm's running
         # statistics from the batch, as a training-mode forward does.
@@ -117,12 +120,6 @@ class TestEmbeddingNetwork:
         for (name, value), (_, expected) in zip(ours.named_buffers(), theirs.named_buffers()):
             np.testing.assert_allclose(value, expected, rtol=1e-12, err_msg=name)
         assert not np.allclose(ours.embed(batch), self._network().embed(batch))
-
-    def test_describe_reports_parameter_count(self):
-        network = self._network()
-        description = network.describe()
-        assert description["n_parameters"] == network.num_parameters()
-        assert description["embedding_dim"] == 4
 
     def test_paper_backbone_dimensions(self):
         network = EmbeddingNetwork(80, config=PiloteConfig.paper_defaults(), rng=0)

@@ -123,7 +123,7 @@ class TestExemplarStore:
         store = self._store_with_two_classes()
         assert store.classes == [0, 1]
         assert store.get(0).shape == (10, 4)
-        assert store.total_exemplars() == 20
+        assert sum(store.exemplars_per_class().values()) == 20
         assert store.exemplars_per_class() == {0: 10, 1: 10}
 
     def test_per_class_budget_follows_algorithm1(self):
@@ -156,12 +156,7 @@ class TestExemplarStore:
 
     def test_random_strategy_store(self):
         store = self._store_with_two_classes(strategy="random")
-        assert store.total_exemplars() == 20
-
-    def test_describe(self):
-        description = self._store_with_two_classes().describe()
-        assert description["total_exemplars"] == 20
-        assert description["strategy"] == "herding"
+        assert sum(store.exemplars_per_class().values()) == 20
 
     def test_invalid_inputs(self):
         with pytest.raises(DataError):
@@ -181,7 +176,7 @@ class TestExemplarStore:
         for class_id in range(4):
             rows = rng.normal(size=(250, 80))
             store.select(class_id, rows, rows, n_exemplars=200)
-        assert store.total_exemplars() == 800
+        assert sum(store.exemplars_per_class().values()) == 800
         assert store.nbytes() == 800 * 80 * 4
         assert store.nbytes() < 256 * 1024
 

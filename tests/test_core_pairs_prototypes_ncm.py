@@ -182,12 +182,6 @@ class TestNCMClassifier:
             assert classifier.distances(np.zeros((2, 2))).dtype == np.float32
         assert classifier.prototype_matrix().dtype == np.float64
 
-    def test_scores_are_probabilities(self):
-        scores = self._fitted().predict_scores(np.array([[1.0, 0.0]]))
-        assert scores.shape == (1, 2)
-        assert scores.sum() == pytest.approx(1.0)
-        assert scores[0, 0] > scores[0, 1]
-
     def test_fit_from_prototype_store(self):
         store = PrototypeStore()
         store.set(7, [0.0, 0.0])

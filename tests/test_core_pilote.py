@@ -54,7 +54,7 @@ class TestSupportSet:
     def test_rebuild_with_random_strategy(self, pilote_copy):
         pilote_copy.build_support_set(per_class=8, strategy="random")
         assert pilote_copy.exemplars.strategy == "random"
-        assert pilote_copy.exemplars.total_exemplars() == 8 * 4
+        assert sum(pilote_copy.exemplars.exemplars_per_class().values()) == 8 * 4
 
     def test_build_without_pretrain_raises(self, tiny_config):
         with pytest.raises(NotFittedError):
@@ -122,11 +122,6 @@ class TestIncrementalLearning:
     def test_predictions_cover_all_classes(self, incremented_pilote, run_scenario):
         predictions = incremented_pilote.predict(run_scenario.test.features)
         assert set(np.unique(predictions)).issubset(set(incremented_pilote.classes_))
-
-    def test_predict_scores_shape(self, incremented_pilote, run_scenario):
-        scores = incremented_pilote.predict_scores(run_scenario.test.features[:10])
-        assert scores.shape == (10, 5)
-        assert np.allclose(scores.sum(axis=1), 1.0)
 
 
 class TestDistillationEffect:

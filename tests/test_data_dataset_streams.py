@@ -86,6 +86,27 @@ class TestSplits:
         for part in (splits.train, splits.validation, splits.test):
             assert set(part.classes.tolist()) == {0, 1, 2, 3}
 
+    @pytest.mark.parametrize("test_fraction, validation_fraction",
+                             [(0.3, 0.2), (0.5, 0.0), (0.1, 0.5)])
+    def test_every_class_is_cut_by_the_fractions(self, test_fraction, validation_fraction):
+        sizes = {0: 40, 1: 13, 2: 7}
+        dataset = HARDataset(
+            features=np.arange(60.0).reshape(-1, 1),
+            labels=np.repeat(list(sizes), list(sizes.values())),
+        )
+        splits = train_val_test_split(dataset, test_fraction=test_fraction,
+                                      validation_fraction=validation_fraction, rng=3)
+        for class_id, size in sizes.items():
+            test = int(round(test_fraction * size))
+            validation = int(round(validation_fraction * (size - test)))
+            counts = [int((part.labels == class_id).sum())
+                      for part in (splits.train, splits.validation, splits.test)]
+            if validation_fraction == 0.0 and class_id == 0:
+                # an empty validation set borrows one training row
+                assert counts == [size - test - 1, 1, test]
+            else:
+                assert counts == [size - test - validation, validation, test]
+
     def test_partitions_are_disjoint(self):
         dataset = _dataset(n_per_class=20)
         splits = train_val_test_split(dataset, rng=2)
@@ -128,12 +149,6 @@ class TestIncrementalScenario:
         dataset = _dataset(n_per_class=40)
         scenario = build_incremental_scenario(dataset, [3], new_class_samples=5, rng=0)
         assert scenario.new_train.n_samples == 5
-
-    def test_describe(self):
-        dataset = _dataset(n_per_class=10)
-        description = build_incremental_scenario(dataset, [1], rng=0).describe()
-        assert description["new_classes"] == [1]
-        assert description["test_size"] > 0
 
     def test_errors(self):
         dataset = _dataset()

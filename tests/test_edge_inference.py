@@ -33,13 +33,6 @@ class TestInferenceEngineCorrectness:
         windows = run_scenario.test.features
         assert np.array_equal(engine.predict(windows), incremented_pilote.predict(windows))
 
-    def test_predict_scores_are_distributions(self, pretrained_pilote, run_scenario):
-        engine = InferenceEngine(pretrained_pilote, batch_size=16)
-        scores = engine.predict_scores(run_scenario.test.features[:10])
-        assert scores.shape == (10, len(pretrained_pilote.classes_))
-        assert np.allclose(scores.sum(axis=1), 1.0)
-        assert np.all(scores >= 0)
-
     def test_single_window_accepted(self, pretrained_pilote, run_scenario):
         engine = InferenceEngine(pretrained_pilote)
         prediction = engine.predict(run_scenario.test.features[0])
@@ -54,8 +47,6 @@ class TestInferenceEngineCorrectness:
         engine = InferenceEngine(pretrained_pilote)
         empty = np.empty((0, run_scenario.test.features.shape[1]))
         assert engine.predict(empty).shape == (0,)
-        scores = engine.predict_scores(empty)
-        assert scores.shape == (0, len(pretrained_pilote.classes_))
 
 
 class TestInferenceEngineCache:

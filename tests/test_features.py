@@ -1,12 +1,11 @@
-"""Tests for the statistical feature extractor and registry."""
+"""Tests for the statistical feature extractor."""
 
 import numpy as np
 import pytest
 
 from repro.data.sensors import default_sensor_suite
-from repro.exceptions import ConfigurationError, DataError
+from repro.exceptions import DataError
 from repro.features.extractor import StatisticalFeatureExtractor
-from repro.features.registry import FeatureRegistry
 from repro.features.statistical import (
     channel_means,
     channel_variances,
@@ -49,40 +48,6 @@ class TestStatisticalPrimitives:
             channel_means(np.zeros((5, 6)))
 
 
-class TestFeatureRegistry:
-    def test_register_and_compute(self, windows):
-        registry = FeatureRegistry()
-        registry.register("max", lambda w: w.max(axis=1), "per-channel maximum")
-        registry.register("count", lambda w: np.full(w.shape[0], w.shape[1]))
-        features = registry.compute(windows)
-        assert features.shape == (5, 7)
-        assert registry.names() == ["max", "count"]
-
-    def test_duplicate_name_rejected(self):
-        registry = FeatureRegistry()
-        registry.register("a", lambda w: w.mean(axis=1))
-        with pytest.raises(ConfigurationError):
-            registry.register("a", lambda w: w.mean(axis=1))
-
-    def test_remove(self):
-        registry = FeatureRegistry()
-        registry.register("a", lambda w: w.mean(axis=1))
-        registry.remove("a")
-        assert "a" not in registry
-        with pytest.raises(KeyError):
-            registry.remove("a")
-
-    def test_empty_registry_compute_raises(self, windows):
-        with pytest.raises(ConfigurationError):
-            FeatureRegistry().compute(windows)
-
-    def test_wrong_row_count_rejected(self, windows):
-        registry = FeatureRegistry()
-        registry.register("broken", lambda w: np.zeros((3, 1)))
-        with pytest.raises(ConfigurationError):
-            registry.compute(windows)
-
-
 class TestStatisticalFeatureExtractor:
     def test_default_suite_gives_80_features(self):
         suite = default_sensor_suite()
@@ -99,14 +64,6 @@ class TestStatisticalFeatureExtractor:
         extractor = StatisticalFeatureExtractor(suite.triaxial_groups)
         window = np.random.default_rng(0).normal(size=(suite.window_length, suite.n_channels))
         assert extractor.transform(window).shape == (1, 80)
-
-    def test_extra_registry_appends_columns(self):
-        suite = default_sensor_suite()
-        registry = FeatureRegistry()
-        registry.register("range", lambda w: w.max(axis=1) - w.min(axis=1))
-        extractor = StatisticalFeatureExtractor(suite.triaxial_groups, extra_registry=registry)
-        windows = np.random.default_rng(0).normal(size=(2, 120, 22))
-        assert extractor.transform(windows).shape == (2, 80 + 22)
 
     def test_group_out_of_range_raises(self):
         extractor = StatisticalFeatureExtractor([(0, 1, 99)])

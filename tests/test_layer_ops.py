@@ -1,8 +1,8 @@
 """One op per layer, and one for PILOTE's training step, against the
 elementwise graphs and kernels they replaced.
 
-Each network layer (``linear``, ``batch_norm_train``, ``batch_norm_eval``,
-``l2_normalize``) and the loss's ``pairwise_squared_distance`` is a single
+Each network layer (``linear``, ``batch_norm_train``, ``batch_norm_eval``)
+and the loss's ``pairwise_squared_distance`` is a single
 registered op whose forward and vjp redo, by hand, the arithmetic of the
 elementwise ``Tensor`` graph that used to implement it: every forward and
 every input cotangent must be ``np.array_equal`` to it (``EmbeddingNetwork
@@ -42,10 +42,11 @@ from repro.core.pairs import PairBatch, PairSampler, upper_triangle
 from repro.core.pilote import PILOTE
 from repro.edge.transfer import package_for_edge
 from repro.exceptions import DataError, ShapeError
-from repro.nn.layers import BatchNorm1d, Linear
+from repro.nn.layers import EPSILON, BatchNorm1d, Linear
 from repro.nn.losses import ContrastiveLoss, DistillationLoss
 from repro.nn.module import Parameter
-from repro.nn.optim import Adam
+from repro.nn.optim import BETA1, BETA2, Adam
+from repro.nn.optim import EPSILON as ADAM_EPSILON
 from repro.nn.trainer import Trainer
 
 # --------------------------------------------------------------------------- #
@@ -53,11 +54,8 @@ from repro.nn.trainer import Trainer
 # --------------------------------------------------------------------------- #
 
 
-def composite_linear(x, weight, bias=None):
-    output = x @ weight
-    if bias is not None:
-        output = output + bias
-    return output
+def composite_linear(x, weight, bias):
+    return x @ weight + bias
 
 
 def composite_batch_norm_train(x, gamma, beta, epsilon):
@@ -73,12 +71,6 @@ def composite_batch_norm_eval(x, gamma, beta, running_mean, running_var, epsilon
     variance = Tensor(running_var.reshape(1, -1))
     normalised = (x - mean) / (variance + epsilon).sqrt()
     return normalised * gamma + beta
-
-
-def composite_l2_normalize(x, axis=-1, epsilon=1e-12):
-    squared = (x * x).sum(axis=axis, keepdims=True)
-    norm = (squared + epsilon).sqrt()
-    return x / norm
 
 
 def composite_pairwise_squared_distance(a, b):
@@ -97,12 +89,12 @@ def composite_batch_norm_forward(self, inputs):
     inputs = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
     if self.training and inputs.shape[0] > 1:
         output, mean, variance = composite_batch_norm_train(
-            inputs, self.gamma, self.beta, self.epsilon
+            inputs, self.gamma, self.beta, EPSILON
         )
         self._update_running(mean, variance, inputs.shape[0])
         return output
     return composite_batch_norm_eval(
-        inputs, self.gamma, self.beta, self.running_mean, self.running_var, self.epsilon
+        inputs, self.gamma, self.beta, self.running_mean, self.running_var, EPSILON
     )
 
 
@@ -127,8 +119,8 @@ def reference_adam_step(self):
     first_moment = self.__dict__.setdefault("_reference_first", {})
     second_moment = self.__dict__.setdefault("_reference_second", {})
     self._step_count += 1
-    bias_correction1 = 1.0 - self.beta1**self._step_count
-    bias_correction2 = 1.0 - self.beta2**self._step_count
+    bias_correction1 = 1.0 - BETA1**self._step_count
+    bias_correction2 = 1.0 - BETA2**self._step_count
     for parameter in self.parameters:
         if parameter.grad is None:
             continue
@@ -139,14 +131,14 @@ def reference_adam_step(self):
         if first is None:
             first = np.zeros_like(parameter.data)
             second = np.zeros_like(parameter.data)
-        first = self.beta1 * first + (1.0 - self.beta1) * gradient
-        second = self.beta2 * second + (1.0 - self.beta2) * gradient**2
+        first = BETA1 * first + (1.0 - BETA1) * gradient
+        second = BETA2 * second + (1.0 - BETA2) * gradient**2
         first_moment[key] = first
         second_moment[key] = second
         corrected_first = first / bias_correction1
         corrected_second = second / bias_correction2
         parameter.data = parameter.data - self.lr * corrected_first / (
-            np.sqrt(corrected_second) + self.epsilon
+            np.sqrt(corrected_second) + ADAM_EPSILON
         )
 
 
@@ -178,8 +170,6 @@ def composite_training_loss(self, features, **objective):
             hidden = composite_linear(hidden, layer.weight, Tensor(layer.bias.data))
         else:
             hidden = layer(hidden)
-    if self.normalize:
-        hidden = ops.l2_normalize(hidden, axis=1)
     return composite_pilote_objective(hidden, **objective)
 
 
@@ -188,7 +178,7 @@ def composite_pilote_loss(embeddings, **objective):
     return composite_pilote_objective(Tensor(embeddings), **objective).data
 
 
-def composite_step(x, parameters, *, layers, normalize, **objective):
+def composite_step(x, parameters, *, layers, **objective):
     """``pilote_step`` as the layer ops plus the composite objective."""
     hidden, position = x, 0
     for kind, epsilon in layers:
@@ -201,8 +191,6 @@ def composite_step(x, parameters, *, layers, normalize, **objective):
             position += 2
         else:
             hidden = hidden.relu()
-    if normalize:
-        hidden = ops.l2_normalize(hidden, axis=1)
     return composite_pilote_objective(hidden, **objective)
 
 
@@ -235,7 +223,6 @@ def install_composite(monkeypatch):
     ``np.add.at``), embed, the Adam loop and the pair sampler back in."""
     monkeypatch.setattr(Linear, "forward", composite_linear_forward)
     monkeypatch.setattr(BatchNorm1d, "forward", composite_batch_norm_forward)
-    monkeypatch.setattr(ops, "l2_normalize", composite_l2_normalize)
     monkeypatch.setattr(ops, "pairwise_squared_distance", composite_pairwise_squared_distance)
     monkeypatch.setattr(EmbeddingNetwork, "training_loss", composite_training_loss)
     monkeypatch.setattr(pilote_module, "pilote_loss", composite_pilote_loss)
@@ -294,7 +281,13 @@ def assert_same(fused, composite, arrays, requires, leaf_dtype, seed=0):
         assert np.array_equal(grad_fused, grad_composite)
 
 
-REQUIRES = [(True, True, True), (False, True, True), (True, False, False)]
+#: Which of a layer op's three inputs (the rows, then weight and bias or
+#: gamma and beta) need a gradient: every mask but the empty one, since each
+#: vjp computes each cotangent only where it is needed.
+REQUIRES = [
+    (True, True, True), (False, True, True), (True, False, False),
+    (True, True, False), (True, False, True), (False, True, False), (False, False, True),
+]
 
 #: The objective's forms: cloud pretrain (no teacher), an increment batch
 #: without old-class rows, and mixed batches (rows shared with the pairs).
@@ -328,13 +321,8 @@ STEP_TOLERANCES = {
     "float64-leaves-edge-policy": (1e-10, 1e-12),
 }
 
-#: The ``EmbeddingNetwork`` shapes a ``PiloteConfig`` can build:
-#: ``(batch_norm, normalize_embeddings)``.
-NETWORKS = [(True, False), (True, True), (False, False), (False, True)]
-
-
-def step_network(batch_norm, widths=(5, 6, 4, 3), seed=21):
-    """``(layers, parameter arrays)`` of a Linear/[BatchNorm1d]/ReLU chain
+def step_network(widths=(5, 6, 4, 3), seed=21):
+    """``(layers, parameter arrays)`` of a Linear/BatchNorm1d/ReLU chain
     ending in a Linear, as ``EmbeddingNetwork.training_loss`` passes them."""
     rng = np.random.default_rng(seed)
     layers, arrays = [], []
@@ -342,9 +330,8 @@ def step_network(batch_norm, widths=(5, 6, 4, 3), seed=21):
         layers.append(("linear", None))
         arrays += [rng.normal(size=(fan_in, fan_out)), rng.normal(size=fan_out)]
         if index < len(widths) - 2:
-            if batch_norm:
-                layers.append(("batch_norm", 1e-5))
-                arrays += [rng.normal(size=fan_out), rng.normal(size=fan_out)]
+            layers.append(("batch_norm", EPSILON))
+            arrays += [rng.normal(size=fan_out), rng.normal(size=fan_out)]
             layers.append(("relu", None))
     return layers, arrays
 
@@ -353,16 +340,15 @@ def step_loss(x, parameters, **kwargs):
     return ops.pilote_step(x, parameters, **kwargs)[0]
 
 
-def assert_step_matches_composite(form, variant, batch_norm, normalize, leaf_dtype,
-                                  rtol, atol_scale):
+def assert_step_matches_composite(form, variant, leaf_dtype, rtol, atol_scale):
     """``pilote_step``'s loss (byte-equal: its forward is the layer ops'
     own) and every cotangent (the input rows' and each parameter's) against
     the composite's: within ``rtol``, plus ``atol`` of ``atol_scale`` times
     the largest cotangent (a bias that feeds a BatchNorm has a true gradient
     of 0, which the composite gets as rounding noise)."""
-    layers, arrays = step_network(batch_norm)
+    layers, arrays = step_network()
     x = np.random.default_rng(7).normal(size=(7, 5)) * 2.0
-    kwargs = dict(objective_kwargs(form, variant), layers=layers, normalize=normalize)
+    kwargs = dict(objective_kwargs(form, variant), layers=layers)
     results = []
     for step in (step_loss, composite_step):
         leaves = [Tensor(a, requires_grad=True, dtype=leaf_dtype) for a in [x] + arrays]
@@ -381,14 +367,11 @@ def assert_step_matches_composite(form, variant, batch_norm, normalize, leaf_dty
 @pytest.mark.parametrize("precision_name", list(PRECISIONS))
 class TestSingleOpsMatchCompositeGraphs:
     @pytest.mark.parametrize("x_shape", [(5, 4), (1, 4), (4,)])
-    @pytest.mark.parametrize("with_bias", [True, False])
     @pytest.mark.parametrize("requires", REQUIRES)
-    def test_linear(self, precision_name, x_shape, with_bias, requires):
+    def test_linear(self, precision_name, x_shape, requires):
         profile, leaf_dtype = PRECISIONS[precision_name]
         rng = np.random.default_rng(1)
         arrays = [rng.normal(size=x_shape), rng.normal(size=(4, 3)), rng.normal(size=3)]
-        if not with_bias:
-            arrays, requires = arrays[:2], requires[:2]
         with precision(profile):
             assert_same(ops.linear, composite_linear, arrays, requires, leaf_dtype)
 
@@ -430,17 +413,6 @@ class TestSingleOpsMatchCompositeGraphs:
                 arrays, requires, leaf_dtype,
             )
 
-    @pytest.mark.parametrize("axis", [1, -1, 0])
-    def test_l2_normalize(self, precision_name, axis):
-        profile, leaf_dtype = PRECISIONS[precision_name]
-        arrays = [np.random.default_rng(4).normal(size=(5, 3))]
-        with precision(profile):
-            assert_same(
-                lambda x: ops.l2_normalize(x, axis=axis),
-                lambda x: composite_l2_normalize(x, axis=axis),
-                arrays, [True], leaf_dtype,
-            )
-
     @pytest.mark.parametrize("requires", [(True, True), (True, False), (False, True)])
     def test_pairwise_squared_distance(self, precision_name, requires):
         profile, leaf_dtype = PRECISIONS[precision_name]
@@ -456,16 +428,13 @@ class TestSingleOpsMatchCompositeGraphs:
     @pytest.mark.parametrize("form", list(OBJECTIVE_FORMS))
     def test_pilote_objective(self, precision_name, variant, form):
         """``pilote_step`` (network and objective) against the layer ops
-        plus the composite objective, on every network shape: to 1e-10 in
-        float64; to float32 rounding where the composite's constants (its
-        ``1 / count`` means, for one) are float32 leaves."""
+        plus the composite objective: to 1e-10 in float64; to float32
+        rounding where the composite's constants (its ``1 / count`` means,
+        for one) are float32 leaves."""
         profile, leaf_dtype = PRECISIONS[precision_name]
         rtol, atol_scale = STEP_TOLERANCES[precision_name]
         with precision(profile):
-            for batch_norm, normalize in NETWORKS:
-                assert_step_matches_composite(
-                    form, variant, batch_norm, normalize, leaf_dtype, rtol, atol_scale
-                )
+            assert_step_matches_composite(form, variant, leaf_dtype, rtol, atol_scale)
 
     def test_same_tensor_on_both_sides_of_a_distance(self, precision_name):
         profile, leaf_dtype = PRECISIONS[precision_name]
@@ -512,21 +481,15 @@ class TestSingleOpGradients:
             inputs,
         )
 
-    def test_l2_normalize(self):
-        inputs = self._inputs((4, 3))
-        w = self._weights((4, 3))
-        assert check_gradients(lambda t: (ops.l2_normalize(t[0], axis=1) * w).sum(), inputs)
-
     @pytest.mark.parametrize("variant", ["squared", "hadsell"])
     @pytest.mark.parametrize("form", ["pretrain", "mixed"])
     def test_pilote_objective(self, variant, form):
         """``pilote_step``'s input-row and parameter cotangents."""
-        for batch_norm, normalize in NETWORKS:
-            layers, arrays = step_network(batch_norm)
-            kwargs = dict(objective_kwargs(form, variant), layers=layers, normalize=normalize)
-            inputs = self._inputs((7, 5))
-            inputs += [Tensor(a, requires_grad=True) for a in arrays]
-            assert check_gradients(lambda t: step_loss(t[0], t[1:], **kwargs), inputs)
+        layers, arrays = step_network()
+        kwargs = dict(objective_kwargs(form, variant), layers=layers)
+        inputs = self._inputs((7, 5))
+        inputs += [Tensor(a, requires_grad=True) for a in arrays]
+        assert check_gradients(lambda t: step_loss(t[0], t[1:], **kwargs), inputs)
 
     def test_pairwise_squared_distance(self):
         inputs = self._inputs((4, 3), (4, 3))
@@ -538,14 +501,13 @@ class TestSingleOpGradients:
 
 class TestOneRecordPerLayer:
     def test_training_forward_records_one_op_per_layer(self, tiny_config):
-        config = dataclasses.replace(tiny_config, normalize_embeddings=True)
-        model = EmbeddingNetwork(6, config=config)
+        model = EmbeddingNetwork(6, config=tiny_config)
         out = model(Tensor(np.random.default_rng(0).normal(size=(4, 6))))
         ops_recorded = [name for name, _ in out.trace() if name != "leaf"]
         assert ops_recorded == [
             "linear", "batch_norm_train", "relu",
             "linear", "batch_norm_train", "relu",
-            "linear", "l2_normalize",
+            "linear",
         ]
 
     def test_eval_forward_uses_the_tracked_statistics_op(self, tiny_config):
@@ -561,12 +523,10 @@ class TestOneRecordPerLayer:
 
 class TestArrayEmbed:
     @pytest.mark.parametrize("profile", ["reference", "edge"])
-    @pytest.mark.parametrize("normalize", [False, True])
-    @pytest.mark.parametrize("rows", [1, 2, 8, 64, 513])
-    def test_embed_equals_the_tensor_eval_forward(self, tiny_config, profile, normalize, rows):
-        config = dataclasses.replace(tiny_config, normalize_embeddings=normalize)
+    @pytest.mark.parametrize("rows", [1, 2, 8, 64, 512, 513, 1025])
+    def test_embed_equals_the_tensor_eval_forward(self, tiny_config, profile, rows):
         with precision(profile):
-            model = EmbeddingNetwork(6, config=config, rng=3)
+            model = EmbeddingNetwork(6, config=tiny_config, rng=3)
             rng = np.random.default_rng(rows)
             # Move the BatchNorm statistics off their initial values.
             model(Tensor(rng.normal(size=(16, 6)) * 2.0 + 0.5))
@@ -631,7 +591,7 @@ class TestArrayEmbed:
         model = EmbeddingNetwork(6, config=tiny_config, rng=3)
         model(Tensor(rng.normal(size=(16, 6)) * 2.0 + 0.5))
         features = rng.normal(size=(5, 6))
-        norm = next(m for m in model.modules() if isinstance(m, BatchNorm1d))
+        norm = next(m for m in model.backbone.layers if isinstance(m, BatchNorm1d))
         dtypes = []
         for profile in ("reference", "edge", "reference", "edge"):
             with precision(profile):
@@ -916,13 +876,9 @@ def _one_row_step(config):
 
 
 @pytest.mark.parametrize("profile", ["reference", "edge"])
-@pytest.mark.parametrize("normalize", [False, True])
 class TestByteEqualToCompositeForms:
-    def _config(self, tiny_config, normalize):
-        return dataclasses.replace(
-            tiny_config, max_epochs_pretrain=3, max_epochs_increment=3,
-            normalize_embeddings=normalize,
-        )
+    def _config(self, tiny_config):
+        return dataclasses.replace(tiny_config, max_epochs_pretrain=3, max_epochs_increment=3)
 
     def _assert_byte_equal(self, ours, theirs):
         assert ours.keys() == theirs.keys()
@@ -932,16 +888,14 @@ class TestByteEqualToCompositeForms:
 
     @pytest.mark.parametrize("variant", ["squared", "hadsell"])
     def test_pretrain_increment_predict(self, run_scenario, tiny_config, profile,
-                                        normalize, variant, monkeypatch):
+                                        variant, monkeypatch):
         """Two runs are byte-identical.  In float64 every prediction equals
         the composite forms', and every array is within ``rtol=1e-8`` of
-        theirs.  The ``atol`` of 1e-9 is for the last layer's bias without
-        ``normalize_embeddings``: the contrastive term does not depend on
-        it, so pretraining gives it a gradient of rounding noise in both
-        programs, and Adam turns that into ~2e-10 of drift."""
-        config = dataclasses.replace(
-            self._config(tiny_config, normalize), contrastive_variant=variant
-        )
+        theirs.  The ``atol`` of 1e-9 is for the last layer's bias: the
+        contrastive term does not depend on it, so pretraining gives it a
+        gradient of rounding noise in both programs, and Adam turns that
+        into ~2e-10 of drift."""
+        config = dataclasses.replace(self._config(tiny_config), contrastive_variant=variant)
         with precision(profile):
             ours = _pipeline(run_scenario, config)
             self._assert_byte_equal(ours, _pipeline(run_scenario, config))
@@ -960,8 +914,8 @@ class TestByteEqualToCompositeForms:
                     ours[key], theirs[key], rtol=1e-8, atol=1e-9, err_msg=key
                 )
 
-    def test_one_row_training_batch(self, tiny_config, profile, normalize, monkeypatch):
-        config = self._config(tiny_config, normalize)
+    def test_one_row_training_batch(self, tiny_config, profile, monkeypatch):
+        config = self._config(tiny_config)
         with precision(profile):
             ours = _one_row_step(config)
             with monkeypatch.context() as patch:

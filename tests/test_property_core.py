@@ -64,22 +64,6 @@ class TestNCMProperties:
         predictions = classifier.predict(matrix)
         assert predictions.tolist() == list(range(n_classes))
 
-    @given(
-        hnp.arrays(
-            np.float64,
-            st.tuples(st.integers(2, 15), st.integers(2, 5)),
-            elements=st.floats(min_value=-5, max_value=5, allow_nan=False, allow_infinity=False),
-        )
-    )
-    @settings(**SETTINGS)
-    def test_scores_are_a_probability_distribution(self, embeddings):
-        classifier = NCMClassifier().fit(
-            {0: np.zeros(embeddings.shape[1]), 1: np.ones(embeddings.shape[1])}
-        )
-        scores = classifier.predict_scores(embeddings)
-        assert np.allclose(scores.sum(axis=1), 1.0)
-        assert np.all(scores >= 0)
-
 
 class TestMetricProperties:
     @given(labels_strategy)

@@ -73,7 +73,6 @@ CASES = {
         lambda t: ops.batch_norm_train(t[0], t[1], t[2], 1e-5)[0],
     ),
     "batch_norm_eval": ([(5, 3), (3,), (3,)], False, _batch_norm_eval),
-    "l2_normalize": ([(4, 3)], False, lambda t: ops.l2_normalize(t[0], axis=1)),
     "pairwise_squared_distance": (
         [(4, 3), (4, 3)], False, lambda t: ops.pairwise_squared_distance(t[0], t[1]),
     ),

@@ -127,9 +127,9 @@ class TestEdfScheduling:
         assert sum(s.batches for s in report.per_device.values()) == 2
         assert report.total_requests == 7
 
-    def test_client_describe_includes_scheduling(self, pretrained_pilote):
+    def test_client_reports_its_scheduling(self, pretrained_pilote):
         client = serve(pretrained_pilote, scheduling="edf")
-        assert client.describe()["scheduling"] == "edf"
+        assert client.scheduling == "edf"
 
     def test_edf_under_backlog_reduces_expiries_vs_fifo(self):
         """The tentpole story in miniature: urgent requests survive EDF."""
