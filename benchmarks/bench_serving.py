@@ -118,8 +118,7 @@ def test_one_client_api_across_layers(report):
         pool = np.random.default_rng(4).normal(size=(512, N_FEATURES))
 
         platform = MagnetoPlatform(learner.config, seed=0)
-        platform.cloud.learner = learner
-        platform.cloud.history = object()
+        platform.cloud_learner = learner
         platform.deploy_to_edge()
         fleet = build_fleet(package, 1)
 

@@ -30,8 +30,9 @@ import numpy as np
 
 from repro.data import Activity, build_incremental_scenario, make_feature_dataset
 from repro.core.config import PiloteConfig
-from repro.edge.cloud import CloudServer
+from repro.core.pilote import PILOTE
 from repro.edge.device import DEVICE_PROFILES
+from repro.edge.transfer import package_for_edge
 from repro.fleet import (
     CheckpointStore,
     FleetCoordinator,
@@ -51,9 +52,9 @@ def main() -> None:
     dataset = make_feature_dataset(samples_per_class=200, seed=SEED)
     scenario = build_incremental_scenario(dataset, [Activity.RUN], rng=SEED)
     config = PiloteConfig.edge_lightweight(seed=SEED)
-    cloud = CloudServer(config, seed=SEED)
-    cloud.pretrain(scenario.old_train, scenario.old_validation, exemplars_per_class=50)
-    package = cloud.export_package()
+    learner = PILOTE(config, seed=SEED)
+    learner.pretrain(scenario.old_train, scenario.old_validation, exemplars_per_class=50)
+    package = package_for_edge(learner)
     print(f"cloud package: {package.total_bytes / 1024:.1f} KB")
 
     # 2. Provision a heterogeneous fleet and broadcast the package.

@@ -51,10 +51,10 @@ Fleet serving
 :mod:`repro.fleet` scales the single-device pipeline out to many devices
 behind one cloud broadcast: :class:`~repro.fleet.FleetCoordinator` provisions
 and deploys the fleet (``fleet.provision(n)`` then
-``fleet.deploy(cloud.export_package())``),
+``fleet.deploy(package_for_edge(learner))``),
 :class:`~repro.fleet.TrafficGenerator` replays seeded uniform/bursty/Zipf
 workloads, and :class:`~repro.fleet.CheckpointStore` snapshots/restores
-device state under a storage budget.  Run the end-to-end simulation with
+device state.  Run the end-to-end simulation with
 ``pilote fleet-sim``.
 
 Unified serving API
@@ -69,7 +69,7 @@ every layer speaks the same typed protocol::
     from repro.serving import serve, PredictRequest
 
     client = serve(learner)                       # or serve(platform/fleet)
-    class_ids = client.predict(windows)           # synchronous one-liner
+    class_ids = client.predict(windows)           # one-liner: user 0, no deadline
 
     pending = client.submit(
         PredictRequest(user_id=7, features=windows, deadline_seconds=0.5)

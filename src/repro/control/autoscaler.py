@@ -16,7 +16,7 @@ submissions after any change.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.control.plane import Controller
 from repro.control.signals import ControlSignals
@@ -24,15 +24,22 @@ from repro.exceptions import ConfigurationError
 
 __all__ = ["PoolAutoscaler"]
 
+#: The pool never shrinks below one worker; it grows up to the lane count
+#: (the executor's own cap).
+MIN_WORKERS = 1
+
+#: Rolling deadline attainment below which a moderately deep queue already
+#: justifies scaling up, and below which scale-down is vetoed.
+ATTAINMENT_FLOOR = 0.9
+
 
 class PoolAutoscaler(Controller):
     """Grows/shrinks a resizable executor pool between drains.
 
+    The pool stays between :data:`MIN_WORKERS` and the lane count.
+
     Parameters
     ----------
-    min_workers / max_workers:
-        Pool bounds; ``max_workers=None`` means the lane count (the
-        executor's own cap).
     high_queue_per_worker:
         Scale up when the queued backlog exceeds this many requests per
         current worker.
@@ -40,9 +47,6 @@ class PoolAutoscaler(Controller):
         Scale down when the arrival-rate window would stay below this many
         requests per worker *after* shrinking (hysteresis: the test is
         against the smaller pool).
-    attainment_floor:
-        Rolling deadline attainment below which a moderately deep queue
-        already justifies scaling up, and below which scale-down is vetoed.
     cooldown_ticks:
         Minimum submissions between consecutive resizes.
     """
@@ -52,40 +56,21 @@ class PoolAutoscaler(Controller):
     def __init__(
         self,
         *,
-        min_workers: int = 1,
-        max_workers: Optional[int] = None,
         high_queue_per_worker: float = 32.0,
         low_queue_per_worker: float = 8.0,
-        attainment_floor: float = 0.9,
         cooldown_ticks: int = 2,
     ) -> None:
-        if min_workers <= 0:
-            raise ConfigurationError(
-                f"min_workers must be positive, got {min_workers}"
-            )
-        if max_workers is not None and max_workers < min_workers:
-            raise ConfigurationError(
-                f"max_workers ({max_workers}) must be >= min_workers "
-                f"({min_workers})"
-            )
         if not 0.0 < low_queue_per_worker < high_queue_per_worker:
             raise ConfigurationError(
                 "watermarks must satisfy 0 < low < high, got "
                 f"low={low_queue_per_worker}, high={high_queue_per_worker}"
             )
-        if not 0.0 <= attainment_floor <= 1.0:
-            raise ConfigurationError(
-                f"attainment_floor must be in [0, 1], got {attainment_floor}"
-            )
         if cooldown_ticks < 0:
             raise ConfigurationError(
                 f"cooldown_ticks must be >= 0, got {cooldown_ticks}"
             )
-        self.min_workers = int(min_workers)
-        self.max_workers = max_workers if max_workers is None else int(max_workers)
         self.high_queue_per_worker = float(high_queue_per_worker)
         self.low_queue_per_worker = float(low_queue_per_worker)
-        self.attainment_floor = float(attainment_floor)
         self.cooldown_ticks = int(cooldown_ticks)
         #: Resize history: ``{"tick", "from", "to", "reason"}`` per action.
         self.actions: List[Dict[str, object]] = []
@@ -129,13 +114,13 @@ class PoolAutoscaler(Controller):
         if self._cooling(signals):
             return
         workers = signals.workers
-        cap = self.max_workers if self.max_workers is not None else signals.n_lanes
+        cap = signals.n_lanes
         if workers >= cap:
             return
         depth = signals.queue_depth
         pressured = depth > self.high_queue_per_worker * workers
         struggling = (
-            signals.rolling_attainment < self.attainment_floor
+            signals.rolling_attainment < ATTAINMENT_FLOOR
             and depth > self.low_queue_per_worker * workers
         )
         if not (pressured or struggling):
@@ -147,7 +132,7 @@ class PoolAutoscaler(Controller):
             f"queue {depth} > {self.high_queue_per_worker:g}/worker"
             if pressured
             else f"attainment {signals.rolling_attainment:.3f} < "
-            f"{self.attainment_floor:g} with queue {depth}"
+            f"{ATTAINMENT_FLOOR:g} with queue {depth}"
         )
         self._apply(signals, desired, why)
 
@@ -155,9 +140,9 @@ class PoolAutoscaler(Controller):
         if self._cooling(signals):
             return
         workers = signals.workers
-        if workers <= self.min_workers:
+        if workers <= MIN_WORKERS:
             return
-        if signals.rolling_attainment < self.attainment_floor:
+        if signals.rolling_attainment < ATTAINMENT_FLOOR:
             return  # never shrink a pool that is missing deadlines
         shrunken = workers - 1
         if signals.arrival_rate >= self.low_queue_per_worker * shrunken:

@@ -18,7 +18,7 @@ Scenarios (registry :data:`CHAOS_SCENARIOS`):
 * ``worker-storm-process`` — *real* worker processes killed mid-stream
   (:meth:`~repro.serving.executor.ProcessExecutor.kill_worker`); in-flight
   batches fail typed and the pool respawns.
-* ``stragglers`` — devices slowed ``slow_factor``× mid-run
+* ``stragglers`` — devices slowed :data:`SLOW_FACTOR`× mid-run
   (:class:`StragglerDevice`); deadline attainment dips and recovers.
 * ``restart`` — the serving client is closed with requests still queued
   (every pending future fails with
@@ -95,21 +95,20 @@ class FlakyDevice:
         return self.inner.infer(windows)
 
 
+#: How many times slower a flagged straggler runs.
+SLOW_FACTOR = 8.0
+
+
 class StragglerDevice:
-    """Device wrapper that runs ``slow_factor``× slower while flagged.
+    """Device wrapper that runs :data:`SLOW_FACTOR`× slower while flagged.
 
     Implemented through the profile's ``relative_compute`` — the same knob
     that models heterogeneous hardware — so simulated service times stretch
     without touching the engine output (answers stay bit-identical).
     """
 
-    def __init__(self, inner, *, slow_factor: float = 8.0) -> None:
-        if slow_factor <= 1.0:
-            raise ConfigurationError(
-                f"slow_factor must be > 1, got {slow_factor}"
-            )
+    def __init__(self, inner) -> None:
         self.inner = inner
-        self.slow_factor = float(slow_factor)
         self.slow = False
 
     @property
@@ -122,7 +121,7 @@ class StragglerDevice:
         if not self.slow:
             return profile
         return dataclasses.replace(
-            profile, relative_compute=profile.relative_compute / self.slow_factor
+            profile, relative_compute=profile.relative_compute / SLOW_FACTOR
         )
 
     @property
@@ -158,7 +157,6 @@ class ChaosSpec:
     storm_ticks: Tuple[int, ...] = (4, 5, 6)
     #: Lane positions the fault targets.
     storm_devices: Tuple[int, ...] = (0,)
-    slow_factor: float = 8.0
     restart_tick: int = 6
     #: Relative deadline per request, milliseconds; ``None`` = no deadlines.
     deadline_ms: Optional[float] = 40.0
@@ -329,9 +327,7 @@ def _wrap_devices(fleet, spec: ChaosSpec):
             wrappers.append(wrapper)
     elif spec.scenario == "stragglers":
         for position in spec.storm_devices:
-            wrapper = StragglerDevice(
-                fleet.devices[position], slow_factor=spec.slow_factor
-            )
+            wrapper = StragglerDevice(fleet.devices[position])
             fleet.replace_device(wrapper.device_id, wrapper)
             wrappers.append(wrapper)
     return wrappers

@@ -209,6 +209,8 @@ class HedgedResult(PendingResult):
 class HedgedRequests(Controller):
     """Submit-hook controller wrapping at-risk futures in hedged pairs.
 
+    Every at-risk request gets at most one hedge.
+
     Parameters
     ----------
     slack_seconds:
@@ -218,9 +220,6 @@ class HedgedRequests(Controller):
         Failures inside the signal window past which a lane counts as
         unhealthy (triggering hedges away from it regardless of its
         projected begin, which a fail-fast lane under-reports).
-    max_hedges_per_wave:
-        Budget bounding speculative load per submission (``None`` = one
-        hedge per at-risk request).
     """
 
     name = "hedging"
@@ -230,7 +229,6 @@ class HedgedRequests(Controller):
         *,
         slack_seconds: float = 0.0,
         unhealthy_failures: int = 1,
-        max_hedges_per_wave: Optional[int] = None,
     ) -> None:
         if slack_seconds < 0.0:
             raise ConfigurationError(
@@ -240,13 +238,8 @@ class HedgedRequests(Controller):
             raise ConfigurationError(
                 f"unhealthy_failures must be positive, got {unhealthy_failures}"
             )
-        if max_hedges_per_wave is not None and max_hedges_per_wave < 0:
-            raise ConfigurationError(
-                f"max_hedges_per_wave must be >= 0, got {max_hedges_per_wave}"
-            )
         self.slack_seconds = float(slack_seconds)
         self.unhealthy_failures = int(unhealthy_failures)
-        self.max_hedges_per_wave = max_hedges_per_wave
         #: Exactly-once ledger over every pair this controller fired.
         self.hedges = HedgeStats()
 
@@ -256,15 +249,8 @@ class HedgedRequests(Controller):
             return futures
         scheduler = self.plane.scheduler
         unhealthy = signals.lane_failures >= self.unhealthy_failures
-        budget = (
-            self.max_hedges_per_wave
-            if self.max_hedges_per_wave is not None
-            else len(requests)
-        )
         out = list(futures)
         for index, (request, future) in enumerate(zip(requests, out)):
-            if budget <= 0:
-                break
             deadline = request.deadline_seconds
             if deadline is None:
                 continue
@@ -286,7 +272,6 @@ class HedgedRequests(Controller):
             hedge_future = self._fire(request, alternate, scheduler)
             out[index] = HedgedResult(request, future, hedge_future, self.hedges)
             self.hedges.fired += 1
-            budget -= 1
         return out
 
     # -- internals -------------------------------------------------------- #

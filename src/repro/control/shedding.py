@@ -45,20 +45,14 @@ class LoadShedder(Controller):
         *,
         high_queue_per_lane: float = 48.0,
         low_queue_per_lane: float = 12.0,
-        margin_seconds: float = 0.0,
     ) -> None:
         if not 0.0 <= low_queue_per_lane < high_queue_per_lane:
             raise ConfigurationError(
                 "watermarks must satisfy 0 <= low < high, got "
                 f"low={low_queue_per_lane}, high={high_queue_per_lane}"
             )
-        if margin_seconds < 0.0:
-            raise ConfigurationError(
-                f"margin_seconds must be >= 0, got {margin_seconds}"
-            )
         self.high_queue_per_lane = float(high_queue_per_lane)
         self.low_queue_per_lane = float(low_queue_per_lane)
-        self.margin_seconds = float(margin_seconds)
         #: Whether shedding is currently engaged (hysteresis state).
         self.active = False
         self.shed_count = 0
@@ -102,7 +96,7 @@ class LoadShedder(Controller):
         if projected is None:
             projected = scheduler.projected_begin_for(position, arrival, deadline)
             self._projection_cache[key] = projected
-        if projected + self.margin_seconds <= deadline:
+        if projected <= deadline:
             return None
         self.shed_count += 1
         return RequestSheddedError(

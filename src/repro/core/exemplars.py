@@ -154,12 +154,15 @@ class ExemplarStore:
         """Mapping ``class id → number of stored exemplars``."""
         return {class_id: rows.shape[0] for class_id, rows in self._exemplars.items()}
 
-    def per_class_budget(self, n_classes: Optional[int] = None) -> Optional[int]:
-        """``m = K / n_classes`` (Algorithm 1, line 1); ``None`` when unbounded."""
+    def per_class_budget(self) -> Optional[int]:
+        """``m = K / n_classes`` over the stored classes (Algorithm 1, line 1).
+
+        ``None`` when unbounded; an empty store grants one class the whole
+        capacity.
+        """
         if self.capacity is None:
             return None
-        n_classes = n_classes if n_classes is not None else max(len(self._exemplars), 1)
-        return max(self.capacity // max(n_classes, 1), 1)
+        return max(self.capacity // max(len(self._exemplars), 1), 1)
 
     # ------------------------------------------------------------------ #
     def select(
@@ -220,9 +223,6 @@ class ExemplarStore:
             raise KeyError(f"no exemplars stored for class {class_id}")
         return self._exemplars[int(class_id)]
 
-    def remove(self, class_id: int) -> None:
-        self._exemplars.pop(int(class_id), None)
-
     # ------------------------------------------------------------------ #
     def as_dataset(self, extra: Optional[HARDataset] = None) -> Tuple[np.ndarray, np.ndarray]:
         """All exemplars as ``(features, labels)`` arrays (the support set
@@ -245,7 +245,6 @@ class ExemplarStore:
         return (np.concatenate(features, axis=0, dtype=default_dtype()),
                 np.concatenate(labels, axis=0))
 
-    def nbytes(self, dtype_bytes: int = 4) -> int:
+    def nbytes(self) -> int:
         """Storage footprint of the support set serialised as float32."""
-        total_values = sum(rows.size for rows in self._exemplars.values())
-        return float32_nbytes(total_values) if dtype_bytes == 4 else int(total_values * dtype_bytes)
+        return float32_nbytes(sum(rows.size for rows in self._exemplars.values()))

@@ -85,7 +85,8 @@ def pilote_from_state(state: dict, metadata: dict, *, seed: RandomState = None) 
     ``state_version`` 1.  Raises :class:`~repro.exceptions.SerializationError`
     when the metadata names an NCM metric other than Euclidean, the only one
     the classifier serves, or when its config names a field
-    :class:`PiloteConfig` does not have (an archive of another version).
+    :class:`PiloteConfig` does not have or lacks one it has (an archive of
+    another version): a missing field is never filled with its default.
     """
     metric = metadata.get("metric", "euclidean")
     if metric != "euclidean":
@@ -93,9 +94,13 @@ def pilote_from_state(state: dict, metadata: dict, *, seed: RandomState = None) 
             f"unsupported NCM metric {metric!r}; only 'euclidean' is served"
         )
     config_fields = dict(metadata["config"])
-    unknown = sorted(set(config_fields) - {f.name for f in dataclasses.fields(PiloteConfig)})
+    expected = {f.name for f in dataclasses.fields(PiloteConfig)}
+    unknown = sorted(set(config_fields) - expected)
     if unknown:
         raise SerializationError(f"unknown PiloteConfig field(s) in metadata: {unknown}")
+    missing = sorted(expected - set(config_fields))
+    if missing:
+        raise SerializationError(f"PiloteConfig field(s) missing from metadata: {missing}")
     config_fields["hidden_dims"] = tuple(config_fields["hidden_dims"])
     config = PiloteConfig(**config_fields)
 

@@ -168,12 +168,11 @@ class PILOTE:
 
     def build_support_set(
         self,
-        dataset: Optional[HARDataset] = None,
         *,
         per_class: Optional[int] = None,
         strategy: Optional[str] = None,
     ) -> ExemplarStore:
-        """(Re)build the exemplar support set from old-class data.
+        """(Re)build the exemplar support set from the pre-training data.
 
         This is the cloud-side step of Algorithm 1 (lines 1–7).  It may be
         called again after pre-training with a different ``per_class`` budget
@@ -182,7 +181,7 @@ class PILOTE:
         """
         if self.model is None:
             raise NotFittedError("pretrain() must run before building the support set")
-        dataset = dataset or self._pretrain_dataset
+        dataset = self._pretrain_dataset
         if dataset is None:
             raise DataError("no dataset available to build the support set from")
         strategy = strategy or self.config.exemplar_strategy
@@ -211,8 +210,6 @@ class PILOTE:
         self,
         new_train: HARDataset,
         new_validation: Optional[HARDataset] = None,
-        *,
-        new_exemplars_per_class: Optional[int] = None,
     ) -> TrainingHistory:
         """Edge-side incremental update with new-class data (Algorithm 1, lines 8–13).
 
@@ -222,9 +219,8 @@ class PILOTE:
             New-class samples ``D_n`` recorded on the edge.
         new_validation:
             Optional validation split used for early stopping.
-        new_exemplars_per_class:
-            How many new-class exemplars to keep afterwards; defaults to the
-            same per-class budget as the old classes.
+
+        Each new class keeps as many exemplars as the largest old class.
         """
         if not self.is_pretrained:
             raise NotFittedError("pretrain() must run before learn_new_classes()")
@@ -252,10 +248,8 @@ class PILOTE:
         )
 
         # Store exemplars for the new classes and refresh all prototypes.
-        budget = new_exemplars_per_class
-        if budget is None:
-            counts = self.exemplars.exemplars_per_class()
-            budget = max(counts.values()) if counts else None
+        counts = self.exemplars.exemplars_per_class()
+        budget = max(counts.values()) if counts else None
         herding_start = perf_seconds()
         self._select_class_exemplars(
             [(class_id, new_train.class_subset(class_id)) for class_id in incoming],

@@ -12,6 +12,7 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.exceptions import DataError, NotFittedError
+from repro.utils.serialization import float32_nbytes
 
 
 class PrototypeStore:
@@ -51,10 +52,6 @@ class PrototypeStore:
             raise KeyError(f"no prototype stored for class {class_id}")
         return self._prototypes[int(class_id)]
 
-    def remove(self, class_id: int) -> None:
-        if self._prototypes.pop(int(class_id), None) is not None:
-            self._version += 1
-
     def __contains__(self, class_id: int) -> bool:
         return int(class_id) in self._prototypes
 
@@ -77,8 +74,8 @@ class PrototypeStore:
             raise NotFittedError("the prototype store is empty")
         return np.stack([self.get(class_id) for class_id in order], axis=0)
 
-    def nbytes(self, dtype_bytes: int = 4) -> int:
+    def nbytes(self) -> int:
         """Storage footprint of the prototypes when serialised as float32."""
         if self._embedding_dim is None:
             return 0
-        return len(self._prototypes) * self._embedding_dim * dtype_bytes
+        return float32_nbytes(len(self._prototypes) * self._embedding_dim)

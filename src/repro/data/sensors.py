@@ -73,8 +73,8 @@ _TRIAXIAL_SENSORS = (
 _SCALAR_SENSORS = ("pressure", "light", "proximity", "ambient_temperature")
 
 
-def default_sensor_suite(sampling_rate_hz: float = 120.0) -> SensorSuite:
-    """The 22-channel suite used throughout the reproduction.
+def default_sensor_suite() -> SensorSuite:
+    """The 22-channel suite used throughout the reproduction, at 120 Hz.
 
     Six triaxial sensors (accelerometer, gyroscope, magnetometer, gravity,
     linear acceleration, rotation vector = 18 channels) plus four scalar
@@ -87,8 +87,4 @@ def default_sensor_suite(sampling_rate_hz: float = 120.0) -> SensorSuite:
         names.extend(f"{sensor}_{axis}" for axis in ("x", "y", "z"))
         groups.append((start, start + 1, start + 2))
     names.extend(_SCALAR_SENSORS)
-    return SensorSuite(
-        channel_names=tuple(names),
-        triaxial_groups=tuple(groups),
-        sampling_rate_hz=sampling_rate_hz,
-    )
+    return SensorSuite(channel_names=tuple(names), triaxial_groups=tuple(groups))

@@ -11,7 +11,7 @@ new-class sample pool, and a test set covering *all* classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.data.dataset import DatasetSplits, HARDataset, train_val_test_split
 from repro.exceptions import DataError
@@ -53,9 +53,6 @@ def build_incremental_scenario(
     dataset: HARDataset,
     new_classes: Sequence[int],
     *,
-    test_fraction: float = 0.3,
-    validation_fraction: float = 0.2,
-    new_class_samples: Optional[int] = None,
     rng: RandomState = None,
 ) -> IncrementalScenario:
     """Split ``dataset`` into the paper's incremental-learning protocol.
@@ -66,12 +63,6 @@ def build_incremental_scenario(
         The full multi-class dataset.
     new_classes:
         Class ids treated as "new" (unseen during pre-training).
-    test_fraction, validation_fraction:
-        Split ratios (paper defaults: 30% test, 0.2 validation).
-    new_class_samples:
-        If given, the new-class training pool is randomly capped to this many
-        samples per new class — this is how the extreme-edge scenarios
-        (Figure 7) limit the available new-class data.
     rng:
         Seed or generator.
     """
@@ -87,18 +78,12 @@ def build_incremental_scenario(
     if not old_set:
         raise DataError("at least one old class must remain for pre-training")
 
-    splits: DatasetSplits = train_val_test_split(
-        dataset,
-        test_fraction=test_fraction,
-        validation_fraction=validation_fraction,
-        rng=generator,
-    )
+    # The paper's split: 30% test, then 20% of the rest for validation.
+    splits: DatasetSplits = train_val_test_split(dataset, rng=generator)
     old_train = splits.train.select_classes(old_set)
     old_validation = splits.validation.select_classes(old_set)
     new_train = splits.train.select_classes(new_set)
     new_validation = splits.validation.select_classes(new_set)
-    if new_class_samples is not None:
-        new_train = new_train.subsample(new_class_samples, per_class=True, rng=generator)
 
     return IncrementalScenario(
         old_classes=sorted(old_set),

@@ -25,16 +25,23 @@ else in the library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.data.activities import Activity
 from repro.data.sensors import SensorSuite, default_sensor_suite
-from repro.exceptions import ConfigurationError, DataError
+from repro.exceptions import DataError
 from repro.features.extractor import StatisticalFeatureExtractor
 from repro.timeseries.normalize import z_score
 from repro.utils.rng import RandomState, resolve_rng
+
+#: Relative amplitude of the locomotion component's second harmonic.
+HARMONIC_RATIO = 0.35
+
+#: Simulated users; each gets a persistent random gain per sensor group,
+#: adding realistic between-subject variance.
+N_USERS = 8
 
 
 @dataclass(frozen=True)
@@ -67,8 +74,6 @@ class ActivitySignature:
     scalar_levels:
         Mean values of the four scalar channels (pressure, light, proximity,
         temperature), expressed in normalised units.
-    harmonic_ratio:
-        Relative amplitude of the second harmonic of the locomotion component.
     """
 
     locomotion_hz: float
@@ -82,7 +87,6 @@ class ActivitySignature:
     noise_level: float
     drift_level: float
     scalar_levels: Tuple[float, float, float, float]
-    harmonic_ratio: float = 0.35
 
 
 def default_signatures() -> Dict[Activity, ActivitySignature]:
@@ -168,47 +172,32 @@ class SyntheticSensorGenerator:
     ----------
     suite:
         Sensor layout (defaults to the 22-channel suite).
-    signatures:
-        Per-activity signal signatures (defaults to :func:`default_signatures`).
-    n_users:
-        Number of simulated users; each user gets a persistent random gain per
-        sensor group, adding realistic between-subject variance.
     seed:
         Seed or generator for reproducibility.
+
+    Every activity follows its :func:`default_signatures` entry.
     """
 
     def __init__(
         self,
         suite: Optional[SensorSuite] = None,
-        signatures: Optional[Dict[Activity, ActivitySignature]] = None,
-        n_users: int = 8,
         seed: RandomState = None,
     ) -> None:
-        if n_users <= 0:
-            raise ConfigurationError(f"n_users must be positive, got {n_users}")
         self.suite = suite or default_sensor_suite()
-        self.signatures = signatures or default_signatures()
-        self.n_users = int(n_users)
+        self.signatures = default_signatures()
         self._rng = resolve_rng(seed)
         # Persistent per-user, per-triaxial-group gain factors.
         self._user_gains = self._rng.normal(
-            1.0, 0.20, size=(self.n_users, len(self.suite.triaxial_groups))
+            1.0, 0.20, size=(N_USERS, len(self.suite.triaxial_groups))
         ).clip(0.5, 1.6)
 
     # ------------------------------------------------------------------ #
-    def generate_windows(
-        self,
-        activity: Activity,
-        n_windows: int,
-        rng: RandomState = None,
-    ) -> np.ndarray:
+    def generate_windows(self, activity: Activity, n_windows: int) -> np.ndarray:
         """Generate ``n_windows`` raw windows ``(n, window_length, n_channels)``."""
         if n_windows <= 0:
             raise DataError(f"n_windows must be positive, got {n_windows}")
         activity = Activity(activity)
-        if activity not in self.signatures:
-            raise ConfigurationError(f"no signature registered for activity {activity!r}")
-        generator = resolve_rng(rng) if rng is not None else self._rng
+        generator = self._rng
         signature = self.signatures[activity]
         suite = self.suite
         length = suite.window_length
@@ -216,7 +205,7 @@ class SyntheticSensorGenerator:
         n_channels = suite.n_channels
         windows = np.zeros((n_windows, length, n_channels))
 
-        users = generator.integers(0, self.n_users, size=n_windows)
+        users = generator.integers(0, N_USERS, size=n_windows)
         frequencies = generator.normal(
             signature.locomotion_hz, signature.locomotion_hz_std, size=n_windows
         ).clip(0.05, suite.sampling_rate_hz / 4)
@@ -240,7 +229,7 @@ class SyntheticSensorGenerator:
             base = np.sin(
                 2 * np.pi * frequencies[:, None] * time_axis[None, :] + phases[:, None]
             )
-            harmonic = signature.harmonic_ratio * np.sin(
+            harmonic = HARMONIC_RATIO * np.sin(
                 4 * np.pi * frequencies[:, None] * time_axis[None, :] + 2 * phases[:, None]
             )
             locomotion = (base + harmonic) * amplitude[:, None]
@@ -270,11 +259,7 @@ class SyntheticSensorGenerator:
         return windows
 
     # ------------------------------------------------------------------ #
-    def generate_dataset(
-        self,
-        samples_per_class,
-        rng: RandomState = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def generate_dataset(self, samples_per_class) -> Tuple[np.ndarray, np.ndarray]:
         """Generate raw windows for several activities.
 
         Parameters
@@ -289,7 +274,6 @@ class SyntheticSensorGenerator:
             ``windows`` has shape ``(n_total, window_length, n_channels)`` and
             ``labels`` contains the activity class ids.
         """
-        generator = resolve_rng(rng) if rng is not None else self._rng
         if isinstance(samples_per_class, int):
             counts = {activity: samples_per_class for activity in self.signatures}
         else:
@@ -300,7 +284,7 @@ class SyntheticSensorGenerator:
             count = counts[activity]
             if count <= 0:
                 continue
-            windows = self.generate_windows(activity, count, rng=generator)
+            windows = self.generate_windows(activity, count)
             all_windows.append(windows)
             all_labels.append(np.full(count, int(activity), dtype=np.int64))
         if not all_windows:
@@ -308,31 +292,17 @@ class SyntheticSensorGenerator:
         return np.concatenate(all_windows, axis=0), np.concatenate(all_labels, axis=0)
 
 
-def make_feature_dataset(
-    samples_per_class=400,
-    *,
-    suite: Optional[SensorSuite] = None,
-    signatures: Optional[Dict[Activity, ActivitySignature]] = None,
-    activities: Optional[Sequence[Activity]] = None,
-    normalize: bool = True,
-    seed: RandomState = None,
-):
+def make_feature_dataset(samples_per_class=400, *, seed: RandomState = None):
     """End-to-end synthetic pipeline: raw windows → 80 statistical features.
 
     Returns a :class:`repro.data.dataset.HARDataset` whose ``features`` matrix
-    has one row per generated window.  When ``normalize`` is true the features
-    are z-scored (statistics computed over the generated set, mimicking the
-    cloud-side preprocessing).
+    has one row per generated window.  The features are z-scored (statistics
+    computed over the generated set, mimicking the cloud-side preprocessing).
     """
     from repro.data.dataset import HARDataset  # local import avoids a cycle
 
-    suite = suite or default_sensor_suite()
-    generator = SyntheticSensorGenerator(suite=suite, signatures=signatures, seed=seed)
-    if activities is not None:
-        requested = {Activity(a) for a in activities}
-        generator.signatures = {
-            a: s for a, s in generator.signatures.items() if a in requested
-        }
+    suite = default_sensor_suite()
+    generator = SyntheticSensorGenerator(suite=suite, seed=seed)
     if isinstance(samples_per_class, dict):
         counts = samples_per_class
     else:
@@ -341,8 +311,6 @@ def make_feature_dataset(
     extractor = StatisticalFeatureExtractor(
         triaxial_groups=suite.triaxial_groups, sampling_rate_hz=suite.sampling_rate_hz
     )
-    features = extractor.transform(windows)
-    if normalize:
-        features = z_score(features)
+    features = z_score(extractor.transform(windows))
     label_names = {int(activity): Activity(activity).display_name for activity in counts}
     return HARDataset(features=features, labels=labels, label_names=label_names)

@@ -16,9 +16,8 @@ from typing import TYPE_CHECKING, Dict, Optional
 from repro.core.config import PiloteConfig
 from repro.core.pilote import PILOTE
 from repro.data.dataset import HARDataset
-from repro.edge.cloud import CloudServer
 from repro.edge.device import DeviceProfile, EdgeDevice
-from repro.edge.transfer import TransferPackage
+from repro.edge.transfer import TransferPackage, package_for_edge
 from repro.exceptions import NotFittedError
 from repro.nn.trainer import TrainingHistory
 from repro.utils.logging import get_logger
@@ -40,14 +39,16 @@ class MagnetoPlatform:
         seed: RandomState = None,
     ) -> None:
         self.config = config or PiloteConfig()
-        self.cloud = CloudServer(self.config, seed=seed)
+        self._seed = seed
+        #: The cloud's pre-trained learner; deployment hands it to the edge.
+        self.cloud_learner: Optional[PILOTE] = None
         self.device = EdgeDevice(device_profile)
         self.package: Optional[TransferPackage] = None
         self.edge_learner: Optional[PILOTE] = None
         self._serving_client = None  # cached default repro.serving client
 
     # ------------------------------------------------------------------ #
-    def cloud_pretrain(  # repro: noqa[repro-unused] examples/magneto_pipeline.py
+    def cloud_pretrain(
         self,
         train: HARDataset,
         validation: Optional[HARDataset] = None,
@@ -55,20 +56,21 @@ class MagnetoPlatform:
         exemplars_per_class: Optional[int] = None,
     ) -> TrainingHistory:
         """Step 1: pre-train the warm-start model on the cloud."""
-        self.cloud.pretrain(train, validation, exemplars_per_class=exemplars_per_class)
-        assert self.cloud.history is not None
-        return self.cloud.history
+        self.cloud_learner = PILOTE(self.config, seed=self._seed)
+        return self.cloud_learner.pretrain(
+            train, validation, exemplars_per_class=exemplars_per_class
+        )
 
     def deploy_to_edge(self) -> TransferPackage:
         """Step 2: package the model + support set and store them on the device."""
-        if self.cloud.learner is None:
+        if self.cloud_learner is None:
             raise NotFittedError("cloud_pretrain() must run before deploy_to_edge()")
-        package = self.cloud.export_package()
+        package = package_for_edge(self.cloud_learner)
         self.device.store("model", package.model_bytes)
         self.device.store("support_set", package.support_set_bytes)
         self.device.store("prototypes", package.prototype_bytes)
         # The edge learner continues from the cloud learner's exact state.
-        self.edge_learner = self.cloud.learner
+        self.edge_learner = self.cloud_learner
         # Serving goes through the device's batched engine; the engine tracks
         # the learner's state version, so later increments invalidate its
         # prototype cache automatically.

@@ -103,13 +103,12 @@ class LatencyReport:
         )
 
 
+#: Test windows one inference-latency measurement predicts.
+INFERENCE_BATCH = 256
+
+
 class EdgeProfiler:
     """Measures incremental-update latency and inference latency of a learner."""
-
-    def __init__(self, inference_batch: int = 256) -> None:
-        if inference_batch <= 0:
-            raise ValueError(f"inference_batch must be positive, got {inference_batch}")
-        self.inference_batch = int(inference_batch)
 
     def profile_increment(
         self,
@@ -140,7 +139,7 @@ class EdgeProfiler:
         """Mean prediction latency per window (seconds)."""
         if not learner.is_pretrained:
             raise NotFittedError("the learner must be trained before profiling inference")
-        take = min(self.inference_batch, dataset.n_samples)
+        take = min(INFERENCE_BATCH, dataset.n_samples)
         features = dataset.features[:take]
         start = perf_seconds()
         learner.predict(features)

@@ -20,6 +20,7 @@ from repro.core.persistence import pilote_from_state
 from repro.core.pilote import PILOTE
 from repro.exceptions import NotFittedError, SerializationError
 from repro.utils.rng import RandomState
+from repro.utils.serialization import float32_nbytes
 
 
 @dataclass
@@ -140,12 +141,12 @@ def package_for_edge(learner: PILOTE) -> TransferPackage:
     )
 
 
-def exemplar_storage_bytes(n_exemplars: int, n_features: int, dtype_bytes: int = 4) -> int:
+def exemplar_storage_bytes(n_exemplars: int, n_features: int) -> int:
     """Bytes needed to store ``n_exemplars`` feature vectors as float32.
 
     This is the formula behind the paper's support-set size statements
     (200 exemplars/class × 4 classes × 80 features × 4 B ≈ 256 KB).
     """
-    if n_exemplars < 0 or n_features <= 0 or dtype_bytes <= 0:
-        raise ValueError("n_exemplars, n_features and dtype_bytes must be positive")
-    return int(n_exemplars) * int(n_features) * int(dtype_bytes)
+    if n_exemplars < 0 or n_features <= 0:
+        raise ValueError("n_exemplars must be non-negative and n_features positive")
+    return float32_nbytes(int(n_exemplars) * int(n_features))

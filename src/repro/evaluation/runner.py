@@ -184,17 +184,11 @@ class ExperimentRunner:
         new_class: int,
         *,
         exemplars_per_class: Optional[int] = None,
-        exemplar_strategy: Optional[str] = None,
-        new_class_samples: Optional[int] = None,
         rng: RandomState = None,
     ) -> ComparisonResult:
         """Convenience wrapper: build the scenario from a dataset, then compare."""
         generator = resolve_rng(rng)
         scenario = build_incremental_scenario(dataset, [int(new_class)], rng=generator)
         return self.compare(
-            scenario,
-            exemplars_per_class=exemplars_per_class,
-            exemplar_strategy=exemplar_strategy,
-            new_class_samples=new_class_samples,
-            rng=generator,
+            scenario, exemplars_per_class=exemplars_per_class, rng=generator
         )

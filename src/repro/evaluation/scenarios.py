@@ -21,7 +21,6 @@ class ScenarioSpec:
     description: str
     new_classes: Tuple[Activity, ...]
     exemplars_per_class: Optional[int] = 200
-    new_class_samples: Optional[int] = None
     exemplar_strategies: Tuple[str, ...] = ("herding",)
     sweep_name: Optional[str] = None
     sweep_values: Tuple[int, ...] = ()

@@ -63,14 +63,12 @@ def triaxial_jerk_statistics(
     windows: np.ndarray,
     triaxial_groups: Sequence[Tuple[int, int, int]],
     sampling_rate_hz: float = 1.0,
-    include_magnitude: bool = True,
 ) -> np.ndarray:
     """Jerk statistics of each three-axis sensor.
 
     For every triaxial group this produces the mean and the variance of the
-    per-axis jerk (averaged over the three axes), and — when
-    ``include_magnitude`` is true — the mean and variance of the jerk
-    magnitude, giving 4 features per group.
+    per-axis jerk (averaged over the three axes) and the mean and variance of
+    the jerk magnitude, giving 4 features per group.
     """
     windows = _check_windows(windows)
     blocks = []
@@ -79,10 +77,9 @@ def triaxial_jerk_statistics(
         derivative = jerk(triaxial, sampling_rate_hz=sampling_rate_hz)
         blocks.append(derivative.mean(axis=(1, 2)))
         blocks.append(derivative.var(axis=(1, 2)))
-        if include_magnitude:
-            magnitude = np.linalg.norm(derivative, axis=2)
-            blocks.append(magnitude.mean(axis=1))
-            blocks.append(magnitude.var(axis=1))
+        magnitude = np.linalg.norm(derivative, axis=2)
+        blocks.append(magnitude.mean(axis=1))
+        blocks.append(magnitude.var(axis=1))
     if not blocks:
         return np.zeros((windows.shape[0], 0))
     return np.stack(blocks, axis=1)

@@ -15,12 +15,12 @@ that architecture out to a *fleet* behind a single cloud broadcast:
 * :class:`TrafficGenerator` produces deterministic open-loop workloads
   (uniform, bursty, Zipf-skewed user populations);
 * :class:`CheckpointStore` snapshots device state (one self-contained
-  archive each), evicts under a storage budget, and restores state onto a fresh device
+  archive each) and restores state onto a fresh device
   (crash/replace, elasticity).
 
 Entry points: ``FleetCoordinator(config)`` with ``provision(n)`` and
 ``deploy(package)`` (a :class:`~repro.edge.transfer.TransferPackage` from
-``CloudServer.export_package()``), the ``pilote fleet-sim`` CLI subcommand,
+``package_for_edge(learner)``), the ``pilote fleet-sim`` CLI subcommand,
 ``examples/fleet_simulation.py`` and ``benchmarks/bench_fleet.py``.
 
 Serving goes through :mod:`repro.serving`: ``serve(fleet)`` builds a

@@ -1,34 +1,30 @@
-"""Checkpointed device state: snapshot, evict under budget, restore.
+"""Checkpointed device state: snapshot and restore.
 
 Fleet elasticity needs device state to outlive devices: a wearable dies, a
 phone is replaced, a simulation wants to roll a device back.  The
 :class:`CheckpointStore` persists each device's full PILOTE state as one
-``.npz`` archive (:func:`repro.core.persistence.save_pilote`), keeps the
-archive set under a storage budget with least-recently-used eviction, and
-can materialise a *fresh* :class:`~repro.fleet.coordinator.FleetDevice` from
-any surviving checkpoint.
+``.npz`` archive (:func:`repro.core.persistence.save_pilote`) and can
+materialise a *fresh* :class:`~repro.fleet.coordinator.FleetDevice` from any
+checkpoint.
 
 Restoration is exact: the restored device reproduces the original device's
 predictions bit for bit (the npz round-trip is lossless and serving is
 deterministic), which ``benchmarks/bench_fleet.py`` gates on.  Every
-archive is self-contained: evicting one never affects another.
+archive is self-contained: each restores the state it captured.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Union
 
 from repro.core.persistence import load_pilote, save_pilote
 from repro.edge.device import DeviceProfile, EdgeDevice
-from repro.exceptions import EdgeResourceError, SerializationError
+from repro.exceptions import SerializationError
 from repro.fleet.coordinator import FleetDevice
-from repro.utils.logging import get_logger
 
 PathLike = Union[str, Path]
-
-logger = get_logger("fleet.checkpoint")
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,7 @@ class DeviceCheckpoint:
     path:
         Location of the ``.npz`` archive on disk.
     nbytes:
-        On-disk size of the archive (what the budget accounting uses).
+        On-disk size of the archive.
     """
 
     checkpoint_id: int
@@ -58,40 +54,21 @@ class DeviceCheckpoint:
 
 
 class CheckpointStore:
-    """Budgeted store of device checkpoints with LRU eviction.
+    """Store of device checkpoints, one archive each under ``directory``.
 
     Parameters
     ----------
     directory:
         Where archives are written (created on demand).
-    budget_bytes:
-        Total on-disk budget across all kept checkpoints; ``None`` disables
-        eviction.  A single checkpoint larger than the budget raises
-        :class:`~repro.exceptions.EdgeResourceError` — it could never be kept.
     """
 
-    def __init__(self, directory: PathLike, *, budget_bytes: Optional[int] = None) -> None:
-        if budget_bytes is not None and budget_bytes <= 0:
-            raise EdgeResourceError(f"budget_bytes must be positive, got {budget_bytes}")
+    def __init__(self, directory: PathLike) -> None:
         self.directory = Path(directory)
-        self.budget_bytes = budget_bytes
         self._sequence = 0
-        # Insertion order doubles as recency order: index 0 = least recent.
-        self._checkpoints: List[DeviceCheckpoint] = []
-
-    # ------------------------------------------------------------------ #
-    @property
-    def total_bytes(self) -> int:
-        return sum(c.nbytes for c in self._checkpoints)
-
-    def latest(self, device_id: int) -> Optional[DeviceCheckpoint]:
-        """The newest surviving checkpoint of one device, if any."""
-        matching = [c for c in self._checkpoints if c.device_id == device_id]
-        return max(matching, key=lambda c: c.checkpoint_id) if matching else None
 
     # ------------------------------------------------------------------ #
     def save(self, device: FleetDevice) -> DeviceCheckpoint:
-        """Snapshot a device's learner; may evict older checkpoints."""
+        """Snapshot a device's learner."""
         if device.learner is None:
             raise SerializationError(
                 f"device {device.device_id} has no learner to checkpoint"
@@ -103,77 +80,28 @@ class CheckpointStore:
             device.learner,
             self.directory / f"device{device.device_id}-ckpt{checkpoint_id}.npz",
         )
-        nbytes = path.stat().st_size
-        if self.budget_bytes is not None and nbytes > self.budget_bytes:
-            path.unlink()
-            raise EdgeResourceError(
-                f"checkpoint of device {device.device_id} ({nbytes} B) exceeds the "
-                f"store budget of {self.budget_bytes} B"
-            )
-        checkpoint = DeviceCheckpoint(
+        return DeviceCheckpoint(
             checkpoint_id=checkpoint_id,
             device_id=device.device_id,
             profile=device.profile,
             path=path,
-            nbytes=int(nbytes),
+            nbytes=int(path.stat().st_size),
         )
-        self._checkpoints.append(checkpoint)
-        self._evict_to_budget()
-        return checkpoint
-
-    def _evict_to_budget(self) -> None:
-        if self.budget_bytes is None:
-            return
-        while self.total_bytes > self.budget_bytes and len(self._checkpoints) > 1:
-            evicted = self._checkpoints.pop(0)
-            evicted.path.unlink(missing_ok=True)
-            logger.info(
-                "evicted checkpoint %d of device %d (%d B) to stay under budget",
-                evicted.checkpoint_id,
-                evicted.device_id,
-                evicted.nbytes,
-            )
 
     # ------------------------------------------------------------------ #
-    def restore(
-        self,
-        checkpoint: Union[DeviceCheckpoint, int],
-        *,
-        device_id: Optional[int] = None,
-        profile: Optional[DeviceProfile] = None,
-    ) -> FleetDevice:
+    def restore(self, checkpoint: DeviceCheckpoint) -> FleetDevice:
         """Materialise a fresh device from a checkpoint (crash/replace path).
 
-        Parameters
-        ----------
-        checkpoint:
-            A :class:`DeviceCheckpoint`, or a device id whose newest surviving
-            checkpoint is used.
-        device_id:
-            Fleet id for the replacement (defaults to the original's id, so it
-            can be swapped back in via ``FleetCoordinator.replace_device``).
-        profile:
-            Hardware profile of the replacement (defaults to the original's).
+        The replacement keeps the original's device id and profile, so it
+        can be swapped back in via ``FleetCoordinator.replace_device``.
         """
-        if not isinstance(checkpoint, DeviceCheckpoint):
-            found = self.latest(int(checkpoint))
-            if found is None:
-                raise SerializationError(
-                    f"no surviving checkpoint for device {checkpoint}"
-                )
-            checkpoint = found
         if not checkpoint.path.exists():
             raise SerializationError(
                 f"checkpoint {checkpoint.checkpoint_id} of device "
-                f"{checkpoint.device_id} is gone from disk (evicted?)"
+                f"{checkpoint.device_id} is gone from disk"
             )
-        # Touch for recency: restored checkpoints are the last to be evicted.
-        if checkpoint in self._checkpoints:
-            self._checkpoints.remove(checkpoint)
-            self._checkpoints.append(checkpoint)
         replacement = FleetDevice(
-            device_id=checkpoint.device_id if device_id is None else int(device_id),
-            edge=EdgeDevice(profile or checkpoint.profile),
+            device_id=checkpoint.device_id, edge=EdgeDevice(checkpoint.profile)
         )
         # Load under the replacement's dtype policy so the restored parameters
         # keep the exact on-device dtype (and serving stays bit-identical).

@@ -1,6 +1,6 @@
 """Fleet provisioning and orchestration.
 
-One :class:`~repro.edge.cloud.CloudServer` broadcast, many edge devices: the
+One cloud broadcast of a pre-trained learner, many edge devices: the
 coordinator provisions N :class:`~repro.edge.device.EdgeDevice`s from
 (possibly heterogeneous) :class:`~repro.edge.device.DeviceProfile`s, deploys
 the same :class:`~repro.edge.transfer.TransferPackage` to each of them, and
@@ -152,18 +152,14 @@ class FleetDevice:
         with self.edge.precision():
             return engine.learner.model.embed(windows, batch_size=engine.batch_size)
 
-    def learn_new_activity(
-        self,
-        new_train: HARDataset,
-        new_validation: Optional[HARDataset] = None,
-    ) -> TrainingHistory:
+    def learn_new_activity(self, new_train: HARDataset) -> TrainingHistory:
         """On-device incremental update; refreshes the storage ledger."""
         if self.learner is None:
             raise NotFittedError(
                 f"device {self.device_id} has no learner; deploy a package first"
             )
         with self.edge.precision():
-            history = self.learner.learn_new_classes(new_train, new_validation)
+            history = self.learner.learn_new_classes(new_train)
             self.edge.store("support_set", self.learner.support_set_nbytes())
             self.edge.store("prototypes", self.learner.prototypes.nbytes())
         self.increment_histories.append(history)
@@ -347,7 +343,7 @@ class FleetCoordinator:
         #: Live list of the materialised devices, in id order.
         self.devices: List[FleetDevice] = []
         self.transfers = TransferLedger()
-        self._pending_increments: List[Tuple[int, int, HARDataset, Optional[HARDataset]]] = []
+        self._pending_increments: List[Tuple[int, int, HARDataset]] = []
         self._device_seeds = np.empty(0, dtype=np.int64)
         self._lanes: Optional[List[FleetDevice]] = None
 
@@ -360,13 +356,12 @@ class FleetCoordinator:
         """Region count of a pooled fleet; ``None`` when every device is its own."""
         return None if self._requested_regions is None else len(self.regions)
 
-    def provision(
-        self, n_devices: int, profiles: Optional[Sequence[DeviceProfile]] = None
-    ) -> List[FleetDevice]:
+    def provision(self, n_devices: int) -> List[FleetDevice]:
         """Add ``n_devices`` devices in new regions; returns those materialised.
 
-        The new ids continue after the existing ones.  Profiles cycle per
-        region (pooling requires every device in a region to share one).
+        The new ids continue after the existing ones.  The fleet's profiles
+        cycle per region (pooling requires every device in a region to share
+        one).
         Devices of one-device regions — every device of an unpooled fleet —
         are materialised now and returned; pooled devices materialise lazily.
         """
@@ -376,7 +371,6 @@ class FleetCoordinator:
             raise ConfigurationError(
                 "cannot provision after serving_lanes() froze the lane set"
             )
-        pool = tuple(profiles) if profiles else self.profiles
         n_devices = int(n_devices)
         n_new_regions = min(self._requested_regions or n_devices, n_devices)
         size = -(-n_devices // n_new_regions)  # ceil division
@@ -387,7 +381,7 @@ class FleetCoordinator:
                 len(self.regions),
                 start,
                 min(start + size, first + n_devices),
-                pool[index % len(pool)],
+                self.profiles[index % len(self.profiles)],
             )
             self.regions.append(region)
             if region.n_devices == 1:
@@ -519,11 +513,10 @@ class FleetCoordinator:
         device_id: int,
         tick: int,
         new_train: HARDataset,
-        new_validation: Optional[HARDataset] = None,
     ) -> None:
         """Queue an incremental update for one device at a simulation tick."""
         self.device(device_id)  # validate (and materialise) the id eagerly
-        self._pending_increments.append((int(tick), device_id, new_train, new_validation))
+        self._pending_increments.append((int(tick), device_id, new_train))
 
     def run_due_increments(self, tick: int) -> Dict[int, TrainingHistory]:
         """Run every queued increment whose tick has arrived."""
@@ -532,9 +525,9 @@ class FleetCoordinator:
             entry for entry in self._pending_increments if entry[0] > tick
         ]
         histories: Dict[int, TrainingHistory] = {}
-        for _, device_id, new_train, new_validation in sorted(due, key=lambda e: e[:2]):
+        for _, device_id, new_train in sorted(due, key=lambda e: e[:2]):
             device = self.device(device_id)
-            histories[device_id] = device.learn_new_activity(new_train, new_validation)
+            histories[device_id] = device.learn_new_activity(new_train)
             logger.info(
                 "device %d integrated %d new-class samples at tick %d",
                 device_id,

@@ -22,8 +22,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
+from repro.core.pilote import PILOTE
 from repro.data.streams import build_incremental_scenario
-from repro.edge.cloud import CloudServer
+from repro.edge.transfer import package_for_edge
 from repro.evaluation.scenarios import FLEET_SCENARIO, FleetScenarioSpec
 from repro.exceptions import ConfigurationError
 from repro.experiments.common import ExperimentSettings, make_dataset
@@ -229,13 +230,13 @@ def run(
     )
 
     # 1. One cloud pre-training, one package for the whole fleet.
-    cloud = CloudServer(settings.config, seed=settings.seed)
-    cloud.pretrain(
+    learner = PILOTE(settings.config, seed=settings.seed)
+    learner.pretrain(
         data_scenario.old_train,
         data_scenario.old_validation,
         exemplars_per_class=settings.exemplars_per_class,
     )
-    package = cloud.export_package()
+    package = package_for_edge(learner)
 
     # 2. Provision and deploy.
     if regions is None and n_devices > HIERARCHICAL_DEVICE_THRESHOLD:

@@ -11,7 +11,7 @@ The generator is *open loop*: it emits what arrives per tick regardless of
 whether the fleet keeps up, which is what exposes queueing behaviour in the
 router's per-device stats.  Workloads can additionally carry seeded
 per-request deadlines (``WorkloadSpec.deadline_seconds`` /
-``deadline_multipliers`` / ``deadline_fraction``) to drive the serving
+``deadline_multipliers``) to drive the serving
 scheduler's deadline machinery — admission control, queue expiry and
 earliest-deadline-first ordering (see :mod:`repro.serving.scheduler`).
 """
@@ -31,6 +31,14 @@ from repro.utils.rng import RandomState, resolve_rng
 #: Workload patterns understood by :class:`TrafficGenerator`.
 PATTERNS = ("uniform", "bursty", "zipf")
 
+#: ``"bursty"``: every ``BURST_EVERY``-th tick carries ``BURST_MULTIPLIER`` ×
+#: the base rate.
+BURST_EVERY = 4
+BURST_MULTIPLIER = 4.0
+
+#: ``"zipf"``: exponent of the rank-frequency law of user popularity.
+ZIPF_EXPONENT = 1.1
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -40,8 +48,9 @@ class WorkloadSpec:
     ----------
     pattern:
         ``"uniform"`` (every user equally likely, steady rate), ``"bursty"``
-        (steady rate with periodic spikes) or ``"zipf"`` (skewed user
-        popularity — a heavy-hitter population).
+        (steady rate with periodic spikes, :data:`BURST_EVERY` /
+        :data:`BURST_MULTIPLIER`) or ``"zipf"`` (skewed user popularity — a
+        heavy-hitter population, :data:`ZIPF_EXPONENT`).
     n_users:
         Size of the simulated user population.
     requests_per_tick:
@@ -53,12 +62,6 @@ class WorkloadSpec:
     tick_seconds:
         Simulated wall-clock duration of one tick (0 = replay as fast as the
         fleet can drain, i.e. a pure throughput workload).
-    burst_every / burst_multiplier:
-        For ``"bursty"``: every ``burst_every``-th tick carries
-        ``burst_multiplier`` × the base rate.
-    zipf_exponent:
-        For ``"zipf"``: exponent of the rank-frequency law (larger = more
-        skewed toward the heaviest users).
     deadline_seconds:
         Base *relative* deadline per request, in simulated seconds after
         its arrival; ``None`` (the default) emits deadline-less traffic and
@@ -70,9 +73,6 @@ class WorkloadSpec:
         traffic.  Discrete classes (rather than continuous jitter) keep
         co-arriving requests coalescible into large engine batches under
         EDF scheduling, which groups per ``(arrival, deadline)``.
-    deadline_fraction:
-        Fraction of requests that carry a deadline at all; the rest are
-        emitted deadline-less (they sort last under EDF, in arrival order).
     """
 
     pattern: str = "uniform"
@@ -81,12 +81,8 @@ class WorkloadSpec:
     n_ticks: int = 10
     windows_per_request: int = 1
     tick_seconds: float = 0.0
-    burst_every: int = 4
-    burst_multiplier: float = 4.0
-    zipf_exponent: float = 1.1
     deadline_seconds: Optional[float] = None
     deadline_multipliers: Tuple[float, ...] = (1.0,)
-    deadline_fraction: float = 1.0
 
     def __post_init__(self) -> None:
         # All spec errors are ConfigurationError, which is also a ValueError:
@@ -114,12 +110,6 @@ class WorkloadSpec:
             )
         if self.tick_seconds < 0:
             raise ConfigurationError("tick_seconds must be non-negative")
-        if self.burst_every <= 0 or self.burst_multiplier < 1.0:
-            raise ConfigurationError(
-                "burst_every must be positive and burst_multiplier >= 1"
-            )
-        if self.zipf_exponent <= 0:
-            raise ConfigurationError("zipf_exponent must be positive")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ConfigurationError(
                 f"deadline_seconds must be positive, got {self.deadline_seconds}"
@@ -131,15 +121,11 @@ class WorkloadSpec:
                 "deadline_multipliers must be a non-empty tuple of positive "
                 f"factors, got {self.deadline_multipliers!r}"
             )
-        if not 0.0 <= self.deadline_fraction <= 1.0:
-            raise ConfigurationError(
-                f"deadline_fraction must be in [0, 1], got {self.deadline_fraction}"
-            )
 
     def requests_at_tick(self, tick: int) -> int:
         """Arrival count for one tick under this spec."""
-        if self.pattern == "bursty" and tick % self.burst_every == self.burst_every - 1:
-            return int(round(self.requests_per_tick * self.burst_multiplier))
+        if self.pattern == "bursty" and tick % BURST_EVERY == BURST_EVERY - 1:
+            return int(round(self.requests_per_tick * BURST_MULTIPLIER))
         return self.requests_per_tick
 
 
@@ -173,7 +159,7 @@ class TrafficGenerator:
         self._rng = resolve_rng(seed)
         if spec.pattern == "zipf":
             ranks = np.arange(1, spec.n_users + 1, dtype=np.float64)
-            weights = ranks ** (-spec.zipf_exponent)
+            weights = ranks ** (-ZIPF_EXPONENT)
             self._user_pmf = weights / weights.sum()
         else:
             self._user_pmf = None
@@ -184,19 +170,12 @@ class TrafficGenerator:
             return self._rng.choice(self.spec.n_users, size=count, p=self._user_pmf)
         return self._rng.integers(0, self.spec.n_users, size=count)
 
-    def _draw_deadlines(self, count: int, arrival: float) -> List[Optional[float]]:
-        """Seeded per-request absolute deadlines (``None`` = no deadline)."""
+    def _draw_deadlines(self, count: int, arrival: float) -> List[float]:
+        """Seeded per-request absolute deadlines."""
         spec = self.spec
         multipliers = np.asarray(spec.deadline_multipliers, dtype=np.float64)
         relative = spec.deadline_seconds * self._rng.choice(multipliers, size=count)
-        if spec.deadline_fraction < 1.0:
-            carried = self._rng.random(count) < spec.deadline_fraction
-        else:
-            carried = np.ones(count, dtype=bool)
-        return [
-            float(arrival + relative[i]) if carried[i] else None
-            for i in range(count)
-        ]
+        return [float(arrival + relative[i]) for i in range(count)]
 
     def tick(self, tick_index: int) -> List[PredictRequest]:
         """Requests arriving during one tick (advances the internal stream)."""

@@ -27,16 +27,20 @@ def _validate(embeddings: np.ndarray, labels: np.ndarray):
     return embeddings, labels
 
 
-def silhouette_score(embeddings: np.ndarray, labels: np.ndarray, max_samples: int = 2000) -> float:
-    """Mean silhouette coefficient over (at most ``max_samples``) points.
+#: Points the silhouette is computed over at most (a strided subsample).
+MAX_SAMPLES = 2000
+
+
+def silhouette_score(embeddings: np.ndarray, labels: np.ndarray) -> float:
+    """Mean silhouette coefficient over (at most :data:`MAX_SAMPLES`) points.
 
     Values near 1 indicate compact, well-separated clusters; values near 0 (or
     negative) indicate overlapping classes.
     """
     embeddings, labels = _validate(embeddings, labels)
     count = embeddings.shape[0]
-    if count > max_samples:
-        step = count // max_samples + 1
+    if count > MAX_SAMPLES:
+        step = count // MAX_SAMPLES + 1
         embeddings = embeddings[::step]
         labels = labels[::step]
         count = embeddings.shape[0]

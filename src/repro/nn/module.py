@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.autodiff.tensor import Tensor
 from repro.exceptions import SerializationError
+from repro.utils.serialization import float32_nbytes
 
 
 class Parameter(Tensor):
@@ -79,9 +80,9 @@ class Module:
         """Total number of scalar trainable parameters."""
         return int(sum(p.data.size for p in self.parameters()))
 
-    def parameter_nbytes(self, dtype_bytes: int = 4) -> int:
+    def parameter_nbytes(self) -> int:
         """Storage footprint of the parameters when serialised as float32."""
-        return self.num_parameters() * dtype_bytes
+        return float32_nbytes(self.num_parameters())
 
     # ------------------------------------------------------------------ #
     # train / eval state

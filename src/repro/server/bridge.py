@@ -119,14 +119,9 @@ class AsyncServingClient:
     :class:`~repro.exceptions.ClientClosedError` rather than dropping them.
     """
 
-    def __init__(
-        self,
-        client: ServingClient,
-        *,
-        loop: Optional[asyncio.AbstractEventLoop] = None,
-    ) -> None:
+    def __init__(self, client: ServingClient) -> None:
         self._client = client
-        self._loop = loop or asyncio.get_running_loop()
+        self._loop = asyncio.get_running_loop()
         self._thread = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serving-pump"
         )

@@ -52,6 +52,13 @@ logger = get_logger("server")
 #: Server-side end-to-end latency samples kept for percentile views.
 _E2E_HISTORY_CAP = 100_000
 
+#: Per-connection backpressure window: a connection with this many
+#: unanswered predicts stops being read until answers flow.
+MAX_INFLIGHT_PER_CONNECTION = 64
+
+#: Encoded frames a connection's outbox holds before answer tasks wait.
+OUTBOX_FRAMES = 128
+
 
 class ServerStats:
     """End-to-end accounting of every predict frame the server received.
@@ -140,16 +147,13 @@ class _Connection:
         server: "ServingServer",
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        *,
-        max_inflight: int,
-        outbox_frames: int = 128,
     ) -> None:
         self.server = server
         self.reader = reader
         self.writer = writer
-        self.window = asyncio.Semaphore(max_inflight)
+        self.window = asyncio.Semaphore(MAX_INFLIGHT_PER_CONNECTION)
         self.outbox: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue(
-            maxsize=outbox_frames
+            maxsize=OUTBOX_FRAMES
         )
         self.answer_tasks: Set[asyncio.Task] = set()
         self.inflight_futures: Set[asyncio.Future] = set()
@@ -329,9 +333,6 @@ class ServingServer:
     host / port:
         Listen address; port ``0`` picks a free port (see :attr:`address`
         after :meth:`start`).
-    max_inflight_per_connection:
-        Per-client backpressure window: a connection with this many
-        unanswered predicts stops being read until answers flow.
     slo_target_ms:
         Optional end-to-end latency target reported by the stats endpoint.
     """
@@ -342,18 +343,11 @@ class ServingServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_inflight_per_connection: int = 64,
         slo_target_ms: Optional[float] = None,
     ) -> None:
-        if max_inflight_per_connection <= 0:
-            raise ServingError(
-                "max_inflight_per_connection must be positive, got "
-                f"{max_inflight_per_connection}"
-            )
         self._client = client
         self._host = host
         self._port = port
-        self._max_inflight = max_inflight_per_connection
         self.slo_target_ms = slo_target_ms
         self.stats = ServerStats()
         self.closing = False
@@ -411,9 +405,7 @@ class ServingServer:
         from repro.server.client import _disable_nagle
 
         _disable_nagle(writer)
-        connection = _Connection(
-            self, reader, writer, max_inflight=self._max_inflight
-        )
+        connection = _Connection(self, reader, writer)
         connection.reader_task = asyncio.current_task()
         self._connections.add(connection)
         self.stats.connections_total += 1

@@ -77,7 +77,6 @@ def build_serving_fleet(
     n_devices: int,
     *,
     regions: Optional[int] = None,
-    config: PiloteConfig = SERVING_CONFIG,
     seed: int = 0,
 ) -> FleetCoordinator:
     """A deployed, warmed fleet ready to sit behind the front door.
@@ -88,9 +87,9 @@ def build_serving_fleet(
     """
     if n_devices <= 0:
         raise ConfigurationError(f"n_devices must be positive, got {n_devices}")
-    package = package_for_edge(make_serving_learner(config, seed=seed))
+    package = package_for_edge(make_serving_learner(seed=seed))
     fleet = FleetCoordinator(
-        config, profiles=(SIM_NODE,), seed=seed, n_regions=regions
+        SERVING_CONFIG, profiles=(SIM_NODE,), seed=seed, n_regions=regions
     )
     fleet.provision(n_devices)
     fleet.deploy(package)

@@ -9,9 +9,9 @@ front door:
   deadlines and metadata, :class:`PendingResult` futures completed on the
   simulated clock, and :class:`~repro.exceptions.ServingError` failures;
 * **client** (:mod:`repro.serving.client`) — :func:`serve` builds a
-  :class:`ServingClient` from a bare learner, a ``MagnetoPlatform``, an
-  ``EdgeDevice`` or a whole ``FleetCoordinator``; every layer answers the
-  same API;
+  :class:`ServingClient` from a bare ``PILOTE`` learner, a
+  ``MagnetoPlatform`` or a whole ``FleetCoordinator`` (the three layers
+  ``pilote serve`` compares); every layer answers the same API;
 * **scheduler** (:mod:`repro.serving.scheduler`) — an event-loop
   :class:`EventLoopScheduler` over the fleet's simulated ``DeviceStats``
   clock, with a pluggable queue order (:data:`SCHEDULING_ORDERS`): ``"fifo"`` arrival

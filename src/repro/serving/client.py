@@ -2,11 +2,10 @@
 
 ``serve(obj)`` builds a client from whatever can answer predictions:
 
-* a bare :class:`~repro.core.pilote.PILOTE` learner (or its
-  :class:`~repro.edge.inference.InferenceEngine`) — served in process;
-* an :class:`~repro.edge.device.EdgeDevice` with an attached engine;
+* a bare :class:`~repro.core.pilote.PILOTE` learner — served in process
+  through its :class:`~repro.edge.inference.InferenceEngine`;
 * a :class:`~repro.edge.magneto.MagnetoPlatform` — the paper's one-device
-  pipeline;
+  pipeline, served through its edge device;
 * a :class:`~repro.fleet.FleetCoordinator` — an N-device fleet with
   pluggable routing.
 
@@ -25,6 +24,11 @@ behind it::
 
     class_ids = serve(learner).predict(windows)   # one-liner, same types
 
+:meth:`ServingClient.predict` sends one deadline-less request as user 0;
+a request with a user, an arrival time or a deadline is a
+:class:`~repro.serving.protocol.PredictRequest` passed to
+:meth:`ServingClient.submit`.
+
 Behind a coordinator the client routes only over deployed devices, so a
 partially deployed fleet serves from the devices that hold a learner.
 """
@@ -36,10 +40,9 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.edge.device import DeviceProfile, EdgeDevice
-from repro.edge.inference import InferenceEngine
 from repro.edge.magneto import MagnetoPlatform
 from repro.exceptions import ClientClosedError, RoutingError, ServingError
-from repro.fleet.coordinator import FleetCoordinator, FleetDevice
+from repro.fleet.coordinator import FleetCoordinator
 from repro.serving.report import RoutingReport
 from repro.serving.executor import Executor
 from repro.serving.protocol import PendingResult, PredictRequest
@@ -49,7 +52,7 @@ from repro.utils.rng import RandomState
 
 __all__ = ["ServingClient", "serve", "LocalServingDevice", "IN_PROCESS_PROFILE"]
 
-#: Profile of the in-process pseudo-device wrapping a bare learner/engine.
+#: Profile of the in-process pseudo-device wrapping a bare learner.
 IN_PROCESS_PROFILE = DeviceProfile(
     "in-process",
     storage_bytes=2**30,
@@ -61,7 +64,7 @@ IN_PROCESS_PROFILE = DeviceProfile(
 class LocalServingDevice:
     """Adapts any ``infer(windows) -> class_ids`` callable to the device API.
 
-    Gives bare learners, engines and edge devices the interface the
+    Gives bare learners and edge devices the interface the
     event-loop scheduler expects from a fleet device: ``infer``,
     ``device_id`` and ``profile``.  ``engine`` optionally names the
     :class:`~repro.edge.inference.InferenceEngine` behind the callable so
@@ -95,7 +98,7 @@ class LocalServingDevice:
 
 
 class _EdgeDeviceLane(LocalServingDevice):
-    """An :class:`~repro.edge.device.EdgeDevice` as a lane.
+    """A platform's :class:`~repro.edge.device.EdgeDevice` as a lane.
 
     ``engine`` is the device's engine when it is read, not when the lane is
     built, so a client built before deployment serves (and the simulated
@@ -283,25 +286,10 @@ class ServingClient:
         """The attached control plane's telemetry, or ``None``."""
         return self.control.stats() if self.control is not None else None
 
-    def predict(
-        self,
-        features: np.ndarray,
-        *,
-        user_id: int = 0,
-        arrival_seconds: float = 0.0,
-        deadline_seconds: Optional[float] = None,
-        metadata=None,
-    ) -> np.ndarray:
-        """Synchronous convenience: submit one request, drain, return ids."""
-        pending = self.submit(
-            PredictRequest(
-                user_id=user_id,
-                features=features,
-                arrival_seconds=arrival_seconds,
-                deadline_seconds=deadline_seconds,
-                metadata=metadata,
-            )
-        )
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        """Synchronous convenience: submit one deadline-less request as
+        user 0, drain, return ids."""
+        pending = self.submit(PredictRequest(user_id=0, features=features))
         self.drain()
         return pending.result().class_ids
 
@@ -363,11 +351,8 @@ def serve(
 ) -> ServingClient:
     """Build a :class:`ServingClient` from any serving-capable object.
 
-    Accepts a :class:`~repro.core.pilote.PILOTE` learner, an
-    :class:`~repro.edge.inference.InferenceEngine`, an
-    :class:`~repro.edge.device.EdgeDevice`, a
-    :class:`~repro.edge.magneto.MagnetoPlatform`, a single
-    :class:`~repro.fleet.FleetDevice` or a whole
+    Accepts a :class:`~repro.core.pilote.PILOTE` learner, a
+    :class:`~repro.edge.magneto.MagnetoPlatform` or a
     :class:`~repro.fleet.FleetCoordinator` — every layer answers the same
     request/response protocol afterwards.  ``scheduling`` picks the queue
     order (``"fifo"`` arrival order or ``"edf"`` earliest-deadline-first);
@@ -406,23 +391,15 @@ def _build_client(target, options: dict, PILOTE) -> ServingClient:
             label="fleet",
             **options,
         )
-    if isinstance(target, FleetDevice):
-        return ServingClient([target], label="fleet-device", **options)
-    label = "edge-device"
     if isinstance(target, MagnetoPlatform):
-        # A platform serves through its one edge device, under its own label.
-        target, label = target.device, "platform"
-    if isinstance(target, EdgeDevice):
-        return ServingClient([_EdgeDeviceLane(target)], label=label, **options)
-    if isinstance(target, InferenceEngine):
-        device = LocalServingDevice(target.predict, engine=target)
-        return ServingClient([device], label="engine", **options)
+        # A platform serves through its one edge device.
+        lane = _EdgeDeviceLane(target.device)
+        return ServingClient([lane], label="platform", **options)
     if isinstance(target, PILOTE):
         engine = target.inference_engine()
         device = LocalServingDevice(engine.predict, engine=engine)
         return ServingClient([device], label="learner", **options)
     raise ServingError(
         f"don't know how to serve {type(target).__name__}; expected a PILOTE "
-        "learner, InferenceEngine, EdgeDevice, MagnetoPlatform, FleetDevice "
-        "or FleetCoordinator"
+        "learner, MagnetoPlatform or FleetCoordinator"
     )

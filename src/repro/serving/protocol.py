@@ -7,7 +7,9 @@ learner, a :class:`~repro.edge.magneto.MagnetoPlatform`, a whole
 * :class:`PredictRequest` — who is asking (``user_id``), what for (a
   ``(n_windows, n_features)`` feature batch), by when (an optional simulated
   ``deadline_seconds``) and any opaque ``metadata`` the caller wants echoed
-  back;
+  back; :meth:`~repro.serving.ServingClient.submit` takes it, while the
+  :meth:`~repro.serving.ServingClient.predict` one-liner takes bare
+  features and builds a deadline-less request for user 0;
 * :class:`PendingResult` — a future returned by
   :meth:`~repro.serving.ServingClient.submit` that completes on the simulated
   clock when the scheduler drains;

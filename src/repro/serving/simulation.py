@@ -21,7 +21,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.data.streams import build_incremental_scenario
-from repro.edge.cloud import CloudServer
 from repro.edge.magneto import MagnetoPlatform
 from repro.evaluation.scenarios import FLEET_SCENARIO
 from repro.exceptions import ConfigurationError
@@ -95,21 +94,16 @@ def run(
         dataset, [int(c) for c in FLEET_SCENARIO.new_classes], rng=rng
     )
 
-    # One cloud pre-training feeds every layer.
-    cloud = CloudServer(settings.config, seed=settings.seed)
-    cloud.pretrain(
+    # One cloud pre-training feeds every layer: the platform's edge learner
+    # is served bare, on the platform and, through its package, by the fleet.
+    platform = MagnetoPlatform(settings.config, seed=settings.seed)
+    platform.cloud_pretrain(
         scenario.old_train,
         scenario.old_validation,
         exemplars_per_class=settings.exemplars_per_class,
     )
-    learner = cloud.learner
-    assert learner is not None
-    package = cloud.export_package()
-
-    platform = MagnetoPlatform(settings.config, seed=settings.seed)
-    platform.cloud.learner = learner
-    platform.cloud.history = cloud.history
-    platform.deploy_to_edge()
+    package = platform.deploy_to_edge()
+    learner = platform.edge_learner
 
     fleet = FleetCoordinator(settings.config, seed=settings.seed)
     fleet.provision(n_devices)

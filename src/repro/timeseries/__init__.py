@@ -2,8 +2,7 @@
 
 The synthetic generator emits fixed-length windows directly, so no raw
 recording is denoised, segmented or resampled here.  What remains is the
-column z-score that normalises feature matrices (the edge reuses the cloud's
-statistics) and the jerk, the time derivative behind the paper's jerk
+column z-score that normalises feature matrices and the jerk, the time derivative behind the paper's jerk
 features.
 """
 

@@ -27,10 +27,10 @@ def get_logger(name: str = None) -> logging.Logger:
     return logging.getLogger(f"{_LIBRARY_LOGGER_NAME}.{name}")
 
 
-def enable_console_logging(level: int = logging.INFO) -> logging.Logger:
-    """Attach a stream handler to the library logger (idempotent)."""
+def enable_console_logging() -> logging.Logger:
+    """Attach an INFO-level stream handler to the library logger (idempotent)."""
     logger = logging.getLogger(_LIBRARY_LOGGER_NAME)
-    logger.setLevel(level)
+    logger.setLevel(logging.INFO)
     has_stream = any(isinstance(h, logging.StreamHandler) for h in logger.handlers)
     if not has_stream:
         handler = logging.StreamHandler()

@@ -19,11 +19,8 @@ def check_array(
     *,
     name: str = "array",
     ndim: Optional[int] = None,
-    dtype=np.float64,
-    allow_empty: bool = False,
-    copy: bool = False,
 ) -> np.ndarray:
-    """Convert ``values`` to a numpy array and validate its basic structure.
+    """Convert ``values`` to a non-empty float64 array and validate its shape.
 
     Parameters
     ----------
@@ -33,24 +30,18 @@ def check_array(
         Name used in error messages.
     ndim:
         Required number of dimensions, or ``None`` to accept any.
-    dtype:
-        Target dtype (``None`` keeps the input dtype).
-    allow_empty:
-        Whether a zero-sized array is acceptable.
-    copy:
-        Force a copy even when the input is already an ndarray.
 
     Returns
     -------
     numpy.ndarray
     """
     try:
-        array = np.array(values, dtype=dtype, copy=copy) if copy else np.asarray(values, dtype=dtype)
+        array = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{name} could not be converted to a numeric array: {exc}") from exc
     if ndim is not None and array.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {array.shape}")
-    if not allow_empty and array.size == 0:
+    if array.size == 0:
         raise DataError(f"{name} must not be empty")
     return array
 
@@ -63,33 +54,31 @@ def check_finite(array: np.ndarray, *, name: str = "array") -> np.ndarray:
     return array
 
 
-def check_labels(labels, *, name: str = "labels", n_samples: Optional[int] = None) -> np.ndarray:
+def check_labels(labels, *, n_samples: Optional[int] = None) -> np.ndarray:
     """Validate a 1-D integer label vector.
 
     Parameters
     ----------
     labels:
         Array-like of integer class labels.
-    name:
-        Name used in error messages.
     n_samples:
         If given, the expected length of the label vector.
     """
     array = np.asarray(labels)
     if array.ndim != 1:
-        raise ShapeError(f"{name} must be 1-dimensional, got shape {array.shape}")
+        raise ShapeError(f"labels must be 1-dimensional, got shape {array.shape}")
     if array.size == 0:
-        raise DataError(f"{name} must not be empty")
+        raise DataError("labels must not be empty")
     if not np.issubdtype(array.dtype, np.integer):
         rounded = np.round(array)
         if not np.allclose(array, rounded):
-            raise DataError(f"{name} must contain integer class identifiers")
+            raise DataError("labels must contain integer class identifiers")
         array = rounded.astype(np.int64)
     else:
         array = array.astype(np.int64)
     if n_samples is not None and array.shape[0] != n_samples:
         raise ShapeError(
-            f"{name} has {array.shape[0]} entries but {n_samples} samples were provided"
+            f"labels has {array.shape[0]} entries but {n_samples} samples were provided"
         )
     return array
 
@@ -102,13 +91,9 @@ def check_probability(value: float, *, name: str = "value") -> float:
     return value
 
 
-def check_feature_matrix(
-    features, labels=None, *, name: str = "X"
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Validate a 2-D feature matrix (and optionally its label vector)."""
-    array = check_array(features, name=name, ndim=2)
-    check_finite(array, name=name)
-    if labels is None:
-        return array, None
+def check_feature_matrix(features, labels) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate a 2-D feature matrix and its label vector."""
+    array = check_array(features, name="X", ndim=2)
+    check_finite(array, name="X")
     label_array = check_labels(labels, n_samples=array.shape[0])
     return array, label_array

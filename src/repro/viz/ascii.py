@@ -15,18 +15,22 @@ from repro.exceptions import DataError
 
 _MARKERS = "ox+*#@%&"
 
+#: Plot area in characters: line plots are 70 × 18, scatter plots 70 × 24.
+WIDTH = 70
+LINE_PLOT_HEIGHT = 18
+SCATTER_HEIGHT = 24
+
 
 def ascii_line_plot(
     x_values: Sequence[float],
     series: Dict[str, Sequence[float]],
     *,
-    width: int = 70,
-    height: int = 18,
     title: Optional[str] = None,
 ) -> str:
     """Render one or more named series over a shared x axis."""
     if not series:
         raise DataError("at least one series is required")
+    width, height = WIDTH, LINE_PLOT_HEIGHT
     x_values = np.asarray(list(x_values), dtype=np.float64)
     grid = [[" " for _ in range(width)] for _ in range(height)]
     all_y = np.concatenate([np.asarray(list(v), dtype=np.float64) for v in series.values()])
@@ -68,8 +72,6 @@ def ascii_line_plot(
 def ascii_scatter(
     points_by_class: Dict[int, np.ndarray],
     *,
-    width: int = 70,
-    height: int = 24,
     label_names: Optional[Dict[int, str]] = None,
     title: Optional[str] = None,
 ) -> str:
@@ -77,6 +79,7 @@ def ascii_scatter(
     if not points_by_class:
         raise DataError("at least one class of points is required")
     label_names = label_names or {}
+    width, height = WIDTH, SCATTER_HEIGHT
     everything = np.concatenate([np.asarray(p, dtype=np.float64) for p in points_by_class.values()])
     if everything.ndim != 2 or everything.shape[1] != 2:
         raise DataError("points must be 2-D (n, 2) arrays")

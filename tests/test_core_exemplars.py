@@ -128,8 +128,11 @@ class TestExemplarStore:
 
     def test_per_class_budget_follows_algorithm1(self):
         store = ExemplarStore(capacity=800)
-        assert store.per_class_budget(4) == 200
-        assert ExemplarStore(capacity=None).per_class_budget(4) is None
+        assert store.per_class_budget() == 800
+        for class_id in range(4):
+            store.set_exemplars(class_id, np.zeros((1, 3)))
+        assert store.per_class_budget() == 200
+        assert ExemplarStore(capacity=None).per_class_budget() is None
 
     def test_as_dataset_round_trip(self):
         store = self._store_with_two_classes()
@@ -145,14 +148,13 @@ class TestExemplarStore:
         store = self._store_with_two_classes()
         assert store.nbytes() == 20 * 4 * 4
 
-    def test_set_and_remove(self):
+    def test_set_and_get(self):
         store = ExemplarStore()
         store.set_exemplars(3, np.ones((5, 2)))
-        assert 3 in store
-        store.remove(3)
-        assert 3 not in store
+        assert 3 in store and 4 not in store
+        assert store.get(3).shape == (5, 2)
         with pytest.raises(KeyError):
-            store.get(3)
+            store.get(4)
 
     def test_random_strategy_store(self):
         store = self._store_with_two_classes(strategy="random")

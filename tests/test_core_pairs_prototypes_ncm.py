@@ -117,13 +117,12 @@ class TestPrototypes:
         with pytest.raises(NotFittedError):
             PrototypeStore().as_matrix()
 
-    def test_store_remove_and_nbytes(self):
+    def test_store_nbytes(self):
         store = PrototypeStore()
         store.set(0, np.zeros(8))
         store.set(1, np.zeros(8))
         assert store.nbytes() == 2 * 8 * 4
-        store.remove(0)
-        assert store.classes == [1]
+        assert store.classes == [0, 1]
 
 
 class TestNCMClassifier:

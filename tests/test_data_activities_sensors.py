@@ -46,8 +46,7 @@ class TestSensorSuite:
         assert len(suite.scalar_channels()) == 4
 
     def test_window_length_at_120hz(self):
-        assert default_sensor_suite(120.0).window_length == 120
-        assert default_sensor_suite(50.0).window_length == 50
+        assert default_sensor_suite().window_length == 120
 
     def test_triaxial_groups_cover_disjoint_channels(self):
         suite = default_sensor_suite()

@@ -145,10 +145,19 @@ class TestIncrementalScenario:
         assert set(scenario.new_train.classes.tolist()) == {3}
         assert set(scenario.test.classes.tolist()) == {0, 1, 2, 3}
 
-    def test_new_class_sample_cap(self):
+    def test_new_class_keeps_its_whole_training_split(self):
+        """The scenario caps nothing: the new class brings every training row
+        the paper's split gives it, and the parts cover the dataset."""
         dataset = _dataset(n_per_class=40)
-        scenario = build_incremental_scenario(dataset, [3], new_class_samples=5, rng=0)
-        assert scenario.new_train.n_samples == 5
+        scenario = build_incremental_scenario(dataset, [3], rng=0)
+        splits = train_val_test_split(dataset, rng=0)
+        expected = splits.train.select_classes({3})
+        assert np.array_equal(scenario.new_train.features, expected.features)
+        parts = (
+            scenario.old_train, scenario.old_validation,
+            scenario.new_train, scenario.new_validation, scenario.test,
+        )
+        assert sum(part.n_samples for part in parts) == dataset.n_samples
 
     def test_errors(self):
         dataset = _dataset()

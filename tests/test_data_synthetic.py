@@ -6,12 +6,11 @@ import pytest
 from repro.data.activities import Activity
 from repro.data.sensors import default_sensor_suite
 from repro.data.synthetic import (
-    ActivitySignature,
     SyntheticSensorGenerator,
     default_signatures,
     make_feature_dataset,
 )
-from repro.exceptions import ConfigurationError, DataError
+from repro.exceptions import DataError
 
 
 class TestSignatures:
@@ -68,8 +67,6 @@ class TestGenerator:
         generator = SyntheticSensorGenerator(seed=0)
         with pytest.raises(DataError):
             generator.generate_windows(Activity.RUN, 0)
-        with pytest.raises(ConfigurationError):
-            SyntheticSensorGenerator(n_users=0)
 
 
 class TestMakeFeatureDataset:
@@ -80,18 +77,29 @@ class TestMakeFeatureDataset:
         assert dataset.label_names[int(Activity.RUN)] == "Run"
 
     def test_normalized_features(self):
-        dataset = make_feature_dataset(samples_per_class=30, seed=0, normalize=True)
+        dataset = make_feature_dataset(samples_per_class=30, seed=0)
         assert abs(dataset.features.mean()) < 0.1
 
-    def test_unnormalized_features(self):
-        dataset = make_feature_dataset(samples_per_class=10, seed=0, normalize=False)
-        assert dataset.features.shape == (50, 80)
+    def test_every_feature_column_is_z_scored(self):
+        features = make_feature_dataset(samples_per_class=10, seed=0).features
+        assert np.allclose(features.mean(axis=0), 0.0, atol=1e-10)
+        std = features.std(axis=0)
+        assert np.all(np.isclose(std, 1.0) | np.isclose(std, 0.0))
 
     def test_subset_of_activities(self):
-        dataset = make_feature_dataset(
-            samples_per_class=10, seed=0, activities=[Activity.RUN, Activity.WALK]
-        )
+        dataset = make_feature_dataset({Activity.RUN: 10, Activity.WALK: 6}, seed=0)
         assert set(dataset.classes.tolist()) == {int(Activity.RUN), int(Activity.WALK)}
+        assert np.sum(dataset.labels == int(Activity.RUN)) == 10
+        assert np.sum(dataset.labels == int(Activity.WALK)) == 6
+        assert set(dataset.label_names) == {int(Activity.RUN), int(Activity.WALK)}
+
+    def test_same_seed_same_features(self):
+        first = make_feature_dataset(samples_per_class=8, seed=5)
+        second = make_feature_dataset(samples_per_class=8, seed=5)
+        other = make_feature_dataset(samples_per_class=8, seed=6)
+        assert np.array_equal(first.features, second.features)
+        assert np.array_equal(first.labels, second.labels)
+        assert not np.array_equal(first.features, other.features)
 
     def test_classes_are_separable_by_a_simple_rule(self):
         """A nearest-centroid classifier in feature space should beat chance easily."""

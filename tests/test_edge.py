@@ -6,7 +6,6 @@ import pytest
 from repro.backend import precision
 from repro.core.config import PiloteConfig
 from repro.data.activities import Activity
-from repro.edge.cloud import CloudServer
 from repro.edge.device import DEVICE_PROFILES, DeviceProfile, EdgeDevice
 from repro.edge.magneto import MagnetoPlatform
 from repro.edge.profiler import EdgeProfiler, LatencyReport
@@ -123,17 +122,15 @@ class TestTransferPackaging:
             exemplar_storage_bytes(-1, 80)
 
 
-class TestCloudServer:
-    def test_pretrain_and_export(self, run_scenario, tiny_config):
-        cloud = CloudServer(tiny_config, seed=0)
-        learner = cloud.pretrain(run_scenario.old_train, run_scenario.old_validation)
-        assert learner.is_pretrained
-        package = cloud.export_package()
-        assert package.total_bytes > 0
+class TestCloudPretrain:
+    def test_pretrain_and_package(self, run_scenario, tiny_config):
+        from repro.core.pilote import PILOTE
 
-    def test_export_before_pretrain_raises(self, tiny_config):
-        with pytest.raises(NotFittedError):
-            CloudServer(tiny_config).export_package()
+        learner = PILOTE(tiny_config, seed=0)
+        learner.pretrain(run_scenario.old_train, run_scenario.old_validation)
+        assert learner.is_pretrained
+        package = package_for_edge(learner)
+        assert package.total_bytes > 0
 
 
 class TestMagnetoPlatform:
@@ -160,7 +157,7 @@ class TestMagnetoPlatform:
 
 class TestProfiler:
     def test_profile_increment_reports(self, pilote_copy, run_scenario):
-        profiler = EdgeProfiler(inference_batch=64)
+        profiler = EdgeProfiler()
         report = profiler.profile_increment(
             pilote_copy,
             run_scenario.new_train,
@@ -186,10 +183,6 @@ class TestProfiler:
 
         with pytest.raises(NotFittedError):
             EdgeProfiler().profile_inference(PILOTE(tiny_config), run_scenario.test)
-
-    def test_invalid_batch(self):
-        with pytest.raises(ValueError):
-            EdgeProfiler(inference_batch=0)
 
     def test_max_epoch_seconds(self):
         report = LatencyReport(epochs_run=2, total_seconds=1.0, epoch_seconds=[0.4, 0.6])

@@ -8,8 +8,7 @@ import pytest
 from repro.edge.device import DEVICE_PROFILES, DeviceProfile, EdgeDevice
 from repro.edge.inference import InferenceEngine
 from repro.edge.magneto import MagnetoPlatform
-from repro.exceptions import DataError, EdgeResourceError, NotFittedError
-from repro.serving import serve
+from repro.exceptions import DataError, EdgeResourceError
 
 
 class TestInferenceEngineCorrectness:
@@ -102,15 +101,10 @@ class TestInferenceEngineCache:
 
 
 class TestEdgeWiring:
-    def test_device_serve_requires_engine(self):
-        device = EdgeDevice()
-        with pytest.raises(NotFittedError):
-            serve(device).predict(np.zeros((1, 4)))
-
     def test_device_attach_and_serve(self, pretrained_pilote, run_scenario):
         device = EdgeDevice()
         device.attach_inference(pretrained_pilote.inference_engine())
-        predictions = serve(device).predict(run_scenario.test.features[:8])
+        predictions = device.serve(run_scenario.test.features[:8])
         assert predictions.shape == (8,)
         assert device.inference_requests == 1
 
@@ -129,8 +123,7 @@ class TestEdgeWiring:
 
     def test_magneto_serves_through_device_engine(self, pretrained_pilote, run_scenario, tiny_config):
         platform = MagnetoPlatform(config=tiny_config)
-        platform.cloud.learner = copy.deepcopy(pretrained_pilote)
-        platform.cloud.history = object()
+        platform.cloud_learner = copy.deepcopy(pretrained_pilote)
         platform.deploy_to_edge()
         predictions = platform.serving_client().predict(run_scenario.test.features[:12])
         assert predictions.shape == (12,)

@@ -143,11 +143,16 @@ class TestExperimentRunner:
         assert first.methods["pilote"].accuracy > 0.4
 
     def test_new_class_sample_cap_is_applied(self, har_dataset, tiny_config):
-        runner = ExperimentRunner(tiny_config, methods=("pre-trained",))
-        result = runner.run_scenario(
-            har_dataset, int(Activity.WALK), exemplars_per_class=8, new_class_samples=5, rng=0
+        from repro.data.streams import build_incremental_scenario
+
+        runner = ExperimentRunner(tiny_config, methods=("pilote",), keep_learners=True)
+        scenario = build_incremental_scenario(har_dataset, [int(Activity.WALK)], rng=0)
+        assert scenario.new_train.n_samples > 5
+        result = runner.compare(
+            scenario, exemplars_per_class=8, new_class_samples=5, rng=0
         )
-        assert result.methods["pre-trained"].accuracy >= 0.0
+        stored = result.learners["pilote"].exemplars.exemplars_per_class()
+        assert stored[int(Activity.WALK)] == 5
 
     def test_unknown_method_rejected(self, tiny_config):
         with pytest.raises(ConfigurationError):

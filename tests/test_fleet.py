@@ -11,7 +11,6 @@ from repro.evaluation.scenarios import FleetScenarioSpec
 from repro.exceptions import (
     ConfigurationError,
     DataError,
-    EdgeResourceError,
     SerializationError,
 )
 from repro.experiments.common import ExperimentSettings
@@ -61,15 +60,13 @@ class TestTrafficGenerator:
     def test_bursty_pattern_spikes(self, pool):
         spec = WorkloadSpec(
             pattern="bursty", requests_per_tick=10, n_ticks=8,
-            burst_every=4, burst_multiplier=3.0,
         )
         counts = [len(batch) for batch in TrafficGenerator(pool, spec, seed=1).ticks()]
-        assert counts == [10, 10, 10, 30, 10, 10, 10, 30]
+        assert counts == [10, 10, 10, 40, 10, 10, 10, 40]
 
     def test_zipf_skews_toward_head_users(self, pool):
         spec = WorkloadSpec(
             pattern="zipf", n_users=100, requests_per_tick=500, n_ticks=2,
-            zipf_exponent=1.5,
         )
         requests = TrafficGenerator(pool, spec, seed=3).requests()
         users = np.array([r.user_id for r in requests])
@@ -86,8 +83,6 @@ class TestTrafficGenerator:
             WorkloadSpec(pattern="nope")
         with pytest.raises(ConfigurationError):
             WorkloadSpec(n_users=0)
-        with pytest.raises(ConfigurationError):
-            WorkloadSpec(burst_multiplier=0.5)
 
     def test_negative_user_rejected(self, pool):
         with pytest.raises(DataError):
@@ -289,34 +284,19 @@ class TestCheckpointStore:
         # Warming must not perturb the bit-exact round-trip.
         assert np.array_equal(device.infer(pool[:64]), outputs)
 
-    def test_restore_by_device_id_uses_latest(self, fleet, tmp_path):
+    def test_every_save_keeps_its_own_archive(self, fleet, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save(fleet.device(0))
-        newest = store.save(fleet.device(0))
-        assert store.latest(0) == newest
-        restored = store.restore(0)
-        assert restored.device_id == 0
-        with pytest.raises(SerializationError):
-            store.restore(7)
+        checkpoints = [store.save(fleet.device(i)) for i in (0, 1, 0)]
+        assert [c.checkpoint_id for c in checkpoints] == [0, 1, 2]
+        assert len({c.path for c in checkpoints}) == 3
+        assert all(c.path.exists() for c in checkpoints)
 
-    def test_eviction_under_storage_budget(self, fleet, tmp_path):
-        probe = CheckpointStore(tmp_path / "probe").save(fleet.device(0))
-        budget = int(probe.nbytes * 2.5)
-        store = CheckpointStore(tmp_path / "store", budget_bytes=budget)
-        first = store.save(fleet.device(0))
-        second = store.save(fleet.device(1))
-        third = store.save(fleet.device(2))
-        assert not first.path.exists()
-        assert second.path.exists() and third.path.exists()
-        assert store.total_bytes <= budget
-        assert store.latest(0) is None
-
-    def test_checkpoint_larger_than_budget_rejected(self, fleet, tmp_path):
-        store = CheckpointStore(tmp_path, budget_bytes=100)
-        with pytest.raises(EdgeResourceError):
-            store.save(fleet.device(0))
-        assert store.total_bytes == 0
-        assert list(store.directory.glob("*.npz")) == []
+    def test_checkpoint_records_device_and_size(self, fleet, tmp_path):
+        device = fleet.device(2)
+        checkpoint = CheckpointStore(tmp_path).save(device)
+        assert checkpoint.device_id == device.device_id
+        assert checkpoint.profile == device.profile
+        assert checkpoint.nbytes == checkpoint.path.stat().st_size > 0
 
     def test_undeployed_device_rejected(self, tiny_config, tmp_path):
         coordinator = FleetCoordinator(tiny_config, seed=0)
@@ -332,14 +312,12 @@ class TestCheckpointStore:
         assert fleet.device(2) is replacement
         assert fleet.device(2).infer(pool[:4]).shape == (4,)
 
-    def test_restore_of_evicted_handle_is_typed_error(self, fleet, tmp_path):
-        probe = CheckpointStore(tmp_path / "probe").save(fleet.device(0))
-        store = CheckpointStore(tmp_path / "store", budget_bytes=int(probe.nbytes * 1.5))
-        evicted = store.save(fleet.device(0))
-        store.save(fleet.device(1))  # pushes the first checkpoint out
-        assert not evicted.path.exists()
-        with pytest.raises(SerializationError, match="evicted"):
-            store.restore(evicted)
+    def test_restore_of_a_deleted_archive_is_typed_error(self, fleet, tmp_path):
+        store = CheckpointStore(tmp_path)
+        deleted = store.save(fleet.device(0))
+        deleted.path.unlink()
+        with pytest.raises(SerializationError, match="gone from disk"):
+            store.restore(deleted)
 
     def test_live_client_follows_device_replacement(self, fleet, pool, tmp_path):
         client = serve(fleet, routing="hash", seed=1)
@@ -348,7 +326,8 @@ class TestCheckpointStore:
         replacement = store.restore(store.save(crashed))
         fleet.replace_device(crashed.device_id, replacement)
         before = replacement.edge.inference_requests
-        client.predict(pool[:2], user_id=7)
+        client.submit(PredictRequest(user_id=7, features=pool[:2]))
+        client.drain()
         assert replacement.edge.inference_requests == before + 1
         assert crashed.edge.inference_requests == 0
 

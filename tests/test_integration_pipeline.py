@@ -166,7 +166,7 @@ class TestFullPipeline:
             exemplars_per_class=10,
         )
         fresh.model.load_state_dict(state)
-        fresh.build_support_set(pipeline_scenario.old_train, per_class=10)
+        fresh.build_support_set(per_class=10)
         predictions_after = fresh.predict(pipeline_scenario.test.features)
         agreement = float(np.mean(predictions_before == predictions_after))
         assert agreement > 0.95

@@ -174,6 +174,20 @@ class TestCheckpoints:
             pilote_from_state(state, metadata)
         assert all(repr(name) in str(raised.value) for name in fields)
 
+    @pytest.mark.parametrize("dropped", [("alpha",), ("alpha", "seed")],
+                             ids=["alpha", "alpha-and-seed"])
+    def test_config_missing_a_field_is_rejected(self, pretrained_pilote, dropped):
+        """A field missing from the metadata is an error naming it, never
+        silently filled with the field's default."""
+        state, metadata = pilote_state(pretrained_pilote)
+        metadata["config"] = {
+            name: value for name, value in metadata["config"].items()
+            if name not in dropped
+        }
+        with pytest.raises(SerializationError, match="missing from metadata") as raised:
+            pilote_from_state(state, metadata)
+        assert all(repr(name) in str(raised.value) for name in dropped)
+
     def test_version_one_checkpoint_is_rejected(self, pretrained_pilote, tmp_path):
         state, metadata = pilote_state(pretrained_pilote)
         metadata["format_version"] = 1
@@ -192,11 +206,10 @@ class TestCheckpoints:
         with pytest.raises(SerializationError, match="unsupported NCM metric"):
             store.restore(checkpoint)
 
-    def test_eviction_leaves_every_survivor_restorable(self, pilote_copy, pool, tmp_path):
+    def test_every_checkpoint_restores_its_own_state(self, pilote_copy, pool, tmp_path):
         device = FleetDevice(0, EdgeDevice(_profile("float64")))
         device.adopt(pilote_copy)
-        probe = CheckpointStore(tmp_path / "probe").save(device).nbytes
-        store = CheckpointStore(tmp_path / "store", budget_bytes=int(probe * 2.5))
+        store = CheckpointStore(tmp_path)
         saved, answers = [], []
         rng = np.random.default_rng(0)
         for _ in range(3):
@@ -205,9 +218,9 @@ class TestCheckpoints:
             )
             saved.append(store.save(device))
             answers.append(device.infer(pool))
-        kept = [checkpoint for checkpoint in saved if checkpoint.path.exists()]
-        assert [c.checkpoint_id for c in kept] == [1, 2]
-        for checkpoint, expected in zip(kept, answers[1:]):
+        assert [c.checkpoint_id for c in saved] == [0, 1, 2]
+        assert not np.array_equal(answers[0], answers[2])
+        for checkpoint, expected in zip(saved, answers):
             assert np.array_equal(store.restore(checkpoint).infer(pool), expected)
 
 

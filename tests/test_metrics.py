@@ -13,6 +13,7 @@ from repro.metrics.confusion import ConfusionMatrix, confusion_matrix
 from repro.metrics.embedding_quality import (
     class_separation_report,
     intra_inter_distance_ratio,
+    MAX_SAMPLES,
     silhouette_score,
 )
 from repro.metrics.forgetting import (
@@ -102,12 +103,12 @@ class TestForgetting:
 
 
 class TestEmbeddingQuality:
-    def _separated(self, gap):
+    def _separated(self, gap, per_class=40):
         rng = np.random.default_rng(0)
-        a = rng.normal(0.0, 1.0, size=(40, 4))
-        b = rng.normal(gap, 1.0, size=(40, 4))
+        a = rng.normal(0.0, 1.0, size=(per_class, 4))
+        b = rng.normal(gap, 1.0, size=(per_class, 4))
         embeddings = np.concatenate([a, b])
-        labels = np.array([0] * 40 + [1] * 40)
+        labels = np.array([0] * per_class + [1] * per_class)
         return embeddings, labels
 
     def test_silhouette_increases_with_separation(self):
@@ -117,8 +118,8 @@ class TestEmbeddingQuality:
         assert far > 0.7
 
     def test_silhouette_subsampling_path(self):
-        embeddings, labels = self._separated(5.0)
-        assert silhouette_score(embeddings, labels, max_samples=20) > 0.0
+        embeddings, labels = self._separated(5.0, per_class=MAX_SAMPLES // 2 + 1)
+        assert silhouette_score(embeddings, labels) > 0.7
 
     def test_intra_inter_ratio_decreases_with_separation(self):
         close = intra_inter_distance_ratio(*self._separated(1.0))

@@ -64,3 +64,9 @@ class TestSchedulers:
         assert optimizer.lr > MIN_LR
         scheduler.step()  # 0.01 / 2**14 is below the floor
         assert optimizer.lr == MIN_LR
+
+    def test_rate_below_the_floor_is_never_raised(self):
+        optimizer = self._optimizer(5e-7)
+        scheduler = HalvingLR(optimizer)
+        assert [scheduler.step() for _ in range(3)] == [5e-7, 5e-7, 5e-7]
+        assert optimizer.lr == 5e-7

@@ -13,6 +13,7 @@ failed``) across seeds.
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from repro.server import (
     run_load,
     wire,
 )
+from repro.server.server import MAX_INFLIGHT_PER_CONNECTION
 from repro.server.simulation import make_serving_learner
 from repro.serving import PredictRequest, serve
 
@@ -454,6 +456,60 @@ class TestServingServer:
 
         responses = self._run(scenario, executor="serial")
         assert [r.user_id for r in responses] == list(range(8))
+
+    def test_one_connection_never_holds_more_than_the_window(self):
+        """A connection pipelining past its in-flight window stops being
+        read: the bridge never holds more than the window of its requests,
+        and every request is still answered exactly once."""
+        window = MAX_INFLIGHT_PER_CONNECTION
+        n_requests = 3 * window
+        gate = threading.Event()
+
+        async def scenario(server, host, port):
+            bridge = server.bridge
+            # Park the pump inside its first drain so nothing settles until
+            # the reader has hit the window.
+            drain = bridge.client.drain
+
+            def gated_drain():
+                gate.wait(timeout=30.0)
+                return drain()
+
+            bridge.client.drain = gated_drain
+            held, full = [], asyncio.Event()
+            submit_spec = bridge.submit_spec
+
+            def counting_submit(spec):
+                future = submit_spec(spec)
+                held.append(bridge.inflight)
+                if bridge.inflight == window:
+                    full.set()
+                return future
+
+            bridge.submit_spec = counting_submit
+            async with await AsyncConnection.open(host, port) as connection:
+                answers = asyncio.gather(
+                    *(
+                        connection.predict(i, features(seed=i))
+                        for i in range(n_requests)
+                    )
+                )
+                await asyncio.wait_for(full.wait(), timeout=30.0)
+                # The reader is parked on the window: nothing past it was read.
+                received_at_window = server.stats.received
+                gate.set()
+                responses = await answers
+            return responses, held, received_at_window, server.stats
+
+        responses, held, received_at_window, stats = self._run(
+            scenario, executor="serial"
+        )
+        assert received_at_window == window
+        assert max(held) == window and len(held) == n_requests
+        assert sorted(r.request_id for r in responses) == list(range(1, n_requests + 1))
+        assert [r.user_id for r in responses] == list(range(n_requests))
+        assert stats.received == stats.answered == n_requests
+        assert stats.failed == 0
 
     def test_invalid_request_comes_back_typed_without_killing_the_connection(self):
         async def scenario(server, host, port):

@@ -112,24 +112,11 @@ class TestServeFacade:
         assert np.array_equal(predictions, pretrained_pilote.predict(pool[:16]))
         assert client.label == "learner" and client.n_devices == 1
 
-    def test_engine_and_edge_device_clients(self, pretrained_pilote, pool):
-        engine = pretrained_pilote.inference_engine()
-        assert np.array_equal(
-            serve(engine).predict(pool[:8]), engine.predict(pool[:8])
-        )
-        device = EdgeDevice()
-        device.attach_inference(engine)
-        client = serve(device)
-        before = device.inference_requests
-        assert client.predict(pool[:8]).shape == (8,)
-        assert device.inference_requests == before + 1
-
     def test_platform_client(self, pretrained_pilote, tiny_config, pool):
         platform = MagnetoPlatform(tiny_config, seed=0)
         with pytest.raises(NotFittedError):
             platform.serving_client().predict(pool[:4])
-        platform.cloud.learner = pretrained_pilote
-        platform.cloud.history = object()
+        platform.cloud_learner = pretrained_pilote
         platform.deploy_to_edge()
         client = platform.serving_client()
         assert client is platform.serving_client()  # cached
@@ -150,8 +137,7 @@ class TestServeFacade:
         client = platform.serving_client()  # cached before deploy_to_edge
         lane = client.scheduler.devices[0]
         undeployed = service_seconds(lane, 8)
-        platform.cloud.learner = pretrained_pilote
-        platform.cloud.history = object()
+        platform.cloud_learner = pretrained_pilote
         platform.deploy_to_edge()
         assert platform.serving_client() is client
         assert lane.engine is platform.device.engine
@@ -169,8 +155,7 @@ class TestServeFacade:
         device.attach_inference(pretrained_pilote.inference_engine())
         assert device.serve(empty).shape == (0,)
         platform = MagnetoPlatform(tiny_config, seed=0)
-        platform.cloud.learner = pretrained_pilote
-        platform.cloud.history = object()
+        platform.cloud_learner = pretrained_pilote
         platform.deploy_to_edge()
         assert platform.device.serve(empty).shape == (0,)
         with pytest.raises(InvalidRequestError):
@@ -204,6 +189,21 @@ class TestServeFacade:
     def test_unknown_target_rejected(self):
         with pytest.raises(ServingError, match="don't know how to serve"):
             serve(object())
+
+    @pytest.mark.parametrize("part", ["engine", "edge-device", "fleet-device"])
+    def test_serving_parts_are_not_targets(self, part, pretrained_pilote, fleet):
+        """Only a learner, a platform or a fleet is served; the engines and
+        devices inside them are reached through their owner."""
+        engine = pretrained_pilote.inference_engine()
+        if part == "engine":
+            target = engine
+        elif part == "edge-device":
+            target = EdgeDevice()
+            target.attach_inference(engine)
+        else:
+            target = fleet.device(0)
+        with pytest.raises(ServingError, match="expected a PILOTE"):
+            serve(target)
 
     def test_empty_fleet_rejected(self, tiny_config):
         with pytest.raises(ServingError, match="provision"):
@@ -239,7 +239,7 @@ class TestRoutingPolicies:
 
     def test_least_loaded_balances_skewed_users(self, fleet, pool):
         spec = WorkloadSpec(pattern="zipf", n_users=40, requests_per_tick=60,
-                            n_ticks=2, zipf_exponent=1.6)
+                            n_ticks=2)
 
         def max_share(routing):
             client = serve(fleet, routing=routing, seed=2)
@@ -339,9 +339,9 @@ class TestDeadlines:
         assert first == first and first != twin  # ndarray-safe identity eq
         assert first in [twin, first]
 
-    def test_errors_travel_through_futures(self, pool):
-        device = EdgeDevice()  # no engine attached
-        client = serve(device)
+    def test_errors_travel_through_futures(self, tiny_config, pool):
+        platform = MagnetoPlatform(tiny_config)  # no engine attached
+        client = serve(platform)
         with pytest.raises(NotFittedError, match="attach_inference"):
             client.predict(pool[:2])
 

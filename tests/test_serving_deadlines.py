@@ -538,19 +538,20 @@ class TestTrafficDeadlines:
         }
         assert classes == {0.2, 8.0}
 
-    def test_deadline_fraction_mixes_in_deadline_less(self, pool):
-        spec = WorkloadSpec(
-            n_users=8, requests_per_tick=64, n_ticks=2,
-            deadline_seconds=1.0, deadline_fraction=0.5,
-        )
-        requests = TrafficGenerator(pool, spec, seed=3).requests()
-        carried = [r for r in requests if r.deadline_seconds is not None]
-        assert 0 < len(carried) < len(requests)
-
     def test_disabled_deadlines_leave_stream_unchanged(self, pool):
         base = WorkloadSpec(n_users=8, requests_per_tick=8, n_ticks=2)
         plain = TrafficGenerator(pool, base, seed=5).requests()
         assert all(r.deadline_seconds is None for r in plain)
+
+    def test_every_request_carries_a_deadline(self, pool):
+        spec = WorkloadSpec(
+            n_users=8, requests_per_tick=64, n_ticks=2, deadline_seconds=1.0,
+        )
+        requests = TrafficGenerator(pool, spec, seed=3).requests()
+        assert all(
+            r.deadline_seconds == pytest.approx(r.arrival_seconds + 1.0)
+            for r in requests
+        )
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -559,7 +560,7 @@ class TestTrafficDeadlines:
             {"deadline_seconds": -1.0},
             {"deadline_seconds": 1.0, "deadline_multipliers": ()},
             {"deadline_seconds": 1.0, "deadline_multipliers": (1.0, -2.0)},
-            {"deadline_seconds": 1.0, "deadline_fraction": 1.5},
+            {"deadline_seconds": 1.0, "deadline_multipliers": (0.0,)},
         ],
     )
     def test_invalid_deadline_specs_rejected(self, kwargs):

@@ -158,7 +158,7 @@ class TestExecutorEquivalence:
         spec = WorkloadSpec(
             pattern="zipf", n_users=40, requests_per_tick=32, n_ticks=3,
             tick_seconds=1e-5, deadline_seconds=5e-3,
-            deadline_multipliers=(0.5, 1.0, 4.0), deadline_fraction=0.75,
+            deadline_multipliers=(0.5, 1.0, 4.0),
         )
         for name in EXECUTORS:
             ticks = list(TrafficGenerator(pool, spec, seed=3).ticks())
@@ -187,14 +187,14 @@ class TestExecutorEquivalence:
     def test_process_resyncs_snapshot_after_increment(self, fleet, pool, run_scenario):
         """A state_version bump mid-stream re-ships the lane snapshot."""
         with serve(fleet, routing="hash", seed=7, executor="process", workers=2) as client:
-            before = client.predict(pool[:32], user_id=5)
+            before = client.predict(pool[:32])
             # On-device increment: the lane's learner moves past the shipped
             # snapshot version, so the next round must re-sync.
             for device in fleet.devices:
                 device.learn_new_activity(run_scenario.new_train)
-            after = client.predict(pool[:32], user_id=5)
+            after = client.predict(pool[:32])
         serial = serve(fleet, routing="hash", seed=7)
-        expected = serial.predict(pool[:32], user_id=5)
+        expected = serial.predict(pool[:32])
         assert np.array_equal(after, expected)
         # The increment learned a new class, so predictions genuinely moved
         # (guards against the worker serving the stale snapshot).
@@ -286,11 +286,10 @@ class TestWorkerDeath:
         """Snapshot failures travel through the future; drain() survives
         and no popped batch is stranded unresolvable."""
         from repro.core.pilote import PILOTE
-        from repro.edge.inference import InferenceEngine
         from repro.exceptions import NotFittedError
 
-        engine = InferenceEngine(PILOTE(tiny_config))  # never trained
-        with serve(engine, executor="process", workers=1) as client:
+        learner = PILOTE(tiny_config)  # never trained
+        with serve(learner, executor="process", workers=1) as client:
             future = client.submit(PredictRequest(user_id=0, features=pool[:2]))
             client.drain()
             assert future.done()

@@ -15,26 +15,26 @@ class TestNormalization:
         assert np.allclose(normalised.mean(axis=0), 0.0, atol=1e-10)
         assert np.allclose(normalised.std(axis=0), 1.0, atol=1e-10)
 
-    def test_z_score_with_external_statistics(self):
-        data = np.ones((5, 2))
-        normalised = z_score(data, mean=np.zeros(2), std=np.ones(2) * 2)
-        assert np.allclose(normalised, 0.5)
-
     def test_z_score_constant_column_is_safe(self):
         data = np.ones((10, 1))
         assert np.all(np.isfinite(z_score(data)))
 
-    def test_z_score_return_stats(self):
-        data = np.random.default_rng(1).normal(size=(20, 3))
-        _, mean, std = z_score(data, return_stats=True)
-        assert mean.shape == (3,) and std.shape == (3,)
+    def test_z_score_centres_a_near_constant_column_without_scaling(self):
+        """A column whose spread is below EPSILON is centred, not blown up."""
+        tiny = np.array([0.0, 1e-10, 2e-10, 3e-10])
+        data = np.column_stack([tiny + 5.0, np.arange(4.0)])
+        normalised = z_score(data)
+        assert np.allclose(normalised[:, 0], tiny - tiny.mean(), atol=1e-12)
+        assert np.allclose(normalised[:, 1].std(), 1.0)
 
-    def test_returned_stats_reproduce_the_normalisation(self):
-        """Edge-side data reuses the cloud's statistics; reapplying them to
-        the cloud's own data gives back exactly the cloud's normalisation."""
+    def test_z_score_rejects_empty_input(self):
+        with pytest.raises(DataError):
+            z_score(np.empty((0, 3)))
+
+    def test_z_score_of_normalised_data_is_unchanged(self):
         data = np.random.default_rng(2).normal(1.0, 3.0, size=(30, 4))
-        normalised, mean, std = z_score(data, return_stats=True)
-        assert np.array_equal(z_score(data, mean=mean, std=std), normalised)
+        normalised = z_score(data)
+        assert np.allclose(z_score(normalised), normalised, atol=1e-12)
 
 
 class TestJerk:

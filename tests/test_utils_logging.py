@@ -18,8 +18,8 @@ class TestGetLogger:
 
 class TestEnableConsoleLogging:
     def test_adds_stream_handler_once(self):
-        logger = enable_console_logging(logging.DEBUG)
+        logger = enable_console_logging()
         count_before = len(logger.handlers)
-        enable_console_logging(logging.DEBUG)
+        enable_console_logging()
         assert len(logger.handlers) == count_before
-        assert logger.level == logging.DEBUG
+        assert logger.level == logging.INFO

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DataError
-from repro.viz.ascii import ascii_line_plot, ascii_scatter
+from repro.viz.ascii import (
+    LINE_PLOT_HEIGHT,
+    SCATTER_HEIGHT,
+    WIDTH,
+    ascii_line_plot,
+    ascii_scatter,
+)
 from repro.viz.projection import pca_project, project_embeddings_2d
 
 
@@ -73,6 +79,18 @@ class TestAsciiPlots:
         points = {0: rng.normal(size=(10, 2)), 1: rng.normal(5, 1, size=(10, 2))}
         text = ascii_scatter(points, label_names={0: "Walk", 1: "Run"})
         assert "Walk" in text and "Run" in text
+
+    def test_line_plot_area_is_fixed(self):
+        text = ascii_line_plot([0, 1, 2], {"a": [1.0, 3.0, 2.0]})
+        rows = [line for line in text.splitlines() if line.startswith("|")]
+        assert len(rows) == LINE_PLOT_HEIGHT
+        assert all(len(row) == WIDTH + 1 for row in rows)
+
+    def test_scatter_area_is_fixed(self):
+        points = {0: np.random.default_rng(0).normal(size=(10, 2))}
+        rows = [line for line in ascii_scatter(points).splitlines() if line.startswith("|")]
+        assert len(rows) == SCATTER_HEIGHT
+        assert all(len(row) == WIDTH + 1 for row in rows)
 
     def test_scatter_requires_2d_points(self):
         with pytest.raises(DataError):
