@@ -59,8 +59,8 @@ def report():
     """Print a reproduction report and persist it under ``benchmarks/results/``.
 
     pytest captures stdout by default, so each benchmark also writes its
-    printed table/series to a text file next to the benchmark code; the files
-    are what EXPERIMENTS.md references.  Passing ``data`` additionally writes
+    printed table/series to ``results/<name>.txt`` next to the benchmark
+    code.  Passing ``data`` additionally writes
     ``results/<name>.json`` with the same measurements as machine-readable
     key/value pairs — CI uploads the whole ``results/`` directory as an
     artifact, so the JSON files give trend tooling something to parse.

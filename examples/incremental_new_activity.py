@@ -37,7 +37,7 @@ def main() -> None:
         cache_size=800,
         seed=7,
     )
-    runner = ExperimentRunner(config, keep_learners=True)
+    runner = ExperimentRunner(config)
     comparison = runner.run_scenario(
         dataset, int(new_activity), exemplars_per_class=100, rng=7
     )

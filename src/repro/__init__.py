@@ -19,6 +19,13 @@ Quick start::
     learner.learn_new_classes(scenario.new_train, scenario.new_validation)
     print("accuracy:", learner.evaluate(scenario.test))
 
+The paper's comparison (Table 2, Figures 4–7) lives in
+:mod:`repro.evaluation`: ``ExperimentRunner`` increments deep copies of one
+pre-trained learner with the *Pre-trained* baseline (new-class prototypes on
+the frozen embedding), the *Re-trained* baseline (PILOTE with α = 0) and
+PILOTE itself, and ``RepeatedRounds`` aggregates the rounds; the
+reproductions of each table and figure are in :mod:`repro.experiments`.
+
 Compute backend
 ---------------
 
@@ -88,7 +95,6 @@ three-layer demonstration.
 from repro.backend import NumpyBackend, get_backend, precision
 from repro.core import PILOTE, PiloteConfig, EmbeddingNetwork, NCMClassifier
 from repro.data import Activity, HARDataset, build_incremental_scenario, make_feature_dataset
-from repro.baselines import PretrainedBaseline, RetrainedBaseline
 from repro.edge import InferenceEngine, MagnetoPlatform
 from repro.fleet import CheckpointStore, FleetCoordinator, TrafficGenerator, WorkloadSpec
 from repro.serving import (
@@ -110,8 +116,6 @@ __all__ = [
     "HARDataset",
     "make_feature_dataset",
     "build_incremental_scenario",
-    "PretrainedBaseline",
-    "RetrainedBaseline",
     "MagnetoPlatform",
     "InferenceEngine",
     "FleetCoordinator",

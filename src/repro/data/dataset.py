@@ -110,25 +110,20 @@ class DatasetSplits:
     test: HARDataset
 
 
-def train_val_test_split(
-    dataset: HARDataset,
-    *,
-    test_fraction: float = 0.3,
-    validation_fraction: float = 0.2,
-    rng: RandomState = None,
-) -> DatasetSplits:
+#: Share of each class held out as the test set (the paper's 30%).
+TEST_FRACTION = 0.3
+#: Share of each class's remaining rows kept for validation (the paper's 0.2).
+VALIDATION_FRACTION = 0.2
+
+
+def train_val_test_split(dataset: HARDataset, *, rng: RandomState = None) -> DatasetSplits:
     """Split a dataset following the paper's protocol.
 
-    The paper holds out 30% of the records as the test set and uses a 0.2
-    validation split of the remaining data for both pre-training and
-    incremental training.  ``validation_fraction`` is relative to the non-test
-    portion.  The split is stratified: each class is cut by the fractions
-    on its own.
+    Each class is cut on its own (stratified): :data:`TEST_FRACTION` of its
+    rows go to the test set, then :data:`VALIDATION_FRACTION` of the rest to
+    the validation set, which serves both pre-training and incremental
+    training.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise DataError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    if not 0.0 <= validation_fraction < 1.0:
-        raise DataError(f"validation_fraction must be in [0, 1), got {validation_fraction}")
     generator = resolve_rng(rng)
 
     def split_indices(indices: np.ndarray, fraction: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -139,8 +134,8 @@ def train_val_test_split(
     train_parts, val_parts, test_parts = [], [], []
     for class_id in dataset.classes:
         class_indices = np.flatnonzero(dataset.labels == class_id)
-        remaining, test_idx = split_indices(class_indices, test_fraction)
-        train_idx, val_idx = split_indices(remaining, validation_fraction)
+        remaining, test_idx = split_indices(class_indices, TEST_FRACTION)
+        train_idx, val_idx = split_indices(remaining, VALIDATION_FRACTION)
         train_parts.append(train_idx)
         val_parts.append(val_idx)
         test_parts.append(test_idx)

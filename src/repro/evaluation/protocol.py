@@ -1,15 +1,16 @@
 """The paper's evaluation protocol: repeated rounds with mean ± standard deviation.
 
 "We execute each model in five rounds and report the average accuracy and the
-standard deviations."  :class:`RepeatedRounds` runs an arbitrary round function
-with independent random streams and aggregates whatever scalar quantities it
-returns.
+standard deviations."  :class:`RepeatedRounds` runs a round function with
+independent random streams and aggregates the named quantities it returns;
+every experiment that reports mean ± std builds its numbers from that
+aggregate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Union
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -42,18 +43,18 @@ def aggregate_values(values: Sequence[float]) -> AggregateResult:
     return AggregateResult(mean=float(array.mean()), std=float(array.std()), values=tuple(values))
 
 
-RoundFn = Callable[[np.random.Generator, int], Union[float, Dict[str, float]]]
+RoundFn = Callable[[np.random.Generator, int], Dict[str, float]]
 
 
 class RepeatedRounds:
     """Run a round function ``n_rounds`` times with independent seeds and aggregate.
 
-    The round function receives ``(rng, round_index)`` and returns either a
-    scalar or a ``{name: value}`` dictionary; dictionaries are aggregated key
-    by key.
+    The round function receives ``(rng, round_index)`` and returns a
+    ``{name: value}`` dictionary; the values are aggregated name by name, in
+    the order the names first appear.
     """
 
-    def __init__(self, n_rounds: int = 5, seed: RandomState = None) -> None:
+    def __init__(self, n_rounds: int, seed: RandomState) -> None:
         if n_rounds <= 0:
             raise DataError(f"n_rounds must be positive, got {n_rounds}")
         self.n_rounds = int(n_rounds)
@@ -64,11 +65,6 @@ class RepeatedRounds:
         rngs = spawn_rngs(self.seed, self.n_rounds)
         collected: Dict[str, List[float]] = {}
         for round_index, rng in enumerate(rngs):
-            outcome = round_fn(rng, round_index)
-            if isinstance(outcome, dict):
-                items = outcome.items()
-            else:
-                items = [("value", float(outcome))]
-            for key, value in items:
+            for key, value in round_fn(rng, round_index).items():
                 collected.setdefault(key, []).append(float(value))
         return {key: aggregate_values(values) for key, values in collected.items()}

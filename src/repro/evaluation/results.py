@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -15,10 +15,8 @@ from repro.exceptions import DataError
 class MethodResult:
     """Outcome of one method on one scenario (single round)."""
 
-    method: str
     accuracy: float
-    predictions: Optional[np.ndarray] = None
-    extra: Dict[str, float] = field(default_factory=dict)
+    predictions: np.ndarray
 
 
 class ResultTable:
@@ -46,15 +44,6 @@ class ResultTable:
     @property
     def rows(self) -> List[Dict[str, object]]:
         return [dict(row) for row in self._rows]
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def column(self, name: str) -> List[object]:
-        """All values of one column, in row order."""
-        if name not in self.columns:
-            raise KeyError(name)
-        return [row[name] for row in self._rows]
 
     # ------------------------------------------------------------------ #
     @staticmethod

@@ -61,7 +61,7 @@ def run(
     settings = settings or ExperimentSettings.default()
     rng = resolve_rng(settings.seed)
     dataset = make_dataset(settings, rng=rng)
-    runner = ExperimentRunner(settings.config, keep_learners=True)
+    runner = ExperimentRunner(settings.config)
     comparison = runner.run_scenario(
         dataset,
         int(new_activity),

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.activities import Activity
+from repro.data.streams import build_incremental_scenario
 from repro.evaluation.protocol import AggregateResult, RepeatedRounds
 from repro.evaluation.runner import ExperimentRunner
 from repro.experiments.common import ExperimentSettings, make_dataset
@@ -87,17 +88,10 @@ def run(
     settings = settings or ExperimentSettings.default()
     exemplar_counts = [int(c) for c in exemplar_counts]
     runner = ExperimentRunner(settings.config)
-    collected: Dict[str, Dict[str, List[List[float]]]] = {
-        strategy: {method: [[] for _ in exemplar_counts] for method in runner.methods}
-        for strategy in strategies
-    }
-
     protocol = RepeatedRounds(settings.n_rounds, seed=settings.seed)
 
     def one_round(rng: np.random.Generator, round_index: int) -> Dict[str, float]:
         dataset = make_dataset(settings, rng=rng)
-        from repro.data.streams import build_incremental_scenario
-
         scenario = build_incremental_scenario(dataset, [int(new_activity)], rng=rng)
         pretrained = runner.pretrain(
             scenario, exemplars_per_class=max(exemplar_counts), rng=rng
@@ -113,21 +107,19 @@ def run(
                     rng=rng,
                 )
                 for method, result in comparison.methods.items():
-                    collected[strategy][method][position].append(result.accuracy)
-                    outputs[f"{strategy}/{method}/{count}"] = result.accuracy
+                    outputs[f"{strategy}/{method}/{position}"] = result.accuracy
         logger.info("figure6 round %d finished", round_index)
         return outputs
 
-    protocol.run(one_round)
-
-    series: Dict[str, Dict[str, List[AggregateResult]]] = {}
-    for strategy, methods in collected.items():
-        series[strategy] = {}
-        for method, per_count in methods.items():
-            series[strategy][method] = [
-                AggregateResult(
-                    mean=float(np.mean(values)), std=float(np.std(values)), values=tuple(values)
-                )
-                for values in per_count
+    aggregates = protocol.run(one_round)
+    series = {
+        strategy: {
+            method: [
+                aggregates[f"{strategy}/{method}/{position}"]
+                for position in range(len(exemplar_counts))
             ]
+            for method in runner.methods
+        }
+        for strategy in strategies
+    }
     return Figure6Result(exemplar_counts=exemplar_counts, series=series)

@@ -68,9 +68,6 @@ def run(
     settings = settings or ExperimentSettings.default()
     sample_counts = [int(c) for c in sample_counts]
     runner = ExperimentRunner(settings.config)
-    collected: Dict[str, List[List[float]]] = {
-        method: [[] for _ in sample_counts] for method in runner.methods
-    }
     protocol = RepeatedRounds(settings.n_rounds, seed=settings.seed)
 
     def one_round(rng: np.random.Generator, round_index: int) -> Dict[str, float]:
@@ -88,19 +85,13 @@ def run(
                 rng=rng,
             )
             for method, result in comparison.methods.items():
-                collected[method][position].append(result.accuracy)
-                outputs[f"{method}/{count}"] = result.accuracy
+                outputs[f"{method}/{position}"] = result.accuracy
         logger.info("figure7 round %d finished", round_index)
         return outputs
 
-    protocol.run(one_round)
+    aggregates = protocol.run(one_round)
     series = {
-        method: [
-            AggregateResult(
-                mean=float(np.mean(values)), std=float(np.std(values)), values=tuple(values)
-            )
-            for values in per_count
-        ]
-        for method, per_count in collected.items()
+        method: [aggregates[f"{method}/{position}"] for position in range(len(sample_counts))]
+        for method in runner.methods
     }
     return Figure7Result(sample_counts=sample_counts, series=series)

@@ -11,13 +11,14 @@ accuracy and backward transfer.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.baselines.base import clone_pretrained
 from repro.core.pilote import PILOTE
 from repro.data.activities import Activity
 from repro.data.dataset import train_val_test_split
+from repro.evaluation.runner import INCREMENTS
 from repro.experiments.common import ExperimentSettings, make_dataset
 from repro.metrics.classification import accuracy
 from repro.metrics.forgetting import average_incremental_accuracy, backward_transfer
@@ -74,7 +75,7 @@ def run(
 
     base_ids = [int(a) for a in base_classes]
     increment_ids = [int(a) for a in increment_order]
-    methods = {"pilote": None, "re-trained": None}
+    methods = ("pilote", "re-trained")
 
     # Shared pre-training on the base classes.
     base_learner = PILOTE(settings.config, seed=rng)
@@ -83,12 +84,7 @@ def run(
         splits.validation.select_classes(base_ids),
         exemplars_per_class=settings.exemplars_per_class,
     )
-    learners: Dict[str, PILOTE] = {}
-    for method in methods:
-        learner = clone_pretrained(base_learner)
-        if method == "re-trained":
-            learner.config = learner.config.with_overrides(alpha=0.0)
-        learners[method] = learner
+    learners = {method: copy.deepcopy(base_learner) for method in methods}
 
     step_classes: List[List[int]] = []
     step_accuracy: Dict[str, List[float]] = {m: [] for m in methods}
@@ -111,8 +107,8 @@ def run(
     for class_id in increment_ids:
         new_train = splits.train.select_classes([class_id])
         new_validation = splits.validation.select_classes([class_id])
-        for learner in learners.values():
-            learner.learn_new_classes(new_train, new_validation)
+        for method, learner in learners.items():
+            INCREMENTS[method](learner, new_train, new_validation)
         seen = seen + [class_id]
         record(seen)
 

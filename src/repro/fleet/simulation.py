@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.pilote import PILOTE
+from repro.data.activities import Activity
 from repro.data.streams import build_incremental_scenario
 from repro.edge.transfer import package_for_edge
-from repro.evaluation.scenarios import FLEET_SCENARIO, FleetScenarioSpec
 from repro.exceptions import ConfigurationError
 from repro.experiments.common import ExperimentSettings, make_dataset
 from repro.fleet.checkpoint import CheckpointStore
@@ -52,6 +52,36 @@ DEFAULT_REGIONS = 64
 #: increment and are therefore materialised).  Spread evenly over the id
 #: range; device 0 is always included so the checkpoint probe runs.
 HIERARCHICAL_DRIFT_DEVICES = 16
+
+
+@dataclass(frozen=True)
+class FleetScenarioSpec:
+    """A fleet-level serving scenario (beyond the paper's single device).
+
+    One cloud broadcast is deployed to ``n_devices`` edge devices; an
+    open-loop traffic stream is sharded across them by user id, and each
+    device integrates the held-out activity at its own staggered tick with
+    its own share of the new-class data.  The reported quantity is the
+    per-device accuracy divergence after the staggered increments, alongside
+    the fleet's routing statistics.
+    """
+
+    n_devices: int
+    new_classes: Tuple[Activity, ...]
+    traffic_pattern: str = "zipf"
+    n_users: int = 512
+    requests_per_tick: int = 128
+    n_ticks: int = 12
+    stagger_start_tick: int = 1
+    stagger_spacing_ticks: int = 1
+    min_increment_fraction: float = 0.4
+    #: Serving-client routing policy ("hash", "least-loaded" or "p2c");
+    #: overridable from the CLI via ``pilote fleet-sim --routing ...``.
+    routing_policy: str = "hash"
+
+
+#: 8 devices, Zipf-skewed users, staggered arrival of 'Run'.
+FLEET_SCENARIO = FleetScenarioSpec(n_devices=8, new_classes=(Activity.RUN,))
 
 
 def _peak_rss_bytes() -> int:

@@ -22,10 +22,10 @@ import numpy as np
 
 from repro.data.streams import build_incremental_scenario
 from repro.edge.magneto import MagnetoPlatform
-from repro.evaluation.scenarios import FLEET_SCENARIO
 from repro.exceptions import ConfigurationError
 from repro.experiments.common import ExperimentSettings, make_dataset
 from repro.fleet.coordinator import FleetCoordinator
+from repro.fleet.simulation import FLEET_SCENARIO
 from repro.fleet.traffic import TrafficGenerator, WorkloadSpec
 from repro.serving.client import serve
 from repro.utils.logging import get_logger

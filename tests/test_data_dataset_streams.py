@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.data.activities import Activity
-from repro.data.dataset import HARDataset, train_val_test_split
+from repro.data.dataset import (
+    TEST_FRACTION,
+    VALIDATION_FRACTION,
+    HARDataset,
+    train_val_test_split,
+)
 from repro.data.streams import build_incremental_scenario
 from repro.exceptions import DataError
 
@@ -72,10 +77,11 @@ class TestHARDataset:
 class TestSplits:
     def test_paper_split_proportions(self):
         dataset = _dataset(n_per_class=50)
-        splits = train_val_test_split(dataset, test_fraction=0.3, validation_fraction=0.2, rng=0)
+        splits = train_val_test_split(dataset, rng=0)
         train_n, val_n, test_n = (
             splits.train.n_samples, splits.validation.n_samples, splits.test.n_samples
         )
+        assert (TEST_FRACTION, VALIDATION_FRACTION) == (0.3, 0.2)
         assert train_n + val_n + test_n == dataset.n_samples
         assert abs(test_n - 0.3 * dataset.n_samples) <= 4
         assert abs(val_n - 0.2 * 0.7 * dataset.n_samples) <= 4
@@ -86,26 +92,24 @@ class TestSplits:
         for part in (splits.train, splits.validation, splits.test):
             assert set(part.classes.tolist()) == {0, 1, 2, 3}
 
-    @pytest.mark.parametrize("test_fraction, validation_fraction",
-                             [(0.3, 0.2), (0.5, 0.0), (0.1, 0.5)])
-    def test_every_class_is_cut_by_the_fractions(self, test_fraction, validation_fraction):
-        sizes = {0: 40, 1: 13, 2: 7}
+    @pytest.mark.parametrize("size, cuts", [
+        (13, [7, 2, 4]),
+        (7, [4, 1, 2]),
+        (5, [2, 1, 2]),
+    ])
+    def test_every_class_is_cut_by_the_paper_fractions(self, size, cuts):
+        """Each class loses round(0.3 n) rows to test, then round(0.2 (n - test))
+        to validation, on its own; a 40-row class beside it keeps 22/6/12."""
+        sizes = {0: 40, 1: size}
         dataset = HARDataset(
-            features=np.arange(60.0).reshape(-1, 1),
+            features=np.arange(40.0 + size).reshape(-1, 1),
             labels=np.repeat(list(sizes), list(sizes.values())),
         )
-        splits = train_val_test_split(dataset, test_fraction=test_fraction,
-                                      validation_fraction=validation_fraction, rng=3)
-        for class_id, size in sizes.items():
-            test = int(round(test_fraction * size))
-            validation = int(round(validation_fraction * (size - test)))
+        splits = train_val_test_split(dataset, rng=3)
+        for class_id, expected in ((0, [22, 6, 12]), (1, cuts)):
             counts = [int((part.labels == class_id).sum())
                       for part in (splits.train, splits.validation, splits.test)]
-            if validation_fraction == 0.0 and class_id == 0:
-                # an empty validation set borrows one training row
-                assert counts == [size - test - 1, 1, test]
-            else:
-                assert counts == [size - test - validation, validation, test]
+            assert counts == expected
 
     def test_partitions_are_disjoint(self):
         dataset = _dataset(n_per_class=20)
@@ -121,17 +125,13 @@ class TestSplits:
         second = train_val_test_split(dataset, rng=5)
         assert np.allclose(first.test.features, second.test.features)
 
-    def test_invalid_fractions(self):
-        dataset = _dataset()
-        with pytest.raises(DataError):
-            train_val_test_split(dataset, test_fraction=0.0)
-        with pytest.raises(DataError):
-            train_val_test_split(dataset, validation_fraction=1.0)
-
     def test_validation_never_empty(self):
         dataset = _dataset(n_per_class=3)
-        splits = train_val_test_split(dataset, validation_fraction=0.0, rng=0)
-        assert splits.validation.n_samples >= 1
+        # 3 rows a class: 1 to test, round(0.4) = 0 to validation, so the
+        # empty validation set borrows one training row.
+        splits = train_val_test_split(dataset, rng=0)
+        assert splits.validation.n_samples == 1
+        assert splits.train.n_samples == 4 * 2 - 1
 
 
 class TestIncrementalScenario:

@@ -8,11 +8,6 @@ from repro.data.activities import Activity
 from repro.evaluation.protocol import AggregateResult, RepeatedRounds, aggregate_values
 from repro.evaluation.results import MethodResult, ResultTable
 from repro.evaluation.runner import PAPER_METHODS, ExperimentRunner
-from repro.evaluation.scenarios import (
-    FIGURE6_SCENARIO,
-    FIGURE7_SCENARIO,
-    TABLE2_SCENARIOS,
-)
 from repro.exceptions import ConfigurationError, DataError
 
 
@@ -28,11 +23,6 @@ class TestProtocol:
         with pytest.raises(DataError):
             aggregate_values([])
 
-    def test_repeated_rounds_scalar(self):
-        protocol = RepeatedRounds(n_rounds=4, seed=0)
-        results = protocol.run(lambda rng, index: float(index))
-        assert results["value"].mean == pytest.approx(1.5)
-
     def test_repeated_rounds_dict_and_reproducibility(self):
         def round_fn(rng, index):
             return {"a": float(rng.normal()), "b": 1.0}
@@ -43,12 +33,27 @@ class TestProtocol:
         assert first["b"].mean == pytest.approx(1.0)
 
     def test_rounds_use_independent_streams(self):
-        values = RepeatedRounds(3, seed=1).run(lambda rng, index: float(rng.normal()))
-        assert len(set(values["value"].values)) == 3
+        values = RepeatedRounds(3, seed=1).run(lambda rng, index: {"x": float(rng.normal())})
+        assert len(set(values["x"].values)) == 3
+
+    def test_aggregates_keep_first_appearance_order(self):
+        def round_fn(rng, index):
+            return {"b": float(index), "a": 2.0 * index}
+
+        results = RepeatedRounds(4, seed=0).run(round_fn)
+        assert list(results) == ["b", "a"]
+        assert results["b"].mean == pytest.approx(1.5)
+        assert results["a"].values == (0.0, 2.0, 4.0, 6.0)
 
     def test_invalid_rounds(self):
         with pytest.raises(DataError):
-            RepeatedRounds(0)
+            RepeatedRounds(0, seed=0)
+
+    def test_round_count_and_seed_are_required(self):
+        with pytest.raises(TypeError):
+            RepeatedRounds()
+        with pytest.raises(TypeError):
+            RepeatedRounds(3)
 
 
 class TestResultTable:
@@ -59,53 +64,22 @@ class TestResultTable:
         text = table.to_text()
         assert "Table 2" in text
         assert "Run" in text and "±" in text and "0.9193" in text
-        assert len(table) == 2
+        assert [row["new_class"] for row in table.rows] == ["Run", "Walk"]
 
     def test_missing_column_raises(self):
         table = ResultTable("t", columns=["a", "b"])
         with pytest.raises(DataError):
             table.add_row(a=1.0)
 
-    def test_column_access(self):
-        table = ResultTable("t", columns=["a"])
-        table.add_row(a=1.0)
-        table.add_row(a=2.0)
-        assert table.column("a") == [1.0, 2.0]
-        with pytest.raises(KeyError):
-            table.column("missing")
-
     def test_empty_columns_rejected(self):
         with pytest.raises(DataError):
             ResultTable("t", columns=[])
 
 
-class TestScenarioSpecs:
-    def test_table2_has_five_scenarios(self):
-        assert len(TABLE2_SCENARIOS) == 5
-        held_out = {spec.new_classes[0] for spec in TABLE2_SCENARIOS}
-        assert held_out == set(Activity)
-
-    def test_figure6_sweeps_exemplars(self):
-        assert FIGURE6_SCENARIO.sweep_name == "exemplars_per_class"
-        assert 200 in FIGURE6_SCENARIO.sweep_values
-        assert set(FIGURE6_SCENARIO.exemplar_strategies) == {"herding", "random"}
-
-    def test_figure7_sweeps_new_class_samples(self):
-        assert FIGURE7_SCENARIO.sweep_name == "new_class_samples"
-        assert FIGURE7_SCENARIO.exemplars_per_class == 200
-
-    def test_fleet_scenario_shape(self):
-        from repro.evaluation.scenarios import FLEET_SCENARIO
-
-        assert FLEET_SCENARIO.n_devices == 8
-        assert FLEET_SCENARIO.traffic_pattern == "zipf"
-        assert Activity.RUN in FLEET_SCENARIO.new_classes
-
-
 class TestExperimentRunner:
     @pytest.fixture(scope="class")
     def comparison(self, har_dataset, tiny_config):
-        runner = ExperimentRunner(tiny_config, keep_learners=True)
+        runner = ExperimentRunner(tiny_config)
         return runner.run_scenario(
             har_dataset, int(Activity.RUN), exemplars_per_class=10, rng=3
         )
@@ -123,9 +97,11 @@ class TestExperimentRunner:
         methods = comparison.methods
         assert methods["pilote"].accuracy >= methods["pre-trained"].accuracy - 0.05
 
-    def test_learners_kept_when_requested(self, comparison):
+    def test_learners_always_returned(self, comparison):
         assert set(comparison.learners) == set(PAPER_METHODS)
-        assert comparison.pretrained_learner is not None
+        new_class = comparison.scenario.new_classes[0]
+        for learner in comparison.learners.values():
+            assert new_class in learner.classes_
 
     def test_summary_matches_methods(self, comparison):
         summary = comparison.summary()
@@ -145,7 +121,7 @@ class TestExperimentRunner:
     def test_new_class_sample_cap_is_applied(self, har_dataset, tiny_config):
         from repro.data.streams import build_incremental_scenario
 
-        runner = ExperimentRunner(tiny_config, methods=("pilote",), keep_learners=True)
+        runner = ExperimentRunner(tiny_config, methods=("pilote",))
         scenario = build_incremental_scenario(har_dataset, [int(Activity.WALK)], rng=0)
         assert scenario.new_train.n_samples > 5
         result = runner.compare(

@@ -47,7 +47,7 @@ class TestTable2:
         )
 
     def test_rows_and_columns(self, result):
-        assert len(result.table) == 2
+        assert [row["new_class"] for row in result.table.rows] == ["Run", "Still"]
         assert result.table.columns == ["new_class", "pre-trained", "re-trained", "pilote"]
         assert set(result.per_scenario) == {"Run", "Still"}
 
@@ -181,6 +181,26 @@ class TestFigure7:
     def test_to_text(self, result):
         assert "new-class" in result.to_text()
 
+    def test_sweep_points_are_keyed_by_position(self):
+        """A repeated sample count is a second draw, not an overwrite of the first."""
+        settings = ExperimentSettings(
+            samples_per_class=60,
+            n_rounds=2,
+            config=QUICK.config,
+            exemplars_per_class=10,
+            seed=11,
+        )
+        single = figure7.run(settings, sample_counts=(10,))
+        repeated = figure7.run(settings, sample_counts=(10, 10))
+        assert repeated.sample_counts == [10, 10]
+        for method, aggregates in repeated.series.items():
+            assert len(aggregates) == 2
+            assert aggregates[0].values == single.series[method][0].values
+        # the pre-trained model's new-class prototype is the mean of the draw,
+        # so a second draw moves its accuracy
+        pretrained = repeated.series["pre-trained"]
+        assert pretrained[1].values != pretrained[0].values
+
 
 class TestEdgeResources:
     @pytest.fixture(scope="class")
@@ -225,9 +245,25 @@ class TestAblations:
 
     def test_tables_present(self, result):
         assert set(result.tables) == {"alpha", "margin", "variant"}
-        assert len(result.tables["alpha"]) == 2
-        assert len(result.tables["variant"]) == 2
+        assert [row["alpha"] for row in result.tables["alpha"].rows] == ["0", "0.5"]
+        # rows are in sorted string order, not sweep order
+        assert [row["variant"] for row in result.tables["variant"].rows] == ["hadsell", "squared"]
 
     def test_to_text(self, result):
         text = result.to_text()
         assert "Ablation" in text and "α" in text
+
+    def test_a_repeated_setting_gets_its_own_row_and_an_empty_sweep_no_table(self):
+        settings = ExperimentSettings(
+            samples_per_class=60,
+            n_rounds=1,
+            config=QUICK.config,
+            exemplars_per_class=10,
+            seed=11,
+        )
+        result = ablations.run(settings, alphas=(0.5, 0.5), margins=(), variants=())
+        assert list(result.tables) == ["alpha"]
+        first, second = result.tables["alpha"].rows
+        assert first["alpha"] == second["alpha"] == "0.5"
+        # both points train a copy of the same pre-trained learner
+        assert first["accuracy"].values == second["accuracy"].values

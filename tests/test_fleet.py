@@ -7,7 +7,6 @@ from repro.core.config import PiloteConfig
 from repro.data.activities import Activity
 from repro.edge.device import DEVICE_PROFILES
 from repro.edge.transfer import package_for_edge
-from repro.evaluation.scenarios import FleetScenarioSpec
 from repro.exceptions import (
     ConfigurationError,
     DataError,
@@ -22,6 +21,7 @@ from repro.fleet import (
     staggered_schedule,
 )
 from repro.fleet import simulation as fleet_simulation
+from repro.fleet.simulation import FLEET_SCENARIO, FleetScenarioSpec
 from repro.serving import HashRouting, PredictRequest, serve
 from repro.utils.rng import resolve_rng
 
@@ -333,6 +333,11 @@ class TestCheckpointStore:
 
 
 class TestFleetSimulation:
+    def test_fleet_scenario_shape(self):
+        assert FLEET_SCENARIO.n_devices == 8
+        assert FLEET_SCENARIO.traffic_pattern == "zipf"
+        assert Activity.RUN in FLEET_SCENARIO.new_classes
+
     def test_tiny_end_to_end_run(self):
         settings = ExperimentSettings(
             samples_per_class=40,
@@ -346,8 +351,6 @@ class TestFleetSimulation:
             seed=0,
         )
         scenario = FleetScenarioSpec(
-            experiment_id="fleet-test",
-            description="tiny two-device simulation",
             n_devices=2,
             new_classes=(Activity.RUN,),
             traffic_pattern="uniform",
@@ -382,8 +385,6 @@ class TestFleetSimulation:
             seed=0,
         )
         scenario = FleetScenarioSpec(
-            experiment_id="fleet-determinism",
-            description="overloaded four-device deadline run",
             n_devices=4,
             new_classes=(Activity.RUN,),
             traffic_pattern="zipf",

@@ -36,11 +36,11 @@ from repro.autodiff.gradcheck import check_gradients
 from repro.autodiff.primitives import batch_norm_eval_constants
 from repro.autodiff.tensor import Tensor, no_grad
 from repro.backend import get_backend, precision
-from repro.baselines.retrained import RetrainedBaseline
 from repro.core.embedding import EmbeddingNetwork
 from repro.core.pairs import PairBatch, PairSampler, upper_triangle
 from repro.core.pilote import PILOTE
 from repro.edge.transfer import package_for_edge
+from repro.evaluation.runner import retrained_increment
 from repro.exceptions import DataError, ShapeError
 from repro.nn.layers import EPSILON, BatchNorm1d, Linear
 from repro.nn.losses import ContrastiveLoss, DistillationLoss
@@ -822,14 +822,13 @@ class TestDispatchCount:
             run_scenario.new_train, run_scenario.new_validation))
 
     def test_the_retrained_baseline_dispatches_one_op_a_step_and_validation_none(
-        self, pretrained_pilote, run_scenario, monkeypatch
+        self, pilote_copy, run_scenario, monkeypatch
     ):
         """Table 2's Re-trained strategy (PILOTE with α = 0) trains through
         the same one-op step."""
-        baseline = RetrainedBaseline(pretrained=pretrained_pilote)
-        self._assert_one_per_step(monkeypatch, lambda: baseline.learn_increment(
-            run_scenario.new_train, run_scenario.new_validation))
-        assert baseline.learner.config.alpha == 0.0
+        self._assert_one_per_step(monkeypatch, lambda: retrained_increment(
+            pilote_copy, run_scenario.new_train, run_scenario.new_validation))
+        assert pilote_copy.config.alpha == 0.0
 
 
 # --------------------------------------------------------------------------- #
