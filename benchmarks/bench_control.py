@@ -1,24 +1,19 @@
-"""Benchmarks of the self-tuning control plane (`repro.control`).
+"""Benchmarks of the control plane (`repro.control`).
 
-Three gates, all on a serving-only learner (no gradient training, so the
+Two gates, both on a serving-only learner (no gradient training, so the
 measurements isolate the serving and control layers):
 
 1. **Adaptive beats every static config under chaos** — a Zipf stream at
    ~4x overload with a mid-run worker-death storm on half the fleet, run
    through every static ``{fifo,edf} x {hash,p2c}`` config and through the
-   adaptive stack (edf + p2c + load-shedding + hedged requests).  The
+   adaptive stack (edf + p2c + hedged requests).  The
    adaptive client must answer a strictly larger fraction of the stream
    within deadline than the *best* static config, by a CI-gated margin.
    The run uses the serial executor's simulated clock and sets deadlines
    from its service time of one lane's per-tick batch
    (:func:`~repro.serving.scheduler.service_seconds`), so the result is
    the same on every machine.
-2. **Autoscaler elasticity without lost batches** — a bursty stream on the
-   process executor: the autoscaler must grow the worker pool during the
-   burst, shrink it back when traffic quiets (respecting cooldown), and
-   every submitted request must still resolve successfully — resizes land
-   between rounds (drain-then-retire), never dropping an in-flight batch.
-3. **Chaos suite exactly-once** — every registered chaos scenario, run in
+2. **Chaos suite exactly-once** — every registered chaos scenario, run in
    both adaptive and static mode, must satisfy the exactly-once ledger:
    ``sent == answered + failed`` with zero unresolved futures, zero
    double-fired callbacks, and server-side conservation including hedges.
@@ -36,13 +31,7 @@ import numpy as np
 
 from bench_fleet import N_FEATURES, build_fleet, make_serving_learner
 from repro.backend import precision
-from repro.control import (
-    CHAOS_SCENARIOS,
-    ControlPlane,
-    FlakyDevice,
-    PoolAutoscaler,
-    run_suite,
-)
+from repro.control import CHAOS_SCENARIOS, FlakyDevice, run_suite
 from repro.edge.transfer import package_for_edge
 from repro.fleet import TrafficGenerator, WorkloadSpec
 from repro.serving import serve
@@ -63,7 +52,7 @@ N_TICKS = 12
 #: Worker-death storm: half the fleet fails fast for the middle third of
 #: the run.  A dead lane looks idle to load-based routing (it drains
 #: instantly by failing), so static p2c keeps feeding it — the
-#: failure-vortex the hedging controller's unhealthy-lane signal breaks.
+#: failure-vortex the hedger's unhealthy-lane signal breaks.
 STORM_TICKS = frozenset(range(4, 8))
 STORM_DEVICES = (0, 1)
 
@@ -126,7 +115,6 @@ def _run_chaos_config(package, pool, batch_service, scheduling, routing, adaptiv
         "attainment": in_deadline / sent,
         "failed": int(rep.total_failed),
         "expired": int(rep.total_expired),
-        "shed": int(rep.total_shed),
         "cancelled": int(rep.total_cancelled),
         "hedges_fired": int(hedges),
     }
@@ -167,7 +155,7 @@ def test_adaptive_beats_static_under_chaos(report):
         lines.append(
             f"  {label:22s} {row['in_deadline']:5d} in deadline "
             f"({row['attainment']:7.2%})   failed {row['failed']:4d}   "
-            f"expired {row['expired']:4d}   shed {row['shed']:4d}   "
+            f"expired {row['expired']:4d}   "
             f"hedges {row['hedges_fired']:4d}"
         )
     lines.append(
@@ -194,82 +182,6 @@ def test_adaptive_beats_static_under_chaos(report):
     )
     # The storm actually bit: static configs lost requests to dying lanes.
     assert best_static["failed"] > 0 or min(r["failed"] for r in rows) > 0
-
-
-def test_autoscaler_elastic_without_lost_batches(report):
-    """The autoscaler grows the process pool under burst, shrinks it when
-    quiet, and never loses an in-flight batch across resizes."""
-    with precision("edge"):
-        package = package_for_edge(make_serving_learner())
-        pool = np.random.default_rng(5).normal(size=(2048, N_FEATURES))
-        fleet = build_fleet(package, N_DEVICES)
-        reference = fleet.devices[0].infer(pool[:256])  # serial ground truth
-        client = serve(fleet, routing="hash", seed=7, executor="process", workers=1)
-        scaler = PoolAutoscaler(
-            high_queue_per_worker=32.0, low_queue_per_worker=4.0, cooldown_ticks=1
-        )
-        ControlPlane(client, [scaler])
-        executor = client.scheduler.executor
-        futures = []
-        sizes = []
-        try:
-            assert executor.n_workers == 1
-            for _ in range(3):  # burst: 256 requests per wave
-                futures.extend(
-                    client.submit_many(
-                        [
-                            _predict_request(u, pool[u % 256])
-                            for u in range(256)
-                        ]
-                    )
-                )
-                sizes.append(executor.n_workers)
-                client.drain()
-            grown = max(sizes)
-            for _ in range(8):  # quiet: trickle waves
-                futures.extend(
-                    client.submit_many([_predict_request(0, pool[0])])
-                )
-                client.drain()
-                sizes.append(executor.n_workers)
-            shrunken = sizes[-1]
-            results = [future.result() for future in futures]  # raises if lost
-        finally:
-            client.close()
-
-    stats = scaler.stats()
-    report(
-        "bench_control_autoscaler",
-        f"process-pool autoscaling over a burst-then-quiet stream "
-        f"({len(futures)} requests, {N_DEVICES} lanes)\n"
-        f"  pool size trace:     {sizes}\n"
-        f"  grew to:             {grown} workers during the burst\n"
-        f"  shrank to:           {shrunken} workers when quiet\n"
-        f"  resize actions:      {stats['actions']} "
-        f"({stats['scale_ups']} up, {stats['scale_downs']} down)\n"
-        f"  lost batches:        0 (all {len(futures)} futures answered)",
-        data={
-            "sizes": sizes,
-            "grown": grown,
-            "shrunken": shrunken,
-            **{k: v for k, v in stats.items() if k != "last"},
-        },
-    )
-    assert grown > 1, "the burst must grow the pool"
-    assert shrunken < grown, "quiet traffic must shrink the pool back"
-    assert stats["scale_ups"] >= 1 and stats["scale_downs"] >= 1
-    # Cooldown + hysteresis bound the churn well below one resize per wave.
-    assert stats["actions"] <= 6
-    assert len(results) == len(futures)
-    # Answers across every pool size match the serial ground truth.
-    for index in range(256):
-        assert results[index].class_ids[0] == reference[index]
-
-
-def _predict_request(user_id, features):
-    from repro.serving import PredictRequest
-
-    return PredictRequest(user_id=user_id, features=features)
 
 
 def test_chaos_suite_exactly_once(report):
@@ -314,6 +226,5 @@ if __name__ == "__main__":
         return name
 
     test_adaptive_beats_static_under_chaos(_report)
-    test_autoscaler_elastic_without_lost_batches(_report)
     test_chaos_suite_exactly_once(_report)
     print("\nall control benchmarks passed")

@@ -1,13 +1,13 @@
-"""Tour of the self-tuning control plane: shedding, hedging, autoscaling, chaos.
+"""Tour of the control plane: hedged requests and the chaos suite.
 
-One pre-built serving fleet is driven through the control stack
+One pre-built serving fleet is driven through the control plane
 (:mod:`repro.control`) four ways:
 
-1. the one-liner — ``serve(fleet, adaptive=True)`` attaches the default
-   controller stack (load-shedder, hedged requests on multi-device fleets,
-   pool autoscaler on resizable executors);
-2. a hand-built :class:`~repro.control.ControlPlane` with tuned controllers,
-   and the rolling signal window they all read
+1. the one-liner — ``serve(fleet, adaptive=True)`` attaches a
+   :class:`~repro.control.ControlPlane`, which hedges requests on
+   multi-device fleets;
+2. a :class:`~repro.control.ControlPlane` attached by hand to a built
+   client, its hedger, and the recent-failure window it reads
    (:class:`~repro.control.SignalBus`);
 3. an overloaded Zipf stream with a mid-run worker-death storm, run twice —
    static vs adaptive — showing the hedged-request escape from a dying lane
@@ -18,8 +18,8 @@ One pre-built serving fleet is driven through the control stack
 
 The same machinery runs from the CLI: ``pilote chaos`` executes the whole
 scenario suite in both modes, ``pilote fleet-sim --adaptive`` runs the
-fleet simulation with the default stack attached, and the network server
-(``pilote serve-net``) exposes each controller's counters in its ``stats``
+fleet simulation with a plane attached, and the network server
+(``pilote serve-net``) exposes the plane's counters in its ``stats``
 frame once the bridged client has a plane attached.
 
 Run with::
@@ -33,9 +33,6 @@ from repro.control import (
     ChaosSpec,
     ControlPlane,
     FlakyDevice,
-    HedgedRequests,
-    LoadShedder,
-    PoolAutoscaler,
     run_chaos,
 )
 from repro.fleet import TrafficGenerator, WorkloadSpec
@@ -48,33 +45,29 @@ N_FEATURES = 80
 def main() -> None:
     pool = np.random.default_rng(3).normal(size=(2048, N_FEATURES)).astype(np.float32)
 
-    # 1. The one-liner: default controllers picked for the target.
+    # 1. The one-liner: serve() attaches the plane.
     client = serve(build_serving_fleet(4, seed=0), adaptive=True)
     stats = client.control_stats()
-    print(f"default stack for a 4-device fleet: {stats['controllers']}")
+    print(f"control plane on a 4-device fleet: {sorted(stats)}")
     client.close()
 
-    # 2. A hand-built plane: tuned controllers over the shared signal bus.
+    # 2. A plane attached by hand; the worker pool keeps its size.
     client = serve(
         build_serving_fleet(4, seed=0),
         routing="p2c", scheduling="edf", seed=0,
         executor="thread", workers=2,
     )
-    ControlPlane(
-        client,
-        [
-            LoadShedder(high_queue_per_lane=64.0, low_queue_per_lane=16.0),
-            HedgedRequests(slack_seconds=0.001, unhealthy_failures=1),
-            PoolAutoscaler(high_queue_per_worker=32.0, low_queue_per_worker=4.0),
-        ],
-        window=8,  # rolling signal window, in submission waves
+    plane = ControlPlane(client)
+    print(
+        f"hand-built plane: hedged pairs fired {plane.hedging.hedges.fired}, "
+        f"failure window {client.control_stats()['window']} submissions, "
+        f"{client.scheduler.executor.n_workers} workers"
     )
-    print(f"hand-built stack: {client.control_stats()['controllers']}")
     client.close()
 
     # 3. Overload + worker-death storm, static vs adaptive.  The dying
     # lane fails fast, looks idle, and keeps attracting p2c traffic; the
-    # hedging controller's unhealthy-lane signal breaks that vortex by
+    # hedger's unhealthy-lane signal breaks that vortex by
     # racing a clone on the healthy sibling — first completion wins.
     workload = WorkloadSpec(
         pattern="zipf", n_users=300, requests_per_tick=96, n_ticks=10,

@@ -46,17 +46,15 @@ herding and prototype-refresh wall-clock time, and
 :class:`repro.edge.profiler.EdgeProfiler` exports the same split.  On this
 scenario training takes nearly all of it.
 
-Self-tuning control
--------------------
+Control plane
+-------------
 
 Under overload or failures the serving stack can close the loop on its own
-SLO reports: ``serve(..., adaptive=True)`` attaches the default control
-stack from :mod:`repro.control` — load-shedding admission control, hedged
-requests that race a clone past a dying or backlogged lane, and an
-autoscaler that grows/shrinks worker pools from queue depth and rolling
-deadline attainment. ``examples/control_plane.py`` walks through the
-controllers and the chaos suite (``pilote chaos``) that proves no request
-is ever dropped or double-answered while they act.
+signals: ``serve(..., adaptive=True)`` attaches the control plane from
+:mod:`repro.control`, which hedges requests by racing a clone past a dying
+or backlogged lane.  ``examples/control_plane.py`` walks through the plane
+and the chaos suite (``pilote chaos``) that proves no request is ever
+dropped or double-answered while it acts.
 
 Network serving
 ---------------

@@ -1,7 +1,7 @@
 """R5 ``repro-lock-callback``: no user callbacks fired under a held lock.
 
-Invoking a user-supplied callback (``add_done_callback`` targets, controller
-``after_submit``/``after_drain`` hooks) while holding a lock hands the
+Invoking a user-supplied callback (``add_done_callback`` targets, the
+control plane's ``after_submit`` hook) while holding a lock hands the
 callback a chance to re-enter the serving API and deadlock on the same lock —
 the class of bug the scheduler and asyncio bridge dodged by careful design.
 This rule flags any call whose name looks like a user-callback invocation
@@ -50,7 +50,7 @@ def _is_lockish(expr: ast.expr) -> bool:
 class LockCallbackRule(Rule):
     rule_id = "repro-lock-callback"
     description = (
-        "no user-callback invocation (add_done_callback targets, controller "
+        "no user-callback invocation (add_done_callback targets, control-plane "
         "hooks) inside a `with <lock>:` block"
     )
     visits = (ast.With, ast.AsyncWith)

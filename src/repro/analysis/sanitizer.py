@@ -59,8 +59,9 @@ SCHEDULER_MUTATORS = (
 #: Methods that mutate a DeviceStats row beyond plain attribute assignment.
 STATS_MUTATORS: FrozenSet[str] = frozenset({"note_deadline"})
 
-#: SignalBus methods that mutate its rolling state.
-BUS_MUTATORS: FrozenSet[str] = frozenset({"observe_submit", "tick"})
+#: SignalBus methods that mutate its rolling state (``tick`` is a read-only
+#: property: listing it would hand readers a wrapper instead of the count).
+BUS_MUTATORS: FrozenSet[str] = frozenset({"observe_submit"})
 
 
 def sanitize_enabled() -> bool:

@@ -24,10 +24,10 @@ tractable.  ``pilote serve``
 answers one seeded workload through all three serving layers (bare learner,
 MAGNETO platform, fleet) over the unified :mod:`repro.serving` API.
 
-``pilote fleet-sim --adaptive`` attaches the self-tuning control plane
-(:mod:`repro.control`) to the simulation's serving client — load-shedding
-admission control, hedged requests, pool autoscaling — and reports each
-controller's counters; ``pilote chaos`` runs the failure-injection suite
+``pilote fleet-sim --adaptive`` attaches the control plane
+(:mod:`repro.control`) to the simulation's serving client — hedged
+requests onto sibling lanes — and reports its hedge and cancel
+counters; ``pilote chaos`` runs the failure-injection suite
 (worker-death storms, stragglers, mid-stream restart) in both adaptive and
 static mode and exits non-zero unless every run proves exactly-once
 delivery (``--chaos-scenario`` narrows it to one scenario).
@@ -227,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--adaptive",
         action="store_true",
-        help="attach the self-tuning control plane (load shedding, hedged "
-        "requests, pool autoscaling) to fleet-sim's serving client",
+        help="attach the control plane (hedged requests) to fleet-sim's "
+        "serving client",
     )
     parser.add_argument(
         "--chaos-scenario",

@@ -1,6 +1,6 @@
 """Hedged requests: fire a backup attempt when the chosen lane looks late.
 
-On every submitted wave the controller inspects the deadline-carrying
+On every submitted wave the hedger inspects the deadline-carrying
 requests that were queued (not rejected) and, for each one whose lane is
 *at risk* — its projected service start (queue-order aware, via
 ``EventLoopScheduler.projected_begin_for``) already lies past the deadline,
@@ -38,12 +38,17 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.control.plane import Controller
-from repro.control.signals import ControlSignals
-from repro.exceptions import ConfigurationError, RequestCancelledError, ServingError
+from repro.exceptions import RequestCancelledError, ServingError
 from repro.serving.protocol import PendingResult, PredictRequest
 
 __all__ = ["HedgedRequests", "HedgedResult", "HedgeStats"]
+
+#: Safety margin added to a projected begin before comparing it with the
+#: deadline (``0`` hedges only projected-certain misses).
+SLACK_SECONDS = 0.0
+
+#: Failures inside the signal window past which a lane counts as unhealthy.
+UNHEALTHY_FAILURES = 1
 
 
 @dataclass
@@ -206,49 +211,27 @@ class HedgedResult(PendingResult):
         return self._winner.result()
 
 
-class HedgedRequests(Controller):
-    """Submit-hook controller wrapping at-risk futures in hedged pairs.
+class HedgedRequests:
+    """Wraps a queued wave's at-risk futures in hedged pairs.
 
-    Every at-risk request gets at most one hedge.
-
-    Parameters
-    ----------
-    slack_seconds:
-        Safety margin added to the projected begin before comparing with
-        the deadline (``0`` hedges only projected-certain misses).
-    unhealthy_failures:
-        Failures inside the signal window past which a lane counts as
-        unhealthy (triggering hedges away from it regardless of its
-        projected begin, which a fail-fast lane under-reports).
+    Every at-risk request gets at most one hedge.  A request is at risk
+    when its projected begin plus :data:`SLACK_SECONDS` passes its deadline,
+    or when its lane failed at least :data:`UNHEALTHY_FAILURES` requests
+    inside the signal window (a fail-fast lane under-reports its projected
+    begin).
     """
 
-    name = "hedging"
-
-    def __init__(
-        self,
-        *,
-        slack_seconds: float = 0.0,
-        unhealthy_failures: int = 1,
-    ) -> None:
-        if slack_seconds < 0.0:
-            raise ConfigurationError(
-                f"slack_seconds must be >= 0, got {slack_seconds}"
-            )
-        if unhealthy_failures <= 0:
-            raise ConfigurationError(
-                f"unhealthy_failures must be positive, got {unhealthy_failures}"
-            )
-        self.slack_seconds = float(slack_seconds)
-        self.unhealthy_failures = int(unhealthy_failures)
-        #: Exactly-once ledger over every pair this controller fired.
+    def __init__(self, scheduler) -> None:
+        self._scheduler = scheduler
+        #: Exactly-once ledger over every pair this hedger fired.
         self.hedges = HedgeStats()
 
-    # -- plane hook ------------------------------------------------------- #
-    def on_submit(self, requests, futures, signals: ControlSignals):
-        if signals.n_lanes < 2:
+    def on_submit(self, requests, futures, lane_failures):
+        """Hedge the wave's at-risk requests; returns the caller's futures."""
+        scheduler = self._scheduler
+        if scheduler.n_devices < 2:
             return futures
-        scheduler = self.plane.scheduler
-        unhealthy = signals.lane_failures >= self.unhealthy_failures
+        unhealthy = lane_failures >= UNHEALTHY_FAILURES
         out = list(futures)
         for index, (request, future) in enumerate(zip(requests, out)):
             deadline = request.deadline_seconds
@@ -256,12 +239,10 @@ class HedgedRequests(Controller):
                 continue
             primary = scheduler.lane_of(future)
             if primary is None:
-                continue  # rejected/shed at admission, or a foreign future
+                continue  # rejected at admission, or a foreign future
             arrival = float(request.arrival_seconds)
             projected = scheduler.projected_begin_for(primary, arrival, deadline)
-            at_risk = (
-                projected + self.slack_seconds > deadline or unhealthy[primary]
-            )
+            at_risk = projected + SLACK_SECONDS > deadline or unhealthy[primary]
             if not at_risk:
                 continue
             alternate = self._alternate(
@@ -307,7 +288,7 @@ class HedgedRequests(Controller):
         alt_unhealthy, alt_projected = best_key
         if unhealthy[primary] and not alt_unhealthy:
             return best  # escaping a failing lane always helps
-        if alt_projected + self.slack_seconds <= deadline:
+        if alt_projected + SLACK_SECONDS <= deadline:
             return best  # the alternate can actually make the deadline
         return None  # equally doomed: don't double the overload
 
@@ -324,7 +305,3 @@ class HedgedRequests(Controller):
         return scheduler.submit_assigned(
             [clone], np.asarray([lane], dtype=np.int64)
         )[0]
-
-    # -- telemetry -------------------------------------------------------- #
-    def stats(self) -> Dict[str, int]:
-        return self.hedges.to_dict()

@@ -60,15 +60,6 @@ class RoutingError(ServingError, ConfigurationError):
     """Raised when requests cannot be routed (unknown policy, resized fleet)."""
 
 
-class RequestSheddedError(DeadlineExceededError):
-    """Raised when load-shedding admission control rejects a request before
-    it queues (the control plane judged its deadline unmeetable under the
-    current backlog).  A :class:`DeadlineExceededError` subtype: shed
-    requests are the cheap-to-reject subset of admission rejections and are
-    counted in both ``RoutingReport.total_rejected`` and the finer-grained
-    ``RoutingReport.total_shed``."""
-
-
 class RequestCancelledError(ServingError):
     """Raised through a future whose queued request was cancelled before
     service began — e.g. the losing attempt of a hedged request pair after

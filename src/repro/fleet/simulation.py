@@ -150,16 +150,9 @@ class FleetSimulationResult:
                 f"(attainment {self.routing.deadline_attainment:.4f})"
             )
         if self.control_stats is not None:
-            shed = self.routing.total_shed
-            cancelled = self.routing.total_cancelled
-            hedging = self.control_stats.get("hedging", {})
-            autoscaler = self.control_stats.get("autoscaler", {})
             lines.append(
-                "control plane: "
-                f"{', '.join(self.control_stats.get('controllers', []))}; "
-                f"shed {shed}, hedges {hedging.get('fired', 0)} "
-                f"(cancelled {cancelled}), "
-                f"resizes {autoscaler.get('actions', 0)}"
+                f"control plane: hedges {self.control_stats['hedging']['fired']} "
+                f"(cancelled {self.routing.total_cancelled})"
             )
         lines.extend([
             "",

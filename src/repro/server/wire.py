@@ -48,7 +48,6 @@ from repro.exceptions import (
     ExecutorError,
     InvalidRequestError,
     RequestCancelledError,
-    RequestSheddedError,
     RoutingError,
     ServingError,
     WireProtocolError,
@@ -101,7 +100,6 @@ WIRE_ERRORS: Dict[str, type] = {
         WorkerDiedError,
         ClientClosedError,
         WireProtocolError,
-        RequestSheddedError,
         RequestCancelledError,
     )
 }

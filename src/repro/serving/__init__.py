@@ -56,7 +56,6 @@ from repro.exceptions import (
     ExecutorError,
     InvalidRequestError,
     RequestCancelledError,
-    RequestSheddedError,
     RoutingError,
     ServingError,
     WireProtocolError,
@@ -131,6 +130,5 @@ __all__ = [
     "WorkerDiedError",
     "ClientClosedError",
     "WireProtocolError",
-    "RequestSheddedError",
     "RequestCancelledError",
 ]

@@ -254,31 +254,24 @@ class ServingClient:
             )
             futures = self._scheduler.submit_assigned(requests, assignment)
         # Every submit path funnels through the control plane (when one is
-        # attached): controllers see the queued wave and may replace entries
-        # (hedged pairs) or act on the pre-drain signals (autoscaling).
+        # attached): it sees the queued wave and may replace entries with
+        # hedged pairs.
         if self.control is not None and requests:
             futures = self.control.after_submit(requests, futures)
         return futures
 
     def drain(self) -> int:
         """Run the event loop until every pending request is answered."""
-        drained = self._scheduler.drain()
-        if self.control is not None:
-            self.control.after_drain()
-            # A controller's tick may itself queue work (none of the stock
-            # controllers do, but the hook allows it) — never leave it behind.
-            if self._scheduler.pending_requests:
-                drained += self._scheduler.drain()
-        return drained
+        return self._scheduler.drain()
 
     # ------------------------------------------------------------------ #
     def attach_control(self, plane) -> None:
         """Install a :class:`~repro.control.ControlPlane` on this client.
 
         Called by the plane's constructor; afterwards every
-        :meth:`submit_many` wave and every :meth:`drain` flow through the
-        plane's hooks.  Detach by setting :attr:`control` back to ``None``
-        (and clearing ``scheduler.admission`` if a shedder installed itself).
+        :meth:`submit_many` wave flows through the plane's
+        ``after_submit``.  Detach by setting :attr:`control` back to
+        ``None``.
         """
         self.control = plane
 
@@ -358,10 +351,10 @@ def serve(
     order (``"fifo"`` arrival order or ``"edf"`` earliest-deadline-first);
     ``executor`` picks where batches run (``"serial"`` inline on the
     simulated clock, ``"thread"``, or ``"process"`` for real multi-process
-    workers sized by ``workers``).  ``adaptive=True`` attaches the default
-    :class:`~repro.control.ControlPlane` stack (load shedding, hedged
-    requests where the fleet has sibling lanes, pool autoscaling where the
-    executor is resizable) to the built client.
+    workers sized by ``workers``).  ``adaptive=True`` attaches a
+    :class:`~repro.control.ControlPlane` to the built client: hedged
+    requests where the fleet has sibling lanes.  The pool keeps the size
+    the caller asked for.
     """
     from repro.core.pilote import PILOTE  # deferred: core must not import serving
 

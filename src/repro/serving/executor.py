@@ -145,11 +145,6 @@ class Executor:
     def close(self) -> None:
         """Release worker pools (idempotent; serial executors are a no-op)."""
 
-    # Concurrent executors additionally expose ``resize(workers) -> int``
-    # (grow/shrink the pool between rounds without losing in-flight work);
-    # the control plane's autoscaler feature-detects it with getattr, the
-    # same duck-typed seam as ``sync_stats``.
-
 
 def _resolve_workers(requested: Optional[int], n_lanes: int) -> int:
     """Worker count: requested, else one per core, never more than lanes."""
@@ -242,24 +237,6 @@ class ThreadExecutor(Executor):
                 max_workers=self.n_workers, thread_name_prefix="repro-serve"
             )
         return self._pool
-
-    def resize(self, workers: int) -> int:
-        """Grow or shrink the thread pool; returns the effective size.
-
-        Thread tasks are joined within each ``run()`` call, so between
-        rounds nothing is in flight and the pool can simply be rebuilt at
-        the new size on next use.  Capped at the lane count like the
-        initial sizing.
-        """
-        if workers <= 0:
-            raise ConfigurationError(f"workers must be positive, got {workers}")
-        workers = max(1, min(int(workers), len(self._devices)))
-        if workers != self.n_workers:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-            self.n_workers = workers
-        return self.n_workers
 
     def run(self, tasks: Sequence[LaneTask]) -> List[LaneResult]:
         pool = self._ensure_pool()
@@ -399,12 +376,6 @@ class ProcessExecutor(Executor):
         self._shipped: Dict[int, tuple] = {}
         self._task_counter = 0
         self.n_workers = 0
-        # Workers removed by resize() drain their queued messages, exit on
-        # the sentinel, and are joined opportunistically (blocking at
-        # close()) — the drain-then-retire path that keeps a shrink from
-        # killing work already handed to the pool.
-        self._retiring: List[_Worker] = []
-        self._running = False  # inside run(): tasks are in flight over IPC
         # Shipping telemetry (survives close() so reports can read it after
         # the pool is released): bytes over the IPC queue and sync count.
         self.bytes_shipped = 0
@@ -443,53 +414,6 @@ class ProcessExecutor(Executor):
         else:
             self._workers.append(worker)
 
-    def resize(self, workers: int) -> int:
-        """Grow or shrink the worker pool; returns the effective size.
-
-        Only legal *between* rounds (a resize while ``run()`` has tasks in
-        flight raises :class:`~repro.exceptions.ExecutorError` — lane
-        ownership is ``position % n_workers``, and remapping it under
-        unanswered tasks would orphan them).  Growing spawns fresh workers;
-        shrinking retires the tail workers through the drain-then-retire
-        path: the sentinel queues *behind* anything already on their task
-        queues, so queued syncs/batches complete before the process exits,
-        and the join happens opportunistically (blocking at :meth:`close`).
-        Lanes whose owning slot changed re-ship their learner states to the new
-        owner on the next round.  Capped at the lane count.
-        """
-        if workers <= 0:
-            raise ConfigurationError(f"workers must be positive, got {workers}")
-        if self._running:
-            raise ExecutorError(
-                "cannot resize the process pool mid-round: tasks are in "
-                "flight and lane ownership is position % n_workers; resize "
-                "between drains (e.g. from a control-plane tick)"
-            )
-        workers = max(1, min(int(workers), len(self._devices)))
-        old = self.n_workers
-        self.n_workers = workers
-        if not self._workers or workers == old:
-            return self.n_workers
-        if workers > old:
-            for index in range(old, workers):
-                self._spawn(index)
-        else:
-            retired = self._workers[workers:]
-            del self._workers[workers:]
-            for worker in retired:
-                try:
-                    worker.task_queue.put(None)
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
-            self._retiring.extend(retired)
-        # Remap: any lane whose owner slot moved must re-sync its learner state
-        # to the new owner (the old owner's copy is unreachable or retired).
-        for position in list(self._shipped):
-            if position % old != position % workers:
-                del self._shipped[position]
-        self._reap_retired(block=False)
-        return self.n_workers
-
     def kill_worker(self, index: int, *, wait: bool = True) -> int:
         """Chaos hook: crash one pool worker (``os._exit`` in-process).
 
@@ -508,20 +432,6 @@ class ProcessExecutor(Executor):
             worker.process.join(timeout=5.0)
         return worker.index
 
-    def _reap_retired(self, block: bool) -> None:
-        """Join workers retired by :meth:`resize` (best-effort when not
-        blocking; terminates stragglers when blocking at close time)."""
-        still_draining: List[_Worker] = []
-        for worker in self._retiring:
-            worker.process.join(timeout=2.0 if block else 0.0)
-            if worker.process.is_alive():
-                if block:  # pragma: no cover - stuck worker
-                    worker.process.terminate()
-                    worker.process.join(timeout=1.0)
-                else:
-                    still_draining.append(worker)
-        self._retiring = still_draining
-
     def close(self) -> None:
         for worker in self._workers:
             try:
@@ -534,7 +444,6 @@ class ProcessExecutor(Executor):
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
         self._workers = []
-        self._reap_retired(block=True)
         self._shipped = {}
         if self._results is not None:
             self._results.close()
@@ -585,13 +494,6 @@ class ProcessExecutor(Executor):
     # -- execution ------------------------------------------------------ #
     def run(self, tasks: Sequence[LaneTask]) -> List[LaneResult]:
         self._ensure_workers()
-        self._running = True
-        try:
-            return self._run(tasks)
-        finally:
-            self._running = False
-
-    def _run(self, tasks: Sequence[LaneTask]) -> List[LaneResult]:
         pending: Dict[int, LaneTask] = {}
         owners: Dict[int, _Worker] = {}
         results: List[LaneResult] = []

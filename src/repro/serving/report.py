@@ -24,9 +24,8 @@ import numpy as np
 __all__ = ["ROLLING_WINDOW", "DeviceStats", "RoutingReport"]
 
 #: Rolling-window length (in deadline-carrying request outcomes) for the
-#: recent-attainment signal.  Shared by the per-device rows, the fleet-level
-#: aggregate, and the control plane's signal bus, so the stats endpoint and
-#: the controllers read the same quantity.
+#: recent-attainment signal.  Shared by the per-device rows and the
+#: fleet-level aggregate, so the stats endpoint quotes one quantity.
 ROLLING_WINDOW = 256
 
 
@@ -188,10 +187,6 @@ class RoutingReport:
     total_expired: int = 0
     total_rejected: int = 0
     total_failed: int = 0
-    #: Subset of ``total_rejected`` failed by load-shedding admission
-    #: control (the control plane's :class:`RequestSheddedError` path)
-    #: rather than by an arithmetically unmeetable deadline.
-    total_shed: int = 0
     #: Queued requests cancelled before service (hedged-request losers,
     #: failed with :class:`RequestCancelledError`).  *Not* part of
     #: ``total_expired``/``total_failed`` and excluded from SLO
@@ -389,7 +384,6 @@ class RoutingReport:
             "total_expired": int(self.total_expired),
             "total_rejected": int(self.total_rejected),
             "total_failed": int(self.total_failed),
-            "total_shed": int(self.total_shed),
             "total_cancelled": int(self.total_cancelled),
             "total_queue_depth": int(self.total_queue_depth),
             "rolling_deadline_attainment": float(self.rolling_deadline_attainment),
@@ -441,7 +435,6 @@ class RoutingReport:
             total_expired=int(data.get("total_expired", 0)),
             total_rejected=int(data.get("total_rejected", 0)),
             total_failed=int(data.get("total_failed", 0)),
-            total_shed=int(data.get("total_shed", 0)),
             total_cancelled=int(data.get("total_cancelled", 0)),
             resolved_requests=int(data.get("resolved_requests", 0)),
         )

@@ -679,20 +679,11 @@ class EventLoopScheduler:
         self._total_expired = 0    # deadline passed while queued
         self._total_rejected = 0   # deadline already unmeetable at submit
         self._total_failed = 0     # device.infer raised mid-batch
-        self._total_shed = 0       # rejected by the admission hook (⊆ rejected)
         self._total_cancelled = 0  # cancelled before service (hedge losers)
         # Cumulative per-lane failed-request counts (survive device
         # replacement, like the served/busy lane history); the control
         # plane's window diffing turns these into a recent-failures signal.
         self._lane_failures = np.zeros(self._n_lanes, dtype=np.int64)
-        #: Optional admission hook consulted for every deadline-carrying
-        #: request that clears the hard floor: an object with
-        #: ``shed(request, position, floor, scheduler) -> Optional[error]``.
-        #: Returning an error rejects the request before it queues (counted
-        #: in both ``total_rejected`` and ``total_shed``).  Installed by the
-        #: control plane's load shedder; ``None`` means admit everything
-        #: the floor admits.
-        self.admission = None
         self._event_counter = 0
 
     # ------------------------------------------------------------------ #
@@ -793,11 +784,6 @@ class EventLoopScheduler:
 
     # -- control-plane signal surface ---------------------------------- #
     @property
-    def queue_depths(self) -> np.ndarray:
-        """Per-lane queued request counts (a copy; live gauge)."""
-        return self._pending_counts.astype(np.int64)
-
-    @property
     def lane_failures(self) -> np.ndarray:
         """Cumulative per-lane failed-request counts (a copy).
 
@@ -830,8 +816,8 @@ class EventLoopScheduler:
         to seconds through the lane's observed service rate.  Before any
         service history exists the queue term is zero and the floor alone
         answers (matching admission control, which then stays the only
-        gate).  This is the quantity hedging and load shedding compare
-        against a request's deadline.
+        gate).  This is the quantity hedging compares against a request's
+        deadline.
         """
         base = max(float(self._available_at[position]), arrival)
         ahead = self._lanes[position].work_ahead(deadline)
@@ -995,7 +981,6 @@ class EventLoopScheduler:
         floor = max(float(self._available_at[position]), arrival)
         futures: List[Optional[PendingResult]] = [None] * len(segment)
         groups: Dict[Optional[float], List[int]] = {}
-        admission = self.admission
         rejected = 0
         admitted = 0
         for index, request in enumerate(segment):
@@ -1013,14 +998,6 @@ class EventLoopScheduler:
                     self._total_rejected += 1
                     rejected += 1
                     continue
-                if admission is not None:
-                    error = admission.shed(request, position, floor, self)
-                    if error is not None:
-                        futures[index] = _RejectedResult(request, error)
-                        self._total_rejected += 1
-                        self._total_shed += 1
-                        rejected += 1
-                        continue
             # FIFO keeps the legacy arrival-only coalescing; EDF separates
             # co-arriving deadlines so the queue order can discriminate.
             groups.setdefault(deadline if self._edf else None, []).append(index)
@@ -1419,7 +1396,6 @@ class EventLoopScheduler:
             total_expired=total_expired,
             total_rejected=self._total_rejected,
             total_failed=self._total_failed,
-            total_shed=self._total_shed,
             total_cancelled=self._total_cancelled,
             resolved_requests=self._total_requests + total_expired + self._total_failed,
         )

@@ -39,7 +39,7 @@ from repro.analysis.sanitizer import (
     auto_sanitize,
     sanitize_enabled,
 )
-from repro.control import CHAOS_SCENARIOS, CONTROLLERS
+from repro.control import CHAOS_SCENARIOS
 from repro.control.chaos import ChaosRunReport, run_chaos
 from repro.exceptions import AnalysisError, SanitizerViolationError
 from repro.serving import EXECUTORS, ROUTING_POLICIES
@@ -657,21 +657,19 @@ class TestRealTree:
 class TestRegistryCompleteness:
     @pytest.mark.parametrize(
         "registry",
-        [EXECUTORS, ROUTING_POLICIES, CONTROLLERS],
-        ids=["executors", "routing", "controllers"],
+        [EXECUTORS, ROUTING_POLICIES],
+        ids=["executors", "routing"],
     )
     def test_registry_keys_match_class_names(self, registry):
         for key, cls in registry.items():
             assert cls.name == key
 
     def test_registered_classes_exported(self):
-        import repro.control
         import repro.serving
 
         for registry, package in (
             (EXECUTORS, repro.serving),
             (ROUTING_POLICIES, repro.serving),
-            (CONTROLLERS, repro.control),
         ):
             for cls in registry.values():
                 assert cls.__name__ in package.__all__, (
@@ -755,6 +753,18 @@ class TestSanitizer:
             assert isinstance(row.to_dict(), dict)
             # The scheduler's own report path still works over proxies.
             assert client.report().total_requests >= 1
+
+    def test_bus_reads_forward_through_the_proxy(self):
+        from repro.control import ControlPlane
+
+        with _build_client() as client:
+            plane = ControlPlane(client)
+            sanitizer = Sanitizer().attach(client)
+            assert isinstance(plane.bus, RecordingProxy)
+            client.submit(PredictRequest(user_id=0, features=_feature()))
+            client.drain()
+            assert client.control_stats()["ticks"] == 1
+            assert any(t.startswith("bus[") for t in sanitizer.report()["targets"])
 
     def test_access_record_round_trips(self):
         record = AccessRecord(1, "main", "stats[0]", "requests", "write")

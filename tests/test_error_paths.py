@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.backend import resolve_dtype
-from repro.control import ChaosSpec, PoolAutoscaler, run_suite
+from repro.control import ChaosSpec, run_suite
 from repro.control.hedging import HedgeStats
 from repro.core.ncm import NCMClassifier
 from repro.core.pairs import PairBatch
@@ -259,10 +259,6 @@ class TestNN:
 
 # ---------------------------------------------------------------------- #
 class TestControl:
-    def test_autoscaler_cooldown_must_be_non_negative(self):
-        with pytest.raises(ConfigurationError, match="cooldown_ticks"):
-            PoolAutoscaler(cooldown_ticks=-1)
-
     def test_hedge_stats_round_trip(self):
         stats = HedgeStats(fired=5, primary_wins=3, hedge_wins=1, pairs_failed=1,
                            losers_cancelled=2, losers_served=1, losers_failed=1)
