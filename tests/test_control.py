@@ -6,6 +6,8 @@ size of an adaptive client, typed worker death on the process pool, the
 rolling-window stats exports and the chaos suite's invariants.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from repro.control import (
     StragglerDevice,
     run_chaos,
 )
-from repro.control.chaos import SLOW_FACTOR
+from repro.control.chaos import SLOW_FACTOR, ChaosRunReport
 from repro.control.signals import WINDOW
 from repro.edge.device import DeviceProfile
 from repro.exceptions import (
@@ -95,6 +97,43 @@ def _client(n_devices=2, *, routing="p2c", scheduling="edf", seconds=0.001,
     )
 
 
+def _flaky_lane(client, lane=0):
+    """Wrap one lane's device so it can be switched to failing."""
+    flaky = FlakyDevice(client.scheduler.devices[lane])
+    client.scheduler.devices[lane] = flaky
+    return flaky
+
+
+def _hash_lane(client, user_id):
+    """The lane the client's hash routing sends ``user_id`` to."""
+    scheduler = client.scheduler
+    return int(scheduler.policy.assign_batch(
+        [_request(user_id)], np.asarray([user_id]), scheduler
+    )[0])
+
+
+def _backlogged(client, lanes, n_queued=40):
+    """A hash/FIFO client with service history and ``n_queued`` one-row
+    batches queued on each of ``lanes``, submitted past any control plane.
+
+    Returns the arrival time just after the backlog.
+    """
+    scheduler = client.scheduler
+    warm = [_request(u) for u in range(2 * client.n_devices)]
+    scheduler.submit_assigned(
+        warm, np.repeat(np.arange(client.n_devices), 2)
+    )
+    client.drain()
+    now = client.clock_now()
+    for lane in lanes:
+        for index in range(n_queued):
+            scheduler.submit_assigned(
+                [_request(index, arrival=now + index * 1e-6)],
+                np.asarray([lane], dtype=np.int64),
+            )
+    return now + n_queued * 1e-6
+
+
 # ---------------------------------------------------------------------- #
 class TestSignals:
     def test_bus_reads_scheduler_exports(self):
@@ -124,6 +163,50 @@ class TestSignals:
             bus.observe_submit()
         assert bus.lane_failures().sum() == 0
 
+    def test_failures_inside_the_window_still_count(self):
+        client = _client(2)
+        flaky = _flaky_lane(client)
+        bus = SignalBus(client.scheduler)
+        flaky.failing = True
+        bus.observe_submit()
+        client.submit_many([_request(u) for u in range(4)])
+        client.drain()
+        failed = bus.lane_failures().sum()
+        assert failed > 0
+        # The oldest mark still predates the failures one tick short of a
+        # full window of clean submissions.
+        for _ in range(WINDOW - 1):
+            bus.observe_submit()
+        assert bus.lane_failures().sum() == failed
+        bus.observe_submit()
+        assert bus.lane_failures().sum() == 0
+
+    def test_failures_before_the_bus_are_not_recent(self):
+        client = _client(2)
+        flaky = _flaky_lane(client)
+        flaky.failing = True
+        client.submit_many([_request(u) for u in range(4)])
+        client.drain()
+        assert client.scheduler.lane_failures.sum() > 0
+        bus = SignalBus(client.scheduler)
+        assert np.all(bus.lane_failures() == 0)
+        bus.observe_submit()
+        assert np.all(bus.lane_failures() == 0)
+
+    def test_failures_are_kept_per_lane(self):
+        client = _client(2)
+        flaky = _flaky_lane(client, lane=1)
+        bus = SignalBus(client.scheduler)
+        flaky.failing = True
+        bus.observe_submit()
+        futures = client.submit_many([_request(u) for u in range(16)])
+        client.drain()
+        failed_on_1 = sum(
+            1 for f in futures if isinstance(f.exception(), WorkerDiedError)
+        )
+        assert failed_on_1 > 0
+        assert bus.lane_failures().tolist() == [0, failed_on_1]
+
 
 class TestControlPlane:
     def test_requires_a_serving_client(self):
@@ -140,6 +223,29 @@ class TestControlPlane:
         assert client.control_stats() == {
             "window": WINDOW, "ticks": 1, "hedging": HedgeStats().to_dict(),
         }
+
+    def test_ticks_count_waves_not_requests(self):
+        client = _client(2)
+        plane = ControlPlane(client)
+        for _ in range(3):
+            client.submit_many([_request(u) for u in range(5)])
+        client.submit(_request(0))
+        client.submit(_request(1))
+        client.submit_many([])  # an empty wave is not a submission
+        client.drain()
+        assert plane.bus.tick == 5
+        assert client.control_stats()["ticks"] == 5
+
+    def test_detached_plane_stops_observing(self):
+        client = _client(2)
+        plane = ControlPlane(client)
+        client.submit_many([_request(u) for u in range(3)])
+        client.control = None
+        futures = client.submit_many([_request(u, deadline=50.0) for u in range(3)])
+        client.drain()
+        assert plane.bus.tick == 1
+        assert client.control_stats() is None
+        assert not any(isinstance(f, HedgedResult) for f in futures)
 
     def test_serve_adaptive_flag(self, pretrained_pilote):
         client = serve(pretrained_pilote, adaptive=True)
@@ -383,6 +489,111 @@ class TestHedgedRequests:
         assert hedging.hedges.fired == 0
         assert not any(isinstance(f, HedgedResult) for f in futures)
 
+    def test_projected_miss_hedges_onto_a_lane_that_makes_it(self):
+        # 40 one-millisecond batches queued ahead on lane 0 push its
+        # projected begin past a 5 ms deadline; lane 1 is idle.
+        def submit_late_request(client):
+            now = _backlogged(client, lanes=[0])
+            user = next(u for u in range(64) if _hash_lane(client, u) == 0)
+            future = client.submit(_request(user, arrival=now, deadline=now + 0.005))
+            return user, future
+
+        plain = _client(2, routing="hash", scheduling="fifo")
+        _, unhedged = submit_late_request(plain)
+        plain.drain()
+        assert isinstance(unhedged.exception(), DeadlineExceededError)
+
+        client = _client(2, routing="hash", scheduling="fifo")
+        hedging = ControlPlane(client).hedging
+        user, future = submit_late_request(client)
+        assert isinstance(future, HedgedResult)
+        client.drain()
+        response = future.result()
+        assert response.user_id == user and response.device_id == 1
+        assert hedging.hedges.to_dict() == {
+            **HedgeStats().to_dict(), "fired": 1, "hedge_wins": 1,
+            "losers_cancelled": 1,
+        }
+        assert client.report().deadline_breakdown()["served"] == 1
+
+    def test_equally_doomed_alternate_is_not_hedged(self):
+        client = _client(2, routing="hash", scheduling="fifo")
+        hedging = ControlPlane(client).hedging
+        now = _backlogged(client, lanes=[0, 1])
+        future = client.submit(_request(0, arrival=now, deadline=now + 0.005))
+        client.drain()
+        assert not isinstance(future, HedgedResult)
+        assert hedging.hedges.fired == 0
+        assert isinstance(future.exception(), DeadlineExceededError)
+
+    def test_requests_without_deadlines_are_never_hedged(self):
+        client = _client(2)
+        flaky = _flaky_lane(client)
+        hedging = ControlPlane(client).hedging
+        flaky.failing = True
+        client.submit_many([_request(u) for u in range(8)])
+        client.drain()
+        assert client.scheduler.lane_failures[0] > 0
+        futures = client.submit_many([_request(u) for u in range(8)])
+        client.drain()
+        assert hedging.hedges.fired == 0
+        assert not any(isinstance(f, HedgedResult) for f in futures)
+
+    def test_requests_rejected_at_admission_are_not_hedged(self):
+        # A deadline before the lane can start work fails at submit time
+        # (the admission floor); there is nothing queued to hedge.
+        client = _client(2, routing="hash")
+        hedging = ControlPlane(client).hedging
+        client.submit_many([_request(u) for u in range(8)])
+        client.drain()
+        now = client.clock_now()
+        futures = client.submit_many(
+            [_request(u, arrival=0.0, deadline=now / 2) for u in range(4)]
+        )
+        assert all(f.done() for f in futures)
+        assert all(
+            "rejected at admission" in str(f.exception()) for f in futures
+        )
+        assert not any(isinstance(f, HedgedResult) for f in futures)
+        assert hedging.hedges.fired == 0
+        assert client.report().total_rejected == 4
+
+    def test_healthy_lanes_with_slack_never_hedge(self):
+        client = _client(4)
+        hedging = ControlPlane(client).hedging
+        for wave in range(3):
+            futures = client.submit_many(
+                [_request(u, arrival=0.01 * wave, deadline=50.0) for u in range(16)]
+            )
+            client.drain()
+            assert all(f.exception() is None for f in futures)
+        assert hedging.hedges.fired == 0
+
+    def test_hedge_goes_to_the_p2c_sibling(self):
+        client = _client(4, routing="p2c")
+        flaky = _flaky_lane(client)
+        hedging = ControlPlane(client).hedging
+        flaky.failing = True
+        client.submit_many([_request(u, deadline=50.0) for u in range(16)])
+        client.drain()
+        users = list(range(32))
+        futures = client.submit_many([_request(u, deadline=50.0) for u in users])
+        client.drain()
+        first, second = client.scheduler.policy.candidates(users)
+        hedged = 0
+        for user, future in zip(users, futures):
+            if not isinstance(future, HedgedResult):
+                continue
+            hedged += 1
+            pair = {int(first[user]), int(second[user])}
+            # The primary was the failing lane 0; the other candidate won.
+            assert 0 in pair
+            if len(pair) == 2:
+                assert future.result().device_id == (pair - {0}).pop()
+            else:
+                assert future.result().device_id != 0
+        assert hedged == hedging.hedges.fired > 0
+
 
 # ---------------------------------------------------------------------- #
 class TestProcessWorkerDeath:
@@ -454,6 +665,17 @@ class TestRollingStats:
         assert data["rolling_deadline_attainment"] < 1.0
         assert RoutingReport.from_dict(data).to_dict() == data
 
+    def test_export_with_a_total_shed_key_still_loads(self):
+        # Exports written while the scheduler still counted shed requests
+        # carry a ``total_shed`` key; loading ignores it.
+        client = _client(1, routing="hash")
+        client.submit_many([_request(u, deadline=100.0) for u in range(4)])
+        client.drain()
+        data = client.report().to_dict()
+        restored = RoutingReport.from_dict({**data, "total_shed": 3})
+        assert restored.to_dict() == RoutingReport.from_dict(data).to_dict()
+        assert "total_shed" not in restored.to_dict()
+
     def test_queue_depth_gauge_tracks_pending(self):
         client = _client(2)
         client.submit_many([_request(u) for u in range(6)])
@@ -509,6 +731,32 @@ class TestChaos:
         assert spec.executor == "serial"
         first = run_chaos(spec, adaptive=adaptive).to_dict()
         assert run_chaos(spec, adaptive=adaptive).to_dict() == first
+
+    @pytest.mark.parametrize("adaptive", [True, False])
+    def test_stragglers_answer_every_request_without_a_hedge(self, adaptive):
+        # A lane slowed SLOW_FACTOR-fold still drains each tick long before
+        # the next, so no projected begin passes a deadline.
+        report = run_chaos(CHAOS_SCENARIOS["stragglers"], adaptive=adaptive)
+        assert report.sent == report.answered == 576
+        assert report.hedges_fired == 0 and report.cancelled == 0
+        assert report.deadline_attainment == 1.0
+        assert report.exactly_once
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_hedging_answers_more_of_a_worker_storm(self, seed):
+        spec = dataclasses.replace(CHAOS_SCENARIOS["worker-storm"], seed=seed)
+        adaptive = run_chaos(spec, adaptive=True)
+        static = run_chaos(spec, adaptive=False)
+        assert static.hedges_fired == 0
+        assert adaptive.hedges_fired > 0
+        assert adaptive.answered > static.answered
+        assert adaptive.exactly_once and static.exactly_once
+
+    def test_report_with_a_shed_key_still_loads(self):
+        report = run_chaos(CHAOS_SCENARIOS["restart"], adaptive=True)
+        data = report.to_dict()
+        assert "shed" not in data
+        assert ChaosRunReport.from_dict({**data, "shed": 0}) == report
 
     def test_straggler_device_slows_only_while_flagged(self):
         inner = LocalServingDevice(_answer, device_id=0)

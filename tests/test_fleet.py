@@ -372,6 +372,52 @@ class TestFleetSimulation:
         assert "divergence" in text
         assert "round-trip reproduces predictions: True" in text
 
+    def test_adaptive_run_reports_the_control_plane(self):
+        settings = ExperimentSettings(
+            samples_per_class=40,
+            n_rounds=1,
+            config=PiloteConfig(
+                hidden_dims=(32, 16), embedding_dim=8, batch_size=16,
+                max_epochs_pretrain=2, max_epochs_increment=1, cache_size=60,
+                max_pairs_per_batch=64, seed=0,
+            ),
+            exemplars_per_class=8,
+            seed=0,
+        )
+        scenario = FleetScenarioSpec(
+            n_devices=4,
+            new_classes=(Activity.RUN,),
+            traffic_pattern="zipf",
+            n_users=40,
+            requests_per_tick=48,
+            n_ticks=4,
+        )
+        options = dict(
+            scenario=scenario, routing="least-loaded", scheduling="edf",
+            deadline_ms=1.0,
+        )
+        static = fleet_simulation.run(settings, **options)
+        assert static.control_stats is None
+        assert "control plane:" not in static.to_text()
+        adaptive = fleet_simulation.run(settings, adaptive=True, **options)
+        stats = adaptive.control_stats
+        assert set(stats) == {"window", "ticks", "hedging"}
+        assert stats["ticks"] == scenario.n_ticks
+        hedging = stats["hedging"]
+        assert hedging["fired"] > 0  # queues this deep put requests at risk
+        # Every pair settled once, and every winner's twin was resolved.
+        wins = hedging["primary_wins"] + hedging["hedge_wins"]
+        assert hedging["fired"] == wins + hedging["pairs_failed"]
+        assert wins == (
+            hedging["losers_cancelled"] + hedging["losers_served"]
+            + hedging["losers_failed"]
+        )
+        assert adaptive.routing.total_cancelled == hedging["losers_cancelled"]
+        assert (
+            f"control plane: hedges {hedging['fired']} "
+            f"(cancelled {adaptive.routing.total_cancelled})"
+        ) in adaptive.to_text()
+
     def test_deadline_run_is_seed_determined(self, simulated_fields):
         settings = ExperimentSettings(
             samples_per_class=40,

@@ -131,6 +131,16 @@ class TestWireFormat:
         unknown = wire.decode_error({"kind": "error", "error": "NoSuchError"})
         assert type(unknown) is ServingError
 
+    def test_a_retired_error_name_decodes_to_the_base_class(self):
+        # Older servers could answer "RequestSheddedError"; the name is no
+        # longer registered, so the frame still decodes, as the base class.
+        assert "RequestSheddedError" not in wire.WIRE_ERRORS
+        rebuilt = wire.decode_error(
+            {"kind": "error", "error": "RequestSheddedError", "message": "shed"}
+        )
+        assert type(rebuilt) is ServingError
+        assert str(rebuilt) == "shed"
+
     def test_clean_eof_reads_none(self):
         assert read_one() is None
 
@@ -547,6 +557,21 @@ class TestServingServer:
         assert stats["server"]["received"] == 1
         assert stats["server"]["slo_target_ms"] == 1000.0
         assert 0.0 <= stats["server"]["slo_attainment"] <= 1.0
+
+    @pytest.mark.parametrize("adaptive", [True, False])
+    def test_stats_endpoint_carries_the_control_plane_when_attached(self, adaptive):
+        async def scenario(server, host, port):
+            async with await AsyncConnection.open(host, port) as connection:
+                await connection.predict(1, features())
+                return await connection.stats()
+
+        stats = self._run(scenario, executor="serial", adaptive=adaptive)
+        if not adaptive:
+            assert "control" not in stats
+            return
+        assert set(stats["control"]) == {"window", "ticks", "hedging"}
+        assert stats["control"]["ticks"] == 1
+        assert stats["control"]["hedging"]["fired"] == 0
 
     def test_unknown_frame_kind_is_answered_typed(self):
         async def scenario(server, host, port):
