@@ -229,9 +229,7 @@ def test_incremental_update_step_speedup(report):
                 n_old_classes, new_windows, new_embeddings, n_exemplars=budget
             )
             learner._refresh_prototypes()
-            engine = current_step.engine
-            engine.invalidate()
-            return engine.predict(serve_windows)
+            return current_step.engine.predict(serve_windows)
 
     with precision("reference"):
         legacy_step.network = EmbeddingNetwork(80, config=config, rng=0)
@@ -244,7 +242,7 @@ def test_incremental_update_step_speedup(report):
             learner.exemplars.set_exemplars(class_id, rows)
         learner._refresh_prototypes()
         current_step.learner = learner
-        current_step.engine = learner.inference_engine(batch_size=1024)
+        current_step.engine = learner.inference_engine()
 
     legacy_predictions = legacy_step()
     current_predictions = current_step()

@@ -102,7 +102,7 @@ def bookkeeping_vs_bare(fleet, ticks, **serve_kwargs) -> Overhead:
     re-derive the bound from a fresh measurement, not loosen it.
     """
     (device,) = fleet.devices
-    engine = device.edge.engine
+    engine = device.engine
     batches = [np.concatenate([r.features for r in requests]) for requests in ticks]
     n_requests = sum(len(requests) for requests in ticks)
     bookkeeping = served = bare = float("inf")

@@ -47,10 +47,10 @@ Array creation and the shared kernels (distance matrices, grouped means)
 live on :class:`repro.backend.NumpyBackend`, reached through
 :func:`repro.backend.get_backend`.
 
-Batched serving goes through
-:class:`repro.edge.inference.InferenceEngine` (also reachable as
-``learner.inference_engine()``), which caches the prototype matrix and
-invalidates it automatically when the learner integrates new classes.
+Serving goes through :class:`repro.edge.inference.InferenceEngine` (also
+reachable as ``learner.inference_engine()``), a handle that answers with the
+learner's own Eq. 1 program (``PILOTE.predict``: embed, then nearest
+prototype) and follows it through every increment without re-wiring.
 
 Fleet serving
 -------------

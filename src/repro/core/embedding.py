@@ -41,6 +41,11 @@ from repro.nn.layers import EPSILON, BatchNorm1d, Linear, Sequential, build_mlp
 from repro.nn.module import Module
 from repro.utils.rng import RandomState
 
+#: Most rows :meth:`EmbeddingNetwork.embed` runs through the backbone at
+#: once — the one chunk size of every inference path (serving, herding,
+#: prototype refresh, validation, the distillation teacher).
+EMBED_ROWS = 512
+
 
 class EmbeddingNetwork(Module):
     """Feature-map ``φ_Θ : R^d → R^e`` implemented as an MLP.
@@ -126,25 +131,25 @@ class EmbeddingNetwork(Module):
                 layers.append((type(layer).__name__.lower(), None))
         return tuple(layers), tuple(parameters), tuple(norms)
 
-    def embed(self, features: np.ndarray, *, batch_size: int = 512) -> np.ndarray:
+    def embed(self, features: np.ndarray) -> np.ndarray:
         """Inference-mode embedding of a feature matrix, as a plain numpy program.
 
         Bit-identical to the eval-mode :meth:`forward` but builds no
         ``Tensor`` and leaves ``training`` and the BatchNorm buffers alone,
         so it is safe mid-training (validation) and cheap for
-        the 1-8 row calls of small-batch serving.  Large inputs are
-        processed in chunks to bound peak memory on resource-constrained
-        devices.
+        the 1-8 row calls of small-batch serving.  Inputs longer than
+        :data:`EMBED_ROWS` are processed in chunks of that many rows to bound
+        peak memory on resource-constrained devices.
         """
         features = get_backend().asarray(features)
         if features.ndim == 1:
             features = features[None, :]
         self._check_input(features.shape)
-        if features.shape[0] <= batch_size:
+        if features.shape[0] <= EMBED_ROWS:
             return self.backbone.array_forward(features)
         return np.concatenate([
-            self.backbone.array_forward(features[start:start + batch_size])
-            for start in range(0, features.shape[0], batch_size)
+            self.backbone.array_forward(features[start:start + EMBED_ROWS])
+            for start in range(0, features.shape[0], EMBED_ROWS)
         ], axis=0)
 
     def _check_input(self, shape) -> None:

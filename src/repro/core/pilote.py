@@ -327,20 +327,19 @@ class PILOTE:
         self._ensure_classifier()
         return self.classifier.predict(self.embed(features))
 
-    def inference_engine(self, *, batch_size: int = 256) -> "InferenceEngine":
-        """A batched serving engine bound to this learner (created lazily).
+    def inference_engine(self) -> "InferenceEngine":
+        """The serving engine bound to this learner (created lazily).
 
-        The engine caches the prototype matrix and embeds many windows per
-        call; it tracks :attr:`state_version` so incremental updates
-        (:meth:`learn_new_classes`, :meth:`build_support_set`) invalidate the
-        cache automatically.  Repeated calls return the same engine instance.
+        The engine answers through :meth:`predict`'s own program and follows
+        :attr:`state_version`, so incremental updates (:meth:`learn_new_classes`,
+        :meth:`build_support_set`) reach it without re-wiring.  Repeated
+        calls return the same engine instance.
         """
         from repro.edge.inference import InferenceEngine
 
         engine = getattr(self, "_engine", None)
-        if engine is None or engine.batch_size != batch_size:
-            engine = InferenceEngine(self, batch_size=batch_size)
-            self._engine = engine
+        if engine is None:
+            engine = self._engine = InferenceEngine(self)
         return engine
 
     def evaluate(self, dataset: HARDataset) -> float:

@@ -2,23 +2,22 @@
 
 The Q2 experiments reason about storage budgets ("2500 exemplars in compressed
 format would take 3.2 MB of space", "less than 200 exemplars per class, i.e.
-< 256 KB") and per-epoch latency.  :class:`EdgeDevice` tracks a storage budget
-in bytes and refuses allocations that would exceed it, which lets the
-experiment harness enforce edge constraints explicitly.
+< 256 KB") and per-epoch latency.  :class:`EdgeDevice` is the hardware only:
+its :class:`DeviceProfile`, a storage ledger that refuses allocations past the
+budget (which lets the experiment harness enforce edge constraints
+explicitly) and the profile's dtype scope, :meth:`EdgeDevice.precision`.  It
+holds no learner and no engine: whoever deploys onto it (a
+:class:`~repro.edge.magneto.MagnetoPlatform`, a
+:class:`~repro.fleet.coordinator.FleetDevice`) serves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
-
-import numpy as np
+from typing import Dict, Optional
 
 from repro.backend import precision
-from repro.exceptions import EdgeResourceError, NotFittedError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.edge.inference import InferenceEngine
+from repro.exceptions import EdgeResourceError
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,6 @@ class EdgeDevice:
     def __init__(self, profile: Optional[DeviceProfile] = None) -> None:
         self.profile = profile or DEVICE_PROFILES["smartphone"]
         self._allocations: Dict[str, int] = {}
-        self._engine: Optional["InferenceEngine"] = None
-        self.inference_requests = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -112,8 +109,6 @@ class EdgeDevice:
         self._allocations[name] = int(nbytes)
 
     # ------------------------------------------------------------------ #
-    # serving
-    # ------------------------------------------------------------------ #
     def precision(self):
         """Scoped dtype policy matching this device's profile.
 
@@ -122,22 +117,3 @@ class EdgeDevice:
         for the stock edge profiles).
         """
         return precision(self.profile.compute_dtype)
-
-    def attach_inference(self, engine: "InferenceEngine") -> "InferenceEngine":
-        """Install the serving engine this device answers requests with."""
-        self._engine = engine
-        return engine
-
-    @property
-    def engine(self) -> Optional["InferenceEngine"]:
-        return self._engine
-
-    def serve(self, windows: np.ndarray) -> np.ndarray:
-        """Serve a batch of windows through the attached inference engine."""
-        if self._engine is None:
-            raise NotFittedError(
-                f"device {self.profile.name!r} has no inference engine attached; "
-                "call attach_inference(learner.inference_engine()) before serving"
-            )
-        self.inference_requests += 1
-        return self._engine.predict(windows)

@@ -1,30 +1,23 @@
-"""Batched on-device serving engine.
+"""On-device serving engine.
 
-``PILOTE.predict`` is fine for a single window but does redundant work when a
-device serves a stream: every call re-derives the classifier state and walks
-the whole embed→distance→argmin pipeline per request.  The
-:class:`InferenceEngine` is the serving-side counterpart of the learner:
-
-* it **serves from cached prototype state**: the class-id lookup array is
-  rebuilt only when the learner's ``state_version`` changes, and the
-  prototype matrix comes from the classifier's own cache (keyed on the
-  prototype store's mutation counter and the dtype policy) — so incremental
-  updates (``learn_new_classes``, ``build_support_set``) and even direct
-  prototype mutations invalidate transparently;
-* it **accepts many windows at once** and processes them in bounded batches,
-  keeping peak memory flat on resource-starved devices;
-* it **shares the exact kernels** of the NCM classifier (same backend
-  distance GEMM, same ``take``-based id mapping), so batched predictions
-  match the unbatched learner path at equal dtype.
+:class:`InferenceEngine` is the handle a serving lane answers through.  Its
+:meth:`~InferenceEngine.predict` is the learner's own Eq. 1 program —
+``learner.classifier.predict(learner.model.embed(windows))``, the one
+``PILOTE.predict`` runs — so a served class id and the learner's never
+disagree.  ``EmbeddingNetwork.embed`` is the only code that chunks (in
+:data:`~repro.core.embedding.EMBED_ROWS`-row steps) and
+``NCMClassifier.predict`` the only single-lane NCM.
 
 The engine holds a reference to its learner rather than copied state: after
-an on-device incremental update the very next ``predict`` call serves the
-new classes with no explicit re-wiring.
+an on-device incremental update (``learn_new_classes``,
+``build_support_set``) or a direct prototype mutation, the very next
+``predict`` call serves the new state with no explicit re-wiring.  It counts
+the learner state versions it served from in ``cache_refreshes``.
 
-``predict`` is ``classify(embed(windows))``.  The serving scheduler embeds
-the windows of lanes whose networks share weights in one stacked call and
-classifies them against their stacked prototypes (:func:`classify_stacked`);
-each engine takes its answer through :meth:`InferenceEngine.accept`.
+The serving scheduler embeds the windows of lanes whose networks share
+weights in one stacked call and classifies them against their stacked
+prototypes (:func:`classify_stacked`); each lane takes that answer only if
+:meth:`InferenceEngine.accept` finds its NCM state unchanged.
 
 When serving leaves the process — the multi-process
 :class:`~repro.serving.ProcessExecutor` runs one worker per lane group —
@@ -35,12 +28,12 @@ engine of its own, so remote answers run this same code.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backend import get_backend
-from repro.exceptions import DataError, NotFittedError
+from repro.exceptions import NotFittedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports edge lazily)
     from repro.core.ncm import NCMClassifier
@@ -48,148 +41,74 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports edge la
 
 
 class InferenceEngine:
-    """Batched NCM serving over a (possibly still-learning) PILOTE learner.
+    """NCM serving over a (possibly still-learning) PILOTE learner.
 
     Parameters
     ----------
     learner:
-        The :class:`~repro.core.pilote.PILOTE` instance to serve.  The engine
-        follows the learner's state: caches are keyed by
-        ``learner.state_version``.
-    batch_size:
-        Maximum number of windows embedded per internal step; bounds peak
-        working memory during large requests.
-
-    :meth:`predict` embeds through the learner, then :meth:`classify` runs
-    the NCM half (refresh check, prototype distances, class-id ``take``).
-    Fused serving answers several engines at once (:func:`classify_stacked`)
-    and counts each answer through :meth:`accept`.
+        The :class:`~repro.core.pilote.PILOTE` instance to serve; every
+        :meth:`predict` reads its current model and classifier.
     """
 
-    def __init__(self, learner: "PILOTE", *, batch_size: int = 256) -> None:
-        if batch_size <= 0:
-            raise DataError(f"batch_size must be positive, got {batch_size}")
-        self._learner = learner
-        self.batch_size = int(batch_size)
+    def __init__(self, learner: "PILOTE") -> None:
+        self.learner = learner
         self._cached_version: Optional[int] = None
-        self._classifier = None
-        self._class_ids: Optional[np.ndarray] = None
-        self.windows_served = 0
-        self.batches_served = 0
         self.cache_refreshes = 0
 
     # ------------------------------------------------------------------ #
-    @property
-    def learner(self) -> "PILOTE":
-        return self._learner
-
-    def invalidate(self) -> None:  # repro: noqa[repro-unused] benchmarks/bench_backend.py
-        """Force a prototype-cache rebuild on the next request."""
-        self._cached_version = None
-
     def warm(self) -> None:
         """Build the serving caches ahead of the first request.
 
         Performs exactly the refresh the first ``predict`` call would —
-        re-binding the classifier, materialising the class-id lookup and the
-        prototype matrix under the active dtype policy — so a freshly
-        deployed or checkpoint-restored device answers its first request at
-        full speed instead of paying the rebuild inside that request's
-        latency.  Counted in ``cache_refreshes`` like any other rebuild; a
-        no-op when the caches are already current.
+        fitting the classifier if needed and materialising its prototype
+        matrix under the active dtype policy — so a freshly deployed or
+        checkpoint-restored device answers its first request at full speed
+        instead of paying the rebuild inside that request's latency.
+        Counted in ``cache_refreshes`` like any other refresh; a no-op when
+        the caches are already current.
         """
         self._refresh_if_stale()
-        assert self._classifier is not None
-        self._classifier.prototype_matrix()
+        self.learner.classifier.prototype_matrix()
 
     def _refresh_if_stale(self) -> None:
-        """Re-bind the learner's classifier when its state version moved.
+        """Make sure the learner has a classifier; count a new state version.
 
-        The prototype matrix itself is *not* copied here: the classifier
-        already caches it keyed on the prototype store's mutation counter and
-        the dtype policy, so direct store mutations and precision switches
-        propagate to the engine without an extra invalidation channel.
+        The prototype matrix is not copied here: the classifier caches it
+        keyed on the prototype store's mutation counter and the dtype
+        policy, so direct store mutations and precision switches reach the
+        engine without an invalidation channel.
         """
-        learner = self._learner
+        learner = self.learner
         if learner.model is None:
             raise NotFittedError("the learner behind this engine has not been trained")
         learner._ensure_classifier()
-        if self._cached_version == learner.state_version:
-            return
-        self._classifier = learner.classifier
-        self._class_ids = np.asarray(self._classifier.classes_, dtype=np.int64)
-        self._cached_version = learner.state_version
-        self.cache_refreshes += 1
-
-    def cache_info(  # repro: noqa[repro-unused] test oracle: tests/test_serving_fusion.py
-        self,
-    ) -> Dict[str, int]:
-        """Serving statistics (useful for benchmarks and monitoring)."""
-        return {
-            "windows_served": self.windows_served,
-            "batches_served": self.batches_served,
-            "cache_refreshes": self.cache_refreshes,
-            "cached_classes": 0 if self._class_ids is None else int(self._class_ids.size),
-        }
-
-    # ------------------------------------------------------------------ #
-    def _embed(self, windows: np.ndarray) -> np.ndarray:
-        """Embeddings of raw windows, ``batch_size`` rows per model call."""
-        return _embed_in_chunks(
-            self._learner.embed, windows, self.batch_size,
-            self._learner.config.embedding_dim,
-        )
-
-    def _distances(self, embeddings: np.ndarray) -> np.ndarray:
-        """``(n, n_classes)`` prototype distances of current-state embeddings."""
-        classifier = self._classifier
-        distances = _prototype_distances(
-            embeddings, classifier.prototype_matrix(), self.batch_size
-        )
-        self._count(int(embeddings.shape[0]))
-        return distances
-
-    def _count(self, n_windows: int) -> None:
-        self.batches_served += -(-n_windows // self.batch_size)
-        self.windows_served += n_windows
-
-    def classify(self, embeddings: np.ndarray) -> np.ndarray:
-        """Class ids for already-embedded windows — the NCM half of :meth:`predict`.
-
-        Runs the refresh check, the prototype distances (one GEMM per
-        ``batch_size`` rows, the chunks :meth:`predict` embeds in) and the
-        class-id ``take``.
-        """
-        self._refresh_if_stale()
-        distances = self._distances(embeddings)
-        return self._class_ids.take(np.argmin(distances, axis=1))
+        if self._cached_version != learner.state_version:
+            self._cached_version = learner.state_version
+            self.cache_refreshes += 1
 
     def ncm_state(self) -> Optional[tuple]:
-        """``(classifier, prototype store version)`` the next :meth:`classify`
+        """``(classifier, prototype store version)`` the next :meth:`predict`
         would answer from; ``None`` while the learner has no classifier."""
-        learner = self._learner
+        learner = self.learner
         if not learner._classifier_ready:
             return None
-        if self._cached_version == learner.state_version:
-            classifier = self._classifier
-        else:
-            classifier = learner.classifier  # what the refresh will bind
-        return (classifier, classifier.version)
+        return (learner.classifier, learner.classifier.version)
 
-    def accept(self, class_ids: np.ndarray, state: tuple) -> bool:
-        """Count ``class_ids`` that :func:`classify_stacked` computed from
-        ``state`` as served; ``False`` (nothing counted) once the NCM state
-        has moved.  Runs :meth:`classify`'s refresh check first, so the
-        counters read the same whether or not the lane was fused."""
+    def accept(self, state: tuple) -> bool:
+        """Whether class ids :func:`classify_stacked` computed from ``state``
+        still answer for this engine: its NCM state has not moved since.
+
+        Runs :meth:`predict`'s refresh check first, so ``cache_refreshes``
+        reads the same whether or not the lane was fused.
+        """
         self._refresh_if_stale()
-        if self.ncm_state() != state:
-            return False
-        self._count(int(class_ids.shape[0]))
-        return True
+        return self.ncm_state() == state
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
-        """Class ids for a batch of raw feature windows."""
-        return self.classify(self._embed(windows))
+        """Class ids for a batch of raw feature windows (Eq. 1)."""
+        self._refresh_if_stale()
+        learner = self.learner
+        return learner.classifier.predict(learner.model.embed(windows))
 
 
 #: Most distances (rows x stacked prototypes) one fused distance call computes:
@@ -200,87 +119,49 @@ STACKED_DISTANCES = 2048
 
 
 def classify_stacked(
-    members: Sequence[Tuple["NCMClassifier", int, int]], embeddings: np.ndarray
+    members: Sequence[Tuple["NCMClassifier", int]], embeddings: np.ndarray
 ) -> List[np.ndarray]:
     """Class ids for lanes whose networks share weights, from few distance calls.
 
-    ``members`` lists ``(classifier, rows, batch_size)`` per lane, in the
-    order of their rows in ``embeddings``.  Consecutive
-    lanes share a ``pairwise_distances`` call against their stacked
-    prototypes, each row reading its own lane's block, while the call stays
-    within :data:`STACKED_DISTANCES`; a lane past it is classified alone, in
-    its engine's ``batch_size`` chunks.  Nothing is kept between calls.  Runs
-    under the active dtype policy and counts nothing (see ``accept``).
+    ``members`` lists ``(classifier, rows)`` per lane, in the order of their
+    rows in ``embeddings``.  Consecutive lanes share a
+    ``pairwise_distances`` call against their stacked prototypes, each row
+    reading its own lane's block, while the call stays within
+    :data:`STACKED_DISTANCES`; a lane past it is answered alone by its
+    ``classifier.predict``, the call its engine makes.  Stacked calls run
+    other GEMM shapes, so their distances may differ in the last bits and a
+    lane's class id can differ from its own ``predict`` at a near-tie.
+    Nothing is kept between calls.  Runs under the active dtype policy.
     """
     chunks: List[list] = []
     n_rows = n_columns = 0
-    for classifier, rows, batch_size in members:
+    for classifier, rows in members:
         prototypes = classifier.prototype_matrix()
         columns = prototypes.shape[0]
         if not chunks or (n_rows + rows) * (n_columns + columns) > STACKED_DISTANCES:
             chunks.append([])
             n_rows = n_columns = 0
-        chunks[-1].append((classifier, prototypes, rows, batch_size))
+        chunks[-1].append((classifier, prototypes, rows))
         n_rows += rows
         n_columns += columns
     answers: List[np.ndarray] = []
     first = 0
     for chunk in chunks:
-        _, blocks, row_counts, batch_sizes = zip(*chunk)
+        if len(chunk) == 1:
+            classifier, _, rows = chunk[0]
+            answers.append(classifier.predict(embeddings[first:first + rows]))
+            first += rows
+            continue
+        _, blocks, row_counts = zip(*chunk)
         n_rows = sum(row_counts)
-        distances = _prototype_distances(
-            embeddings[first:first + n_rows], np.concatenate(blocks), min(batch_sizes)
+        distances = get_backend().pairwise_distances(
+            embeddings[first:first + n_rows], np.concatenate(blocks)
         )
         row = column = 0
-        for classifier, prototypes, rows, _ in chunk:
+        for classifier, prototypes, rows in chunk:
             block = distances[row:row + rows, column:column + prototypes.shape[0]]
             answers.append(classifier.class_ids.take(np.argmin(block, axis=1)))
             row += rows
             column += prototypes.shape[0]
         first += n_rows
     return answers
-
-
-def _embed_in_chunks(
-    embed, windows: np.ndarray, batch_size: int, embedding_dim: int
-) -> np.ndarray:
-    """``embed`` over raw windows, at most ``batch_size`` rows per call.
-
-    Bounds peak working memory on large requests; a 1-D window is one row
-    and an empty request embeds nothing.
-    """
-    windows = get_backend().asarray(windows)
-    if windows.ndim == 1:
-        windows = windows[None, :]
-    n_windows = windows.shape[0]
-    if n_windows == 0:
-        return get_backend().zeros((0, embedding_dim))
-    if n_windows <= batch_size:
-        return embed(windows)
-    return np.concatenate([
-        embed(windows[start:start + batch_size])
-        for start in range(0, n_windows, batch_size)
-    ], axis=0)
-
-
-def _prototype_distances(
-    embeddings: np.ndarray, prototypes: np.ndarray, batch_size: int
-) -> np.ndarray:
-    """``(n, n_classes)`` distances, one GEMM per ``batch_size``-row chunk.
-
-    The chunks are the ones :func:`_embed_in_chunks` embeds, so a lane
-    :func:`classify_stacked` classifies alone runs the live engine's GEMM
-    shapes.  Lanes stacked into one call
-    run other shapes: their distances may differ in the last bits, so a
-    lane's class id can differ from its own ``predict`` at a near-tie.
-    """
-    backend = get_backend()
-    n_windows = embeddings.shape[0]
-    if n_windows == 0:
-        return backend.zeros((0, prototypes.shape[0]))
-    if n_windows <= batch_size:
-        return backend.pairwise_distances(embeddings, prototypes)
-    return np.concatenate([
-        backend.pairwise_distances(embeddings[start:start + batch_size], prototypes)
-        for start in range(0, n_windows, batch_size)
-    ], axis=0)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
+import numpy as np
+
 from repro.core.config import PiloteConfig
 from repro.core.pilote import PILOTE
 from repro.data.dataset import HARDataset
@@ -71,10 +73,6 @@ class MagnetoPlatform:
         self.device.store("prototypes", package.prototype_bytes)
         # The edge learner continues from the cloud learner's exact state.
         self.edge_learner = self.cloud_learner
-        # Serving goes through the device's batched engine; the engine tracks
-        # the learner's state version, so later increments invalidate its
-        # prototype cache automatically.
-        self.device.attach_inference(self.edge_learner.inference_engine())
         self.package = package
         logger.info(
             "deployed %.2f KB to edge device '%s' (%.2f KB free)",
@@ -84,18 +82,23 @@ class MagnetoPlatform:
         )
         return package
 
-    def serving_client(  # repro: noqa[repro-unused] examples/magneto_pipeline.py
-        self, **kwargs
-    ) -> "ServingClient":
-        """The platform's unified serving client (cached without options).
+    def serve(self, windows: np.ndarray) -> np.ndarray:
+        """Class ids for windows, answered by the edge learner's engine.
 
-        Equivalent to ``repro.serving.serve(platform)``; keyword arguments
-        (``routing``, ``seed``) are forwarded and bypass the cache.
+        The engine follows the learner's state version, so later increments
+        reach it without re-wiring.
         """
+        if self.edge_learner is None:
+            raise NotFittedError("deploy_to_edge() must run before serving")
+        return self.edge_learner.inference_engine().predict(windows)
+
+    def serving_client(  # repro: noqa[repro-unused] examples/magneto_pipeline.py
+        self,
+    ) -> "ServingClient":
+        """The platform's serving client, ``repro.serving.serve(platform)``,
+        built on first use and cached."""
         from repro.serving.client import serve
 
-        if kwargs:
-            return serve(self, **kwargs)
         if self._serving_client is None:
             self._serving_client = serve(self)
         return self._serving_client

@@ -184,7 +184,7 @@ class ExperimentRunner:
                 continue
             learner = copy.deepcopy(pretrained)
             increment(learner, new_train, scenario.new_validation)
-            # Test-set scoring goes through the batched serving engine — the
+            # Test-set scoring goes through the serving engine — the
             # same path the deployed edge device uses.
             predictions = learner.inference_engine().predict(test.features)
             results[method] = MethodResult(

@@ -111,7 +111,5 @@ class CheckpointStore:
             # restored device usually replaces one that was mid-traffic, so
             # it should answer at full speed immediately (the rebuild is
             # counted in the engine's cache_refreshes as usual).
-            engine = replacement.edge.engine
-            assert engine is not None
-            engine.warm()
+            replacement.engine.warm()
         return replacement

@@ -36,6 +36,7 @@ from repro.core.config import PiloteConfig
 from repro.core.pilote import PILOTE
 from repro.data.dataset import HARDataset
 from repro.edge.device import DEVICE_PROFILES, DeviceProfile, EdgeDevice
+from repro.edge.inference import InferenceEngine
 from repro.edge.transfer import TransferPackage
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.nn.trainer import TrainingHistory
@@ -58,22 +59,16 @@ class FleetDevice:
         self.device_id = int(device_id)
         self.edge = edge
         self.learner: Optional[PILOTE] = None
+        #: ``learner.inference_engine()``, set beside ``learner`` (``None``
+        #: until a package is deployed); remote executors ship its
+        #: learner's state (:func:`~repro.core.persistence.pilote_state`).
+        self.engine: Optional[InferenceEngine] = None
         self.increment_histories: List[TrainingHistory] = []
 
     # ------------------------------------------------------------------ #
     @property
     def profile(self) -> DeviceProfile:
         return self.edge.profile
-
-    @property
-    def engine(self):
-        """The serving engine attached to the underlying edge device.
-
-        Exposed so remote executors can ship its learner's state
-        (:func:`~repro.core.persistence.pilote_state`); ``None`` until a
-        package is deployed.
-        """
-        return self.edge.engine
 
     @property
     def serving_dtype(self) -> str:
@@ -86,7 +81,7 @@ class FleetDevice:
 
     @property
     def is_deployed(self) -> bool:
-        return self.learner is not None and self.edge.engine is not None
+        return self.engine is not None
 
     def deploy(
         self, package: TransferPackage, config: PiloteConfig, seed: RandomState = None
@@ -105,7 +100,7 @@ class FleetDevice:
             self.edge.store("model", package.model_bytes)
             self.edge.store("support_set", package.support_set_bytes)
             self.edge.store("prototypes", package.prototype_bytes)
-            self.edge.attach_inference(self.learner.inference_engine())
+            self.engine = self.learner.inference_engine()
 
     def adopt(self, learner: PILOTE) -> None:
         """Install an already-built learner (checkpoint restore path)."""
@@ -114,13 +109,17 @@ class FleetDevice:
             self.edge.store("model", learner.model_nbytes())
             self.edge.store("support_set", learner.support_set_nbytes())
             self.edge.store("prototypes", learner.prototypes.nbytes())
-            self.edge.attach_inference(learner.inference_engine())
+            self.engine = learner.inference_engine()
 
     # ------------------------------------------------------------------ #
     def serve(self, windows: np.ndarray) -> np.ndarray:
         """Serve a batch of windows at this device's compute dtype."""
+        if self.engine is None:
+            raise NotFittedError(
+                f"device {self.device_id} has no learner; deploy a package first"
+            )
         with self.edge.precision():
-            return self.edge.serve(windows)
+            return self.engine.predict(windows)
 
     #: The serving executors call ``infer`` on a device-like target; for a
     #: fleet device it is simply :meth:`serve`.
@@ -137,10 +136,9 @@ class FleetDevice:
         the learner owns its weights (trained on the device, restored from
         a checkpoint).
         """
-        engine = self.edge.engine
-        if engine is None:
+        if self.learner is None:
             return None
-        model = engine.learner.model
+        model = self.learner.model
         token = None if model is None else model.weights_token
         if token is None:
             return None
@@ -148,9 +146,8 @@ class FleetDevice:
 
     def embed(self, windows: np.ndarray) -> np.ndarray:
         """Embed windows with the served network at this device's dtype."""
-        engine = self.edge.engine
         with self.edge.precision():
-            return engine.learner.model.embed(windows, batch_size=engine.batch_size)
+            return self.learner.model.embed(windows)
 
     def learn_new_activity(self, new_train: HARDataset) -> TrainingHistory:
         """On-device incremental update; refreshes the storage ledger."""

@@ -5,7 +5,8 @@
 * a bare :class:`~repro.core.pilote.PILOTE` learner — served in process
   through its :class:`~repro.edge.inference.InferenceEngine`;
 * a :class:`~repro.edge.magneto.MagnetoPlatform` — the paper's one-device
-  pipeline, served through its edge device;
+  pipeline, served by :meth:`~repro.edge.magneto.MagnetoPlatform.serve`
+  through the engine of whichever learner is deployed when a request runs;
 * a :class:`~repro.fleet.FleetCoordinator` — an N-device fleet with
   pluggable routing.
 
@@ -39,7 +40,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.edge.device import DeviceProfile, EdgeDevice
+from repro.edge.device import DeviceProfile
 from repro.edge.magneto import MagnetoPlatform
 from repro.exceptions import ClientClosedError, RoutingError, ServingError
 from repro.fleet.coordinator import FleetCoordinator
@@ -64,7 +65,7 @@ IN_PROCESS_PROFILE = DeviceProfile(
 class LocalServingDevice:
     """Adapts any ``infer(windows) -> class_ids`` callable to the device API.
 
-    Gives bare learners and edge devices the interface the
+    Gives bare learners and platforms the interface the
     event-loop scheduler expects from a fleet device: ``infer``,
     ``device_id`` and ``profile``.  ``engine`` optionally names the
     :class:`~repro.edge.inference.InferenceEngine` behind the callable so
@@ -97,21 +98,23 @@ class LocalServingDevice:
         return self._infer(windows)
 
 
-class _EdgeDeviceLane(LocalServingDevice):
-    """A platform's :class:`~repro.edge.device.EdgeDevice` as a lane.
+class _PlatformLane(LocalServingDevice):
+    """A :class:`~repro.edge.magneto.MagnetoPlatform`'s edge device as a lane.
 
-    ``engine`` is the device's engine when it is read, not when the lane is
-    built, so a client built before deployment serves (and the simulated
-    clock charges) the engine deployed later.
+    Answers through :meth:`MagnetoPlatform.serve`, and ``engine`` reads
+    ``platform.edge_learner`` when it is read, not when the lane is built,
+    so a client built before deployment serves (and the simulated clock
+    charges) the learner deployed later.
     """
 
-    def __init__(self, device: EdgeDevice) -> None:
-        super().__init__(device.serve, profile=device.profile)
-        self._device = device
+    def __init__(self, platform: MagnetoPlatform) -> None:
+        super().__init__(platform.serve, profile=platform.device.profile)
+        self._platform = platform
 
     @property
     def engine(self):
-        return self._device.engine
+        learner = self._platform.edge_learner
+        return None if learner is None else learner.inference_engine()
 
 
 class ServingClient:
@@ -386,8 +389,7 @@ def _build_client(target, options: dict, PILOTE) -> ServingClient:
         )
     if isinstance(target, MagnetoPlatform):
         # A platform serves through its one edge device.
-        lane = _EdgeDeviceLane(target.device)
-        return ServingClient([lane], label="platform", **options)
+        return ServingClient([_PlatformLane(target)], label="platform", **options)
     if isinstance(target, PILOTE):
         engine = target.inference_engine()
         device = LocalServingDevice(engine.predict, engine=engine)

@@ -300,8 +300,7 @@ def _process_worker_main(worker_index, task_queue, result_queue):
             dtype = resolve_dtype(metadata["compute_dtype"])
             with precision(dtype):
                 learner = pilote_from_state(state, metadata)
-            engine = learner.inference_engine(batch_size=metadata["batch_size"])
-            engines[position] = (engine, dtype)
+            engines[position] = (learner.inference_engine(), dtype)
             continue
         if kind == "crash":
             os._exit(1)
@@ -479,7 +478,6 @@ class ProcessExecutor(Executor):
         }
         metadata.update(
             state_version=learner.state_version,
-            batch_size=engine.batch_size,
             compute_dtype=str(dtype),
         )
         worker.task_queue.put(("sync", position, state, metadata))

@@ -283,9 +283,10 @@ class _Parked:
 def _fusion_key(device) -> Optional[tuple]:
     """The device's ``fusion_key()``; ``None`` for devices without one.
 
-    Only device types whose ``infer`` is exactly ``engine.classify(embed(...))``
-    define it (``FleetDevice``); wrappers and adapters that inject behaviour
-    into ``infer`` do not, so they always serve through it.
+    Only device types whose ``infer`` is exactly ``engine.predict`` under
+    their serving dtype define it (``FleetDevice``); wrappers and adapters
+    that inject behaviour into ``infer`` do not, so they always serve
+    through it.
     """
     fusion_key = getattr(device, "fusion_key", None)
     return fusion_key() if fusion_key is not None else None
@@ -1170,8 +1171,8 @@ class EventLoopScheduler:
                 start = perf_seconds()
                 embeddings = self._devices[members[0][0]].embed(stacked)
                 lanes = [
-                    (state[0], windows.shape[0], self._devices[position].engine.batch_size)
-                    for (position, _, state), windows in zip(members, lane_windows)
+                    (state[0], windows.shape[0])
+                    for (_, _, state), windows in zip(members, lane_windows)
                 ]
                 with precision(key[1]):
                     answers = classify_stacked(lanes, embeddings)
@@ -1228,7 +1229,7 @@ class EventLoopScheduler:
             and parked.requests is requests
             and parked.n_requests == len(requests)
             and _fusion_key(device) == parked.key
-            and device.engine.accept(parked.class_ids, parked.state)
+            and device.engine.accept(parked.state)
         ):
             return _PreparedBatch(
                 position, batch, device, stats, begin, n_resolved,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.autodiff.tensor import Tensor
 from repro.core.config import PiloteConfig
-from repro.core.embedding import EmbeddingNetwork
+from repro.core.embedding import EMBED_ROWS, EmbeddingNetwork
 from repro.exceptions import ConfigurationError, ShapeError
 
 
@@ -99,8 +99,10 @@ class TestEmbeddingNetwork:
 
     def test_embed_chunking_matches_single_pass(self):
         network = self._network()
-        batch = np.random.default_rng(2).normal(size=(20, 10))
-        assert np.allclose(network.embed(batch, batch_size=7), network.embed(batch, batch_size=64))
+        batch = np.random.default_rng(2).normal(size=(EMBED_ROWS + 5, 10))
+        chunked = network.embed(batch)
+        assert np.allclose(chunked, network.backbone.array_forward(batch))
+        assert np.array_equal(chunked[:EMBED_ROWS], network.embed(batch[:EMBED_ROWS]))
 
     def test_wrong_input_dim_raises(self):
         network = self._network()

@@ -49,11 +49,6 @@ class TestEdgeDevice:
         with pytest.raises(EdgeResourceError):
             device.store("x", -1)
 
-    def test_serve_without_engine_explains_attach(self):
-        device = EdgeDevice()
-        with pytest.raises(NotFittedError, match="attach_inference"):
-            device.serve(np.zeros((1, 4)))
-
 
 class TestTransferPackaging:
     def test_package_contents_and_sizes(self, pretrained_pilote):

@@ -5,15 +5,19 @@ import copy
 import numpy as np
 import pytest
 
+from repro.backend import precision
+from repro.core.embedding import EMBED_ROWS
 from repro.edge.device import DEVICE_PROFILES, DeviceProfile, EdgeDevice
 from repro.edge.inference import InferenceEngine
 from repro.edge.magneto import MagnetoPlatform
-from repro.exceptions import DataError, EdgeResourceError
+from repro.exceptions import EdgeResourceError, NotFittedError
+from repro.fleet import FleetDevice
+from repro.serving import serve
 
 
 class TestInferenceEngineCorrectness:
     def test_batched_matches_one_at_a_time_predict(self, pretrained_pilote, run_scenario):
-        engine = InferenceEngine(pretrained_pilote, batch_size=32)
+        engine = InferenceEngine(pretrained_pilote)
         windows = run_scenario.test.features
         batched = engine.predict(windows)
         one_at_a_time = np.concatenate(
@@ -21,25 +25,31 @@ class TestInferenceEngineCorrectness:
         )
         assert np.array_equal(batched, one_at_a_time)
 
-    def test_batch_size_does_not_change_predictions(self, pretrained_pilote, run_scenario):
-        windows = run_scenario.test.features
-        small = InferenceEngine(pretrained_pilote, batch_size=7).predict(windows)
-        large = InferenceEngine(pretrained_pilote, batch_size=512).predict(windows)
-        assert np.array_equal(small, large)
-
     def test_matches_learner_predict_after_increment(self, incremented_pilote, run_scenario):
         engine = incremented_pilote.inference_engine()
         windows = run_scenario.test.features
         assert np.array_equal(engine.predict(windows), incremented_pilote.predict(windows))
+        # A batch past one embedding chunk, in both precision profiles: every
+        # serving path answers with the learner's own program.
+        rng = np.random.default_rng(0)
+        rows = rng.integers(0, windows.shape[0], EMBED_ROWS + 1)
+        large = windows[rows] + rng.normal(scale=0.01, size=(rows.size, windows.shape[1]))
+        for dtype in ("float64", "float32"):
+            device = FleetDevice(0, EdgeDevice(DeviceProfile(
+                "test", storage_bytes=2**30, memory_bytes=2**30, compute_dtype=dtype,
+            )))
+            device.adopt(copy.deepcopy(incremented_pilote))
+            with precision(dtype):
+                expected = incremented_pilote.predict(large)
+                assert expected.shape == (EMBED_ROWS + 1,)
+                assert np.array_equal(engine.predict(large), expected)
+                assert np.array_equal(serve(incremented_pilote).predict(large), expected)
+            assert np.array_equal(device.serve(large), expected)
 
     def test_single_window_accepted(self, pretrained_pilote, run_scenario):
         engine = InferenceEngine(pretrained_pilote)
         prediction = engine.predict(run_scenario.test.features[0])
         assert prediction.shape == (1,)
-
-    def test_invalid_batch_size_rejected(self, pretrained_pilote):
-        with pytest.raises(DataError):
-            InferenceEngine(pretrained_pilote, batch_size=0)
 
     def test_empty_batch_returns_empty_predictions(self, pretrained_pilote, run_scenario):
         """Regression: an empty request must not crash the serving loop."""
@@ -50,37 +60,25 @@ class TestInferenceEngineCorrectness:
 
 class TestInferenceEngineCache:
     def test_cache_built_once_and_reused(self, pretrained_pilote, run_scenario):
-        engine = InferenceEngine(pretrained_pilote, batch_size=64)
+        engine = InferenceEngine(pretrained_pilote)
         windows = run_scenario.test.features[:20]
         engine.predict(windows)
         engine.predict(windows)
-        info = engine.cache_info()
-        assert info["cache_refreshes"] == 1
-        assert info["windows_served"] == 40
-        assert info["cached_classes"] == len(pretrained_pilote.classes_)
+        assert engine.cache_refreshes == 1
 
     def test_cache_invalidates_after_learn_new_classes(self, pilote_copy, run_scenario):
         engine = pilote_copy.inference_engine()
         old_predictions = engine.predict(run_scenario.test.features)
-        assert engine.cache_info()["cache_refreshes"] == 1
+        assert engine.cache_refreshes == 1
         new_class = int(run_scenario.new_train.classes[0])
         assert new_class not in set(old_predictions.tolist())
 
         pilote_copy.learn_new_classes(run_scenario.new_train, run_scenario.new_validation)
         predictions = engine.predict(run_scenario.test.features)
-        info = engine.cache_info()
-        assert info["cache_refreshes"] == 2
-        assert info["cached_classes"] == len(pilote_copy.classes_)
+        assert engine.cache_refreshes == 2
         # The engine now serves the freshly learned class without re-wiring.
         assert new_class in set(predictions.tolist())
         assert np.array_equal(predictions, pilote_copy.predict(run_scenario.test.features))
-
-    def test_explicit_invalidate_forces_rebuild(self, pretrained_pilote, run_scenario):
-        engine = InferenceEngine(pretrained_pilote)
-        engine.predict(run_scenario.test.features[:5])
-        engine.invalidate()
-        engine.predict(run_scenario.test.features[:5])
-        assert engine.cache_info()["cache_refreshes"] == 2
 
     def test_engine_accessor_is_cached_on_learner(self, pilote_copy):
         assert pilote_copy.inference_engine() is pilote_copy.inference_engine()
@@ -101,12 +99,16 @@ class TestInferenceEngineCache:
 
 
 class TestEdgeWiring:
-    def test_device_attach_and_serve(self, pretrained_pilote, run_scenario):
-        device = EdgeDevice()
-        device.attach_inference(pretrained_pilote.inference_engine())
+    def test_fleet_device_serves_through_its_learners_engine(self, pilote_copy, run_scenario):
+        device = FleetDevice(0, EdgeDevice())
+        with pytest.raises(NotFittedError, match="deploy a package"):
+            device.serve(run_scenario.test.features[:8])
+        device.adopt(pilote_copy)
+        assert device.engine is pilote_copy.inference_engine()
         predictions = device.serve(run_scenario.test.features[:8])
         assert predictions.shape == (8,)
-        assert device.inference_requests == 1
+        with device.edge.precision():
+            assert np.array_equal(predictions, pilote_copy.predict(run_scenario.test.features[:8]))
 
     def test_device_profiles_default_to_float32(self):
         for profile in DEVICE_PROFILES.values():
@@ -125,10 +127,10 @@ class TestEdgeWiring:
         platform = MagnetoPlatform(config=tiny_config)
         platform.cloud_learner = copy.deepcopy(pretrained_pilote)
         platform.deploy_to_edge()
-        predictions = platform.serving_client().predict(run_scenario.test.features[:12])
+        client = platform.serving_client()
+        predictions = client.predict(run_scenario.test.features[:12])
         assert predictions.shape == (12,)
-        assert platform.device.inference_requests == 1
-        assert platform.device.engine is not None
+        assert client.scheduler.devices[0].engine is platform.edge_learner.inference_engine()
         assert np.array_equal(
             predictions, platform.edge_learner.predict(run_scenario.test.features[:12])
         )

@@ -272,15 +272,13 @@ class TestCheckpointStore:
         device = fleet.device(1)
         store = CheckpointStore(tmp_path)
         restored = store.restore(store.save(device))
-        engine = restored.edge.engine
-        info = engine.cache_info()
-        # The warm-up rebuild already ran (and is accounted for) at restore
+        engine = restored.engine
+        # The warm-up refresh already ran (and is accounted for) at restore
         # time, so the first request pays no cache refresh.
-        assert info["cache_refreshes"] == 1
-        assert info["cached_classes"] > 0
-        before = engine.cache_info()["cache_refreshes"]
+        assert engine.cache_refreshes == 1
+        assert restored.learner.classifier.classes_
         outputs = restored.infer(pool[:64])
-        assert engine.cache_info()["cache_refreshes"] == before
+        assert engine.cache_refreshes == 1
         # Warming must not perturb the bit-exact round-trip.
         assert np.array_equal(device.infer(pool[:64]), outputs)
 
@@ -319,17 +317,39 @@ class TestCheckpointStore:
         with pytest.raises(SerializationError, match="gone from disk"):
             store.restore(deleted)
 
-    def test_live_client_follows_device_replacement(self, fleet, pool, tmp_path):
+    def test_live_client_follows_device_replacement(
+        self, fleet, pool, tmp_path, monkeypatch
+    ):
         client = serve(fleet, routing="hash", seed=1)
         crashed = fleet.devices[int(hash_lanes([7], 1)[0])]
         store = CheckpointStore(tmp_path)
         replacement = store.restore(store.save(crashed))
         fleet.replace_device(crashed.device_id, replacement)
-        before = replacement.edge.inference_requests
-        client.submit(PredictRequest(user_id=7, features=pool[:2]))
+        answered_by = []
+        for device in (crashed, replacement):
+            infer = device.infer
+            monkeypatch.setattr(device, "infer", lambda windows, device=device, infer=infer: (
+                answered_by.append(device) or infer(windows)
+            ))
+        pending = client.submit(PredictRequest(user_id=7, features=pool[:2]))
         client.drain()
-        assert replacement.edge.inference_requests == before + 1
-        assert crashed.edge.inference_requests == 0
+        assert pending.result().device_id == crashed.device_id
+        assert answered_by == [replacement]
+
+    def test_engine_is_the_learners_after_deploy_restore_and_replace(
+        self, fleet, tmp_path
+    ):
+        """``FleetDevice.engine`` is set beside ``learner`` on every path
+        that installs one, so it always serves the device's own learner."""
+        for device in fleet.devices:
+            assert device.engine is device.learner.inference_engine()
+        store = CheckpointStore(tmp_path)
+        replacement = store.restore(store.save(fleet.device(1)))
+        assert replacement.engine is replacement.learner.inference_engine()
+        fleet.replace_device(1, replacement)
+        device = fleet.device(1)
+        assert device is replacement
+        assert device.engine is device.learner.inference_engine()
 
 
 class TestFleetSimulation:

@@ -36,7 +36,7 @@ from repro.autodiff.gradcheck import check_gradients
 from repro.autodiff.primitives import batch_norm_eval_constants
 from repro.autodiff.tensor import Tensor, no_grad
 from repro.backend import get_backend, precision
-from repro.core.embedding import EmbeddingNetwork
+from repro.core.embedding import EMBED_ROWS, EmbeddingNetwork
 from repro.core.pairs import PairBatch, PairSampler, upper_triangle
 from repro.core.pilote import PILOTE
 from repro.edge.transfer import package_for_edge
@@ -98,7 +98,7 @@ def composite_batch_norm_forward(self, inputs):
     )
 
 
-def composite_embed(self, features, *, batch_size=512):
+def composite_embed(self, features):
     features = get_backend().asarray(features)
     if features.ndim == 1:
         features = features[None, :]
@@ -106,8 +106,8 @@ def composite_embed(self, features, *, batch_size=512):
     self.eval()
     outputs = []
     with no_grad():
-        for start in range(0, features.shape[0], batch_size):
-            chunk = features[start:start + batch_size]
+        for start in range(0, features.shape[0], EMBED_ROWS):
+            chunk = features[start:start + EMBED_ROWS]
             outputs.append(self.forward(Tensor(chunk)).data.copy())
     if was_training:
         self.train()

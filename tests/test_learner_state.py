@@ -122,7 +122,7 @@ class TestInstantiateIsPiloteFromState:
         engine = pilote_copy.inference_engine()
         engine.predict(pool)
         version = pilote_copy.state_version
-        refreshes = engine.cache_info()["cache_refreshes"]
+        refreshes = engine.cache_refreshes
         if update == "refit_classifier":
             # A direct prototype edit becomes visible through one refit.
             old_classes = pilote_copy.old_classes
@@ -141,7 +141,7 @@ class TestInstantiateIsPiloteFromState:
         assert pilote_copy.state_version == version + 1
         assert np.array_equal(engine.predict(pool), pilote_copy.predict(pool))
         assert pilote_copy.state_version == version + 1
-        assert engine.cache_info()["cache_refreshes"] == refreshes + 1
+        assert engine.cache_refreshes == refreshes + 1
 
 
 # ---------------------------------------------------------------------- #
@@ -260,7 +260,6 @@ class TestProcessShipping:
             state[f"prototypes/{c}"].dtype == np.float32 for c in package.prototypes
         )
         assert metadata["state_version"] == device.learner.state_version
-        assert metadata["batch_size"] == device.engine.batch_size
         assert metadata["compute_dtype"] == "float32"
         assert executor.sync_stats() == {
             "bytes_shipped": sum(value.nbytes for value in state.values()),

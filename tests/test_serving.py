@@ -121,16 +121,15 @@ class TestServeFacade:
         client = platform.serving_client()
         assert client is platform.serving_client()  # cached
         assert client.label == "platform"
-        before = platform.device.inference_requests
+        assert client.scheduler.devices[0].engine is pretrained_pilote.inference_engine()
         predictions = client.predict(pool[:12])
         assert np.array_equal(predictions, pretrained_pilote.predict(pool[:12]))
-        assert platform.device.inference_requests == before + 1
 
     def test_platform_client_cached_before_deploy_follows_the_device(
         self, pretrained_pilote, tiny_config
     ):
-        """The lane reads the device's engine when used, so a client cached
-        before deployment is charged the deployed network's FLOPs."""
+        """The lane reads the deployed learner's engine when used, so a client
+        cached before deployment is charged the deployed network's FLOPs."""
         from repro.serving.scheduler import BATCH_SECONDS, SECONDS_PER_FLOP, service_seconds
 
         platform = MagnetoPlatform(tiny_config, seed=0)
@@ -140,7 +139,7 @@ class TestServeFacade:
         platform.cloud_learner = pretrained_pilote
         platform.deploy_to_edge()
         assert platform.serving_client() is client
-        assert lane.engine is platform.device.engine
+        assert lane.engine is platform.edge_learner.inference_engine()
         flops = pretrained_pilote.model.flops_per_row
         assert service_seconds(lane, 8) == (
             (BATCH_SECONDS + 8 * flops * SECONDS_PER_FLOP) / lane.profile.relative_compute
@@ -148,16 +147,14 @@ class TestServeFacade:
         assert service_seconds(lane, 8) != undeployed
 
     def test_empty_batch_on_device_and_platform(self, pretrained_pilote, tiny_config):
-        """A device serves an empty batch as no predictions; the client
-        rejects an empty request with a typed error instead."""
+        """An engine and a platform serve an empty batch as no predictions;
+        the client rejects an empty request with a typed error instead."""
         empty = np.empty((0, pretrained_pilote.model.input_dim))
-        device = EdgeDevice()
-        device.attach_inference(pretrained_pilote.inference_engine())
-        assert device.serve(empty).shape == (0,)
+        assert pretrained_pilote.inference_engine().predict(empty).shape == (0,)
         platform = MagnetoPlatform(tiny_config, seed=0)
         platform.cloud_learner = pretrained_pilote
         platform.deploy_to_edge()
-        assert platform.device.serve(empty).shape == (0,)
+        assert platform.serve(empty).shape == (0,)
         with pytest.raises(InvalidRequestError):
             platform.serving_client().predict(empty)
 
@@ -194,12 +191,10 @@ class TestServeFacade:
     def test_serving_parts_are_not_targets(self, part, pretrained_pilote, fleet):
         """Only a learner, a platform or a fleet is served; the engines and
         devices inside them are reached through their owner."""
-        engine = pretrained_pilote.inference_engine()
         if part == "engine":
-            target = engine
+            target = pretrained_pilote.inference_engine()
         elif part == "edge-device":
             target = EdgeDevice()
-            target.attach_inference(engine)
         else:
             target = fleet.device(0)
         with pytest.raises(ServingError, match="expected a PILOTE"):
@@ -340,14 +335,14 @@ class TestDeadlines:
         assert first in [twin, first]
 
     def test_errors_travel_through_futures(self, tiny_config, pool):
-        platform = MagnetoPlatform(tiny_config)  # no engine attached
+        platform = MagnetoPlatform(tiny_config)  # nothing deployed yet
         client = serve(platform)
-        with pytest.raises(NotFittedError, match="attach_inference"):
+        with pytest.raises(NotFittedError, match="deploy_to_edge"):
             client.predict(pool[:2])
 
 
 class TestInFlightReplacement:
-    def test_replace_device_no_drop_no_double(self, fleet, pool, tmp_path):
+    def test_replace_device_no_drop_no_double(self, fleet, pool, tmp_path, monkeypatch):
         """FleetCoordinator.replace_device with requests in flight: every
         request is answered exactly once, queued work lands on the
         replacement."""
@@ -365,6 +360,12 @@ class TestInFlightReplacement:
         replacement = store.restore(store.save(crashed))
         fleet.replace_device(crashed.device_id, replacement)
         assert fleet.devices[0] is replacement  # the scheduler's live list
+        answered_by = []
+        for device in (crashed, replacement):
+            infer = device.infer
+            monkeypatch.setattr(device, "infer", lambda windows, device=device, infer=infer: (
+                answered_by.extend([device] * len(windows)) or infer(windows)
+            ))
 
         completions = []
         for future in futures:
@@ -372,8 +373,10 @@ class TestInFlightReplacement:
         client.drain()
         assert len(completions) == 30  # nothing dropped, nothing doubled
         assert all(f.done() and f.exception() is None for f in futures)
-        assert crashed.edge.inference_requests == 0
-        assert replacement.edge.inference_requests > 0  # queued work moved over
+        # The lane's queued work moved over: the replacement answered every
+        # request of the crashed device's lane, the crashed device none.
+        moved = [f for f in futures if f.result().device_id == crashed.device_id]
+        assert moved and answered_by == [replacement] * len(moved)
         report = client.report()
         assert sum(s.requests for s in report.per_device.values()) == 30
 
