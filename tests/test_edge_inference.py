@@ -8,7 +8,7 @@ import pytest
 from repro.backend import precision
 from repro.core.embedding import EMBED_ROWS
 from repro.edge.device import DEVICE_PROFILES, DeviceProfile, EdgeDevice
-from repro.edge.inference import InferenceEngine
+from repro.edge.inference import STACKED_DISTANCES, InferenceEngine, classify_stacked
 from repro.edge.magneto import MagnetoPlatform
 from repro.exceptions import EdgeResourceError, NotFittedError
 from repro.fleet import FleetDevice
@@ -24,6 +24,21 @@ class TestInferenceEngineCorrectness:
             [pretrained_pilote.predict(window[None, :]) for window in windows]
         )
         assert np.array_equal(batched, one_at_a_time)
+
+    def test_batch_size_does_not_change_predictions(self, pretrained_pilote, run_scenario):
+        """A request's size does not change its class ids: small requests
+        and one past an embedding chunk answer what one whole request does."""
+        engine = InferenceEngine(pretrained_pilote)
+        windows = run_scenario.test.features
+        whole = engine.predict(windows)
+        in_sevens = np.concatenate(
+            [engine.predict(windows[start:start + 7]) for start in range(0, len(windows), 7)]
+        )
+        assert np.array_equal(in_sevens, whole)
+        repeats = EMBED_ROWS // len(windows) + 2
+        tiled = engine.predict(np.tile(windows, (repeats, 1)))
+        assert tiled.shape[0] > EMBED_ROWS
+        assert np.array_equal(tiled, np.tile(whole, repeats))
 
     def test_matches_learner_predict_after_increment(self, incremented_pilote, run_scenario):
         engine = incremented_pilote.inference_engine()
@@ -80,6 +95,21 @@ class TestInferenceEngineCache:
         assert new_class in set(predictions.tolist())
         assert np.array_equal(predictions, pilote_copy.predict(run_scenario.test.features))
 
+    def test_explicit_invalidate_forces_rebuild(self, pilote_copy, run_scenario):
+        """``refit_classifier`` is the explicit invalidation: it bumps the
+        learner's state version, so the next request refreshes and answers
+        from the refitted classifier."""
+        engine = pilote_copy.inference_engine()
+        windows = run_scenario.test.features[:5]
+        before = engine.predict(windows)
+        assert engine.cache_refreshes == 1
+        stale = pilote_copy.classifier
+        pilote_copy.refit_classifier()
+        after = engine.predict(windows)
+        assert engine.cache_refreshes == 2
+        assert pilote_copy.classifier is not stale
+        assert np.array_equal(after, before)
+
     def test_engine_accessor_is_cached_on_learner(self, pilote_copy):
         assert pilote_copy.inference_engine() is pilote_copy.inference_engine()
 
@@ -96,6 +126,39 @@ class TestInferenceEngineCache:
         mutated = engine.predict(windows)
         assert victim not in set(mutated.tolist())
         assert np.array_equal(mutated, pilote_copy.predict(windows))
+
+
+class TestClassifyStacked:
+    def test_fused_lanes_and_a_lone_lane_answer_like_their_own_predict(
+        self, pilote_copy, pretrained_pilote, incremented_pilote, run_scenario, monkeypatch
+    ):
+        """Small lanes share one distance call; a lane past
+        ``STACKED_DISTANCES`` is answered alone by its ``classifier.predict``."""
+        windows = run_scenario.test.features
+        learners = [incremented_pilote, pretrained_pilote, pilote_copy]
+        for learner in learners:
+            learner.inference_engine().warm()
+        lone = pilote_copy.classifier
+        lone_rows = STACKED_DISTANCES // len(lone.classes_) + 1
+        rng = np.random.default_rng(3)
+        lane_windows = [
+            windows[:10], windows[10:17], windows[rng.integers(0, len(windows), lone_rows)]
+        ]
+        embeddings = np.concatenate(
+            [learner.embed(rows) for learner, rows in zip(learners, lane_windows)]
+        )
+        members = [
+            (learner.classifier, len(rows)) for learner, rows in zip(learners, lane_windows)
+        ]
+        answered_alone = []
+        predict = lone.predict
+        monkeypatch.setattr(lone, "predict", lambda embedded: (
+            answered_alone.append(embedded.shape[0]) or predict(embedded)
+        ))
+        answers = classify_stacked(members, embeddings)
+        assert answered_alone == [lone_rows]
+        for learner, rows, answer in zip(learners, lane_windows, answers):
+            assert np.array_equal(answer, learner.predict(rows))
 
 
 class TestEdgeWiring:
