@@ -127,10 +127,10 @@ def classify_stacked(
     rows in ``embeddings``.  Consecutive lanes share a
     ``pairwise_distances`` call against their stacked prototypes, each row
     reading its own lane's block, while the call stays within
-    :data:`STACKED_DISTANCES`; a lane past it is answered alone by its
-    ``classifier.predict``, the call its engine makes.  Stacked calls run
-    other GEMM shapes, so their distances may differ in the last bits and a
-    lane's class id can differ from its own ``predict`` at a near-tie.
+    :data:`STACKED_DISTANCES`; a lane past it starts a call of its own, the
+    same call its ``classifier.predict`` makes.  Calls over several lanes
+    run other GEMM shapes, so their distances may differ in the last bits
+    and a lane's class id can differ from its own ``predict`` at a near-tie.
     Nothing is kept between calls.  Runs under the active dtype policy.
     """
     chunks: List[list] = []
@@ -147,11 +147,6 @@ def classify_stacked(
     answers: List[np.ndarray] = []
     first = 0
     for chunk in chunks:
-        if len(chunk) == 1:
-            classifier, _, rows = chunk[0]
-            answers.append(classifier.predict(embeddings[first:first + rows]))
-            first += rows
-            continue
         _, blocks, row_counts = zip(*chunk)
         n_rows = sum(row_counts)
         distances = get_backend().pairwise_distances(
