@@ -16,6 +16,8 @@ import pytest
 
 from repro.autodiff.tensor import Tensor
 from repro.backend import get_backend, precision
+from repro.core.config import PiloteConfig
+from repro.core.embedding import EmbeddingNetwork
 from repro.core.exemplars import herding_selection
 from repro.core.ncm import NCMClassifier
 from repro.data.activities import Activity
@@ -128,24 +130,28 @@ def test_herding_step_time_and_peak_allocations(report):
 
 
 def test_float32_profile_halves_serving_footprint(report):
-    """Embedding + distance buffers under the edge profile take half the bytes."""
+    """Embedding + distance buffers under the edge profile take half the bytes.
+
+    Measures the serving path: ``EmbeddingNetwork.embed`` (the layers' array
+    forwards, in chunks of ``EMBED_ROWS``), then ``pairwise_distances`` to the
+    prototypes, on a network built in each profile's dtype.  The windows and
+    prototypes arrive in that dtype, as a device's do.
+    """
     rng = np.random.default_rng(2)
     windows = rng.normal(size=(1024, 80))
     references = rng.normal(size=(6, 32))
-    networks = {}
-    for profile, dtype in (("reference", np.float64), ("edge", np.float32)):
-        network = build_mlp([80, 128, 64, 32], rng=0)
-        network.eval()
-        for parameter in network.parameters():
-            parameter.data = parameter.data.astype(dtype)
-        networks[profile] = network
+    config = PiloteConfig(hidden_dims=(128, 64), embedding_dim=32, seed=0)
+    networks, inputs = {}, {}
+    for profile in ("reference", "edge"):
+        with precision(profile):
+            networks[profile] = EmbeddingNetwork(80, config=config, rng=0)
+            inputs[profile] = get_backend().asarray(windows), get_backend().asarray(references)
 
     def serve(profile):
+        batch, prototypes = inputs[profile]
         with precision(profile):
-            backend = get_backend()
-            batch = backend.asarray(windows)
-            embeddings = networks[profile](Tensor(batch)).data
-            return backend.pairwise_distances(embeddings, backend.asarray(references))
+            embeddings = networks[profile].embed(batch)
+            return get_backend().pairwise_distances(embeddings, prototypes)
 
     peak64, seconds64 = _peak_bytes_and_seconds(lambda: serve("reference"))
     peak32, seconds32 = _peak_bytes_and_seconds(lambda: serve("edge"))

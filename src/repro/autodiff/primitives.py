@@ -25,7 +25,12 @@ interior cotangent is cast and reduced as ``Tensor._accumulate`` would
 delivered them, so a tape of these ops is bit-identical to the elementwise
 graph.  The inference path calls the same
 forwards on plain arrays with :data:`~repro.backend.registry.NO_TAPE`, so
-serving and training share one implementation of every layer.
+serving and training share one implementation of every layer.  Off the
+tape the linear op adds its bias into its own product, and ``relu`` and
+``batch_norm_eval`` write into their input when a no-tape caller gives it
+up (``overwrite``).  They do so only where every operand shares the
+written array's dtype, so each step runs the same ufunc on the same
+dtypes as out of place, and the bytes do not change.
 
 PILOTE's whole training step is one op, ``pilote_step``.  Its forward runs
 the training-mode layer forwards above and the objective (:func:`pilote_loss`:
@@ -45,7 +50,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.backend.policy import default_dtype
-from repro.backend.registry import OpContext, register_op
+from repro.backend.registry import NO_TAPE, OpContext, register_op
 from repro.exceptions import ShapeError
 
 
@@ -215,10 +220,10 @@ def _sqrt_cotangent(grad, out):
 register_op("sqrt", _sqrt_forward, _sqrt_vjp, doc="elementwise square root")
 
 
-def _relu_forward(ctx, a):
+def _relu_forward(ctx, a, *, overwrite=False):
     mask = a > 0
     ctx.save(mask)
-    return a * mask
+    return np.multiply(a, mask, out=a if overwrite else None)  # a's dtype either way
 
 
 def _relu_vjp(ctx, grad):
@@ -321,7 +326,9 @@ register_op(
 def _linear_forward(ctx, x, weight, bias):
     product = x @ weight
     ctx.save(x, weight, product)
-    return product + bias
+    # the product is this call's own array: off the tape the bias goes into it
+    in_place = ctx is NO_TAPE and bias.dtype == product.dtype
+    return np.add(product, bias, out=product if in_place else None)
 
 
 def _linear_vjp(ctx, grad):
@@ -356,12 +363,18 @@ def batch_norm_eval_constants(running_mean, running_var, epsilon):
     return mean, np.sqrt(variance + _constant(epsilon))
 
 
-def _batch_norm_eval_forward(ctx, x, gamma, beta, *, mean, std):
-    # No (n, features) temporary outlives its use: this is the serving path.
-    normalised = (x - mean) / std
-    scaled = normalised * gamma
+def _batch_norm_eval_forward(ctx, x, gamma, beta, *, mean, std, overwrite=False):
+    # Serving and validation run this off the tape.  Given ``x`` to
+    # overwrite, every step writes into it and no (n, features) array is
+    # allocated; otherwise, or when an operand's dtype differs from x's (a
+    # step would round to x's narrower dtype), each step allocates and
+    # ``x`` is only read.
+    in_place = overwrite and x.dtype == gamma.dtype == beta.dtype == mean.dtype == std.dtype
+    out = x if in_place else None
+    normalised = np.divide(np.subtract(x, mean, out=out), std, out=out)
+    scaled = np.multiply(normalised, gamma, out=out)
     ctx.save(gamma, np.result_type(x, mean), std, normalised, scaled)
-    return scaled + beta
+    return np.add(scaled, beta, out=out)
 
 
 def _batch_norm_eval_vjp(ctx, grad):
@@ -573,8 +586,8 @@ def _pilote_step_forward(ctx, x, *parameters, layers, left, right, same_class,
                          margin, variant="squared", alpha=0.0, old_rows=None,
                          teacher=None, batch_stats=None):
     # The network in training mode (batch statistics in every BatchNorm),
-    # through the layer ops' own forwards; each layer's saved arrays feed
-    # the closed-form backward.
+    # through the layer ops' own forwards.  Of each layer's saved arrays the
+    # step keeps only those the closed-form backward reads.
     saved = []
     hidden = x
     position = 0
@@ -582,19 +595,23 @@ def _pilote_step_forward(ctx, x, *parameters, layers, left, right, same_class,
         layer_ctx = OpContext(kind)
         if kind == "relu":
             hidden = _relu_forward(layer_ctx, hidden)
+            saved.append(layer_ctx.saved)  # the mask
+            continue
+        first, second = parameters[position:position + 2]
+        position += 2
+        if kind == "linear":
+            hidden = _linear_forward(layer_ctx, hidden, first, second)
+            inputs, weight, _ = layer_ctx.saved
+            saved.append((inputs, weight))
         else:
-            first, second = parameters[position:position + 2]
-            position += 2
-            if kind == "linear":
-                hidden = _linear_forward(layer_ctx, hidden, first, second)
-            else:
-                stats = []
-                hidden = _batch_norm_train_forward(
-                    layer_ctx, hidden, first, second, epsilon=epsilon, batch_stats=stats
-                )
-                if batch_stats is not None:
-                    batch_stats.append(tuple(stats))
-        saved.append(layer_ctx.saved)
+            stats = []
+            hidden = _batch_norm_train_forward(
+                layer_ctx, hidden, first, second, epsilon=epsilon, batch_stats=stats
+            )
+            if batch_stats is not None:
+                batch_stats.append(tuple(stats))
+            _, gamma, inverse_count, *_, std, normalised, _ = layer_ctx.saved
+            saved.append((gamma, inverse_count, std, normalised))
     loss, objective = _objective_forward(hidden, left, right, same_class, margin, variant,
                                          alpha, old_rows, teacher)
     ctx.save(layers, len(parameters), saved, objective)
@@ -610,7 +627,7 @@ def _pilote_step_vjp(ctx, grad):
     input_total = None  # the column sums of a BatchNorm's input cotangent
     for (kind, _), values in zip(reversed(layers), reversed(saved)):
         if kind == "linear":
-            inputs, weight, _ = values
+            inputs, weight = values
             position -= 2
             cotangents[position] = inputs.T @ upstream
             cotangents[position + 1] = (
@@ -625,8 +642,7 @@ def _pilote_step_vjp(ctx, grad):
             # policy): with g the normalised rows' cotangent,
             # grad_centred = (g - k·normalised·Σ(g·normalised)) / std and
             # grad_x = grad_centred - k·Σ grad_centred.
-            gamma, inverse_count = values[1], values[2]
-            std, normalised = values[10], values[11]
+            gamma, inverse_count, std, normalised = values
             position -= 2
             cotangents[position] = (upstream * normalised).sum(axis=0)
             cotangents[position + 1] = upstream.sum(axis=0)

@@ -166,12 +166,20 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        grad = node_grad(grad, self.data)
+    def _accumulate(self, grad: np.ndarray, shared: bool = True) -> None:
+        """Add the cotangent ``grad`` into ``.grad``.
+
+        The first cotangent is kept without a copy when it is not ``shared``
+        (the vjp made it for this input alone) or when casting or reducing
+        it made a new array; otherwise it is copied, so no two tensors, and
+        no op, hold one gradient array.
+        """
+        reduced = node_grad(grad, self.data)
         if self.grad is None:
-            self.grad = grad.copy()
+            copy = shared and np.may_share_memory(reduced, grad)
+            self.grad = reduced.copy() if copy else reduced
         else:
-            self.grad = self.grad + grad
+            self.grad = self.grad + reduced
 
     # ------------------------------------------------------------------ #
     # tape inspection

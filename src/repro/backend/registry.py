@@ -143,8 +143,13 @@ def apply(name: str, *inputs, **kwargs):  # repro: noqa[repro-unused] called as 
 
     def backward(grad: np.ndarray) -> None:
         cotangents = spec.vjp(ctx, grad)
+        # A cotangent is shared when it is the upstream gradient, a view of
+        # another array, or an array an earlier input already took.
+        taken = {id(grad)}
         for tensor, cotangent in zip(tensors, cotangents):
             if cotangent is not None and tensor.requires_grad:
-                tensor._accumulate(cotangent)
+                shared = cotangent.base is not None or id(cotangent) in taken
+                tensor._accumulate(cotangent, shared)
+                taken.add(id(cotangent))
 
     return tensors[0]._make(data, tensors, backward, op=name)

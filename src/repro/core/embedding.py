@@ -137,9 +137,13 @@ class EmbeddingNetwork(Module):
         Bit-identical to the eval-mode :meth:`forward` but builds no
         ``Tensor`` and leaves ``training`` and the BatchNorm buffers alone,
         so it is safe mid-training (validation) and cheap for
-        the 1-8 row calls of small-batch serving.  Inputs longer than
-        :data:`EMBED_ROWS` are processed in chunks of that many rows to bound
-        peak memory on resource-constrained devices.
+        the 1-8 row calls of small-batch serving.  ``features`` is never
+        written; past the first layer BatchNorm and ReLU write into the
+        array the layer before made (:meth:`Sequential.array_forward`), so
+        the transient peak is one layer's output beside the next one's, at
+        most two activations of the widest layer, for at most
+        :data:`EMBED_ROWS` rows: longer inputs are processed in chunks of
+        that many rows to bound it on resource-constrained devices.
         """
         features = get_backend().asarray(features)
         if features.ndim == 1:

@@ -6,6 +6,10 @@ Each layer's arithmetic is one registered op (:mod:`repro.autodiff.primitives`):
 in eval mode (tracked BatchNorm statistics).  A chain of
 ``array_forward`` calls is the network's inference program; it is
 bit-identical to the eval-mode ``forward`` and never touches ``training``.
+``array_forward`` only reads its input.  Inside
+:meth:`Sequential.array_forward` every array past the first layer's input
+is one the chain made, so BatchNorm and ReLU write their results into it
+(``_forward_owned``) instead of allocating.
 """
 
 from __future__ import annotations
@@ -86,6 +90,9 @@ class ReLU(Module):
     def array_forward(self, inputs: np.ndarray) -> np.ndarray:
         return _RELU(NO_TAPE, inputs)
 
+    def _forward_owned(self, owned: np.ndarray) -> np.ndarray:
+        return _RELU(NO_TAPE, owned, overwrite=True)
+
     def __repr__(self) -> str:
         return "ReLU()"
 
@@ -126,9 +133,13 @@ class BatchNorm1d(Module):
         return ops.batch_norm_eval(inputs, self.gamma, self.beta, *self.eval_constants())
 
     def array_forward(self, inputs: np.ndarray) -> np.ndarray:
+        return self._forward_owned(inputs, overwrite=False)
+
+    def _forward_owned(self, owned: np.ndarray, overwrite: bool = True) -> np.ndarray:
         mean, std = self.eval_constants()
         return _BATCH_NORM_EVAL(
-            NO_TAPE, inputs, self.gamma.data, self.beta.data, mean=mean, std=std
+            NO_TAPE, owned, self.gamma.data, self.beta.data, mean=mean, std=std,
+            overwrite=overwrite,
         )
 
     def eval_constants(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -184,9 +195,13 @@ class Sequential(Module):
         return output
 
     def array_forward(self, inputs: np.ndarray) -> np.ndarray:
+        # The caller's array is only read; every later one is the chain's own.
         output = inputs
         for layer in self.layers:
-            output = layer.array_forward(output)
+            if output is inputs:
+                output = layer.array_forward(output)
+            else:
+                output = layer._forward_owned(output)
         return output
 
     def __len__(self) -> int:

@@ -117,6 +117,11 @@ class Module:
         ``training`` left as it is (see :mod:`repro.nn.layers`)."""
         raise NotImplementedError(f"{type(self).__name__} has no array forward")
 
+    def _forward_owned(self, owned: np.ndarray) -> np.ndarray:
+        """:meth:`array_forward` of an array the caller gives up: a layer
+        may write its result into ``owned`` (BatchNorm and ReLU do)."""
+        return self.array_forward(owned)
+
     # ------------------------------------------------------------------ #
     # state dict
     # ------------------------------------------------------------------ #

@@ -22,8 +22,9 @@ EPSILON = 1e-8
 class _FlatGroup:
     """Parameters of one dtype laid end to end: their values as one flat
     buffer that each packed parameter's ``data`` views, their Adam moments
-    as two more (zero until a parameter's first gradient), and one buffer
-    the gradients are gathered into."""
+    as two more (zero until a parameter's first gradient), one buffer the
+    gradients are gathered into (the update's denominator once the moments
+    have read it) and one temporary."""
 
     def __init__(self, parameters: List[Parameter]) -> None:
         self.parameters = parameters
@@ -32,7 +33,7 @@ class _FlatGroup:
         self.first = np.zeros_like(self.values)
         self.second = np.zeros_like(self.values)
         self.gradient = np.empty_like(self.values)
-        self.temporaries = np.empty((2,) + self.values.shape, dtype=self.values.dtype)
+        self.term = np.empty_like(self.values)
         self.views: List[Optional[np.ndarray]] = [None] * len(parameters)
 
     def pack(self, live: Sequence[int]) -> None:
@@ -62,7 +63,8 @@ class Adam:
     in place: the first step that gives a parameter a gradient copies its
     values into the group's flat value buffer and makes its ``data`` a view
     of it, and from then on each step gathers the gradients into one reused
-    buffer and updates the moments and the values where they lie.  An array
+    buffer and updates the moments and the values where they lie, with one
+    full-size temporary beside the gathered gradient.  An array
     read from ``parameter.data`` is therefore that view and changes with
     every step; take a copy (``state_dict()`` does) to keep the values.  A
     parameter whose ``data`` is replaced between steps is packed again.  The
@@ -124,7 +126,7 @@ class Adam:
         gradient = np.concatenate(
             [parameters[i].grad.ravel() for i in live], out=group.gradient[:size]
         )
-        term, denominator = group.temporaries[:, :size]
+        term = group.term[:size]
         # first = beta1 * first + (1 - beta1) * gradient
         first *= BETA1
         first += np.multiply(gradient, 1.0 - BETA1, out=term)
@@ -133,10 +135,12 @@ class Adam:
         np.square(gradient, out=term)
         term *= 1.0 - BETA2
         second += term
-        # values -= lr * (first / bc1) / (sqrt(second / bc2) + epsilon)
+        # values -= lr * (first / bc1) / (sqrt(second / bc2) + epsilon);
+        # the gradient is read for the last time above, so its buffer holds
+        # the denominator
         np.divide(first, bias_correction1, out=term)
         term *= self.lr
-        np.divide(second, bias_correction2, out=denominator)
+        denominator = np.divide(second, bias_correction2, out=gradient)
         np.sqrt(denominator, out=denominator)
         denominator += EPSILON
         term /= denominator

@@ -142,9 +142,11 @@ class Trainer:
             Loss to evaluate on the validation split; defaults to ``batch_loss``.
 
         Arrays not already in the policy compute dtype are cast once, up
-        front; arrays in it are used as given.  A step's loss, and with it
-        the step's tape, is dropped as soon as the step is done, so no
-        validation pass holds the last step's activations.
+        front; arrays in it are used as given.  A step's loss is read and
+        its tape dropped before ``optimizer.step()``, and the gradients are
+        released right after it, so neither the update nor a validation
+        pass holds the step's activations, nor a validation pass its
+        gradients.
         """
         history = TrainingHistory()
         evaluate = validation_loss or batch_loss
@@ -153,6 +155,7 @@ class Trainer:
         if validation is not None:
             validation = (backend.asarray(validation[0]), validation[1])
         self.early_stopping.reset()
+        self.optimizer.zero_grad()
         for epoch in range(self.max_epochs):
             start_time = perf_seconds()
             self.model.train()
@@ -160,12 +163,12 @@ class Trainer:
             for batch_features, batch_labels in self.iterate_minibatches(features, labels):
                 if batch_features.shape[0] < 2:
                     continue  # BatchNorm and pair sampling need at least two samples.
-                self.optimizer.zero_grad()
                 loss = batch_loss(batch_features, batch_labels)
                 loss.backward()
-                self.optimizer.step()
                 epoch_losses.append(float(loss.data))
                 del loss  # its tape holds the step's activations
+                self.optimizer.step()
+                self.optimizer.zero_grad()
             train_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
             history.train_losses.append(train_loss)
             history.learning_rates.append(self.optimizer.lr)

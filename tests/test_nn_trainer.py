@@ -1,5 +1,7 @@
 """Tests for the Trainer and the paper's early-stopping rule."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,38 @@ class TestTrainer:
                               validation_loss=validation_loss)
         assert recorded == [False, False]
         assert len(history.validation_losses) == 2
+
+    def test_each_step_drops_its_tape_before_the_update_and_its_gradients_after(
+        self, monkeypatch
+    ):
+        model, batch_loss, features, targets = self._regression_setup(5)
+        parameters = model.parameters()
+        losses, steps, released = [], [], []
+
+        def tracked_loss(batch_x, batch_y):
+            # every step, and every validation pass, starts with no gradients
+            released.append(all(p.grad is None for p in parameters))
+            loss = batch_loss(batch_x, batch_y)
+            losses.append(weakref.ref(loss.data))
+            return loss
+
+        adam_step = Adam.step
+
+        def checked_step(optimizer):
+            # the loss, and with it the step's tape, is gone; the gradients are not
+            steps.append((losses[-1]() is None,
+                          all(p.grad is not None for p in parameters)))
+            adam_step(optimizer)
+
+        monkeypatch.setattr(Adam, "step", checked_step)
+        trainer = _trainer(model, 0.01, max_epochs=2, batch_size=32)
+        trainer.fit(tracked_loss, features, targets.reshape(-1),
+                    validation=(features, targets.reshape(-1)),
+                    validation_loss=tracked_loss)
+        assert len(steps) == 8  # 4 batches of 120 rows, 2 epochs
+        assert steps == [(True, True)] * 8
+        assert released == [True] * (8 + 2)
+        assert all(p.grad is None for p in parameters)
 
     def test_model_left_in_eval_mode(self):
         model, batch_loss, features, targets = self._regression_setup(3)

@@ -27,6 +27,7 @@ from repro.autodiff.gradcheck import check_gradients
 from repro.autodiff.primitives import batch_norm_eval_constants
 from repro.autodiff.tensor import Tensor, no_grad
 from repro.backend import precision
+from repro.backend import registry
 from repro.backend.registry import list_ops
 
 _RUNNING_MEAN = np.array([0.1, -0.2, 0.3])
@@ -173,3 +174,47 @@ def test_binary_op_gradients_sum_over_broadcast_axes(name, shapes):
         _weighted(BINARY[name](leaves)).backward()
     for leaf in leaves:
         assert leaf.grad.shape == leaf.shape
+
+
+def _arrays(value):
+    """Every ndarray inside ``value`` (nested tuples and lists)."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_each_leaf_holds_a_gradient_array_of_its_own(name, monkeypatch):
+    """A leaf keeps a fresh cotangent without copying it, so none may be an
+    array the op saved, the upstream gradient, or another leaf's."""
+    contexts = []
+
+    class RecordingContext(registry.OpContext):
+        __slots__ = ()
+
+        def __init__(self, op_name):
+            super().__init__(op_name)
+            contexts.append(self)
+
+    monkeypatch.setattr(registry, "OpContext", RecordingContext)
+    leaves = _leaves(name)
+    output = CASES[name][2](leaves)
+    seed = np.random.default_rng(1).normal(size=output.shape)
+    output.backward(seed)
+    (context,) = contexts
+    others = [seed, output.data, *(leaf.data for leaf in leaves), *_arrays(context.saved)]
+    for position, leaf in enumerate(leaves):
+        assert leaf.grad is not None
+        others_here = others + [other.grad for other in leaves[:position]]
+        assert not any(np.shares_memory(leaf.grad, other) for other in others_here)
+
+
+def test_both_sides_of_an_add_get_distinct_gradients():
+    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    (a + b).sum().backward()
+    assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+    a.grad[...] = 7.0
+    assert np.array_equal(b.grad, np.ones((2, 3)))
