@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from bench_fleet import N_FEATURES, build_fleet, make_serving_learner
+from bench_fleet import CONFIG, N_FEATURES, build_fleet
 from repro.backend import precision
 from repro.control import CHAOS_SCENARIOS, FlakyDevice, run_suite
 from repro.edge.transfer import package_for_edge
 from repro.fleet import TrafficGenerator, WorkloadSpec
+from repro.server.simulation import make_serving_learner
 from repro.serving import serve
 from repro.serving.scheduler import service_seconds
 
@@ -124,7 +125,7 @@ def test_adaptive_beats_static_under_chaos(report):
     """Adaptive control answers more of the stream in deadline than any
     static config, under overload with a worker-death storm."""
     with precision("edge"):
-        package = package_for_edge(make_serving_learner())
+        package = package_for_edge(make_serving_learner(CONFIG))
         pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES))
         fleet = build_fleet(package, N_DEVICES)
         batch_service = service_seconds(fleet.devices[0], REQUESTS_PER_TICK // N_DEVICES)

@@ -29,15 +29,16 @@ from __future__ import annotations
 import numpy as np
 
 from bench_fleet import (
+    CONFIG,
     N_FEATURES,
     bookkeeping_vs_bare,
     build_fleet,
-    make_serving_learner,
     make_workload,
 )
 from repro.backend import precision
 from repro.edge.transfer import package_for_edge
 from repro.fleet import TrafficGenerator, WorkloadSpec
+from repro.server.simulation import make_serving_learner
 from repro.serving import serve
 from repro.serving.scheduler import service_seconds
 
@@ -61,7 +62,7 @@ N_TICKS = 16
 def test_edf_reduces_deadline_misses_vs_fifo(report):
     """EDF answers strictly more requests in deadline than FIFO (overload)."""
     with precision("edge"):
-        package = package_for_edge(make_serving_learner())
+        package = package_for_edge(make_serving_learner(CONFIG))
         pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES))
         fleet = build_fleet(package, N_DEVICES)
         batch_service = service_seconds(fleet.devices[0], REQUESTS_PER_TICK // N_DEVICES)
@@ -120,7 +121,7 @@ def test_edf_overhead_within_serving_gate(report):
     The bound moves with engine speed; see :func:`bench_fleet.bookkeeping_vs_bare`.
     """
     with precision("edge"):
-        package = package_for_edge(make_serving_learner())
+        package = package_for_edge(make_serving_learner(CONFIG))
         pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES))
         fleet = build_fleet(package, 1)
         fleet.devices[0].infer(pool[:8])  # warm the prototype cache

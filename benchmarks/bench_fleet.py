@@ -31,11 +31,10 @@ import numpy as np
 
 from repro.backend import precision
 from repro.core.config import PiloteConfig
-from repro.core.embedding import EmbeddingNetwork
-from repro.core.pilote import PILOTE
 from repro.edge.device import DeviceProfile
 from repro.edge.transfer import package_for_edge
 from repro.fleet import CheckpointStore, FleetCoordinator, TrafficGenerator, WorkloadSpec
+from repro.server.simulation import make_serving_learner
 from repro.serving import serve
 
 #: Homogeneous simulation node: generous budgets, reference-speed compute.
@@ -45,20 +44,6 @@ SIM_NODE = DeviceProfile(
 
 CONFIG = PiloteConfig(hidden_dims=(128, 64), embedding_dim=32, cache_size=1200, seed=0)
 N_FEATURES = 80
-
-
-def make_serving_learner(n_classes: int = 5, per_class: int = 150) -> PILOTE:
-    """A pre-trained-looking learner built without gradient training."""
-    rng = np.random.default_rng(0)
-    learner = PILOTE(CONFIG, seed=0)
-    learner.model = EmbeddingNetwork(N_FEATURES, config=CONFIG, rng=0)
-    learner._old_classes = list(range(n_classes))
-    for class_id in range(n_classes):
-        learner.exemplars.set_exemplars(
-            class_id, rng.normal(size=(per_class, N_FEATURES))
-        )
-    learner._refresh_prototypes()
-    return learner
 
 
 def build_fleet(package, n_devices: int) -> FleetCoordinator:
@@ -138,7 +123,7 @@ def test_fleet_throughput_scales(report):
     weighted/overflow balancing noted in ROADMAP.md.
     """
     with precision("edge"):
-        package = package_for_edge(make_serving_learner())
+        package = package_for_edge(make_serving_learner(CONFIG))
         pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES))
 
         def routed_throughput(n_devices: int, pattern: str) -> float:
@@ -170,7 +155,7 @@ def test_fleet_throughput_scales(report):
 def test_scheduler_overhead_bounded(report):
     """Scheduler bookkeeping per request stays small vs a bare engine loop."""
     with precision("edge"):
-        package = package_for_edge(make_serving_learner())
+        package = package_for_edge(make_serving_learner(CONFIG))
         pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES))
         fleet = build_fleet(package, 1)
         fleet.devices[0].infer(pool[:8])  # warm the prototype cache
@@ -194,7 +179,7 @@ def test_scheduler_overhead_bounded(report):
 def test_checkpoint_roundtrip_exact(report):
     """Checkpoint → restore on fresh hardware reproduces predictions exactly."""
     with precision("edge"):
-        package = package_for_edge(make_serving_learner())
+        package = package_for_edge(make_serving_learner(CONFIG))
         fleet = build_fleet(package, 1)
         device = fleet.devices[0]
         probe = np.random.default_rng(4).normal(size=(2048, N_FEATURES))

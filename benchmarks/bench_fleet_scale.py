@@ -28,11 +28,10 @@ import numpy as np
 
 from repro.backend import precision
 from repro.core.config import PiloteConfig
-from repro.core.embedding import EmbeddingNetwork
-from repro.core.pilote import PILOTE
 from repro.edge.device import DeviceProfile
 from repro.edge.transfer import package_for_edge
 from repro.fleet import FleetCoordinator
+from repro.server.simulation import make_serving_learner
 from repro.serving import PredictRequest, serve
 
 SIM_NODE = DeviceProfile(
@@ -41,20 +40,6 @@ SIM_NODE = DeviceProfile(
 
 CONFIG = PiloteConfig(hidden_dims=(64, 32), embedding_dim=16, cache_size=600, seed=0)
 N_FEATURES = 40
-
-
-def make_serving_learner(n_classes: int = 5, per_class: int = 120) -> PILOTE:
-    """A pre-trained-looking learner built without gradient training."""
-    rng = np.random.default_rng(0)
-    learner = PILOTE(CONFIG, seed=0)
-    learner.model = EmbeddingNetwork(N_FEATURES, config=CONFIG, rng=0)
-    learner._old_classes = list(range(n_classes))
-    for class_id in range(n_classes):
-        learner.exemplars.set_exemplars(
-            class_id, rng.normal(size=(per_class, N_FEATURES))
-        )
-    learner._refresh_prototypes()
-    return learner
 
 
 def _peak_bytes(build) -> int:
@@ -71,7 +56,7 @@ def _peak_bytes(build) -> int:
 def test_memory_sublinear_in_devices(report):
     """100× more devices must cost far less than 100× the memory."""
     with precision("edge"):
-        package = package_for_edge(make_serving_learner())
+        package = package_for_edge(make_serving_learner(CONFIG, per_class=120, n_features=N_FEATURES))
 
         def build_hier(n_devices: int) -> None:
             fleet = FleetCoordinator(
@@ -117,7 +102,7 @@ def test_small_fleet_bit_exact_with_flat(report):
     """Regional serving is a pure optimisation: flat predictions, fewer bytes."""
     n_devices, n_regions = 8, 4
     with precision("edge"):
-        package = package_for_edge(make_serving_learner())
+        package = package_for_edge(make_serving_learner(CONFIG, per_class=120, n_features=N_FEATURES))
         flat = FleetCoordinator(CONFIG, profiles=(SIM_NODE,), seed=11)
         flat.provision(n_devices)
         flat.deploy(package)

@@ -26,16 +26,17 @@ import time
 import numpy as np
 
 from bench_fleet import (
+    CONFIG,
     N_FEATURES,
     bookkeeping_vs_bare,
     build_fleet,
-    make_serving_learner,
     make_workload,
 )
 from repro.backend import precision
 from repro.edge.magneto import MagnetoPlatform
 from repro.edge.transfer import package_for_edge
 from repro.fleet import TrafficGenerator
+from repro.server.simulation import make_serving_learner
 from repro.serving import serve
 
 
@@ -49,7 +50,7 @@ def test_scheduler_overhead_at_most_bare_engine(report):
     The bound moves with engine speed; see :func:`bench_fleet.bookkeeping_vs_bare`.
     """
     with precision("edge"):
-        package = package_for_edge(make_serving_learner())
+        package = package_for_edge(make_serving_learner(CONFIG))
         pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES))
         fleet = build_fleet(package, 1)
         fleet.devices[0].infer(pool[:8])  # warm the prototype cache
@@ -82,7 +83,7 @@ def test_scheduler_overhead_at_most_bare_engine(report):
 def test_least_loaded_beats_hash_p99_under_zipf(report):
     """least-loaded routing wins p99 latency on Zipf traffic, 8 devices."""
     with precision("edge"):
-        package = package_for_edge(make_serving_learner())
+        package = package_for_edge(make_serving_learner(CONFIG))
         pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES))
         fleet = build_fleet(package, 8)
 
@@ -113,7 +114,7 @@ def test_least_loaded_beats_hash_p99_under_zipf(report):
 def test_one_client_api_across_layers(report):
     """Learner, platform and 1-device fleet answer identically via serve()."""
     with precision("edge"):
-        learner = make_serving_learner()
+        learner = make_serving_learner(CONFIG)
         package = package_for_edge(learner)
         pool = np.random.default_rng(4).normal(size=(512, N_FEATURES))
 

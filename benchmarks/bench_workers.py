@@ -47,11 +47,10 @@ import numpy as np
 
 from repro.backend import precision
 from repro.core.config import PiloteConfig
-from repro.core.embedding import EmbeddingNetwork
-from repro.core.pilote import PILOTE
 from repro.edge.device import DeviceProfile
 from repro.edge.transfer import package_for_edge
 from repro.fleet import FleetCoordinator, TrafficGenerator, WorkloadSpec
+from repro.server.simulation import make_serving_learner
 
 #: Worker-pool size under test (the acceptance target is 4; CI pins 2).
 N_WORKERS = int(os.environ.get("BENCH_WORKERS", "4"))
@@ -80,20 +79,6 @@ def usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def make_serving_learner(config=HEAVY_CONFIG, n_classes: int = 5, per_class: int = 150) -> PILOTE:
-    """A pre-trained-looking learner built without gradient training."""
-    rng = np.random.default_rng(0)
-    learner = PILOTE(config, seed=0)
-    learner.model = EmbeddingNetwork(N_FEATURES, config=config, rng=0)
-    learner._old_classes = list(range(n_classes))
-    for class_id in range(n_classes):
-        learner.exemplars.set_exemplars(
-            class_id, rng.normal(size=(per_class, N_FEATURES))
-        )
-    learner._refresh_prototypes()
-    return learner
 
 
 def build_fleet(package, n_devices: int, config=HEAVY_CONFIG) -> FleetCoordinator:
@@ -130,7 +115,7 @@ def test_serial_executor_bit_exact_with_device_serving(report):
     from repro.serving import serve
 
     with precision("edge"):
-        package = package_for_edge(make_serving_learner())
+        package = package_for_edge(make_serving_learner(HEAVY_CONFIG))
         pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES)).astype(np.float32)
         ticks = _compute_bound_ticks(pool, n_ticks=3, per_tick=128)
 

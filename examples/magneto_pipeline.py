@@ -75,16 +75,17 @@ def main() -> None:
         print(f"    {key:<22}{value:>14.1f}")
 
     print("\n[edge] profiling the incremental update on the new activity...")
-    profiler = EdgeProfiler()
-    report = profiler.profile_increment(
-        platform.edge_learner,
-        scenario.new_train,
-        scenario.new_validation,
-        inference_data=scenario.test,
-    )
-    # The profiler drove the update directly, so refresh the device's ledger.
-    platform.device.store("support_set", platform.edge_learner.support_set_nbytes())
-    platform.device.store("prototypes", platform.edge_learner.prototypes.nbytes())
+    device = platform.device
+    with device.edge.precision():  # the device's compute dtype
+        report = EdgeProfiler().profile_increment(
+            device.learner,
+            scenario.new_train,
+            scenario.new_validation,
+            inference_data=scenario.test,
+        )
+    # The profiler drove the update directly: re-adopting the updated learner
+    # rewrites the device's storage ledger.
+    device.adopt(device.learner)
     for key, value in report.summary().items():
         print(f"    {key:<28}{value:>12.4f}")
     print("    extrapolated mean epoch seconds on a wearable: "

@@ -4,9 +4,9 @@ Algorithm 1 (line 12) forms contrastive pairs between the old-class support
 set ``D_0`` and the new-class data ``D_n``.  The paper additionally notes that
 thanks to the distillation constraint on old-class embeddings, the number of
 contrastive pairs can be reduced to the pairs involving new-class samples
-(instead of all-vs-all pairs over every class), which is the "new_centred"
-strategy implemented here.  An "all" strategy (every pair within the batch) is
-available for pre-training and ablations.
+(instead of all-vs-all pairs over every class): :meth:`PairSampler.sample`
+centres its pairs on new classes when it is given them, and samples every pair
+within the batch (pre-training, validation) when it is not.
 """
 
 from __future__ import annotations
@@ -66,31 +66,16 @@ class PairSampler:
 
     Parameters
     ----------
-    strategy:
-        ``"all"`` — every unordered pair in the batch (capped at ``max_pairs``
-        by uniform sub-sampling); ``"new_centred"`` — only pairs in which at
-        least one member belongs to a designated set of new classes;
-        ``"balanced"`` — equal numbers of positive and negative pairs drawn at
-        random.
     max_pairs:
-        Upper bound on the number of pairs returned per call.
+        Upper bound on the number of pairs returned per call (uniform
+        sub-sampling past it).
     rng:
         Seed or generator.
     """
 
-    def __init__(
-        self,
-        strategy: str = "all",
-        max_pairs: int = 256,
-        rng: RandomState = None,
-    ) -> None:
-        if strategy not in ("all", "new_centred", "balanced"):
-            raise DataError(
-                f"strategy must be one of 'all', 'new_centred', 'balanced', got {strategy!r}"
-            )
+    def __init__(self, max_pairs: int = 256, rng: RandomState = None) -> None:
         if max_pairs <= 0:
             raise DataError(f"max_pairs must be positive, got {max_pairs}")
-        self.strategy = strategy
         self.max_pairs = int(max_pairs)
         self._rng = resolve_rng(rng)
 
@@ -100,23 +85,23 @@ class PairSampler:
         labels: np.ndarray,
         new_classes: Optional[set] = None,
     ) -> PairBatch:
-        """Sample pairs among the rows described by ``labels``."""
+        """Sample pairs among the rows described by ``labels``.
+
+        With ``new_classes`` only pairs in which at least one member belongs
+        to a new class are drawn; a batch with no new-class row, or a call
+        without ``new_classes``, draws from every unordered pair.
+        """
         labels = np.asarray(labels).reshape(-1)
         count = labels.shape[0]
         if count < 2:
             raise DataError("at least two samples are required to build pairs")
-        if self.strategy == "balanced":
-            return self._balanced(labels)
-        if self.strategy == "new_centred":
-            if not new_classes:
-                raise DataError("new_centred pair sampling requires the set of new classes")
+        if new_classes:
             # Membership is resolved once per row, then gathered per pair.
             row_is_new = class_membership(labels, new_classes)
             if row_is_new.any():
                 left, right = upper_triangle(count)
                 involves_new = row_is_new[left] | row_is_new[right]
                 return self._capped(labels, left[involves_new], right[involves_new])
-            # A batch of exemplars only falls back to all pairs.
         return self._all_pairs(labels)
 
     def _capped(self, labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> PairBatch:
@@ -144,35 +129,6 @@ class PairSampler:
             left = np.searchsorted(offsets, chosen, side="right") - 1
             right = chosen - offsets[left] + left + 1
         return PairBatch(left=left, right=right, same_class=labels[left] == labels[right])
-
-    # ------------------------------------------------------------------ #
-    def _balanced(self, labels: np.ndarray) -> PairBatch:
-        count = labels.shape[0]
-        left, right = upper_triangle(count)
-        same = labels[left] == labels[right]
-        positive = np.flatnonzero(same)
-        negative = np.flatnonzero(~same)
-        per_side = self.max_pairs // 2
-        if positive.size == 0 or negative.size == 0:
-            # Degenerate batch (single class): return whatever pairs exist.
-            chosen = np.arange(left.size)
-            if chosen.size > self.max_pairs:
-                chosen = self._rng.choice(chosen, size=self.max_pairs, replace=False)
-        else:
-            take_pos = min(per_side, positive.size)
-            take_neg = min(per_side, negative.size)
-            chosen = np.concatenate(
-                [
-                    self._rng.choice(positive, size=take_pos, replace=False),
-                    self._rng.choice(negative, size=take_neg, replace=False),
-                ]
-            )
-        left, right = left[chosen], right[chosen]
-        return PairBatch(
-            left=left,
-            right=right,
-            same_class=labels[left] == labels[right],
-        )
 
 
 def class_membership(labels: np.ndarray, classes) -> np.ndarray:

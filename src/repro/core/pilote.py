@@ -429,18 +429,13 @@ class PILOTE:
         # from here on, so its lanes stop sharing embeddings with siblings.
         model.weights_token = None
         config = self.config
-        pair_strategy = "new_centred" if new_classes else "all"
-        sampler = PairSampler(
-            strategy=pair_strategy, max_pairs=config.max_pairs_per_batch, rng=self._rng
-        )
-        eval_sampler = PairSampler(
-            strategy="all", max_pairs=config.max_pairs_per_batch, rng=self._rng
-        )
+        sampler = PairSampler(config.max_pairs_per_batch, rng=self._rng)
         alpha = config.alpha if new_classes else 0.0
         old_class_ids = set(self._old_classes)
 
-        def objective_inputs(rows_features, rows_labels, active_sampler):
-            """``row ids -> objective keywords`` over one set of rows."""
+        def objective_inputs(rows_features, rows_labels, centre):
+            """``row ids -> objective keywords`` over one set of rows; pairs
+            centre on the classes in ``centre`` (all pairs when ``None``)."""
             old = teacher = None
             if alpha > 0.0:
                 old = class_membership(rows_labels, old_class_ids)
@@ -449,7 +444,7 @@ class PILOTE:
 
             def keywords(rows: np.ndarray) -> dict:
                 batch_labels = rows_labels[rows]
-                pairs = active_sampler.sample(batch_labels, new_classes=new_classes)
+                pairs = sampler.sample(batch_labels, new_classes=centre)
                 old_rows = old_teacher = None
                 if teacher is not None:
                     old_rows = np.flatnonzero(old[rows])
@@ -462,7 +457,7 @@ class PILOTE:
 
             return keywords
 
-        train_inputs = objective_inputs(features, labels, sampler)
+        train_inputs = objective_inputs(features, labels, new_classes)
 
         def train_loss(batch_features: np.ndarray, rows: np.ndarray) -> Tensor:
             return model.training_loss(batch_features, **train_inputs(rows))
@@ -471,7 +466,7 @@ class PILOTE:
         if validation is not None:
             validation_features, validation_labels = validation
             validation_inputs = objective_inputs(
-                validation_features, validation_labels, eval_sampler
+                validation_features, validation_labels, None
             )
             validation_data = (validation_features, np.arange(len(validation_labels)))
 

@@ -3,22 +3,24 @@
 The platform object wires the pieces end to end:
 
 1. the cloud pre-trains an initial model on the initially known activities;
-2. the model + support set are packaged and "shipped" to an edge device
-   (storage accounting included);
+2. the model + support set are packaged and "shipped" to one edge device, a
+   :class:`~repro.edge.device.FleetDevice` (the same device a fleet holds),
+   which builds its own learner from the package under its profile's dtype
+   and writes its storage ledger;
 3. the edge device performs incremental updates with newly collected
-   activities and serves predictions — without ever sending data back.
+   activities (:meth:`~repro.edge.device.FleetDevice.learn_new_activity`) and
+   serves predictions (``repro.serving.serve(platform)``) — without ever
+   sending data back.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
-import numpy as np
-
 from repro.core.config import PiloteConfig
 from repro.core.pilote import PILOTE
 from repro.data.dataset import HARDataset
-from repro.edge.device import DeviceProfile, EdgeDevice
+from repro.edge.device import DeviceProfile, EdgeDevice, FleetDevice
 from repro.edge.transfer import TransferPackage, package_for_edge
 from repro.exceptions import NotFittedError
 from repro.nn.trainer import TrainingHistory
@@ -42,11 +44,11 @@ class MagnetoPlatform:
     ) -> None:
         self.config = config or PiloteConfig()
         self._seed = seed
-        #: The cloud's pre-trained learner; deployment hands it to the edge.
+        #: The cloud's pre-trained learner; deployment ships its package.
         self.cloud_learner: Optional[PILOTE] = None
-        self.device = EdgeDevice(device_profile)
-        self.package: Optional[TransferPackage] = None
-        self.edge_learner: Optional[PILOTE] = None
+        #: The edge device: :meth:`deploy_to_edge` gives it a learner of its
+        #: own, which learns and serves there.
+        self.device = FleetDevice(0, EdgeDevice(device_profile))
         self._serving_client = None  # cached default repro.serving client
 
     # ------------------------------------------------------------------ #
@@ -64,33 +66,18 @@ class MagnetoPlatform:
         )
 
     def deploy_to_edge(self) -> TransferPackage:
-        """Step 2: package the model + support set and store them on the device."""
+        """Step 2: package the model + support set and deploy them on the device."""
         if self.cloud_learner is None:
             raise NotFittedError("cloud_pretrain() must run before deploy_to_edge()")
         package = package_for_edge(self.cloud_learner)
-        self.device.store("model", package.model_bytes)
-        self.device.store("support_set", package.support_set_bytes)
-        self.device.store("prototypes", package.prototype_bytes)
-        # The edge learner continues from the cloud learner's exact state.
-        self.edge_learner = self.cloud_learner
-        self.package = package
+        self.device.deploy(package, self.config, seed=self._seed)
         logger.info(
             "deployed %.2f KB to edge device '%s' (%.2f KB free)",
             package.total_bytes / 1024,
             self.device.profile.name,
-            self.device.storage_free / 1024,
+            self.device.edge.storage_free / 1024,
         )
         return package
-
-    def serve(self, windows: np.ndarray) -> np.ndarray:
-        """Class ids for windows, answered by the edge learner's engine.
-
-        The engine follows the learner's state version, so later increments
-        reach it without re-wiring.
-        """
-        if self.edge_learner is None:
-            raise NotFittedError("deploy_to_edge() must run before serving")
-        return self.edge_learner.inference_engine().predict(windows)
 
     def serving_client(  # repro: noqa[repro-unused] examples/magneto_pipeline.py
         self,
@@ -106,6 +93,7 @@ class MagnetoPlatform:
     # ------------------------------------------------------------------ #
     def storage_report(self) -> Dict[str, int]:  # repro: noqa[repro-unused] examples/magneto_pipeline.py
         """Current storage ledger of the edge device."""
-        report = dict(self.device.allocations())
-        report["free_bytes"] = self.device.storage_free
+        edge = self.device.edge
+        report = dict(edge.allocations())
+        report["free_bytes"] = edge.storage_free
         return report

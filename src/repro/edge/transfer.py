@@ -85,7 +85,7 @@ class TransferPackage:
         this to provision many devices from a single cloud broadcast.
 
         ``copy_arrays=False`` is the copy-on-write path every fleet device
-        deploys through (:meth:`~repro.fleet.coordinator.FleetDevice.deploy`):
+        deploys through (:meth:`~repro.edge.device.FleetDevice.deploy`):
         exemplar rows and prototypes are *shared* with the package instead of
         deep-copied, so a fleet of identical devices costs one support set,
         not N.  Sharing is safe because every mutation path

@@ -32,11 +32,11 @@ routing policies; a partially deployed fleet routes only over its deployed
 devices.
 """
 
+from repro.edge.device import FleetDevice
 from repro.fleet.checkpoint import CheckpointStore, DeviceCheckpoint
 from repro.fleet.coordinator import (
     FleetAccuracyReport,
     FleetCoordinator,
-    FleetDevice,
     RegionCoordinator,
     TransferLedger,
 )

@@ -4,7 +4,7 @@ Fleet elasticity needs device state to outlive devices: a wearable dies, a
 phone is replaced, a simulation wants to roll a device back.  The
 :class:`CheckpointStore` persists each device's full PILOTE state as one
 ``.npz`` archive (:func:`repro.core.persistence.save_pilote`) and can
-materialise a *fresh* :class:`~repro.fleet.coordinator.FleetDevice` from any
+materialise a *fresh* :class:`~repro.edge.device.FleetDevice` from any
 checkpoint.
 
 Restoration is exact: the restored device reproduces the original device's
@@ -20,9 +20,8 @@ from pathlib import Path
 from typing import Union
 
 from repro.core.persistence import load_pilote, save_pilote
-from repro.edge.device import DeviceProfile, EdgeDevice
+from repro.edge.device import DeviceProfile, EdgeDevice, FleetDevice
 from repro.exceptions import SerializationError
-from repro.fleet.coordinator import FleetDevice
 
 PathLike = Union[str, Path]
 

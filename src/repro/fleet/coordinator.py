@@ -1,10 +1,12 @@
 """Fleet provisioning and orchestration.
 
 One cloud broadcast of a pre-trained learner, many edge devices: the
-coordinator provisions N :class:`~repro.edge.device.EdgeDevice`s from
-(possibly heterogeneous) :class:`~repro.edge.device.DeviceProfile`s, deploys
-the same :class:`~repro.edge.transfer.TransferPackage` to each of them, and
-schedules per-device incremental updates.  Every device that learns owns an
+coordinator provisions N :class:`~repro.edge.device.FleetDevice`s — the
+device the paper's one-device :class:`~repro.edge.magneto.MagnetoPlatform`
+also holds — from (possibly heterogeneous)
+:class:`~repro.edge.device.DeviceProfile`s, deploys the same
+:class:`~repro.edge.transfer.TransferPackage` to each of them, and schedules
+per-device incremental updates.  Every device that learns owns an
 *independent* learner materialised from the package
 (:meth:`~repro.edge.transfer.TransferPackage.instantiate_learner`), so devices
 drift apart exactly as a real fleet does when new activities reach users at
@@ -14,10 +16,10 @@ Devices live in :class:`RegionCoordinator` regions.  By default every device
 is its own region.  Past a few thousand devices one learner per device stops
 scaling, so ``FleetCoordinator(..., n_regions=k)`` pools each region's
 devices behind one copy-on-write template learner and a single serving lane,
-and materialises into a real :class:`FleetDevice` only the devices that
-actually drift (a scheduled increment, a checkpoint probe) — fleet memory
-scales with *distinct states*, not device count, and a broadcast ships one
-package per region instead of one per device.
+and materialises into a real device only the devices that actually drift (a
+scheduled increment, a checkpoint probe) — fleet memory scales with
+*distinct states*, not device count, and a broadcast ships one package per
+region instead of one per device.
 
 Serving runs through each lane's batched
 :class:`~repro.edge.inference.InferenceEngine`; request distribution is the
@@ -33,155 +35,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import PiloteConfig
-from repro.core.pilote import PILOTE
 from repro.data.dataset import HARDataset
-from repro.edge.device import DEVICE_PROFILES, DeviceProfile, EdgeDevice
-from repro.edge.inference import InferenceEngine
+from repro.edge.device import DEVICE_PROFILES, DeviceProfile, EdgeDevice, FleetDevice
 from repro.edge.transfer import TransferPackage
-from repro.exceptions import ConfigurationError, NotFittedError
+from repro.exceptions import ConfigurationError
 from repro.nn.trainer import TrainingHistory
 from repro.utils.logging import get_logger
 from repro.utils.rng import RandomState, resolve_rng
 
 logger = get_logger("fleet.coordinator")
-
-
-class FleetDevice:
-    """One provisioned edge device: hardware budget + local learner + engine.
-
-    The wrapper binds the three per-device pieces together — the
-    :class:`EdgeDevice` storage/compute model, the device's own PILOTE learner
-    and its serving engine — and runs learning and serving under the device
-    profile's dtype policy.
-    """
-
-    def __init__(self, device_id: int, edge: EdgeDevice) -> None:
-        self.device_id = int(device_id)
-        self.edge = edge
-        self.learner: Optional[PILOTE] = None
-        #: ``learner.inference_engine()``, set beside ``learner`` (``None``
-        #: until a package is deployed); remote executors ship its
-        #: learner's state (:func:`~repro.core.persistence.pilote_state`).
-        #: Stored, not a property deriving it on each read: serving reads it
-        #: on every batch, and the property cost perfbench serve-small 7.0%
-        #: of ``throughput_rps`` (median, lower in 10 of 10 alternating
-        #: pairs, ``--seed 1 --seconds 8``, 2-vCPU x86 host).
-        self.engine: Optional[InferenceEngine] = None
-        self.increment_histories: List[TrainingHistory] = []
-
-    # ------------------------------------------------------------------ #
-    @property
-    def profile(self) -> DeviceProfile:
-        return self.edge.profile
-
-    @property
-    def serving_dtype(self) -> str:
-        """Dtype :meth:`serve` runs under — the profile's compute dtype.
-
-        Remote executors replicate it so off-process predictions stay
-        bit-identical to the device's own.
-        """
-        return self.profile.compute_dtype
-
-    @property
-    def is_deployed(self) -> bool:
-        return self.engine is not None
-
-    def deploy(
-        self, package: TransferPackage, config: PiloteConfig, seed: RandomState = None
-    ) -> None:
-        """Receive the cloud broadcast: build the local learner and engine.
-
-        The learner shares the package's exemplar/prototype arrays
-        copy-on-write instead of deep-copying them (safe: every learner
-        mutation replaces whole per-class entries, never writes into rows),
-        so devices that never learn cost no support-set copy.
-        """
-        with self.edge.precision():
-            self.learner = package.instantiate_learner(
-                config, seed=seed, copy_arrays=False
-            )
-            self.edge.store("model", package.model_bytes)
-            self.edge.store("support_set", package.support_set_bytes)
-            self.edge.store("prototypes", package.prototype_bytes)
-            self.engine = self.learner.inference_engine()
-
-    def adopt(self, learner: PILOTE) -> None:
-        """Install an already-built learner (checkpoint restore path)."""
-        with self.edge.precision():
-            self.learner = learner
-            self.edge.store("model", learner.model_nbytes())
-            self.edge.store("support_set", learner.support_set_nbytes())
-            self.edge.store("prototypes", learner.prototypes.nbytes())
-            self.engine = learner.inference_engine()
-
-    # ------------------------------------------------------------------ #
-    def serve(self, windows: np.ndarray) -> np.ndarray:
-        """Serve a batch of windows at this device's compute dtype."""
-        if self.engine is None:
-            raise NotFittedError(
-                f"device {self.device_id} has no learner; deploy a package first"
-            )
-        with self.edge.precision():
-            return self.engine.predict(windows)
-
-    #: The serving executors call ``infer`` on a device-like target; for a
-    #: fleet device it is simply :meth:`serve`.
-    infer = serve
-
-    # -- fused serving: ``serve`` split at the embedding ------------------ #
-    def fusion_key(self) -> Optional[tuple]:
-        """``(weights_token, serving dtype)``, or ``None`` to never fuse.
-
-        Lanes with equal keys hold the same network weights at the same
-        dtype, so the serial scheduler may embed their windows in one
-        stacked :meth:`embed` call and answer each lane from its
-        :attr:`engine`'s prototypes.  ``None`` before deployment and once
-        the learner owns its weights (trained on the device, restored from
-        a checkpoint).
-        """
-        if self.learner is None:
-            return None
-        model = self.learner.model
-        token = None if model is None else model.weights_token
-        if token is None:
-            return None
-        return (token, self.profile.compute_dtype)
-
-    def embed(self, windows: np.ndarray) -> np.ndarray:
-        """Embed windows with the served network at this device's dtype."""
-        with self.edge.precision():
-            return self.learner.model.embed(windows)
-
-    def learn_new_activity(self, new_train: HARDataset) -> TrainingHistory:
-        """On-device incremental update; refreshes the storage ledger."""
-        if self.learner is None:
-            raise NotFittedError(
-                f"device {self.device_id} has no learner; deploy a package first"
-            )
-        with self.edge.precision():
-            history = self.learner.learn_new_classes(new_train)
-            self.edge.store("support_set", self.learner.support_set_nbytes())
-            self.edge.store("prototypes", self.learner.prototypes.nbytes())
-        self.increment_histories.append(history)
-        return history
-
-    def accuracy(self, dataset: HARDataset) -> float:
-        """Plain accuracy of this device's learner on a labelled dataset."""
-        if self.learner is None:
-            raise NotFittedError(f"device {self.device_id} has no learner")
-        with self.edge.precision():
-            return self.learner.evaluate(dataset)
-
-    def describe(self) -> Dict[str, object]:  # repro: noqa[repro-unused] examples/fleet_simulation.py
-        return {
-            "device_id": self.device_id,
-            "profile": self.profile.name,
-            "storage_used": self.edge.storage_used,
-            "storage_free": self.edge.storage_free,
-            "classes": [] if self.learner is None else self.learner.classes_,
-            "increments": len(self.increment_histories),
-        }
 
 
 @dataclass

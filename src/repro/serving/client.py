@@ -5,8 +5,9 @@
 * a bare :class:`~repro.core.pilote.PILOTE` learner — served in process
   through its :class:`~repro.edge.inference.InferenceEngine`;
 * a :class:`~repro.edge.magneto.MagnetoPlatform` — the paper's one-device
-  pipeline, served by :meth:`~repro.edge.magneto.MagnetoPlatform.serve`
-  through the engine of whichever learner is deployed when a request runs;
+  pipeline, served by its edge device
+  (:meth:`~repro.edge.device.FleetDevice.serve`) at the device profile's
+  dtype, through whichever learner is deployed when a request runs;
 * a :class:`~repro.fleet.FleetCoordinator` — an N-device fleet with
   pluggable routing.
 
@@ -65,14 +66,14 @@ IN_PROCESS_PROFILE = DeviceProfile(
 class LocalServingDevice:
     """Adapts any ``infer(windows) -> class_ids`` callable to the device API.
 
-    Gives bare learners and platforms the interface the
-    event-loop scheduler expects from a fleet device: ``infer``,
-    ``device_id`` and ``profile``.  ``engine`` optionally names the
-    :class:`~repro.edge.inference.InferenceEngine` behind the callable so
-    the multi-process executor can ship its learner's state for remote
-    serving (``serve(...)`` wires it automatically); ``serving_dtype`` stays
-    ``None`` because in-process adapters serve under the ambient dtype
-    policy rather than a device profile's pinned dtype.
+    Gives bare learners the interface the event-loop scheduler expects from
+    a fleet device: ``infer``, ``device_id`` and ``profile``.  ``engine``
+    optionally names the :class:`~repro.edge.inference.InferenceEngine`
+    behind the callable so the multi-process executor can ship its
+    learner's state for remote serving (``serve(...)`` wires it
+    automatically); ``serving_dtype`` stays ``None`` because in-process
+    adapters serve under the ambient dtype policy rather than a device
+    profile's pinned dtype.
     """
 
     serving_dtype = None
@@ -88,33 +89,10 @@ class LocalServingDevice:
         self._infer = infer
         self.profile = profile
         self.device_id = int(device_id)
-        self._engine = engine
-
-    @property
-    def engine(self):
-        return self._engine
+        self.engine = engine
 
     def infer(self, windows: np.ndarray) -> np.ndarray:
         return self._infer(windows)
-
-
-class _PlatformLane(LocalServingDevice):
-    """A :class:`~repro.edge.magneto.MagnetoPlatform`'s edge device as a lane.
-
-    Answers through :meth:`MagnetoPlatform.serve`, and ``engine`` reads
-    ``platform.edge_learner`` when it is read, not when the lane is built,
-    so a client built before deployment serves (and the simulated clock
-    charges) the learner deployed later.
-    """
-
-    def __init__(self, platform: MagnetoPlatform) -> None:
-        super().__init__(platform.serve, profile=platform.device.profile)
-        self._platform = platform
-
-    @property
-    def engine(self):
-        learner = self._platform.edge_learner
-        return None if learner is None else learner.inference_engine()
 
 
 class ServingClient:
@@ -388,8 +366,10 @@ def _build_client(target, options: dict, PILOTE) -> ServingClient:
             **options,
         )
     if isinstance(target, MagnetoPlatform):
-        # A platform serves through its one edge device.
-        return ServingClient([_PlatformLane(target)], label="platform", **options)
+        # A platform serves through its one edge device; deployment gives
+        # that same object its engine, so a client built before it answers
+        # after it.
+        return ServingClient([target.device], label="platform", **options)
     if isinstance(target, PILOTE):
         engine = target.inference_engine()
         device = LocalServingDevice(engine.predict, engine=engine)

@@ -892,8 +892,8 @@ class EventLoopScheduler:
             )
         if self._n_lanes == 1:
             # Routing is a no-op with a single lane; skip the policy and the
-            # per-request id extraction entirely (the serve(learner) /
-            # serve(platform) hot path).
+            # per-request id extraction entirely (the serve(learner),
+            # serve(platform) and one-device-fleet hot path).
             return self._enqueue_single_lane(requests)
         user_ids = np.fromiter(
             (r.user_id for r in requests), dtype=np.int64, count=len(requests)

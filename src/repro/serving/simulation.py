@@ -3,7 +3,8 @@
 The demonstration behind the acceptance story of the unified serving API:
 the *same* seeded request stream is answered by
 
-1. a bare :class:`~repro.core.pilote.PILOTE` learner served in process,
+1. the cloud's pre-trained :class:`~repro.core.pilote.PILOTE` learner,
+   served in process before it is shipped,
 2. the paper's one-device :class:`~repro.edge.magneto.MagnetoPlatform`, and
 3. an N-device :class:`~repro.fleet.FleetCoordinator` fleet,
 
@@ -94,8 +95,9 @@ def run(
         dataset, [int(c) for c in FLEET_SCENARIO.new_classes], rng=rng
     )
 
-    # One cloud pre-training feeds every layer: the platform's edge learner
-    # is served bare, on the platform and, through its package, by the fleet.
+    # One cloud pre-training feeds every layer: the cloud learner is served
+    # bare, and the platform's device and the fleet's devices are built from
+    # its one package.
     platform = MagnetoPlatform(settings.config, seed=settings.seed)
     platform.cloud_pretrain(
         scenario.old_train,
@@ -103,7 +105,7 @@ def run(
         exemplars_per_class=settings.exemplars_per_class,
     )
     package = platform.deploy_to_edge()
-    learner = platform.edge_learner
+    learner = platform.cloud_learner
 
     fleet = FleetCoordinator(settings.config, seed=settings.seed)
     fleet.provision(n_devices)

@@ -25,6 +25,7 @@ from repro.control import (
 )
 from repro.control.chaos import SLOW_FACTOR, ChaosRunReport
 from repro.control.signals import WINDOW
+from repro.core.config import PiloteConfig
 from repro.edge.device import DeviceProfile
 from repro.exceptions import (
     ConfigurationError,
@@ -40,6 +41,7 @@ from repro.serving import (
     ServingClient,
     serve,
 )
+from repro.server.simulation import make_serving_learner
 from repro.serving.scheduler import service_seconds
 
 
@@ -63,21 +65,10 @@ def _devices(n, seconds=0.001):
     ]
 
 
-def _cheap_serving_learner(rng_seed):
-    """A pre-trained-looking learner built without gradient training."""
-    from repro.core.config import PiloteConfig
-    from repro.core.embedding import EmbeddingNetwork
-    from repro.core.pilote import PILOTE
-
-    config = PiloteConfig(hidden_dims=(32, 16), embedding_dim=8, cache_size=100, seed=0)
-    rng = np.random.default_rng(rng_seed)
-    learner = PILOTE(config, seed=0)
-    learner.model = EmbeddingNetwork(20, config=config, rng=rng_seed)
-    learner._old_classes = list(range(3))
-    for class_id in range(3):
-        learner.exemplars.set_exemplars(class_id, rng.normal(size=(30, 20)))
-    learner._refresh_prototypes()
-    return learner
+#: Config of the training-free serving learner: 3 classes of 30 rows, 20
+#: features (``make_serving_learner(CHEAP_CONFIG, n_classes=3, per_class=30,
+#: n_features=20)``).
+CHEAP_CONFIG = PiloteConfig(hidden_dims=(32, 16), embedding_dim=8, cache_size=100, seed=0)
 
 
 def _request(user_id, arrival=0.0, deadline=None, n_features=3):
@@ -598,7 +589,7 @@ class TestHedgedRequests:
 # ---------------------------------------------------------------------- #
 class TestProcessWorkerDeath:
     def test_kill_worker_conserves_futures(self):
-        engine = _cheap_serving_learner(0).inference_engine()
+        engine = make_serving_learner(CHEAP_CONFIG, n_classes=3, per_class=30, n_features=20).inference_engine()
         devices = [
             LocalServingDevice(engine.predict, device_id=i, engine=engine)
             for i in range(2)

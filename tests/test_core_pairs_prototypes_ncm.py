@@ -12,61 +12,48 @@ from repro.exceptions import DataError, NotFittedError
 class TestPairSampler:
     def test_all_strategy_generates_all_pairs(self):
         labels = np.array([0, 0, 1, 1])
-        pairs = PairSampler(strategy="all", max_pairs=100, rng=0).sample(labels)
+        pairs = PairSampler(max_pairs=100, rng=0).sample(labels)
         assert pairs.left.size == 6
         assert pairs.same_class.sum() == 2  # (0,1) and (2,3)
 
     def test_pair_labels_are_correct(self):
         labels = np.array([0, 1])
-        pairs = PairSampler(strategy="all", rng=0).sample(labels)
+        pairs = PairSampler(rng=0).sample(labels)
         assert pairs.same_class.tolist() == [0.0]
 
     def test_max_pairs_cap(self):
         labels = np.zeros(30, dtype=int)
-        pairs = PairSampler(strategy="all", max_pairs=10, rng=0).sample(labels)
+        pairs = PairSampler(max_pairs=10, rng=0).sample(labels)
         assert pairs.left.size == 10
 
     def test_new_centred_only_involves_new_classes(self):
         labels = np.array([0, 0, 0, 5, 5])
-        pairs = PairSampler(strategy="new_centred", max_pairs=100, rng=0).sample(
+        pairs = PairSampler(max_pairs=100, rng=0).sample(
             labels, new_classes={5}
         )
         involves_new = (labels[pairs.left] == 5) | (labels[pairs.right] == 5)
         assert involves_new.all()
         assert pairs.left.size == 7  # 3*2 cross pairs + 1 new-new pair
 
-    def test_new_centred_requires_new_classes(self):
-        with pytest.raises(DataError):
-            PairSampler(strategy="new_centred").sample(np.array([0, 1]))
+    def test_without_new_classes_every_pair_is_drawn(self):
+        labels = np.array([0, 0, 0, 5, 5])
+        sampler = PairSampler(max_pairs=100, rng=0)
+        for new_classes in (None, set()):
+            pairs = sampler.sample(labels, new_classes=new_classes)
+            assert pairs.left.size == 10  # 5 choose 2
 
     def test_new_centred_falls_back_when_no_new_samples(self):
         labels = np.array([0, 0, 1])
-        pairs = PairSampler(strategy="new_centred", max_pairs=100, rng=0).sample(
+        pairs = PairSampler(max_pairs=100, rng=0).sample(
             labels, new_classes={9}
         )
         assert pairs.left.size == 3  # falls back to all pairs
-
-    def test_balanced_strategy_mixes_positive_and_negative(self):
-        labels = np.array([0] * 10 + [1] * 10)
-        pairs = PairSampler(strategy="balanced", max_pairs=40, rng=0).sample(labels)
-        n_positive = int(pairs.same_class.sum())
-        n_negative = pairs.left.size - n_positive
-        assert n_positive > 0 and n_negative > 0
-        assert abs(n_positive - n_negative) <= 2
-
-    def test_balanced_single_class_batch(self):
-        labels = np.zeros(6, dtype=int)
-        pairs = PairSampler(strategy="balanced", max_pairs=10, rng=0).sample(labels)
-        assert pairs.left.size > 0
-        assert pairs.same_class.sum() == pairs.left.size
 
     def test_requires_two_samples(self):
         with pytest.raises(DataError):
             PairSampler().sample(np.array([0]))
 
     def test_invalid_construction(self):
-        with pytest.raises(DataError):
-            PairSampler(strategy="everything")
         with pytest.raises(DataError):
             PairSampler(max_pairs=0)
 

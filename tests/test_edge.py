@@ -1,16 +1,24 @@
 """Tests for the edge runtime: device budgets, transfer packaging, MAGNETO, profiler."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.edge
 from repro.backend import precision
 from repro.core.config import PiloteConfig
+from repro.core.ncm import NCMClassifier
+from repro.core.persistence import pilote_state
 from repro.data.activities import Activity
 from repro.edge.device import DEVICE_PROFILES, DeviceProfile, EdgeDevice
 from repro.edge.magneto import MagnetoPlatform
 from repro.edge.profiler import EdgeProfiler, LatencyReport
 from repro.edge.transfer import exemplar_storage_bytes, package_for_edge
 from repro.exceptions import EdgeResourceError, NotFittedError
+from repro.fleet import FleetCoordinator
+from repro.serving import serve
 
 
 def backbone_arrays(learner):
@@ -134,13 +142,21 @@ class TestMagnetoPlatform:
         platform.cloud_pretrain(run_scenario.old_train, run_scenario.old_validation,
                                 exemplars_per_class=10)
         package = platform.deploy_to_edge()
-        assert platform.device.storage_used == pytest.approx(package.total_bytes)
-        platform.edge_learner.learn_new_classes(run_scenario.new_train, run_scenario.new_validation)
+        assert platform.storage_report() == {
+            "model": package.model_bytes,
+            "support_set": package.support_set_bytes,
+            "prototypes": package.prototype_bytes,
+            "free_bytes": platform.device.profile.storage_bytes - package.total_bytes,
+        }
+        platform.device.learn_new_activity(run_scenario.new_train, run_scenario.new_validation)
         predictions = platform.serving_client().predict(run_scenario.test.features)
         assert predictions.shape[0] == run_scenario.test.n_samples
         assert int(Activity.RUN) in set(predictions.tolist())
         report = platform.storage_report()
-        assert "support_set" in report and report["free_bytes"] > 0
+        learner = platform.device.learner
+        assert report["support_set"] == learner.support_set_nbytes() > package.support_set_bytes
+        assert report["prototypes"] == learner.prototypes.nbytes() > package.prototype_bytes
+        assert report["free_bytes"] > 0
 
     def test_pipeline_order_enforced(self, run_scenario, tiny_config):
         platform = MagnetoPlatform(tiny_config, seed=0)
@@ -148,6 +164,146 @@ class TestMagnetoPlatform:
             platform.deploy_to_edge()
         with pytest.raises(NotFittedError):
             platform.serving_client().predict(run_scenario.test.features)
+
+
+#: A device profile computing in float64, beside the stock float32 ones.
+FLOAT64_PHONE = DeviceProfile(
+    "float64-phone", storage_bytes=64 * 2**20, memory_bytes=512 * 2**20,
+    relative_compute=0.5, compute_dtype="float64",
+)
+
+
+class TestPlatformDevice:
+    """The platform deploys, learns and serves through one ``FleetDevice``."""
+
+    @pytest.mark.parametrize(
+        "profile, dtype",
+        [(DEVICE_PROFILES["smartphone"], np.float32), (FLOAT64_PHONE, np.float64)],
+        ids=["smartphone", "float64-phone"],
+    )
+    def test_the_edge_learner_runs_at_the_profile_dtype(
+        self, profile, dtype, pretrained_pilote, run_scenario, tiny_config, monkeypatch
+    ):
+        served = []
+        prototype_matrix = NCMClassifier.prototype_matrix
+
+        def spy(classifier):
+            matrix = prototype_matrix(classifier)
+            served.append(matrix.dtype)
+            return matrix
+
+        monkeypatch.setattr(NCMClassifier, "prototype_matrix", spy)
+        with precision("reference"):
+            platform = MagnetoPlatform(tiny_config, device_profile=profile, seed=0)
+            platform.cloud_learner = pretrained_pilote
+            platform.deploy_to_edge()
+            platform.device.learn_new_activity(
+                run_scenario.new_train, run_scenario.new_validation
+            )
+            platform.serving_client().predict(run_scenario.test.features[:16])
+        learner = platform.device.learner
+        assert learner is not pretrained_pilote
+        weights = {parameter.data.dtype for parameter in learner.model.parameters()}
+        assert weights == {np.dtype(dtype)}
+        assert served and set(served) == {np.dtype(dtype)}
+        assert platform.serving_client().scheduler.devices[0].serving_dtype == np.dtype(dtype).name
+
+    def test_platform_and_one_device_fleet_serve_the_same_ids(
+        self, pretrained_pilote, tiny_config
+    ):
+        """Deployed from one package at one profile, the platform's device
+        and a fleet's device hold the same state and answer the same ids."""
+        windows = np.random.default_rng(11).normal(size=(4096, pretrained_pilote.model.input_dim))
+        with precision("reference"):
+            platform = MagnetoPlatform(tiny_config, seed=0)
+            platform.cloud_learner = pretrained_pilote
+            package = platform.deploy_to_edge()
+            fleet = FleetCoordinator(tiny_config, profiles=(platform.device.profile,), seed=1)
+            fleet.provision(1)
+            fleet.deploy(package)
+            from_platform = serve(platform).predict(windows)
+            from_fleet = serve(fleet).predict(windows)
+            platform_state, _ = pilote_state(platform.device.learner)
+            fleet_state, _ = pilote_state(fleet.device(0).learner)
+        assert from_platform.dtype == from_fleet.dtype
+        assert from_platform.tobytes() == from_fleet.tobytes()
+        assert sorted(platform_state) == sorted(fleet_state)
+        for key, array in platform_state.items():
+            assert array.dtype == fleet_state[key].dtype, key
+            assert array.tobytes() == fleet_state[key].tobytes(), key
+
+    def test_two_pipelines_at_one_seed_learn_the_same_state(self, run_scenario, tiny_config):
+        def pipeline():
+            with precision("reference"):
+                platform = MagnetoPlatform(tiny_config, seed=4)
+                platform.cloud_pretrain(
+                    run_scenario.old_train, run_scenario.old_validation,
+                    exemplars_per_class=10,
+                )
+                platform.deploy_to_edge()
+                platform.device.learn_new_activity(
+                    run_scenario.new_train, run_scenario.new_validation
+                )
+                return pilote_state(platform.device.learner)
+
+        (first, first_meta), (second, second_meta) = pipeline(), pipeline()
+        assert first_meta == second_meta
+        assert sorted(first) == sorted(second)
+        for key in first:
+            assert first[key].dtype == second[key].dtype, key
+            assert first[key].tobytes() == second[key].tobytes(), key
+
+
+def _module_level_imports(tree):
+    """Dotted names imported when a module is imported (``module.name`` for
+    a ``from`` import): its top-level statements, class bodies and branches,
+    but neither function bodies nor ``if TYPE_CHECKING:`` blocks."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.If):
+            if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
+                pending.extend(node.body)
+            pending.extend(node.orelse)
+        elif isinstance(node, (ast.Try, ast.With, ast.ClassDef)):
+            for field in ("body", "handlers", "orelse", "finalbody"):
+                pending.extend(getattr(node, field, []))
+        elif isinstance(node, ast.ExceptHandler):
+            pending.extend(node.body)
+
+
+def test_edge_imports_no_layer_above_it_at_module_level():
+    """``fleet`` → ``serving`` → ``edge.magneto`` is an import chain, so an
+    edge module importing a layer above it at import time is a cycle."""
+    above = ("repro.fleet", "repro.serving", "repro.server", "repro.control")
+    offenders = {}
+    for path in sorted(Path(repro.edge.__file__).parent.glob("*.py")):
+        bad = [
+            name
+            for name in _module_level_imports(ast.parse(path.read_text()))
+            if name in above or name.startswith(tuple(f"{layer}." for layer in above))
+        ]
+        if bad:
+            offenders[path.name] = bad
+    assert offenders == {}
+
+
+def test_the_ast_check_sees_a_module_level_import():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "import repro.fleet\n"
+        "from repro import control\n"
+        "if TYPE_CHECKING:\n    from repro.serving import serve\n"
+        "def later():\n    from repro.control import ControlPlane\n"
+        "try:\n    from repro.server import wire\nexcept ImportError:\n    pass\n"
+    )
+    assert sorted(_module_level_imports(ast.parse(source))) == [
+        "repro.control", "repro.fleet", "repro.server.wire", "typing.TYPE_CHECKING",
+    ]
 
 
 class TestProfiler:

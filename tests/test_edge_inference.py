@@ -182,12 +182,13 @@ class TestEdgeWiring:
 
     def test_magneto_serves_through_device_engine(self, pretrained_pilote, run_scenario, tiny_config):
         platform = MagnetoPlatform(config=tiny_config)
-        platform.cloud_learner = copy.deepcopy(pretrained_pilote)
+        platform.cloud_learner = pretrained_pilote
         platform.deploy_to_edge()
         client = platform.serving_client()
         predictions = client.predict(run_scenario.test.features[:12])
         assert predictions.shape == (12,)
-        assert client.scheduler.devices[0].engine is platform.edge_learner.inference_engine()
+        assert client.scheduler.devices[0] is platform.device
+        assert platform.device.engine is platform.device.learner.inference_engine()
         assert np.array_equal(
-            predictions, platform.edge_learner.predict(run_scenario.test.features[:12])
+            predictions, platform.device.serve(run_scenario.test.features[:12])
         )

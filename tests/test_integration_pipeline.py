@@ -77,7 +77,7 @@ class TestFullPipeline:
         )
         package = platform.deploy_to_edge()
         assert package.total_bytes < platform.device.profile.storage_bytes
-        platform.edge_learner.learn_new_classes(
+        platform.device.learn_new_activity(
             pipeline_scenario.new_train, pipeline_scenario.new_validation
         )
         predictions = platform.serving_client().predict(pipeline_scenario.test.features)

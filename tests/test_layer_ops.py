@@ -200,12 +200,8 @@ def reference_pair_sample(self, labels, new_classes=None):
     count = labels.shape[0]
     if count < 2:
         raise DataError("at least two samples are required to build pairs")
-    if self.strategy == "balanced":
-        return self._balanced(labels)
     left, right = np.triu_indices(count, k=1)
-    if self.strategy == "new_centred":
-        if not new_classes:
-            raise DataError("new_centred pair sampling requires the set of new classes")
+    if new_classes:
         row_is_new = np.isin(labels, np.asarray(sorted(int(c) for c in new_classes)))
         involves_new = row_is_new[left] | row_is_new[right]
         left, right = left[involves_new], right[involves_new]
@@ -719,16 +715,18 @@ class TestFlatAdam:
 # --------------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("strategy", ["all", "new_centred"])
+@pytest.mark.parametrize("pairs", ["all", "new_centred"])
 @pytest.mark.parametrize("count", [2, 5, 16, 33])
 @pytest.mark.parametrize("max_pairs", [1, 7, 64, 1000])
-def test_pair_sampler_matches_the_triu_reference(strategy, count, max_pairs):
+def test_pair_sampler_matches_the_triu_reference(pairs, count, max_pairs):
     labels_rng = np.random.default_rng(count)
-    ours = PairSampler(strategy, max_pairs=max_pairs, rng=count + max_pairs)
-    theirs = PairSampler(strategy, max_pairs=max_pairs, rng=count + max_pairs)
+    ours = PairSampler(max_pairs=max_pairs, rng=count + max_pairs)
+    theirs = PairSampler(max_pairs=max_pairs, rng=count + max_pairs)
     for draw in range(6):
         labels = labels_rng.integers(0, 4, size=count)
-        new_classes = {3} if draw % 3 else {9}  # some batches hold no new rows
+        new_classes = None
+        if pairs == "new_centred":
+            new_classes = {3} if draw % 3 else {9}  # some batches hold no new rows
         a = ours.sample(labels, new_classes=new_classes)
         b = reference_pair_sample(theirs, labels, new_classes=new_classes)
         for field in ("left", "right", "same_class"):
@@ -740,7 +738,7 @@ def test_pair_sampler_matches_the_triu_reference(strategy, count, max_pairs):
 def test_cached_pair_indices_are_read_only():
     """Batches share one ``triu_indices`` pair per row count: a write to a
     returned ``PairBatch`` raises instead of corrupting the cache."""
-    sampler = PairSampler("all", max_pairs=1000, rng=0)
+    sampler = PairSampler(max_pairs=1000, rng=0)
     pairs = sampler.sample(np.array([0, 1, 1, 2, 0]))
     assert pairs.left is upper_triangle(5)[0] and pairs.right is upper_triangle(5)[1]
     for indices in (pairs.left, pairs.right):

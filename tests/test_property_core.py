@@ -22,7 +22,7 @@ class TestPairSamplerProperties:
     @given(labels_strategy)
     @settings(**SETTINGS)
     def test_pair_labels_consistent_with_classes(self, labels):
-        sampler = PairSampler(strategy="all", max_pairs=200, rng=0)
+        sampler = PairSampler(max_pairs=200, rng=0)
         pairs = sampler.sample(labels)
         expected = (labels[pairs.left] == labels[pairs.right]).astype(float)
         assert np.array_equal(pairs.same_class, expected)
@@ -30,14 +30,14 @@ class TestPairSamplerProperties:
     @given(labels_strategy, st.integers(1, 50))
     @settings(**SETTINGS)
     def test_max_pairs_respected(self, labels, max_pairs):
-        sampler = PairSampler(strategy="all", max_pairs=max_pairs, rng=0)
+        sampler = PairSampler(max_pairs=max_pairs, rng=0)
         pairs = sampler.sample(labels)
         assert pairs.left.size <= max_pairs
 
     @given(labels_strategy)
     @settings(**SETTINGS)
     def test_no_self_pairs(self, labels):
-        pairs = PairSampler(strategy="all", max_pairs=500, rng=0).sample(labels)
+        pairs = PairSampler(max_pairs=500, rng=0).sample(labels)
         assert np.all(pairs.left != pairs.right)
 
 

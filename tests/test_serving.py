@@ -113,6 +113,8 @@ class TestServeFacade:
         assert client.label == "learner" and client.n_devices == 1
 
     def test_platform_client(self, pretrained_pilote, tiny_config, pool):
+        """The platform's lane is its edge device, whose learner is built
+        from the package: not the cloud learner."""
         platform = MagnetoPlatform(tiny_config, seed=0)
         with pytest.raises(NotFittedError):
             platform.serving_client().predict(pool[:4])
@@ -121,9 +123,11 @@ class TestServeFacade:
         client = platform.serving_client()
         assert client is platform.serving_client()  # cached
         assert client.label == "platform"
-        assert client.scheduler.devices[0].engine is pretrained_pilote.inference_engine()
+        assert client.scheduler.devices == [platform.device]
+        assert platform.device.learner is not pretrained_pilote
+        assert platform.device.engine is platform.device.learner.inference_engine()
         predictions = client.predict(pool[:12])
-        assert np.array_equal(predictions, pretrained_pilote.predict(pool[:12]))
+        assert np.array_equal(predictions, platform.device.serve(pool[:12]))
 
     def test_platform_client_cached_before_deploy_follows_the_device(
         self, pretrained_pilote, tiny_config
@@ -139,7 +143,8 @@ class TestServeFacade:
         platform.cloud_learner = pretrained_pilote
         platform.deploy_to_edge()
         assert platform.serving_client() is client
-        assert lane.engine is platform.edge_learner.inference_engine()
+        assert lane is platform.device
+        assert lane.engine is platform.device.learner.inference_engine()
         flops = pretrained_pilote.model.flops_per_row
         assert service_seconds(lane, 8) == (
             (BATCH_SECONDS + 8 * flops * SECONDS_PER_FLOP) / lane.profile.relative_compute
@@ -154,7 +159,7 @@ class TestServeFacade:
         platform = MagnetoPlatform(tiny_config, seed=0)
         platform.cloud_learner = pretrained_pilote
         platform.deploy_to_edge()
-        assert platform.serve(empty).shape == (0,)
+        assert platform.device.serve(empty).shape == (0,)
         with pytest.raises(InvalidRequestError):
             platform.serving_client().predict(empty)
 
@@ -337,7 +342,7 @@ class TestDeadlines:
     def test_errors_travel_through_futures(self, tiny_config, pool):
         platform = MagnetoPlatform(tiny_config)  # nothing deployed yet
         client = serve(platform)
-        with pytest.raises(NotFittedError, match="deploy_to_edge"):
+        with pytest.raises(NotFittedError, match="deploy a package first"):
             client.predict(pool[:2])
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser
+from repro.core.config import PiloteConfig
 from repro.edge.transfer import package_for_edge
 from repro.exceptions import (
     ConfigurationError,
@@ -21,6 +22,7 @@ from repro.exceptions import (
     WorkerDiedError,
 )
 from repro.fleet import FleetCoordinator, TrafficGenerator, WorkloadSpec
+from repro.server.simulation import make_serving_learner
 from repro.serving import DeviceStats, RoutingReport
 from repro.serving import (
     EXECUTORS,
@@ -298,21 +300,10 @@ class TestWorkerDeath:
             assert client.report().total_failed == 1
 
 
-def _cheap_serving_learner(rng_seed: int):
-    """A pre-trained-looking learner built without gradient training."""
-    from repro.core.config import PiloteConfig
-    from repro.core.embedding import EmbeddingNetwork
-    from repro.core.pilote import PILOTE
-
-    config = PiloteConfig(hidden_dims=(32, 16), embedding_dim=8, cache_size=100, seed=0)
-    rng = np.random.default_rng(rng_seed)
-    learner = PILOTE(config, seed=0)
-    learner.model = EmbeddingNetwork(20, config=config, rng=rng_seed)
-    learner._old_classes = list(range(3))
-    for class_id in range(3):
-        learner.exemplars.set_exemplars(class_id, rng.normal(size=(30, 20)))
-    learner._refresh_prototypes()
-    return learner
+#: Config of the training-free serving learner: 3 classes of 30 rows, 20
+#: features (``make_serving_learner(CHEAP_CONFIG, n_classes=3, per_class=30,
+#: n_features=20)``).
+CHEAP_CONFIG = PiloteConfig(hidden_dims=(32, 16), embedding_dim=8, cache_size=100, seed=0)
 
 
 class TestSnapshotStaleness:
@@ -320,8 +311,8 @@ class TestSnapshotStaleness:
         """Staleness is keyed on identity, not just the version number."""
         from repro.serving.client import LocalServingDevice
 
-        learner_a = _cheap_serving_learner(0)
-        learner_b = _cheap_serving_learner(1)
+        learner_a = make_serving_learner(CHEAP_CONFIG, n_classes=3, per_class=30, n_features=20)
+        learner_b = make_serving_learner(CHEAP_CONFIG, n_classes=3, per_class=30, n_features=20, seed=1)
         assert learner_a.state_version == learner_b.state_version
         engine_a = learner_a.inference_engine()
         engine_b = learner_b.inference_engine()
@@ -351,7 +342,7 @@ class TestWallClockAccounting:
         """Lanes sharing one worker must not report fully-parallel time."""
         from repro.serving.client import LocalServingDevice
 
-        learner = _cheap_serving_learner(0)
+        learner = make_serving_learner(CHEAP_CONFIG, n_classes=3, per_class=30, n_features=20)
         engine = learner.inference_engine()
         pool = np.random.default_rng(9).normal(size=(128, 20))
         devices = [
@@ -378,7 +369,7 @@ class TestWallClockAccounting:
         drain books the whole round before firing any completion."""
         from repro.serving.client import LocalServingDevice
 
-        learner = _cheap_serving_learner(0)
+        learner = make_serving_learner(CHEAP_CONFIG, n_classes=3, per_class=30, n_features=20)
         engine = learner.inference_engine()
         pool = np.random.default_rng(9).normal(size=(48, 20))
         devices = [
