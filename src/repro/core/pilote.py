@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.autodiff.primitives import pilote_loss
 from repro.autodiff.tensor import Tensor
+from repro.backend import get_backend
 from repro.backend.policy import default_dtype
 from repro.core.config import PiloteConfig
 from repro.core.embedding import EmbeddingNetwork
@@ -147,13 +148,13 @@ class PILOTE:
         self._old_classes = [int(c) for c in train.classes]
         self._new_classes = []
         self._pretrain_dataset = train
-        validation_arrays = None
+        validation_rows = None
         if validation is not None and validation.n_samples > 1:
-            validation_arrays = (validation.features, validation.labels)
+            validation_rows = (validation.features, validation.labels)
         history = self._run_training(
             features=train.features,
             labels=train.labels,
-            validation=validation_arrays,
+            validation=validation_rows,
             max_epochs=self.config.max_epochs_pretrain,
             new_classes=None,
         )
@@ -228,23 +229,27 @@ class PILOTE:
             raise NotFittedError("the support set is empty; call build_support_set() first")
         incoming = [int(c) for c in new_train.classes]
         already_known = set(self.classes_) & set(incoming)
+        if new_validation is not None:
+            already_known |= set(self.classes_) & {int(c) for c in new_validation.classes}
         if already_known:
             raise DataError(f"classes {sorted(already_known)} are already known to the model")
         self._phase_seconds = {}
 
-        # The support set followed by the new rows, each set built in the
-        # policy dtype by one concatenation: the trainer uses them as given.
-        combined_features, combined_labels = self.exemplars.as_dataset(new_train)
-        validation_pair: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # The support set followed by the new rows, built in the policy
+        # dtype by one concatenation: the trainer uses it as given, and the
+        # validation set reads its support rows from it.
+        features, labels = self.exemplars.as_dataset(new_train)
+        validation_rows = None
         if new_validation is not None and new_validation.n_samples > 1:
-            validation_pair = self.exemplars.as_dataset(new_validation)
+            validation_rows = (new_validation.features, new_validation.labels)
 
         history = self._run_training(
-            features=combined_features,
-            labels=combined_labels,
-            validation=validation_pair,
+            features=features,
+            labels=labels,
+            validation=validation_rows,
             max_epochs=self.config.max_epochs_increment,
             new_classes=set(incoming),
+            support_rows=features.shape[0] - new_train.n_samples,
         )
 
         # Store exemplars for the new classes and refresh all prototypes.
@@ -412,16 +417,26 @@ class PILOTE:
         validation: Optional[Tuple[np.ndarray, np.ndarray]],
         max_epochs: int,
         new_classes: Optional[Set[int]],
+        support_rows: int = 0,
     ) -> TrainingHistory:
         """Shared optimisation loop for pre-training and incremental updates.
 
         A training step is one op (:meth:`EmbeddingNetwork.training_loss`);
         a validation pass evaluates the same objective on ``embed`` output,
-        on plain arrays (its scalar is handed back as a leaf ``Tensor``).  With ``new_classes`` the objective distils the
-        old-class rows towards the frozen teacher ``φ_Θo``: the model as the
-        increment starts, whose embeddings of those rows are computed here,
-        once.  The trainer batches row ids in place of labels, so each step
-        looks up its rows' labels and teacher embeddings.
+        on plain arrays.  The validation set is the first ``support_rows``
+        rows of ``features`` (the support set, which an increment trains on
+        too) followed by the ``validation`` rows; it reads the shared rows
+        from ``features`` rather than holding a copy, and embeds each part
+        with one ``embed`` call.
+
+        With ``new_classes`` the objective distils the old-class rows
+        towards the frozen teacher ``φ_Θo``: the model as the increment
+        starts.  Old-class rows are support rows only (the new rows hold new
+        classes), so the teacher embeddings of the support set's old-class
+        rows are computed here, once, and both sets look theirs up by row
+        id through their old-class mask.  The trainer batches row ids in
+        place of labels, so each step looks up its rows' labels and teacher
+        embeddings.
         """
         assert self.model is not None
         model = self.model
@@ -432,23 +447,28 @@ class PILOTE:
         sampler = PairSampler(config.max_pairs_per_batch, rng=self._rng)
         alpha = config.alpha if new_classes else 0.0
         old_class_ids = set(self._old_classes)
+        features = get_backend().asarray(features)
+        support = features[:support_rows]
 
-        def objective_inputs(rows_features, rows_labels, centre):
-            """``row ids -> objective keywords`` over one set of rows; pairs
-            centre on the classes in ``centre`` (all pairs when ``None``)."""
-            old = teacher = None
-            if alpha > 0.0:
-                old = class_membership(rows_labels, old_class_ids)
-                teacher = np.zeros((len(old), model.embedding_dim), dtype=default_dtype())
-                teacher[old] = model.embed(rows_features[old])
+        teacher = teacher_row = None
+        if alpha > 0.0:
+            support_old = class_membership(labels[:support_rows], old_class_ids)
+            teacher = model.embed(support[support_old]).astype(default_dtype(), copy=False)
+            teacher_row = np.cumsum(support_old) - 1  # support row id -> teacher row
+
+        def objective_inputs(rows_labels, centre):
+            """``row ids -> objective keywords`` over one set of rows, whose
+            old-class rows are support rows; pairs centre on the classes in
+            ``centre`` (all pairs when ``None``)."""
+            old = None if teacher is None else class_membership(rows_labels, old_class_ids)
 
             def keywords(rows: np.ndarray) -> dict:
                 batch_labels = rows_labels[rows]
                 pairs = sampler.sample(batch_labels, new_classes=centre)
                 old_rows = old_teacher = None
-                if teacher is not None:
+                if old is not None:
                     old_rows = np.flatnonzero(old[rows])
-                    old_teacher = teacher[rows[old_rows]]
+                    old_teacher = teacher[teacher_row[rows[old_rows]]]
                 return dict(
                     left=pairs.left, right=pairs.right, same_class=pairs.same_class,
                     margin=config.margin, variant=config.contrastive_variant,
@@ -457,21 +477,24 @@ class PILOTE:
 
             return keywords
 
-        train_inputs = objective_inputs(features, labels, new_classes)
+        train_inputs = objective_inputs(labels, new_classes)
 
         def train_loss(batch_features: np.ndarray, rows: np.ndarray) -> Tensor:
             return model.training_loss(batch_features, **train_inputs(rows))
 
-        validation_data = validation_loss = None
+        validation_loss = None
         if validation is not None:
             validation_features, validation_labels = validation
-            validation_inputs = objective_inputs(
-                validation_features, validation_labels, None
-            )
-            validation_data = (validation_features, np.arange(len(validation_labels)))
+            parts = [get_backend().asarray(validation_features)]  # cast once
+            if support_rows:
+                parts.insert(0, support)
+                validation_labels = np.concatenate([labels[:support_rows], validation_labels])
+            validation_inputs = objective_inputs(validation_labels, None)
+            every_row = np.arange(len(validation_labels))
 
-            def validation_loss(batch_features: np.ndarray, rows: np.ndarray) -> Tensor:
-                return Tensor(pilote_loss(model.embed(batch_features), **validation_inputs(rows)))
+            def validation_loss() -> float:
+                embeddings = np.concatenate([model.embed(part) for part in parts])
+                return float(pilote_loss(embeddings, **validation_inputs(every_row)))
 
         optimizer = Adam(model.parameters(), lr=config.learning_rate)
         scheduler = HalvingLR(optimizer)
@@ -493,7 +516,6 @@ class PILOTE:
             train_loss,
             features,
             np.arange(len(labels)),
-            validation=validation_data,
             validation_loss=validation_loss,
         )
         self._phase_seconds["training"] = perf_seconds() - training_start

@@ -25,7 +25,7 @@ from repro.edge.transfer import TransferPackage, package_for_edge
 from repro.exceptions import NotFittedError
 from repro.nn.trainer import TrainingHistory
 from repro.utils.logging import get_logger
-from repro.utils.rng import RandomState
+from repro.utils.rng import RandomState, resolve_rng
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.serving.client import ServingClient
@@ -34,7 +34,13 @@ logger = get_logger("edge.magneto")
 
 
 class MagnetoPlatform:
-    """End-to-end cloud → edge incremental-learning pipeline."""
+    """End-to-end cloud → edge incremental-learning pipeline.
+
+    ``seed`` (``config.seed`` when ``None``) seeds the cloud learner and a
+    root generator; the device learner's seed is drawn from that generator,
+    as a fleet draws one per device, so the device's increment does not
+    replay the stream the cloud's pre-training started from.
+    """
 
     def __init__(
         self,
@@ -44,6 +50,8 @@ class MagnetoPlatform:
     ) -> None:
         self.config = config or PiloteConfig()
         self._seed = seed
+        root = resolve_rng(seed if seed is not None else self.config.seed)
+        self._device_seed = int(root.integers(0, 2**63 - 1))
         #: The cloud's pre-trained learner; deployment ships its package.
         self.cloud_learner: Optional[PILOTE] = None
         #: The edge device: :meth:`deploy_to_edge` gives it a learner of its
@@ -70,7 +78,7 @@ class MagnetoPlatform:
         if self.cloud_learner is None:
             raise NotFittedError("cloud_pretrain() must run before deploy_to_edge()")
         package = package_for_edge(self.cloud_learner)
-        self.device.deploy(package, self.config, seed=self._seed)
+        self.device.deploy(package, self.config, seed=self._device_seed)
         logger.info(
             "deployed %.2f KB to edge device '%s' (%.2f KB free)",
             package.total_bytes / 1024,

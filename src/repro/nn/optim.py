@@ -21,10 +21,10 @@ EPSILON = 1e-8
 
 class _FlatGroup:
     """Parameters of one dtype laid end to end: their values as one flat
-    buffer that each packed parameter's ``data`` views, their Adam moments
-    as two more (zero until a parameter's first gradient), one buffer the
-    gradients are gathered into (the update's denominator once the moments
-    have read it) and one temporary."""
+    buffer that each packed parameter's ``data`` views, and their Adam
+    moments as two more (zero until a parameter's first gradient).  A
+    step's gathered gradient and its temporary are the step's own
+    (:meth:`Adam._update`), not the group's."""
 
     def __init__(self, parameters: List[Parameter]) -> None:
         self.parameters = parameters
@@ -32,8 +32,6 @@ class _FlatGroup:
         self.values = np.empty(self.bounds[-1], dtype=parameters[0].data.dtype)
         self.first = np.zeros_like(self.values)
         self.second = np.zeros_like(self.values)
-        self.gradient = np.empty_like(self.values)
-        self.term = np.empty_like(self.values)
         self.views: List[Optional[np.ndarray]] = [None] * len(parameters)
 
     def pack(self, live: Sequence[int]) -> None:
@@ -62,9 +60,11 @@ class Adam:
     Every parameter of one dtype is updated in one pass over flat buffers,
     in place: the first step that gives a parameter a gradient copies its
     values into the group's flat value buffer and makes its ``data`` a view
-    of it, and from then on each step gathers the gradients into one reused
+    of it, and from then on each step gathers the gradients into one new
     buffer and updates the moments and the values where they lie, with one
-    full-size temporary beside the gathered gradient.  An array
+    temporary of the same size beside it; both are freed when the step
+    returns, so between steps (a validation pass, say) the optimiser holds
+    only the values and the two moments.  An array
     read from ``parameter.data`` is therefore that view and changes with
     every step; take a copy (``state_dict()`` does) to keep the values.  A
     parameter whose ``data`` is replaced between steps is packed again.  The
@@ -113,7 +113,8 @@ class Adam:
     def _update(self, group: _FlatGroup, live: List[int], bias_correction1: float,
                 bias_correction2: float) -> None:
         """Update the values and moments of the ``live`` parameters of
-        ``group`` in place."""
+        ``group`` in place; the gathered gradient and the one temporary are
+        allocated here and freed on return."""
         group.pack(live)
         parameters = group.parameters
         complete = len(live) == len(parameters)
@@ -122,11 +123,10 @@ class Adam:
         else:
             rows = group.live_rows(live)
             values, first, second = group.values[rows], group.first[rows], group.second[rows]
-        size = values.size
         gradient = np.concatenate(
-            [parameters[i].grad.ravel() for i in live], out=group.gradient[:size]
+            [parameters[i].grad.ravel() for i in live], dtype=values.dtype
         )
-        term = group.term[:size]
+        term = np.empty_like(gradient)
         # first = beta1 * first + (1 - beta1) * gradient
         first *= BETA1
         first += np.multiply(gradient, 1.0 - BETA1, out=term)

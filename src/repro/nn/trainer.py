@@ -123,8 +123,7 @@ class Trainer:
         features: np.ndarray,
         labels: np.ndarray,
         *,
-        validation: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        validation_loss: Optional[BatchLossFn] = None,
+        validation_loss: Optional[Callable[[], float]] = None,
     ) -> TrainingHistory:
         """Run the optimisation loop.
 
@@ -135,25 +134,22 @@ class Trainer:
             through the model captured in its closure).
         features, labels:
             Training arrays; batching and shuffling are handled here.
-        validation:
-            Optional ``(X_val, y_val)`` used for early stopping; without
-            it every epoch up to ``max_epochs`` runs.
         validation_loss:
-            Loss to evaluate on the validation split; defaults to ``batch_loss``.
+            Optional zero-argument function returning the epoch's validation
+            loss, called in eval mode with no tape recorded and read by
+            early stopping; without it every epoch up to ``max_epochs``
+            runs.  It owns its rows, so it can share them with
+            ``features`` rather than hold a copy.
 
-        Arrays not already in the policy compute dtype are cast once, up
-        front; arrays in it are used as given.  A step's loss is read and
+        ``features`` not already in the policy compute dtype are cast once,
+        up front; in it they are used as given.  A step's loss is read and
         its tape dropped before ``optimizer.step()``, and the gradients are
         released right after it, so neither the update nor a validation
         pass holds the step's activations, nor a validation pass its
         gradients.
         """
         history = TrainingHistory()
-        evaluate = validation_loss or batch_loss
-        backend = get_backend()
-        features = backend.asarray(features)
-        if validation is not None:
-            validation = (backend.asarray(validation[0]), validation[1])
+        features = get_backend().asarray(features)
         self.early_stopping.reset()
         self.optimizer.zero_grad()
         for epoch in range(self.max_epochs):
@@ -174,11 +170,10 @@ class Trainer:
             history.learning_rates.append(self.optimizer.lr)
             history.epoch_seconds.append(perf_seconds() - start_time)
 
-            if validation is not None:
+            if validation_loss is not None:
                 self.model.eval()
-                val_features, val_labels = validation
                 with no_grad():  # evaluated only: recording would build a dead tape
-                    val_loss = float(evaluate(val_features, val_labels).data)
+                    val_loss = float(validation_loss())
                 history.validation_losses.append(val_loss)
                 if self.early_stopping.update(val_loss):
                     history.stopped_early = True

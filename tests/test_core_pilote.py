@@ -5,11 +5,14 @@ import copy
 import numpy as np
 import pytest
 
+from repro.autodiff.primitives import pilote_loss
 from repro.backend import default_dtype, precision
+from repro.core import pilote as pilote_module
 from repro.core.config import PiloteConfig
 from repro.core.embedding import EmbeddingNetwork
 from repro.core.pilote import PILOTE
 from repro.data.activities import Activity
+from repro.data.streams import build_incremental_scenario
 from repro.exceptions import DataError, NotFittedError
 from repro.metrics.forgetting import old_class_accuracy
 from repro.nn.trainer import Trainer
@@ -105,23 +108,123 @@ class TestIncrementalLearning:
     def test_training_rows_arrive_in_the_policy_dtype(
         self, pilote_copy, run_scenario, monkeypatch, profile
     ):
-        seen = []
+        """The training rows arrive cast; a validation pass embeds the
+        support rows as a view of them and the new validation rows from one
+        array cast up front, reused every epoch."""
+        seen, embedded = [], []
         fit = Trainer.fit
+        embed = EmbeddingNetwork.embed
 
-        def recording_fit(trainer, batch_loss, features, labels, *, validation=None,
-                          validation_loss=None):
-            seen.append((features.dtype, validation[0].dtype))
-            return fit(trainer, batch_loss, features, labels, validation=validation,
-                       validation_loss=validation_loss)
+        def recording_fit(trainer, batch_loss, features, labels, *, validation_loss=None):
+            seen.append(features.dtype)
+
+            def recording_validation():
+                calls = len(embedded)
+                loss = validation_loss()
+                (support, support_shared), (extra, extra_shared) = embedded[calls:]
+                assert support_shared and not extra_shared
+                assert support.dtype == extra.dtype == default_dtype()
+                validation_rows.append(extra)
+                return loss
+
+            def recording_embed(model, rows):
+                embedded.append((rows, np.shares_memory(rows, features)))
+                return embed(model, rows)
+
+            validation_rows = []
+            monkeypatch.setattr(EmbeddingNetwork, "embed", recording_embed)
+            history = fit(trainer, batch_loss, features, labels,
+                          validation_loss=recording_validation)
+            assert len(validation_rows) == history.epochs_run
+            assert all(rows is validation_rows[0] for rows in validation_rows)
+            return history
 
         monkeypatch.setattr(Trainer, "fit", recording_fit)
         with precision(profile):
             pilote_copy.learn_new_classes(run_scenario.new_train, run_scenario.new_validation)
-            assert seen == [(default_dtype(), default_dtype())]
+            assert seen == [default_dtype()]
 
     def test_predictions_cover_all_classes(self, incremented_pilote, run_scenario):
         predictions = incremented_pilote.predict(run_scenario.test.features)
         assert set(np.unique(predictions)).issubset(set(incremented_pilote.classes_))
+
+
+class TestIncrementTeacher:
+    """The teacher and validation set an increment builds from one copy of
+    the support rows, pinned on a second increment: its support set holds
+    the first increment's new class (Run, 2) between the old classes
+    (Drive 0, Still 3, Walk 4), so the old-class rows are not a prefix."""
+
+    @pytest.mark.parametrize("profile", ["reference", "edge"])
+    def test_second_increment_teacher_and_validation_loss(
+        self, har_dataset, tiny_config, monkeypatch, profile
+    ):
+        scenario = build_incremental_scenario(
+            har_dataset, [Activity.RUN, Activity.ESCOOTER], rng=5
+        )
+        old_classes = scenario.old_classes
+        with precision(profile):
+            learner = PILOTE(tiny_config, seed=0)
+            learner.pretrain(scenario.old_train, scenario.old_validation,
+                             exemplars_per_class=15)
+            learner.learn_new_classes(
+                scenario.new_train.select_classes([Activity.RUN]),
+                scenario.new_validation.select_classes([Activity.RUN]),
+            )
+            new_train = scenario.new_train.select_classes([Activity.ESCOOTER])
+            new_validation = scenario.new_validation.select_classes([Activity.ESCOOTER])
+            support, support_labels = learner.exemplars.as_dataset()
+            assert learner.exemplars.classes == [0, 2, 3, 4]
+            old_support = {row.tobytes() for row in
+                           support[np.isin(support_labels, old_classes)]}
+            frozen = copy.deepcopy(learner.model)
+            validation_rows = np.concatenate(
+                [support, new_validation.features.astype(default_dtype())]
+            )
+            validation_labels = np.concatenate([support_labels, new_validation.labels])
+
+            steps, passes = [], []
+            training_loss = EmbeddingNetwork.training_loss
+
+            def recording_step(model, features, **objective):
+                steps.append((features.copy(), objective["old_rows"], objective["teacher"]))
+                return training_loss(model, features, **objective)
+
+            def recording_loss(embeddings, **objective):
+                loss = pilote_loss(embeddings, **objective)
+                one_call = learner.model.embed(validation_rows)
+                passes.append((loss, embeddings, one_call, objective))
+                return loss
+
+            monkeypatch.setattr(EmbeddingNetwork, "training_loss", recording_step)
+            monkeypatch.setattr(pilote_module, "pilote_loss", recording_loss)
+            history = learner.learn_new_classes(new_train, new_validation)
+            monkeypatch.undo()
+
+            assert len(steps) > 0
+            for features, old_rows, teacher in steps:
+                expected_old = [i for i, row in enumerate(features)
+                                if row.tobytes() in old_support]
+                assert old_rows.tolist() == expected_old
+                assert teacher.dtype == default_dtype()
+                assert teacher.tobytes() == frozen.embed(features[old_rows]).tobytes()
+
+            assert len(passes) == history.epochs_run == len(history.validation_losses)
+            for (loss, embeddings, one_call, objective), recorded in zip(
+                passes, history.validation_losses
+            ):
+                assert embeddings.tobytes() == one_call.tobytes()
+                assert float(pilote_loss(one_call, **objective)) == recorded == float(loss)
+                old_rows = objective["old_rows"]
+                assert old_rows.tolist() == np.flatnonzero(
+                    np.isin(validation_labels, old_classes)).tolist()
+                assert objective["teacher"].tobytes() == frozen.embed(
+                    validation_rows[old_rows]).tobytes()
+
+    def test_validation_rows_of_a_known_class_raise(self, pilote_copy, run_scenario):
+        known = run_scenario.old_validation.select_classes([run_scenario.old_classes[0]])
+        with pytest.raises(DataError):
+            pilote_copy.learn_new_classes(run_scenario.new_train, known)
 
 
 class TestDistillationEffect:

@@ -24,6 +24,7 @@ with equal predictions.  Two runs of the program itself are byte-identical.
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -45,6 +46,7 @@ from repro.exceptions import DataError, ShapeError
 from repro.nn.layers import EPSILON, BatchNorm1d, Linear
 from repro.nn.losses import ContrastiveLoss, DistillationLoss
 from repro.nn.module import Parameter
+from repro.nn import optim as optim_module
 from repro.nn.optim import BETA1, BETA2, Adam
 from repro.nn.optim import EPSILON as ADAM_EPSILON
 from repro.nn.trainer import Trainer
@@ -709,6 +711,42 @@ class TestFlatAdam:
             for ours, theirs in zip(models[0].parameters(), models[1].parameters()):
                 assert ours.data.tobytes() == theirs.data.tobytes()
 
+    def test_a_step_leaves_only_the_values_and_moments_allocated(self):
+        """The packing step allocates each group's flat values and two
+        moments; the gathered gradient and the temporary live only inside
+        a step, so no step leaves them allocated (tracemalloc)."""
+        rng = np.random.default_rng(13)
+        parameters = []
+        for shape, dtype in zip([(64, 32), (32,), (32, 16), (16,)],
+                                ("float32", "float64", "float32", "float64")):
+            with precision(dtype):
+                parameters.append(Parameter(rng.normal(size=shape)))
+        optimizer = Adam(parameters, lr=0.05)
+        buffers = 3 * sum(parameter.data.nbytes for parameter in parameters)
+
+        def live_optimiser_bytes():
+            """Bytes of the live numpy buffers allocated under ``nn/optim.py``
+            (Python objects, which the interpreter may cache, left out)."""
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            ).filter_traces(
+                [tracemalloc.Filter(True, optim_module.__file__, all_frames=True)]
+            )
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        tracemalloc.start(8)
+        try:
+            self._set_gradients(parameters, 0)
+            optimizer.step()  # packs: allocates the flat buffers
+            packed = live_optimiser_bytes()
+            for step in range(1, 3):
+                self._set_gradients(parameters, step)
+                optimizer.step()
+                assert live_optimiser_bytes() == packed
+        finally:
+            tracemalloc.stop()
+        assert packed == buffers
+
 
 # --------------------------------------------------------------------------- #
 # pair sampling without the O(n²) index arrays
@@ -785,10 +823,8 @@ class TestDispatchCount:
 
         histories = []
 
-        def counted_fit(self, batch_loss, features, labels, *, validation=None,
-                        validation_loss=None):
+        def counted_fit(self, batch_loss, features, labels, *, validation_loss=None):
             histories.append(fit(self, measured("train", batch_loss), features, labels,
-                                 validation=validation,
                                  validation_loss=measured("validation", validation_loss)))
             return histories[-1]
 

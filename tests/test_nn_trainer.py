@@ -94,7 +94,7 @@ class TestTrainer:
             batch_loss,
             features,
             targets.reshape(-1),
-            validation=(features, targets.reshape(-1)),
+            validation_loss=lambda: batch_loss(features, targets.reshape(-1)).data,
         )
         assert history.stopped_early
         assert history.epochs_run <= 4
@@ -110,14 +110,13 @@ class TestTrainer:
         model, batch_loss, features, targets = self._regression_setup(4)
         recorded = []
 
-        def validation_loss(batch_x, batch_y):
-            loss = batch_loss(batch_x, batch_y)
+        def validation_loss():
+            loss = batch_loss(features, targets.reshape(-1))
             recorded.append(loss.requires_grad)
-            return loss
+            return loss.data
 
         trainer = _trainer(model, 0.01, max_epochs=2)
         history = trainer.fit(batch_loss, features, targets.reshape(-1),
-                              validation=(features, targets.reshape(-1)),
                               validation_loss=validation_loss)
         assert recorded == [False, False]
         assert len(history.validation_losses) == 2
@@ -147,8 +146,7 @@ class TestTrainer:
         monkeypatch.setattr(Adam, "step", checked_step)
         trainer = _trainer(model, 0.01, max_epochs=2, batch_size=32)
         trainer.fit(tracked_loss, features, targets.reshape(-1),
-                    validation=(features, targets.reshape(-1)),
-                    validation_loss=tracked_loss)
+                    validation_loss=lambda: tracked_loss(features, targets.reshape(-1)).data)
         assert len(steps) == 8  # 4 batches of 120 rows, 2 epochs
         assert steps == [(True, True)] * 8
         assert released == [True] * (8 + 2)
