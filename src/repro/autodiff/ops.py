@@ -9,6 +9,7 @@ testable records, one op per layer.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,6 +59,23 @@ def pairwise_squared_distance(a: Tensor, b: Tensor) -> Tensor:
     return _apply("pairwise_squared_distance", a, b)
 
 
+@lru_cache(maxsize=32)
+def _checked_program(layers, margin, variant, alpha) -> Tuple[float, float]:
+    """Check what a fit holds fixed in every :func:`pilote_step`: the layer
+    kinds, the margin, the variant and α; returns the margin and α as
+    floats.  Cached, so a fit checks them once; a bad value raises on every
+    call, because a raise is not cached."""
+    if variant not in ("squared", "hadsell"):
+        raise DataError(f"variant must be 'squared' or 'hadsell', got {variant!r}")
+    if margin <= 0:
+        raise DataError(f"margin must be positive, got {margin}")
+    alpha = check_probability(alpha, name="alpha")
+    unknown = sorted({kind for kind, _ in layers} - set(STEP_LAYERS))
+    if unknown:
+        raise DataError(f"pilote_step runs {STEP_LAYERS} layers, got {unknown}")
+    return float(margin), alpha
+
+
 def pilote_step(
     inputs: Tensor,
     parameters: Sequence[Tensor],
@@ -84,15 +102,11 @@ def pilote_step(
     ``old_rows``).  Returns the loss and each BatchNorm's batch
     ``(mean, biased variance)`` for the caller's running-statistics update.
     """
-    if variant not in ("squared", "hadsell"):
-        raise DataError(f"variant must be 'squared' or 'hadsell', got {variant!r}")
-    if margin <= 0:
-        raise DataError(f"margin must be positive, got {margin}")
-    alpha = check_probability(alpha, name="alpha")
     layers = tuple(layers)
-    unknown = sorted({kind for kind, _ in layers} - set(STEP_LAYERS))
-    if unknown:
-        raise DataError(f"pilote_step runs {STEP_LAYERS} layers, got {unknown}")
+    try:
+        margin, alpha = _checked_program(layers, margin, variant, alpha)
+    except TypeError:  # an unhashable layer entry: check it without the cache
+        margin, alpha = _checked_program.__wrapped__(layers, margin, variant, alpha)
     if inputs.ndim != 2 or inputs.shape[0] < 2:
         raise ShapeError(
             f"a training step needs a (batch >= 2, features) input, got {inputs.shape}"
@@ -115,7 +129,7 @@ def pilote_step(
     batch_stats: List[Tuple[np.ndarray, np.ndarray]] = []
     loss = _apply(
         "pilote_step", inputs, *parameters, layers=layers, left=left, right=right,
-        same_class=same_class, margin=float(margin), variant=variant, alpha=alpha,
+        same_class=same_class, margin=margin, variant=variant, alpha=alpha,
         old_rows=old_rows, teacher=teacher, batch_stats=batch_stats,
     )
     return loss, batch_stats

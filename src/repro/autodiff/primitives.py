@@ -50,7 +50,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.backend.policy import default_dtype
-from repro.backend.registry import NO_TAPE, OpContext, register_op
+from repro.backend.registry import NO_TAPE, register_op
 from repro.exceptions import ShapeError
 
 
@@ -75,9 +75,11 @@ def node_grad(grad: np.ndarray, node: np.ndarray) -> np.ndarray:
     return _unbroadcast(np.asarray(grad, dtype=node.dtype), node.shape)
 
 
-def _constant(value: float) -> np.ndarray:
-    """A scalar as a ``Tensor`` leaf holds it: in the policy dtype."""
-    return np.asarray(value, dtype=default_dtype())
+def _constant(value: float) -> np.generic:
+    """A scalar as a ``Tensor`` leaf holds it: in the policy dtype.  A numpy
+    scalar promotes exactly as the 0-d array of a leaf would, so every
+    result keeps its dtype and bytes."""
+    return default_dtype().type(value)
 
 # --------------------------------------------------------------------------- #
 # arithmetic
@@ -586,31 +588,33 @@ def _pilote_step_forward(ctx, x, *parameters, layers, left, right, same_class,
                          margin, variant="squared", alpha=0.0, old_rows=None,
                          teacher=None, batch_stats=None):
     # The network in training mode (batch statistics in every BatchNorm),
-    # through the layer ops' own forwards.  Of each layer's saved arrays the
-    # step keeps only those the closed-form backward reads.
+    # through the layer ops' own forwards.  Of each layer's arrays the step
+    # keeps only those the closed-form backward reads.  A layer forward
+    # stashes its arrays on this step's own context, which is read back at
+    # once and finally holds what the step's backward needs.  The linear
+    # layer keeps nothing the step needs (its input and weight are at hand),
+    # so it runs off the tape and adds its bias into its own product, and a
+    # ReLU writes into an array an earlier layer made; either way the ufuncs
+    # and their dtypes are the tape's, so the bytes are too.
     saved = []
     hidden = x
-    position = 0
+    weights = iter(parameters)
     for kind, epsilon in layers:
-        layer_ctx = OpContext(kind)
-        if kind == "relu":
-            hidden = _relu_forward(layer_ctx, hidden)
-            saved.append(layer_ctx.saved)  # the mask
-            continue
-        first, second = parameters[position:position + 2]
-        position += 2
         if kind == "linear":
-            hidden = _linear_forward(layer_ctx, hidden, first, second)
-            inputs, weight, _ = layer_ctx.saved
-            saved.append((inputs, weight))
+            weight = next(weights)
+            saved.append((hidden, weight))
+            hidden = _linear_forward(NO_TAPE, hidden, weight, next(weights))
+        elif kind == "relu":
+            hidden = _relu_forward(ctx, hidden, overwrite=hidden is not x)
+            saved.append(ctx.saved)  # the mask
         else:
-            stats = []
-            hidden = _batch_norm_train_forward(
-                layer_ctx, hidden, first, second, epsilon=epsilon, batch_stats=stats
-            )
+            gamma = next(weights)
+            hidden = _batch_norm_train_forward(ctx, hidden, gamma, next(weights),
+                                               epsilon=epsilon)
+            (_, _, inverse_count, _, mean, _, _, _, variance, _, std, normalised,
+             _) = ctx.saved
             if batch_stats is not None:
-                batch_stats.append(tuple(stats))
-            _, gamma, inverse_count, *_, std, normalised, _ = layer_ctx.saved
+                batch_stats.append((mean.reshape(-1), variance.reshape(-1)))
             saved.append((gamma, inverse_count, std, normalised))
     loss, objective = _objective_forward(hidden, left, right, same_class, margin, variant,
                                          alpha, old_rows, teacher)

@@ -157,7 +157,7 @@ class Tensor:
         rather than the leaf policy) and ``op`` names the tape record.
         """
         parents = tuple(parents)
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _GRAD_ENABLED and any([p.requires_grad for p in parents])
         data = np.asarray(data)
         out = Tensor(data, requires_grad=requires, dtype=data.dtype)
         out.op = op
@@ -174,9 +174,13 @@ class Tensor:
         it made a new array; otherwise it is copied, so no two tensors, and
         no op, hold one gradient array.
         """
-        reduced = node_grad(grad, self.data)
+        data = self.data
+        if type(grad) is np.ndarray and grad.dtype == data.dtype and grad.shape == data.shape:
+            reduced = grad  # node_grad would hand it back as it is
+        else:
+            reduced = node_grad(grad, data)
         if self.grad is None:
-            copy = shared and np.may_share_memory(reduced, grad)
+            copy = shared and (reduced is grad or np.may_share_memory(reduced, grad))
             self.grad = reduced.copy() if copy else reduced
         else:
             self.grad = self.grad + reduced
@@ -306,38 +310,41 @@ class Tensor:
         """
         if not self.requires_grad:
             raise GradientError("called backward() on a tensor that does not require grad")
+        data = self.data
         if gradient is None:
-            if self.data.size != 1:
+            if data.size != 1:
                 raise GradientError(
                     "backward() without an explicit gradient requires a scalar output, "
-                    f"got shape {self.data.shape}"
+                    f"got shape {data.shape}"
                 )
-            gradient = np.ones_like(self.data)
-        gradient = np.asarray(gradient, dtype=self.data.dtype)
-        if gradient.shape != self.data.shape:
-            gradient = np.broadcast_to(gradient, self.data.shape).copy()
+            gradient = np.ones(data.shape, dtype=data.dtype)
+            shared = False  # made here: the root's gradient can be this array
+        else:
+            gradient = np.asarray(gradient, dtype=data.dtype)
+            shared = True
+            if gradient.shape != data.shape:
+                gradient = np.broadcast_to(gradient, data.shape).copy()
 
+        # Interior nodes in topological order.  A leaf has no vjp to run and
+        # takes its gradient from its consumers' records, so the walk skips
+        # leaves: a one-record tape is one node, however many leaves it has.
         ordered: List[Tensor] = []
         visited = set()
+        stack = [(self, False)]
+        while stack:
+            current, processed = stack.pop()
+            if processed:
+                ordered.append(current)
+                continue
+            if id(current) in visited:
+                continue
+            visited.add(id(current))
+            stack.append((current, True))
+            for parent in current._parents:
+                if parent._backward is not None and id(parent) not in visited:
+                    stack.append((parent, False))
 
-        def visit(node: "Tensor") -> None:
-            stack = [(node, False)]
-            while stack:
-                current, processed = stack.pop()
-                if processed:
-                    ordered.append(current)
-                    continue
-                if id(current) in visited:
-                    continue
-                visited.add(id(current))
-                stack.append((current, True))
-                for parent in current._parents:
-                    if id(parent) not in visited:
-                        stack.append((parent, False))
-
-        visit(self)
-
-        self._accumulate(gradient)
+        self._accumulate(gradient, shared)
         for node in reversed(ordered):
             if node._backward is None or node.grad is None:
                 continue

@@ -133,13 +133,13 @@ def apply(name: str, *inputs, **kwargs):  # repro: noqa[repro-unused] called as 
     if tensor_cls is None:  # pragma: no cover - tensor module imports first
         from repro.autodiff.tensor import Tensor as tensor_cls  # noqa: N813
 
-    tensors = tuple(
+    tensors = tuple([
         x if isinstance(x, tensor_cls) else tensor_cls(x) for x in inputs
-    )
+    ])
     ctx = OpContext(name)
-    ctx.needs_input_grad = tuple(t.requires_grad for t in tensors)
+    ctx.needs_input_grad = tuple([t.requires_grad for t in tensors])
     ctx.kwargs = kwargs
-    data = spec.forward(ctx, *(t.data for t in tensors), **kwargs)
+    data = spec.forward(ctx, *[t.data for t in tensors], **kwargs)
 
     def backward(grad: np.ndarray) -> None:
         cotangents = spec.vjp(ctx, grad)

@@ -22,7 +22,7 @@ from repro.exceptions import DataError
 from repro.utils.rng import RandomState, resolve_rng
 
 
-#: Largest label (exclusive) resolved by a membership lookup table.
+#: Largest class id (exclusive) a membership lookup table covers.
 _LOOKUP_LIMIT = 1 << 16
 
 
@@ -98,10 +98,10 @@ class PairSampler:
         if new_classes:
             # Membership is resolved once per row, then gathered per pair.
             row_is_new = class_membership(labels, new_classes)
-            if row_is_new.any():
-                left, right = upper_triangle(count)
-                involves_new = row_is_new[left] | row_is_new[right]
-                return self._capped(labels, left[involves_new], right[involves_new])
+            left, right = upper_triangle(count)
+            involving = (row_is_new[left] | row_is_new[right]).nonzero()[0]
+            if involving.size:  # the batch holds a new-class row
+                return self._capped(labels, left[involving], right[involving])
         return self._all_pairs(labels)
 
     def _capped(self, labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> PairBatch:
@@ -131,16 +131,39 @@ class PairSampler:
         return PairBatch(left=left, right=right, same_class=labels[left] == labels[right])
 
 
+@lru_cache(maxsize=16)
+def _lookup_table(classes: frozenset) -> Optional[Tuple[np.int64, np.ndarray]]:
+    """``(offset, table)`` resolving membership in ``classes`` (int ids), or
+    ``None`` unless every id lies in ``[0, 2**16)``.
+
+    The table covers ``[min id - 1, max id + 1]`` and ``table[label -
+    offset]`` is the membership of ``label``; its two end entries are
+    ``False``.  A fit passes one class set to every batch, so each set's
+    table is built once and shared (read-only) by every caller.
+    """
+    if not classes or min(classes) < 0 or max(classes) >= _LOOKUP_LIMIT:
+        return None
+    offset = np.int64(min(classes) - 1)
+    table = np.zeros(max(classes) - min(classes) + 3, dtype=bool)
+    table[np.fromiter(classes, dtype=np.int64, count=len(classes)) - offset] = True
+    table.flags.writeable = False
+    return offset, table
+
+
 def class_membership(labels: np.ndarray, classes) -> np.ndarray:
-    """``np.isin(labels, classes)`` by table lookup for small non-negative
-    integer labels (the per-batch case), falling back to ``np.isin``."""
+    """``np.isin(labels, classes)``, by a cached lookup table for class ids
+    in ``[0, 2**16)`` and labels of an integer (or bool) dtype.
+
+    A label is shifted by the table's offset and clipped into it, so a label
+    outside the ids' range (or one whose shift wraps around) lands on an end
+    entry, ``False``, with no per-call ``min``/``max`` over the labels.
+    Other ids and labels fall back to ``np.isin``.
+    """
     labels = np.asarray(labels)
-    ids = np.asarray(sorted(int(c) for c in classes), dtype=np.int64)
-    if labels.dtype.kind not in "iu" or labels.size == 0 or ids.size == 0:
-        return np.isin(labels, ids)
-    low, high = int(labels.min()), int(labels.max())
-    if low < 0 or high >= _LOOKUP_LIMIT:
-        return np.isin(labels, ids)
-    table = np.zeros(high + 1, dtype=bool)
-    table[ids[(ids >= 0) & (ids <= high)]] = True
-    return table[labels]
+    ids = frozenset(map(int, classes))
+    lookup = _lookup_table(ids)
+    kind = labels.dtype.kind  # the shift needs labels that int64 holds exactly
+    if lookup is None or not (kind in "ib" or kind == "u" and labels.dtype.itemsize < 8):
+        return np.isin(labels, np.asarray(sorted(ids), dtype=np.int64))
+    offset, table = lookup
+    return table.take(labels - offset, mode="clip")

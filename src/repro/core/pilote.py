@@ -467,7 +467,7 @@ class PILOTE:
                 pairs = sampler.sample(batch_labels, new_classes=centre)
                 old_rows = old_teacher = None
                 if old is not None:
-                    old_rows = np.flatnonzero(old[rows])
+                    old_rows = old[rows].nonzero()[0]
                     old_teacher = teacher[teacher_row[rows[old_rows]]]
                 return dict(
                     left=pairs.left, right=pairs.right, same_class=pairs.same_class,

@@ -28,6 +28,9 @@ class LatencyReport:
 
     epochs_run: int
     total_seconds: float
+    #: Each epoch's training steps (:attr:`TrainingHistory.epoch_seconds`),
+    #: without its validation pass; ``total_seconds`` covers the whole
+    #: update, validation, herding and prototype refresh included.
     epoch_seconds: List[float] = field(default_factory=list)
     inference_seconds_per_window: float = 0.0
     support_set_bytes: int = 0

@@ -5,7 +5,9 @@ The paper's Section 6.3 argues that with fewer than 200 exemplars per class
 second per epoch.  This experiment measures the analogous quantities for the
 reproduction: support-set bytes as a function of the exemplar budget, model
 bytes, per-epoch wall-clock time of the incremental update, and inference
-latency, optionally extrapolated to slower device profiles.
+latency, optionally extrapolated to slower device profiles.  An epoch's time
+is its training steps alone (:attr:`~repro.nn.trainer.TrainingHistory
+.epoch_seconds`); its validation pass is not counted in it.
 """
 
 from __future__ import annotations

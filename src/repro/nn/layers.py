@@ -14,6 +14,7 @@ is one the chain made, so BatchNorm and ReLU write their results into it
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +38,27 @@ _RELU = get_op("relu").forward
 #: defaults, which the paper's backbone uses).
 MOMENTUM = 0.1
 EPSILON = 1e-5
+
+
+@lru_cache(maxsize=16)
+def _update_constants(mean_dtype: np.dtype, var_dtype: np.dtype, batch_size: int):
+    """The scalars of :meth:`BatchNorm1d._update_running` as read-only 0-d
+    arrays: ``1 - MOMENTUM`` in float64 (the buffers' dtype), ``MOMENTUM``
+    in each batch statistic's dtype, and the batch size and its
+    ``max(size - 1, 1)`` in the variance's.  Those are the values the
+    formula's Python scalars take on in each operation, so the bytes are the
+    same; an operation with a 0-d array skips numpy's slower path for a
+    Python scalar."""
+    constants = (
+        np.asarray(1.0 - MOMENTUM, dtype=np.float64),
+        np.asarray(MOMENTUM, dtype=mean_dtype),
+        np.asarray(MOMENTUM, dtype=var_dtype),
+        np.asarray(batch_size, dtype=var_dtype),
+        np.asarray(max(batch_size - 1, 1), dtype=var_dtype),
+    )
+    for constant in constants:
+        constant.flags.writeable = False
+    return constants
 
 
 class Linear(Module):
@@ -103,8 +125,9 @@ class BatchNorm1d(Module):
     Uses batch statistics during training (with running-average tracking) and
     the tracked statistics at evaluation time, mirroring torch's semantics,
     with momentum :data:`MOMENTUM` and variance epsilon :data:`EPSILON`.
-    :meth:`update_buffer`, the statistics' one write path, drops the cached
-    eval-mode constants (:meth:`eval_constants`).
+    The statistics have two write paths, :meth:`update_buffer` and a
+    training step's in-place update; both drop the cached eval-mode
+    constants (:meth:`eval_constants`).
     """
 
     def __init__(self, num_features: int) -> None:
@@ -156,11 +179,22 @@ class BatchNorm1d(Module):
         self._eval_constants = None
 
     def _update_running(self, batch_mean: np.ndarray, batch_var: np.ndarray, batch_size: int) -> None:
-        unbiased_var = batch_var * batch_size / max(batch_size - 1, 1)
-        new_mean = (1.0 - MOMENTUM) * self.running_mean + MOMENTUM * batch_mean
-        new_var = (1.0 - MOMENTUM) * self.running_var + MOMENTUM * unbiased_var
-        self.update_buffer("running_mean", new_mean)
-        self.update_buffer("running_var", new_var)
+        """Fold a batch's statistics into the running ones, in place:
+        ``running = (1 - MOMENTUM) * running + MOMENTUM * batch``, with the
+        batch variance made unbiased, each product and sum rounded as that
+        formula rounds it.  The buffers are this module's own (see
+        :meth:`Module.register_buffer`); the cached eval constants are
+        dropped."""
+        decay, mean_momentum, var_momentum, count, dof = _update_constants(
+            batch_mean.dtype, batch_var.dtype, batch_size
+        )
+        unbiased_var = batch_var * count / dof
+        mean, variance = self.running_mean, self.running_var
+        mean *= decay
+        mean += mean_momentum * batch_mean
+        variance *= decay
+        variance += var_momentum * unbiased_var
+        self._eval_constants = None
 
     def __repr__(self) -> str:
         return f"BatchNorm1d({self.num_features})"

@@ -44,15 +44,20 @@ class Module:
         object.__setattr__(self, name, value)
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
-        """Register a non-trainable array that is part of the module state."""
-        self._buffers[name] = np.asarray(value, dtype=np.float64)
+        """Register a non-trainable array that is part of the module state.
+
+        The module keeps a float64 copy of ``value``: a buffer is the
+        module's own, so an update in place never writes through to an
+        array the caller holds."""
+        self._buffers[name] = np.array(value, dtype=np.float64)
         object.__setattr__(self, name, self._buffers[name])
 
     def update_buffer(self, name: str, value: np.ndarray) -> None:
-        """Overwrite a previously registered buffer."""
+        """Overwrite a previously registered buffer with a float64 copy of
+        ``value``."""
         if name not in self._buffers:
             raise KeyError(f"buffer {name!r} is not registered")
-        self._buffers[name] = np.asarray(value, dtype=np.float64)
+        self._buffers[name] = np.array(value, dtype=np.float64)
         object.__setattr__(self, name, self._buffers[name])
 
     # ------------------------------------------------------------------ #
@@ -159,7 +164,7 @@ class Module:
                 if name not in buffer_owners:
                     raise SerializationError(f"unexpected buffer {name!r} in state dict")
                 owner, local_name = buffer_owners[name]
-                owner.update_buffer(local_name, np.array(value, dtype=np.float64))
+                owner.update_buffer(local_name, value)
         missing = set(parameters) - {
             k[len("param."):] for k in state if k.startswith("param.")
         }

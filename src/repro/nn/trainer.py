@@ -59,7 +59,14 @@ class EarlyStopping:
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch record of a training run."""
+    """Per-epoch record of a training run.
+
+    ``epoch_seconds`` times each epoch's training steps only: shuffling,
+    the batches' losses and backward passes and the optimiser steps.  The
+    clock stops before the epoch's validation pass, so an epoch that also
+    validates takes longer than its entry, and ``sum(epoch_seconds)`` is
+    less than the whole fit.
+    """
 
     train_losses: List[float] = field(default_factory=list)
     validation_losses: List[float] = field(default_factory=list)

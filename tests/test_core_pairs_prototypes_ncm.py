@@ -69,11 +69,35 @@ class TestClassMembership:
         (np.array([0.5, 2.0]), {2}),
         (np.array([], dtype=np.int64), {1}),
         (np.array([1, 2]), set()),
+        # labels past the table's ends, and shifts that wrap around int64
+        (np.array([0, 2, 3, 4, 9, -7]), {2, 3}),
+        (np.array([np.iinfo(np.int64).max, np.iinfo(np.int64).min, 0, 1]), {0, 1}),
+        (np.array([np.iinfo(np.int64).min + 3, 65_535]), {65_535}),
+        (np.array([3, -1, 2], dtype=np.int8), {2, 300}),
+        (np.array([7, 3], dtype=np.uint64), {3}),
+        (np.array([True, False]), {1}),
+        (np.array([[0, 4], [4, 1]]), {4}),
     ])
     def test_matches_isin(self, labels, classes):
         expected = np.isin(labels, np.asarray(sorted(classes), dtype=np.int64))
         got = class_membership(labels, classes)
-        assert got.dtype == bool and np.array_equal(got, expected)
+        assert got.dtype == bool and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    def test_a_class_set_is_resolved_once(self):
+        """Every call with an equal class set reads one cached, read-only
+        table, however its labels range."""
+        from repro.core.pairs import _lookup_table
+
+        _lookup_table.cache_clear()
+        for labels in ([0, 3, 1], [9, 3, -4], [1 << 40, 3]):
+            class_membership(np.array(labels), {3, 1})
+        class_membership(np.array([2]), [np.int64(1), 3.0])
+        info = _lookup_table.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        _, table = _lookup_table(frozenset({1, 3}))
+        with pytest.raises(ValueError):
+            table[0] = True
 
 
 class TestPrototypes:

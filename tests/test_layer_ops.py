@@ -43,7 +43,7 @@ from repro.core.pilote import PILOTE
 from repro.edge.transfer import package_for_edge
 from repro.evaluation.runner import retrained_increment
 from repro.exceptions import DataError, ShapeError
-from repro.nn.layers import EPSILON, BatchNorm1d, Linear
+from repro.nn.layers import EPSILON, MOMENTUM, BatchNorm1d, Linear
 from repro.nn.losses import ContrastiveLoss, DistillationLoss
 from repro.nn.module import Parameter
 from repro.nn import optim as optim_module
@@ -572,6 +572,70 @@ class TestArrayEmbed:
         after = self._assert_embed_is_the_eval_forward(model, features)
         assert not np.array_equal(before, after)
 
+    @pytest.mark.parametrize("profile", ["reference", "edge"])
+    def test_a_training_step_updates_the_running_statistics_in_place(
+        self, tiny_config, profile, monkeypatch
+    ):
+        """``training_loss`` folds each BatchNorm's batch statistics into
+        that module's own float64 buffers, byte-equal to the out-of-place
+        formula; ``embed`` then reads the new statistics, and a state dict
+        taken before the step keeps the old ones."""
+        rng = np.random.default_rng(14)
+        with precision(profile):
+            model = EmbeddingNetwork(6, config=tiny_config, rng=3)
+            norms = [m for m in model.backbone.layers if isinstance(m, BatchNorm1d)]
+            features = get_backend().asarray(rng.normal(size=(16, 6)) * 2.0 + 0.5)
+            probe = rng.normal(size=(5, 6))
+            before = self._assert_embed_is_the_eval_forward(model, probe)  # caches
+            snapshot = model.state_dict()
+            kept = {key: value.copy() for key, value in snapshot.items()}
+            buffers = [(norm.running_mean, norm.running_var) for norm in norms]
+            old = [(mean.copy(), var.copy()) for mean, var in buffers]
+            batch_stats = []
+            step = ops.pilote_step
+
+            def recording(*args, **kwargs):
+                loss, stats = step(*args, **kwargs)
+                batch_stats.extend((m.copy(), v.copy()) for m, v in stats)
+                return loss, stats
+
+            monkeypatch.setattr(ops, "pilote_step", recording)
+            left, right = np.triu_indices(16, k=1)
+            labels = np.arange(16) % 3
+            model.training_loss(features, left=left, right=right,
+                                same_class=labels[left] == labels[right])
+            assert len(batch_stats) == len(norms) == 2
+            for norm, (mean, var), (old_mean, old_var), (batch_mean, batch_var) in zip(
+                norms, buffers, old, batch_stats
+            ):
+                unbiased = batch_var * 16 / 15
+                expected_mean = (1.0 - MOMENTUM) * old_mean + MOMENTUM * batch_mean
+                expected_var = (1.0 - MOMENTUM) * old_var + MOMENTUM * unbiased
+                assert norm.running_mean is mean and norm.running_var is var
+                registered = dict(norm.named_buffers())
+                assert registered["running_mean"] is mean and registered["running_var"] is var
+                assert mean.dtype == var.dtype == np.float64
+                assert mean.tobytes() == expected_mean.tobytes()
+                assert var.tobytes() == expected_var.tobytes()
+            after = self._assert_embed_is_the_eval_forward(model, probe)
+            assert not np.array_equal(before, after)
+            for key, value in snapshot.items():
+                assert value.tobytes() == kept[key].tobytes(), key
+
+    def test_buffers_are_the_modules_own_copies(self):
+        """``register_buffer`` and ``update_buffer`` copy: an in-place update
+        never writes through to the caller's array."""
+        norm = BatchNorm1d(3)
+        given = np.array([1.0, 2.0, 3.0])
+        norm.update_buffer("running_mean", given)
+        assert not np.shares_memory(norm.running_mean, given)
+        norm._update_running(np.zeros(3), np.ones(3), 4)
+        assert given.tolist() == [1.0, 2.0, 3.0]
+        state = norm.state_dict()
+        donor = state["buffer.running_var"]
+        norm.load_state_dict(state)
+        assert not np.shares_memory(norm.running_var, donor)
+
     def test_cached_batch_norm_constants_follow_load_state_dict(self, tiny_config):
         rng = np.random.default_rng(12)
         model = EmbeddingNetwork(6, config=tiny_config, rng=3)
@@ -771,6 +835,31 @@ def test_pair_sampler_matches_the_triu_reference(pairs, count, max_pairs):
             x, y = getattr(a, field), getattr(b, field)
             assert x.dtype == y.dtype and np.array_equal(x, y), field
     assert ours._rng.integers(1 << 30) == theirs._rng.integers(1 << 30)
+
+
+def test_pair_sampler_membership_follows_the_class_set():
+    """The lookup table of a ``new_classes`` set is built once and reused:
+    repeated calls with one set, then with another, then with labels past
+    the table's range (above the largest id, negative, and past the table
+    limit) draw the reference's pairs, and leave the generator where the
+    reference leaves it."""
+    labels_rng = np.random.default_rng(21)
+    ours = PairSampler(max_pairs=20, rng=8)
+    theirs = PairSampler(max_pairs=20, rng=8)
+    batches = (
+        [(labels_rng.integers(0, 5, size=12), {3}) for _ in range(4)]
+        + [(labels_rng.integers(0, 5, size=12), {1, 4}) for _ in range(3)]
+        + [(labels_rng.integers(-3, 9, size=12), {1, 4}) for _ in range(3)]
+        + [(labels_rng.integers(0, 1 << 17, size=12) | 4, {4, 70_000}) for _ in range(2)]
+        + [(labels_rng.integers(0, 5, size=12), {3}) for _ in range(2)]
+    )
+    for labels, new_classes in batches:
+        a = ours.sample(labels, new_classes=new_classes)
+        b = reference_pair_sample(theirs, labels, new_classes=new_classes)
+        for field in ("left", "right", "same_class"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
+    assert ours._rng.bit_generator.state == theirs._rng.bit_generator.state
 
 
 def test_cached_pair_indices_are_read_only():

@@ -190,3 +190,16 @@ class TestPiloteObjective:
             ops.pilote_step(embeddings, [], layers=[("dropout", None)], left=left,
                             right=right, same_class=labels)
 
+    def test_checks_fixed_for_a_fit_raise_on_every_call(self):
+        """The layer kinds, margin, variant and α are checked once per
+        distinct value; a bad value is never remembered as checked."""
+        embeddings, left, right, labels, _, _ = self._batch(11)
+        pilote_step(embeddings, left, right, labels, alpha=0.5)
+        for _ in range(2):
+            for bad in (dict(alpha=-0.1), dict(margin=-1.0), dict(variant="cosine")):
+                with pytest.raises(DataError):
+                    pilote_step(embeddings, left, right, labels, **bad)
+            with pytest.raises(DataError):  # an unhashable entry is checked too
+                ops.pilote_step(embeddings, [], layers=[["dropout", None]], left=left,
+                                right=right, same_class=labels)
+
