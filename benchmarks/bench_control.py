@@ -53,7 +53,7 @@ N_TICKS = 12
 #: Worker-death storm: half the fleet fails fast for the middle third of
 #: the run.  A dead lane looks idle to load-based routing (it drains
 #: instantly by failing), so static p2c keeps feeding it — the
-#: failure-vortex the hedger's unhealthy-lane signal breaks.
+#: failure-vortex the control plane's unhealthy-lane signal breaks.
 STORM_TICKS = frozenset(range(4, 8))
 STORM_DEVICES = (0, 1)
 

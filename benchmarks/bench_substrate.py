@@ -3,9 +3,10 @@
 These are not paper figures; they document the cost of the building blocks
 (synthetic data generation, feature extraction, autodiff forward/backward,
 herding selection, NCM prediction) so regressions in the substrate show up in
-the benchmark history.  The allocation benchmarks at the bottom compare the
-seed implementations against the backend-vectorized hot paths on both axes
-the edge cares about: step time and peak allocations.
+the benchmark history.  The allocation benchmark at the bottom compares the
+serving footprint of the two precision profiles.  Herding's own peak
+allocation is gated in the tier-1 suite
+(``tests/test_core_exemplars.py``).
 """
 
 import time
@@ -86,7 +87,7 @@ def test_ncm_prediction_latency(benchmark):
 
 
 # --------------------------------------------------------------------------- #
-# step time + peak allocations: seed paths vs backend-vectorized paths
+# peak allocations by precision profile
 # --------------------------------------------------------------------------- #
 
 
@@ -101,39 +102,11 @@ def _peak_bytes_and_seconds(function):
     return peak, seconds
 
 
-def test_herding_step_time_and_peak_allocations(report):
-    """Herding before/after: the vectorized path must win on time AND memory."""
-    from bench_backend import legacy_herding_selection
-
-    rng = np.random.default_rng(0)
-    embeddings = rng.normal(size=(1500, 64))
-    budget = 250
-
-    legacy_peak, legacy_seconds = _peak_bytes_and_seconds(
-        lambda: legacy_herding_selection(embeddings, budget)
-    )
-    # Warm up once so one-time first-call costs stay out of the measurement.
-    herding_selection(embeddings, embeddings, budget)
-    new_peak, new_seconds = _peak_bytes_and_seconds(
-        lambda: herding_selection(embeddings, embeddings, budget)
-    )
-    report(
-        "bench_substrate_herding_allocations",
-        "herding step (n=1500, d=64, m=250): time and peak tracemalloc bytes\n"
-        f"  legacy:     {legacy_seconds * 1e3:8.2f} ms   peak {legacy_peak / 1024:10.1f} KiB\n"
-        f"  vectorized: {new_seconds * 1e3:8.2f} ms   peak {new_peak / 1024:10.1f} KiB\n"
-        f"  time ratio: {legacy_seconds / max(new_seconds, 1e-9):8.2f}x   "
-        f"peak ratio: {legacy_peak / max(new_peak, 1):8.2f}x",
-    )
-    assert new_seconds < legacy_seconds
-    assert new_peak < legacy_peak
-
-
 def test_float32_profile_halves_serving_footprint(report):
     """Embedding + distance buffers under the edge profile take half the bytes.
 
-    Measures the serving path: ``EmbeddingNetwork.embed`` (the layers' array
-    forwards, in chunks of ``EMBED_ROWS``), then ``pairwise_distances`` to the
+    Measures the serving path: ``EmbeddingNetwork.embed`` (the eval program,
+    in chunks of ``EMBED_ROWS``), then ``pairwise_distances`` to the
     prototypes, on a network built in each profile's dtype.  The windows and
     prototypes arrive in that dtype, as a device's do.
     """

@@ -7,8 +7,8 @@ One pre-built serving fleet is driven through the control plane
    :class:`~repro.control.ControlPlane`, which hedges requests on
    multi-device fleets;
 2. a :class:`~repro.control.ControlPlane` attached by hand to a built
-   client, its hedger, and the recent-failure window it reads
-   (:class:`~repro.control.SignalBus`);
+   client: its hedging ledger, and the recent-failure window it keeps
+   itself (the last :data:`~repro.control.hedging.WINDOW` submissions);
 3. an overloaded Zipf stream with a mid-run worker-death storm, run twice —
    static vs adaptive — showing the hedged-request escape from a dying lane
    and the exactly-once ledger behind it;
@@ -59,7 +59,7 @@ def main() -> None:
     )
     plane = ControlPlane(client)
     print(
-        f"hand-built plane: hedged pairs fired {plane.hedging.hedges.fired}, "
+        f"hand-built plane: hedged pairs fired {plane.hedges.fired}, "
         f"failure window {client.control_stats()['window']} submissions, "
         f"{client.scheduler.executor.n_workers} workers"
     )
@@ -67,7 +67,7 @@ def main() -> None:
 
     # 3. Overload + worker-death storm, static vs adaptive.  The dying
     # lane fails fast, looks idle, and keeps attracting p2c traffic; the
-    # hedger's unhealthy-lane signal breaks that vortex by
+    # plane's unhealthy-lane signal breaks that vortex by
     # racing a clone on the healthy sibling — first completion wins.
     workload = WorkloadSpec(
         pattern="zipf", n_users=300, requests_per_tick=96, n_ticks=10,

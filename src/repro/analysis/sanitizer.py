@@ -1,7 +1,7 @@
 """Runtime race sanitizer for the concurrent serving stack.
 
 The scheduler, its per-device :class:`~repro.serving.report.DeviceStats` rows,
-and the control plane's :class:`~repro.control.signals.SignalBus` are all
+and the :class:`~repro.control.ControlPlane` attached to a client are all
 designed for a *single-writer* discipline: every mutation happens on the
 thread driving the event loop (the caller of ``submit``/``drain``, or the
 asyncio bridge's pump thread), while executor worker threads only ever hand
@@ -15,7 +15,7 @@ proxies that log ``(thread_id, target, field, op)`` for every write and
 assert the single-writer invariant — the first thread to write a target
 becomes its owner; any later write from a different thread is a violation.
 Ownership is per *target* (one stats row, the scheduler's method surface, the
-signal bus), so handing the whole client from a main thread to a pump thread
+control plane), so handing the whole client from a main thread to a pump thread
 before traffic starts is fine, while two threads interleaving writes to one
 row is not.
 
@@ -59,9 +59,6 @@ SCHEDULER_MUTATORS = (
 #: Methods that mutate a DeviceStats row beyond plain attribute assignment.
 STATS_MUTATORS: FrozenSet[str] = frozenset({"note_deadline"})
 
-#: SignalBus methods that mutate its rolling state (``tick`` is a read-only
-#: property: listing it would hand readers a wrapper instead of the count).
-BUS_MUTATORS: FrozenSet[str] = frozenset({"observe_submit"})
 
 
 def sanitize_enabled() -> bool:
@@ -226,24 +223,25 @@ class Sanitizer:
 
     def __init__(self, maxlen: int = 10_000) -> None:
         self.log = AccessLog(maxlen=maxlen)
-        self._seen_schedulers: set = set()
+        self._seen: set = set()
 
     # -- attachment --------------------------------------------------------
     def attach(self, client) -> "Sanitizer":
         """Instrument a :class:`~repro.serving.ServingClient` in place.
 
         Wraps the scheduler's per-device stats rows, its mutating entry
-        points, and — when a control plane is attached — the signal bus.
+        points, and — when a control plane is attached — the plane's
+        ``after_submit``, which advances its failure window and ledger.
         Safe to call on a client that already carries traffic; ownership is
         established by the *next* write to each target.
         """
-        scheduler = client.scheduler
-        self._instrument_scheduler(scheduler, label=getattr(client, "label", "fleet"))
+        label = getattr(client, "label", "fleet")
+        self._instrument_scheduler(client.scheduler, label=label)
         plane = getattr(client, "control", None)
-        bus = getattr(plane, "bus", None)
-        if bus is not None and not isinstance(bus, RecordingProxy):
-            plane.bus = RecordingProxy(
-                bus, f"bus[{client.label}]", self.log, mutators=BUS_MUTATORS
+        if plane is not None and id(plane) not in self._seen:
+            self._seen.add(id(plane))
+            plane.after_submit = self._recorded_call(
+                f"control[{label}]", "after_submit", plane.after_submit
             )
         return self
 
@@ -251,9 +249,9 @@ class Sanitizer:
         tag = f"scheduler[{label}]"
         # Idempotence is per scheduler *instance*: a restarted client reuses
         # the label but needs its fresh scheduler instrumented.
-        if id(scheduler) in self._seen_schedulers:
+        if id(scheduler) in self._seen:
             return
-        self._seen_schedulers.add(id(scheduler))
+        self._seen.add(id(scheduler))
         scheduler._stats = _RecordingStatsDict(self.log, scheduler._stats)
         for name in SCHEDULER_MUTATORS:
             original = getattr(scheduler, name, None)
@@ -309,8 +307,8 @@ def auto_sanitize() -> Iterator[Sanitizer]:  # repro: noqa[repro-unused] test to
 
     Patches ``ServingClient.__init__`` for the duration of the context so
     tests (the ``REPRO_SANITIZE=1`` fixture) and the chaos runner need no
-    per-call plumbing.  The control-plane bus is instrumented lazily on
-    ``attach_control`` since planes attach after construction.
+    per-call plumbing.  A control plane is instrumented on
+    ``attach_control``, since planes attach after construction.
     """
     from repro.serving.client import ServingClient
 

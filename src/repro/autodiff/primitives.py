@@ -23,7 +23,7 @@ would be — and their vjps walk that graph's backward pass by hand: each
 interior cotangent is cast and reduced as ``Tensor._accumulate`` would
 (:func:`node_grad`) and contributions are summed in the order the tape
 delivered them, so a tape of these ops is bit-identical to the elementwise
-graph.  The inference path calls the same
+graph.  The inference path (:func:`eval_forward`) calls the same
 forwards on plain arrays with :data:`~repro.backend.registry.NO_TAPE`, so
 serving and training share one implementation of every layer.  Off the
 tape the linear op adds its bias into its own product, and ``relu`` and
@@ -582,6 +582,35 @@ def _objective_vjp(grad, saved):
         grad_rows = np.concatenate([grad_rows, scale * student_error])
     incidence = pair_incidence(left, right, rows, old_rows, diff.dtype)
     return incidence.T @ grad_rows
+
+
+def eval_forward(x, layers, parameters, norms):
+    """The network in eval mode on a plain array, off the tape: the layer
+    ops' forwards over ``layers`` and ``parameters`` as :func:`pilote_step`
+    takes them, here the ``Parameter`` objects (their arrays are read as
+    ``.data``), each BatchNorm normalised by the ``(mean, std)`` of the next
+    of ``norms``' ``eval_constants()`` (:func:`batch_norm_eval_constants`),
+    so the bytes are the eval-mode tape's.  ``x`` is only read; every later
+    array is the program's own, so BatchNorm and ReLU write into the array
+    the layer before made (``overwrite``) and the transient peak is one
+    layer's output beside the next one's."""
+    hidden = x
+    values = iter(parameters)
+    batch_norms = iter(norms)
+    for kind, _ in layers:
+        if kind == "linear":
+            weight = next(values).data
+            hidden = _linear_forward(NO_TAPE, hidden, weight, next(values).data)
+        elif kind == "relu":
+            hidden = _relu_forward(NO_TAPE, hidden, overwrite=hidden is not x)
+        else:
+            gamma = next(values).data
+            mean, std = next(batch_norms).eval_constants()
+            hidden = _batch_norm_eval_forward(
+                NO_TAPE, hidden, gamma, next(values).data, mean=mean, std=std,
+                overwrite=hidden is not x,
+            )
+    return hidden
 
 
 def _pilote_step_forward(ctx, x, *parameters, layers, left, right, same_class,

@@ -3,9 +3,10 @@
 The serving layers (:mod:`repro.serving`, :mod:`repro.fleet`,
 :mod:`repro.server`) *export* signals — per-lane failures, queue-order
 aware projected service starts — and expose per-lane
-``submit_assigned``.  A :class:`ControlPlane` attached to a
-:class:`~repro.serving.ServingClient` closes the loop with one
-:class:`~repro.control.hedging.HedgedRequests`: a backup attempt on a
+``submit_assigned``.  A :class:`ControlPlane`
+(:mod:`repro.control.hedging`) attached to a
+:class:`~repro.serving.ServingClient` closes the loop on its own: it keeps
+the recent per-lane failures itself and fires a backup attempt on a
 sibling lane when the chosen lane projects a deadline miss or failed
 requests recently, first completion wins, loser cancelled, exactly-once
 accounting::
@@ -29,9 +30,7 @@ from repro.control.chaos import (
     run_chaos,
     run_suite,
 )
-from repro.control.hedging import HedgedRequests, HedgedResult, HedgeStats
-from repro.control.plane import ControlPlane
-from repro.control.signals import SignalBus
+from repro.control.hedging import ControlPlane, HedgedResult, HedgeStats
 
 __all__ = [
     "CHAOS_SCENARIOS",
@@ -40,9 +39,7 @@ __all__ = [
     "ControlPlane",
     "FlakyDevice",
     "HedgeStats",
-    "HedgedRequests",
     "HedgedResult",
-    "SignalBus",
     "StragglerDevice",
     "run_chaos",
     "run_suite",

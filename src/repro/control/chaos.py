@@ -467,7 +467,7 @@ def _server_side(client) -> Dict[str, object]:
     )
     return {
         "requests": accounted,
-        "hedges": plane.hedging.hedges.fired if plane is not None else 0,
+        "hedges": plane.hedges.fired if plane is not None else 0,
         "cancelled": routing_report.total_cancelled,
         "attainment": routing_report.deadline_attainment,
     }

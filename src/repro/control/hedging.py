@@ -1,13 +1,18 @@
-"""Hedged requests: fire a backup attempt when the chosen lane looks late.
+"""The control plane: hedged requests, fired when the chosen lane looks late.
 
-On every submitted wave the hedger inspects the deadline-carrying
-requests that were queued (not rejected) and, for each one whose lane is
-*at risk* — its projected service start (queue-order aware, via
+A :class:`ControlPlane` attached to a serving client inspects every
+submitted wave's deadline-carrying requests that were queued (not
+rejected) and, for each one whose lane is *at risk* — its projected
+service start (queue-order aware, via
 ``EventLoopScheduler.projected_begin_for``) already lies past the deadline,
-or the lane failed requests inside the signal window (a dying worker fails
-fast, looks idle, and keeps attracting p2c traffic — the failure-vortex
-this signal breaks) — submits a clone of the request on an *alternate*
-lane and wraps both attempts in a :class:`HedgedResult`.
+or the lane failed requests inside the recent-failure window (a dying
+worker fails fast, looks idle, and keeps attracting p2c traffic — the
+failure-vortex this signal breaks) — submits a clone of the request on an
+*alternate* lane and wraps both attempts in a :class:`HedgedResult`.  The
+window is the plane's own: one snapshot of the scheduler's cumulative
+per-lane failures (``EventLoopScheduler.lane_failures``, which survive
+device replacement) per submission over the last :data:`WINDOW`
+submissions, the oldest diffed against now.
 
 First completion wins; the loser is cancelled (advisory — see
 ``PendingResult.cancel``).  Exactly-once accounting, proven by the chaos
@@ -33,21 +38,25 @@ just double the overload.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import RequestCancelledError, ServingError
+from repro.exceptions import ConfigurationError, RequestCancelledError, ServingError
 from repro.serving.protocol import PendingResult, PredictRequest
 
-__all__ = ["HedgedRequests", "HedgedResult", "HedgeStats"]
+__all__ = ["ControlPlane", "HedgedResult", "HedgeStats", "WINDOW"]
+
+#: Submissions the recent-failure window covers.
+WINDOW = 8
 
 #: Safety margin added to a projected begin before comparing it with the
 #: deadline (``0`` hedges only projected-certain misses).
 SLACK_SECONDS = 0.0
 
-#: Failures inside the signal window past which a lane counts as unhealthy.
+#: Failures inside the window past which a lane counts as unhealthy.
 UNHEALTHY_FAILURES = 1
 
 
@@ -211,27 +220,59 @@ class HedgedResult(PendingResult):
         return self._winner.result()
 
 
-class HedgedRequests:
-    """Wraps a queued wave's at-risk futures in hedged pairs.
+class ControlPlane:
+    """Hedges a serving client's at-risk requests.
 
-    Every at-risk request gets at most one hedge.  A request is at risk
-    when its projected begin plus :data:`SLACK_SECONDS` passes its deadline,
-    or when its lane failed at least :data:`UNHEALTHY_FAILURES` requests
-    inside the signal window (a fail-fast lane under-reports its projected
-    begin).
+    Installs itself on a :class:`~repro.serving.ServingClient`
+    (``client.control``) and runs after every queued wave, before the
+    caller sees the futures.  Every at-risk request gets at most one hedge.
+    A request is at risk when its projected begin plus
+    :data:`SLACK_SECONDS` passes its deadline, or when its lane failed at
+    least :data:`UNHEALTHY_FAILURES` requests inside the last
+    :data:`WINDOW` submissions (a fail-fast lane under-reports its
+    projected begin).  :meth:`stats` is what the server's stats frame
+    serves under ``control``.
+
+    Parameters
+    ----------
+    client:
+        The :class:`~repro.serving.ServingClient` to control.  The plane
+        installs itself via ``client.attach_control`` — submissions start
+        flowing through :meth:`after_submit` immediately.
     """
 
-    def __init__(self, scheduler) -> None:
+    def __init__(self, client) -> None:
+        scheduler = getattr(client, "scheduler", None)
+        if scheduler is None:
+            raise ConfigurationError(
+                "the control plane attaches to a ServingClient (or any object "
+                "exposing .scheduler and .attach_control)"
+            )
         self._scheduler = scheduler
-        #: Exactly-once ledger over every pair this hedger fired.
+        # The scheduler's cumulative per-lane failures, one snapshot per
+        # submission; the oldest diffed against now is the recent failures.
+        self._failure_marks = deque(maxlen=WINDOW)
+        #: Submission waves observed.
+        self.ticks = 0
+        #: Exactly-once ledger over every pair this plane fired.
         self.hedges = HedgeStats()
+        client.attach_control(self)
 
-    def on_submit(self, requests, futures, lane_failures):
-        """Hedge the wave's at-risk requests; returns the caller's futures."""
+    def lane_failures(self) -> np.ndarray:
+        """Per-lane failed requests inside the last :data:`WINDOW` submissions."""
+        failures_now = self._scheduler.lane_failures
+        base = self._failure_marks[0] if self._failure_marks else failures_now
+        return failures_now - base
+
+    def after_submit(self, requests: Sequence, futures: List) -> List:
+        """Hedge one queued wave's at-risk requests; returns the futures the
+        caller sees."""
         scheduler = self._scheduler
+        self.ticks += 1
+        self._failure_marks.append(scheduler.lane_failures)
         if scheduler.n_devices < 2:
             return futures
-        unhealthy = lane_failures >= UNHEALTHY_FAILURES
+        unhealthy = self.lane_failures() >= UNHEALTHY_FAILURES
         out = list(futures)
         for index, (request, future) in enumerate(zip(requests, out)):
             deadline = request.deadline_seconds
@@ -254,6 +295,10 @@ class HedgedRequests:
             out[index] = HedgedResult(request, future, hedge_future, self.hedges)
             self.hedges.fired += 1
         return out
+
+    def stats(self) -> Dict[str, object]:
+        """The window, the submissions observed and the hedging ledger."""
+        return {"window": WINDOW, "ticks": self.ticks, "hedging": self.hedges.to_dict()}
 
     # -- internals -------------------------------------------------------- #
     def _alternate(

@@ -13,7 +13,9 @@ and the objective in one op with a closed-form backward;
 per layer); and :meth:`EmbeddingNetwork.embed` — what every inference caller
 uses: serving engines, herding, prototype refresh, validation and the
 distillation teacher — runs the eval-mode forwards on plain numpy arrays,
-with no ``Tensor``, no tape and no train/eval flip.  All three run the one
+with no ``Tensor``, no tape and no train/eval flip.  The training step and
+``embed`` run one program, the ``(kind, epsilon)`` layer entries and the
+parameters in op order, built once per network.  All three run the one
 backbone the paper fixes: Linear, BatchNorm and ReLU per hidden layer, then
 a Linear projection whose output is the embedding, not normalised.
 
@@ -33,6 +35,7 @@ from typing import Optional
 import numpy as np
 
 from repro.autodiff import ops
+from repro.autodiff.primitives import eval_forward
 from repro.autodiff.tensor import Tensor
 from repro.backend import get_backend
 from repro.core.config import PiloteConfig
@@ -113,9 +116,10 @@ class EmbeddingNetwork(Module):
         return loss
 
     def _build_step_program(self):
-        """The backbone as :meth:`training_loss`'s op takes it: the
-        ``(kind, epsilon)`` layer entries, the parameters in op order and
-        the BatchNorms whose running statistics each step updates.  Built
+        """The backbone as :meth:`training_loss`'s op and :meth:`embed`'s
+        eval program take it: the ``(kind, epsilon)`` layer entries, the
+        parameters in op order and the BatchNorms whose running statistics
+        each step updates and ``embed`` normalises by.  Built
         once, at construction; ``load_state_dict`` keeps the ``Parameter``
         objects, so it stays valid."""
         layers, parameters, norms = [], [], []
@@ -134,25 +138,29 @@ class EmbeddingNetwork(Module):
     def embed(self, features: np.ndarray) -> np.ndarray:
         """Inference-mode embedding of a feature matrix, as a plain numpy program.
 
+        The eval program (:func:`~repro.autodiff.primitives.eval_forward`)
+        over the layers and parameters :meth:`training_loss` runs, with each
+        BatchNorm's tracked statistics
+        (:meth:`~repro.nn.layers.BatchNorm1d.eval_constants`).
         Bit-identical to the eval-mode :meth:`forward` but builds no
         ``Tensor`` and leaves ``training`` and the BatchNorm buffers alone,
         so it is safe mid-training (validation) and cheap for
         the 1-8 row calls of small-batch serving.  ``features`` is never
         written; past the first layer BatchNorm and ReLU write into the
-        array the layer before made (:meth:`Sequential.array_forward`), so
-        the transient peak is one layer's output beside the next one's, at
-        most two activations of the widest layer, for at most
-        :data:`EMBED_ROWS` rows: longer inputs are processed in chunks of
-        that many rows to bound it on resource-constrained devices.
+        array the layer before made, so the transient peak is one layer's
+        output beside the next one's, at most two activations of the
+        widest layer, for at most :data:`EMBED_ROWS` rows: longer inputs
+        are processed in chunks of that many rows to bound it on
+        resource-constrained devices.
         """
         features = get_backend().asarray(features)
         if features.ndim == 1:
             features = features[None, :]
         self._check_input(features.shape)
         if features.shape[0] <= EMBED_ROWS:
-            return self.backbone.array_forward(features)
+            return eval_forward(features, *self._step_program)
         return np.concatenate([
-            self.backbone.array_forward(features[start:start + EMBED_ROWS])
+            eval_forward(features[start:start + EMBED_ROWS], *self._step_program)
             for start in range(0, features.shape[0], EMBED_ROWS)
         ], axis=0)
 

@@ -434,9 +434,10 @@ class PILOTE:
         starts.  Old-class rows are support rows only (the new rows hold new
         classes), so the teacher embeddings of the support set's old-class
         rows are computed here, once, and both sets look theirs up by row
-        id through their old-class mask.  The trainer batches row ids in
-        place of labels, so each step looks up its rows' labels and teacher
-        embeddings.
+        id through their old-class mask.  The trainer hands each step its
+        row ids, so the step looks up its rows' labels and teacher
+        embeddings; the validation set's labels, old-class rows and teacher
+        rows are looked up once, and each epoch draws only its pairs.
         """
         assert self.model is not None
         model = self.model
@@ -456,31 +457,26 @@ class PILOTE:
             teacher = model.embed(support[support_old]).astype(default_dtype(), copy=False)
             teacher_row = np.cumsum(support_old) - 1  # support row id -> teacher row
 
-        def objective_inputs(rows_labels, centre):
-            """``row ids -> objective keywords`` over one set of rows, whose
-            old-class rows are support rows; pairs centre on the classes in
-            ``centre`` (all pairs when ``None``)."""
-            old = None if teacher is None else class_membership(rows_labels, old_class_ids)
+        def objective(batch_labels, centre, old_rows, old_teacher) -> dict:
+            """One batch's objective keywords; its pairs centre on the
+            classes in ``centre`` (all pairs when ``None``)."""
+            pairs = sampler.sample(batch_labels, new_classes=centre)
+            return dict(
+                left=pairs.left, right=pairs.right, same_class=pairs.same_class,
+                margin=config.margin, variant=config.contrastive_variant,
+                alpha=alpha, old_rows=old_rows, teacher=old_teacher,
+            )
 
-            def keywords(rows: np.ndarray) -> dict:
-                batch_labels = rows_labels[rows]
-                pairs = sampler.sample(batch_labels, new_classes=centre)
-                old_rows = old_teacher = None
-                if old is not None:
-                    old_rows = old[rows].nonzero()[0]
-                    old_teacher = teacher[teacher_row[rows[old_rows]]]
-                return dict(
-                    left=pairs.left, right=pairs.right, same_class=pairs.same_class,
-                    margin=config.margin, variant=config.contrastive_variant,
-                    alpha=alpha, old_rows=old_rows, teacher=old_teacher,
-                )
-
-            return keywords
-
-        train_inputs = objective_inputs(labels, new_classes)
+        train_old = None if teacher is None else class_membership(labels, old_class_ids)
 
         def train_loss(batch_features: np.ndarray, rows: np.ndarray) -> Tensor:
-            return model.training_loss(batch_features, **train_inputs(rows))
+            old_rows = old_teacher = None
+            if train_old is not None:
+                old_rows = train_old[rows].nonzero()[0]
+                old_teacher = teacher[teacher_row[rows[old_rows]]]
+            return model.training_loss(
+                batch_features, **objective(labels[rows], new_classes, old_rows, old_teacher)
+            )
 
         validation_loss = None
         if validation is not None:
@@ -489,12 +485,17 @@ class PILOTE:
             if support_rows:
                 parts.insert(0, support)
                 validation_labels = np.concatenate([labels[:support_rows], validation_labels])
-            validation_inputs = objective_inputs(validation_labels, None)
-            every_row = np.arange(len(validation_labels))
+            # Only the pair draw changes from epoch to epoch.  The set opens
+            # with the support rows and its new rows hold no known class
+            # (``learn_new_classes`` checks), so its old-class rows are the
+            # support set's, whose teacher rows are ``teacher`` in order.
+            validation_old = None if teacher is None else support_old.nonzero()[0]
 
             def validation_loss() -> float:
                 embeddings = np.concatenate([model.embed(part) for part in parts])
-                return float(pilote_loss(embeddings, **validation_inputs(every_row)))
+                return float(pilote_loss(embeddings, **objective(
+                    validation_labels, None, validation_old, teacher
+                )))
 
         optimizer = Adam(model.parameters(), lr=config.learning_rate)
         scheduler = HalvingLR(optimizer)
@@ -512,11 +513,6 @@ class PILOTE:
             rng=self._rng,
         )
         training_start = perf_seconds()
-        history = trainer.fit(
-            train_loss,
-            features,
-            np.arange(len(labels)),
-            validation_loss=validation_loss,
-        )
+        history = trainer.fit(train_loss, features, validation_loss=validation_loss)
         self._phase_seconds["training"] = perf_seconds() - training_start
         return history

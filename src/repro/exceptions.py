@@ -29,7 +29,8 @@ class NotFittedError(ReproError):
 
 
 class GradientError(ReproError):
-    """Raised when the autodiff engine detects an invalid backward pass."""
+    """Raised when the autodiff engine detects an invalid backward pass, or
+    an optimiser cannot apply one (a missing gradient, mixed dtypes)."""
 
 
 class ShapeError(DataError):

@@ -1,15 +1,12 @@
 """Layers used by the PILOTE backbone: Linear, BatchNorm1d, ReLU, Sequential.
 
 Each layer's arithmetic is one registered op (:mod:`repro.autodiff.primitives`):
-``forward`` dispatches it on tensors — one tape record per layer — and
-``array_forward`` calls the same op's forward on a plain array with no tape,
-in eval mode (tracked BatchNorm statistics).  A chain of
-``array_forward`` calls is the network's inference program; it is
-bit-identical to the eval-mode ``forward`` and never touches ``training``.
-``array_forward`` only reads its input.  Inside
-:meth:`Sequential.array_forward` every array past the first layer's input
-is one the chain made, so BatchNorm and ReLU write their results into it
-(``_forward_owned``) instead of allocating.
+``forward`` dispatches it on tensors — one tape record per layer.  The
+layers hold the parameters and BatchNorm's running statistics; the
+inference program (:meth:`~repro.core.embedding.EmbeddingNetwork.embed`)
+and PILOTE's training step run the same ops' forwards over them on plain
+arrays, reading BatchNorm's eval-mode constants from
+:meth:`BatchNorm1d.eval_constants`.
 """
 
 from __future__ import annotations
@@ -23,16 +20,10 @@ from repro.autodiff import ops
 from repro.autodiff.primitives import batch_norm_eval_constants
 from repro.autodiff.tensor import Tensor
 from repro.backend.policy import default_dtype
-from repro.backend.registry import NO_TAPE, get_op
 from repro.exceptions import ShapeError
 from repro.nn.init import he_uniform, zeros_init
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import RandomState, resolve_rng
-
-
-_LINEAR = get_op("linear").forward
-_BATCH_NORM_EVAL = get_op("batch_norm_eval").forward
-_RELU = get_op("relu").forward
 
 #: BatchNorm1d's running-statistics momentum and variance epsilon (torch's
 #: defaults, which the paper's backbone uses).
@@ -96,9 +87,6 @@ class Linear(Module):
             )
         return ops.linear(inputs, self.weight, self.bias)
 
-    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
-        return _LINEAR(NO_TAPE, inputs, self.weight.data, self.bias.data)
-
     def __repr__(self) -> str:
         return f"Linear({self.in_features}, {self.out_features})"
 
@@ -108,12 +96,6 @@ class ReLU(Module):
 
     def forward(self, inputs: Tensor) -> Tensor:
         return inputs.relu()
-
-    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
-        return _RELU(NO_TAPE, inputs)
-
-    def _forward_owned(self, owned: np.ndarray) -> np.ndarray:
-        return _RELU(NO_TAPE, owned, overwrite=True)
 
     def __repr__(self) -> str:
         return "ReLU()"
@@ -154,16 +136,6 @@ class BatchNorm1d(Module):
             self._update_running(mean, variance, inputs.shape[0])
             return output
         return ops.batch_norm_eval(inputs, self.gamma, self.beta, *self.eval_constants())
-
-    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
-        return self._forward_owned(inputs, overwrite=False)
-
-    def _forward_owned(self, owned: np.ndarray, overwrite: bool = True) -> np.ndarray:
-        mean, std = self.eval_constants()
-        return _BATCH_NORM_EVAL(
-            NO_TAPE, owned, self.gamma.data, self.beta.data, mean=mean, std=std,
-            overwrite=overwrite,
-        )
 
     def eval_constants(self) -> Tuple[np.ndarray, np.ndarray]:
         """The eval-mode ``(mean, std)`` rows in the policy dtype, cached."""
@@ -226,16 +198,6 @@ class Sequential(Module):
         output = inputs
         for layer in self.layers:
             output = layer(output)
-        return output
-
-    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
-        # The caller's array is only read; every later one is the chain's own.
-        output = inputs
-        for layer in self.layers:
-            if output is inputs:
-                output = layer.array_forward(output)
-            else:
-                output = layer._forward_owned(output)
         return output
 
     def __len__(self) -> int:

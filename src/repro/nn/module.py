@@ -117,16 +117,6 @@ class Module:
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
-    def array_forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Eval-mode forward on a plain array: no ``Tensor``, no tape, and
-        ``training`` left as it is (see :mod:`repro.nn.layers`)."""
-        raise NotImplementedError(f"{type(self).__name__} has no array forward")
-
-    def _forward_owned(self, owned: np.ndarray) -> np.ndarray:
-        """:meth:`array_forward` of an array the caller gives up: a layer
-        may write its result into ``owned`` (BatchNorm and ReLU do)."""
-        return self.array_forward(owned)
-
     # ------------------------------------------------------------------ #
     # state dict
     # ------------------------------------------------------------------ #

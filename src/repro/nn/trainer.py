@@ -78,6 +78,7 @@ class TrainingHistory:
     def epochs_run(self) -> int:
         return len(self.train_losses)
 
+#: ``(batch features, their row ids in the training array) -> scalar loss``.
 BatchLossFn = Callable[[np.ndarray, np.ndarray], Tensor]
 
 
@@ -85,10 +86,12 @@ class Trainer:
     """Mini-batch gradient-descent driver.
 
     The trainer is loss-agnostic: the caller supplies ``batch_loss``, a
-    function mapping a mini-batch ``(X, y)`` to a scalar loss tensor.  This is
-    what lets the same loop serve PILOTE's pre-training (contrastive only) and
-    its incremental update (the joint objective).  Each epoch shuffles the
-    rows, steps ``optimizer`` once a batch, then steps ``scheduler``;
+    function mapping a mini-batch's feature rows and their row ids to a
+    scalar loss tensor; the row ids look up whatever else a row carries
+    (labels, teacher embeddings).  This is what lets the same loop serve
+    PILOTE's pre-training (contrastive only) and its incremental update (the
+    joint objective).  Each epoch shuffles the rows, steps ``optimizer`` once
+    a batch, then steps ``scheduler``;
     ``early_stopping`` reads each epoch's validation loss.
     """
 
@@ -116,19 +119,18 @@ class Trainer:
         self._rng = resolve_rng(rng)
 
     def iterate_minibatches(
-        self, features: np.ndarray, labels: np.ndarray
+        self, features: np.ndarray
     ) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
-        """Yield shuffled mini-batches of ``(features, labels)``."""
+        """Yield shuffled mini-batches of ``(feature rows, row ids)``."""
         order = self._rng.permutation(features.shape[0])
         for start in range(0, order.size, self.batch_size):
-            index = order[start:start + self.batch_size]
-            yield features[index], labels[index]
+            rows = order[start:start + self.batch_size]
+            yield features[rows], rows
 
     def fit(
         self,
         batch_loss: BatchLossFn,
         features: np.ndarray,
-        labels: np.ndarray,
         *,
         validation_loss: Optional[Callable[[], float]] = None,
     ) -> TrainingHistory:
@@ -137,10 +139,11 @@ class Trainer:
         Parameters
         ----------
         batch_loss:
-            Maps a mini-batch to a scalar :class:`Tensor` loss (gradients flow
+            Maps a mini-batch's feature rows and their row ids in
+            ``features`` to a scalar :class:`Tensor` loss (gradients flow
             through the model captured in its closure).
-        features, labels:
-            Training arrays; batching and shuffling are handled here.
+        features:
+            The training rows; batching and shuffling are handled here.
         validation_loss:
             Optional zero-argument function returning the epoch's validation
             loss, called in eval mode with no tape recorded and read by
@@ -163,10 +166,10 @@ class Trainer:
             start_time = perf_seconds()
             self.model.train()
             epoch_losses = []
-            for batch_features, batch_labels in self.iterate_minibatches(features, labels):
+            for batch_features, rows in self.iterate_minibatches(features):
                 if batch_features.shape[0] < 2:
                     continue  # BatchNorm and pair sampling need at least two samples.
-                loss = batch_loss(batch_features, batch_labels)
+                loss = batch_loss(batch_features, rows)
                 loss.backward()
                 epoch_losses.append(float(loss.data))
                 del loss  # its tape holds the step's activations

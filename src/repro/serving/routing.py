@@ -209,7 +209,7 @@ class PowerOfTwoRouting(RoutingPolicy):
         """Each user's two hash-candidate lanes ``(first, second)``.
 
         The same salted pair :meth:`assign_batch` chooses between — the
-        hedger uses it to find a request's p2c *sibling* (the
+        control plane uses it to find a request's p2c *sibling* (the
         candidate the original assignment passed over) without re-deriving
         the policy's salts.
         """

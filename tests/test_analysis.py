@@ -754,17 +754,40 @@ class TestSanitizer:
             # The scheduler's own report path still works over proxies.
             assert client.report().total_requests >= 1
 
-    def test_bus_reads_forward_through_the_proxy(self):
+    def test_control_plane_submissions_are_recorded(self):
         from repro.control import ControlPlane
 
         with _build_client() as client:
             plane = ControlPlane(client)
             sanitizer = Sanitizer().attach(client)
-            assert isinstance(plane.bus, RecordingProxy)
+            assert client.control is plane
             client.submit(PredictRequest(user_id=0, features=_feature()))
             client.drain()
             assert client.control_stats()["ticks"] == 1
-            assert any(t.startswith("bus[") for t in sanitizer.report()["targets"])
+            assert sanitizer.report()["targets"][f"control[{client.label}]"] == 1
+
+    @pytest.mark.no_repro_sanitize
+    def test_catches_a_cross_thread_submission_on_the_control_plane(self):
+        from repro.control import ControlPlane
+
+        with _build_client() as client:
+            plane = ControlPlane(client)
+            sanitizer = Sanitizer().attach(client)
+            client.submit(PredictRequest(user_id=0, features=_feature()))
+            client.drain()
+            # A wave handed to the plane from a second thread: the plane's
+            # window and ledger would be written by two threads.
+            thread = threading.Thread(
+                target=plane.after_submit, args=([], []), name="rogue-submitter"
+            )
+            thread.start()
+            thread.join()
+            assert plane.ticks == 2
+            assert [(v["target"], v["field"]) for v in sanitizer.violations] == [
+                (f"control[{client.label}]", "after_submit")
+            ]
+            with pytest.raises(SanitizerViolationError, match="cross-thread"):
+                sanitizer.assert_clean()
 
     def test_access_record_round_trips(self):
         record = AccessRecord(1, "main", "stats[0]", "requests", "write")

@@ -1,7 +1,7 @@
-"""Control plane: signals, hedging, worker death, chaos.
+"""Control plane: failure window, hedging, worker death, chaos.
 
-Covers the ``SignalBus`` recent-failure window, the ``ControlPlane`` a
-client attaches, hedged-request exactly-once accounting, the fixed pool
+Covers the ``ControlPlane`` a client attaches: its recent-failure window,
+hedged-request exactly-once accounting, the fixed pool
 size of an adaptive client, typed worker death on the process pool, the
 rolling-window stats exports and the chaos suite's invariants.
 """
@@ -19,12 +19,11 @@ from repro.control import (
     FlakyDevice,
     HedgedResult,
     HedgeStats,
-    SignalBus,
     StragglerDevice,
     run_chaos,
 )
 from repro.control.chaos import SLOW_FACTOR, ChaosRunReport
-from repro.control.signals import WINDOW
+from repro.control.hedging import WINDOW
 from repro.core.config import PiloteConfig
 from repro.edge.device import DeviceProfile
 from repro.exceptions import (
@@ -127,76 +126,72 @@ def _backlogged(client, lanes, n_queued=40):
 
 # ---------------------------------------------------------------------- #
 class TestSignals:
-    def test_bus_reads_scheduler_exports(self):
+    def test_window_reads_scheduler_exports(self):
         client = _client(2)
-        bus = SignalBus(client.scheduler)
-        bus.observe_submit()
+        plane = ControlPlane(client)
         client.submit_many([_request(u) for u in range(8)])
-        assert bus.tick == 1
-        failures = bus.lane_failures()
+        assert plane.ticks == 1
+        failures = plane.lane_failures()
         assert failures.shape == (2,) and np.all(failures == 0)
         client.drain()
-        assert np.all(bus.lane_failures() == 0)
+        assert np.all(plane.lane_failures() == 0)
 
     def test_failure_diffing_is_windowed(self):
         client = _client(2)
         flaky = FlakyDevice(client.scheduler.devices[0])
         client.scheduler.devices[0] = flaky
-        bus = SignalBus(client.scheduler)
+        plane = ControlPlane(client)
         flaky.failing = True
-        bus.observe_submit()
         client.submit_many([_request(u) for u in range(4)])
         client.drain()
-        assert bus.lane_failures().sum() > 0
+        assert plane.lane_failures().sum() > 0
         flaky.failing = False
         # A window of clean submissions pushes the failure marks out.
         for _ in range(WINDOW):
-            bus.observe_submit()
-        assert bus.lane_failures().sum() == 0
+            plane.after_submit([], [])
+        assert plane.lane_failures().sum() == 0
 
     def test_failures_inside_the_window_still_count(self):
         client = _client(2)
         flaky = _flaky_lane(client)
-        bus = SignalBus(client.scheduler)
+        plane = ControlPlane(client)
         flaky.failing = True
-        bus.observe_submit()
         client.submit_many([_request(u) for u in range(4)])
         client.drain()
-        failed = bus.lane_failures().sum()
+        failed = plane.lane_failures().sum()
         assert failed > 0
         # The oldest mark still predates the failures one tick short of a
         # full window of clean submissions.
         for _ in range(WINDOW - 1):
-            bus.observe_submit()
-        assert bus.lane_failures().sum() == failed
-        bus.observe_submit()
-        assert bus.lane_failures().sum() == 0
+            plane.after_submit([], [])
+        assert plane.lane_failures().sum() == failed
+        plane.after_submit([], [])
+        assert plane.lane_failures().sum() == 0
 
-    def test_failures_before_the_bus_are_not_recent(self):
+    def test_failures_before_the_plane_are_not_recent(self):
         client = _client(2)
         flaky = _flaky_lane(client)
         flaky.failing = True
         client.submit_many([_request(u) for u in range(4)])
         client.drain()
         assert client.scheduler.lane_failures.sum() > 0
-        bus = SignalBus(client.scheduler)
-        assert np.all(bus.lane_failures() == 0)
-        bus.observe_submit()
-        assert np.all(bus.lane_failures() == 0)
+        plane = ControlPlane(client)
+        assert np.all(plane.lane_failures() == 0)
+        plane.after_submit([], [])
+        assert np.all(plane.lane_failures() == 0)
 
     def test_failures_are_kept_per_lane(self):
         client = _client(2)
         flaky = _flaky_lane(client, lane=1)
-        bus = SignalBus(client.scheduler)
+        plane = ControlPlane(client)
         flaky.failing = True
-        bus.observe_submit()
         futures = client.submit_many([_request(u) for u in range(16)])
         client.drain()
         failed_on_1 = sum(
             1 for f in futures if isinstance(f.exception(), WorkerDiedError)
         )
         assert failed_on_1 > 0
-        assert bus.lane_failures().tolist() == [0, failed_on_1]
+        assert plane.lane_failures().tolist() == [0, failed_on_1]
 
 
 class TestControlPlane:
@@ -210,7 +205,7 @@ class TestControlPlane:
         assert client.control is plane
         client.submit_many([_request(u) for u in range(3)])
         client.drain()
-        assert plane.bus.tick == 1
+        assert plane.ticks == 1
         assert client.control_stats() == {
             "window": WINDOW, "ticks": 1, "hedging": HedgeStats().to_dict(),
         }
@@ -224,7 +219,7 @@ class TestControlPlane:
         client.submit(_request(1))
         client.submit_many([])  # an empty wave is not a submission
         client.drain()
-        assert plane.bus.tick == 5
+        assert plane.ticks == 5
         assert client.control_stats()["ticks"] == 5
 
     def test_detached_plane_stops_observing(self):
@@ -234,7 +229,7 @@ class TestControlPlane:
         client.control = None
         futures = client.submit_many([_request(u, deadline=50.0) for u in range(3)])
         client.drain()
-        assert plane.bus.tick == 1
+        assert plane.ticks == 1
         assert client.control_stats() is None
         assert not any(isinstance(f, HedgedResult) for f in futures)
 
@@ -424,7 +419,7 @@ class TestHedgedRequests:
         client = _client(2, routing="p2c", scheduling="edf")
         flaky = FlakyDevice(client.scheduler.devices[0])
         client.scheduler.devices[0] = flaky
-        hedging = ControlPlane(client).hedging
+        plane = ControlPlane(client)
         flaky.failing = True
         warm = client.submit_many([_request(u, deadline=50.0) for u in range(8)])
         client.drain()  # lane 0's failures are now in the window
@@ -436,7 +431,7 @@ class TestHedgedRequests:
         assert hedged, "no hedge fired against a lane failing in-window"
         # Every hedged request was answered despite its primary lane dying.
         assert all(f.exception() is None for f in hedged)
-        stats = hedging.hedges
+        stats = plane.hedges
         assert stats.fired == len(hedged)
         assert stats.hedge_wins >= 1
         assert stats.consistent()
@@ -453,7 +448,7 @@ class TestHedgedRequests:
         try:
             flaky = FlakyDevice(client.scheduler.devices[0])
             client.scheduler.devices[0] = flaky
-            hedging = ControlPlane(client).hedging
+            plane = ControlPlane(client)
             flaky.failing = True
             client.submit_many([_request(u, deadline=50.0) for u in range(8)])
             client.drain()
@@ -465,7 +460,7 @@ class TestHedgedRequests:
             hedged = [f for f in futures if isinstance(f, HedgedResult)]
             assert hedged
             assert all(f.exception() is None for f in hedged)
-            stats = hedging.hedges
+            stats = plane.hedges
             assert stats.settled == stats.fired
             assert stats.losers_resolved == stats.fired
             assert stats.consistent()
@@ -474,10 +469,10 @@ class TestHedgedRequests:
 
     def test_single_lane_never_hedges(self):
         client = _client(1, routing="hash")
-        hedging = ControlPlane(client).hedging
+        plane = ControlPlane(client)
         futures = client.submit_many([_request(u, deadline=50.0) for u in range(4)])
         client.drain()
-        assert hedging.hedges.fired == 0
+        assert plane.hedges.fired == 0
         assert not any(isinstance(f, HedgedResult) for f in futures)
 
     def test_projected_miss_hedges_onto_a_lane_that_makes_it(self):
@@ -495,13 +490,13 @@ class TestHedgedRequests:
         assert isinstance(unhedged.exception(), DeadlineExceededError)
 
         client = _client(2, routing="hash", scheduling="fifo")
-        hedging = ControlPlane(client).hedging
+        plane = ControlPlane(client)
         user, future = submit_late_request(client)
         assert isinstance(future, HedgedResult)
         client.drain()
         response = future.result()
         assert response.user_id == user and response.device_id == 1
-        assert hedging.hedges.to_dict() == {
+        assert plane.hedges.to_dict() == {
             **HedgeStats().to_dict(), "fired": 1, "hedge_wins": 1,
             "losers_cancelled": 1,
         }
@@ -509,32 +504,32 @@ class TestHedgedRequests:
 
     def test_equally_doomed_alternate_is_not_hedged(self):
         client = _client(2, routing="hash", scheduling="fifo")
-        hedging = ControlPlane(client).hedging
+        plane = ControlPlane(client)
         now = _backlogged(client, lanes=[0, 1])
         future = client.submit(_request(0, arrival=now, deadline=now + 0.005))
         client.drain()
         assert not isinstance(future, HedgedResult)
-        assert hedging.hedges.fired == 0
+        assert plane.hedges.fired == 0
         assert isinstance(future.exception(), DeadlineExceededError)
 
     def test_requests_without_deadlines_are_never_hedged(self):
         client = _client(2)
         flaky = _flaky_lane(client)
-        hedging = ControlPlane(client).hedging
+        plane = ControlPlane(client)
         flaky.failing = True
         client.submit_many([_request(u) for u in range(8)])
         client.drain()
         assert client.scheduler.lane_failures[0] > 0
         futures = client.submit_many([_request(u) for u in range(8)])
         client.drain()
-        assert hedging.hedges.fired == 0
+        assert plane.hedges.fired == 0
         assert not any(isinstance(f, HedgedResult) for f in futures)
 
     def test_requests_rejected_at_admission_are_not_hedged(self):
         # A deadline before the lane can start work fails at submit time
         # (the admission floor); there is nothing queued to hedge.
         client = _client(2, routing="hash")
-        hedging = ControlPlane(client).hedging
+        plane = ControlPlane(client)
         client.submit_many([_request(u) for u in range(8)])
         client.drain()
         now = client.clock_now()
@@ -546,24 +541,24 @@ class TestHedgedRequests:
             "rejected at admission" in str(f.exception()) for f in futures
         )
         assert not any(isinstance(f, HedgedResult) for f in futures)
-        assert hedging.hedges.fired == 0
+        assert plane.hedges.fired == 0
         assert client.report().total_rejected == 4
 
     def test_healthy_lanes_with_slack_never_hedge(self):
         client = _client(4)
-        hedging = ControlPlane(client).hedging
+        plane = ControlPlane(client)
         for wave in range(3):
             futures = client.submit_many(
                 [_request(u, arrival=0.01 * wave, deadline=50.0) for u in range(16)]
             )
             client.drain()
             assert all(f.exception() is None for f in futures)
-        assert hedging.hedges.fired == 0
+        assert plane.hedges.fired == 0
 
     def test_hedge_goes_to_the_p2c_sibling(self):
         client = _client(4, routing="p2c")
         flaky = _flaky_lane(client)
-        hedging = ControlPlane(client).hedging
+        plane = ControlPlane(client)
         flaky.failing = True
         client.submit_many([_request(u, deadline=50.0) for u in range(16)])
         client.drain()
@@ -583,7 +578,7 @@ class TestHedgedRequests:
                 assert future.result().device_id == (pair - {0}).pop()
             else:
                 assert future.result().device_id != 0
-        assert hedged == hedging.hedges.fired > 0
+        assert hedged == plane.hedges.fired > 0
 
 
 # ---------------------------------------------------------------------- #

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff.tensor import Tensor
+from repro.autodiff.tensor import Tensor, no_grad
 from repro.core.config import PiloteConfig
 from repro.core.embedding import EMBED_ROWS, EmbeddingNetwork
 from repro.exceptions import ConfigurationError, ShapeError
@@ -101,7 +101,9 @@ class TestEmbeddingNetwork:
         network = self._network()
         batch = np.random.default_rng(2).normal(size=(EMBED_ROWS + 5, 10))
         chunked = network.embed(batch)
-        assert np.allclose(chunked, network.backbone.array_forward(batch))
+        network.eval()
+        with no_grad():
+            assert np.allclose(chunked, network(Tensor(batch)).data)
         assert np.array_equal(chunked[:EMBED_ROWS], network.embed(batch[:EMBED_ROWS]))
 
     def test_wrong_input_dim_raises(self):

@@ -1,9 +1,11 @@
 """Tests for herding/random exemplar selection and the ExemplarStore."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.backend import precision
+from repro.backend import get_backend, precision
 from repro.core.exemplars import ExemplarStore, herding_selection, random_selection
 from repro.exceptions import DataError
 
@@ -80,6 +82,34 @@ class TestHerdingSelection:
             assert np.array_equal(herding_selection(small, small, 9),
                                   _naive_herding(small, 9))
             assert np.array_equal(herding_selection(big, big, 12), fresh_big)
+
+    @pytest.mark.parametrize("profile", ["reference", "edge"])
+    def test_peak_allocation_is_linear_in_the_rows(self, profile):
+        """Each step is one matrix-vector product into one scores vector, so
+        a call's tracemalloc peak stays under a bound computed from the
+        shapes; an ``(n, d)`` candidate-mean matrix would not fit in it."""
+        n, d, m = 1500, 64, 250
+        with precision(profile):
+            embeddings = get_backend().asarray(np.random.default_rng(0).normal(size=(n, d)))
+            herding_selection(embeddings, embeddings, m)  # first-call costs out
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                herding_selection(embeddings, embeddings, m)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        itemsize = embeddings.itemsize
+        bound = (
+            2 * n * itemsize    # the squared norms and the scores
+            + 2 * n             # the availability mask and its negation
+            + 4 * d * itemsize  # prototype, running sum, centre, a mean temporary
+            + 56 * m            # per exemplar: a list slot, an int and an int64 index
+            + 1024              # array and Python object headers
+        )
+        assert peak <= bound
+        assert n * d * itemsize > bound
 
     def test_invalid_arguments(self):
         embeddings = np.random.default_rng(0).normal(size=(5, 3))

@@ -115,7 +115,7 @@ class TestIncrementalLearning:
         fit = Trainer.fit
         embed = EmbeddingNetwork.embed
 
-        def recording_fit(trainer, batch_loss, features, labels, *, validation_loss=None):
+        def recording_fit(trainer, batch_loss, features, *, validation_loss=None):
             seen.append(features.dtype)
 
             def recording_validation():
@@ -133,7 +133,7 @@ class TestIncrementalLearning:
 
             validation_rows = []
             monkeypatch.setattr(EmbeddingNetwork, "embed", recording_embed)
-            history = fit(trainer, batch_loss, features, labels,
+            history = fit(trainer, batch_loss, features,
                           validation_loss=recording_validation)
             assert len(validation_rows) == history.epochs_run
             assert all(rows is validation_rows[0] for rows in validation_rows)

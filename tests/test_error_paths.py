@@ -42,7 +42,6 @@ from repro.metrics.confusion import ConfusionMatrix
 from repro.metrics.embedding_quality import intra_inter_distance_ratio, silhouette_score
 from repro.nn.layers import BatchNorm1d, Linear, ReLU, Sequential
 from repro.nn.losses import DistillationLoss
-from repro.nn.module import Module
 from repro.server import wire
 from repro.viz.ascii import ascii_line_plot, ascii_scatter
 
@@ -245,10 +244,6 @@ class TestNN:
         state["buffer.ghost"] = np.zeros(2)
         with pytest.raises(SerializationError, match="unexpected buffer"):
             network.load_state_dict(state)
-
-    def test_base_module_has_no_array_forward(self):
-        with pytest.raises(NotImplementedError, match="Module has no array forward"):
-            Module().array_forward(np.zeros((1, 2)))
 
     def test_sequential_repr_names_its_layers(self):
         text = repr(Sequential(Linear(3, 2, rng=0), ReLU(), BatchNorm1d(2)))

@@ -1,14 +1,16 @@
-"""What the inference layers and the edge increment allocate.
+"""What the inference program and the edge increment allocate.
 
-Inside ``Sequential.array_forward`` BatchNorm and ReLU overwrite the array
-the previous layer made, and the no-tape Linear adds its bias into its own
+Inside the eval program ``EmbeddingNetwork.embed`` runs
+(``primitives.eval_forward``) BatchNorm and ReLU overwrite the array the
+previous layer made, and the no-tape Linear adds its bias into its own
 product.  These tests pin the three promises that makes:
 
-* the caller's array is never written, by a layer's ``array_forward``, a
-  chain or ``EmbeddingNetwork.embed``;
+* the caller's array is never written, by ``embed`` or by a program whose
+  first layer is not a Linear;
 * every output equals the eval-mode ``Tensor`` forward byte for byte, in both
-  precision profiles, and a layer whose parameters differ from the
-  activation's dtype keeps its out-of-place ops;
+  precision profiles, at one row, one chunk (``EMBED_ROWS``) and past one
+  and two chunks, and a layer whose parameters differ from the activation's
+  dtype keeps its out-of-place ops;
 * the allocation peaks (tracemalloc, no timing): an ``embed`` call adds at
   most two activations of the widest layer, and ``learn_new_classes`` at a
   tiny config stays under a fixed bound.
@@ -22,6 +24,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.autodiff import primitives
+from repro.autodiff.primitives import eval_forward
 from repro.autodiff.tensor import Tensor, no_grad
 from repro.backend import get_backend, precision
 from repro.core.config import PiloteConfig
@@ -78,75 +82,68 @@ def _peak_bytes(function):
 
 class TestInPlaceInference:
     @pytest.mark.parametrize("profile", ["reference", "edge"])
-    def test_each_layer_reads_its_input_and_matches_the_tensor_forward(self, profile):
-        with precision(profile):
-            model = _trained_network(6, WIDE)
-            rng = np.random.default_rng(0)
-            width = 6
-            for layer in model.backbone.layers:
-                inputs = get_backend().asarray(rng.normal(size=(9, width)))
-                before = inputs.copy()
-                output = layer.array_forward(inputs)
-                assert np.array_equal(inputs, before)
-                assert output is not inputs
-                expected = _eval_forward(layer, inputs)
-                assert output.dtype == expected.dtype
-                assert output.tobytes() == expected.tobytes()
-                width = output.shape[1]
-
-    @pytest.mark.parametrize("profile", ["reference", "edge"])
-    @pytest.mark.parametrize("rows", [1, 7, EMBED_ROWS + 3])
-    def test_chain_and_embed_never_write_the_callers_array(self, profile, rows):
+    @pytest.mark.parametrize("rows", [1, EMBED_ROWS, EMBED_ROWS + 1, 2 * EMBED_ROWS + 1])
+    def test_embed_never_writes_the_callers_array_and_matches_the_tensor_forward(
+        self, profile, rows
+    ):
         with precision(profile):
             model = _trained_network(6, WIDE)
             features = get_backend().asarray(np.random.default_rng(rows).normal(size=(rows, 6)))
             before = features.copy()
-            chained = model.backbone.array_forward(features)
-            assert np.array_equal(features, before)
             embedded = model.embed(features)
             assert np.array_equal(features, before)
             expected = np.concatenate([
                 _eval_forward(model.backbone, features[start:start + EMBED_ROWS])
                 for start in range(0, rows, EMBED_ROWS)
             ])
-        if rows <= EMBED_ROWS:
-            assert chained.tobytes() == expected.tobytes()
         assert embedded.dtype == expected.dtype
         assert embedded.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("profile", ["reference", "edge"])
-    def test_a_chain_opening_with_batch_norm_only_reads_the_callers_array(self, profile):
+    @pytest.mark.parametrize("opening", [BatchNorm1d, ReLU])
+    def test_a_program_opening_with_another_layer_only_reads_the_callers_array(
+        self, profile, opening
+    ):
         with precision(profile):
-            chain = Sequential(BatchNorm1d(6), ReLU(), Linear(6, 4, rng=0))
+            first, second = (BatchNorm1d(6), ReLU()) if opening is BatchNorm1d else (
+                ReLU(), BatchNorm1d(6))
+            chain = Sequential(first, second, Linear(6, 4, rng=0))
             chain(Tensor(np.random.default_rng(4).normal(size=(16, 6)) + 1.0))
+            kinds = {BatchNorm1d: "batch_norm", ReLU: "relu", Linear: "linear"}
+            norm = next(layer for layer in chain.layers if isinstance(layer, BatchNorm1d))
             features = get_backend().asarray(np.random.default_rng(5).normal(size=(7, 6)))
             before = features.copy()
-            output = chain.array_forward(features)
+            output = eval_forward(
+                features, tuple((kinds[type(layer)], None) for layer in chain.layers),
+                chain.parameters(), [norm],
+            )
             assert np.array_equal(features, before)
             expected = _eval_forward(chain, features)
         assert output.tobytes() == expected.tobytes()
 
     @staticmethod
     def _record_overwrites(monkeypatch):
-        """Patch BatchNorm's and ReLU's owned forwards to record, per call,
-        whether the result went into the array they were handed."""
-        record = {BatchNorm1d: [], ReLU: []}
-        for cls, calls in record.items():
-            def spy(self, owned, _original=cls._forward_owned, _calls=calls):
-                output = _original(self, owned)
-                _calls.append(output is owned)
+        """Patch the eval program's BatchNorm and ReLU forwards to record,
+        per call, whether the result went into the array they were handed."""
+        record = {"batch_norm": [], "relu": []}
+        for kind, name in (("batch_norm", "_batch_norm_eval_forward"),
+                           ("relu", "_relu_forward")):
+            def spy(ctx, hidden, *args, _original=getattr(primitives, name),
+                    _calls=record[kind], **kwargs):
+                output = _original(ctx, hidden, *args, **kwargs)
+                _calls.append(output is hidden)
                 return output
-            monkeypatch.setattr(cls, "_forward_owned", spy)
+            monkeypatch.setattr(primitives, name, spy)
         return record
 
     @pytest.mark.parametrize("profile", ["reference", "edge"])
-    def test_layers_inside_a_chain_overwrite_its_arrays(self, profile, monkeypatch):
+    def test_layers_past_the_first_overwrite_the_programs_arrays(self, profile, monkeypatch):
         with precision(profile):
             model = _trained_network(6, WIDE)
             features = get_backend().asarray(np.random.default_rng(1).normal(size=(5, 6)))
             record = self._record_overwrites(monkeypatch)
             model.embed(features)
-        assert record == {BatchNorm1d: [True, True], ReLU: [True, True]}
+        assert record == {"batch_norm": [True, True], "relu": [True, True]}
 
     @pytest.mark.parametrize("built, served", [("reference", "edge"), ("edge", "reference")])
     def test_parameters_of_another_dtype_keep_the_out_of_place_ops(
@@ -165,7 +162,7 @@ class TestInPlaceInference:
             monkeypatch.undo()
             expected = _eval_forward(model.backbone, features)
         assert np.array_equal(features, before)
-        assert record[BatchNorm1d] == [False, False]
+        assert record["batch_norm"] == [False, False]
         assert embedded.dtype == expected.dtype
         assert embedded.tobytes() == expected.tobytes()
 
@@ -174,7 +171,7 @@ class TestInPlaceInference:
             layer = Linear(6, 4, rng=0)
             layer.bias.data = np.random.default_rng(6).normal(size=4)  # float64
             inputs = get_backend().asarray(np.random.default_rng(7).normal(size=(5, 6)))
-            output = layer.array_forward(inputs)
+            output = eval_forward(inputs, (("linear", None),), [layer.weight, layer.bias], [])
             expected = _eval_forward(layer, inputs)
         assert layer.weight.data.dtype == np.float32
         assert output.dtype == expected.dtype == np.float64

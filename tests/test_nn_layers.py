@@ -34,10 +34,9 @@ class TestLinear:
 
 
 class TestReLU:
-    def test_relu_forward_and_array_forward(self):
+    def test_relu_forward(self):
         x = Tensor(np.array([[-1.0, 2.0]]))
         assert np.allclose(ReLU()(x).data, [[0.0, 2.0]])
-        assert np.array_equal(ReLU().array_forward(x.data), ReLU()(x).data)
 
 
 class TestBatchNorm:

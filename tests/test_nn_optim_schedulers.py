@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.autodiff.tensor import Tensor
+from repro.backend import precision
+from repro.exceptions import GradientError
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam
 from repro.nn.schedulers import MIN_LR, HalvingLR
@@ -25,12 +27,20 @@ class TestOptimizers:
             _quadratic_step(optimizer, parameter)
         assert np.allclose(parameter.data, 0.0, atol=1e-2)
 
-    def test_skip_parameters_without_grad(self):
+    def test_a_missing_gradient_raises_and_changes_nothing(self):
         used = Parameter(np.array([1.0]))
         unused = Parameter(np.array([5.0]))
         optimizer = Adam([used, unused], lr=0.1)
-        _quadratic_step(optimizer, used)
-        assert unused.data[0] == pytest.approx(5.0)
+        with pytest.raises(GradientError, match=r"gradient for the parameters at \[1\]"):
+            _quadratic_step(optimizer, used)
+        assert used.data.tolist() == [1.0] and unused.data.tolist() == [5.0]
+        assert optimizer._step_count == 0
+
+    def test_mixed_dtypes_raise(self):
+        with precision("edge"):
+            narrow = Parameter(np.array([1.0]))
+        with pytest.raises(GradientError, match="one dtype"):
+            Adam([Parameter(np.array([1.0])), narrow], lr=0.1)
 
     def test_invalid_hyperparameters(self):
         parameter = Parameter(np.array([1.0]))

@@ -71,20 +71,20 @@ class TestTrainer:
         targets = features @ true_weights
         model = Sequential(Linear(5, 1, rng=seed))
 
-        def batch_loss(batch_x, batch_y):
-            error = model(Tensor(batch_x)) - Tensor(batch_y.reshape(-1, 1))
+        def batch_loss(batch_x, rows):
+            error = model(Tensor(batch_x)) - Tensor(targets[rows])
             return (error * error).mean()
 
-        return model, batch_loss, features, targets
+        return model, batch_loss, features, np.arange(len(features))
 
     def test_training_reduces_loss(self):
-        model, batch_loss, features, targets = self._regression_setup()
+        model, batch_loss, features, every_row = self._regression_setup()
         trainer = _trainer(model, 0.5, max_epochs=20, batch_size=16)
-        history = trainer.fit(batch_loss, features, targets.reshape(-1))
+        history = trainer.fit(batch_loss, features)
         assert history.train_losses[-1] < history.train_losses[0] * 0.2
 
     def test_early_stopping_halts_training(self):
-        model, batch_loss, features, targets = self._regression_setup(1)
+        model, batch_loss, features, every_row = self._regression_setup(1)
         trainer = _trainer(
             model, 0.05,
             early_stopping=EarlyStopping(threshold=10.0, patience=2),  # huge threshold
@@ -93,45 +93,43 @@ class TestTrainer:
         history = trainer.fit(
             batch_loss,
             features,
-            targets.reshape(-1),
-            validation_loss=lambda: batch_loss(features, targets.reshape(-1)).data,
+            validation_loss=lambda: batch_loss(features, every_row).data,
         )
         assert history.stopped_early
         assert history.epochs_run <= 4
 
     def test_scheduler_is_applied(self):
-        model, batch_loss, features, targets = self._regression_setup(2)
+        model, batch_loss, features, every_row = self._regression_setup(2)
         trainer = _trainer(model, 0.01, max_epochs=3, batch_size=32)
-        history = trainer.fit(batch_loss, features, targets.reshape(-1))
+        history = trainer.fit(batch_loss, features)
         assert history.learning_rates == pytest.approx([0.01, 0.005, 0.0025])
         assert trainer.optimizer.lr == pytest.approx(0.00125)
 
     def test_validation_loss_records_no_tape(self):
-        model, batch_loss, features, targets = self._regression_setup(4)
+        model, batch_loss, features, every_row = self._regression_setup(4)
         recorded = []
 
         def validation_loss():
-            loss = batch_loss(features, targets.reshape(-1))
+            loss = batch_loss(features, every_row)
             recorded.append(loss.requires_grad)
             return loss.data
 
         trainer = _trainer(model, 0.01, max_epochs=2)
-        history = trainer.fit(batch_loss, features, targets.reshape(-1),
-                              validation_loss=validation_loss)
+        history = trainer.fit(batch_loss, features, validation_loss=validation_loss)
         assert recorded == [False, False]
         assert len(history.validation_losses) == 2
 
     def test_each_step_drops_its_tape_before_the_update_and_its_gradients_after(
         self, monkeypatch
     ):
-        model, batch_loss, features, targets = self._regression_setup(5)
+        model, batch_loss, features, every_row = self._regression_setup(5)
         parameters = model.parameters()
         losses, steps, released = [], [], []
 
-        def tracked_loss(batch_x, batch_y):
+        def tracked_loss(batch_x, rows):
             # every step, and every validation pass, starts with no gradients
             released.append(all(p.grad is None for p in parameters))
-            loss = batch_loss(batch_x, batch_y)
+            loss = batch_loss(batch_x, rows)
             losses.append(weakref.ref(loss.data))
             return loss
 
@@ -145,17 +143,17 @@ class TestTrainer:
 
         monkeypatch.setattr(Adam, "step", checked_step)
         trainer = _trainer(model, 0.01, max_epochs=2, batch_size=32)
-        trainer.fit(tracked_loss, features, targets.reshape(-1),
-                    validation_loss=lambda: tracked_loss(features, targets.reshape(-1)).data)
+        trainer.fit(tracked_loss, features,
+                    validation_loss=lambda: tracked_loss(features, every_row).data)
         assert len(steps) == 8  # 4 batches of 120 rows, 2 epochs
         assert steps == [(True, True)] * 8
         assert released == [True] * (8 + 2)
         assert all(p.grad is None for p in parameters)
 
     def test_model_left_in_eval_mode(self):
-        model, batch_loss, features, targets = self._regression_setup(3)
+        model, batch_loss, features, every_row = self._regression_setup(3)
         trainer = _trainer(model, 0.01, max_epochs=1)
-        trainer.fit(batch_loss, features, targets.reshape(-1))
+        trainer.fit(batch_loss, features)
         assert not model.training
 
     def test_classification_training_improves_accuracy(self):
@@ -165,14 +163,15 @@ class TestTrainer:
         model = Sequential(Linear(4, 8, rng=0), ReLU(), Linear(8, 2, rng=1))
         criterion = ContrastiveLoss(margin=2.0)
 
-        def batch_loss(batch_x, batch_y):
+        def batch_loss(batch_x, rows):
             # every pair of the batch, as PILOTE's "all" pair strategy draws them
+            batch_y = labels[rows]
             left, right = np.triu_indices(len(batch_y), k=1)
             embeddings = model(Tensor(batch_x))
             return criterion(embeddings[left], embeddings[right], batch_y[left] == batch_y[right])
 
         trainer = _trainer(model, 0.05, max_epochs=10, batch_size=16)
-        history = trainer.fit(batch_loss, features, labels)
+        history = trainer.fit(batch_loss, features)
         assert history.train_losses[-1] < history.train_losses[0]
         # nearest class mean in the learned embedding space (paper Eq. 1)
         embeddings = model(Tensor(features)).data
@@ -181,10 +180,13 @@ class TestTrainer:
         assert (np.argmin(distances, axis=1) == labels).mean() > 0.9
 
     def test_minibatch_iteration_covers_all_samples(self):
-        model, batch_loss, features, targets = self._regression_setup(4)
+        model, batch_loss, features, every_row = self._regression_setup(4)
         trainer = _trainer(model, 0.01, max_epochs=1, batch_size=32)
-        total = sum(len(x) for x, _ in trainer.iterate_minibatches(features, targets.reshape(-1)))
-        assert total == features.shape[0]
+        batches = list(trainer.iterate_minibatches(features))
+        assert sum(len(x) for x, _ in batches) == features.shape[0]
+        # each batch's rows are the row ids of its features, every row once
+        assert all(np.array_equal(x, features[rows]) for x, rows in batches)
+        assert np.array_equal(np.sort(np.concatenate([rows for _, rows in batches])), every_row)
 
     def test_invalid_arguments(self):
         model, _, _, _ = self._regression_setup(5)
