@@ -2,8 +2,10 @@
 
 Two questions are answered, both reported for context:
 
-1. **Op dispatch** — what does routing every tensor op through the named
-   registry cost per operation?
+1. **Step dispatch** — what does dispatching PILOTE's training step (one
+   ``pilote_step`` op) through ``EmbeddingNetwork.training_loss`` and
+   ``Tensor.backward`` cost per step, against calling the op's forward and
+   vjp directly?
 2. **Precision profiles** — how long does ``learn_new_classes`` take under
    the edge (float32) profile against the reference (float64) one?
 
@@ -23,9 +25,11 @@ import time
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor
-from repro.backend import precision
+from repro.autodiff.primitives import _pilote_step_forward, _pilote_step_vjp
+from repro.backend import OpContext, precision
 from repro.core.config import PiloteConfig
+from repro.core.embedding import EmbeddingNetwork
+from repro.core.pairs import PairSampler
 from repro.core.pilote import PILOTE
 from repro.data.synthetic import make_feature_dataset
 
@@ -50,30 +54,53 @@ def best_of(function, repeats: int = 5) -> float:
 
 
 def test_op_dispatch_overhead(report):
-    """Per-op cost of registry dispatch vs raw numpy (informational)."""
-    x = Tensor(np.ones(32), requires_grad=True)
-    y = Tensor(np.ones(32))
-    raw_x, raw_y = x.data, y.data
-    iterations = 2000
+    """Per-step cost of dispatching the training step (informational).
 
-    def registry_ops():
+    Production runs one op a training step: ``training_loss`` wraps the
+    batch in a ``Tensor``, dispatches ``pilote_step`` through the registry
+    onto a one-record tape and updates the BatchNorm running statistics,
+    and ``backward`` hands each parameter its cotangent.  The direct path
+    calls the same ``_pilote_step_forward``/``_pilote_step_vjp`` on an
+    ``OpContext``, on the same batch and pairs, at the edge-lightweight
+    widths.
+    """
+    config = PiloteConfig.edge_lightweight(seed=0)
+    network = EmbeddingNetwork(80, config=config)
+    batch = np.random.default_rng(0).normal(size=(config.batch_size, 80))
+    pairs = PairSampler(config.max_pairs_per_batch, rng=0).sample(
+        np.arange(config.batch_size) % 4
+    )
+    objective = dict(
+        left=pairs.left, right=pairs.right, same_class=pairs.same_class,
+        margin=config.margin, variant=config.contrastive_variant,
+    )
+    layers, parameters, _ = network._step_program
+    iterations = 200
+
+    def dispatched_steps():
         for _ in range(iterations):
-            (x * y + y)
+            network.training_loss(batch, **objective).backward()
+            network.zero_grad()
 
-    def raw_ops():
+    def direct_steps():
+        arrays = [parameter.data for parameter in parameters]
         for _ in range(iterations):
-            (raw_x * raw_y + raw_y)
+            ctx = OpContext("pilote_step")
+            ctx.needs_input_grad = (False,) + (True,) * len(arrays)
+            loss = _pilote_step_forward(ctx, batch, *arrays, layers=layers, **objective)
+            _pilote_step_vjp(ctx, np.ones_like(loss))
 
-    registry_ns = best_of(registry_ops) / (2 * iterations) * 1e9
-    raw_ns = best_of(raw_ops) / (2 * iterations) * 1e9
+    dispatched_us = best_of(dispatched_steps) / iterations * 1e6
+    direct_us = best_of(direct_steps) / iterations * 1e6
+    overhead_ns = (dispatched_us - direct_us) * 1e3
     report(
         "bench_backend_dispatch",
-        "op dispatch overhead\n"
-        f"  registry-dispatched tensor op: {registry_ns:9.0f} ns/op\n"
-        f"  raw numpy equivalent:          {raw_ns:9.0f} ns/op\n"
-        f"  overhead factor:               {registry_ns / raw_ns:9.1f}x",
+        "training-step dispatch overhead (edge-lightweight widths)\n"
+        f"  training_loss + backward:      {dispatched_us:9.1f} us/step\n"
+        f"  forward + vjp on an OpContext: {direct_us:9.1f} us/step\n"
+        f"  dispatch overhead:             {overhead_ns / 1e3:9.1f} us/step",
     )
-    assert registry_ns < 1e6  # sanity: dispatch stays in the microsecond range
+    assert overhead_ns < 1e6  # sanity: dispatch stays in the microsecond range
 
 
 def test_end_to_end_learn_new_classes_dtype_speedup(report):

@@ -39,7 +39,7 @@ from repro.serving import serve
 
 #: Homogeneous simulation node: generous budgets, reference-speed compute.
 SIM_NODE = DeviceProfile(
-    "sim-node", storage_bytes=256 * 2**20, memory_bytes=2**30, relative_compute=1.0
+    "sim-node", storage_bytes=256 * 2**20, relative_compute=1.0
 )
 
 CONFIG = PiloteConfig(hidden_dims=(128, 64), embedding_dim=32, cache_size=1200, seed=0)

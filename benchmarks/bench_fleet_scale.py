@@ -35,7 +35,7 @@ from repro.server.simulation import make_serving_learner
 from repro.serving import PredictRequest, serve
 
 SIM_NODE = DeviceProfile(
-    "sim-node", storage_bytes=256 * 2**20, memory_bytes=2**30, relative_compute=1.0
+    "sim-node", storage_bytes=256 * 2**20, relative_compute=1.0
 )
 
 CONFIG = PiloteConfig(hidden_dims=(64, 32), embedding_dim=16, cache_size=600, seed=0)

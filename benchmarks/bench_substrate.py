@@ -1,8 +1,8 @@
 """Micro-benchmarks of the substrates PILOTE is built on.
 
 These are not paper figures; they document the cost of the building blocks
-(synthetic data generation, feature extraction, autodiff forward/backward,
-herding selection, NCM prediction) so regressions in the substrate show up in
+(synthetic data generation, feature extraction, the training step's
+forward/backward, the inference forward, herding selection, NCM prediction) so regressions in the substrate show up in
 the benchmark history.  The allocation benchmark at the bottom compares the
 serving footprint of the two precision profiles.  Herding's own peak
 allocation is gated in the tier-1 suite
@@ -15,17 +15,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.autodiff.tensor import Tensor
 from repro.backend import get_backend, precision
 from repro.core.config import PiloteConfig
 from repro.core.embedding import EmbeddingNetwork
 from repro.core.exemplars import herding_selection
 from repro.core.ncm import NCMClassifier
+from repro.core.pairs import PairSampler
 from repro.data.activities import Activity
 from repro.data.sensors import default_sensor_suite
 from repro.data.synthetic import SyntheticSensorGenerator
 from repro.features.extractor import StatisticalFeatureExtractor
-from repro.nn.layers import build_mlp
 
 
 @pytest.fixture(scope="module")
@@ -50,12 +49,19 @@ def test_feature_extraction_throughput(benchmark, raw_windows):
 
 
 def test_backbone_forward_backward(benchmark):
-    network = build_mlp([80, 128, 64, 32], rng=0)
+    """One training step, as production runs it: ``training_loss`` (the
+    backbone and PILOTE's objective in one op) and its ``backward``."""
+    network = EmbeddingNetwork(
+        80, config=PiloteConfig(hidden_dims=(128, 64), embedding_dim=32, seed=0)
+    )
     batch = np.random.default_rng(0).normal(size=(64, 80))
+    pairs = PairSampler(256, rng=0).sample(np.arange(64) % 4)
 
     def step():
         network.zero_grad()
-        loss = (network(Tensor(batch)) ** 2).mean()
+        loss = network.training_loss(
+            batch, left=pairs.left, right=pairs.right, same_class=pairs.same_class
+        )
         loss.backward()
         return float(loss.data)
 
@@ -64,10 +70,10 @@ def test_backbone_forward_backward(benchmark):
 
 
 def test_paper_scale_backbone_forward(benchmark):
-    network = build_mlp([80, 1024, 512, 128, 64, 128], rng=0)
-    network.eval()
+    """Inference through the paper's backbone, as every serving path runs it."""
+    network = EmbeddingNetwork(80, config=PiloteConfig(seed=0))
     batch = np.random.default_rng(0).normal(size=(64, 80))
-    out = benchmark(lambda: network(Tensor(batch)).data)
+    out = benchmark(lambda: network.embed(batch))
     assert out.shape == (64, 128)
 
 

@@ -57,7 +57,7 @@ N_WORKERS = int(os.environ.get("BENCH_WORKERS", "4"))
 
 #: Homogeneous simulation node: generous budgets, reference-speed compute.
 SIM_NODE = DeviceProfile(
-    "sim-node", storage_bytes=256 * 2**20, memory_bytes=2**30, relative_compute=1.0
+    "sim-node", storage_bytes=256 * 2**20, relative_compute=1.0
 )
 
 #: The serving learner of the serial bit-exactness gate.

@@ -36,7 +36,7 @@ from repro.control import (
     run_chaos,
 )
 from repro.fleet import TrafficGenerator, WorkloadSpec
-from repro.server.simulation import build_serving_fleet, make_serving_learner
+from repro.server.simulation import build_serving_fleet
 from repro.serving import serve
 
 N_FEATURES = 80

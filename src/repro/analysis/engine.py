@@ -67,16 +67,6 @@ class Finding:
             "message": self.message,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Finding":
-        return cls(
-            rule_id=payload["rule_id"],
-            path=payload["path"],
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-            message=payload["message"],
-        )
-
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
 

@@ -22,14 +22,13 @@ Shipped rules
     :class:`~repro.exceptions.ConfigurationError`) subclass; bare ``except:``
     and silent ``except Exception: pass`` are banned.
 ``repro-registry``
-    Concrete ``Executor``/``Controller``/``RoutingPolicy`` implementations
+    Concrete ``Executor``/``RoutingPolicy`` implementations
     must appear in their registry dict and their package ``__all__``.
 ``repro-lock-callback``
     No user-callback invocation inside a ``with <lock>:`` block — the
     deadlock class the scheduler/executor dodged by hand.
-``repro-roundtrip``
-    Public dataclasses with ``to_dict`` must define a field-complete
-    ``from_dict``.
+``repro-export``
+    A public dataclass's ``to_dict`` names each of its public fields.
 ``repro-unused``
     Every function, class and method is referenced somewhere in the tree
     beyond its definition, imports and ``__all__``.
@@ -137,6 +136,6 @@ from repro.analysis.rules import clock as _clock  # noqa: E402,F401
 from repro.analysis.rules import errors as _errors  # noqa: E402,F401
 from repro.analysis.rules import registries as _registries  # noqa: E402,F401
 from repro.analysis.rules import locks as _locks  # noqa: E402,F401
-from repro.analysis.rules import roundtrip as _roundtrip  # noqa: E402,F401
+from repro.analysis.rules import export as _export  # noqa: E402,F401
 from repro.analysis.rules import unused as _unused  # noqa: E402,F401
 from repro.analysis.rules import imports as _imports  # noqa: E402,F401

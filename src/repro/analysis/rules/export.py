@@ -1,16 +1,15 @@
-"""R6 ``repro-roundtrip``: ``to_dict`` dataclasses round-trip via ``from_dict``.
+"""R6 ``repro-export``: a ``to_dict`` names every field it exports.
 
-Public dataclasses that serialize themselves with ``to_dict`` (reports,
-findings, chaos ledgers) feed JSON artifacts consumed by later sessions and
-CI diffs; without a field-complete ``from_dict`` the round trip silently
-drops fields the moment someone adds one.  The rule checks, per public
-``@dataclass`` defining ``to_dict``:
-
-* a ``from_dict`` (class- or static-method) exists, and
-* every public field (annotated assignment, not ``ClassVar``, not declared
-  ``field(..., repr=False)`` — the convention here for derived/bulky state
-  excluded from serialization) appears as a string literal in *both* method
-  bodies.
+Public dataclasses that export themselves with ``to_dict`` (reports,
+findings, chaos ledgers) feed the server's stats frame, ``pilote lint
+--format json`` and the benchmark JSON that CI diffs; a field added to the
+class but not to ``to_dict`` silently drops out of all of them.  The rule
+checks, per public ``@dataclass`` defining ``to_dict``, that every public
+field (annotated assignment, not ``ClassVar``, not declared
+``field(..., repr=False)`` — the convention here for derived/bulky state
+excluded from the export) appears as a string literal in its body.
+Nothing reads an export back; a reader lands with its caller, and
+``repro-unused`` flags one that has none.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import List, Optional, Set
 from repro.analysis.engine import FileContext, Finding
 from repro.analysis.rules import Rule, register_rule
 
-__all__ = ["RoundTripRule"]
+__all__ = ["ExportRule"]
 
 
 def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
@@ -72,37 +71,27 @@ def _string_literals(node: ast.AST) -> Set[str]:
 
 
 @register_rule
-class RoundTripRule(Rule):
-    rule_id = "repro-roundtrip"
-    description = (
-        "public dataclasses with to_dict must define a field-complete "
-        "from_dict (round-trip serialization)"
-    )
+class ExportRule(Rule):
+    rule_id = "repro-export"
+    description = "public dataclasses with to_dict must name every public field in it"
     visits = (ast.ClassDef,)
 
     def visit(self, node, context: FileContext) -> List[Finding]:
         if node.name.startswith("_") or not _is_dataclass_decorated(node):
             return []
-        methods = {
-            stmt.name: stmt
-            for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        to_dict = methods.get("to_dict")
+        to_dict = next(
+            (
+                stmt
+                for stmt in node.body
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and stmt.name == "to_dict"
+            ),
+            None,
+        )
         if to_dict is None:
             return []
-        from_dict = methods.get("from_dict")
-        if from_dict is None:
-            return [
-                self.finding(
-                    node,
-                    context,
-                    f"dataclass {node.name} defines to_dict but no from_dict; "
-                    "serialization must round-trip",
-                )
-            ]
-
-        serialized_fields = [
+        mentioned = _string_literals(to_dict)
+        missing = [
             stmt.target.id
             for stmt in node.body
             if isinstance(stmt, ast.AnnAssign)
@@ -110,18 +99,15 @@ class RoundTripRule(Rule):
             and not stmt.target.id.startswith("_")
             and not _annotation_is_classvar(stmt.annotation)
             and not _is_repr_false_field(stmt.value)
+            and stmt.target.id not in mentioned
         ]
-        findings: List[Finding] = []
-        for method_name, method in (("to_dict", to_dict), ("from_dict", from_dict)):
-            mentioned = _string_literals(method)
-            missing = [name for name in serialized_fields if name not in mentioned]
-            if missing:
-                findings.append(
-                    self.finding(
-                        method,
-                        context,
-                        f"{node.name}.{method_name} does not mention field(s) "
-                        f"{', '.join(missing)}; the round trip drops them",
-                    )
-                )
-        return findings
+        if not missing:
+            return []
+        return [
+            self.finding(
+                to_dict,
+                context,
+                f"{node.name}.to_dict does not mention field(s) "
+                f"{', '.join(missing)}; the export drops them",
+            )
+        ]

@@ -85,16 +85,6 @@ class AccessRecord:
             "op": self.op,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AccessRecord":
-        return cls(
-            thread_id=int(payload["thread_id"]),
-            thread_name=payload["thread_name"],
-            target=payload["target"],
-            field=payload["field"],
-            op=payload["op"],
-        )
-
 
 class AccessLog:
     """Thread-safe bounded log of writes plus single-writer bookkeeping.

@@ -35,7 +35,7 @@ delivery (``--chaos-scenario`` narrows it to one scenario).
 ``pilote lint`` runs the repo's own static invariant linter
 (:mod:`repro.analysis`) over ``src/repro`` — seeded-RNG discipline, the
 simulated-vs-wall clock split, the typed serving-error taxonomy, registry
-completeness, lock/callback ordering, ``to_dict``/``from_dict`` round-trips —
+completeness, lock/callback ordering, field-complete ``to_dict`` exports —
 and exits non-zero on findings; ``--format json`` emits a machine-readable
 report and ``--select`` narrows the run to a comma-separated rule-id list.
 ``pilote chaos --sanitize`` (or ``REPRO_SANITIZE=1``) runs the failure suite

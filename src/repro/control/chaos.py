@@ -288,18 +288,6 @@ class ChaosRunReport:
             "exactly_once": self.exactly_once,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ChaosRunReport":
-        keys = (
-            "name", "scenario", "adaptive", "seed", "sent", "answered",
-            "failed", "unresolved", "double_fired", "server_requests",
-            "hedges_fired", "cancelled", "deadline_attainment",
-            "failed_by_type", "sanitized", "sanitizer_violations",
-        )
-        data = {key: payload[key] for key in keys if key in payload}
-        data["failed_by_type"] = dict(data.get("failed_by_type", {}))
-        return cls(**data)  # type: ignore[arg-type]
-
     def to_text(self) -> str:
         verdict = "OK" if self.exactly_once else "VIOLATED"
         parts = [

@@ -104,14 +104,6 @@ class HedgeStats:
             "losers_failed": self.losers_failed,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, int]) -> "HedgeStats":
-        keys = (
-            "fired", "primary_wins", "hedge_wins", "pairs_failed",
-            "losers_cancelled", "losers_served", "losers_failed",
-        )
-        return cls(**{key: int(payload.get(key, 0)) for key in keys})
-
 
 class HedgedResult(PendingResult):
     """First-completion-wins pair of attempts for one logical request.

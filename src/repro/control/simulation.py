@@ -9,7 +9,7 @@ answer a future.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.control.chaos import CHAOS_SCENARIOS, ChaosRunReport, run_suite
 from repro.exceptions import ConfigurationError
@@ -53,28 +53,6 @@ class ChaosSuiteResult:
     def passed(self) -> bool:
         """The suite verdict: exactly-once held and the sanitizer is clean."""
         return self.all_exactly_once and self.sanitizer_clean
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "adaptive_runs": [run.to_dict() for run in self.adaptive_runs],
-            "static_runs": [run.to_dict() for run in self.static_runs],
-            "all_exactly_once": self.all_exactly_once,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ChaosSuiteResult":
-        return cls(
-            seed=int(payload["seed"]),  # type: ignore[arg-type]
-            adaptive_runs=[
-                ChaosRunReport.from_dict(run)
-                for run in payload.get("adaptive_runs", [])  # type: ignore[union-attr]
-            ],
-            static_runs=[
-                ChaosRunReport.from_dict(run)
-                for run in payload.get("static_runs", [])  # type: ignore[union-attr]
-            ],
-        )
 
     def to_text(self) -> str:
         lines = [

@@ -114,27 +114,20 @@ class ExemplarStore:
     The store keeps the raw feature rows (not embeddings) so that exemplars can
     be re-embedded whenever the model changes, exactly as Algorithm 1 requires.
 
+    The cache budget ``K`` is :attr:`PiloteConfig.cache_size`; callers pass
+    each class's share to :meth:`select` as ``n_exemplars``.
+
     Parameters
     ----------
-    capacity:
-        Total cache size ``K``; ``None`` means unbounded (used by ablations).
     strategy:
         ``"herding"`` or ``"random"``.
     rng:
         Seed or generator for random selection.
     """
 
-    def __init__(
-        self,
-        capacity: Optional[int] = None,
-        strategy: str = "herding",
-        rng: RandomState = None,
-    ) -> None:
-        if capacity is not None and capacity <= 0:
-            raise DataError(f"capacity must be positive, got {capacity}")
+    def __init__(self, strategy: str = "herding", rng: RandomState = None) -> None:
         if strategy not in ("herding", "random"):
             raise DataError(f"strategy must be 'herding' or 'random', got {strategy!r}")
-        self.capacity = capacity
         self.strategy = strategy
         self._rng = resolve_rng(rng)
         self._exemplars: Dict[int, np.ndarray] = {}
@@ -154,16 +147,6 @@ class ExemplarStore:
         """Mapping ``class id → number of stored exemplars``."""
         return {class_id: rows.shape[0] for class_id, rows in self._exemplars.items()}
 
-    def per_class_budget(self) -> Optional[int]:
-        """``m = K / n_classes`` over the stored classes (Algorithm 1, line 1).
-
-        ``None`` when unbounded; an empty store grants one class the whole
-        capacity.
-        """
-        if self.capacity is None:
-            return None
-        return max(self.capacity // max(len(self._exemplars), 1), 1)
-
     # ------------------------------------------------------------------ #
     def select(
         self,
@@ -172,15 +155,14 @@ class ExemplarStore:
         embeddings: np.ndarray,
         n_exemplars: Optional[int] = None,
     ) -> np.ndarray:
-        """Select and store exemplars for one class; returns the chosen indices."""
+        """Select and store exemplars for one class; returns the chosen indices.
+
+        ``n_exemplars=None`` keeps every row.
+        """
         features = get_backend().asarray(features)
         if features.ndim != 2 or features.shape[0] == 0:
             raise DataError(f"features for class {class_id} must be a non-empty 2-D array")
-        budget = n_exemplars
-        if budget is None:
-            budget = self.per_class_budget()
-        if budget is None:
-            budget = features.shape[0]
+        budget = features.shape[0] if n_exemplars is None else n_exemplars
         if self.strategy == "herding":
             indices = herding_selection(features, embeddings, budget)
         else:

@@ -63,7 +63,6 @@ def pilote_state(learner: PILOTE) -> tuple:
         "old_classes": list(learner.old_classes),
         "new_classes": list(learner.new_classes),
         "exemplar_strategy": learner.exemplars.strategy,
-        "exemplar_capacity": learner.exemplars.capacity,
     }
     return state, metadata
 
@@ -119,7 +118,6 @@ def pilote_from_state(state: dict, metadata: dict, *, seed: RandomState = None) 
     learner._old_classes = [int(c) for c in metadata["old_classes"]]
     learner._new_classes = [int(c) for c in metadata["new_classes"]]
     learner.exemplars.strategy = metadata.get("exemplar_strategy", config.exemplar_strategy)
-    learner.exemplars.capacity = metadata.get("exemplar_capacity")
     for key, value in state.items():
         if key.startswith("exemplars/"):
             learner.exemplars.set_exemplars(int(key.split("/")[1]), value, copy=False)

@@ -66,11 +66,7 @@ class PILOTE:
         self.config = config or PiloteConfig()
         self._rng = resolve_rng(seed if seed is not None else self.config.seed)
         self.model: Optional[EmbeddingNetwork] = None
-        self.exemplars = ExemplarStore(
-            capacity=self.config.cache_size,
-            strategy=self.config.exemplar_strategy,
-            rng=self._rng,
-        )
+        self.exemplars = ExemplarStore(strategy=self.config.exemplar_strategy, rng=self._rng)
         self.prototypes = PrototypeStore(embedding_dim=self.config.embedding_dim)
         self.classifier = NCMClassifier()
         self._old_classes: List[int] = []
@@ -186,11 +182,7 @@ class PILOTE:
         if dataset is None:
             raise DataError("no dataset available to build the support set from")
         strategy = strategy or self.config.exemplar_strategy
-        self.exemplars = ExemplarStore(
-            capacity=self.config.cache_size if per_class is None else None,
-            strategy=strategy,
-            rng=self._rng,
-        )
+        self.exemplars = ExemplarStore(strategy=strategy, rng=self._rng)
         classes = [int(c) for c in dataset.classes]
         budget = per_class
         if budget is None:

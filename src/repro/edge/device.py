@@ -45,8 +45,6 @@ class DeviceProfile:
         Identifier (e.g. ``"smartphone"``, ``"wearable"``).
     storage_bytes:
         Persistent storage available for the model and support set.
-    memory_bytes:
-        Working memory available during training.
     relative_compute:
         Compute speed relative to the reference machine (1.0 = same
         speed).  It divides measured epoch time to extrapolate training
@@ -57,13 +55,12 @@ class DeviceProfile:
 
     name: str
     storage_bytes: int
-    memory_bytes: int
     relative_compute: float = 1.0
     compute_dtype: str = "float32"
 
     def __post_init__(self) -> None:
-        if self.storage_bytes <= 0 or self.memory_bytes <= 0:
-            raise EdgeResourceError("storage and memory budgets must be positive")
+        if self.storage_bytes <= 0:
+            raise EdgeResourceError("the storage budget must be positive")
         if self.relative_compute <= 0:
             raise EdgeResourceError("relative_compute must be positive")
         if self.compute_dtype not in ("float32", "float64"):
@@ -74,12 +71,9 @@ class DeviceProfile:
 
 #: A handful of representative device profiles used in examples and benchmarks.
 DEVICE_PROFILES: Dict[str, DeviceProfile] = {
-    "smartphone": DeviceProfile("smartphone", storage_bytes=64 * 2**20, memory_bytes=512 * 2**20,
-                                relative_compute=0.5),
-    "wearable": DeviceProfile("wearable", storage_bytes=8 * 2**20, memory_bytes=64 * 2**20,
-                              relative_compute=0.1),
-    "raspberry-pi": DeviceProfile("raspberry-pi", storage_bytes=128 * 2**20, memory_bytes=1024 * 2**20,
-                                  relative_compute=0.3),
+    "smartphone": DeviceProfile("smartphone", storage_bytes=64 * 2**20, relative_compute=0.5),
+    "wearable": DeviceProfile("wearable", storage_bytes=8 * 2**20, relative_compute=0.1),
+    "raspberry-pi": DeviceProfile("raspberry-pi", storage_bytes=128 * 2**20, relative_compute=0.3),
 }
 
 

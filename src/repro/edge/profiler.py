@@ -77,34 +77,6 @@ class LatencyReport:
             report[f"{phase}_seconds"] = self.phase_seconds[phase]
         return report
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "epochs_run": self.epochs_run,
-            "total_seconds": self.total_seconds,
-            "epoch_seconds": list(self.epoch_seconds),
-            "inference_seconds_per_window": self.inference_seconds_per_window,
-            "support_set_bytes": self.support_set_bytes,
-            "model_bytes": self.model_bytes,
-            "phase_seconds": dict(self.phase_seconds),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "LatencyReport":
-        return cls(
-            epochs_run=int(payload["epochs_run"]),
-            total_seconds=float(payload["total_seconds"]),
-            epoch_seconds=[float(v) for v in payload.get("epoch_seconds", [])],
-            inference_seconds_per_window=float(
-                payload.get("inference_seconds_per_window", 0.0)
-            ),
-            support_set_bytes=int(payload.get("support_set_bytes", 0)),
-            model_bytes=int(payload.get("model_bytes", 0)),
-            phase_seconds={
-                str(phase): float(value)
-                for phase, value in dict(payload.get("phase_seconds", {})).items()
-            },
-        )
-
 
 #: Test windows one inference-latency measurement predicts.
 INFERENCE_BATCH = 256

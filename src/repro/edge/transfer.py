@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class TransferPackage:
     # Support-set policy of the source learner, so an instantiated device
     # learner manages its exemplars exactly as the cloud learner would.
     exemplar_strategy: str = "herding"
-    exemplar_capacity: Optional[int] = None
 
     @property
     def weights_token(self) -> object:
@@ -112,7 +111,6 @@ class TransferPackage:
             "old_classes": sorted(int(c) for c in self.prototypes),
             "new_classes": [],
             "exemplar_strategy": self.exemplar_strategy,
-            "exemplar_capacity": self.exemplar_capacity,
         }
         learner = pilote_from_state(state, metadata, seed=seed)
         learner.model.weights_token = self.weights_token
@@ -137,7 +135,6 @@ def package_for_edge(learner: PILOTE) -> TransferPackage:
         support_set_bytes=learner.support_set_nbytes(),
         prototype_bytes=learner.prototypes.nbytes(),
         exemplar_strategy=learner.exemplars.strategy,
-        exemplar_capacity=learner.exemplars.capacity,
     )
 
 

@@ -271,28 +271,6 @@ class LoadReport:
             data["server_stats"] = self.server_stats
         return data
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "LoadReport":
-        """Rebuild a report from :meth:`to_dict` output.
-
-        Derived metrics (throughput, percentiles) are recomputed, not
-        restored; the raw ``e2e_ms`` samples are ``repr=False`` state and do
-        not travel, so a round-tripped report keeps its summary numbers but
-        not per-request latencies.
-        """
-        return cls(
-            connections=int(payload["connections"]),
-            window=int(payload["window"]),
-            sent=int(payload.get("sent", 0)),
-            answered=int(payload.get("answered", 0)),
-            failed_by_type=dict(payload.get("failed_by_type", {})),
-            wall_seconds=float(payload.get("wall_seconds", 0.0)),
-            windows_answered=int(payload.get("windows_answered", 0)),
-            deadline_missed=int(payload.get("deadline_missed", 0)),
-            slo_target_ms=payload.get("slo_target_ms"),
-            server_stats=payload.get("server_stats"),
-        )
-
     def to_text(self) -> str:
         lines = [
             "closed-loop load against the serving front door",

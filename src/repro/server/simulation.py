@@ -41,7 +41,7 @@ logger = get_logger("server.simulation")
 
 #: Homogeneous simulation node (generous budgets, reference-speed compute).
 SIM_NODE = DeviceProfile(
-    "sim-node", storage_bytes=256 * 2**20, memory_bytes=2**30, relative_compute=1.0
+    "sim-node", storage_bytes=256 * 2**20, relative_compute=1.0
 )
 
 #: Serving-only backbone: wide enough that batches do real work, small

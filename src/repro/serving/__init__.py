@@ -20,7 +20,7 @@ front door:
   (``DeviceStats.deadline_misses``, ``RoutingReport.slo_attainment``);
 * **report** (:mod:`repro.serving.report`) — the per-device
   :class:`DeviceStats` rows and the fleet-level :class:`RoutingReport` the
-  scheduler produces, with ``to_dict``/``from_dict`` round-trips;
+  scheduler produces, exported with ``to_dict``;
 * **executor** (:mod:`repro.serving.executor`) — pluggable batch execution
   behind the scheduler (:data:`EXECUTORS`): :class:`SerialExecutor`
   (inline on the simulated clock, the default; only its drain embeds the

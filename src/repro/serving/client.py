@@ -58,7 +58,6 @@ __all__ = ["ServingClient", "serve", "LocalServingDevice", "IN_PROCESS_PROFILE"]
 IN_PROCESS_PROFILE = DeviceProfile(
     "in-process",
     storage_bytes=2**30,
-    memory_bytes=2**30,
     relative_compute=1.0,
 )
 

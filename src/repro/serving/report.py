@@ -9,9 +9,9 @@ FLOPs per row, scaled by the profile's ``relative_compute``), and devices
 drain their queues *in parallel* in simulated time.  Aggregate fleet
 throughput is therefore ``total_windows / makespan`` where the makespan is
 the latest completion time across devices — the quantity
-``benchmarks/bench_fleet.py`` gates on.  Both types serialise through
-``to_dict``/``from_dict`` for the network server's stats endpoint and the
-benchmark artifacts.
+``benchmarks/bench_fleet.py`` gates on.  Both types export through
+``to_dict`` for the network server's stats endpoint and the benchmark
+artifacts; nothing reads an export back into a report.
 """
 
 from __future__ import annotations
@@ -99,18 +99,6 @@ class DeviceStats:
         if len(recent) > 2 * ROLLING_WINDOW:
             del recent[: len(recent) - ROLLING_WINDOW]
 
-    def summary(self) -> Dict[str, float]:
-        return {
-            "requests": float(self.requests),
-            "windows": float(self.windows),
-            "batches": float(self.batches),
-            "busy_seconds": self.busy_seconds,
-            "throughput": self.throughput,
-            "mean_latency_seconds": self.mean_latency_seconds,
-            "max_queue_depth": float(self.max_queue_depth),
-            "deadline_misses": float(self.deadline_misses),
-        }
-
     # -- serialization -------------------------------------------------- #
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready view of this row (native python scalars only).
@@ -140,31 +128,6 @@ class DeviceStats:
             "throughput": float(self.throughput),
             "mean_latency_seconds": float(self.mean_latency_seconds),
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "DeviceStats":
-        """Rebuild a row from :meth:`to_dict` output.
-
-        Derived keys are ignored, except the exported rolling pair: the
-        window is rebuilt from ``rolling_window`` outcomes of which
-        ``rolling_deadline_attainment`` met their deadline.  Their order
-        does not travel, so the rebuilt window lists the hits first.
-        """
-        fields = {
-            key: data[key]
-            for key in (
-                "device_id", "profile", "requests", "windows", "batches",
-                "busy_seconds", "wall_seconds", "total_latency_seconds",
-                "max_queue_depth", "available_at", "deadline_requests",
-                "deadline_misses", "failures", "queue_depth", "clock",
-            )
-            if key in data
-        }
-        window = int(data.get("rolling_window", 0))
-        hits = round(float(data.get("rolling_deadline_attainment", 1.0)) * window)
-        fields["recent_deadlines"] = [1] * hits + [0] * (window - hits)
-        return cls(**fields)  # type: ignore[arg-type]
-
 
 @dataclass
 class RoutingReport:
@@ -236,7 +199,7 @@ class RoutingReport:
         Needs per-request latencies, which the scheduler records over its
         most recent window per device (see
         ``repro.serving.scheduler.LATENCY_HISTORY_CAP``); returns 0.0 for a
-        report without them, such as one restored by :meth:`from_dict`.
+        report without them.
         """
         samples = [
             latency
@@ -325,10 +288,9 @@ class RoutingReport:
         ratio consistent on runs long enough to trim the history — the
         window can no longer over-weight expiries against a truncated
         served count.  Exact (not estimated) for reports whose history has
-        not trimmed; a report without per-request history (one restored by
-        :meth:`from_dict`) stays vacuously ``1.0`` with nothing expired or
-        failed, and otherwise the absent samples contribute zero
-        served-within credit.
+        not trimmed; a report without per-request history stays vacuously
+        ``1.0`` with nothing expired or failed, and otherwise the absent
+        samples contribute zero served-within credit.
         """
         sampled = 0
         within = 0
@@ -347,18 +309,6 @@ class RoutingReport:
             return 1.0
         served_within = within / sampled * self.total_requests if sampled else 0.0
         return served_within / resolved
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "devices": float(len(self.per_device)),
-            "total_requests": float(self.total_requests),
-            "total_windows": float(self.total_windows),
-            "makespan_seconds": self.makespan_seconds,
-            "aggregate_throughput": self.aggregate_throughput,
-            "total_expired": float(self.total_expired),
-            "total_failed": float(self.total_failed),
-            "deadline_misses": float(self.total_deadline_misses),
-        }
 
     # -- serialization -------------------------------------------------- #
     def to_dict(
@@ -414,27 +364,3 @@ class RoutingReport:
                 key: int(value) for key, value in sync_stats.items()
             }
         return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RoutingReport":
-        """Rebuild a report from :meth:`to_dict` output.
-
-        Lossy where the export is: per-request latency histories do not
-        travel, so percentile/SLO views on the restored report fall back to
-        their no-history behaviour; every counter, per-device row and
-        derived aggregate that *did* travel is restored exactly.
-        """
-        per_device = {
-            int(device_id): DeviceStats.from_dict(row)
-            for device_id, row in dict(data.get("per_device", {})).items()
-        }
-        return cls(
-            per_device=per_device,
-            total_requests=int(data.get("total_requests", 0)),
-            total_windows=int(data.get("total_windows", 0)),
-            total_expired=int(data.get("total_expired", 0)),
-            total_rejected=int(data.get("total_rejected", 0)),
-            total_failed=int(data.get("total_failed", 0)),
-            total_cancelled=int(data.get("total_cancelled", 0)),
-            resolved_requests=int(data.get("resolved_requests", 0)),
-        )

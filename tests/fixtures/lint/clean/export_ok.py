@@ -1,21 +1,18 @@
-"""Fixture: a to_dict dataclass whose from_dict restores every field."""
+"""Fixture: a to_dict dataclass that exports every field, with no reader."""
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import ClassVar, List
 
 
 @dataclass
-class RoundTripReport:
+class ExportedReport:
     sent: int = 0
     answered: int = 0
     samples: List[float] = field(default_factory=list, repr=False)
+    UNITS: ClassVar[str] = "requests"
 
     def to_dict(self):
         return {"sent": self.sent, "answered": self.answered}
-
-    @classmethod
-    def from_dict(cls, payload):
-        return cls(sent=payload["sent"], answered=payload["answered"])
 
 
 @dataclass
@@ -25,4 +22,4 @@ class DisplayOnly:
     label: str = ""
 
 
-EXPORTS = (RoundTripReport.to_dict, RoundTripReport.from_dict, DisplayOnly)
+EXPORTS = (ExportedReport.to_dict, DisplayOnly)

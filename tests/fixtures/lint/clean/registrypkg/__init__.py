@@ -1,3 +1,3 @@
 """Fixture package: registry and __all__ both complete."""
 
-__all__ = ["CompleteController"]
+__all__ = ["CompletePolicy"]

@@ -1,18 +1,18 @@
 """Fixture: concrete class present in both the registry and __all__."""
 
 
-class Controller:
+class RoutingPolicy:
     name = "abstract"
 
 
-class CompleteController(Controller):
+class CompletePolicy(RoutingPolicy):
     name = "complete"
 
 
-class OptOutController(Controller):  # repro: noqa[repro-registry] fixture opt-out
+class OptOutPolicy(RoutingPolicy):  # repro: noqa[repro-registry] fixture opt-out
     name = "opt-out"
 
 
-CONTROLLERS = {CompleteController.name: CompleteController}
+ROUTING_POLICIES = {CompletePolicy.name: CompletePolicy}
 
-OPTED_OUT = (OptOutController,)
+OPTED_OUT = (OptOutPolicy,)

@@ -1,12 +1,12 @@
 """Fixture: in the registry dict but missing from the package __all__."""
 
 
-class Controller:
+class RoutingPolicy:
     name = "abstract"
 
 
-class ShadowController(Controller):
+class ShadowPolicy(RoutingPolicy):
     name = "shadow"
 
 
-CONTROLLERS = {ShadowController.name: ShadowController}
+ROUTING_POLICIES = {ShadowPolicy.name: ShadowPolicy}

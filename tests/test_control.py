@@ -22,7 +22,7 @@ from repro.control import (
     StragglerDevice,
     run_chaos,
 )
-from repro.control.chaos import SLOW_FACTOR, ChaosRunReport
+from repro.control.chaos import SLOW_FACTOR
 from repro.control.hedging import WINDOW
 from repro.core.config import PiloteConfig
 from repro.edge.device import DeviceProfile
@@ -52,8 +52,7 @@ def _profile(seconds):
     """A profile whose 1-row batch takes ``seconds`` on the simulated clock."""
     reference = service_seconds(LocalServingDevice(_answer), 1)
     return DeviceProfile(
-        "slow", storage_bytes=2**20, memory_bytes=2**20,
-        relative_compute=reference / seconds,
+        "slow", storage_bytes=2**20, relative_compute=reference / seconds,
     )
 
 
@@ -633,10 +632,9 @@ class TestRollingStats:
         ):
             assert key in data
         assert data["rolling_deadline_attainment"] == 1.0
-        restored = RoutingReport.from_dict(data)
-        assert restored.total_cancelled == report.total_cancelled
+        assert data["total_cancelled"] == report.total_cancelled
 
-    def test_report_round_trip_keeps_rolling_attainment(self):
+    def test_report_exports_rolling_attainment(self):
         missing = DeviceStats(device_id=0, profile="test")
         for index in range(ROLLING_WINDOW + 44):
             missing.note_deadline(index % 4 == 0)  # attainment 0.25
@@ -648,19 +646,8 @@ class TestRollingStats:
         assert data["per_device"]["0"]["rolling_deadline_attainment"] == 0.25
         assert data["per_device"]["0"]["rolling_window"] == ROLLING_WINDOW
         assert data["per_device"]["1"]["rolling_window"] == 3
+        assert data["per_device"]["1"]["rolling_deadline_attainment"] == pytest.approx(1 / 3)
         assert data["rolling_deadline_attainment"] < 1.0
-        assert RoutingReport.from_dict(data).to_dict() == data
-
-    def test_export_with_a_total_shed_key_still_loads(self):
-        # Exports written while the scheduler still counted shed requests
-        # carry a ``total_shed`` key; loading ignores it.
-        client = _client(1, routing="hash")
-        client.submit_many([_request(u, deadline=100.0) for u in range(4)])
-        client.drain()
-        data = client.report().to_dict()
-        restored = RoutingReport.from_dict({**data, "total_shed": 3})
-        assert restored.to_dict() == RoutingReport.from_dict(data).to_dict()
-        assert "total_shed" not in restored.to_dict()
 
     def test_queue_depth_gauge_tracks_pending(self):
         client = _client(2)
@@ -737,12 +724,6 @@ class TestChaos:
         assert adaptive.hedges_fired > 0
         assert adaptive.answered > static.answered
         assert adaptive.exactly_once and static.exactly_once
-
-    def test_report_with_a_shed_key_still_loads(self):
-        report = run_chaos(CHAOS_SCENARIOS["restart"], adaptive=True)
-        data = report.to_dict()
-        assert "shed" not in data
-        assert ChaosRunReport.from_dict({**data, "shed": 0}) == report
 
     def test_straggler_device_slows_only_while_flagged(self):
         inner = LocalServingDevice(_answer, device_id=0)

@@ -141,8 +141,8 @@ class TestRandomSelection:
 
 
 class TestExemplarStore:
-    def _store_with_two_classes(self, strategy="herding", capacity=20):
-        store = ExemplarStore(capacity=capacity, strategy=strategy, rng=0)
+    def _store_with_two_classes(self, strategy="herding"):
+        store = ExemplarStore(strategy=strategy, rng=0)
         rng = np.random.default_rng(0)
         for class_id in (0, 1):
             rows = rng.normal(class_id * 3.0, 1.0, size=(40, 4))
@@ -155,14 +155,6 @@ class TestExemplarStore:
         assert store.get(0).shape == (10, 4)
         assert sum(store.exemplars_per_class().values()) == 20
         assert store.exemplars_per_class() == {0: 10, 1: 10}
-
-    def test_per_class_budget_follows_algorithm1(self):
-        store = ExemplarStore(capacity=800)
-        assert store.per_class_budget() == 800
-        for class_id in range(4):
-            store.set_exemplars(class_id, np.zeros((1, 3)))
-        assert store.per_class_budget() == 200
-        assert ExemplarStore(capacity=None).per_class_budget() is None
 
     def test_as_dataset_round_trip(self):
         store = self._store_with_two_classes()
@@ -192,8 +184,6 @@ class TestExemplarStore:
 
     def test_invalid_inputs(self):
         with pytest.raises(DataError):
-            ExemplarStore(capacity=0)
-        with pytest.raises(DataError):
             ExemplarStore(strategy="coreset")
         store = ExemplarStore()
         with pytest.raises(DataError):
@@ -203,7 +193,7 @@ class TestExemplarStore:
 
     def test_paper_support_set_size_accounting(self):
         """200 exemplars/class x 4 classes x 80 float32 features < 256 KB."""
-        store = ExemplarStore(capacity=800, strategy="random", rng=0)
+        store = ExemplarStore(strategy="random", rng=0)
         rng = np.random.default_rng(0)
         for class_id in range(4):
             rows = rng.normal(size=(250, 80))

@@ -63,6 +63,19 @@ class TestSupportSet:
         with pytest.raises(NotFittedError):
             PILOTE(tiny_config).build_support_set()
 
+    def test_per_class_budget_follows_algorithm1(self, pilote_copy, tiny_config):
+        # Without an explicit budget each old class keeps K // n_classes rows.
+        pilote_copy.build_support_set()
+        classes = pilote_copy.exemplars.classes
+        budget = tiny_config.cache_size // len(classes)
+        assert budget == 20
+        assert pilote_copy.exemplars.exemplars_per_class() == {c: budget for c in classes}
+
+    def test_new_class_keeps_the_old_classes_budget(self, incremented_pilote):
+        counts = incremented_pilote.exemplars.exemplars_per_class()
+        assert counts[int(Activity.RUN)] == 15
+        assert set(counts.values()) == {15}
+
 
 class TestIncrementalLearning:
     def test_learn_new_class_extends_known_classes(self, incremented_pilote):

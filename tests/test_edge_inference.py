@@ -51,7 +51,7 @@ class TestInferenceEngineCorrectness:
         large = windows[rows] + rng.normal(scale=0.01, size=(rows.size, windows.shape[1]))
         for dtype in ("float64", "float32"):
             device = FleetDevice(0, EdgeDevice(DeviceProfile(
-                "test", storage_bytes=2**30, memory_bytes=2**30, compute_dtype=dtype,
+                "test", storage_bytes=2**30, compute_dtype=dtype,
             )))
             device.adopt(copy.deepcopy(incremented_pilote))
             with precision(dtype):
@@ -171,7 +171,7 @@ class TestEdgeWiring:
         for profile in DEVICE_PROFILES.values():
             assert profile.compute_dtype == "float32"
         with pytest.raises(EdgeResourceError):
-            DeviceProfile("bad", storage_bytes=1, memory_bytes=1, compute_dtype="float16")
+            DeviceProfile("bad", storage_bytes=1, compute_dtype="float16")
 
     def test_device_precision_scope(self):
         device = EdgeDevice()

@@ -254,11 +254,13 @@ class TestNN:
 
 # ---------------------------------------------------------------------- #
 class TestControl:
-    def test_hedge_stats_round_trip(self):
+    def test_hedge_stats_exports_every_counter(self):
         stats = HedgeStats(fired=5, primary_wins=3, hedge_wins=1, pairs_failed=1,
                            losers_cancelled=2, losers_served=1, losers_failed=1)
-        assert HedgeStats.from_dict(stats.to_dict()) == stats
-        assert HedgeStats.from_dict({}) == HedgeStats()
+        assert stats.to_dict() == {
+            "fired": 5, "primary_wins": 3, "hedge_wins": 1, "pairs_failed": 1,
+            "losers_cancelled": 2, "losers_served": 1, "losers_failed": 1,
+        }
 
     @pytest.mark.parametrize(
         "overrides, message",

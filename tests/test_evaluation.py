@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.config import PiloteConfig
 from repro.data.activities import Activity
-from repro.evaluation.protocol import AggregateResult, RepeatedRounds, aggregate_values
+from repro.evaluation.protocol import RepeatedRounds, aggregate_values
 from repro.evaluation.results import MethodResult, ResultTable
 from repro.evaluation.runner import PAPER_METHODS, ExperimentRunner
 from repro.exceptions import ConfigurationError, DataError

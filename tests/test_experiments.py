@@ -5,7 +5,6 @@ useful scale; the shape checks mirror the paper's qualitative claims without
 requiring the paper's absolute numbers.
 """
 
-import numpy as np
 import pytest
 
 from repro.data.activities import Activity

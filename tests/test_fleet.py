@@ -203,10 +203,8 @@ class TestFleetCoordinator:
 
     def test_package_carries_exemplar_policy(self, pretrained_pilote, package, fleet):
         assert package.exemplar_strategy == pretrained_pilote.exemplars.strategy
-        assert package.exemplar_capacity == pretrained_pilote.exemplars.capacity
         device_store = fleet.devices[0].learner.exemplars
         assert device_store.strategy == pretrained_pilote.exemplars.strategy
-        assert device_store.capacity == pretrained_pilote.exemplars.capacity
 
     def test_deploy_gives_independent_learners(self, fleet):
         first, second = fleet.devices[0].learner, fleet.devices[1].learner

@@ -14,8 +14,6 @@ Covers the hierarchical coordinator stack end to end at test scale:
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -32,7 +30,7 @@ N_FEATURES = 20
 CONFIG = PiloteConfig(hidden_dims=(32, 16), embedding_dim=8, cache_size=200, seed=0)
 
 SIM_NODE = DeviceProfile(
-    "sim-node", storage_bytes=256 * 2**20, memory_bytes=2**30, relative_compute=1.0
+    "sim-node", storage_bytes=256 * 2**20, relative_compute=1.0
 )
 
 

@@ -34,9 +34,7 @@ from repro.utils.serialization import load_npz_state, save_npz_state
 
 
 def _profile(dtype: str) -> DeviceProfile:
-    return DeviceProfile(
-        f"node-{dtype}", storage_bytes=2**28, memory_bytes=2**30, compute_dtype=dtype
-    )
+    return DeviceProfile(f"node-{dtype}", storage_bytes=2**28, compute_dtype=dtype)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +107,20 @@ class TestInstantiateIsPiloteFromState:
             restored = pilote_from_state(state, archived)
             assert restored.state_version == 1
             assert np.array_equal(restored.predict(pool), expected)
+
+    def test_archive_with_an_exemplar_capacity_key_loads_the_same(
+        self, pretrained_pilote, pool
+    ):
+        """Archives written while the support-set budget travelled carry an
+        ``exemplar_capacity`` key; loading ignores it."""
+        state, metadata = pilote_state(pretrained_pilote)
+        assert "exemplar_capacity" not in metadata
+        archived = {**metadata, "exemplar_capacity": pretrained_pilote.config.cache_size}
+        _assert_same_learner(
+            pilote_from_state(state, archived, seed=3),
+            pilote_from_state(state, metadata, seed=3),
+            pool,
+        )
 
     @pytest.mark.parametrize(
         "update",

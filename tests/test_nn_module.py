@@ -6,7 +6,7 @@ import pytest
 from repro.autodiff.tensor import Tensor
 from repro.exceptions import SerializationError
 from repro.nn.layers import BatchNorm1d, Linear, ReLU, Sequential
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module
 
 
 class TinyNet(Module):

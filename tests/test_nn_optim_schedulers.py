@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.autodiff.tensor import Tensor
 from repro.backend import precision
 from repro.exceptions import GradientError
 from repro.nn.module import Parameter

@@ -6,7 +6,6 @@ forward pass must hold exactly.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 

@@ -1,7 +1,6 @@
 """Property-based tests for the data substrate: features and splits."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 

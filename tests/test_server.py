@@ -5,7 +5,7 @@ framing violations typed; ``PendingResult.add_done_callback`` fires exactly
 once even when registered after completion (including the admission-rejected
 ``_RejectedResult`` path); a closed serving client rejects new submissions
 and fails — never drops — still-pending futures; ``RoutingReport`` exports
-to/from JSON-able dicts; the asyncio bridge resolves native futures without
+to JSON-able dicts; the asyncio bridge resolves native futures without
 polling; the socket server answers, reports stats, and on graceful shutdown
 settles every received request exactly once (``received == answered +
 failed``) across seeds.
@@ -28,7 +28,6 @@ from repro.exceptions import (
     WireProtocolError,
 )
 from repro.fleet import TrafficGenerator, WorkloadSpec
-from repro.serving import DeviceStats, RoutingReport
 from repro.server import (
     AsyncConnection,
     AsyncServingClient,
@@ -337,27 +336,21 @@ class TestReportExport:
         assert data["sync_stats"] == {"bytes_shipped": 10, "full_syncs": 1}
         assert "sync_stats" not in report.to_dict()
 
-    def test_round_trip_preserves_counters(self):
+    def test_export_carries_counters(self):
         report, _ = self._served_report()
-        rebuilt = RoutingReport.from_dict(report.to_dict())
-        assert rebuilt.total_requests == report.total_requests
-        assert rebuilt.total_windows == report.total_windows
-        assert rebuilt.clock == report.clock
-        assert sorted(rebuilt.per_device) == sorted(report.per_device)
+        data = report.to_dict()
+        assert data["total_requests"] == report.total_requests
+        assert data["total_windows"] == report.total_windows
+        assert data["clock"] == report.clock
+        assert sorted(data["per_device"]) == sorted(map(str, report.per_device))
         for device_id, stats in report.per_device.items():
-            assert rebuilt.per_device[device_id].requests == stats.requests
-            assert rebuilt.per_device[device_id].windows == stats.windows
+            assert data["per_device"][str(device_id)]["requests"] == stats.requests
+            assert data["per_device"][str(device_id)]["windows"] == stats.windows
 
     def test_device_stats_dict_uses_native_scalars(self):
         report, _ = self._served_report()
-        payload = json.dumps(
-            {str(k): v.to_dict() for k, v in report.per_device.items()}
-        )
-        rebuilt = {
-            int(k): DeviceStats.from_dict(v)
-            for k, v in json.loads(payload).items()
-        }
-        assert rebuilt.keys() == report.per_device.keys()
+        exported = {str(k): v.to_dict() for k, v in report.per_device.items()}
+        assert json.loads(json.dumps(exported)) == exported
 
 
 # ---------------------------------------------------------------------- #

@@ -40,8 +40,7 @@ def _scheduler(scheduling="fifo", infer=_answer, n_devices=1, seconds=0.002):
     """Lanes whose 1-row batch takes ``seconds`` on the simulated clock."""
     reference = service_seconds(LocalServingDevice(_answer), 1)
     profile = DeviceProfile(
-        "slow", storage_bytes=2**20, memory_bytes=2**20,
-        relative_compute=reference / seconds,
+        "slow", storage_bytes=2**20, relative_compute=reference / seconds,
     )
     devices = [
         LocalServingDevice(infer, profile=profile, device_id=i)
@@ -207,7 +206,6 @@ class TestSloReporting:
         stats = next(iter(report.per_device.values()))
         assert stats.deadline_requests == 1 and stats.deadline_misses == 1
         assert report.total_deadline_misses == 1
-        assert stats.summary()["deadline_misses"] == 1.0
         breakdown = report.deadline_breakdown()
         assert breakdown == {"served": 0, "missed": 1, "expired": 0, "failed": 0}
 
@@ -292,7 +290,6 @@ class TestFailedBatchAccounting:
         assert report.total_requests == sum(
             s.requests for s in report.per_device.values()
         )
-        assert report.summary()["total_failed"] == 2.0
 
 
 class TestReentrantDrain:
