@@ -76,15 +76,6 @@ class AccessRecord:
     field: str
     op: str  # "write" | "call"
 
-    def to_dict(self) -> dict:
-        return {
-            "thread_id": self.thread_id,
-            "thread_name": self.thread_name,
-            "target": self.target,
-            "field": self.field,
-            "op": self.op,
-        }
-
 
 class AccessLog:
     """Thread-safe bounded log of writes plus single-writer bookkeeping.

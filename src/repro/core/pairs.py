@@ -41,6 +41,20 @@ def upper_triangle(count: int) -> Tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
+@lru_cache(maxsize=16)
+def _row_offsets(count: int) -> np.ndarray:
+    """Where each row's pairs start in ``np.triu_indices(count, k=1)`` order.
+
+    Row i holds the pairs (i, i+1) .. (i, count-1), starting at entry i.
+    Built once per ``count`` and read-only, like :func:`upper_triangle`: a
+    fit draws its validation pairs at one row count every epoch.
+    """
+    rows = np.arange(count - 1)
+    offsets = rows * (2 * count - rows - 1) // 2
+    offsets.flags.writeable = False
+    return offsets
+
+
 @dataclass
 class PairBatch:
     """Index representation of a set of sample pairs within a mini-batch.
@@ -123,9 +137,7 @@ class PairSampler:
             left, right = upper_triangle(count)
         else:
             chosen = self._rng.choice(total, size=self.max_pairs, replace=False)
-            # Row i holds the pairs (i, i+1) .. (i, count-1), starting at offset[i].
-            rows = np.arange(count - 1)
-            offsets = rows * (2 * count - rows - 1) // 2
+            offsets = _row_offsets(count)
             left = np.searchsorted(offsets, chosen, side="right") - 1
             right = chosen - offsets[left] + left + 1
         return PairBatch(left=left, right=right, same_class=labels[left] == labels[right])

@@ -156,13 +156,14 @@ class RoutingReport:
     #: denominators: each cancelled attempt's logical request was answered
     #: exactly once by its winning twin.
     total_cancelled: int = 0
-    #: All-time count of requests resolved one way or another — served +
-    #: expired (incl. rejected) + failed.  Unlike the per-device latency
-    #: history (bounded to ``LATENCY_HISTORY_CAP`` samples), this never
-    #: trims, which keeps :meth:`slo_attainment` consistent on long runs.
-    #: ``0`` (reports built before the counter existed) falls back to the
-    #: sum of the totals above.
-    resolved_requests: int = 0
+
+    @property
+    def resolved_requests(self) -> int:
+        """All-time count of requests resolved one way or another — served +
+        expired (incl. rejected) + failed.  Unlike the per-device latency
+        history (bounded to ``LATENCY_HISTORY_CAP`` samples), this never
+        trims, which keeps :meth:`slo_attainment` consistent on long runs."""
+        return self.total_requests + self.total_expired + self.total_failed
 
     @property
     def clock(self) -> str:
@@ -302,9 +303,7 @@ class RoutingReport:
         if sampled == 0 and self.total_expired + self.total_failed == 0:
             # No latency view and nothing lost: vacuously attained.
             return 1.0
-        resolved = self.resolved_requests or (
-            self.total_requests + self.total_expired + self.total_failed
-        )
+        resolved = self.resolved_requests
         if resolved == 0:
             return 1.0
         served_within = within / sampled * self.total_requests if sampled else 0.0
@@ -337,10 +336,7 @@ class RoutingReport:
             "total_cancelled": int(self.total_cancelled),
             "total_queue_depth": int(self.total_queue_depth),
             "rolling_deadline_attainment": float(self.rolling_deadline_attainment),
-            "resolved_requests": int(
-                self.resolved_requests
-                or self.total_requests + self.total_expired + self.total_failed
-            ),
+            "resolved_requests": int(self.resolved_requests),
             "makespan_seconds": float(self.makespan_seconds),
             "aggregate_throughput": float(self.aggregate_throughput),
             "engine_wall_seconds": float(self.engine_wall_seconds),

@@ -48,8 +48,9 @@ bare ``InferenceEngine.predict`` loop in ``benchmarks/bench_serving.py`` and
 ``benchmarks/bench_deadlines.py``):
 
 * assignment is vectorised per submitted batch (one hash over all user ids
-  for the default policy), and requests are grouped into per-lane batches
-  with numpy, not per-request branching;
+  for the default policy), and requests are grouped into per-lane runs in
+  one Python pass (at the 1-8 requests of a typical submit, numpy calls
+  cost more than the loop);
 * requests sharing a device and an arrival time coalesce into one queue
   entry served by a single engine call — one batch per lane per tick when
   the caller drains tick by tick (under EDF, co-arriving requests additionally
@@ -575,31 +576,36 @@ class _PreparedBatch:
 
 
 def _lane_runs(
-    assignment: np.ndarray, arrivals: np.ndarray, n_lanes: int
+    assignment: Union[np.ndarray, List[int]], arrivals: List[float], n_lanes: int
 ) -> List[Tuple[int, List[int]]]:
     """Request indices grouped into ``(lane, indices)`` runs, in enqueue order.
 
     Lanes ascend; within a lane, requests keep submission order and a new
     run starts wherever the arrival time changes from the previous request
-    of that lane (one run per tick in the common open-loop case).  One
-    stable sort by lane, cut where the lane or the arrival changes, instead
-    of a scan of the whole assignment per lane.
+    of that lane (one run per tick in the common open-loop case).  One pass
+    in submission order extends each lane's open run or opens a new one;
+    only the distinct lanes are sorted.  Plain Python throughout: a submit
+    holds 1-8 requests, where numpy calls on arrays that short cost more
+    than the loop they replace.
     """
-    order = np.argsort(assignment, kind="stable")
-    lanes = assignment[order]
-    if lanes.size and (lanes[0] < 0 or lanes[-1] >= n_lanes):
+    lanes = assignment.tolist() if isinstance(assignment, np.ndarray) else assignment
+    runs_by_lane: Dict[int, List[List[int]]] = {}
+    open_runs: Dict[int, Tuple[float, List[int]]] = {}
+    for index, lane, arrival in zip(itertools.count(), lanes, arrivals):
+        open_run = open_runs.get(lane)
+        if open_run is not None and open_run[0] == arrival:
+            open_run[1].append(index)
+            continue
+        run = [index]
+        open_runs[lane] = (arrival, run)
+        runs_by_lane.setdefault(lane, []).append(run)
+    ordered = sorted(runs_by_lane)
+    if ordered and (ordered[0] < 0 or ordered[-1] >= n_lanes):
         raise RoutingError(
             f"lane assignment out of range [0, {n_lanes}): "
-            f"{int(lanes[0])}..{int(lanes[-1])}"
+            f"{ordered[0]}..{ordered[-1]}"
         )
-    ordered = arrivals[order]
-    cuts = np.flatnonzero((lanes[1:] != lanes[:-1]) | (ordered[1:] != ordered[:-1]))
-    bounds = [0, *(cuts + 1).tolist(), int(order.size)]
-    indices = order.tolist()
-    return [
-        (int(lanes[start]), indices[start:end])
-        for start, end in zip(bounds[:-1], bounds[1:])
-    ]
+    return [(lane, run) for lane in ordered for run in runs_by_lane[lane]]
 
 
 class EventLoopScheduler:
@@ -891,33 +897,15 @@ class EventLoopScheduler:
                 "build a new scheduler — the device count is fixed at construction"
             )
         if self._n_lanes == 1:
-            # Routing is a no-op with a single lane; skip the policy and the
-            # per-request id extraction entirely (the serve(learner),
-            # serve(platform) and one-device-fleet hot path).
-            return self._enqueue_single_lane(requests)
+            # One lane needs no routing: every request goes to lane 0 without
+            # the policy or the per-request id extraction (serve(learner),
+            # serve(platform) and a one-device fleet).
+            return self._enqueue(requests, [0] * len(requests))
         user_ids = np.fromiter(
             (r.user_id for r in requests), dtype=np.int64, count=len(requests)
         )
         assignment = self.policy.assign_batch(requests, user_ids, self)
         return self._enqueue(requests, assignment)
-
-    def _enqueue_single_lane(self, requests: Sequence) -> List[PendingResult]:
-        if not isinstance(requests, list):
-            requests = list(requests)
-        arrivals = np.fromiter(
-            (r.arrival_seconds for r in requests),
-            dtype=np.float64,
-            count=len(requests),
-        )
-        boundaries = np.flatnonzero(np.diff(arrivals)) + 1
-        futures: List[PendingResult] = []
-        start = 0
-        for end in [*boundaries.tolist(), len(requests)]:
-            futures.extend(
-                self._enqueue_segment(0, float(arrivals[start]), requests[start:end])
-            )
-            start = end
-        return futures
 
     def submit_assigned(self, requests: Sequence, assignment: np.ndarray) -> List[PendingResult]:
         """Queue requests with a precomputed lane assignment (deployed-lane routing)."""
@@ -930,14 +918,16 @@ class EventLoopScheduler:
             )
         return self._enqueue(requests, np.asarray(assignment, dtype=np.int64))
 
-    def _enqueue(self, requests: Sequence, assignment: np.ndarray) -> List[PendingResult]:
+    def _enqueue(
+        self, requests: Sequence, assignment: Union[np.ndarray, List[int]]
+    ) -> List[PendingResult]:
+        arrivals = [r.arrival_seconds for r in requests]
+        runs = _lane_runs(assignment, arrivals, self._n_lanes)
+        if len(runs) == 1:
+            # One run holds every request, in submission order.
+            return self._enqueue_segment(runs[0][0], float(arrivals[0]), requests)
         futures: List[Optional[PendingResult]] = [None] * len(requests)
-        arrivals = np.fromiter(
-            (r.arrival_seconds for r in requests),
-            dtype=np.float64,
-            count=len(requests),
-        )
-        for lane, segment in _lane_runs(assignment, arrivals, self._n_lanes):
+        for lane, segment in runs:
             segment_futures = self._enqueue_segment(
                 lane, float(arrivals[segment[0]]), [requests[i] for i in segment]
             )
@@ -1385,9 +1375,10 @@ class EventLoopScheduler:
         matches the sum of the per-device rows — expired, admission-rejected
         and failed requests are reported in ``total_expired`` /
         ``total_rejected`` / ``total_failed`` instead.
-        ``resolved_requests`` is the all-time total across all four
-        outcomes; ``slo_attainment`` weighs its windowed latency samples by
-        it so long runs (past ``LATENCY_HISTORY_CAP``) stay consistent.
+        The report derives ``resolved_requests``, the all-time total
+        across all four outcomes, from those counters; ``slo_attainment``
+        weighs its windowed latency samples by it so long runs (past
+        ``LATENCY_HISTORY_CAP``) stay consistent.
         """
         total_expired = self._total_expired + self._total_rejected
         return RoutingReport(
@@ -1398,5 +1389,4 @@ class EventLoopScheduler:
             total_rejected=self._total_rejected,
             total_failed=self._total_failed,
             total_cancelled=self._total_cancelled,
-            resolved_requests=self._total_requests + total_expired + self._total_failed,
         )

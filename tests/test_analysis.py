@@ -33,7 +33,6 @@ from repro.analysis import (
 )
 from repro.analysis.rules import Rule, register_rule
 from repro.analysis.sanitizer import (
-    AccessRecord,
     RecordingProxy,
     Sanitizer,
     auto_sanitize,
@@ -805,13 +804,6 @@ class TestSanitizer:
             ]
             with pytest.raises(SanitizerViolationError, match="cross-thread"):
                 sanitizer.assert_clean()
-
-    def test_access_record_exports_every_field(self):
-        record = AccessRecord(1, "main", "stats[0]", "requests", "write")
-        assert record.to_dict() == {
-            "thread_id": 1, "thread_name": "main", "target": "stats[0]",
-            "field": "requests", "op": "write",
-        }
 
     def test_auto_sanitize_instruments_new_clients(self):
         with auto_sanitize() as sanitizer:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.ncm import NCMClassifier
-from repro.core.pairs import PairSampler, class_membership
+from repro.core.pairs import PairSampler, _row_offsets, class_membership
 from repro.core.prototypes import PrototypeStore
 from repro.exceptions import DataError, NotFittedError
 
@@ -25,6 +25,25 @@ class TestPairSampler:
         labels = np.zeros(30, dtype=int)
         pairs = PairSampler(max_pairs=10, rng=0).sample(labels)
         assert pairs.left.size == 10
+
+    def test_capped_draw_maps_positions_to_the_upper_triangle(self):
+        # 435 rows: the perfbench increment's validation set.  The table of
+        # row offsets is cached, so two draws at one count share it.
+        labels = np.arange(435) % 7
+        sampler = PairSampler(max_pairs=256, rng=np.random.default_rng(11))
+        twin = np.random.default_rng(11)
+        left, right = np.triu_indices(435, k=1)
+        for _ in range(2):
+            pairs = sampler.sample(labels)
+            chosen = twin.choice(left.size, size=256, replace=False)
+            np.testing.assert_array_equal(pairs.left, left[chosen])
+            np.testing.assert_array_equal(pairs.right, right[chosen])
+            np.testing.assert_array_equal(
+                pairs.same_class, labels[left[chosen]] == labels[right[chosen]]
+            )
+        offsets = _row_offsets(435)
+        with pytest.raises(ValueError):
+            offsets[0] = 1
 
     def test_new_centred_only_involves_new_classes(self):
         labels = np.array([0, 0, 0, 5, 5])

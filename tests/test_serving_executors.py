@@ -437,7 +437,6 @@ class TestSloResolvedRequests:
             per_device={0: stats},
             total_requests=100,
             total_expired=100,
-            resolved_requests=200,
         )
         assert report.slo_attainment(1.0) == pytest.approx(0.5)
 
@@ -449,7 +448,6 @@ class TestSloResolvedRequests:
             total_requests=4,
             total_expired=1,
             total_failed=1,
-            resolved_requests=6,
         )
         # 2 of 4 sampled within target, scaled to 4 served, over 6 resolved.
         assert report.slo_attainment(1.0) == pytest.approx(2 / 6)

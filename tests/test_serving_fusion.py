@@ -665,9 +665,41 @@ class TestOnePassGrouping:
         n_lanes, entries = submission
         assignment = np.array([lane for lane, _, _ in entries], dtype=np.int64)
         arrivals = np.array([arrival for _, arrival, _ in entries])
-        assert _lane_runs(assignment, arrivals, n_lanes) == _per_lane_scan(
-            assignment, arrivals, n_lanes
-        )
+        # Array lanes come from the routing policies, list inputs from a
+        # one-lane submit; both must give the same runs.
+        for lanes, times in (
+            (assignment, arrivals), (assignment.tolist(), arrivals.tolist())
+        ):
+            assert _lane_runs(lanes, times, n_lanes) == _per_lane_scan(
+                assignment, arrivals, n_lanes
+            )
+
+    @pytest.mark.parametrize("scheduling", ["fifo", "edf"])
+    @given(submission=SUBMISSIONS)
+    @settings(max_examples=40, deadline=None)
+    def test_one_lane_submit_many_matches_an_all_zero_assignment(
+        self, scheduling, submission
+    ):
+        _, entries = submission
+        features = np.ones((1, 3))
+        requests = [
+            PredictRequest(
+                user_id=index, features=features, arrival_seconds=arrival,
+                deadline_seconds=None if deadline is None else arrival + deadline,
+            )
+            for index, (_, arrival, deadline) in enumerate(entries)
+        ]
+        states = []
+        for submit in (
+            lambda scheduler: scheduler.submit_many(requests),
+            lambda scheduler: scheduler.submit_assigned(
+                requests, np.zeros(len(requests), dtype=np.int64)
+            ),
+        ):
+            scheduler = EventLoopScheduler([_StubDevice(0)], scheduling=scheduling)
+            scheduler._available_at[:] = 0.5
+            states.append(_queue_state(scheduler, submit(scheduler)))
+        assert states[0] == states[1]
 
     @pytest.mark.parametrize("scheduling", ["fifo", "edf"])
     @given(submission=SUBMISSIONS)
