@@ -24,6 +24,7 @@ else in the library.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -42,6 +43,14 @@ HARMONIC_RATIO = 0.35
 #: Simulated users; each gets a persistent random gain per sensor group,
 #: adding realistic between-subject variance.
 N_USERS = 8
+
+#: Corpora :func:`make_feature_dataset` keeps per process.  The paper's six
+#: experiments build 4 distinct corpora in one process, perfbench one.
+DATASET_CACHE_SIZE = 8
+
+#: ``(counts, seed key)`` → ``(features, labels, label_names, generator state
+#: after the build or None)``, least recently used first.
+_DATASET_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -216,6 +225,13 @@ class SyntheticSensorGenerator:
             signature.gyro_amplitude, signature.gyro_amplitude_std, size=n_windows
         ).clip(0.0, None)
         phases = generator.uniform(0.0, 2 * np.pi, size=n_windows)
+        # The locomotion waveform depends only on per-window draws; each
+        # triaxial group scales it by its own amplitude.
+        base = np.sin(2 * np.pi * frequencies[:, None] * time_axis[None, :] + phases[:, None])
+        harmonic = HARMONIC_RATIO * np.sin(
+            4 * np.pi * frequencies[:, None] * time_axis[None, :] + 2 * phases[:, None]
+        )
+        waveform = base + harmonic
 
         for group_index, group in enumerate(suite.triaxial_groups):
             gains = self._user_gains[users, group_index]
@@ -226,13 +242,7 @@ class SyntheticSensorGenerator:
             # Random orientation of the motion axis per window.
             orientation = generator.normal(0.0, 1.0, size=(n_windows, 3))
             orientation /= np.linalg.norm(orientation, axis=1, keepdims=True) + 1e-12
-            base = np.sin(
-                2 * np.pi * frequencies[:, None] * time_axis[None, :] + phases[:, None]
-            )
-            harmonic = HARMONIC_RATIO * np.sin(
-                4 * np.pi * frequencies[:, None] * time_axis[None, :] + 2 * phases[:, None]
-            )
-            locomotion = (base + harmonic) * amplitude[:, None]
+            locomotion = waveform * amplitude[:, None]
             vibration = signature.vibration_level * np.sin(
                 2 * np.pi * signature.vibration_hz * time_axis[None, :]
                 + generator.uniform(0, 2 * np.pi, size=(n_windows, 1))
@@ -292,25 +302,73 @@ class SyntheticSensorGenerator:
         return np.concatenate(all_windows, axis=0), np.concatenate(all_labels, axis=0)
 
 
+def _cache_key(counts: Dict[Activity, int], seed: RandomState):
+    """The cache key of a corpus with an int or ``Generator`` seed, else ``None``."""
+    if isinstance(seed, np.random.Generator):
+        seed_key = ("generator", _frozen(seed.bit_generator.state))
+    elif isinstance(seed, (int, np.integer)):
+        seed_key = ("int", int(seed))
+    else:
+        return None
+    return tuple((int(activity), count) for activity, count in counts.items()), seed_key
+
+
+def _frozen(value):
+    """A bit-generator state (nested dicts, ints, arrays) as nested tuples."""
+    if isinstance(value, dict):
+        return tuple((key, _frozen(item)) for key, item in value.items())
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    return value
+
+
+def _build_feature_dataset(counts: Dict[Activity, int], seed: RandomState) -> tuple:
+    """Generate and featurise one corpus: the cache entry of :func:`make_feature_dataset`."""
+    suite = default_sensor_suite()
+    generator = SyntheticSensorGenerator(suite=suite, seed=seed)
+    windows, labels = generator.generate_dataset(counts)
+    extractor = StatisticalFeatureExtractor(
+        triaxial_groups=suite.triaxial_groups, sampling_rate_hz=suite.sampling_rate_hz
+    )
+    features = z_score(extractor.transform(windows))
+    label_names = {int(activity): activity.display_name for activity in counts}
+    state = seed.bit_generator.state if isinstance(seed, np.random.Generator) else None
+    return features, labels, label_names, state
+
+
 def make_feature_dataset(samples_per_class=400, *, seed: RandomState = None):
     """End-to-end synthetic pipeline: raw windows → 80 statistical features.
 
     Returns a :class:`repro.data.dataset.HARDataset` whose ``features`` matrix
     has one row per generated window.  The features are z-scored (statistics
     computed over the generated set, mimicking the cloud-side preprocessing).
+
+    An int or ``Generator`` seed is cached per process (the last
+    :data:`DATASET_CACHE_SIZE` corpora, keyed by the counts and the seed's
+    value or full bit-generator state): a repeated build returns copies of
+    the cached arrays and moves a ``Generator`` seed to the state a fresh
+    build leaves it in, so every later draw is unchanged.  ``seed=None`` is
+    never cached.
     """
     from repro.data.dataset import HARDataset  # local import avoids a cycle
 
-    suite = default_sensor_suite()
-    generator = SyntheticSensorGenerator(suite=suite, seed=seed)
     if isinstance(samples_per_class, dict):
-        counts = samples_per_class
+        counts = {Activity(key): int(value) for key, value in samples_per_class.items()}
     else:
-        counts = {activity: int(samples_per_class) for activity in generator.signatures}
-    windows, labels = generator.generate_dataset(counts)
-    extractor = StatisticalFeatureExtractor(
-        triaxial_groups=suite.triaxial_groups, sampling_rate_hz=suite.sampling_rate_hz
+        counts = {activity: int(samples_per_class) for activity in default_signatures()}
+    key = _cache_key(counts, seed)
+    entry = _DATASET_CACHE.get(key)
+    if entry is None:
+        entry = _build_feature_dataset(counts, seed)
+        if key is not None:
+            _DATASET_CACHE[key] = entry
+            if len(_DATASET_CACHE) > DATASET_CACHE_SIZE:
+                _DATASET_CACHE.popitem(last=False)
+    else:
+        _DATASET_CACHE.move_to_end(key)
+    features, labels, label_names, state = entry
+    if state is not None:
+        seed.bit_generator.state = state
+    return HARDataset(
+        features=features.copy(), labels=labels.copy(), label_names=dict(label_names)
     )
-    features = z_score(extractor.transform(windows))
-    label_names = {int(activity): Activity(activity).display_name for activity in counts}
-    return HARDataset(features=features, labels=labels, label_names=label_names)

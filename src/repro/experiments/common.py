@@ -11,6 +11,17 @@ parameter.  Three presets are provided:
 
 Absolute accuracies differ from the paper (synthetic data, different scale) —
 the orderings and crossovers are what the reproduction checks.
+
+The experiments train in the ``"reference"`` dtype profile (float64), not
+the float32 the edge ships.  Every byte-identity gate and CI diff of the
+experiments pins float64 results.  Table 2 at bench scale took 15.9 s in
+float64 against 13.0 s under ``precision("edge")``, and its cells moved by
+up to 0.02, so float32 would buy about 1.2× by changing every recorded number.
+
+Each round's corpus comes from :func:`make_feature_dataset`, which caches
+corpora per process by the round generator's state: Table 2's held-out
+activities, and experiments run in one process, share a round's corpus
+without rebuilding it.
 """
 
 from __future__ import annotations

@@ -35,9 +35,15 @@ STRATEGY_LABELS = {"herding": "repr. exemplars", "random": "random exemplars"}
 
 @dataclass
 class Figure6Result:
-    """Accuracy series per (method, exemplar strategy) over the support-set sweep."""
+    """Accuracy series per (method, exemplar strategy) over the support-set sweep.
+
+    ``exemplar_counts`` are the requested counts; ``effective_counts`` cap
+    each at the largest old class's training rows, the most any support set
+    can hold.  Requested counts with one effective count share one run.
+    """
 
     exemplar_counts: List[int]
+    effective_counts: List[int]
     series: Dict[str, Dict[str, List[AggregateResult]]]
     # series[strategy][method] is a list aligned with exemplar_counts
 
@@ -52,15 +58,16 @@ class Figure6Result:
 
     def to_text(self) -> str:
         lines = ["Figure 6: accuracy vs. number of exemplars per class", ""]
-        header = f"{'exemplars':>10}"
         flat = self.mean_series()
+        width = max(len(name) for name in flat) + 2
+        header = f"{'exemplars':>10}{'effective':>11}"
         for name in flat:
-            header += f"{name:>28}"
+            header += f"{name:>{width}}"
         lines.append(header)
         for index, count in enumerate(self.exemplar_counts):
-            row = f"{count:>10d}"
+            row = f"{count:>10d}{self.effective_counts[index]:>11d}"
             for name in flat:
-                row += f"{flat[name][index]:>28.4f}"
+                row += f"{flat[name][index]:>{width}.4f}"
             lines.append(row)
         lines.append("")
         lines.append(
@@ -83,12 +90,16 @@ def run(
     """Reproduce Figure 6.
 
     The pre-trained model is shared across the whole sweep within a round (as
-    in the paper): only the support set handed to the edge changes.
+    in the paper): only the support set handed to the edge changes.  Each
+    distinct effective count runs once a round: a comparison with a given
+    pre-trained learner draws only from that learner's own RNG, so requested
+    counts that share an effective count get the same accuracies.
     """
     settings = settings or ExperimentSettings.default()
     exemplar_counts = [int(c) for c in exemplar_counts]
     runner = ExperimentRunner(settings.config)
     protocol = RepeatedRounds(settings.n_rounds, seed=settings.seed)
+    effective_counts: List[int] = []
 
     def one_round(rng: np.random.Generator, round_index: int) -> Dict[str, float]:
         dataset = make_dataset(settings, rng=rng)
@@ -96,18 +107,23 @@ def run(
         pretrained = runner.pretrain(
             scenario, exemplars_per_class=max(exemplar_counts), rng=rng
         )
+        largest_class = int(np.bincount(scenario.old_train.labels).max())
+        effective_counts[:] = [min(count, largest_class) for count in exemplar_counts]
         outputs: Dict[str, float] = {}
         for strategy in strategies:
-            for position, count in enumerate(exemplar_counts):
-                comparison = runner.compare(
-                    scenario,
-                    pretrained=pretrained,
-                    exemplars_per_class=count,
-                    exemplar_strategy=strategy,
-                    rng=rng,
-                )
-                for method, result in comparison.methods.items():
-                    outputs[f"{strategy}/{method}/{position}"] = result.accuracy
+            accuracies: Dict[int, Dict[str, float]] = {}
+            for position, count in enumerate(effective_counts):
+                if count not in accuracies:
+                    comparison = runner.compare(
+                        scenario,
+                        pretrained=pretrained,
+                        exemplars_per_class=count,
+                        exemplar_strategy=strategy,
+                        rng=rng,
+                    )
+                    accuracies[count] = comparison.summary()
+                for method, accuracy in accuracies[count].items():
+                    outputs[f"{strategy}/{method}/{position}"] = accuracy
         logger.info("figure6 round %d finished", round_index)
         return outputs
 
@@ -122,4 +138,6 @@ def run(
         }
         for strategy in strategies
     }
-    return Figure6Result(exemplar_counts=exemplar_counts, series=series)
+    return Figure6Result(
+        exemplar_counts=exemplar_counts, effective_counts=effective_counts, series=series
+    )

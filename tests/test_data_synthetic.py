@@ -1,16 +1,30 @@
 """Tests for the synthetic HAR data generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.data import synthetic
 from repro.data.activities import Activity
 from repro.data.sensors import default_sensor_suite
 from repro.data.synthetic import (
+    DATASET_CACHE_SIZE,
     SyntheticSensorGenerator,
     default_signatures,
     make_feature_dataset,
 )
 from repro.exceptions import DataError
+
+
+def cold_build(samples_per_class, seed):
+    """``make_feature_dataset`` with an empty cache, so the corpus is generated."""
+    synthetic._DATASET_CACHE.clear()
+    return make_feature_dataset(samples_per_class, seed=seed)
+
+
+def sha256(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
 
 
 class TestSignatures:
@@ -94,9 +108,9 @@ class TestMakeFeatureDataset:
         assert set(dataset.label_names) == {int(Activity.RUN), int(Activity.WALK)}
 
     def test_same_seed_same_features(self):
-        first = make_feature_dataset(samples_per_class=8, seed=5)
-        second = make_feature_dataset(samples_per_class=8, seed=5)
-        other = make_feature_dataset(samples_per_class=8, seed=6)
+        first = cold_build(samples_per_class=8, seed=5)
+        second = cold_build(samples_per_class=8, seed=5)
+        other = cold_build(samples_per_class=8, seed=6)
         assert np.array_equal(first.features, second.features)
         assert np.array_equal(first.labels, second.labels)
         assert not np.array_equal(first.features, other.features)
@@ -131,3 +145,92 @@ class TestMakeFeatureDataset:
         run_drive = np.linalg.norm(centroid[int(Activity.RUN)] - centroid[int(Activity.DRIVE)])
         assert run_walk < run_still
         assert run_walk < run_drive
+
+
+class TestDatasetCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        synthetic._DATASET_CACHE.clear()
+        yield
+        synthetic._DATASET_CACHE.clear()
+
+    @pytest.mark.parametrize(
+        "samples_per_class, seed, features_sha, labels_sha",
+        [
+            (
+                8,
+                5,
+                "2070cf5b1edda9a0fb3a53ba8239f480d47e6fb965f169048d4893a202df0a4f",
+                "54cea35f96db778a7fb1f68c4ade37e6170e1af2374c4b0f8490de7b99f5abea",
+            ),
+            (
+                25,
+                42,
+                "18a77a59252a17d408b3de8d982a8d1bcafd2948480cae95e9f1c5e19554916f",
+                "4fb323abe5ee90c5a74489d83e36c23ef5c3899a9c83b71a4c360b68288407b3",
+            ),
+        ],
+    )
+    def test_corpus_bytes_are_pinned(self, samples_per_class, seed, features_sha, labels_sha):
+        dataset = make_feature_dataset(samples_per_class, seed=seed)
+        assert sha256(dataset.features) == features_sha
+        assert sha256(dataset.labels) == labels_sha
+
+    def test_hit_equals_cold_build(self):
+        cold = make_feature_dataset(12, seed=4)
+        hit = make_feature_dataset(12, seed=4)
+        assert len(synthetic._DATASET_CACHE) == 1
+        assert np.array_equal(hit.features, cold.features)
+        assert np.array_equal(hit.labels, cold.labels)
+        assert hit.label_names == cold.label_names
+        assert hit.features is not cold.features
+
+    def test_int_counts_and_their_mapping_share_an_entry(self):
+        make_feature_dataset(12, seed=4)
+        make_feature_dataset({activity: 12 for activity in default_signatures()}, seed=4)
+        assert len(synthetic._DATASET_CACHE) == 1
+
+    def test_writes_into_a_returned_dataset_do_not_reach_the_next_hit(self):
+        first = make_feature_dataset(12, seed=4)
+        expected_features = first.features.copy()
+        expected_labels = first.labels.copy()
+        first.features[:] = 0.0
+        first.labels[:] = -1
+        first.label_names.clear()
+        second = make_feature_dataset(12, seed=4)
+        assert np.array_equal(second.features, expected_features)
+        assert np.array_equal(second.labels, expected_labels)
+        assert second.label_names[int(Activity.RUN)] == "Run"
+
+    def test_generator_seed_ends_where_a_cold_build_leaves_it(self):
+        cold_rng = np.random.default_rng(123)
+        cold = make_feature_dataset(12, seed=cold_rng)
+        hit_rng = np.random.default_rng(123)
+        hit = make_feature_dataset(12, seed=hit_rng)
+        assert len(synthetic._DATASET_CACHE) == 1
+        assert np.array_equal(hit.features, cold.features)
+        assert hit_rng.bit_generator.state == cold_rng.bit_generator.state
+        assert np.array_equal(hit_rng.integers(0, 2**62, 8), cold_rng.integers(0, 2**62, 8))
+        assert np.array_equal(hit_rng.normal(size=8), cold_rng.normal(size=8))
+
+    def test_generator_state_is_part_of_the_key(self):
+        rng = np.random.default_rng(123)
+        first = make_feature_dataset(12, seed=rng)
+        # The generator has moved on, so the same object is now a new seed.
+        second = make_feature_dataset(12, seed=rng)
+        assert len(synthetic._DATASET_CACHE) == 2
+        assert not np.array_equal(first.features, second.features)
+
+    def test_none_seed_is_never_cached(self):
+        make_feature_dataset(12, seed=None)
+        make_feature_dataset(12, seed=None)
+        assert len(synthetic._DATASET_CACHE) == 0
+
+    def test_cache_stays_within_its_bound(self):
+        for seed in range(DATASET_CACHE_SIZE + 3):
+            make_feature_dataset(4, seed=seed)
+            assert len(synthetic._DATASET_CACHE) <= DATASET_CACHE_SIZE
+        assert len(synthetic._DATASET_CACHE) == DATASET_CACHE_SIZE
+        # Least recently used entries go first: the three oldest seeds.
+        seeds = [key[1] for key in synthetic._DATASET_CACHE]
+        assert seeds == [("int", seed) for seed in range(3, DATASET_CACHE_SIZE + 3)]

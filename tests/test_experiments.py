@@ -8,6 +8,7 @@ requiring the paper's absolute numbers.
 import pytest
 
 from repro.data.activities import Activity
+from repro.evaluation.runner import ExperimentRunner
 from repro.experiments import ablations, edge_resources, figure4, figure5, figure6, figure7, table2
 from repro.experiments.common import ExperimentSettings, make_dataset
 from repro.exceptions import ConfigurationError
@@ -119,20 +120,23 @@ class TestFigure5:
 
 
 class TestFigure6:
+    SETTINGS = ExperimentSettings(
+        samples_per_class=QUICK.samples_per_class,
+        n_rounds=1,
+        config=QUICK.config,
+        exemplars_per_class=QUICK.exemplars_per_class,
+        seed=11,
+    )
+
     @pytest.fixture(scope="class")
     def result(self):
-        settings = ExperimentSettings.quick(seed=11)
-        settings = ExperimentSettings(
-            samples_per_class=settings.samples_per_class,
-            n_rounds=1,
-            config=settings.config,
-            exemplars_per_class=settings.exemplars_per_class,
-            seed=11,
+        return figure6.run(
+            self.SETTINGS, exemplar_counts=(10, 40), strategies=("herding", "random")
         )
-        return figure6.run(settings, exemplar_counts=(10, 40), strategies=("herding", "random"))
 
     def test_series_structure(self, result):
         assert result.exemplar_counts == [10, 40]
+        assert result.effective_counts == [10, 40]
         assert set(result.series) == {"herding", "random"}
         for methods in result.series.values():
             assert set(methods) == {"pre-trained", "re-trained", "pilote"}
@@ -147,6 +151,30 @@ class TestFigure6:
     def test_to_text_contains_plot(self, result):
         text = result.to_text()
         assert "exemplars" in text and "accuracy vs. exemplars per class" in text
+
+    def test_to_text_header_separates_series(self, result):
+        header = result.to_text().splitlines()[2]
+        assert header.split()[:2] == ["exemplars", "effective"]
+        for name in result.mean_series():
+            assert f"  {name}" in header
+
+    def test_counts_past_the_data_share_one_run(self, monkeypatch):
+        calls = []
+        compare = ExperimentRunner.compare
+
+        def counting_compare(runner, scenario, **kwargs):
+            calls.append(kwargs["exemplar_strategy"])
+            return compare(runner, scenario, **kwargs)
+
+        monkeypatch.setattr(ExperimentRunner, "compare", counting_compare)
+        result = figure6.run(self.SETTINGS, exemplar_counts=(10, 100, 200))
+        assert result.exemplar_counts == [10, 100, 200]
+        effective = result.effective_counts
+        assert effective[0] == 10 and effective[1] == effective[2] < 100
+        assert calls.count("herding") == 2 and calls.count("random") == 2
+        for methods in result.series.values():
+            for aggregates in methods.values():
+                assert aggregates[1] == aggregates[2]
 
 
 class TestFigure7:
